@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrequencyGrid
+from .core import FrequencyGrid, locked_array
 from .errors import BandMismatchError, NegativeInsertionLossWarning
 
 __all__ = [
@@ -123,21 +123,12 @@ class BandTable:
         if any(b.index >= nxt.index for b, nxt in zip(bands, bands[1:])):
             raise ValueError("bands must be strictly ascending")
         object.__setattr__(self, "bands", bands)
-        values = np.array(self.values, dtype=float)
-        coverage = np.array(self.coverage, dtype=float)
-        n = len(bands)
-        if values.shape != (n,) or coverage.shape != (n,):
-            raise ValueError(f"values and coverage must have {n} entries")
+        values = locked_array(self.values, float, (len(bands),), "band values")
+        coverage = locked_array(self.coverage, float, (len(bands),), "band coverage")
         if not np.all(np.isfinite(coverage)) or np.any((coverage < 0.0) | (coverage > 1.0)):
             raise ValueError("coverage must lie in [0, 1]")
-        values.flags.writeable = False
-        coverage.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "coverage", coverage)
-
-    @property
-    def nominal_centers(self) -> np.ndarray:
-        return np.array([b.nominal for b in self.bands])
 
     def same_bands(self, other: "BandTable") -> bool:
         return len(self.bands) == len(other.bands) and all(
@@ -196,20 +187,23 @@ def band_average(
     f = grid.frequencies
     out = np.full(len(bands), np.nan)
     coverage = np.zeros(len(bands))
-    for i, band in enumerate(bands):
-        in_band = (f >= band.lower) & (f < band.upper)
-        n_in = int(np.count_nonzero(in_band))
-        if n_in == 0:
-            continue
-        use = in_band & usable
-        n_use = int(np.count_nonzero(use))
-        coverage[i] = n_use / n_in
-        if n_use == 0:
-            continue
-        if mode == "power":
-            out[i] = -10.0 * np.log10(np.mean(10.0 ** (-values[use] / 10.0)))
-        else:
-            out[i] = float(np.mean(values[use]))
+    # A band of +inf losses (nothing transmitted) averages to log10(0) = -inf
+    # in power mode, so its value is +inf by design, not a divide error.
+    with np.errstate(divide="ignore"):
+        for i, band in enumerate(bands):
+            in_band = (f >= band.lower) & (f < band.upper)
+            n_in = int(np.count_nonzero(in_band))
+            if n_in == 0:
+                continue
+            use = in_band & usable
+            n_use = int(np.count_nonzero(use))
+            coverage[i] = n_use / n_in
+            if n_use == 0:
+                continue
+            if mode == "power":
+                out[i] = -10.0 * np.log10(np.mean(10.0 ** (-values[use] / 10.0)))
+            else:
+                out[i] = float(np.mean(values[use]))
     return BandTable(bands, out, coverage)
 
 

@@ -6,6 +6,7 @@ Warnings go to stderr and into the report; they never change the exit code.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import sys
 import warnings
@@ -43,10 +44,11 @@ from .io_files import (
     write_band_csv,
     write_mic_spectra,
     write_report,
+    write_text_atomic,
 )
 from .models import mass_law_constant_db, mass_law_stl, stack_indicators
 from .pipeline import analyze_four_mic
-from .synth import SynthScenario, synth_mic_pressures
+from .synth import synth_mic_pressures
 
 _DB_DECIMALS = 2  # reports quote dB to 0.01; CSV files keep full precision
 
@@ -98,8 +100,6 @@ def _cmd_bands(args) -> int:
         lines.append(f"{b.nominal:g},{b.center!r},{b.lower!r},{b.upper!r}")
     text = "\n".join(lines) + "\n"
     if args.output and args.output != "-":
-        from .io_files import write_text_atomic
-
         write_text_atomic(args.output, text)
     else:
         print(text, end="")
@@ -110,15 +110,7 @@ def _cmd_synth(args) -> int:
     air, geometry = _require_config(args)
     scenario, grid = load_scenario(args.scenario, geometry, air)
     if args.seed is not None:
-        scenario = SynthScenario(
-            sample=scenario.sample,
-            geometry=scenario.geometry,
-            air=scenario.air,
-            incident_amplitude=scenario.incident_amplitude,
-            termination_ratio=scenario.termination_ratio,
-            snr_db=scenario.snr_db,
-            seed=args.seed,
-        )
+        scenario = dataclasses.replace(scenario, seed=args.seed)
     spectra = synth_mic_pressures(scenario, grid)
     write_mic_spectra(args.output, spectra, geometry, air)
     return 0
@@ -216,8 +208,6 @@ def _cmd_stl(args) -> int:
 
 
 def _write_narrowband_csv(path, grid, stl_db, spread_db, reflectance) -> None:
-    from .io_files import write_text_atomic
-
     lines = ["frequency_hz,stl_db,stl_spread_db,reflectance"]
     for row in zip(grid.frequencies, stl_db, spread_db, reflectance):
         lines.append(",".join(repr(float(v)) for v in row))
@@ -232,6 +222,7 @@ def _cmd_masslaw(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         entries = []
+        tables = {}
         for mat in materials:
             values = mass_law_stl(centers, mat.surface_density, args.masslaw_constant, air)
             below = values < 0.0
@@ -255,6 +246,7 @@ def _cmd_masslaw(args) -> int:
                     },
                 }
             )
+            tables[mat.name.replace(",", " ")] = BandTable.from_values(bands, values)
         report = _provenance(
             "masslaw",
             air,
@@ -265,12 +257,6 @@ def _cmd_masslaw(args) -> int:
         report["constant_db"] = mass_law_constant_db(args.masslaw_constant, air)
         report["materials"] = entries
         if args.band_csv:
-            tables = {
-                mat.name.replace(",", " "): BandTable.from_values(
-                    bands, mass_law_stl(centers, mat.surface_density, args.masslaw_constant, air)
-                )
-                for mat in materials
-            }
             write_band_csv(args.band_csv, tables)
     _emit(report, caught, args.output)
     return 0

@@ -142,6 +142,31 @@ class FrequencyGrid:
         return wavenumber(self._frequencies, air)
 
 
+def locked_array(values, dtype, shape: tuple, what: str) -> np.ndarray:
+    """Read-only private copy of ``values`` as ``dtype``; ValueError unless it has ``shape``."""
+    arr = np.array(values, dtype=dtype)
+    if arr.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
+    arr.flags.writeable = False
+    return arr
+
+
+class PerBinArrays:
+    """Mixin for frozen dataclasses whose array fields hold one entry per bin of ``self.grid``.
+
+    ``_per_bin`` maps each such field to its dtype; construction replaces every
+    one with a :func:`locked_array` copy.
+    """
+
+    _per_bin: dict = {}
+
+    def __post_init__(self) -> None:
+        shape = (len(self.grid),)
+        for name, dtype in self._per_bin.items():
+            arr = locked_array(getattr(self, name), dtype, shape, f"field '{name}'")
+            object.__setattr__(self, name, arr)
+
+
 class ComplexSpectrum:
     """Complex values on a frequency grid (Pa for pressures, 1 for coefficients).
 
@@ -151,12 +176,9 @@ class ComplexSpectrum:
     __slots__ = ("_grid", "_values")
 
     def __init__(self, grid: FrequencyGrid, values) -> None:
-        v = np.array(values, dtype=complex)
-        if v.shape != (len(grid),):
-            raise ValueError(f"expected {len(grid)} spectrum values, got shape {v.shape}")
+        v = locked_array(values, complex, (len(grid),), "spectrum values")
         if not np.all(np.isfinite(v)):
             raise ValueError("spectrum values must be finite")
-        v.flags.writeable = False
         self._grid = grid
         self._values = v
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AirProperties, ComplexSpectrum, FrequencyGrid, TubeGeometry
+from .core import AirProperties, ComplexSpectrum, FrequencyGrid, PerBinArrays, TubeGeometry
 
 __all__ = [
     "SINGULARITY_TOLERANCE",
@@ -32,7 +32,6 @@ def decompose_pair(
     x_a: float,
     x_b: float,
     k: np.ndarray,
-    tolerance: float = SINGULARITY_TOLERANCE,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Recover (forward, backward) wave amplitudes from one microphone pair.
 
@@ -44,15 +43,14 @@ def decompose_pair(
         Microphone coordinates in m along the tube axis; must differ.
     k : ndarray
         Real wavenumber per frequency in rad/m.
-    tolerance : float, optional
-        Bins with ``|sin k (x_a - x_b)| < tolerance`` are marked singular.
 
     Returns
     -------
     forward, backward : ndarray
         Complex amplitudes per frequency, NaN at singular bins.
     singular : ndarray
-        Boolean mask of the excluded bins.
+        Boolean mask of the excluded bins, where
+        ``|sin k (x_a - x_b)| < SINGULARITY_TOLERANCE``.
     """
     if x_a == x_b:
         raise ValueError("microphone positions must differ")
@@ -62,7 +60,7 @@ def decompose_pair(
         raise ValueError("wavenumber array must match the grid length")
 
     s = np.sin(k * (x_a - x_b))
-    singular = np.abs(s) < tolerance
+    singular = np.abs(s) < SINGULARITY_TOLERANCE
     den = 2.0 * s
     with np.errstate(divide="ignore", invalid="ignore"):
         forward = 1j * (p_a.values * np.exp(1j * k * x_b) - p_b.values * np.exp(1j * k * x_a)) / den
@@ -73,7 +71,7 @@ def decompose_pair(
 
 
 @dataclass(frozen=True)
-class PlaneWaveAmplitudes:
+class PlaneWaveAmplitudes(PerBinArrays):
     """Forward/backward amplitudes on both sides of the sample, in Pa.
 
     ``a``/``b`` travel toward/away from the sample on the source side,
@@ -89,20 +87,13 @@ class PlaneWaveAmplitudes:
     upstream_singular: np.ndarray
     downstream_singular: np.ndarray
 
+    _per_bin = {
+        "a": complex, "b": complex, "c": complex, "d": complex,
+        "upstream_singular": bool, "downstream_singular": bool,
+    }
+
     def __post_init__(self) -> None:
-        n = len(self.grid)
-        for name in ("a", "b", "c", "d"):
-            arr = np.array(getattr(self, name), dtype=complex)
-            if arr.shape != (n,):
-                raise ValueError(f"amplitude '{name}' must have {n} entries")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        for name in ("upstream_singular", "downstream_singular"):
-            mask = np.array(getattr(self, name), dtype=bool)
-            if mask.shape != (n,):
-                raise ValueError(f"mask '{name}' must have {n} entries")
-            mask.flags.writeable = False
-            object.__setattr__(self, name, mask)
+        super().__post_init__()
         if not (
             np.all(np.isfinite(self.a[~self.upstream_singular]))
             and np.all(np.isfinite(self.b[~self.upstream_singular]))
@@ -132,7 +123,6 @@ def decompose_four_mic(
     p4: ComplexSpectrum,
     geometry: TubeGeometry,
     air: AirProperties,
-    tolerance: float = SINGULARITY_TOLERANCE,
 ) -> PlaneWaveAmplitudes:
     """Recover (A, B) from the upstream pair and (C, D) from the downstream pair.
 
@@ -144,8 +134,6 @@ def decompose_four_mic(
         Supplies the microphone coordinates.
     air : AirProperties
         Supplies the sound speed for the wavenumber.
-    tolerance : float, optional
-        Singularity threshold forwarded to :func:`decompose_pair`.
 
     Returns
     -------
@@ -157,8 +145,8 @@ def decompose_four_mic(
         grid.require_matches(spectrum.grid, f"decompose_four_mic({name})")
     x1, x2, x3, x4 = geometry.mic_positions
     k = grid.wavenumbers(air)
-    a, b, upstream_singular = decompose_pair(p1, p2, x1, x2, k, tolerance)
-    c, d, downstream_singular = decompose_pair(p3, p4, x3, x4, k, tolerance)
+    a, b, upstream_singular = decompose_pair(p1, p2, x1, x2, k)
+    c, d, downstream_singular = decompose_pair(p3, p4, x3, x4, k)
     return PlaneWaveAmplitudes(
         grid=grid,
         a=a,

@@ -336,6 +336,11 @@ def read_band_csv(path) -> dict[str, BandTable]:
 
 
 def _layer_from_record(record: dict, path, index: int) -> LayerModel:
+    if not isinstance(record, dict):
+        raise InputFormatError(
+            f"bad layer #{index + 1}: expected a JSON object, got {type(record).__name__}",
+            path=path,
+        )
     kind = record.get("kind")
     try:
         if kind == "limp-mass":

@@ -235,6 +235,8 @@ def cascade(
     layers = tuple(layers)
     if not layers:
         raise ValueError("cascade needs at least one layer")
+    # A loop, not functools.reduce: reduce keeps the previous two operands
+    # alive while it builds the next layer's matrix, which costs time.
     result = layers[0].matrix_on(grid, air)
     for layer in layers[1:]:
         result = result @ layer.matrix_on(grid, air)

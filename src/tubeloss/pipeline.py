@@ -11,7 +11,6 @@ from .transfer import (
     AcousticIndicators,
     TransferMatrix,
     acoustic_indicators,
-    anechoic_quality,
     boundary_states,
     reconstruct_one_load,
     stl_direct_anechoic,
@@ -22,13 +21,15 @@ __all__ = ["TubeAnalysis", "analyze_four_mic"]
 
 @dataclass(frozen=True)
 class TubeAnalysis:
-    """All intermediate and final products of one tube measurement."""
+    """All intermediate and final products of one tube measurement.
+
+    The termination quality ``|D/C|`` is :func:`anechoic_quality` of ``amplitudes``.
+    """
 
     amplitudes: PlaneWaveAmplitudes
     matrix: TransferMatrix
     indicators: AcousticIndicators
     stl_direct_db: np.ndarray
-    anechoic_ratio: np.ndarray
 
 
 def analyze_four_mic(
@@ -56,5 +57,4 @@ def analyze_four_mic(
         matrix=matrix,
         indicators=indicators,
         stl_direct_db=direct,
-        anechoic_ratio=anechoic_quality(amplitudes),
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AirProperties, FrequencyGrid
+from .core import AirProperties, FrequencyGrid, PerBinArrays
 from .decompose import PlaneWaveAmplitudes
 from .errors import AnechoicQualityWarning
 
@@ -38,16 +38,20 @@ _DENOMINATOR_RTOL = 1e-12
 _NAN = complex(np.nan, np.nan)
 
 
-def _lock_complex(obj, name: str, n: int) -> None:
-    arr = np.array(getattr(obj, name), dtype=complex)
-    if arr.shape != (n,):
-        raise ValueError(f"field '{name}' must have {n} entries")
-    arr.flags.writeable = False
-    object.__setattr__(obj, name, arr)
+def _nonvanishing(den: np.ndarray, scale: np.ndarray, valid=True) -> np.ndarray:
+    """Bins of ``valid`` where ``den`` is finite and above ``_DENOMINATOR_RTOL`` times its ``scale``."""
+    with np.errstate(invalid="ignore"):
+        return valid & np.isfinite(den) & (scale > 0.0) & (np.abs(den) > _DENOMINATOR_RTOL * scale)
+
+
+def _quotient(num, den: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """``num / den`` at the ``ok`` bins, complex NaN elsewhere."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(ok, num / den, _NAN)
 
 
 @dataclass(frozen=True)
-class BoundaryState:
+class BoundaryState(PerBinArrays):
     """Pressure (Pa) and particle velocity (m/s) at one face of the sample.
 
     NaN entries mark bins already excluded upstream in the pipeline.
@@ -57,14 +61,11 @@ class BoundaryState:
     pressure: np.ndarray
     velocity: np.ndarray
 
-    def __post_init__(self) -> None:
-        n = len(self.grid)
-        _lock_complex(self, "pressure", n)
-        _lock_complex(self, "velocity", n)
+    _per_bin = {"pressure": complex, "velocity": complex}
 
 
 @dataclass(frozen=True)
-class TransferMatrix:
+class TransferMatrix(PerBinArrays):
     """2x2 complex matrix per frequency linking (P, V) across the sample.
 
     ``valid`` marks bins where the matrix is meaningful; invalid bins carry
@@ -78,16 +79,12 @@ class TransferMatrix:
     t22: np.ndarray
     valid: np.ndarray = field(default=None)  # type: ignore[assignment]
 
+    _per_bin = {"t11": complex, "t12": complex, "t21": complex, "t22": complex, "valid": bool}
+
     def __post_init__(self) -> None:
-        n = len(self.grid)
-        for name in ("t11", "t12", "t21", "t22"):
-            _lock_complex(self, name, n)
-        mask = self.valid
-        mask = np.ones(n, dtype=bool) if mask is None else np.array(mask, dtype=bool)
-        if mask.shape != (n,):
-            raise ValueError(f"valid mask must have {n} entries")
-        mask.flags.writeable = False
-        object.__setattr__(self, "valid", mask)
+        if self.valid is None:
+            object.__setattr__(self, "valid", np.ones(len(self.grid), dtype=bool))
+        super().__post_init__()
 
     @classmethod
     def identity(cls, grid: FrequencyGrid) -> "TransferMatrix":
@@ -112,7 +109,7 @@ class TransferMatrix:
 
 
 @dataclass(frozen=True)
-class AcousticIndicators:
+class AcousticIndicators(PerBinArrays):
     """Per-frequency sample indicators from one reconstructed matrix.
 
     ``transmission``/``reflection`` are the anechoic-termination coefficients,
@@ -129,18 +126,10 @@ class AcousticIndicators:
     stl_db: np.ndarray
     valid: np.ndarray
 
-    def __post_init__(self) -> None:
-        n = len(self.grid)
-        for name in ("transmission", "reflection", "surface_impedance", "rigid_reflection"):
-            _lock_complex(self, name, n)
-        stl_arr = np.array(self.stl_db, dtype=float)
-        mask = np.array(self.valid, dtype=bool)
-        if stl_arr.shape != (n,) or mask.shape != (n,):
-            raise ValueError(f"indicator arrays must have {n} entries")
-        stl_arr.flags.writeable = False
-        mask.flags.writeable = False
-        object.__setattr__(self, "stl_db", stl_arr)
-        object.__setattr__(self, "valid", mask)
+    _per_bin = {
+        "transmission": complex, "reflection": complex, "surface_impedance": complex,
+        "rigid_reflection": complex, "stl_db": float, "valid": bool,
+    }
 
     @property
     def reflectance(self) -> np.ndarray:
@@ -186,7 +175,6 @@ def boundary_states(
 def reconstruct_one_load(
     state_in: BoundaryState,
     state_out: BoundaryState,
-    rel_tolerance: float = _DENOMINATOR_RTOL,
 ) -> TransferMatrix:
     """Build the transfer matrix from one pair of boundary states.
 
@@ -200,15 +188,13 @@ def reconstruct_one_load(
 
     The symmetric quotient forms stay well defined when Pd or Vd alone
     vanishes; only the shared denominator matters. det T = 1 holds exactly
-    by construction.
+    by construction. Bins where ``|P0 Vd + Pd V0|`` falls below
+    ``_DENOMINATOR_RTOL`` times its magnitude scale are marked invalid.
 
     Parameters
     ----------
     state_in, state_out : BoundaryState
         States at the entry and exit faces.
-    rel_tolerance : float, optional
-        Bins where ``|P0 Vd + Pd V0|`` falls below this fraction of its
-        magnitude scale are marked invalid.
 
     Returns
     -------
@@ -221,15 +207,10 @@ def reconstruct_one_load(
 
     den = p0 * vd + pd * v0
     scale = np.abs(p0) * np.abs(vd) + np.abs(pd) * np.abs(v0)
-    with np.errstate(invalid="ignore"):
-        ok = np.isfinite(den) & (scale > 0.0) & (np.abs(den) > rel_tolerance * scale)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t11 = (p0 * v0 + pd * vd) / den
-        t12 = (p0 * p0 - pd * pd) / den
-        t21 = (v0 * v0 - vd * vd) / den
-    t11 = np.where(ok, t11, _NAN)
-    t12 = np.where(ok, t12, _NAN)
-    t21 = np.where(ok, t21, _NAN)
+    ok = _nonvanishing(den, scale)
+    t11 = _quotient(p0 * v0 + pd * vd, den, ok)
+    t12 = _quotient(p0 * p0 - pd * pd, den, ok)
+    t21 = _quotient(v0 * v0 - vd * vd, den, ok)
     return TransferMatrix(state_in.grid, t11, t12, t21, t11, ok)
 
 
@@ -243,9 +224,7 @@ def _anechoic_denominator(matrix: TransferMatrix, air: AirProperties) -> tuple[n
         + z * np.abs(matrix.t21)
         + np.abs(matrix.t22)
     )
-    with np.errstate(invalid="ignore"):
-        ok = matrix.valid & np.isfinite(den) & (scale > 0.0) & (np.abs(den) > _DENOMINATOR_RTOL * scale)
-    return den, ok
+    return den, _nonvanishing(den, scale, matrix.valid)
 
 
 def transmission_coefficient(
@@ -262,9 +241,7 @@ def transmission_coefficient(
     consistent normalization. Bins with a vanishing denominator come back NaN.
     """
     den, ok = _anechoic_denominator(matrix, air)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = 2.0 * np.exp(1j * np.asarray(k, dtype=float) * thickness) / den
-    return np.where(ok, t, _NAN)
+    return _quotient(2.0 * np.exp(1j * np.asarray(k, dtype=float) * thickness), den, ok)
 
 
 def reflection_coefficient_anechoic(matrix: TransferMatrix, air: AirProperties) -> np.ndarray:
@@ -275,9 +252,7 @@ def reflection_coefficient_anechoic(matrix: TransferMatrix, air: AirProperties) 
     z = air.impedance
     den, ok = _anechoic_denominator(matrix, air)
     num = matrix.t11 + matrix.t12 / z - z * matrix.t21 - matrix.t22
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = num / den
-    return np.where(ok, r, _NAN)
+    return _quotient(num, den, ok)
 
 
 def surface_impedance_anechoic(reflection: np.ndarray, air: AirProperties) -> np.ndarray:
@@ -301,11 +276,8 @@ def rigid_backing_reflection(matrix: TransferMatrix, air: AirProperties) -> np.n
     z = air.impedance
     den = matrix.t11 + z * matrix.t21
     scale = np.abs(matrix.t11) + z * np.abs(matrix.t21)
-    with np.errstate(invalid="ignore"):
-        ok = matrix.valid & np.isfinite(den) & (scale > 0.0) & (np.abs(den) > _DENOMINATOR_RTOL * scale)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = (matrix.t11 - z * matrix.t21) / den
-    return np.where(ok, r, _NAN)
+    ok = _nonvanishing(den, scale, matrix.valid)
+    return _quotient(matrix.t11 - z * matrix.t21, den, ok)
 
 
 def stl(transmission: np.ndarray) -> np.ndarray:

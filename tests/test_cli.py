@@ -372,10 +372,27 @@ class TestStack:
         report = json.loads(report_path.read_text())
         assert all(v == 0.0 for v in report["narrowband"]["stl_db"])
 
-    def test_unknown_layer_kind_exits_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "records",
+        [[{"kind": "porous"}], [1], [None], ["limp-mass"]],
+        ids=["porous", "number", "null", "string"],
+    )
+    def test_unknown_layer_kind_exits_2(self, tmp_path, capsys, records):
         stack = tmp_path / "stack.json"
-        stack.write_text(json.dumps([{"kind": "porous"}]))
+        stack.write_text(json.dumps(records))
         assert run_cli("stack", "--stack", str(stack)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "bad layer #1: " in err[0]
+
+    def test_opaque_layer_keeps_numpy_warnings_out(self, tmp_path, capsys):
+        stack = tmp_path / "stack.json"
+        stack.write_text(json.dumps([{"kind": "limp-mass", "surface_density": 1e300}]))
+        report_path = tmp_path / "report.json"
+        assert run_cli("stack", "--stack", str(stack), "--output", str(report_path)) == 0
+        report = json.loads(report_path.read_text())
+        assert not [w for w in report["warnings"] if "encountered in" in w]
+        assert "encountered in" not in capsys.readouterr().err
+        assert all(v == float("inf") for v in report["bands"]["values_db"])
 
 
 class TestBandsCommand:
