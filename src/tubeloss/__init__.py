@@ -43,6 +43,7 @@ from .errors import (
     GridMismatchError,
     InputFormatError,
     NegativeInsertionLossWarning,
+    NumericalValidityError,
     PlaneWaveCutoffWarning,
     SingularBinWarning,
     TubelossError,
@@ -143,6 +144,7 @@ __all__ = [
     "BandMismatchError",
     "InputFormatError",
     "ConfigMismatchError",
+    "NumericalValidityError",
     "AllBinsInvalidError",
     "PlaneWaveCutoffWarning",
     "SingularBinWarning",

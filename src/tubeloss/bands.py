@@ -79,8 +79,8 @@ def third_octave_bands(f_min: float, f_max: float) -> tuple[ThirdOctaveBand, ...
     tuple of ThirdOctaveBand
         Ascending and contiguous in index.
     """
-    if f_min <= 0.0 or f_max < f_min:
-        raise ValueError("need 0 < f_min <= f_max")
+    if not 0.0 < f_min <= f_max < math.inf:
+        raise ValueError("need 0 < f_min <= f_max < inf")
     lo = math.floor(3.0 * math.log2(f_min / 1000.0)) - 2
     hi = math.ceil(3.0 * math.log2(f_max / 1000.0)) + 2
     bands = tuple(
@@ -148,7 +148,6 @@ def band_average(
     values_db,
     bands,
     mode: str = "power",
-    valid=None,
 ) -> BandTable:
     """Aggregate a narrowband dB curve into third-octave bands.
 
@@ -165,8 +164,6 @@ def band_average(
         "power" converts each dB value to a linear transmission factor
         10^(-L/10), averages, and converts back; "db" averages the dB values
         arithmetically.
-    valid : ndarray of bool, optional
-        Extra per-bin validity on top of finiteness.
 
     Returns
     -------
@@ -180,8 +177,6 @@ def band_average(
     if values.shape != (len(grid),):
         raise ValueError("narrowband curve must match the grid length")
     usable = ~np.isnan(values)
-    if valid is not None:
-        usable = usable & np.asarray(valid, dtype=bool)
 
     bands = tuple(bands)
     f = grid.frequencies

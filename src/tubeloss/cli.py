@@ -1,7 +1,12 @@
 """Command-line surface tying the analysis pipeline together.
 
-Exit codes: 0 success, 2 input/format error, 3 numerical validity error.
-Warnings go to stderr and into the report; they never change the exit code.
+Each ``_cmd_*`` function only computes: the report commands (``stl``, ``il``,
+``masslaw``, ``stack``) return their report dict, ``bands`` and ``synth``
+return None. :func:`main` is the one place that records warnings, prints them
+to stderr as ``warning:`` lines, puts them into the report, writes the report
+and maps exceptions to exit codes: 0 success, 2 input/format error, 3
+numerical validity error. Warnings never change the exit code; a failing run
+prints one ``error:`` line and nothing else.
 """
 from __future__ import annotations
 
@@ -25,9 +30,8 @@ from .bands import (
 from .core import DEFAULT_AIR, FrequencyGrid, plane_wave_cutoff
 from .errors import (
     AllBinsInvalidError,
-    BandMismatchError,
-    GridMismatchError,
     InputFormatError,
+    NumericalValidityError,
     PlaneWaveCutoffWarning,
     SingularBinWarning,
     TubelossError,
@@ -53,10 +57,10 @@ from .synth import synth_mic_pressures
 _DB_DECIMALS = 2  # reports quote dB to 0.01; CSV files keep full precision
 
 
-def _round_db(values) -> list:
+def _round_db(values, decimals: int = _DB_DECIMALS) -> list:
     out = []
     for v in np.asarray(values, dtype=float):
-        out.append(round(float(v), _DB_DECIMALS) if np.isfinite(v) else (None if np.isnan(v) else float(v)))
+        out.append(round(float(v), decimals) if np.isfinite(v) else (None if np.isnan(v) else float(v)))
     return out
 
 
@@ -72,11 +76,11 @@ def _provenance(command: str, air, geometry, modes: dict, seed) -> dict:
     }
 
 
-def _band_block(table: BandTable) -> dict:
+def _band_block(table: BandTable, key: str = "values_db") -> dict:
     return {
         "nominal_hz": [b.nominal for b in table.bands],
-        "values_db": _round_db(table.values),
-        "coverage": [float(c) for c in table.coverage],
+        key: _round_db(table.values),
+        "coverage": table.coverage.tolist(),
     }
 
 
@@ -86,14 +90,7 @@ def _require_config(args) -> tuple:
     return load_config(args.config)
 
 
-def _emit(report: dict, caught, output) -> None:
-    report["warnings"] = [str(w.message) for w in caught]
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    write_report(output, report)
-
-
-def _cmd_bands(args) -> int:
+def _cmd_bands(args) -> None:
     bands = third_octave_bands(args.f_min, args.f_max)
     lines = ["band_nominal_hz,exact_center_hz,lower_edge_hz,upper_edge_hz"]
     for b in bands:
@@ -103,108 +100,101 @@ def _cmd_bands(args) -> int:
         write_text_atomic(args.output, text)
     else:
         print(text, end="")
-    return 0
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> None:
     air, geometry = _require_config(args)
     scenario, grid = load_scenario(args.scenario, geometry, air)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     spectra = synth_mic_pressures(scenario, grid)
     write_mic_spectra(args.output, spectra, geometry, air)
-    return 0
 
 
-def _cmd_stl(args) -> int:
+def _cmd_stl(args) -> dict:
     air, geometry = _require_config(args)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-
-        grid = None
-        runs = []
-        reflectances = []
-        direct_runs = []
-        for path in args.inputs:
-            spectra, file_geometry, file_air = read_mic_spectra(path)
-            require_header_matches(path, file_geometry, file_air, geometry, air)
-            if grid is None:
-                grid = spectra[0].grid
-            else:
-                grid.require_matches(spectra[0].grid, f"input '{path}'")
-            analysis = analyze_four_mic(*spectra, geometry=geometry, air=air)
-            stl_run = np.where(analysis.indicators.valid, analysis.indicators.stl_db, np.nan)
-            runs.append(stl_run)
-            reflectances.append(
-                np.where(analysis.indicators.valid, analysis.indicators.reflectance, np.nan)
-            )
-            direct_runs.append(analysis.stl_direct_db)
-            singular = analysis.amplitudes.singular_frequencies()
-            for pair in ("upstream", "downstream"):
-                if singular[pair].size:
-                    warnings.warn(
-                        f"{path}: {pair} pair singular at {singular[pair].tolist()} Hz",
-                        SingularBinWarning,
-                        stacklevel=1,
-                    )
-
-        reps = RepetitionSet(grid, np.array(runs), tuple(args.inputs))
-        mean_stl, spread_stl = average_repetitions(reps, mode=args.rep_mode)
-        if not np.any(np.isfinite(mean_stl)):
-            raise AllBinsInvalidError("no valid frequency bin in any input (all bins singular)")
-        valid = np.isfinite(mean_stl)
-
-        cutoff = plane_wave_cutoff(geometry, air)
-        above = grid.frequencies > cutoff
-        if np.any(above):
-            warnings.warn(
-                f"{int(np.count_nonzero(above))} bins above the plane-wave cutoff "
-                f"({cutoff:.1f} Hz) are flagged, not rejected",
-                PlaneWaveCutoffWarning,
-                stacklevel=1,
-            )
-
-        with np.errstate(invalid="ignore"), warnings.catch_warnings():
-            # all-NaN columns (singular bins) are expected, not reportable
-            warnings.simplefilter("ignore", RuntimeWarning)
-            mean_reflectance = np.nanmean(np.array(reflectances), axis=0)
-            mean_direct = np.nanmean(np.array(direct_runs), axis=0)
-
-        bands = third_octave_bands(args.f_min, args.f_max)
-        table = band_average(grid, mean_stl, bands, mode=args.band_mode)
-
-        report = _provenance(
-            "stl",
-            air,
-            geometry,
-            {"band_mode": args.band_mode, "rep_mode": args.rep_mode},
-            args.seed,
+    grid = None
+    runs = []
+    reflectances = []
+    direct_runs = []
+    for path in args.inputs:
+        spectra, file_geometry, file_air = read_mic_spectra(path)
+        require_header_matches(path, file_geometry, file_air, geometry, air)
+        if grid is None:
+            grid = spectra[0].grid
+        else:
+            grid.require_matches(spectra[0].grid, f"input '{path}'")
+        analysis = analyze_four_mic(*spectra, geometry=geometry, air=air)
+        stl_run = np.where(analysis.indicators.valid, analysis.indicators.stl_db, np.nan)
+        runs.append(stl_run)
+        reflectances.append(
+            np.where(analysis.indicators.valid, analysis.indicators.reflectance, np.nan)
         )
-        report.update(
-            {
-                "inputs": list(args.inputs),
-                "n_repetitions": len(args.inputs),
-                "cutoff_hz": cutoff,
-                "narrowband": {
-                    "frequency_hz": grid.frequencies.tolist(),
-                    "stl_db": _round_db(mean_stl),
-                    "stl_spread_db": _round_db(spread_stl),
-                    "stl_direct_db": _round_db(mean_direct),
-                    "reflectance": [
-                        round(float(r), 6) if np.isfinite(r) else None for r in mean_reflectance
-                    ],
-                    "valid": [bool(v) for v in valid],
-                    "above_cutoff": [bool(v) for v in above],
-                },
-                "bands": _band_block(table),
-            }
+        direct_runs.append(analysis.stl_direct_db)
+        singular = analysis.amplitudes.singular_frequencies()
+        for pair in ("upstream", "downstream"):
+            if singular[pair].size:
+                warnings.warn(
+                    f"{path}: {pair} pair singular at {singular[pair].tolist()} Hz",
+                    SingularBinWarning,
+                    stacklevel=1,
+                )
+
+    reps = RepetitionSet(grid, np.array(runs), tuple(args.inputs))
+    mean_stl, spread_stl = average_repetitions(reps, mode=args.rep_mode)
+    if not np.any(np.isfinite(mean_stl)):
+        raise AllBinsInvalidError("no valid frequency bin in any input (all bins singular)")
+    valid = np.isfinite(mean_stl)
+
+    cutoff = plane_wave_cutoff(geometry, air)
+    above = grid.frequencies > cutoff
+    if np.any(above):
+        warnings.warn(
+            f"{int(np.count_nonzero(above))} bins above the plane-wave cutoff "
+            f"({cutoff:.1f} Hz) are flagged, not rejected",
+            PlaneWaveCutoffWarning,
+            stacklevel=1,
         )
-        if args.band_csv:
-            write_band_csv(args.band_csv, {"stl_db": table})
-        if args.narrowband_csv:
-            _write_narrowband_csv(args.narrowband_csv, grid, mean_stl, spread_stl, mean_reflectance)
-    _emit(report, caught, args.output)
-    return 0
+
+    with np.errstate(invalid="ignore"), warnings.catch_warnings():
+        # all-NaN columns (singular bins) are expected, not reportable
+        warnings.simplefilter("ignore", RuntimeWarning)
+        mean_reflectance = np.nanmean(np.array(reflectances), axis=0)
+        mean_direct = np.nanmean(np.array(direct_runs), axis=0)
+
+    bands = third_octave_bands(args.f_min, args.f_max)
+    table = band_average(grid, mean_stl, bands, mode=args.band_mode)
+
+    report = _provenance(
+        "stl",
+        air,
+        geometry,
+        {"band_mode": args.band_mode, "rep_mode": args.rep_mode},
+        args.seed,
+    )
+    report.update(
+        {
+            "inputs": list(args.inputs),
+            "n_repetitions": len(args.inputs),
+            "cutoff_hz": cutoff,
+            "narrowband": {
+                "frequency_hz": grid.frequencies.tolist(),
+                "stl_db": _round_db(mean_stl),
+                "stl_spread_db": _round_db(spread_stl),
+                "stl_direct_db": _round_db(mean_direct),
+                # NaN or finite (a valid bin needs a finite reflection), never +-inf
+                "reflectance": _round_db(mean_reflectance, decimals=6),
+                "valid": valid.tolist(),
+                "above_cutoff": above.tolist(),
+            },
+            "bands": _band_block(table),
+        }
+    )
+    if args.band_csv:
+        write_band_csv(args.band_csv, {"stl_db": table})
+    if args.narrowband_csv:
+        _write_narrowband_csv(args.narrowband_csv, grid, mean_stl, spread_stl, mean_reflectance)
+    return report
 
 
 def _write_narrowband_csv(path, grid, stl_db, spread_db, reflectance) -> None:
@@ -214,55 +204,52 @@ def _write_narrowband_csv(path, grid, stl_db, spread_db, reflectance) -> None:
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def _cmd_masslaw(args) -> int:
+def _cmd_masslaw(args) -> dict:
     air = load_config(args.config)[0] if args.config else DEFAULT_AIR
     materials = load_materials(args.materials)
     bands = third_octave_bands(args.f_min, args.f_max)
     centers = np.array([b.center for b in bands])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        entries = []
-        tables = {}
-        for mat in materials:
-            values = mass_law_stl(centers, mat.surface_density, args.masslaw_constant, air)
-            below = values < 0.0
-            if np.any(below):
-                nominals = [b.nominal for b, flag in zip(bands, below) if flag]
-                warnings.warn(
-                    f"{mat.name}: mass-law prediction below validity (negative) in bands "
-                    f"{nominals} Hz",
-                    UserWarning,
-                    stacklevel=1,
-                )
-            entries.append(
-                {
-                    "name": mat.name,
-                    "thickness_mm": mat.thickness_mm,
-                    "surface_density": mat.surface_density,
-                    "bands": {
-                        "nominal_hz": [b.nominal for b in bands],
-                        "stl_db": _round_db(values),
-                        "below_validity": [bool(v) for v in below],
-                    },
-                }
+    entries = []
+    tables = {}
+    for mat in materials:
+        values = mass_law_stl(centers, mat.surface_density, args.masslaw_constant, air)
+        below = values < 0.0
+        if np.any(below):
+            nominals = [b.nominal for b, flag in zip(bands, below) if flag]
+            warnings.warn(
+                f"{mat.name}: mass-law prediction below validity (negative) in bands "
+                f"{nominals} Hz",
+                UserWarning,
+                stacklevel=1,
             )
-            tables[mat.name.replace(",", " ")] = BandTable.from_values(bands, values)
-        report = _provenance(
-            "masslaw",
-            air,
-            None,
-            {"masslaw_constant": args.masslaw_constant},
-            args.seed,
+        entries.append(
+            {
+                "name": mat.name,
+                "thickness_mm": mat.thickness_mm,
+                "surface_density": mat.surface_density,
+                "bands": {
+                    "nominal_hz": [b.nominal for b in bands],
+                    "stl_db": _round_db(values),
+                    "below_validity": below.tolist(),
+                },
+            }
         )
-        report["constant_db"] = mass_law_constant_db(args.masslaw_constant, air)
-        report["materials"] = entries
-        if args.band_csv:
-            write_band_csv(args.band_csv, tables)
-    _emit(report, caught, args.output)
-    return 0
+        tables[mat.name.replace(",", " ")] = BandTable.from_values(bands, values)
+    report = _provenance(
+        "masslaw",
+        air,
+        None,
+        {"masslaw_constant": args.masslaw_constant},
+        args.seed,
+    )
+    report["constant_db"] = mass_law_constant_db(args.masslaw_constant, air)
+    report["materials"] = entries
+    if args.band_csv:
+        write_band_csv(args.band_csv, tables)
+    return report
 
 
-def _cmd_il(args) -> int:
+def _cmd_il(args) -> dict:
     def pick_table(path, preferred: str) -> BandTable:
         tables = read_band_csv(path)
         if preferred in tables:
@@ -271,67 +258,51 @@ def _cmd_il(args) -> int:
 
     before = pick_table(args.before, "L_r0")
     after = pick_table(args.after, "L_rs")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        table = insertion_loss(before, after)
-        report = _provenance("il", DEFAULT_AIR, None, {}, args.seed)
-        report.update(
-            {
-                "before": args.before,
-                "after": args.after,
-                "bands": {
-                    "nominal_hz": [b.nominal for b in table.bands],
-                    "il_db": _round_db(table.values),
-                    "coverage": [float(c) for c in table.coverage],
-                },
-            }
-        )
-        if args.band_csv:
-            write_band_csv(args.band_csv, {"il_db": table})
-    _emit(report, caught, args.output)
-    return 0
+    table = insertion_loss(before, after)
+    report = _provenance("il", DEFAULT_AIR, None, {}, args.seed)
+    report.update(
+        {"before": args.before, "after": args.after, "bands": _band_block(table, "il_db")}
+    )
+    if args.band_csv:
+        write_band_csv(args.band_csv, {"il_db": table})
+    return report
 
 
-def _cmd_stack(args) -> int:
+def _cmd_stack(args) -> dict:
     air = load_config(args.config)[0] if args.config else DEFAULT_AIR
     layers = load_stack(args.stack)
     grid = FrequencyGrid.from_range(args.f_min, args.f_max, args.f_step)
     bands = third_octave_bands(args.f_min, args.f_max)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        stack = stack_indicators(layers, grid, air)
-        stack_stl = np.where(stack.valid, stack.stl_db, np.nan)
-        stack_table = band_average(grid, stack_stl, bands, mode=args.band_mode)
+    stack = stack_indicators(layers, grid, air)
+    stack_stl = np.where(stack.valid, stack.stl_db, np.nan)
+    stack_table = band_average(grid, stack_stl, bands, mode=args.band_mode)
 
-        constituents = []
-        for layer in layers:
-            single = stack_indicators((layer,), grid, air)
-            single_stl = np.where(single.valid, single.stl_db, np.nan)
-            constituents.append(
-                {
-                    "layer": layer.describe(),
-                    "bands": _band_block(
-                        band_average(grid, single_stl, bands, mode=args.band_mode)
-                    ),
-                }
-            )
-
-        report = _provenance("stack", air, None, {"band_mode": args.band_mode}, args.seed)
-        report.update(
+    constituents = []
+    for layer in layers:
+        single = stack_indicators((layer,), grid, air)
+        single_stl = np.where(single.valid, single.stl_db, np.nan)
+        constituents.append(
             {
-                "stack": [layer.describe() for layer in layers],
-                "narrowband": {
-                    "frequency_hz": grid.frequencies.tolist(),
-                    "stl_db": _round_db(stack_stl),
-                },
-                "bands": _band_block(stack_table),
-                "constituents": constituents,
+                "layer": layer.describe(),
+                "bands": _band_block(band_average(grid, single_stl, bands, mode=args.band_mode)),
             }
         )
-        if args.band_csv:
-            write_band_csv(args.band_csv, {"stack_stl_db": stack_table})
-    _emit(report, caught, args.output)
-    return 0
+
+    report = _provenance("stack", air, None, {"band_mode": args.band_mode}, args.seed)
+    report.update(
+        {
+            "stack": [layer.describe() for layer in layers],
+            "narrowband": {
+                "frequency_hz": grid.frequencies.tolist(),
+                "stl_db": _round_db(stack_stl),
+            },
+            "bands": _band_block(stack_table),
+            "constituents": constituents,
+        }
+    )
+    if args.band_csv:
+        write_band_csv(args.band_csv, {"stack_stl_db": stack_table})
+    return report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -343,6 +314,13 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--seed", type=int, default=None, metavar="U64")
     shared.add_argument("--output", "-o", default="-", metavar="PATH", help="'-' for stdout")
 
+    frange = argparse.ArgumentParser(add_help=False)
+    frange.add_argument("--f-min", type=float, default=100.0)
+    frange.add_argument("--f-max", type=float, default=5000.0)
+
+    band_csv = argparse.ArgumentParser(add_help=False)
+    band_csv.add_argument("--band-csv", metavar="PATH")
+
     parser = argparse.ArgumentParser(
         prog="tubeloss",
         description="Impedance-tube transmission loss and two-room insertion loss toolkit",
@@ -350,61 +328,59 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bands", parents=[shared], help="list third-octave bands")
-    p.add_argument("--f-min", type=float, default=100.0)
-    p.add_argument("--f-max", type=float, default=5000.0)
+    p = sub.add_parser("bands", parents=[shared, frange], help="list third-octave bands")
     p.set_defaults(func=_cmd_bands)
 
     p = sub.add_parser("synth", parents=[shared], help="generate synthetic mic spectra")
     p.add_argument("scenario", help="scenario INI file")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("stl", parents=[shared], help="transmission loss from mic spectra files")
+    p = sub.add_parser(
+        "stl", parents=[shared, frange, band_csv], help="transmission loss from mic spectra files"
+    )
     p.add_argument("inputs", nargs="+", help="mic-spectra CSV files (repetitions)")
-    p.add_argument("--f-min", type=float, default=100.0)
-    p.add_argument("--f-max", type=float, default=5000.0)
-    p.add_argument("--band-csv", metavar="PATH")
     p.add_argument("--narrowband-csv", metavar="PATH")
     p.set_defaults(func=_cmd_stl)
 
-    p = sub.add_parser("masslaw", parents=[shared], help="mass-law predictions per material")
+    p = sub.add_parser(
+        "masslaw", parents=[shared, frange, band_csv], help="mass-law predictions per material"
+    )
     p.add_argument("--materials", required=True, metavar="PATH", help="materials JSON")
-    p.add_argument("--f-min", type=float, default=100.0)
-    p.add_argument("--f-max", type=float, default=5000.0)
-    p.add_argument("--band-csv", metavar="PATH")
     p.set_defaults(func=_cmd_masslaw)
 
-    p = sub.add_parser("il", parents=[shared], help="insertion loss from two band CSVs")
+    p = sub.add_parser("il", parents=[shared, band_csv], help="insertion loss from two band CSVs")
     p.add_argument("--before", required=True, metavar="PATH", help="receiver levels, no sample")
     p.add_argument("--after", required=True, metavar="PATH", help="receiver levels, sample installed")
-    p.add_argument("--band-csv", metavar="PATH")
     p.set_defaults(func=_cmd_il)
 
-    p = sub.add_parser("stack", parents=[shared], help="predicted loss of a layer stack")
+    p = sub.add_parser(
+        "stack", parents=[shared, frange, band_csv], help="predicted loss of a layer stack"
+    )
     p.add_argument("--stack", required=True, metavar="PATH", help="stack JSON")
-    p.add_argument("--f-min", type=float, default=100.0)
-    p.add_argument("--f-max", type=float, default=5000.0)
     p.add_argument("--f-step", type=float, default=10.0)
-    p.add_argument("--band-csv", metavar="PATH")
     p.set_defaults(func=_cmd_stack)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except AllBinsInvalidError as exc:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = args.func(args)
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
+        if report is not None:
+            report["warnings"] = [str(w.message) for w in caught]
+            write_report(args.output, report)
+    except NumericalValidityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InputFormatError, BandMismatchError, GridMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (TubelossError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -114,6 +114,8 @@ class FrequencyGrid:
     @classmethod
     def from_range(cls, f_min: float, f_max: float, step: float) -> "FrequencyGrid":
         """Regular grid from ``f_min`` to ``f_max`` inclusive (when it lands on the step)."""
+        if not all(math.isfinite(v) for v in (f_min, f_max, step)):
+            raise ValueError("f_min, f_max and step must be finite")
         if step <= 0.0:
             raise ValueError("step must be positive")
         if f_max < f_min:

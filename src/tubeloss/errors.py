@@ -29,7 +29,11 @@ class ConfigMismatchError(InputFormatError):
     """A file header disagrees with the active configuration."""
 
 
-class AllBinsInvalidError(TubelossError, ArithmeticError):
+class NumericalValidityError(TubelossError, ArithmeticError):
+    """A computation has no numerically valid result for its inputs."""
+
+
+class AllBinsInvalidError(NumericalValidityError):
     """No frequency bin survived validity screening."""
 
 

@@ -37,6 +37,7 @@ __all__ = [
 
 MIC_SPECTRA_MAGIC = "# tubeloss mic spectra v1"
 MIC_SPECTRA_HEADER = "frequency_hz,p1_re,p1_im,p2_re,p2_im,p3_re,p3_im,p4_re,p4_im"
+_HEADER_RTOL = 1e-9  # relative tolerance of a file's geometry/air echo against the config
 
 
 def _fmt(x: float) -> str:
@@ -62,12 +63,16 @@ def write_text_atomic(path, text: str) -> None:
 # configuration
 
 
+def _read_ini(path, what: str) -> configparser.ConfigParser:
+    parser = configparser.ConfigParser()
+    if not parser.read(os.fspath(path)):
+        raise InputFormatError(f"{what} file not found or unreadable", path=path)
+    return parser
+
+
 def load_config(path) -> tuple[AirProperties, TubeGeometry]:
     """Read the INI config: [air] density/sound_speed..., [tube] geometry."""
-    parser = configparser.ConfigParser()
-    read = parser.read(os.fspath(path))
-    if not read:
-        raise InputFormatError("config file not found or unreadable", path=path)
+    parser = _read_ini(path, "config")
     try:
         air_section = parser["air"] if parser.has_section("air") else {}
         air = AirProperties(
@@ -231,12 +236,11 @@ def require_header_matches(
     file_air: AirProperties,
     geometry: TubeGeometry,
     air: AirProperties,
-    rtol: float = 1e-9,
 ) -> None:
     """Abort when a file's geometry/air echo disagrees with the active config."""
 
     def close(a: float, b: float) -> bool:
-        return abs(a - b) <= rtol * max(abs(a), abs(b), 1e-300)
+        return abs(a - b) <= _HEADER_RTOL * max(abs(a), abs(b), 1e-300)
 
     problems = []
     for i, (got, want) in enumerate(zip(file_geometry.mic_positions, geometry.mic_positions)):
@@ -335,6 +339,17 @@ def read_band_csv(path) -> dict[str, BandTable]:
 # stacks, materials, scenarios
 
 
+def _load_json_list(path, what: str) -> list:
+    try:
+        with open(path, "r") as handle:
+            data = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"invalid JSON: {exc}", path=path) from exc
+    if not isinstance(data, list) or not data:
+        raise InputFormatError(f"{what} file must be a non-empty JSON list", path=path)
+    return data
+
+
 def _layer_from_record(record: dict, path, index: int) -> LayerModel:
     if not isinstance(record, dict):
         raise InputFormatError(
@@ -366,27 +381,14 @@ def _layer_from_record(record: dict, path, index: int) -> LayerModel:
 
 def load_stack(path) -> tuple[LayerModel, ...]:
     """Read an ordered JSON list of layer records (incident side first)."""
-    try:
-        with open(path, "r") as handle:
-            data = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"invalid JSON: {exc}", path=path) from exc
-    if not isinstance(data, list) or not data:
-        raise InputFormatError("stack file must be a non-empty JSON list", path=path)
+    data = _load_json_list(path, "stack")
     return tuple(_layer_from_record(rec, path, i) for i, rec in enumerate(data))
 
 
 def load_materials(path) -> tuple[MaterialSpec, ...]:
     """Read a JSON list of material records."""
-    try:
-        with open(path, "r") as handle:
-            data = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"invalid JSON: {exc}", path=path) from exc
-    if not isinstance(data, list) or not data:
-        raise InputFormatError("materials file must be a non-empty JSON list", path=path)
     materials = []
-    for i, rec in enumerate(data):
+    for i, rec in enumerate(_load_json_list(path, "materials")):
         try:
             materials.append(
                 MaterialSpec(
@@ -414,10 +416,7 @@ def _parse_complex(text: str, what: str, path) -> complex:
 
 def load_scenario(path, geometry: TubeGeometry, air: AirProperties) -> tuple[SynthScenario, FrequencyGrid]:
     """Read a synthesis scenario INI; geometry and air come from the config."""
-    parser = configparser.ConfigParser()
-    read = parser.read(os.fspath(path))
-    if not read:
-        raise InputFormatError("scenario file not found or unreadable", path=path)
+    parser = _read_ini(path, "scenario")
     if not parser.has_section("scenario"):
         raise InputFormatError("missing [scenario] section", path=path)
     section = parser["scenario"]

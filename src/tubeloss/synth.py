@@ -13,7 +13,7 @@ import numpy as np
 
 from .bands import BandTable
 from .core import AirProperties, ComplexSpectrum, FrequencyGrid, TubeGeometry
-from .errors import BandMismatchError
+from .errors import BandMismatchError, NumericalValidityError
 from .models import LayerModel, cascade
 from .transfer import TransferMatrix
 
@@ -86,6 +86,12 @@ def synth_mic_pressures(
     tuple of ComplexSpectrum
         Pressures at the four microphone positions, noise included when
         configured. Identical scenario and seed give bit-identical spectra.
+
+    Raises
+    ------
+    NumericalValidityError
+        The sample and termination leave the incident wave per unit transmitted
+        wave zero or non-finite at some bin, so the field cannot be solved.
     """
     geometry = scenario.geometry
     air = scenario.air
@@ -107,7 +113,7 @@ def synth_mic_pressures(
 
     forward_unit = 0.5 * (p0_unit + z * v0_unit)  # incident amplitude per unit C
     if np.any(~np.isfinite(forward_unit)) or np.any(forward_unit == 0.0):
-        raise ValueError("sample/termination combination is singular on this grid")
+        raise NumericalValidityError("sample/termination combination is singular on this grid")
     c = a_inc / forward_unit
     b = 0.5 * (p0_unit - z * v0_unit) * c
     d_amp = ratio * c

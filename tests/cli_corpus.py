@@ -1,0 +1,206 @@
+"""A fixed corpus of ``tubeloss`` command-line runs.
+
+``run_corpus(outdir)`` writes small seeded inputs into ``outdir`` and runs
+every subcommand in-process from there, so every path in an argv, a report
+or a message is relative. Each report's ``timestamp`` is masked. The runs and
+their argv, exit code, stdout and stderr are logged to ``outdir/runs.log``.
+
+Running the module under two source trees and comparing the directories
+shows whether a change keeps the command line's bytes::
+
+    PYTHONPATH=src python tests/cli_corpus.py OUT_NEW
+    PYTHONPATH=<other checkout>/src python tests/cli_corpus.py OUT_OLD
+    diff -r OUT_OLD OUT_NEW
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import re
+import sys
+import warnings
+from dataclasses import dataclass
+from pathlib import Path
+
+from tubeloss.cli import main
+
+CONFIG = """[air]
+density = 1.204
+sound_speed = 343.2
+
+[tube]
+mic_positions = -0.33 -0.25 0.25 0.33
+sample_thickness = 0.00089
+diameter = 0.0998
+"""
+
+_SCENARIO = """[scenario]
+sample = limp-mass
+surface_density = {surface_density}
+termination = {termination}
+snr_db = {snr_db}
+seed = 1200
+f_min = 100
+f_max = {f_max}
+f_step = {f_step}
+"""
+
+_BAND_CSV = "band_nominal_hz,500,630,800,1000\n{name},{values}\n{name}_coverage,1.0,1.0,1.0,1.0\n"
+
+INPUTS = {
+    "tube.ini": CONFIG,
+    "limp.ini": _SCENARIO.format(
+        surface_density=1.135, termination="0.2+0.1j", snr_db=40, f_max=2000, f_step=10
+    ),
+    # reaches past the plane-wave cutoff and hits the 2145 Hz blind spot of both pairs
+    "anechoic.ini": _SCENARIO.format(
+        surface_density=1.135, termination="anechoic", snr_db="off", f_max=2500, f_step=5
+    ),
+    # the sample matrix overflows, so the synthetic field cannot be solved
+    "singular.ini": _SCENARIO.format(
+        surface_density=1e308, termination="anechoic", snr_db="off", f_max=2000, f_step=10
+    ),
+    "layers.json": json.dumps(
+        [
+            {"kind": "limp-mass", "surface_density": 1.135},
+            {"kind": "air-gap", "thickness": 0.05},
+            {"kind": "matrix", "t11": [1, 0], "t12": [0, 0], "t21": [0, 0], "t22": [1, 0]},
+            {"kind": "identity"},
+        ]
+    ),
+    "opaque.json": json.dumps([{"kind": "limp-mass", "surface_density": 1e300}]),
+    "overflow.json": json.dumps(
+        [
+            {"kind": "limp-mass", "surface_density": 1e305},
+            {"kind": "air-gap", "thickness": 0.05},
+            {"kind": "limp-mass", "surface_density": 1e305},
+        ]
+    ),
+    "bad-layer.json": "[1]",
+    "materials.json": json.dumps(
+        [
+            {"name": "sheet", "thickness_mm": 0.89, "surface_density": 1.135},
+            {"name": "foil, thin", "thickness_mm": 0.01, "surface_density": 0.01},
+        ]
+    ),
+    "before.csv": _BAND_CSV.format(name="L_r0", values="70.0,72.5,71.0,69.0"),
+    "after.csv": _BAND_CSV.format(name="L_rs", values="60.0,61.5,71.5,55.0"),
+}
+
+_STL3 = ("stl", "run1.csv", "run2.csv", "run3.csv", "--config", "tube.ini", "--f-max", "2000")
+
+RUNS: tuple[tuple[str, ...], ...] = (
+    ("bands",),
+    ("bands", "--f-min", "125", "--f-max", "1600", "--output", "bands.csv"),
+    ("bands", "--f-max", "inf"),
+    ("bands", "--f-min", "nan"),
+    ("synth", "limp.ini", "--config", "tube.ini", "--output", "run1.csv"),
+    ("synth", "limp.ini", "--config", "tube.ini", "--seed", "1201", "--output", "run2.csv"),
+    ("synth", "limp.ini", "--config", "tube.ini", "--seed", "1202", "--output", "run3.csv"),
+    ("synth", "anechoic.ini", "--config", "tube.ini", "--output", "anechoic.csv"),
+    ("synth", "singular.ini", "--config", "tube.ini", "--output", "singular.csv"),
+    ("synth", "limp.ini", "--output", "no-config.csv"),
+    ("stl", "run1.csv", "--config", "tube.ini", "--f-max", "2000"),
+    *(
+        _STL3
+        + ("--rep-mode", rep, "--band-mode", band, "--output", f"stl-{rep}-{band}.json")
+        + ("--band-csv", f"stl-{rep}-{band}-bands.csv")
+        + ("--narrowband-csv", f"stl-{rep}-{band}-narrow.csv")
+        for rep in ("db", "power")
+        for band in ("power", "db")
+    ),
+    ("stl", "anechoic.csv", "--config", "tube.ini", "--seed", "7", "--output", "stl-anechoic.json"),
+    ("stl", "missing.csv", "--config", "tube.ini"),
+    ("stl", "run1.csv", "--config", "tube.ini", "--f-max", "inf"),
+    *(
+        ("masslaw", "--materials", "materials.json", "--masslaw-constant", constant)
+        + ("--output", f"masslaw-{constant}.json", "--band-csv", f"masslaw-{constant}.csv")
+        for constant in ("paper", "normal")
+    ),
+    ("masslaw", "--materials", "materials.json", "--f-max", "inf"),
+    ("il", "--before", "before.csv", "--after", "after.csv", "--output", "il.json", "--band-csv", "il.csv"),
+    ("il", "--before", "before.csv", "--after", "missing.csv"),
+    *(
+        ("stack", "--stack", "layers.json", "--band-mode", band, "--config", "tube.ini")
+        + ("--f-min", "500", "--f-max", "1600", "--output", f"stack-{band}.json")
+        + ("--band-csv", f"stack-{band}.csv")
+        for band in ("power", "db")
+    ),
+    ("stack", "--stack", "opaque.json", "--f-max", "1000", "--seed", "3", "--output", "stack-opaque.json"),
+    ("stack", "--stack", "overflow.json", "--f-max", "1000", "--output", "stack-overflow.json"),
+    ("stack", "--stack", "bad-layer.json"),
+    ("stack", "--stack", "layers.json", "--f-max", "inf"),
+)
+
+_TIMESTAMP = re.compile(r'("timestamp": )"[^"]*"')
+
+
+@dataclass(frozen=True)
+class Run:
+    argv: tuple[str, ...]
+    code: int | None  # None when something escaped main()
+    escaped: str | None
+    stdout: str
+    stderr: str
+
+    def log(self) -> str:
+        return (
+            f"$ tubeloss {' '.join(self.argv)}\n"
+            f"exit: {self.code if self.escaped is None else 'escaped ' + self.escaped}\n"
+            f"--- stdout\n{self.stdout}--- stderr\n{self.stderr}\n"
+        )
+
+
+def _mask(text: str) -> str:
+    return _TIMESTAMP.sub(r'\1"<masked>"', text)
+
+
+def run_one(argv) -> Run:
+    """Run ``main(argv)`` in-process with stdout and stderr captured.
+
+    A warning that leaves ``main()`` would reach a user's terminal, so it is
+    written to the captured stderr, in order, as ``<category>: <message>``.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    code, escaped = None, None
+
+    def show(message, category, *_args, **_kwargs):
+        err.write(f"{category.__name__}: {message}\n")
+
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = show
+            try:
+                code = main(list(argv))
+            except (Exception, SystemExit) as exc:
+                escaped = f"{type(exc).__name__}: {exc}"
+    return Run(tuple(argv), code, escaped, _mask(out.getvalue()), err.getvalue())
+
+
+def run_corpus(outdir) -> list[Run]:
+    """Write the inputs into ``outdir``, run every corpus argv there and log the runs."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, text in INPUTS.items():
+        (outdir / name).write_text(text)
+    previous = os.getcwd()
+    os.chdir(outdir)
+    try:
+        runs = [run_one(argv) for argv in RUNS]
+    finally:
+        os.chdir(previous)
+    for path in outdir.iterdir():
+        if path.suffix == ".json" and path.name not in INPUTS:
+            path.write_text(_mask(path.read_text()))
+    (outdir / "runs.log").write_text("".join(run.log() for run in runs))
+    return runs
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tests/cli_corpus.py OUTDIR")
+    for run in run_corpus(sys.argv[1]):
+        print(f"{run.code if run.escaped is None else 'escaped'}\t{' '.join(run.argv)}")
