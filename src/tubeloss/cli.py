@@ -7,6 +7,12 @@ to stderr as ``warning:`` lines, puts them into the report, writes the report
 and maps exceptions to exit codes: 0 success, 2 input/format error, 3
 numerical validity error. Warnings never change the exit code; a failing run
 prints one ``error:`` line and nothing else.
+
+Each subcommand declares only the options its ``_cmd_*`` reads; an option that
+several commands read is declared once, in a parent parser. A command line the
+parser rejects is a usage error: :class:`_Parser` raises it as a
+:class:`~tubeloss.errors.TubelossError`, so it exits 2 with one ``error:`` line
+like any other input error. ``--help`` and ``--version`` print and exit 0.
 """
 from __future__ import annotations
 
@@ -64,15 +70,18 @@ def _round_db(values, decimals: int = _DB_DECIMALS) -> list:
     return out
 
 
-def _provenance(command: str, air, geometry, modes: dict, seed) -> dict:
+_MODES = ("band_mode", "rep_mode", "masslaw_constant")
+
+
+def _provenance(args, air, geometry) -> dict:
     return {
         "tool": "tubeloss",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config_hash": config_hash(air, geometry),
-        "modes": modes,
-        "seed": seed,
+        "modes": {mode: getattr(args, mode) for mode in _MODES if hasattr(args, mode)},
+        "seed": None,  # no report command takes a seed; the key keeps the report layout
     }
 
 
@@ -165,13 +174,7 @@ def _cmd_stl(args) -> dict:
     bands = third_octave_bands(args.f_min, args.f_max)
     table = band_average(grid, mean_stl, bands, mode=args.band_mode)
 
-    report = _provenance(
-        "stl",
-        air,
-        geometry,
-        {"band_mode": args.band_mode, "rep_mode": args.rep_mode},
-        args.seed,
-    )
+    report = _provenance(args, air, geometry)
     report.update(
         {
             "inputs": list(args.inputs),
@@ -235,13 +238,7 @@ def _cmd_masslaw(args) -> dict:
             }
         )
         tables[mat.name.replace(",", " ")] = BandTable.from_values(bands, values)
-    report = _provenance(
-        "masslaw",
-        air,
-        None,
-        {"masslaw_constant": args.masslaw_constant},
-        args.seed,
-    )
+    report = _provenance(args, air, None)
     report["constant_db"] = mass_law_constant_db(args.masslaw_constant, air)
     report["materials"] = entries
     if args.band_csv:
@@ -259,7 +256,7 @@ def _cmd_il(args) -> dict:
     before = pick_table(args.before, "L_r0")
     after = pick_table(args.after, "L_rs")
     table = insertion_loss(before, after)
-    report = _provenance("il", DEFAULT_AIR, None, {}, args.seed)
+    report = _provenance(args, DEFAULT_AIR, None)
     report.update(
         {"before": args.before, "after": args.after, "bands": _band_block(table, "il_db")}
     )
@@ -288,7 +285,7 @@ def _cmd_stack(args) -> dict:
             }
         )
 
-    report = _provenance("stack", air, None, {"band_mode": args.band_mode}, args.seed)
+    report = _provenance(args, air, None)
     report.update(
         {
             "stack": [layer.describe() for layer in layers],
@@ -305,56 +302,75 @@ def _cmd_stack(args) -> dict:
     return report
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", metavar="PATH", help="INI config with [air] and [tube]")
-    shared.add_argument("--band-mode", choices=("power", "db"), default="power")
-    shared.add_argument("--rep-mode", choices=("db", "power"), default="db")
-    shared.add_argument("--masslaw-constant", choices=("paper", "normal"), default="paper")
-    shared.add_argument("--seed", type=int, default=None, metavar="U64")
-    shared.add_argument("--output", "-o", default="-", metavar="PATH", help="'-' for stdout")
+class _UsageError(TubelossError):
+    """A command line the parser rejects: a missing, unknown or malformed argument."""
 
+
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`_UsageError` where argparse would print usage and exit 2."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
+def _parent(*flags, **keywords) -> argparse.ArgumentParser:
+    """A parent parser declaring one option that several commands read."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **keywords)
+    return parent
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    output = _parent("--output", "-o", default="-", metavar="PATH", help="'-' for stdout")
+    config = _parent("--config", metavar="PATH", help="INI config with [air] and [tube]")
+    band_mode = _parent("--band-mode", choices=("power", "db"), default="power")
+    band_csv = _parent("--band-csv", metavar="PATH")
     frange = argparse.ArgumentParser(add_help=False)
     frange.add_argument("--f-min", type=float, default=100.0)
     frange.add_argument("--f-max", type=float, default=5000.0)
 
-    band_csv = argparse.ArgumentParser(add_help=False)
-    band_csv.add_argument("--band-csv", metavar="PATH")
-
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tubeloss",
         description="Impedance-tube transmission loss and two-room insertion loss toolkit",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bands", parents=[shared, frange], help="list third-octave bands")
+    p = sub.add_parser("bands", parents=[frange, output], help="list third-octave bands")
     p.set_defaults(func=_cmd_bands)
 
-    p = sub.add_parser("synth", parents=[shared], help="generate synthetic mic spectra")
+    p = sub.add_parser("synth", parents=[config], help="generate synthetic mic spectra")
     p.add_argument("scenario", help="scenario INI file")
+    p.add_argument("--seed", type=int, default=None, metavar="U64")
+    p.add_argument("--output", "-o", required=True, metavar="PATH", help="mic-spectra CSV to write")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser(
-        "stl", parents=[shared, frange, band_csv], help="transmission loss from mic spectra files"
+        "stl",
+        parents=[config, band_mode, frange, band_csv, output],
+        help="transmission loss from mic spectra files",
     )
     p.add_argument("inputs", nargs="+", help="mic-spectra CSV files (repetitions)")
+    p.add_argument("--rep-mode", choices=("db", "power"), default="db")
     p.add_argument("--narrowband-csv", metavar="PATH")
     p.set_defaults(func=_cmd_stl)
 
     p = sub.add_parser(
-        "masslaw", parents=[shared, frange, band_csv], help="mass-law predictions per material"
+        "masslaw", parents=[config, frange, band_csv, output], help="mass-law predictions per material"
     )
     p.add_argument("--materials", required=True, metavar="PATH", help="materials JSON")
+    p.add_argument("--masslaw-constant", choices=("paper", "normal"), default="paper")
     p.set_defaults(func=_cmd_masslaw)
 
-    p = sub.add_parser("il", parents=[shared, band_csv], help="insertion loss from two band CSVs")
+    p = sub.add_parser("il", parents=[band_csv, output], help="insertion loss from two band CSVs")
     p.add_argument("--before", required=True, metavar="PATH", help="receiver levels, no sample")
     p.add_argument("--after", required=True, metavar="PATH", help="receiver levels, sample installed")
     p.set_defaults(func=_cmd_il)
 
     p = sub.add_parser(
-        "stack", parents=[shared, frange, band_csv], help="predicted loss of a layer stack"
+        "stack",
+        parents=[config, band_mode, frange, band_csv, output],
+        help="predicted loss of a layer stack",
     )
     p.add_argument("--stack", required=True, metavar="PATH", help="stack JSON")
     p.add_argument("--f-step", type=float, default=10.0)
@@ -364,8 +380,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             report = args.func(args)

@@ -65,7 +65,12 @@ def write_text_atomic(path, text: str) -> None:
 
 def _read_ini(path, what: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
-    if not parser.read(os.fspath(path)):
+    try:
+        found = parser.read(os.fspath(path))
+    except configparser.Error as exc:
+        # the parser's messages quote the offending lines; keep the first, one-line part
+        raise InputFormatError(f"{what} file is not INI: {str(exc).splitlines()[0]}", path=path) from None
+    if not found:
         raise InputFormatError(f"{what} file not found or unreadable", path=path)
     return parser
 

@@ -85,7 +85,9 @@ def limp_mass_matrix(grid: FrequencyGrid, m_s: float) -> TransferMatrix:
     omega = 2.0 * math.pi * grid.frequencies
     one = np.ones(len(grid), dtype=complex)
     zero = np.zeros(len(grid), dtype=complex)
-    return TransferMatrix(grid, one, 1j * omega * m_s, zero, one)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing m_s leaves a non-finite t12
+        t12 = 1j * omega * m_s
+    return TransferMatrix(grid, one, t12, zero, one)
 
 
 def air_gap_matrix(grid: FrequencyGrid, thickness: float, air: AirProperties = DEFAULT_AIR) -> TransferMatrix:

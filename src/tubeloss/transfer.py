@@ -98,14 +98,16 @@ class TransferMatrix(PerBinArrays):
     def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
         """Per-frequency matrix product; left operand sits on the incident side."""
         self.grid.require_matches(other.grid, "transfer-matrix product")
-        return TransferMatrix(
-            self.grid,
-            self.t11 * other.t11 + self.t12 * other.t21,
-            self.t11 * other.t12 + self.t12 * other.t22,
-            self.t21 * other.t11 + self.t22 * other.t21,
-            self.t21 * other.t12 + self.t22 * other.t22,
-            self.valid & other.valid,
-        )
+        # overflowing entries stay non-finite; the coefficient guards drop those bins
+        with np.errstate(over="ignore", invalid="ignore"):
+            return TransferMatrix(
+                self.grid,
+                self.t11 * other.t11 + self.t12 * other.t21,
+                self.t11 * other.t12 + self.t12 * other.t22,
+                self.t21 * other.t11 + self.t22 * other.t21,
+                self.t21 * other.t12 + self.t22 * other.t22,
+                self.valid & other.valid,
+            )
 
 
 @dataclass(frozen=True)
@@ -217,7 +219,8 @@ def reconstruct_one_load(
 def _anechoic_denominator(matrix: TransferMatrix, air: AirProperties) -> tuple[np.ndarray, np.ndarray]:
     """Shared denominator of the anechoic coefficients, with its validity mask."""
     z = air.impedance
-    den = matrix.t11 + matrix.t12 / z + z * matrix.t21 + matrix.t22
+    with np.errstate(over="ignore", invalid="ignore"):  # _nonvanishing drops a non-finite den
+        den = matrix.t11 + matrix.t12 / z + z * matrix.t21 + matrix.t22
     scale = (
         np.abs(matrix.t11)
         + np.abs(matrix.t12) / z
@@ -251,7 +254,8 @@ def reflection_coefficient_anechoic(matrix: TransferMatrix, air: AirProperties) 
     """
     z = air.impedance
     den, ok = _anechoic_denominator(matrix, air)
-    num = matrix.t11 + matrix.t12 / z - z * matrix.t21 - matrix.t22
+    with np.errstate(over="ignore", invalid="ignore"):  # only read where ok
+        num = matrix.t11 + matrix.t12 / z - z * matrix.t21 - matrix.t22
     return _quotient(num, den, ok)
 
 

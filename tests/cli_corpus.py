@@ -89,6 +89,17 @@ INPUTS = {
     "after.csv": _BAND_CSV.format(name="L_rs", values="60.0,61.5,71.5,55.0"),
 }
 
+# command lines the parser rejects: a missing input, an option the command does not read,
+# synth without --output, an unknown command
+USAGE_ERRORS: tuple[tuple[str, ...], ...] = (
+    ("stl",),
+    ("bands", "--seed", "5"),
+    ("il", "--before", "before.csv", "--after", "after.csv", "--config", "tube.ini"),
+    ("stl", "run1.csv", "--config", "tube.ini", "--masslaw-constant", "normal"),
+    ("synth", "limp.ini", "--config", "tube.ini"),
+    ("bogus",),
+)
+
 _STL3 = ("stl", "run1.csv", "run2.csv", "run3.csv", "--config", "tube.ini", "--f-max", "2000")
 
 RUNS: tuple[tuple[str, ...], ...] = (
@@ -111,8 +122,9 @@ RUNS: tuple[tuple[str, ...], ...] = (
         for rep in ("db", "power")
         for band in ("power", "db")
     ),
-    ("stl", "anechoic.csv", "--config", "tube.ini", "--seed", "7", "--output", "stl-anechoic.json"),
+    ("stl", "anechoic.csv", "--config", "tube.ini", "--output", "stl-anechoic.json"),
     ("stl", "missing.csv", "--config", "tube.ini"),
+    ("stl", "run1.csv", "--config", "before.csv"),
     ("stl", "run1.csv", "--config", "tube.ini", "--f-max", "inf"),
     *(
         ("masslaw", "--materials", "materials.json", "--masslaw-constant", constant)
@@ -128,10 +140,11 @@ RUNS: tuple[tuple[str, ...], ...] = (
         + ("--band-csv", f"stack-{band}.csv")
         for band in ("power", "db")
     ),
-    ("stack", "--stack", "opaque.json", "--f-max", "1000", "--seed", "3", "--output", "stack-opaque.json"),
+    ("stack", "--stack", "opaque.json", "--f-max", "1000", "--output", "stack-opaque.json"),
     ("stack", "--stack", "overflow.json", "--f-max", "1000", "--output", "stack-overflow.json"),
     ("stack", "--stack", "bad-layer.json"),
     ("stack", "--stack", "layers.json", "--f-max", "inf"),
+    *USAGE_ERRORS,
 )
 
 _TIMESTAMP = re.compile(r'("timestamp": )"[^"]*"')
@@ -180,18 +193,25 @@ def run_one(argv) -> Run:
     return Run(tuple(argv), code, escaped, _mask(out.getvalue()), err.getvalue())
 
 
+@contextlib.contextmanager
+def inside(directory):
+    """Make ``directory`` the working directory for the body of the ``with``."""
+    previous = os.getcwd()
+    os.chdir(directory)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
+
+
 def run_corpus(outdir) -> list[Run]:
     """Write the inputs into ``outdir``, run every corpus argv there and log the runs."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, text in INPUTS.items():
         (outdir / name).write_text(text)
-    previous = os.getcwd()
-    os.chdir(outdir)
-    try:
+    with inside(outdir):
         runs = [run_one(argv) for argv in RUNS]
-    finally:
-        os.chdir(previous)
     for path in outdir.iterdir():
         if path.suffix == ".json" and path.name not in INPUTS:
             path.write_text(_mask(path.read_text()))

@@ -394,6 +394,18 @@ class TestStack:
         assert "encountered in" not in capsys.readouterr().err
         assert all(v == float("inf") for v in report["bands"]["values_db"])
 
+    def test_overflowing_stack_keeps_numpy_warnings_out(self, tmp_path, capsys):
+        heavy = {"kind": "limp-mass", "surface_density": 1e305}
+        stack = tmp_path / "stack.json"
+        stack.write_text(json.dumps([heavy, {"kind": "air-gap", "thickness": 0.05}, heavy]))
+        report_path = tmp_path / "report.json"
+        assert run_cli("stack", "--stack", str(stack), "--f-max", "1000", "--output", str(report_path)) == 0
+        report = json.loads(report_path.read_text())
+        assert not [w for w in report["warnings"] if "encountered in" in w]
+        assert "encountered in" not in capsys.readouterr().err
+        # the overflowed bins are marked invalid, not reported as numbers
+        assert report["narrowband"]["stl_db"] == [None] * len(report["narrowband"]["frequency_hz"])
+
 
 class TestBandsCommand:
     def test_lists_18_bands(self, tmp_path, capsys):

@@ -1,12 +1,58 @@
 """The command-line contract over a fixed corpus of runs (see ``cli_corpus.py``)."""
-import pytest
+import shutil
+import tempfile
 
-from cli_corpus import run_corpus
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cli_corpus import INPUTS, USAGE_ERRORS, inside, run_corpus, run_one
+
+# mic-spectra files the corpus synthesises and the stl runs read
+SPECTRA = ("run1.csv", "anechoic.csv")
+
+OPTIONS = (
+    "--output", "-o", "--config", "--band-mode", "--rep-mode", "--masslaw-constant", "--seed",
+    "--f-min", "--f-max", "--f-step", "--band-csv", "--narrowband-csv",
+    "--materials", "--before", "--after", "--stack",
+)
+VALUES = (*INPUTS, *SPECTRA, "100", "1000", "inf", "nan", "-1", "0", "power", "db", "paper")
+TOKENS = ("bands", "synth", "stl", "masslaw", "il", "stack", *OPTIONS, *VALUES)
+
+# The shortest valid command line of each command. Random tokens alone almost never get
+# past the parser, so half the drawn command lines start with one of these and add
+# option/value pairs, which reach each command's own checks.
+HEADS = (
+    ("bands",),
+    ("synth", "limp.ini", "--config", "tube.ini", "--output", "run1.csv"),
+    ("stl", "run1.csv", "--config", "tube.ini"),
+    ("masslaw", "--materials", "materials.json"),
+    ("il", "--before", "before.csv", "--after", "after.csv"),
+    ("stack", "--stack", "layers.json"),
+)
+MAX_ARGV = 8
+
+
+def _head_and_pairs(head):
+    pairs = st.tuples(st.sampled_from(OPTIONS), st.sampled_from(VALUES))
+    return st.lists(pairs, max_size=(MAX_ARGV - len(head)) // 2).map(
+        lambda drawn: [*head, *(token for pair in drawn for token in pair)]
+    )
+
+
+ARGV = st.one_of(
+    st.lists(st.sampled_from(TOKENS), max_size=MAX_ARGV),
+    st.sampled_from(HEADS).flatmap(_head_and_pairs),
+)
 
 
 @pytest.fixture(scope="module")
-def runs(tmp_path_factory):
-    return run_corpus(tmp_path_factory.mktemp("corpus"))
+def corpus_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("corpus")
+
+
+@pytest.fixture(scope="module")
+def runs(corpus_dir):
+    return run_corpus(corpus_dir)
 
 
 def test_every_run_keeps_the_cli_contract(runs):
@@ -24,3 +70,25 @@ def test_singular_synth_exits_3_and_infinite_range_exits_2(runs):
     codes = {run.argv: run.code for run in runs}
     assert codes[("synth", "singular.ini", "--config", "tube.ini", "--output", "singular.csv")] == 3
     assert codes[("bands", "--f-max", "inf")] == 2
+
+
+def test_usage_errors_exit_2_with_one_error_line(runs):
+    usage_runs = [run for run in runs if run.argv in USAGE_ERRORS]
+    assert len(usage_runs) == len(USAGE_ERRORS)
+    for run in usage_runs:
+        where = f"tubeloss {' '.join(run.argv)}"
+        assert run.escaped is None and run.code == 2, (where, run.escaped, run.code)
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: tubeloss"), (where, lines)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(argv=ARGV)
+def test_drawn_command_lines_keep_the_cli_contract(runs, corpus_dir, argv):
+    # each command line runs on a fresh copy of the inputs, so no run sees another's outputs
+    with tempfile.TemporaryDirectory() as scratch:
+        for name in (*INPUTS, *SPECTRA):
+            shutil.copy(corpus_dir / name, scratch)
+        with inside(scratch):
+            run = run_one(argv)
+    test_every_run_keeps_the_cli_contract([run])

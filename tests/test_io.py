@@ -86,6 +86,17 @@ class TestConfig:
         with pytest.raises(InputFormatError):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "text", ["band_nominal_hz,500\n", "[tube]\n[tube]\n", "[tube]\nno value here\n"],
+        ids=["csv", "duplicate-section", "bad-line"],
+    )
+    def test_not_ini_is_a_one_line_format_error(self, tmp_path, text):
+        path = tmp_path / "not.ini"
+        path.write_text(text)
+        with pytest.raises(InputFormatError, match="config file is not INI") as info:
+            load_config(path)
+        assert "\n" not in str(info.value)
+
     def test_hash_stable_and_sensitive(self, config_path):
         air, geometry = load_config(config_path)
         h1 = config_hash(air, geometry)
