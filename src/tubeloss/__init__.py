@@ -7,9 +7,7 @@ Analytic layer models and a seeded synthetic bench double as verification
 oracles for the whole pipeline.
 """
 from .bands import (
-    NOMINAL_CENTERS_100_5000,
     BandTable,
-    RepetitionSet,
     ThirdOctaveBand,
     average_repetitions,
     band_average,
@@ -124,13 +122,11 @@ __all__ = [
     "stack_thickness",
     "stack_indicators",
     # bands
-    "NOMINAL_CENTERS_100_5000",
     "ThirdOctaveBand",
     "third_octave_bands",
     "band_from_nominal",
     "BandTable",
     "band_average",
-    "RepetitionSet",
     "average_repetitions",
     "energetic_spl_average",
     "insertion_loss",

@@ -11,13 +11,11 @@ from .core import FrequencyGrid, locked_array
 from .errors import BandMismatchError, NegativeInsertionLossWarning
 
 __all__ = [
-    "NOMINAL_CENTERS_100_5000",
     "ThirdOctaveBand",
     "third_octave_bands",
     "band_from_nominal",
     "BandTable",
     "band_average",
-    "RepetitionSet",
     "average_repetitions",
     "energetic_spl_average",
     "insertion_loss",
@@ -26,12 +24,6 @@ __all__ = [
 # Renard-series mantissas of the nominal centers, scaled by 100 to stay exact
 # in binary floating point (1.25e2 -> 125 and so on).
 _NOMINAL_BASE_X100 = (100, 125, 160, 200, 250, 315, 400, 500, 630, 800)
-
-#: The standard nominal mid-band frequencies between 100 and 5000 Hz.
-NOMINAL_CENTERS_100_5000 = (
-    100.0, 125.0, 160.0, 200.0, 250.0, 315.0, 400.0, 500.0, 630.0, 800.0,
-    1000.0, 1250.0, 1600.0, 2000.0, 2500.0, 3150.0, 4000.0, 5000.0,
-)
 
 
 @dataclass(frozen=True, order=True)
@@ -202,54 +194,32 @@ def band_average(
     return BandTable(bands, out, coverage)
 
 
-@dataclass(frozen=True)
-class RepetitionSet:
-    """Repeated runs of one per-frequency dB curve on a shared grid.
-
-    Non-finite entries mark bins a run could not deliver.
-    """
-
-    grid: FrequencyGrid
-    runs: np.ndarray
-    labels: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        runs = np.array(self.runs, dtype=float)
-        if runs.ndim != 2 or runs.shape[0] < 1 or runs.shape[1] != len(self.grid):
-            raise ValueError("runs must be a (n_runs, n_frequencies) array with n_runs >= 1")
-        runs.flags.writeable = False
-        object.__setattr__(self, "runs", runs)
-        labels = tuple(self.labels) or tuple(f"run{i + 1}" for i in range(runs.shape[0]))
-        if len(labels) != runs.shape[0]:
-            raise ValueError("one label per run required")
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def n_runs(self) -> int:
-        return int(self.runs.shape[0])
-
-
-def average_repetitions(reps: RepetitionSet, mode: str = "db") -> tuple[np.ndarray, np.ndarray]:
+def average_repetitions(runs, mode: str = "db") -> tuple[np.ndarray, np.ndarray]:
     """Mean and sample standard deviation across repeated runs, per frequency.
 
     Parameters
     ----------
-    reps : RepetitionSet
-        The repeated dB curves.
+    runs : array_like
+        ``(n_runs, n_bins)`` array with at least one run: one per-frequency
+        curve per row. Non-finite entries (NaN, +-inf) mark bins a run could
+        not deliver and are left out of that bin's statistics.
     mode : {"db", "power"}, optional
-        "db" takes the arithmetic mean of the dB values (the usual reporting
-        protocol); "power" averages linear transmission factors. The spread
-        is always the sample standard deviation of the dB values: 0 for a
-        single run, NaN where no run delivered the bin.
+        "db" takes the plain arithmetic mean of the values (the usual dB
+        reporting protocol, and the mean ``stl`` also uses for reflectance
+        and the direct route); "power" averages linear transmission factors
+        10^(-L/10). The spread is always the sample standard deviation of
+        the values: 0 for a single run, NaN where no run delivered the bin.
 
     Returns
     -------
     (mean, spread) : ndarray
-        Per-frequency dB curves.
+        Per-frequency curves; NaN where no run delivered the bin.
     """
     if mode not in ("db", "power"):
         raise ValueError(f"unknown repetition averaging mode '{mode}'")
-    runs = reps.runs
+    runs = np.asarray(runs, dtype=float)
+    if runs.ndim != 2 or runs.shape[0] < 1:
+        raise ValueError("runs must be a (n_runs, n_bins) array with n_runs >= 1")
     finite = np.isfinite(runs)
     counts = finite.sum(axis=0)
 

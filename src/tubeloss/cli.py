@@ -27,7 +27,6 @@ import numpy as np
 from . import __version__
 from .bands import (
     BandTable,
-    RepetitionSet,
     average_repetitions,
     band_average,
     insertion_loss,
@@ -149,8 +148,7 @@ def _cmd_stl(args) -> dict:
                     stacklevel=1,
                 )
 
-    reps = RepetitionSet(grid, np.array(runs), tuple(args.inputs))
-    mean_stl, spread_stl = average_repetitions(reps, mode=args.rep_mode)
+    mean_stl, spread_stl = average_repetitions(np.array(runs), mode=args.rep_mode)
     if not np.any(np.isfinite(mean_stl)):
         raise AllBinsInvalidError("no valid frequency bin in any input (all bins singular)")
     valid = np.isfinite(mean_stl)
@@ -165,11 +163,8 @@ def _cmd_stl(args) -> dict:
             stacklevel=1,
         )
 
-    with np.errstate(invalid="ignore"), warnings.catch_warnings():
-        # all-NaN columns (singular bins) are expected, not reportable
-        warnings.simplefilter("ignore", RuntimeWarning)
-        mean_reflectance = np.nanmean(np.array(reflectances), axis=0)
-        mean_direct = np.nanmean(np.array(direct_runs), axis=0)
+    mean_reflectance = average_repetitions(np.array(reflectances))[0]
+    mean_direct = average_repetitions(np.array(direct_runs))[0]
 
     bands = third_octave_bands(args.f_min, args.f_max)
     table = band_average(grid, mean_stl, bands, mode=args.band_mode)

@@ -106,7 +106,9 @@ def air_gap_matrix(grid: FrequencyGrid, thickness: float, air: AirProperties = D
 
 def identity_matrix(grid: FrequencyGrid) -> TransferMatrix:
     """Degenerate no-sample layer."""
-    return TransferMatrix.identity(grid)
+    one = np.ones(len(grid), dtype=complex)
+    zero = np.zeros(len(grid), dtype=complex)
+    return TransferMatrix(grid, one, zero, zero, one)
 
 
 @dataclass(frozen=True)

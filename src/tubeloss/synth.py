@@ -15,7 +15,6 @@ from .bands import BandTable
 from .core import AirProperties, ComplexSpectrum, FrequencyGrid, TubeGeometry
 from .errors import BandMismatchError, NumericalValidityError
 from .models import LayerModel, cascade
-from .transfer import TransferMatrix
 
 __all__ = ["SynthScenario", "synth_mic_pressures", "synth_room_levels"]
 
@@ -31,7 +30,7 @@ class SynthScenario:
     incident amplitude; ``None`` disables it.
     """
 
-    sample: tuple[LayerModel, ...] | TransferMatrix
+    sample: tuple[LayerModel, ...]
     geometry: TubeGeometry
     air: AirProperties
     incident_amplitude: complex = 1.0 + 0.0j
@@ -40,13 +39,10 @@ class SynthScenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if isinstance(self.sample, LayerModel):
-            object.__setattr__(self, "sample", (self.sample,))
-        elif not isinstance(self.sample, TransferMatrix):
-            layers = tuple(self.sample)
-            if not layers or not all(isinstance(l, LayerModel) for l in layers):
-                raise ValueError("sample must be LayerModel(s) or a TransferMatrix")
-            object.__setattr__(self, "sample", layers)
+        layers = (self.sample,) if isinstance(self.sample, LayerModel) else tuple(self.sample)
+        if not layers or not all(isinstance(l, LayerModel) for l in layers):
+            raise ValueError("sample must be one or more LayerModels")
+        object.__setattr__(self, "sample", layers)
         ratio = complex(self.termination_ratio)
         if abs(ratio) >= 1.0:
             raise ValueError("termination ratio magnitude must be below 1")
@@ -54,12 +50,6 @@ class SynthScenario:
         object.__setattr__(self, "incident_amplitude", complex(self.incident_amplitude))
         if self.snr_db is not None and not np.isfinite(self.snr_db):
             raise ValueError("snr_db must be finite or None")
-
-    def sample_matrix(self, grid: FrequencyGrid) -> TransferMatrix:
-        if isinstance(self.sample, TransferMatrix):
-            self.sample.grid.require_matches(grid, "scenario sample matrix")
-            return self.sample
-        return cascade(self.sample, grid, self.air)
 
 
 def synth_mic_pressures(
@@ -95,7 +85,7 @@ def synth_mic_pressures(
     """
     geometry = scenario.geometry
     air = scenario.air
-    matrix = scenario.sample_matrix(grid)
+    matrix = cascade(scenario.sample, grid, air)
     k = grid.wavenumbers(air)
     z = air.impedance
     d = geometry.sample_thickness

@@ -86,12 +86,6 @@ class TransferMatrix(PerBinArrays):
             object.__setattr__(self, "valid", np.ones(len(self.grid), dtype=bool))
         super().__post_init__()
 
-    @classmethod
-    def identity(cls, grid: FrequencyGrid) -> "TransferMatrix":
-        one = np.ones(len(grid), dtype=complex)
-        zero = np.zeros(len(grid), dtype=complex)
-        return cls(grid, one, zero, zero, one)
-
     def determinant(self) -> np.ndarray:
         return self.t11 * self.t22 - self.t12 * self.t21
 

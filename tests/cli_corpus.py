@@ -47,6 +47,19 @@ f_max = {f_max}
 f_step = {f_step}
 """
 
+_ZERO_DOWNSTREAM = """# tubeloss mic spectra v1
+# n_frequencies = 3
+# mic_positions_m = -0.33 -0.25 0.25 0.33
+# sample_thickness_m = 0.00089
+# tube_diameter_m = 0.0998
+# air_density_kg_m3 = 1.204
+# air_sound_speed_m_s = 343.2
+frequency_hz,p1_re,p1_im,p2_re,p2_im,p3_re,p3_im,p4_re,p4_im
+900,1.22062,0.0717845,-1.21389,-0.0843256,0.0946608,0.0857229,0.106664,-0.0702279
+1000,1.90165,0.107856,-0.381637,-0.0285743,0,0,0,0
+1100,1.89672,0.101315,0.531028,0.0225829,0.102696,-0.0207457,-0.024864,-0.101777
+"""
+
 _BAND_CSV = "band_nominal_hz,500,630,800,1000\n{name},{values}\n{name}_coverage,1.0,1.0,1.0,1.0\n"
 
 INPUTS = {
@@ -62,6 +75,13 @@ INPUTS = {
     "singular.ini": _SCENARIO.format(
         surface_density=1e308, termination="anechoic", snr_db="off", f_max=2000, f_step=10
     ),
+    # a regular grid past the bin cap
+    "tiny-step.ini": _SCENARIO.format(
+        surface_density=1.135, termination="anechoic", snr_db="off", f_max=2000, f_step="1e-12"
+    ),
+    # the limp-mass sheet at 900, 1000 and 1100 Hz with p3 = p4 = 0 at 1000 Hz, where the
+    # direct route 20 log10 |A/C| is +inf
+    "zero-downstream.csv": _ZERO_DOWNSTREAM,
     "layers.json": json.dumps(
         [
             {"kind": "limp-mass", "surface_density": 1.135},
@@ -113,6 +133,7 @@ RUNS: tuple[tuple[str, ...], ...] = (
     ("synth", "anechoic.ini", "--config", "tube.ini", "--output", "anechoic.csv"),
     ("synth", "singular.ini", "--config", "tube.ini", "--output", "singular.csv"),
     ("synth", "limp.ini", "--output", "no-config.csv"),
+    ("synth", "tiny-step.ini", "--config", "tube.ini", "--output", "tiny-step.csv"),
     ("stl", "run1.csv", "--config", "tube.ini", "--f-max", "2000"),
     *(
         _STL3
@@ -123,6 +144,8 @@ RUNS: tuple[tuple[str, ...], ...] = (
         for band in ("power", "db")
     ),
     ("stl", "anechoic.csv", "--config", "tube.ini", "--output", "stl-anechoic.json"),
+    ("stl", "zero-downstream.csv", "--config", "tube.ini", "--f-min", "1000", "--f-max", "1000")
+    + ("--output", "stl-zero-downstream.json"),
     ("stl", "missing.csv", "--config", "tube.ini"),
     ("stl", "run1.csv", "--config", "before.csv"),
     ("stl", "run1.csv", "--config", "tube.ini", "--f-max", "inf"),
@@ -144,6 +167,7 @@ RUNS: tuple[tuple[str, ...], ...] = (
     ("stack", "--stack", "overflow.json", "--f-max", "1000", "--output", "stack-overflow.json"),
     ("stack", "--stack", "bad-layer.json"),
     ("stack", "--stack", "layers.json", "--f-max", "inf"),
+    ("stack", "--stack", "layers.json", "--f-step", "1e-12"),
     *USAGE_ERRORS,
 )
 

@@ -13,7 +13,6 @@ from tubeloss import (
     BandTable,
     FrequencyGrid,
     LayerModel,
-    RepetitionSet,
     SynthScenario,
     analyze_four_mic,
     average_repetitions,
@@ -233,7 +232,7 @@ def test_criterion_7_noise_robustness():
     for i in range(5):
         analysis = run_pipeline(LayerModel.limp_mass(1.135), seed=PINNED_SEED + i, snr_db=40.0)
         runs.append(np.where(analysis.indicators.valid, analysis.indicators.stl_db, np.nan))
-    mean, _ = average_repetitions(RepetitionSet(GRID, np.array(runs)), mode="db")
+    mean, _ = average_repetitions(np.array(runs), mode="db")
     bands = third_octave_bands(125.0, 1600.0)
     noisy = band_average(GRID, mean, bands).values
     reference = band_average(GRID, clean, bands).values

@@ -9,7 +9,6 @@ from tubeloss import (
     BandTable,
     FrequencyGrid,
     NegativeInsertionLossWarning,
-    RepetitionSet,
     average_repetitions,
     band_average,
     band_from_nominal,
@@ -130,49 +129,39 @@ class TestBandAverage:
 
 class TestAverageRepetitions:
     def test_single_run(self):
-        grid = FrequencyGrid([100.0, 200.0])
-        reps = RepetitionSet(grid, [[3.0, 4.0]])
-        mean, spread = average_repetitions(reps)
+        mean, spread = average_repetitions(np.array([[3.0, 4.0]]))
         assert np.allclose(mean, [3.0, 4.0])
         assert np.allclose(spread, 0.0)
 
     def test_three_runs_hand_values(self):
-        grid = FrequencyGrid([100.0])
-        reps = RepetitionSet(grid, [[10.0], [12.0], [14.0]])
-        mean, spread = average_repetitions(reps)
+        mean, spread = average_repetitions(np.array([[10.0], [12.0], [14.0]]))
         assert mean[0] == pytest.approx(12.0)
         assert spread[0] == pytest.approx(2.0)  # sample std, ddof = 1
 
     def test_permutation_invariance(self):
-        grid = FrequencyGrid([100.0, 300.0])
         runs = np.array([[10.0, 1.0], [12.0, 2.0], [14.0, 6.0]])
-        mean_a, spread_a = average_repetitions(RepetitionSet(grid, runs))
-        mean_b, spread_b = average_repetitions(RepetitionSet(grid, runs[::-1]))
+        mean_a, spread_a = average_repetitions(runs)
+        mean_b, spread_b = average_repetitions(runs[::-1])
         assert np.allclose(mean_a, mean_b)
         assert np.allclose(spread_a, spread_b)
 
     def test_power_mode(self):
-        grid = FrequencyGrid([100.0])
-        reps = RepetitionSet(grid, [[0.0], [20.0]])
-        mean_db, _ = average_repetitions(reps, mode="db")
-        mean_power, _ = average_repetitions(reps, mode="power")
+        runs = np.array([[0.0], [20.0]])
+        mean_db, _ = average_repetitions(runs, mode="db")
+        mean_power, _ = average_repetitions(runs, mode="power")
         assert mean_db[0] == pytest.approx(10.0)
         assert mean_power[0] == pytest.approx(-10.0 * math.log10(0.505), rel=1e-12)
 
     def test_missing_bins_excluded(self):
-        grid = FrequencyGrid([100.0, 200.0])
-        reps = RepetitionSet(grid, [[10.0, np.nan], [20.0, np.nan]])
-        mean, spread = average_repetitions(reps)
+        mean, spread = average_repetitions(np.array([[10.0, np.nan], [20.0, np.nan]]))
         assert mean[0] == pytest.approx(15.0)
         assert np.isnan(mean[1])
         assert np.isnan(spread[1])
 
-    def test_labels(self):
-        grid = FrequencyGrid([100.0])
-        reps = RepetitionSet(grid, [[1.0], [2.0]], labels=("0deg", "45deg"))
-        assert reps.labels == ("0deg", "45deg")
-        with pytest.raises(ValueError):
-            RepetitionSet(grid, [[1.0], [2.0]], labels=("only-one",))
+    def test_not_2d_or_no_run_rejected(self):
+        for runs in ([1.0, 2.0], np.empty((0, 3)), [[[1.0]]]):
+            with pytest.raises(ValueError, match="n_runs"):
+                average_repetitions(runs)
 
 
 class TestEnergeticAverage:

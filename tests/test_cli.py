@@ -201,6 +201,24 @@ class TestSynthAndStl:
         # the 1600 band lost one of its bins
         assert report["bands"]["coverage"][0] < 1.0
 
+    def test_direct_route_drops_a_bin_without_downstream_pressure(self, tmp_path, config, limp_scenario):
+        spectra_path = tmp_path / "spectra.csv"
+        run_cli("synth", limp_scenario, "--config", config, "--output", str(spectra_path))
+        lines = spectra_path.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("1000.0,"))
+        lines[row] = ",".join(lines[row].split(",")[:5] + ["0.0"] * 4)  # p3 = p4 = 0
+        spectra_path.write_text("\n".join(lines) + "\n")
+        report_path = tmp_path / "report.json"
+        assert run_cli("stl", str(spectra_path), "--config", config, "--output", str(report_path)) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        narrowband = json.loads(report_path.read_text(), parse_constant=reject)["narrowband"]
+        at_1000 = narrowband["frequency_hz"].index(1000.0)
+        assert narrowband["stl_direct_db"][at_1000] is None
+        assert narrowband["stl_db"][at_1000] is None
+
     def test_all_singular_exits_3(self, tmp_path):
         config = tmp_path / "tube.ini"
         config.write_text(

@@ -8,7 +8,6 @@ from tubeloss import (
     AirProperties,
     ComplexSpectrum,
     FrequencyGrid,
-    GridMismatchError,
     MaterialSpec,
     TubeGeometry,
     plane_wave_cutoff,
@@ -143,6 +142,12 @@ class TestFrequencyGrid:
         assert grid.frequencies[0] == 100.0
         assert grid.frequencies[-1] == 2000.0
 
+    def test_from_range_caps_the_bin_count(self):
+        assert len(FrequencyGrid.from_range(1.0, 1_000_000.0, 1.0)) == 1_000_000
+        for f_max, step in ((1_000_001.0, 1.0), (5000.0, 1e-12)):
+            with pytest.raises(ValueError, match="grid would have more than 1000000 bins"):
+                FrequencyGrid.from_range(1.0, f_max, step)
+
     def test_wavenumbers_never_stale(self):
         grid = FrequencyGrid([100.0, 200.0])
         k_default = grid.wavenumbers(AIR)
@@ -162,24 +167,6 @@ class TestComplexSpectrum:
             ComplexSpectrum(grid, [1.0])
         with pytest.raises(ValueError):
             ComplexSpectrum(grid, [1.0, np.nan])
-
-    def test_grid_identity_preserved(self):
-        grid = FrequencyGrid([100.0, 200.0])
-        a = ComplexSpectrum(grid, [1.0, 2.0])
-        b = ComplexSpectrum(grid, [1j, -1j])
-        total = a + b
-        assert total.grid.matches(grid)
-        assert np.allclose(total.values, [1.0 + 1j, 2.0 - 1j])
-        scaled = 2.0 * a
-        assert np.allclose(scaled.values, [2.0, 4.0])
-
-    def test_mixing_grids_rejected(self):
-        a = ComplexSpectrum(FrequencyGrid([100.0, 200.0]), [1.0, 2.0])
-        b = ComplexSpectrum(FrequencyGrid([100.0, 300.0]), [1.0, 2.0])
-        with pytest.raises(GridMismatchError):
-            _ = a + b
-        with pytest.raises(GridMismatchError):
-            _ = a - b
 
     def test_equal_valued_grids_match(self):
         a = FrequencyGrid([100.0, 200.0])

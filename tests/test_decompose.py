@@ -120,8 +120,8 @@ def test_linearity(a, b, alpha, beta):
     other_p = field_spectrum(grid, -0.30, b, a)
     other_q = field_spectrum(grid, -0.25, b, a)
 
-    mix_p = alpha * p + beta * other_p
-    mix_q = alpha * q + beta * other_q
+    mix_p = ComplexSpectrum(grid, alpha * p.values + beta * other_p.values)
+    mix_q = ComplexSpectrum(grid, alpha * q.values + beta * other_q.values)
     f_mix, b_mix, _ = decompose_pair(mix_p, mix_q, -0.30, -0.25, k)
     f_p, b_p, _ = decompose_pair(p, q, -0.30, -0.25, k)
     f_o, b_o, _ = decompose_pair(other_p, other_q, -0.30, -0.25, k)

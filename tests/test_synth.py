@@ -8,7 +8,6 @@ from tubeloss import (
     BandTable,
     FrequencyGrid,
     LayerModel,
-    RepetitionSet,
     SynthScenario,
     analyze_four_mic,
     average_repetitions,
@@ -156,7 +155,7 @@ class TestSeededNoise:
     def test_five_run_band_mean_near_noiseless(self):
         clean = self.clean_stl()
         runs = np.array([self.noisy_run(PINNED_SEED + i) for i in range(5)])
-        mean, spread = average_repetitions(RepetitionSet(GRID, runs), mode="db")
+        mean, spread = average_repetitions(runs, mode="db")
         assert np.all(spread[np.isfinite(spread)] >= 0.0)
         bands = third_octave_bands(125.0, 1600.0)
         noisy_bands = band_average(GRID, mean, bands).values
