@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import math
 import sys
 import warnings
 
@@ -52,6 +53,7 @@ from .io_files import (
     require_header_matches,
     write_band_csv,
     write_mic_spectra,
+    write_narrowband_csv,
     write_report,
     write_text_atomic,
 )
@@ -63,9 +65,23 @@ _DB_DECIMALS = 2  # reports quote dB to 0.01; CSV files keep full precision
 
 
 def _round_db(values, decimals: int = _DB_DECIMALS) -> list:
-    out = []
-    for v in np.asarray(values, dtype=float):
-        out.append(round(float(v), decimals) if np.isfinite(v) else (None if np.isnan(v) else float(v)))
+    """Each value as ``round(v, decimals)``; NaN becomes None, +-inf stays.
+
+    ``np.round`` rounds the product ``x * 10**decimals`` to an integer and
+    divides back. For |x| < 1e6 and up to 9 decimals that product stays below
+    2**52, where every half step is a double, so the product's own rounding
+    can land on a half step but never cross one. Only values within 1e-6 of a
+    half step, larger values and non-finite values go through Python's
+    ``round``.
+    """
+    x = np.asarray(values, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        scaled = x * 10**decimals
+        exact = (np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6) | ~(np.abs(x) < 1e6)
+        out = np.round(x, decimals).tolist()
+    for i in np.flatnonzero(exact).tolist():
+        v = float(x[i])
+        out[i] = round(v, decimals) if math.isfinite(v) else (None if math.isnan(v) else v)
     return out
 
 
@@ -191,15 +207,8 @@ def _cmd_stl(args) -> dict:
     if args.band_csv:
         write_band_csv(args.band_csv, {"stl_db": table})
     if args.narrowband_csv:
-        _write_narrowband_csv(args.narrowband_csv, grid, mean_stl, spread_stl, mean_reflectance)
+        write_narrowband_csv(args.narrowband_csv, grid, mean_stl, spread_stl, mean_reflectance)
     return report
-
-
-def _write_narrowband_csv(path, grid, stl_db, spread_db, reflectance) -> None:
-    lines = ["frequency_hz,stl_db,stl_spread_db,reflectance"]
-    for row in zip(grid.frequencies, stl_db, spread_db, reflectance):
-        lines.append(",".join(repr(float(v)) for v in row))
-    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def _cmd_masslaw(args) -> dict:

@@ -1,13 +1,20 @@
 """File formats: config, mic-spectra CSV, band CSV, stack/scenario/material files.
 
 All numeric I/O is SI. Floats are written with ``repr`` so that a write, read,
-write cycle is byte-identical.
+write cycle is byte-identical and a read returns every bit written.
+
+The mic-spectra reader accepts LF, CRLF or CR line endings, blank lines, and
+``#`` lines anywhere; a ``#`` line holding ``=`` is read as a ``key = value``
+header field wherever it stands. A rejected file names its first bad line.
 """
 from __future__ import annotations
 
 import configparser
+import contextlib
 import hashlib
+import itertools
 import json
+import math
 import os
 import tempfile
 
@@ -38,25 +45,33 @@ __all__ = [
 MIC_SPECTRA_MAGIC = "# tubeloss mic spectra v1"
 MIC_SPECTRA_HEADER = "frequency_hz,p1_re,p1_im,p2_re,p2_im,p3_re,p3_im,p4_re,p4_im"
 _HEADER_RTOL = 1e-9  # relative tolerance of a file's geometry/air echo against the config
+_ROWS_PER_BLOCK = 1024  # CSV rows converted and written at a time
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write a text file atomically (temp file + rename in the same directory)."""
+@contextlib.contextmanager
+def _atomic_text_file(path):
+    """A text handle on a temp file that replaces ``path`` when the ``with`` body succeeds."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tubeloss-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write a text file atomically (temp file + rename in the same directory)."""
+    with _atomic_text_file(path) as handle:
+        handle.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +151,28 @@ def config_hash(air: AirProperties, geometry: TubeGeometry | None) -> str:
 # mic spectra CSV
 
 
+def _write_csv(path, head: list[str], columns) -> None:
+    """Atomically write ``head`` lines, then one row of ``repr`` floats per index of ``columns``.
+
+    Rows are converted with ``tolist()`` and written one block at a time, so
+    neither the table's Python floats nor the file's whole text are ever held
+    in memory at once.
+    """
+    table = np.column_stack(columns)
+    with _atomic_text_file(path) as handle:
+        handle.write("\n".join(head) + "\n")
+        for start in range(0, len(table), _ROWS_PER_BLOCK):
+            block = table[start : start + _ROWS_PER_BLOCK].tolist()
+            handle.write("\n".join([",".join(map(float.__repr__, row)) for row in block]) + "\n")
+
+
 def write_mic_spectra(path, spectra, geometry: TubeGeometry, air: AirProperties) -> None:
     """Write four pressure spectra with the geometry/air echo header."""
     p1, p2, p3, p4 = spectra
     grid = p1.grid
     for s in (p2, p3, p4):
         grid.require_matches(s.grid, "write_mic_spectra")
-    lines = [
+    head = [
         MIC_SPECTRA_MAGIC,
         f"# n_frequencies = {len(grid)}",
         "# mic_positions_m = " + " ".join(_fmt(x) for x in geometry.mic_positions),
@@ -152,22 +182,21 @@ def write_mic_spectra(path, spectra, geometry: TubeGeometry, air: AirProperties)
         f"# air_sound_speed_m_s = {_fmt(air.sound_speed)}",
         MIC_SPECTRA_HEADER,
     ]
-    for i, f in enumerate(grid.frequencies):
-        row = [_fmt(f)]
-        for s in (p1, p2, p3, p4):
-            row.append(_fmt(s.values[i].real))
-            row.append(_fmt(s.values[i].imag))
-        lines.append(",".join(row))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    columns = [grid.frequencies]
+    for s in (p1, p2, p3, p4):
+        columns += [s.values.real, s.values.imag]
+    _write_csv(path, head, columns)
 
 
 def read_mic_spectra(path):
     """Read a mic-spectra CSV.
 
-    Returns (spectra tuple, TubeGeometry, AirProperties).
+    Returns (spectra tuple, TubeGeometry, AirProperties). A malformed file
+    raises :class:`InputFormatError` naming its first bad line.
     """
     header: dict[str, str] = {}
-    rows: list[list[float]] = []
+    body: list[str] = []
+    body_linenos: list[int] = []
     seen_columns = False
     with open(path, "r", newline="") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -192,17 +221,29 @@ def read_mic_spectra(path):
                     )
                 seen_columns = True
                 continue
+            body.append(line)
+            body_linenos.append(lineno)
+    if not body:
+        raise InputFormatError("no data rows", path=path)
+    # All body floats in one conversion; on any failure, find and name the first bad line.
+    try:
+        if not all(line.count(",") == 8 for line in body):
+            raise ValueError("a row without 9 columns")
+        fields = itertools.chain.from_iterable(line.split(",") for line in body)
+        data = np.fromiter(map(float, fields), float, count=9 * len(body)).reshape(-1, 9)
+    except ValueError:
+        for lineno, line in zip(body_linenos, body):
             fields = line.split(",")
             if len(fields) != 9:
                 raise InputFormatError(
                     f"expected 9 numeric columns, got {len(fields)}", path=path, line=lineno
-                )
+                ) from None
             try:
-                rows.append([float(v) for v in fields])
+                for value in fields:
+                    float(value)
             except ValueError as exc:
                 raise InputFormatError(f"bad number: {exc}", path=path, line=lineno) from exc
-    if not seen_columns or not rows:
-        raise InputFormatError("no data rows", path=path)
+        raise
 
     try:
         positions = tuple(float(v) for v in header["mic_positions_m"].split())
@@ -218,20 +259,19 @@ def read_mic_spectra(path):
         n_declared = int(header["n_frequencies"])
     except (KeyError, ValueError) as exc:
         raise InputFormatError(f"bad or missing header field: {exc}", path=path) from exc
-    if n_declared != len(rows):
+    if n_declared != len(data):
         raise InputFormatError(
-            f"header declares {n_declared} frequencies but file has {len(rows)} rows",
+            f"header declares {n_declared} frequencies but file has {len(data)} rows",
             path=path,
         )
 
-    data = np.array(rows)
     try:
         grid = FrequencyGrid(data[:, 0])
     except ValueError as exc:
         raise InputFormatError(f"bad frequency column: {exc}", path=path) from exc
-    spectra = tuple(
-        ComplexSpectrum(grid, data[:, 1 + 2 * i] + 1j * data[:, 2 + 2 * i]) for i in range(4)
-    )
+    # each (re, im) column pair viewed as one complex column keeps every bit, -0.0 included
+    pressures = np.ascontiguousarray(data[:, 1:]).view(complex)
+    spectra = tuple(ComplexSpectrum(grid, pressures[:, i]) for i in range(4))
     return spectra, geometry, air
 
 
@@ -287,11 +327,17 @@ def write_band_csv(path, tables: dict[str, BandTable]) -> None:
     header = "band_nominal_hz," + ",".join(format(b.nominal, "g") for b in first.bands)
     lines = [header]
     for name, table in tables.items():
-        values = ",".join("" if np.isnan(v) else _fmt(v) for v in table.values)
-        coverage = ",".join(_fmt(c) for c in table.coverage)
+        values = ",".join("" if math.isnan(v) else repr(v) for v in table.values.tolist())
+        coverage = ",".join(map(float.__repr__, table.coverage.tolist()))
         lines.append(f"{name},{values}")
         lines.append(f"{name}_coverage,{coverage}")
     write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def write_narrowband_csv(path, grid: FrequencyGrid, stl_db, spread_db, reflectance) -> None:
+    """Write the narrowband STL mean, spread and reflectance, one row per bin."""
+    head = ["frequency_hz,stl_db,stl_spread_db,reflectance"]
+    _write_csv(path, head, [grid.frequencies, stl_db, spread_db, reflectance])
 
 
 def read_band_csv(path) -> dict[str, BandTable]:
@@ -476,9 +522,32 @@ def load_scenario(path, geometry: TubeGeometry, air: AirProperties) -> tuple[Syn
 # run reports
 
 
+def _json_indent2(value, pad: str = "") -> str:
+    """The text of ``json.dumps(value, indent=2, allow_nan=True)``, indented by ``pad``.
+
+    With ``indent`` set, ``json`` runs its pure-Python encoder. A flat list of
+    scalars (the per-bin arrays) is instead rendered by the C encoder, which
+    runs when ``indent`` is None, with the line break and indent of each item
+    put into the item separator.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        items = (f"{inner}{json.dumps(key)}: {_json_indent2(v, inner)}" for key, v in value.items())
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if (
+        isinstance(value, list)
+        and value
+        and not any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, value)))
+    ):
+        flat = json.dumps(value, separators=(",\n" + inner, ": "), allow_nan=True)
+        return "[\n" + inner + flat[1:-1] + "\n" + pad + "]"
+    # json escapes every newline inside a string, so each line break here is layout
+    return json.dumps(value, indent=2, allow_nan=True).replace("\n", "\n" + pad)
+
+
 def write_report(path, report: dict) -> str:
     """Serialize a run report as JSON; path None or '-' prints to stdout."""
-    text = json.dumps(report, indent=2, allow_nan=True) + "\n"
+    text = _json_indent2(report) + "\n"
     if path is None or path == "-":
         print(text, end="")
     else:

@@ -60,6 +60,14 @@ frequency_hz,p1_re,p1_im,p2_re,p2_im,p3_re,p3_im,p4_re,p4_im
 1100,1.89672,0.101315,0.531028,0.0225829,0.102696,-0.0207457,-0.024864,-0.101777
 """
 
+# the same sheet as a reader meets it from other tools: CRLF line endings; a comment and a
+# blank line among the rows; a bad number on line 9 before a short row on line 11
+_CRLF = _ZERO_DOWNSTREAM.replace("\n", "\r\n")
+_COMMENTED = _ZERO_DOWNSTREAM.replace("\n1000,", "\n# re-seated the sample\n\n1000,")
+_BAD_ROWS = _ZERO_DOWNSTREAM.replace("900,1.22062,", "900,1.22O62,").replace(
+    ",-0.024864,-0.101777\n", ",-0.024864\n"
+)
+
 _BAND_CSV = "band_nominal_hz,500,630,800,1000\n{name},{values}\n{name}_coverage,1.0,1.0,1.0,1.0\n"
 
 INPUTS = {
@@ -82,6 +90,9 @@ INPUTS = {
     # the limp-mass sheet at 900, 1000 and 1100 Hz with p3 = p4 = 0 at 1000 Hz, where the
     # direct route 20 log10 |A/C| is +inf
     "zero-downstream.csv": _ZERO_DOWNSTREAM,
+    "crlf.csv": _CRLF,
+    "commented.csv": _COMMENTED,
+    "bad-rows.csv": _BAD_ROWS,
     "layers.json": json.dumps(
         [
             {"kind": "limp-mass", "surface_density": 1.135},
@@ -146,6 +157,12 @@ RUNS: tuple[tuple[str, ...], ...] = (
     ("stl", "anechoic.csv", "--config", "tube.ini", "--output", "stl-anechoic.json"),
     ("stl", "zero-downstream.csv", "--config", "tube.ini", "--f-min", "1000", "--f-max", "1000")
     + ("--output", "stl-zero-downstream.json"),
+    *(
+        ("stl", f"{name}.csv", "--config", "tube.ini", "--f-min", "1000", "--f-max", "1000")
+        + ("--output", f"stl-{name}.json")
+        for name in ("crlf", "commented")
+    ),
+    ("stl", "bad-rows.csv", "--config", "tube.ini"),
     ("stl", "missing.csv", "--config", "tube.ini"),
     ("stl", "run1.csv", "--config", "before.csv"),
     ("stl", "run1.csv", "--config", "tube.ini", "--f-max", "inf"),

@@ -1,10 +1,13 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tubeloss import BandTable, band_from_nominal, mass_law_stl, third_octave_bands
-from tubeloss.cli import main
+from tubeloss.cli import _round_db, main
 from tubeloss.io_files import read_band_csv, read_mic_spectra, write_band_csv
 
 CONFIG_TEXT = """
@@ -440,3 +443,54 @@ class TestBandsCommand:
         text = out.read_text().splitlines()
         assert len(text) == 2
         assert text[1].startswith("1000,1000.0,")
+
+
+def python_round(v: float, decimals: int):
+    """What a report shows for one value: ``round``, with NaN as null and +-inf kept."""
+    if math.isnan(v):
+        return None
+    return round(v, decimals) if math.isfinite(v) else v
+
+
+# the decimal half steps 0.005, 0.015, ..., 2.675 of a 2-decimal report, and of 6 decimals;
+# np.round disagrees with round on many of them
+HALF_STEPS_2 = [(k + 0.5) / 100 for k in range(268)]
+HALF_STEPS_6 = [(k + 0.5) / 1e6 for k in (0, 1, 2, 7, 12, 999, 123456, 2674999)]
+EDGES = [-0.0, 0.0, 5e-324, -5e-324, 1e6 + 0.005, -1e6 - 0.005, 1e300, -1e300, 1.7e308]
+NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+class TestRoundDb:
+    @pytest.mark.parametrize("decimals", [2, 6])
+    def test_matches_python_round_at_half_steps_and_edges(self, decimals):
+        half_steps = HALF_STEPS_2 + HALF_STEPS_6
+        values = half_steps + [-v for v in half_steps] + EDGES + NON_FINITE
+        got = _round_db(values, decimals)
+        for v, rounded in zip(values, got):
+            assert repr(rounded) == repr(python_round(v, decimals)), v
+
+    def test_one_value_at_a_time(self):
+        for decimals in (2, 6):
+            for v in HALF_STEPS_2 + EDGES + NON_FINITE:
+                assert repr(_round_db([v], decimals)[0]) == repr(python_round(v, decimals)), v
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(values=st.lists(st.floats(), max_size=30), decimals=st.sampled_from([2, 6]))
+    def test_drawn_floats_match_python_round(self, values, decimals):
+        got = _round_db(np.array(values, dtype=float), decimals)
+        assert [repr(v) for v in got] == [repr(python_round(v, decimals)) for v in values]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        v=st.floats(allow_nan=False, allow_infinity=False),
+        decimals=st.sampled_from([2, 6]),
+    )
+    def test_drawn_finite_float_matches_python_round(self, v, decimals):
+        assert repr(_round_db([v], decimals)[0]) == repr(round(v, decimals))
+
+    def test_keeps_numpy_warnings_out(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _round_db([math.inf, -math.inf, math.nan, 1e308], 6) == [
+                math.inf, -math.inf, None, 1e308
+            ]

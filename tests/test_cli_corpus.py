@@ -1,4 +1,5 @@
 """The command-line contract over a fixed corpus of runs (see ``cli_corpus.py``)."""
+import json
 import shutil
 import tempfile
 
@@ -70,6 +71,17 @@ def test_singular_synth_exits_3_and_infinite_range_exits_2(runs):
     codes = {run.argv: run.code for run in runs}
     assert codes[("synth", "singular.ini", "--config", "tube.ini", "--output", "singular.csv")] == 3
     assert codes[("bands", "--f-max", "inf")] == 2
+
+
+def test_edited_mic_spectra_read_like_the_original(runs, corpus_dir):
+    def narrowband(name):
+        return json.loads((corpus_dir / name).read_text())["narrowband"]
+
+    original = narrowband("stl-zero-downstream.json")
+    assert narrowband("stl-crlf.json") == original
+    assert narrowband("stl-commented.json") == original
+    (bad,) = [run for run in runs if run.argv[1:2] == ("bad-rows.csv",)]
+    assert bad.stderr.startswith("error: bad-rows.csv:9: bad number: "), bad.stderr
 
 
 def test_usage_errors_exit_2_with_one_error_line(runs):

@@ -1,11 +1,14 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tubeloss import (
     AirProperties,
     BandTable,
+    ComplexSpectrum,
     ConfigMismatchError,
     FrequencyGrid,
     InputFormatError,
@@ -17,6 +20,10 @@ from tubeloss import (
     third_octave_bands,
 )
 from tubeloss.io_files import (
+    MIC_SPECTRA_HEADER,
+    MIC_SPECTRA_MAGIC,
+    _json_indent2,
+    _write_csv,
     config_hash,
     dump_config,
     load_config,
@@ -164,6 +171,269 @@ class TestMicSpectraCsv:
         assert "mic x1" in str(err.value)
         # matching config passes silently
         require_header_matches(path, file_geometry, file_air, GEOMETRY, AIR)
+
+
+def reference_read_mic_spectra(path):
+    """The mic-spectra reader as a plain per-line loop: the oracle of the differential test.
+
+    Returns the (n, 9) table of the file's body floats with the geometry and air
+    of its header, after the same grid and spectrum checks as the reader.
+    """
+    header: dict[str, str] = {}
+    rows: list[list[float]] = []
+    seen_columns = False
+    with open(path, "r", newline="") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line:
+                continue
+            if line.startswith("#"):
+                if lineno == 1 and line != MIC_SPECTRA_MAGIC:
+                    raise InputFormatError(
+                        f"not a mic-spectra file (expected '{MIC_SPECTRA_MAGIC}')",
+                        path=path,
+                        line=lineno,
+                    )
+                if "=" in line:
+                    key, _, value = line[1:].partition("=")
+                    header[key.strip()] = value.strip()
+                continue
+            if not seen_columns:
+                if line != MIC_SPECTRA_HEADER:
+                    raise InputFormatError(
+                        f"unexpected column header '{line}'", path=path, line=lineno
+                    )
+                seen_columns = True
+                continue
+            fields = line.split(",")
+            if len(fields) != 9:
+                raise InputFormatError(
+                    f"expected 9 numeric columns, got {len(fields)}", path=path, line=lineno
+                )
+            try:
+                rows.append([float(v) for v in fields])
+            except ValueError as exc:
+                raise InputFormatError(f"bad number: {exc}", path=path, line=lineno) from exc
+    if not seen_columns or not rows:
+        raise InputFormatError("no data rows", path=path)
+
+    try:
+        positions = tuple(float(v) for v in header["mic_positions_m"].split())
+        geometry = TubeGeometry(
+            mic_positions=positions,  # type: ignore[arg-type]
+            sample_thickness=float(header["sample_thickness_m"]),
+            tube_diameter=float(header["tube_diameter_m"]),
+        )
+        air = AirProperties(
+            density=float(header["air_density_kg_m3"]),
+            sound_speed=float(header["air_sound_speed_m_s"]),
+        )
+        n_declared = int(header["n_frequencies"])
+    except (KeyError, ValueError) as exc:
+        raise InputFormatError(f"bad or missing header field: {exc}", path=path) from exc
+    if n_declared != len(rows):
+        raise InputFormatError(
+            f"header declares {n_declared} frequencies but file has {len(rows)} rows",
+            path=path,
+        )
+
+    data = np.array(rows)
+    try:
+        grid = FrequencyGrid(data[:, 0])
+    except ValueError as exc:
+        raise InputFormatError(f"bad frequency column: {exc}", path=path) from exc
+    with np.errstate(invalid="ignore"):  # an infinite part makes 1j * inf a NaN
+        for i in range(4):
+            ComplexSpectrum(grid, data[:, 1 + 2 * i] + 1j * data[:, 2 + 2 * i])
+    return data, geometry, air
+
+
+def read_table(path):
+    """``read_mic_spectra`` with its spectra laid out as the file's (n, 9) table."""
+    spectra, geometry, air = read_mic_spectra(path)
+    columns = [spectra[0].grid.frequencies]
+    for s in spectra:
+        columns += [s.values.real, s.values.imag]
+    return np.column_stack(columns), geometry, air
+
+
+def read_outcome(reader, path):
+    """What a reader makes of a file: its error, or the bits of its table, geometry and air."""
+    try:
+        table, geometry, air = reader(path)
+    except Exception as exc:  # every error type counts, not only InputFormatError
+        return ("raised", type(exc).__name__, str(exc))
+    return ("read", table.shape, table.tobytes(), repr(geometry), repr(air))
+
+
+GOOD_HEADER = [
+    MIC_SPECTRA_MAGIC,
+    None,  # the row count, filled in per file
+    "# mic_positions_m = -0.33 -0.25 0.25 0.33",
+    "# sample_thickness_m = 0.00089",
+    "# tube_diameter_m = 0.0998",
+    "# air_density_kg_m3 = 1.204",
+    "# air_sound_speed_m_s = 343.2",
+    MIC_SPECTRA_HEADER,
+]
+# texts for one field: numbers float() reads in other spellings, and non-numbers
+FIELD_TEXTS = (
+    "", "abc", "nan", "-inf", "Infinity", "1e999", " 1.5", "1.5 ", "1_0", "0x10", "1.5.5",
+    "+", "--1", "1e", "\u0661\u0662", "1,5", "0", "-0.0", "5e-324", "1e308",
+)
+# lines put anywhere into a file
+LINE_TEXTS = (
+    "", "   ", "#", "# comment", "# n_frequencies = 2", "# mic_positions_m = 1 2",
+    "# tube_diameter_m = oops", "not a comment", MIC_SPECTRA_HEADER, "frequency_hz,p1_re",
+    "# tubeloss mic spectra v2", "1,2,3,4,5,6,7,8,9", "1,2,3,4,5,6,7,8", "1,2,3,4,5,6,7,8,9,10",
+)
+NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+# a changed field is drawn twice as often as each other mutation
+MUTATIONS = ("field", "field", "drop", "add", "delete", "replace", "insert")
+
+
+@st.composite
+def mic_spectra_texts(draw):
+    """A good mic-spectra file, then up to three mutations of a field, row, line or ending."""
+    n = draw(st.integers(1, 6))
+    freqs = sorted(draw(st.sets(st.floats(1.0, 1e5), min_size=n, max_size=n)))
+    rows = [[repr(f)] + [draw(NUMBER) for _ in range(8)] for f in freqs]
+    lines = list(GOOD_HEADER)
+    lines[1] = f"# n_frequencies = {n}"
+    lines += [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(MUTATIONS))
+        # two times in three the mutation lands in the body, when there is one
+        body = st.integers(min(len(GOOD_HEADER), len(lines) - 1), len(lines) - 1)
+        i = draw(st.integers(0, len(lines) - 1) | body | body)
+        if kind == "field":
+            fields = lines[i].split(",")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(FIELD_TEXTS))
+            lines[i] = ",".join(fields)
+        elif kind == "drop":
+            lines[i] = lines[i].rsplit(",", 1)[0]
+        elif kind == "add":
+            lines[i] += "," + draw(NUMBER)
+        elif kind == "delete" and len(lines) > 1:
+            del lines[i]
+        elif kind == "replace":
+            lines[i] = draw(st.sampled_from(LINE_TEXTS))
+        elif kind == "insert":
+            lines.insert(i, draw(st.sampled_from(LINE_TEXTS)))
+    ending = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    text = ending.join(lines)
+    if draw(st.booleans()):  # a file may lack its final line ending
+        text += ending
+    return text
+
+
+@pytest.fixture(scope="module")
+def drawn_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("drawn")
+
+
+class TestMicSpectraReader:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(text=mic_spectra_texts())
+    def test_reads_like_the_per_line_loop(self, drawn_dir, text):
+        path = drawn_dir / "drawn.csv"
+        path.write_bytes(text.encode())
+        assert read_outcome(read_table, path) == read_outcome(reference_read_mic_spectra, path)
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"])
+    def test_line_endings_blank_and_comment_lines_are_accepted(self, tmp_path, ending):
+        spectra = synth_spectra()
+        path = tmp_path / "spectra.csv"
+        write_mic_spectra(path, spectra, GEOMETRY, AIR)
+        lines = path.read_text().splitlines()
+        lines[9:9] = ["", "# measured on the second day"]
+        path.write_bytes(ending.join(lines).encode())
+        loaded, geometry, air = read_mic_spectra(path)
+        for original, back in zip(spectra, loaded):
+            assert np.array_equal(original.values, back.values)
+        assert geometry == GEOMETRY and air == AIR
+
+    def test_first_bad_line_is_named(self, tmp_path):
+        spectra = synth_spectra()
+        path = tmp_path / "spectra.csv"
+        write_mic_spectra(path, spectra, GEOMETRY, AIR)
+        lines = path.read_text().splitlines()
+        lines[11] = lines[11].rsplit(",", 1)[0]  # a short row on line 14 (12 before the insert)
+        fields = lines[10].split(",")
+        fields[3] = "x"  # after a bad number on line 13
+        lines[10] = ",".join(fields)
+        lines[9:9] = ["# a comment inside the body", ""]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputFormatError, match=":13: bad number: could not convert string"):
+            read_mic_spectra(path)
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "spectra.csv"
+        path.write_text("old\n")
+        rows = np.array([1.0] * 3000 + ["not a float"], dtype=object)  # fails in a later block
+        with pytest.raises(TypeError):
+            _write_csv(path, ["head"], [rows])
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["spectra.csv"]
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        bits=st.lists(
+            st.one_of(
+                st.integers(0, 2**64 - 1),
+                st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308]).map(
+                    lambda v: int(np.float64(v).view(np.uint64))
+                ),
+            ),
+            min_size=8,
+            max_size=40,
+        )
+    )
+    def test_round_trip_keeps_every_bit(self, drawn_dir, bits):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        values = values[np.isfinite(values)]
+        n = len(values) // 8
+        if n == 0:
+            return
+        pressures = np.ascontiguousarray(values[: 8 * n].reshape(n, 8)).view(complex)
+        grid = FrequencyGrid(np.arange(1.0, n + 1.0) * 0.1)
+        spectra = tuple(ComplexSpectrum(grid, pressures[:, i]) for i in range(4))
+        path = drawn_dir / "round-trip.csv"
+        write_mic_spectra(path, spectra, GEOMETRY, AIR)
+        loaded, _, _ = read_mic_spectra(path)
+        for original, back in zip(spectra, loaded):
+            assert original.values.tobytes() == back.values.tobytes()
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(), st.text(max_size=8)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5), st.dictionaries(st.text(max_size=5), inner, max_size=5)
+    ),
+    max_leaves=30,
+)
+
+
+class TestReportEncoding:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(value=JSON_VALUES)
+    def test_same_text_as_json_indent_2(self, value):
+        assert _json_indent2(value) == json.dumps(value, indent=2, allow_nan=True)
+
+    def test_report_shapes(self):
+        report = {
+            "narrowband": {"stl_db": [1.5, None, math.inf, -0.0], "valid": [True, False]},
+            "empty": [],
+            "nothing": {},
+            "constituents": [{"layer": "limp-mass", "bands": {"values_db": [1.0, math.nan]}}],
+            "warnings": ["a \"quoted\"\nline", "\u00e9"],
+            "nested": [[1, 2], [3]],
+            "pair": (1, 2),
+        }
+        assert _json_indent2(report) == json.dumps(report, indent=2, allow_nan=True)
 
 
 class TestBandCsv:
