@@ -171,26 +171,26 @@ def band_average(
     usable = ~np.isnan(values)
 
     bands = tuple(bands)
-    f = grid.frequencies
+    # On the sorted grid, [lo, hi) holds exactly the bins with lower <= f < upper.
+    lo, hi = np.searchsorted(grid.frequencies, [[b.lower for b in bands], [b.upper for b in bands]])
     out = np.full(len(bands), np.nan)
     coverage = np.zeros(len(bands))
     # A band of +inf losses (nothing transmitted) averages to log10(0) = -inf
     # in power mode, so its value is +inf by design, not a divide error.
     with np.errstate(divide="ignore"):
-        for i, band in enumerate(bands):
-            in_band = (f >= band.lower) & (f < band.upper)
-            n_in = int(np.count_nonzero(in_band))
-            if n_in == 0:
+        for i, (start, stop) in enumerate(zip(lo.tolist(), hi.tolist())):
+            if stop == start:
                 continue
-            use = in_band & usable
-            n_use = int(np.count_nonzero(use))
-            coverage[i] = n_use / n_in
+            kept = usable[start:stop]
+            n_use = int(np.count_nonzero(kept))
+            coverage[i] = n_use / (stop - start)
             if n_use == 0:
                 continue
+            use = values[start:stop] if n_use == stop - start else values[start:stop][kept]
             if mode == "power":
-                out[i] = -10.0 * np.log10(np.mean(10.0 ** (-values[use] / 10.0)))
+                out[i] = -10.0 * np.log10(np.mean(10.0 ** (-use / 10.0)))
             else:
-                out[i] = float(np.mean(values[use]))
+                out[i] = float(np.mean(use))
     return BandTable(bands, out, coverage)
 
 

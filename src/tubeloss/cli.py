@@ -57,9 +57,10 @@ from .io_files import (
     write_report,
     write_text_atomic,
 )
-from .models import mass_law_constant_db, mass_law_stl, stack_indicators
+from .models import mass_law_constant_db, mass_law_stl, stack_thickness
 from .pipeline import analyze_four_mic
 from .synth import synth_mic_pressures
+from .transfer import acoustic_indicators
 
 _DB_DECIMALS = 2  # reports quote dB to 0.01; CSV files keep full precision
 
@@ -274,20 +275,20 @@ def _cmd_stack(args) -> dict:
     layers = load_stack(args.stack)
     grid = FrequencyGrid.from_range(args.f_min, args.f_max, args.f_step)
     bands = third_octave_bands(args.f_min, args.f_max)
-    stack = stack_indicators(layers, grid, air)
-    stack_stl = np.where(stack.valid, stack.stl_db, np.nan)
-    stack_table = band_average(grid, stack_stl, bands, mode=args.band_mode)
 
-    constituents = []
+    def banded(matrix, thickness: float) -> tuple[np.ndarray, BandTable]:
+        indicators = acoustic_indicators(matrix, thickness, air)
+        narrow = np.where(indicators.valid, indicators.stl_db, np.nan)
+        return narrow, band_average(grid, narrow, bands, mode=args.band_mode)
+
+    # One pass builds each layer matrix once: banded alone, then multiplied into the stack.
+    constituents, product = [], None
     for layer in layers:
-        single = stack_indicators((layer,), grid, air)
-        single_stl = np.where(single.valid, single.stl_db, np.nan)
-        constituents.append(
-            {
-                "layer": layer.describe(),
-                "bands": _band_block(band_average(grid, single_stl, bands, mode=args.band_mode)),
-            }
-        )
+        matrix = layer.matrix_on(grid, air)
+        _, table = banded(matrix, layer.thickness)
+        constituents.append({"layer": layer.describe(), "bands": _band_block(table)})
+        product = matrix if product is None else product @ matrix
+    stack_stl, stack_table = banded(product, stack_thickness(layers))
 
     report = _provenance(args, air, None)
     report.update(

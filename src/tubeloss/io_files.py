@@ -68,6 +68,16 @@ def _atomic_text_file(path):
         raise
 
 
+@contextlib.contextmanager
+def _open_utf8(path, newline=None):
+    """A UTF-8 text handle on ``path``; a byte that is not UTF-8 is an input error naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"not UTF-8 text: {exc.reason}", path=path) from None
+
+
 def write_text_atomic(path, text: str) -> None:
     """Write a text file atomically (temp file + rename in the same directory)."""
     with _atomic_text_file(path) as handle:
@@ -81,12 +91,13 @@ def write_text_atomic(path, text: str) -> None:
 def _read_ini(path, what: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
     try:
-        found = parser.read(os.fspath(path))
+        with _open_utf8(path) as handle:
+            parser.read_file(handle, source=os.fspath(path))
+    except OSError:
+        raise InputFormatError(f"{what} file not found or unreadable", path=path) from None
     except configparser.Error as exc:
         # the parser's messages quote the offending lines; keep the first, one-line part
         raise InputFormatError(f"{what} file is not INI: {str(exc).splitlines()[0]}", path=path) from None
-    if not found:
-        raise InputFormatError(f"{what} file not found or unreadable", path=path)
     return parser
 
 
@@ -198,7 +209,7 @@ def read_mic_spectra(path):
     body: list[str] = []
     body_linenos: list[int] = []
     seen_columns = False
-    with open(path, "r", newline="") as handle:
+    with _open_utf8(path, newline="") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line:
@@ -271,7 +282,11 @@ def read_mic_spectra(path):
         raise InputFormatError(f"bad frequency column: {exc}", path=path) from exc
     # each (re, im) column pair viewed as one complex column keeps every bit, -0.0 included
     pressures = np.ascontiguousarray(data[:, 1:]).view(complex)
-    spectra = tuple(ComplexSpectrum(grid, pressures[:, i]) for i in range(4))
+    try:
+        spectra = tuple(ComplexSpectrum(grid, pressures[:, i]) for i in range(4))
+    except ValueError as exc:
+        first = int(np.flatnonzero(~np.isfinite(pressures).all(axis=1))[0])
+        raise InputFormatError(str(exc), path=path, line=body_linenos[first]) from None
     return spectra, geometry, air
 
 
@@ -342,7 +357,7 @@ def write_narrowband_csv(path, grid: FrequencyGrid, stl_db, spread_db, reflectan
 
 def read_band_csv(path) -> dict[str, BandTable]:
     """Read band tables written by :func:`write_band_csv`."""
-    with open(path, "r", newline="") as handle:
+    with _open_utf8(path, newline="") as handle:
         lines = [line.rstrip("\n").rstrip("\r") for line in handle]
     lines = [line for line in lines if line]
     if not lines:
@@ -392,7 +407,7 @@ def read_band_csv(path) -> dict[str, BandTable]:
 
 def _load_json_list(path, what: str) -> list:
     try:
-        with open(path, "r") as handle:
+        with _open_utf8(path) as handle:
             data = json.load(handle)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"invalid JSON: {exc}", path=path) from exc

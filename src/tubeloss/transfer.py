@@ -108,24 +108,20 @@ class TransferMatrix(PerBinArrays):
 class AcousticIndicators(PerBinArrays):
     """Per-frequency sample indicators from one reconstructed matrix.
 
-    ``transmission``/``reflection`` are the anechoic-termination coefficients,
-    ``surface_impedance`` the anechoic surface impedance (inf marks a rigid
-    face), ``rigid_reflection`` the rigid-backing reflection, and ``stl_db``
-    the normal-incidence transmission loss (+inf where nothing is transmitted).
+    ``transmission``/``reflection`` are the anechoic-termination coefficients
+    and ``stl_db`` the normal-incidence transmission loss (+inf where nothing
+    is transmitted). Surface impedance and rigid-backing reflection are not
+    fields: :func:`surface_impedance_anechoic` and
+    :func:`rigid_backing_reflection` compute them on request.
     """
 
     grid: FrequencyGrid
     transmission: np.ndarray
     reflection: np.ndarray
-    surface_impedance: np.ndarray
-    rigid_reflection: np.ndarray
     stl_db: np.ndarray
     valid: np.ndarray
 
-    _per_bin = {
-        "transmission": complex, "reflection": complex, "surface_impedance": complex,
-        "rigid_reflection": complex, "stl_db": float, "valid": bool,
-    }
+    _per_bin = {"transmission": complex, "reflection": complex, "stl_db": float, "valid": bool}
 
     @property
     def reflectance(self) -> np.ndarray:
@@ -210,18 +206,19 @@ def reconstruct_one_load(
     return TransferMatrix(state_in.grid, t11, t12, t21, t11, ok)
 
 
-def _anechoic_denominator(matrix: TransferMatrix, air: AirProperties) -> tuple[np.ndarray, np.ndarray]:
-    """Shared denominator of the anechoic coefficients, with its validity mask."""
+def _anechoic_terms(matrix: TransferMatrix, air: AirProperties) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reflection numerator and shared denominator of the anechoic coefficients, and where it is usable."""
     z = air.impedance
-    with np.errstate(over="ignore", invalid="ignore"):  # _nonvanishing drops a non-finite den
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite den fails _nonvanishing
         den = matrix.t11 + matrix.t12 / z + z * matrix.t21 + matrix.t22
+        num = matrix.t11 + matrix.t12 / z - z * matrix.t21 - matrix.t22  # read only where ok
     scale = (
         np.abs(matrix.t11)
         + np.abs(matrix.t12) / z
         + z * np.abs(matrix.t21)
         + np.abs(matrix.t22)
     )
-    return den, _nonvanishing(den, scale, matrix.valid)
+    return num, den, _nonvanishing(den, scale, matrix.valid)
 
 
 def transmission_coefficient(
@@ -237,7 +234,7 @@ def transmission_coefficient(
     Both off-diagonal terms are scaled by rho0 c, the only dimensionally
     consistent normalization. Bins with a vanishing denominator come back NaN.
     """
-    den, ok = _anechoic_denominator(matrix, air)
+    _, den, ok = _anechoic_terms(matrix, air)
     return _quotient(2.0 * np.exp(1j * np.asarray(k, dtype=float) * thickness), den, ok)
 
 
@@ -246,11 +243,7 @@ def reflection_coefficient_anechoic(matrix: TransferMatrix, air: AirProperties) 
 
         R = (T11 + T12/(rho0 c) - rho0 c T21 - T22) / (T11 + T12/(rho0 c) + rho0 c T21 + T22)
     """
-    z = air.impedance
-    den, ok = _anechoic_denominator(matrix, air)
-    with np.errstate(over="ignore", invalid="ignore"):  # only read where ok
-        num = matrix.t11 + matrix.t12 / z - z * matrix.t21 - matrix.t22
-    return _quotient(num, den, ok)
+    return _quotient(*_anechoic_terms(matrix, air))
 
 
 def surface_impedance_anechoic(reflection: np.ndarray, air: AirProperties) -> np.ndarray:
@@ -341,19 +334,8 @@ def acoustic_indicators(
     AcousticIndicators
         Indicators with a combined validity mask.
     """
-    k = matrix.grid.wavenumbers(air)
-    transmission = transmission_coefficient(matrix, k, thickness, air)
-    reflection = reflection_coefficient_anechoic(matrix, air)
-    impedance = surface_impedance_anechoic(reflection, air)
-    rigid = rigid_backing_reflection(matrix, air)
-    loss = stl(transmission)
+    num, den, ok = _anechoic_terms(matrix, air)
+    transmission = _quotient(2.0 * np.exp(1j * matrix.grid.wavenumbers(air) * thickness), den, ok)
+    reflection = _quotient(num, den, ok)
     valid = matrix.valid & np.isfinite(transmission) & np.isfinite(reflection)
-    return AcousticIndicators(
-        grid=matrix.grid,
-        transmission=transmission,
-        reflection=reflection,
-        surface_impedance=impedance,
-        rigid_reflection=rigid,
-        stl_db=loss,
-        valid=valid,
-    )
+    return AcousticIndicators(matrix.grid, transmission, reflection, stl(transmission), valid)

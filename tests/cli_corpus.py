@@ -68,6 +68,15 @@ _BAD_ROWS = _ZERO_DOWNSTREAM.replace("900,1.22062,", "900,1.22O62,").replace(
     ",-0.024864,-0.101777\n", ",-0.024864\n"
 )
 
+# a nan pressure (p4) on line 12 before an inf one (p1) on line 13: the file-order first is named
+_NON_FINITE = _ZERO_DOWNSTREAM.replace("# n_frequencies = 3", "# n_frequencies = 5") + (
+    "1200,1.8,0.1,0.5,0.02,0.1,-0.02,-0.02,nan\n1300,inf,0.1,0.5,0.02,0.1,-0.02,-0.02,-0.1\n"
+)
+# a Latin-1 byte (0xfc) in a comment line
+_NOT_UTF8 = _ZERO_DOWNSTREAM.replace("# tube_diameter_m", "# J\u00fcrgen's sheet\n# tube_diameter_m").encode(
+    "latin-1"
+)
+
 _BAND_CSV = "band_nominal_hz,500,630,800,1000\n{name},{values}\n{name}_coverage,1.0,1.0,1.0,1.0\n"
 
 INPUTS = {
@@ -93,12 +102,26 @@ INPUTS = {
     "crlf.csv": _CRLF,
     "commented.csv": _COMMENTED,
     "bad-rows.csv": _BAD_ROWS,
+    "nan.csv": _NON_FINITE,
+    "latin1.csv": _NOT_UTF8,
     "layers.json": json.dumps(
         [
             {"kind": "limp-mass", "surface_density": 1.135},
             {"kind": "air-gap", "thickness": 0.05},
             {"kind": "matrix", "t11": [1, 0], "t12": [0, 0], "t21": [0, 0], "t22": [1, 0]},
             {"kind": "identity"},
+        ]
+    ),
+    # a matrix layer with thickness, an air gap, an identity layer and a limp mass
+    "mixed.json": json.dumps(
+        [
+            {
+                "kind": "matrix", "t11": [0.9, 0.1], "t12": [200.0, 30.0], "t21": [0.0005, 0.0001],
+                "t22": [0.9, 0.1], "thickness": 0.02,
+            },
+            {"kind": "air-gap", "thickness": 0.05},
+            {"kind": "identity"},
+            {"kind": "limp-mass", "surface_density": 1.135},
         ]
     ),
     "opaque.json": json.dumps([{"kind": "limp-mass", "surface_density": 1e300}]),
@@ -163,6 +186,8 @@ RUNS: tuple[tuple[str, ...], ...] = (
         for name in ("crlf", "commented")
     ),
     ("stl", "bad-rows.csv", "--config", "tube.ini"),
+    ("stl", "nan.csv", "--config", "tube.ini"),
+    ("stl", "latin1.csv", "--config", "tube.ini"),
     ("stl", "missing.csv", "--config", "tube.ini"),
     ("stl", "run1.csv", "--config", "before.csv"),
     ("stl", "run1.csv", "--config", "tube.ini", "--f-max", "inf"),
@@ -180,6 +205,9 @@ RUNS: tuple[tuple[str, ...], ...] = (
         + ("--band-csv", f"stack-{band}.csv")
         for band in ("power", "db")
     ),
+    # full-precision band values on a grid whose bins are not round numbers
+    ("stack", "--stack", "mixed.json", "--band-mode", "db", "--f-step", "0.37", "--f-max", "2000")
+    + ("--band-csv", "stack-mixed.csv", "--output", "stack-mixed.json"),
     ("stack", "--stack", "opaque.json", "--f-max", "1000", "--output", "stack-opaque.json"),
     ("stack", "--stack", "overflow.json", "--f-max", "1000", "--output", "stack-overflow.json"),
     ("stack", "--stack", "bad-layer.json"),
@@ -249,8 +277,11 @@ def run_corpus(outdir) -> list[Run]:
     """Write the inputs into ``outdir``, run every corpus argv there and log the runs."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, text in INPUTS.items():
-        (outdir / name).write_text(text)
+    for name, content in INPUTS.items():
+        if isinstance(content, bytes):
+            (outdir / name).write_bytes(content)
+        else:
+            (outdir / name).write_text(content)
     with inside(outdir):
         runs = [run_one(argv) for argv in RUNS]
     for path in outdir.iterdir():

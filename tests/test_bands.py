@@ -127,6 +127,75 @@ class TestBandAverage:
             band_average(grid, np.array([1.0]), [band_from_nominal(1000.0)], mode="median")
 
 
+def reference_band_average(grid, values_db, bands, mode):
+    """The per-band mask loop ``band_average`` replaced: the oracle of the differential test."""
+    values = np.asarray(values_db, dtype=float)
+    usable = ~np.isnan(values)
+    f = grid.frequencies
+    out = np.full(len(bands), np.nan)
+    coverage = np.zeros(len(bands))
+    with np.errstate(divide="ignore"):
+        for i, band in enumerate(bands):
+            in_band = (f >= band.lower) & (f < band.upper)
+            n_in = int(np.count_nonzero(in_band))
+            if n_in == 0:
+                continue
+            use = in_band & usable
+            n_use = int(np.count_nonzero(use))
+            coverage[i] = n_use / n_in
+            if n_use == 0:
+                continue
+            if mode == "power":
+                out[i] = -10.0 * np.log10(np.mean(10.0 ** (-values[use] / 10.0)))
+            else:
+                out[i] = float(np.mean(values[use]))
+    return out, coverage
+
+
+# bands reaching past the drawn grids on both sides, and the float edges between them
+WIDE_BANDS = third_octave_bands(50.0, 10000.0)
+EDGES = sorted({edge for band in WIDE_BANDS for edge in (band.lower, band.upper)})
+
+
+@st.composite
+def band_average_cases(draw):
+    """A grid, a curve with NaN and +inf bins, a band range and a mode.
+
+    The grid is a regular stretch (up to ~13 000 bins, enough for numpy's
+    pairwise sums to split) plus exact band-edge floats and their neighbours.
+    """
+    first = draw(st.integers(0, len(WIDE_BANDS) - 1))
+    last = draw(st.integers(first, len(WIDE_BANDS) - 1))
+    start = draw(st.floats(40.0, 9000.0))
+    step = draw(st.sampled_from([0.37, 1.0, 2.5, 10.0, 33.3]) | st.floats(0.37, 500.0))
+    width = draw(st.floats(0.0, 5000.0))
+    parts = [np.arange(start, start + width + 0.5 * step, step)]
+    for edge in draw(st.lists(st.sampled_from(EDGES), max_size=12)):
+        below, above = np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)
+        parts.append(draw(st.sampled_from([[edge], [below, edge, above], [below], [above]])))
+    grid = FrequencyGrid(np.unique(np.concatenate(parts)))
+
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(-20.0, 120.0, len(grid))
+    p_inf = draw(st.sampled_from([0.0, 0.05, 1.0]))
+    p_nan = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    kind = rng.random(len(grid))
+    values[kind < p_nan] = np.nan
+    values[(kind >= p_nan) & (kind < p_nan + p_inf)] = np.inf
+    return grid, values, WIDE_BANDS[first : last + 1], draw(st.sampled_from(["power", "db"]))
+
+
+class TestBandAverageAgainstMaskLoop:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=band_average_cases())
+    def test_same_bits_as_the_mask_loop(self, case):
+        grid, values, bands, mode = case
+        table = band_average(grid, values, bands, mode=mode)
+        want_values, want_coverage = reference_band_average(grid, values, bands, mode)
+        assert table.values.tobytes() == want_values.tobytes()
+        assert table.coverage.tobytes() == want_coverage.tobytes()
+
+
 class TestAverageRepetitions:
     def test_single_run(self):
         mean, spread = average_repetitions(np.array([[3.0, 4.0]]))

@@ -6,9 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tubeloss import BandTable, band_from_nominal, mass_law_stl, third_octave_bands
-from tubeloss.cli import _round_db, main
-from tubeloss.io_files import read_band_csv, read_mic_spectra, write_band_csv
+from tubeloss import (
+    DEFAULT_AIR,
+    BandTable,
+    FrequencyGrid,
+    LayerModel,
+    band_average,
+    band_from_nominal,
+    mass_law_stl,
+    stack_indicators,
+    third_octave_bands,
+)
+from tubeloss.cli import _band_block, _round_db, main
+from tubeloss.io_files import load_stack, read_band_csv, read_mic_spectra, write_band_csv
 
 CONFIG_TEXT = """
 [air]
@@ -426,6 +436,46 @@ class TestStack:
         assert "encountered in" not in capsys.readouterr().err
         # the overflowed bins are marked invalid, not reported as numbers
         assert report["narrowband"]["stl_db"] == [None] * len(report["narrowband"]["frequency_hz"])
+
+    @pytest.mark.parametrize("band_mode", ["power", "db"])
+    def test_each_layer_matrix_is_built_once(self, tmp_path, monkeypatch, band_mode):
+        records = [
+            {
+                "kind": "matrix", "t11": [0.9, 0.1], "t12": [200.0, 30.0], "t21": [0.0005, 0.0001],
+                "t22": [0.9, 0.1], "thickness": 0.02,
+            },
+            {"kind": "identity"},
+            {"kind": "limp-mass", "surface_density": 1e305},
+            {"kind": "air-gap", "thickness": 0.05},
+        ]
+        stack = tmp_path / "stack.json"
+        stack.write_text(json.dumps(records))
+        layers = load_stack(stack)
+        built = []
+        matrix_on = LayerModel.matrix_on
+
+        def counted(layer, *args, **kwargs):
+            built.append(layer)
+            return matrix_on(layer, *args, **kwargs)
+
+        monkeypatch.setattr(LayerModel, "matrix_on", counted)
+        report_path = tmp_path / "report.json"
+        argv = ("stack", "--stack", str(stack), "--band-mode", band_mode, "--f-step", "0.37")
+        assert run_cli(*argv, "--output", str(report_path)) == 0
+        assert built == list(layers)
+
+        # each constituent reads as that layer stacked alone
+        grid = FrequencyGrid.from_range(100.0, 5000.0, 0.37)
+        bands = third_octave_bands(100.0, 5000.0)
+
+        def block(stack_layers):
+            single = stack_indicators(stack_layers, grid, DEFAULT_AIR)
+            narrow = np.where(single.valid, single.stl_db, np.nan)
+            return json.loads(json.dumps(_band_block(band_average(grid, narrow, bands, mode=band_mode))))
+
+        report = json.loads(report_path.read_text())
+        assert [c["bands"] for c in report["constituents"]] == [block((layer,)) for layer in layers]
+        assert report["bands"] == block(layers)
 
 
 class TestBandsCommand:

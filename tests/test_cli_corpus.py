@@ -84,6 +84,12 @@ def test_edited_mic_spectra_read_like_the_original(runs, corpus_dir):
     assert bad.stderr.startswith("error: bad-rows.csv:9: bad number: "), bad.stderr
 
 
+def test_a_bad_value_or_byte_names_its_file(runs):
+    stderr = {run.argv[1]: run.stderr for run in runs if run.argv[1:2] in (("nan.csv",), ("latin1.csv",))}
+    assert stderr["nan.csv"] == "error: nan.csv:12: spectrum values must be finite\n"
+    assert stderr["latin1.csv"] == "error: latin1.csv: not UTF-8 text: invalid start byte\n"
+
+
 def test_usage_errors_exit_2_with_one_error_line(runs):
     usage_runs = [run for run in runs if run.argv in USAGE_ERRORS]
     assert len(usage_runs) == len(USAGE_ERRORS)

@@ -37,8 +37,7 @@ CONTAINERS = {
     "AcousticIndicators": (
         len(GRID),
         lambda arrays: AcousticIndicators(GRID, **arrays),
-        {"transmission": complex, "reflection": complex, "surface_impedance": complex,
-         "rigid_reflection": complex, "stl_db": float, "valid": bool},
+        {"transmission": complex, "reflection": complex, "stl_db": float, "valid": bool},
     ),
     "ComplexSpectrum": (
         len(GRID),

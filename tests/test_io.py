@@ -181,8 +181,9 @@ def reference_read_mic_spectra(path):
     """
     header: dict[str, str] = {}
     rows: list[list[float]] = []
+    linenos: list[int] = []
     seen_columns = False
-    with open(path, "r", newline="") as handle:
+    with open(path, "r", encoding="utf-8", newline="") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line:
@@ -214,6 +215,7 @@ def reference_read_mic_spectra(path):
                 rows.append([float(v) for v in fields])
             except ValueError as exc:
                 raise InputFormatError(f"bad number: {exc}", path=path, line=lineno) from exc
+            linenos.append(lineno)
     if not seen_columns or not rows:
         raise InputFormatError("no data rows", path=path)
 
@@ -242,9 +244,9 @@ def reference_read_mic_spectra(path):
         grid = FrequencyGrid(data[:, 0])
     except ValueError as exc:
         raise InputFormatError(f"bad frequency column: {exc}", path=path) from exc
-    with np.errstate(invalid="ignore"):  # an infinite part makes 1j * inf a NaN
-        for i in range(4):
-            ComplexSpectrum(grid, data[:, 1 + 2 * i] + 1j * data[:, 2 + 2 * i])
+    for lineno, row in zip(linenos, rows):
+        if not all(math.isfinite(v) for v in row[1:]):
+            raise InputFormatError("spectrum values must be finite", path=path, line=lineno)
     return data, geometry, air
 
 
@@ -365,6 +367,19 @@ class TestMicSpectraReader:
         lines[9:9] = ["# a comment inside the body", ""]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InputFormatError, match=":13: bad number: could not convert string"):
+            read_mic_spectra(path)
+
+    def test_first_non_finite_row_is_named(self, tmp_path):
+        spectra = synth_spectra()
+        path = tmp_path / "spectra.csv"
+        write_mic_spectra(path, spectra, GEOMETRY, AIR)
+        lines = path.read_text().splitlines()
+        for index, column, text in ((9, 8, "nan"), (10, 1, "inf")):  # p4 on line 10, p1 on line 11
+            fields = lines[index].split(",")
+            fields[column] = text
+            lines[index] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputFormatError, match=r"spectra\.csv:10: spectrum values must be finite$"):
             read_mic_spectra(path)
 
     def test_failed_write_keeps_the_old_file(self, tmp_path):
@@ -594,3 +609,22 @@ def test_band_from_nominal_accepts_csv_formatting():
     # values formatted with %g survive the nominal lookup
     for nominal in (100.0, 3150.0, 5000.0):
         assert band_from_nominal(float(format(nominal, "g"))).nominal == nominal
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [
+        read_mic_spectra,
+        read_band_csv,
+        load_stack,
+        load_materials,
+        load_config,
+        lambda path: load_scenario(path, GEOMETRY, AIR),
+    ],
+    ids=["mic-spectra", "band-csv", "stack", "materials", "config", "scenario"],
+)
+def test_a_byte_that_is_not_utf8_names_the_file(tmp_path, reader):
+    path = tmp_path / "input.txt"
+    path.write_bytes(MIC_SPECTRA_MAGIC.encode() + b"\n# J\xfcrgen's sheet\n")
+    with pytest.raises(InputFormatError, match=r"input\.txt: not UTF-8 text: invalid start byte$"):
+        reader(path)
