@@ -61,7 +61,6 @@ from .pipeline import TubeAnalysis, analyze_four_mic
 from .synth import SynthScenario, synth_mic_pressures, synth_room_levels
 from .transfer import (
     AcousticIndicators,
-    BoundaryState,
     TransferMatrix,
     acoustic_indicators,
     anechoic_quality,
@@ -95,7 +94,6 @@ __all__ = [
     "decompose_pair",
     "decompose_four_mic",
     # transfer matrix
-    "BoundaryState",
     "TransferMatrix",
     "AcousticIndicators",
     "boundary_states",

@@ -279,7 +279,15 @@ def read_mic_spectra(path):
     try:
         grid = FrequencyGrid(data[:, 0])
     except ValueError as exc:
-        raise InputFormatError(f"bad frequency column: {exc}", path=path) from exc
+        # name the first row breaking the rule the message states, in FrequencyGrid's check order
+        f = data[:, 0]
+        bad = ~np.isfinite(f)
+        if not bad.any():
+            bad = f <= 0.0
+        if not bad.any():
+            bad = np.diff(f, prepend=-np.inf) <= 0.0
+        line = body_linenos[int(np.flatnonzero(bad)[0])]
+        raise InputFormatError(f"bad frequency column: {exc}", path=path, line=line) from exc
     # each (re, im) column pair viewed as one complex column keeps every bit, -0.0 included
     pressures = np.ascontiguousarray(data[:, 1:]).view(complex)
     try:

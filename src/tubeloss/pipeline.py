@@ -48,8 +48,8 @@ def analyze_four_mic(
     termination quality assumption is violated.
     """
     amplitudes = decompose_four_mic(p1, p2, p3, p4, geometry, air)
-    state_in, state_out = boundary_states(amplitudes, geometry.sample_thickness, air)
-    matrix = reconstruct_one_load(state_in, state_out)
+    faces = boundary_states(amplitudes, geometry.sample_thickness, air)
+    matrix = reconstruct_one_load(amplitudes.grid, *faces)
     indicators = acoustic_indicators(matrix, geometry.sample_thickness, air)
     direct = stl_direct_anechoic(amplitudes, quality_threshold)
     return TubeAnalysis(

@@ -8,16 +8,15 @@ transmission, reflection, impedance, and transmission loss follow from it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AirProperties, FrequencyGrid, PerBinArrays
+from .core import AirProperties, FrequencyGrid, PerBinArrays, locked_array
 from .decompose import PlaneWaveAmplitudes
 from .errors import AnechoicQualityWarning
 
 __all__ = [
-    "BoundaryState",
     "TransferMatrix",
     "AcousticIndicators",
     "boundary_states",
@@ -38,10 +37,10 @@ _DENOMINATOR_RTOL = 1e-12
 _NAN = complex(np.nan, np.nan)
 
 
-def _nonvanishing(den: np.ndarray, scale: np.ndarray, valid=True) -> np.ndarray:
-    """Bins of ``valid`` where ``den`` is finite and above ``_DENOMINATOR_RTOL`` times its ``scale``."""
+def _nonvanishing(den: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Bins where ``den`` is finite and above ``_DENOMINATOR_RTOL`` times its ``scale``."""
     with np.errstate(invalid="ignore"):
-        return valid & np.isfinite(den) & (scale > 0.0) & (np.abs(den) > _DENOMINATOR_RTOL * scale)
+        return np.isfinite(den) & (scale > 0.0) & (np.abs(den) > _DENOMINATOR_RTOL * scale)
 
 
 def _quotient(num, den: np.ndarray, ok: np.ndarray) -> np.ndarray:
@@ -51,25 +50,11 @@ def _quotient(num, den: np.ndarray, ok: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BoundaryState(PerBinArrays):
-    """Pressure (Pa) and particle velocity (m/s) at one face of the sample.
-
-    NaN entries mark bins already excluded upstream in the pipeline.
-    """
-
-    grid: FrequencyGrid
-    pressure: np.ndarray
-    velocity: np.ndarray
-
-    _per_bin = {"pressure": complex, "velocity": complex}
-
-
-@dataclass(frozen=True)
 class TransferMatrix(PerBinArrays):
     """2x2 complex matrix per frequency linking (P, V) across the sample.
 
-    ``valid`` marks bins where the matrix is meaningful; invalid bins carry
-    NaN entries and are skipped by downstream band averaging.
+    A dropped bin (a singular reconstruction, or a product with one) is NaN in
+    all four entries; :attr:`valid` is derived from the entries, not stored.
     """
 
     grid: FrequencyGrid
@@ -77,14 +62,13 @@ class TransferMatrix(PerBinArrays):
     t12: np.ndarray
     t21: np.ndarray
     t22: np.ndarray
-    valid: np.ndarray = field(default=None)  # type: ignore[assignment]
 
-    _per_bin = {"t11": complex, "t12": complex, "t21": complex, "t22": complex, "valid": bool}
+    _per_bin = {"t11": complex, "t12": complex, "t21": complex, "t22": complex}
 
-    def __post_init__(self) -> None:
-        if self.valid is None:
-            object.__setattr__(self, "valid", np.ones(len(self.grid), dtype=bool))
-        super().__post_init__()
+    @property
+    def valid(self) -> np.ndarray:
+        """Bins where all four entries are finite."""
+        return np.isfinite(self.t11) & np.isfinite(self.t12) & np.isfinite(self.t21) & np.isfinite(self.t22)
 
     def determinant(self) -> np.ndarray:
         return self.t11 * self.t22 - self.t12 * self.t21
@@ -100,7 +84,6 @@ class TransferMatrix(PerBinArrays):
                 self.t11 * other.t12 + self.t12 * other.t22,
                 self.t21 * other.t11 + self.t22 * other.t21,
                 self.t21 * other.t12 + self.t22 * other.t22,
-                self.valid & other.valid,
             )
 
 
@@ -133,8 +116,8 @@ def boundary_states(
     amplitudes: PlaneWaveAmplitudes,
     thickness: float,
     air: AirProperties,
-) -> tuple[BoundaryState, BoundaryState]:
-    """Pressure and velocity at the sample faces x = 0 and x = thickness.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pressure (Pa) and particle velocity (m/s) at the sample faces x = 0 and x = d.
 
     Parameters
     ----------
@@ -147,8 +130,9 @@ def boundary_states(
 
     Returns
     -------
-    (BoundaryState, BoundaryState)
-        States at the entry face and at the exit face.
+    (p0, v0, pd, vd) : tuple of ndarray
+        Entry-face, then exit-face pressure and velocity per bin; NaN at the
+        bins the decomposition dropped.
     """
     if thickness < 0.0:
         raise ValueError("thickness must be non-negative")
@@ -160,15 +144,11 @@ def boundary_states(
     phase_back = np.exp(1j * k * thickness)
     pd = amplitudes.c * phase_out + amplitudes.d * phase_back
     vd = (amplitudes.c * phase_out - amplitudes.d * phase_back) / z
-    grid = amplitudes.grid
-    return BoundaryState(grid, p0, v0), BoundaryState(grid, pd, vd)
+    return p0, v0, pd, vd
 
 
-def reconstruct_one_load(
-    state_in: BoundaryState,
-    state_out: BoundaryState,
-) -> TransferMatrix:
-    """Build the transfer matrix from one pair of boundary states.
+def reconstruct_one_load(grid: FrequencyGrid, p0, v0, pd, vd) -> TransferMatrix:
+    """Build the transfer matrix from the pressure and velocity at both sample faces.
 
     One termination gives two equations for four unknowns; the system is
     closed with the passive-sample constraints T11 = T22 and det T = 1,
@@ -180,30 +160,29 @@ def reconstruct_one_load(
 
     The symmetric quotient forms stay well defined when Pd or Vd alone
     vanishes; only the shared denominator matters. det T = 1 holds exactly
-    by construction. Bins where ``|P0 Vd + Pd V0|`` falls below
-    ``_DENOMINATOR_RTOL`` times its magnitude scale are marked invalid.
+    by construction. Bins where ``P0 Vd + Pd V0`` is not finite or below
+    ``_DENOMINATOR_RTOL`` times its magnitude scale are NaN in all entries.
 
     Parameters
     ----------
-    state_in, state_out : BoundaryState
-        States at the entry and exit faces.
+    grid : FrequencyGrid
+    p0, v0, pd, vd : array_like
+        Entry-face, then exit-face pressure and velocity from
+        :func:`boundary_states`, one value per bin (``ValueError`` otherwise).
 
     Returns
     -------
     TransferMatrix
-        Symmetric unit-determinant matrix, invalid bins masked.
+        Symmetric unit-determinant matrix, NaN at the dropped bins.
     """
-    state_in.grid.require_matches(state_out.grid, "reconstruct_one_load")
-    p0, v0 = state_in.pressure, state_in.velocity
-    pd, vd = state_out.pressure, state_out.velocity
-
+    p0, v0, pd, vd = (locked_array(a, complex, (len(grid),), "face array") for a in (p0, v0, pd, vd))
     den = p0 * vd + pd * v0
     scale = np.abs(p0) * np.abs(vd) + np.abs(pd) * np.abs(v0)
     ok = _nonvanishing(den, scale)
     t11 = _quotient(p0 * v0 + pd * vd, den, ok)
     t12 = _quotient(p0 * p0 - pd * pd, den, ok)
     t21 = _quotient(v0 * v0 - vd * vd, den, ok)
-    return TransferMatrix(state_in.grid, t11, t12, t21, t11, ok)
+    return TransferMatrix(grid, t11, t12, t21, t11)
 
 
 def _anechoic_terms(matrix: TransferMatrix, air: AirProperties) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -218,7 +197,7 @@ def _anechoic_terms(matrix: TransferMatrix, air: AirProperties) -> tuple[np.ndar
         + z * np.abs(matrix.t21)
         + np.abs(matrix.t22)
     )
-    return num, den, _nonvanishing(den, scale, matrix.valid)
+    return num, den, _nonvanishing(den, scale)
 
 
 def transmission_coefficient(
@@ -267,7 +246,7 @@ def rigid_backing_reflection(matrix: TransferMatrix, air: AirProperties) -> np.n
     z = air.impedance
     den = matrix.t11 + z * matrix.t21
     scale = np.abs(matrix.t11) + z * np.abs(matrix.t21)
-    ok = _nonvanishing(den, scale, matrix.valid)
+    ok = _nonvanishing(den, scale)
     return _quotient(matrix.t11 - z * matrix.t21, den, ok)
 
 
@@ -337,5 +316,5 @@ def acoustic_indicators(
     num, den, ok = _anechoic_terms(matrix, air)
     transmission = _quotient(2.0 * np.exp(1j * matrix.grid.wavenumbers(air) * thickness), den, ok)
     reflection = _quotient(num, den, ok)
-    valid = matrix.valid & np.isfinite(transmission) & np.isfinite(reflection)
+    valid = np.isfinite(transmission) & np.isfinite(reflection)
     return AcousticIndicators(matrix.grid, transmission, reflection, stl(transmission), valid)

@@ -72,6 +72,9 @@ _BAD_ROWS = _ZERO_DOWNSTREAM.replace("900,1.22062,", "900,1.22O62,").replace(
 _NON_FINITE = _ZERO_DOWNSTREAM.replace("# n_frequencies = 3", "# n_frequencies = 5") + (
     "1200,1.8,0.1,0.5,0.02,0.1,-0.02,-0.02,nan\n1300,inf,0.1,0.5,0.02,0.1,-0.02,-0.02,-0.1\n"
 )
+# a nan frequency on line 10; a frequency of 950 after 1000 on line 11
+_NAN_FREQUENCY = _ZERO_DOWNSTREAM.replace("\n1000,", "\nnan,")
+_DECREASING = _ZERO_DOWNSTREAM.replace("\n1100,", "\n950,")
 # a Latin-1 byte (0xfc) in a comment line
 _NOT_UTF8 = _ZERO_DOWNSTREAM.replace("# tube_diameter_m", "# J\u00fcrgen's sheet\n# tube_diameter_m").encode(
     "latin-1"
@@ -104,6 +107,8 @@ INPUTS = {
     "bad-rows.csv": _BAD_ROWS,
     "nan.csv": _NON_FINITE,
     "latin1.csv": _NOT_UTF8,
+    "badf.csv": _NAN_FREQUENCY,
+    "dec.csv": _DECREASING,
     "layers.json": json.dumps(
         [
             {"kind": "limp-mass", "surface_density": 1.135},
@@ -188,6 +193,8 @@ RUNS: tuple[tuple[str, ...], ...] = (
     ("stl", "bad-rows.csv", "--config", "tube.ini"),
     ("stl", "nan.csv", "--config", "tube.ini"),
     ("stl", "latin1.csv", "--config", "tube.ini"),
+    ("stl", "badf.csv", "--config", "tube.ini"),
+    ("stl", "dec.csv", "--config", "tube.ini"),
     ("stl", "missing.csv", "--config", "tube.ini"),
     ("stl", "run1.csv", "--config", "before.csv"),
     ("stl", "run1.csv", "--config", "tube.ini", "--f-max", "inf"),

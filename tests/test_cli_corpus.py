@@ -85,9 +85,14 @@ def test_edited_mic_spectra_read_like_the_original(runs, corpus_dir):
 
 
 def test_a_bad_value_or_byte_names_its_file(runs):
-    stderr = {run.argv[1]: run.stderr for run in runs if run.argv[1:2] in (("nan.csv",), ("latin1.csv",))}
+    names = ("nan.csv", "latin1.csv", "badf.csv", "dec.csv")
+    stderr = {run.argv[1]: run.stderr for run in runs if len(run.argv) > 1 and run.argv[1] in names}
     assert stderr["nan.csv"] == "error: nan.csv:12: spectrum values must be finite\n"
     assert stderr["latin1.csv"] == "error: latin1.csv: not UTF-8 text: invalid start byte\n"
+    assert stderr["badf.csv"] == "error: badf.csv:10: bad frequency column: frequencies must be finite\n"
+    assert stderr["dec.csv"] == (
+        "error: dec.csv:11: bad frequency column: frequencies must be strictly increasing\n"
+    )
 
 
 def test_usage_errors_exit_2_with_one_error_line(runs):

@@ -5,7 +5,6 @@ import pytest
 from tubeloss import (
     AcousticIndicators,
     BandTable,
-    BoundaryState,
     ComplexSpectrum,
     FrequencyGrid,
     PlaneWaveAmplitudes,
@@ -24,15 +23,10 @@ CONTAINERS = {
         {"a": complex, "b": complex, "c": complex, "d": complex,
          "upstream_singular": bool, "downstream_singular": bool},
     ),
-    "BoundaryState": (
-        len(GRID),
-        lambda arrays: BoundaryState(GRID, **arrays),
-        {"pressure": complex, "velocity": complex},
-    ),
     "TransferMatrix": (
         len(GRID),
         lambda arrays: TransferMatrix(GRID, **arrays),
-        {"t11": complex, "t12": complex, "t21": complex, "t22": complex, "valid": bool},
+        {"t11": complex, "t12": complex, "t21": complex, "t22": complex},
     ),
     "AcousticIndicators": (
         len(GRID),

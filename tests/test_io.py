@@ -243,7 +243,17 @@ def reference_read_mic_spectra(path):
     try:
         grid = FrequencyGrid(data[:, 0])
     except ValueError as exc:
-        raise InputFormatError(f"bad frequency column: {exc}", path=path) from exc
+        previous = -math.inf
+        for lineno, row in zip(linenos, rows):
+            broken = {
+                "frequencies must be finite": not math.isfinite(row[0]),
+                "frequencies must be positive": row[0] <= 0.0,
+                "frequencies must be strictly increasing": not row[0] > previous,
+            }[str(exc)]
+            if broken:
+                raise InputFormatError(f"bad frequency column: {exc}", path=path, line=lineno) from exc
+            previous = row[0]
+        raise
     for lineno, row in zip(linenos, rows):
         if not all(math.isfinite(v) for v in row[1:]):
             raise InputFormatError("spectrum values must be finite", path=path, line=lineno)
@@ -380,6 +390,29 @@ class TestMicSpectraReader:
             lines[index] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InputFormatError, match=r"spectra\.csv:10: spectrum values must be finite$"):
+            read_mic_spectra(path)
+
+    @pytest.mark.parametrize(
+        "edits, line, rule",
+        [
+            ({11: "nan", 12: "inf"}, 11, "finite"),
+            ({10: "-1", 12: "inf"}, 12, "finite"),  # the earlier row breaks another rule
+            ({10: "50", 12: "0"}, 12, "positive"),
+            ({10: "50", 11: "-300"}, 11, "positive"),
+            ({11: "150"}, 11, "strictly increasing"),  # 150 Hz after 200 Hz
+            ({12: "300"}, 12, "strictly increasing"),  # 300 Hz twice
+        ],
+        ids=["nan", "inf", "zero", "negative", "decrease", "repeat"],
+    )
+    def test_first_bad_frequency_is_named(self, tmp_path, edits, line, rule):
+        path = tmp_path / "spectra.csv"
+        write_mic_spectra(path, synth_spectra(), GEOMETRY, AIR)  # 100..500 Hz on lines 9..13
+        lines = path.read_text().splitlines()
+        for lineno, text in edits.items():
+            lines[lineno - 1] = text + lines[lineno - 1][lines[lineno - 1].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        message = rf"spectra\.csv:{line}: bad frequency column: frequencies must be {rule}$"
+        with pytest.raises(InputFormatError, match=message):
             read_mic_spectra(path)
 
     def test_failed_write_keeps_the_old_file(self, tmp_path):

@@ -6,7 +6,6 @@ import pytest
 
 from tubeloss import (
     AnechoicQualityWarning,
-    BoundaryState,
     FrequencyGrid,
     PlaneWaveAmplitudes,
     TransferMatrix,
@@ -41,41 +40,41 @@ class TestBoundaryStates:
     def test_single_incident_wave(self):
         grid = FrequencyGrid([1000.0])
         amps = make_amplitudes(grid, 1.0, 0.0, 0.0, 0.0)
-        s0, sd = boundary_states(amps, 0.001, AIR)
-        assert s0.pressure[0] == pytest.approx(1.0)
-        assert s0.velocity[0] == pytest.approx(1.0 / Z0)
-        assert sd.pressure[0] == 0.0
-        assert sd.velocity[0] == 0.0
+        p0, v0, pd, vd = boundary_states(amps, 0.001, AIR)
+        assert p0[0] == pytest.approx(1.0)
+        assert v0[0] == pytest.approx(1.0 / Z0)
+        assert pd[0] == 0.0
+        assert vd[0] == 0.0
 
     def test_standing_wave_antinode(self):
         grid = FrequencyGrid([425.0])
         amps = make_amplitudes(grid, 1.0, 1.0, 0.0, 0.0)
-        s0, _ = boundary_states(amps, 0.001, AIR)
-        assert s0.velocity[0] == 0.0
-        assert s0.pressure[0] == pytest.approx(2.0)
+        p0, v0, _, _ = boundary_states(amps, 0.001, AIR)
+        assert v0[0] == 0.0
+        assert p0[0] == pytest.approx(2.0)
 
     def test_hand_evaluation(self):
         # A=1, B=0.2, C=0.7, D=0 at f=1000 Hz, d=1 mm, checked bin by bin
         grid = FrequencyGrid([1000.0])
         amps = make_amplitudes(grid, 1.0, 0.2, 0.7, 0.0)
-        s0, sd = boundary_states(amps, 0.001, AIR)
+        p0, v0, pd, vd = boundary_states(amps, 0.001, AIR)
         k = 2.0 * math.pi * 1000.0 / AIR.sound_speed
         expected_pd = 0.7 * cmath.exp(-1j * k * 0.001)
-        assert abs(s0.pressure[0] - 1.2) <= 1e-12
-        assert abs(s0.velocity[0] - 0.8 / Z0) <= 1e-12
-        assert abs(sd.pressure[0] - expected_pd) <= 1e-12
-        assert abs(sd.velocity[0] - expected_pd / Z0) <= 1e-12
+        assert abs(p0[0] - 1.2) <= 1e-12
+        assert abs(v0[0] - 0.8 / Z0) <= 1e-12
+        assert abs(pd[0] - expected_pd) <= 1e-12
+        assert abs(vd[0] - expected_pd / Z0) <= 1e-12
 
 
 def states_from_matrix(grid, matrix, air=AIR, thickness=0.00089, ratio=0.0):
-    """Boundary states of a field consistent with a sample matrix."""
+    """Face pressures and velocities (p0, v0, pd, vd) of a field consistent with a sample matrix."""
     k = grid.wavenumbers(air)
     z = air.impedance
     pd = np.exp(-1j * k * thickness) + ratio * np.exp(1j * k * thickness)
     vd = (np.exp(-1j * k * thickness) - ratio * np.exp(1j * k * thickness)) / z
     p0 = matrix.t11 * pd + matrix.t12 * vd
     v0 = matrix.t21 * pd + matrix.t22 * vd
-    return BoundaryState(grid, p0, v0), BoundaryState(grid, pd, vd)
+    return p0, v0, pd, vd
 
 
 class TestOneLoadReconstruction:
@@ -88,7 +87,7 @@ class TestOneLoadReconstruction:
         v0 = p0 / Z0
         pd = np.exp(-1j * k * d)
         vd = pd / Z0
-        matrix = reconstruct_one_load(BoundaryState(grid, p0, v0), BoundaryState(grid, pd, vd))
+        matrix = reconstruct_one_load(grid, p0, v0, pd, vd)
         assert matrix.valid.all()
         for i, f in enumerate(grid.frequencies):
             oracle = air_layer_matrix_oracle(float(f), d)
@@ -100,8 +99,7 @@ class TestOneLoadReconstruction:
     def test_limp_mass_round_trip(self):
         grid = FrequencyGrid.from_range(100.0, 1600.0, 100.0)
         sample = limp_mass_matrix(grid, 1.135)
-        s0, sd = states_from_matrix(grid, sample)
-        matrix = reconstruct_one_load(s0, sd)
+        matrix = reconstruct_one_load(grid, *states_from_matrix(grid, sample))
         assert np.all(np.abs(matrix.t11 - sample.t11) <= 1e-9)
         assert np.all(np.abs(matrix.t12 - sample.t12) <= 1e-9 * np.abs(sample.t12))
         assert np.all(np.abs(matrix.t21 - sample.t21) <= 1e-9)
@@ -109,8 +107,7 @@ class TestOneLoadReconstruction:
     def test_degenerate_layer_is_identity(self):
         grid = FrequencyGrid([1000.0])
         amps = make_amplitudes(grid, 1.0, 0.0, 1.0, 0.0)
-        s0, sd = boundary_states(amps, 0.0, AIR)
-        matrix = reconstruct_one_load(s0, sd)
+        matrix = reconstruct_one_load(grid, *boundary_states(amps, 0.0, AIR))
         assert abs(matrix.t11[0] - 1.0) <= 1e-12
         assert abs(matrix.t12[0]) <= 1e-12
         assert abs(matrix.t21[0]) <= 1e-12
@@ -120,17 +117,13 @@ class TestOneLoadReconstruction:
         grid = FrequencyGrid.from_range(100.0, 2000.0, 50.0)
         n = len(grid)
         for _ in range(10):
-            s0 = BoundaryState(
+            matrix = reconstruct_one_load(
                 grid,
                 rng.standard_normal(n) + 1j * rng.standard_normal(n),
                 (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / Z0,
-            )
-            sd = BoundaryState(
-                grid,
                 rng.standard_normal(n) + 1j * rng.standard_normal(n),
                 (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / Z0,
             )
-            matrix = reconstruct_one_load(s0, sd)
             ok = matrix.valid
             assert ok.any()
             # equal diagonal bitwise, unit determinant to 1e-9
@@ -140,9 +133,7 @@ class TestOneLoadReconstruction:
     def test_zero_exit_velocity_handled(self):
         # Vd = 0 is fine as long as the shared denominator is not
         grid = FrequencyGrid([1000.0])
-        s0 = BoundaryState(grid, [2.0], [3.0])
-        sd = BoundaryState(grid, [1.0], [0.0])
-        matrix = reconstruct_one_load(s0, sd)
+        matrix = reconstruct_one_load(grid, [2.0], [3.0], [1.0], [0.0])
         assert matrix.valid[0]
         # reconstructed matrix must map the exit state to the entry state
         assert matrix.t11[0] * 1.0 + matrix.t12[0] * 0.0 == pytest.approx(2.0)
@@ -151,15 +142,64 @@ class TestOneLoadReconstruction:
 
     def test_closure_singular_flagged(self):
         grid = FrequencyGrid([1000.0])
-        s0 = BoundaryState(grid, [1.0], [0.0])
-        sd = BoundaryState(grid, [0.0], [1.0 / Z0])
-        matrix = reconstruct_one_load(s0, sd)  # P0 Vd + Pd V0 = 0 exactly... not here
-        # here den = 1/Z0, fine; force the singular case instead:
-        s0 = BoundaryState(grid, [1.0], [0.0])
-        sd = BoundaryState(grid, [1.0], [0.0])
-        singular = reconstruct_one_load(s0, sd)
+        singular = reconstruct_one_load(grid, [1.0], [0.0], [1.0], [0.0])  # P0 Vd + Pd V0 = 0
         assert not singular.valid[0]
         assert np.isnan(singular.t11[0].real)
+
+    def test_face_arrays_need_one_value_per_bin(self):
+        grid = FrequencyGrid([500.0, 1000.0, 1500.0])
+        faces = ([1.0, 2.0, 3.0], [0.5, 0.5, 0.5], [2.0, 1.0, 0.5], [0.1, 0.2, 0.3])
+        from_lists = reconstruct_one_load(grid, *faces)
+        from_arrays = reconstruct_one_load(grid, *(np.array(f, dtype=complex) for f in faces))
+        assert from_lists.valid.all()
+        for name in ("t11", "t12", "t21", "t22"):
+            assert getattr(from_lists, name).tobytes() == getattr(from_arrays, name).tobytes()
+        for i in range(4):
+            for bad in ([1.0], [1.0, 2.0], [1.0] * 4, [[1.0] * 3], 1.0):  # a length-1 array must not broadcast
+                edited = list(faces)
+                edited[i] = bad
+                with pytest.raises(ValueError, match=r"must have shape \(3,\)"):
+                    reconstruct_one_load(grid, *edited)
+
+    def test_a_dropped_bin_is_nan_in_every_entry(self):
+        rng = np.random.default_rng(2718)
+        grid = FrequencyGrid.from_range(100.0, 2000.0, 10.0)
+        n = len(grid)
+
+        def faces():
+            p0, v0, pd, vd = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+            v0, vd = v0 / Z0, vd / Z0
+            singular = rng.random(n) < 0.2
+            pd, vd = np.where(singular, p0, pd), np.where(singular, -v0, vd)  # P0 Vd + Pd V0 = 0
+            upstream = rng.random(n) < 0.1  # bins the decomposition dropped
+            p0 = np.where(upstream, np.nan, p0)
+            return (p0, v0, pd, vd), singular | upstream
+
+        for _ in range(5):
+            (faces_a, dropped_a), (faces_b, dropped_b) = faces(), faces()
+            a, b = reconstruct_one_load(grid, *faces_a), reconstruct_one_load(grid, *faces_b)
+            for matrix, dropped in ((a, dropped_a), (b, dropped_b), (a @ b, dropped_a | dropped_b)):
+                entries = (matrix.t11, matrix.t12, matrix.t21, matrix.t22)
+                assert dropped.any() and not dropped.all()
+                np.testing.assert_array_equal(matrix.valid, ~dropped)
+                np.testing.assert_array_equal(matrix.valid, np.all([np.isfinite(t) for t in entries], axis=0))
+                for entry in entries:
+                    assert np.isnan(entry.real[dropped]).all() and np.isnan(entry.imag[dropped]).all()
+
+
+class TestTransferMatrix:
+    def test_an_overflowed_entry_reads_invalid(self):
+        grid = FrequencyGrid.from_range(100.0, 1000.0, 10.0)
+        matrix = limp_mass_matrix(grid, 1e305)  # omega m_s overflows from about 286 Hz
+        infinite = np.isinf(matrix.t12)
+        assert infinite.any() and not infinite.all()
+        np.testing.assert_array_equal(matrix.valid, ~infinite)
+
+    def test_validity_is_not_a_field(self):
+        grid = FrequencyGrid([1000.0])
+        one, zero = np.ones(1, dtype=complex), np.zeros(1, dtype=complex)
+        with pytest.raises(TypeError):
+            TransferMatrix(grid, one, zero, zero, one, valid=np.array([False]))
 
 
 class TestTransmission:
@@ -327,8 +367,7 @@ class TestStlDirect:
         r_sample = reflection_coefficient_anechoic(sample, AIR)
         spectra = four_mic_spectra(grid, GEOMETRY, 1.0, r_sample, t_sample, 0.0)
         amps = decompose_four_mic(*spectra, geometry=GEOMETRY, air=AIR)
-        s0, sd = boundary_states(amps, d, AIR)
-        matrix = reconstruct_one_load(s0, sd)
+        matrix = reconstruct_one_load(grid, *boundary_states(amps, d, AIR))
         matrix_route = stl(transmission_coefficient(matrix, k, d, AIR))
         direct_route = stl_direct_anechoic(amps)
         ok = matrix.valid
@@ -338,9 +377,9 @@ class TestStlDirect:
 class TestIndicatorsBundle:
     def test_validity_mask_propagates(self):
         grid = FrequencyGrid([500.0, 1000.0])
-        s0 = BoundaryState(grid, [1.0, 1.0], [1.0 / Z0, 0.0])
-        sd = BoundaryState(grid, [np.exp(-0.1j), 1.0], [np.exp(-0.1j) / Z0, 0.0])
-        matrix = reconstruct_one_load(s0, sd)
+        matrix = reconstruct_one_load(
+            grid, [1.0, 1.0], [1.0 / Z0, 0.0], [np.exp(-0.1j), 1.0], [np.exp(-0.1j) / Z0, 0.0]
+        )
         assert matrix.valid.tolist() == [True, False]
         ind = acoustic_indicators(matrix, 0.001, AIR)
         assert ind.valid.tolist() == [True, False]
