@@ -6,6 +6,13 @@ write cycle is byte-identical and a read returns every bit written.
 The mic-spectra reader accepts LF, CRLF or CR line endings, blank lines, and
 ``#`` lines anywhere; a ``#`` line holding ``=`` is read as a ``key = value``
 header field wherever it stands. A rejected file names its first bad line.
+It has two paths. A file laid out as the writer lays it out has its rows
+parsed by numpy's C ``loadtxt``; every other file, and every file that path
+fails on, is read again line by line, and that reading is the definition of
+the format and of its error messages. Both give the same bits: ``loadtxt``
+converts each field with ``PyOS_string_to_double``, as ``float()`` does
+(numpy 1.23 and later), and the few spellings it takes that ``float()``
+rejects send the file to the per-line path.
 """
 from __future__ import annotations
 
@@ -46,6 +53,10 @@ MIC_SPECTRA_MAGIC = "# tubeloss mic spectra v1"
 MIC_SPECTRA_HEADER = "frequency_hz,p1_re,p1_im,p2_re,p2_im,p3_re,p3_im,p4_re,p4_im"
 _HEADER_RTOL = 1e-9  # relative tolerance of a file's geometry/air echo against the config
 _ROWS_PER_BLOCK = 1024  # CSV rows converted and written at a time
+_BLOCK_CHARS = 1 << 16  # mic-spectra text checked at a time before loadtxt parses it
+# the ASCII file, group, record and unit separators: str.isspace() counts them as
+# whitespace, so loadtxt strips them around a number, but float() rejects them
+_LOADTXT_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
 
 
 def _fmt(x: float) -> str:
@@ -204,10 +215,84 @@ def read_mic_spectra(path):
 
     Returns (spectra tuple, TubeGeometry, AirProperties). A malformed file
     raises :class:`InputFormatError` naming its first bad line.
+
+    A file laid out as :func:`write_mic_spectra` lays it out (any line
+    ending, blank lines among the rows) has its rows parsed by
+    ``np.loadtxt``'s C reader. Any other file, and any file that path fails
+    on, is read again line by line by :func:`_read_rows`, which defines the
+    format and names the first bad line. Both paths give the same bits:
+    ``loadtxt`` converts each field with ``PyOS_string_to_double``, the
+    conversion ``float()`` makes (numpy 1.23 and later). Of the spellings the
+    two do not share, ``loadtxt`` rejects those ``float()`` takes (``1_0``,
+    non-ASCII digits), and a file holding one of ``_LOADTXT_ONLY_SPACES``,
+    which only ``loadtxt`` takes, never reaches it.
+    """
+    try:
+        return _spectra_from_table(path, *_read_canonical(path), linenos=None)
+    except ValueError:  # InputFormatError included: the per-line reading names the error
+        pass
+    return _spectra_from_table(path, *_read_rows(path))
+
+
+def _read_canonical(path) -> tuple[dict[str, str], np.ndarray]:
+    """Header fields and the (n, 9) table of a file laid out as the writer lays it out.
+
+    Raises ``ValueError`` on any other layout: a header line that is neither
+    the magic line, a ``#`` line nor the column header, a blank first row, a
+    character of ``_LOADTXT_ONLY_SPACES`` among the rows, or rows ``loadtxt``
+    cannot read as 9 floats each (a ``#`` line among them, for one). Blank
+    lines among the rows are skipped, as by :func:`_read_rows`.
     """
     header: dict[str, str] = {}
-    body: list[str] = []
-    body_linenos: list[int] = []
+    with _open_utf8(path) as handle:
+        if handle.readline() != MIC_SPECTRA_MAGIC + "\n":
+            raise ValueError("not a canonical mic-spectra header")
+        for line in handle:
+            if not line.startswith("#"):
+                break
+            if "=" in line:
+                key, _, value = line[1:].partition("=")
+                header[key.strip()] = value.strip()
+        else:
+            raise ValueError("no column header")
+        rows = itertools.chain.from_iterable(_checked_line_blocks(handle))
+        first = next(rows, "")
+        if line != MIC_SPECTRA_HEADER + "\n" or not first.strip():
+            # without a first row loadtxt would warn that the input holds no data
+            raise ValueError("not a canonical mic-spectra body")
+        data = np.loadtxt(
+            itertools.chain((first,), rows), delimiter=",", comments=None, dtype=float, ndmin=2
+        )
+    if data.shape[1] != 9:
+        raise ValueError("rows without 9 columns")
+    return header, data
+
+
+def _checked_line_blocks(handle):
+    """The rest of ``handle`` as lists of lines, about ``_BLOCK_CHARS`` characters each.
+
+    Raises ``ValueError`` at a block holding a character of
+    ``_LOADTXT_ONLY_SPACES``, which ``loadtxt`` strips from a number and
+    ``float()`` rejects.
+    """
+    while lines := handle.readlines(_BLOCK_CHARS):
+        block = "".join(lines)
+        if any(char in block for char in _LOADTXT_ONLY_SPACES):
+            raise ValueError("a separator character that float() rejects")
+        yield lines
+
+
+def _read_rows(path) -> tuple[dict[str, str], np.ndarray, list[int]]:
+    """Header fields, the (n, 9) table and each row's line number, read line by line.
+
+    This is the format's definition. LF, CRLF and CR end a line; blank lines
+    are skipped; a ``#`` line may stand anywhere and, holding ``=``, sets a
+    ``key = value`` header field; each row is 9 fields ``float()`` reads.
+    A bad line raises :class:`InputFormatError` naming it.
+    """
+    header: dict[str, str] = {}
+    rows: list[list[float]] = []
+    linenos: list[int] = []
     seen_columns = False
     with _open_utf8(path, newline="") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -232,30 +317,27 @@ def read_mic_spectra(path):
                     )
                 seen_columns = True
                 continue
-            body.append(line)
-            body_linenos.append(lineno)
-    if not body:
-        raise InputFormatError("no data rows", path=path)
-    # All body floats in one conversion; on any failure, find and name the first bad line.
-    try:
-        if not all(line.count(",") == 8 for line in body):
-            raise ValueError("a row without 9 columns")
-        fields = itertools.chain.from_iterable(line.split(",") for line in body)
-        data = np.fromiter(map(float, fields), float, count=9 * len(body)).reshape(-1, 9)
-    except ValueError:
-        for lineno, line in zip(body_linenos, body):
             fields = line.split(",")
             if len(fields) != 9:
                 raise InputFormatError(
                     f"expected 9 numeric columns, got {len(fields)}", path=path, line=lineno
-                ) from None
+                )
             try:
-                for value in fields:
-                    float(value)
+                rows.append(list(map(float, fields)))
             except ValueError as exc:
                 raise InputFormatError(f"bad number: {exc}", path=path, line=lineno) from exc
-        raise
+            linenos.append(lineno)
+    if not rows:
+        raise InputFormatError("no data rows", path=path)
+    return header, np.array(rows), linenos
 
+
+def _spectra_from_table(path, header: dict[str, str], data: np.ndarray, linenos):
+    """The spectra, geometry and air of a file's header fields and (n, 9) table.
+
+    ``linenos`` gives each row's line number, named when a row is rejected;
+    with None (the ``loadtxt`` path, whose errors are not shown) no line is named.
+    """
     try:
         positions = tuple(float(v) for v in header["mic_positions_m"].split())
         geometry = TubeGeometry(
@@ -286,7 +368,7 @@ def read_mic_spectra(path):
             bad = f <= 0.0
         if not bad.any():
             bad = np.diff(f, prepend=-np.inf) <= 0.0
-        line = body_linenos[int(np.flatnonzero(bad)[0])]
+        line = None if linenos is None else linenos[int(np.flatnonzero(bad)[0])]
         raise InputFormatError(f"bad frequency column: {exc}", path=path, line=line) from exc
     # each (re, im) column pair viewed as one complex column keeps every bit, -0.0 included
     pressures = np.ascontiguousarray(data[:, 1:]).view(complex)
@@ -294,7 +376,8 @@ def read_mic_spectra(path):
         spectra = tuple(ComplexSpectrum(grid, pressures[:, i]) for i in range(4))
     except ValueError as exc:
         first = int(np.flatnonzero(~np.isfinite(pressures).all(axis=1))[0])
-        raise InputFormatError(str(exc), path=path, line=body_linenos[first]) from None
+        line = None if linenos is None else linenos[first]
+        raise InputFormatError(str(exc), path=path, line=line) from None
     return spectra, geometry, air
 
 
@@ -403,7 +486,10 @@ def read_band_csv(path) -> dict[str, BandTable]:
         coverage = raw.get(name + "_coverage")
         if coverage is None:
             coverage = [0.0 if np.isnan(v) else 1.0 for v in values]
-        tables[name] = BandTable(bands, np.array(values), np.array(coverage))
+        try:
+            tables[name] = BandTable(bands, np.array(values), np.array(coverage))
+        except ValueError as exc:  # descending band centres, or a coverage outside [0, 1]
+            raise InputFormatError(f"table '{name}': {exc}", path=path) from exc
     if not tables:
         raise InputFormatError("no value rows found", path=path)
     return tables

@@ -68,6 +68,15 @@ _BAD_ROWS = _ZERO_DOWNSTREAM.replace("900,1.22062,", "900,1.22O62,").replace(
     ",-0.024864,-0.101777\n", ",-0.024864\n"
 )
 
+# the same sheet with CR line endings only
+_CR = _ZERO_DOWNSTREAM.replace("\n", "\r")
+# blank and comment lines among the rows, then a nan frequency on line 14
+_GAPPED_NAN = _ZERO_DOWNSTREAM.replace("\n1000,", "\n\n# re-seated the sample\n\n1000,").replace(
+    "\n1100,", "\nnan,"
+)
+# a whitespace-only line among the rows, on line 10
+_WHITESPACE_ROW = _ZERO_DOWNSTREAM.replace("\n1000,", "\n \t\n1000,")
+
 # a nan pressure (p4) on line 12 before an inf one (p1) on line 13: the file-order first is named
 _NON_FINITE = _ZERO_DOWNSTREAM.replace("# n_frequencies = 3", "# n_frequencies = 5") + (
     "1200,1.8,0.1,0.5,0.02,0.1,-0.02,-0.02,nan\n1300,inf,0.1,0.5,0.02,0.1,-0.02,-0.02,-0.1\n"
@@ -81,6 +90,8 @@ _NOT_UTF8 = _ZERO_DOWNSTREAM.replace("# tube_diameter_m", "# J\u00fcrgen's sheet
 )
 
 _BAND_CSV = "band_nominal_hz,500,630,800,1000\n{name},{values}\n{name}_coverage,1.0,1.0,1.0,1.0\n"
+# a coverage of 1.5 in the 630 Hz band
+_BAD_COVERAGE = "band_nominal_hz,500,630,800,1000\nL_r0,70.0,72.5,71.0,69.0\nL_r0_coverage,1.0,1.5,1.0,1.0\n"
 
 INPUTS = {
     "tube.ini": CONFIG,
@@ -104,6 +115,9 @@ INPUTS = {
     "zero-downstream.csv": _ZERO_DOWNSTREAM,
     "crlf.csv": _CRLF,
     "commented.csv": _COMMENTED,
+    "cr.csv": _CR,
+    "gapped-nan.csv": _GAPPED_NAN,
+    "whitespace-row.csv": _WHITESPACE_ROW,
     "bad-rows.csv": _BAD_ROWS,
     "nan.csv": _NON_FINITE,
     "latin1.csv": _NOT_UTF8,
@@ -146,6 +160,7 @@ INPUTS = {
     ),
     "before.csv": _BAND_CSV.format(name="L_r0", values="70.0,72.5,71.0,69.0"),
     "after.csv": _BAND_CSV.format(name="L_rs", values="60.0,61.5,71.5,55.0"),
+    "bad-coverage.csv": _BAD_COVERAGE,
 }
 
 # command lines the parser rejects: a missing input, an option the command does not read,
@@ -188,13 +203,15 @@ RUNS: tuple[tuple[str, ...], ...] = (
     *(
         ("stl", f"{name}.csv", "--config", "tube.ini", "--f-min", "1000", "--f-max", "1000")
         + ("--output", f"stl-{name}.json")
-        for name in ("crlf", "commented")
+        for name in ("crlf", "commented", "cr")
     ),
     ("stl", "bad-rows.csv", "--config", "tube.ini"),
     ("stl", "nan.csv", "--config", "tube.ini"),
     ("stl", "latin1.csv", "--config", "tube.ini"),
     ("stl", "badf.csv", "--config", "tube.ini"),
     ("stl", "dec.csv", "--config", "tube.ini"),
+    ("stl", "gapped-nan.csv", "--config", "tube.ini"),
+    ("stl", "whitespace-row.csv", "--config", "tube.ini"),
     ("stl", "missing.csv", "--config", "tube.ini"),
     ("stl", "run1.csv", "--config", "before.csv"),
     ("stl", "run1.csv", "--config", "tube.ini", "--f-max", "inf"),
@@ -206,6 +223,7 @@ RUNS: tuple[tuple[str, ...], ...] = (
     ("masslaw", "--materials", "materials.json", "--f-max", "inf"),
     ("il", "--before", "before.csv", "--after", "after.csv", "--output", "il.json", "--band-csv", "il.csv"),
     ("il", "--before", "before.csv", "--after", "missing.csv"),
+    ("il", "--before", "bad-coverage.csv", "--after", "after.csv"),
     *(
         ("stack", "--stack", "layers.json", "--band-mode", band, "--config", "tube.ini")
         + ("--f-min", "500", "--f-max", "1600", "--output", f"stack-{band}.json")

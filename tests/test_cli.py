@@ -175,6 +175,18 @@ class TestSynthAndStl:
         bad.write_text("# tubeloss mic spectra v1\nnot,really\n")
         assert run_cli("stl", str(bad), "--config", config) == 2
 
+    def test_header_without_rows_is_one_error_line(self, tmp_path, config, limp_scenario, capsys):
+        spectra_path = tmp_path / "spectra.csv"
+        run_cli("synth", limp_scenario, "--config", config, "--output", str(spectra_path))
+        head = spectra_path.read_text().splitlines()[:8]
+        spectra_path.write_text("\n".join(head) + "\n")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("stl", str(spectra_path), "--config", config) == 2
+        assert caught == []
+        assert capsys.readouterr().err == f"error: {spectra_path}: no data rows\n"
+
     def test_report_deterministic_except_timestamp(self, tmp_path, config, limp_scenario):
         spectra_path = tmp_path / "spectra.csv"
         run_cli("synth", limp_scenario, "--config", config, "--output", str(spectra_path))
@@ -347,6 +359,13 @@ class TestInsertionLoss:
             run_cli("il", "--before", str(tmp_path / "b.csv"), "--after", str(tmp_path / "a.csv"))
             == 2
         )
+
+    def test_a_rejected_band_table_names_its_file(self, tmp_path, capsys):
+        write_band_csv(tmp_path / "a.csv", {"L_rs": BandTable.from_values((band_from_nominal(500.0),), [59.0])})
+        (tmp_path / "b.csv").write_text("band_nominal_hz,500\nL_r0,70.0\nL_r0_coverage,2.0\n")
+        assert run_cli("il", "--before", str(tmp_path / "b.csv"), "--after", str(tmp_path / "a.csv")) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'b.csv'}: table 'L_r0': coverage must lie in [0, 1]\n"
 
     def test_negative_il_warns_but_succeeds(self, tmp_path):
         bands = (band_from_nominal(500.0),)

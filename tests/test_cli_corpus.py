@@ -80,19 +80,27 @@ def test_edited_mic_spectra_read_like_the_original(runs, corpus_dir):
     original = narrowband("stl-zero-downstream.json")
     assert narrowband("stl-crlf.json") == original
     assert narrowband("stl-commented.json") == original
+    assert narrowband("stl-cr.json") == original
     (bad,) = [run for run in runs if run.argv[1:2] == ("bad-rows.csv",)]
     assert bad.stderr.startswith("error: bad-rows.csv:9: bad number: "), bad.stderr
 
 
 def test_a_bad_value_or_byte_names_its_file(runs):
-    names = ("nan.csv", "latin1.csv", "badf.csv", "dec.csv")
+    names = ("nan.csv", "latin1.csv", "badf.csv", "dec.csv", "gapped-nan.csv", "whitespace-row.csv")
     stderr = {run.argv[1]: run.stderr for run in runs if len(run.argv) > 1 and run.argv[1] in names}
+    stderr.update((run.argv[2], run.stderr) for run in runs if run.argv[1:3] == ("--before", "bad-coverage.csv"))
     assert stderr["nan.csv"] == "error: nan.csv:12: spectrum values must be finite\n"
     assert stderr["latin1.csv"] == "error: latin1.csv: not UTF-8 text: invalid start byte\n"
     assert stderr["badf.csv"] == "error: badf.csv:10: bad frequency column: frequencies must be finite\n"
     assert stderr["dec.csv"] == (
         "error: dec.csv:11: bad frequency column: frequencies must be strictly increasing\n"
     )
+    # the blank and comment lines before the bad row count toward its line number
+    assert stderr["gapped-nan.csv"] == (
+        "error: gapped-nan.csv:14: bad frequency column: frequencies must be finite\n"
+    )
+    assert stderr["whitespace-row.csv"] == "error: whitespace-row.csv:10: expected 9 numeric columns, got 1\n"
+    assert stderr["bad-coverage.csv"] == "error: bad-coverage.csv: table 'L_r0': coverage must lie in [0, 1]\n"
 
 
 def test_usage_errors_exit_2_with_one_error_line(runs):

@@ -1,9 +1,10 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from tubeloss import (
     AirProperties,
@@ -19,6 +20,7 @@ from tubeloss import (
     synth_mic_pressures,
     third_octave_bands,
 )
+from tubeloss import io_files
 from tubeloss.io_files import (
     MIC_SPECTRA_HEADER,
     MIC_SPECTRA_MAGIC,
@@ -300,16 +302,35 @@ LINE_TEXTS = (
     "# tubeloss mic spectra v2", "1,2,3,4,5,6,7,8,9", "1,2,3,4,5,6,7,8", "1,2,3,4,5,6,7,8,9,10",
 )
 NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr)
-# a changed field is drawn twice as often as each other mutation
-MUTATIONS = ("field", "field", "drop", "add", "delete", "replace", "insert")
+# a changed or padded field is drawn twice as often as each other mutation
+MUTATIONS = ("field", "field", "pad", "pad", "drop", "add", "delete", "replace", "insert", "blank")
+# whitespace float() strips around a number (\x0b, \x0c, \x85, space) and \x1c, which it does not
+PADDING = st.text(alphabet="\x0b\x0c\x1c\x85 ", max_size=2)
+# blank and whitespace-only lines: the first two are skipped, the others are rows of one field
+BLANK_LINES = ("", "", " ", "\t", "\x0c", " \x0b ")
+# frequencies breaking a sorted column: each of FrequencyGrid's rules, at any row
+BAD_FREQUENCIES = ("nan", "inf", "0", "negative", "decrease", "repeat")
+ENDINGS = ("\n", "\r\n", "\r", "\r\r\n")
 
 
 @st.composite
 def mic_spectra_texts(draw):
-    """A good mic-spectra file, then up to three mutations of a field, row, line or ending."""
+    """A good mic-spectra file, a broken frequency column or not, then up to three mutations.
+
+    A mutation changes, pads, drops or adds a field, or deletes, replaces or
+    inserts a line; each line gets its own line ending.
+    """
     n = draw(st.integers(1, 6))
     freqs = sorted(draw(st.sets(st.floats(1.0, 1e5), min_size=n, max_size=n)))
     rows = [[repr(f)] + [draw(NUMBER) for _ in range(8)] for f in freqs]
+    if draw(st.booleans()):
+        broken = draw(st.sampled_from(BAD_FREQUENCIES if n > 1 else BAD_FREQUENCIES[:4]))
+        k = draw(st.integers(1 if broken in ("decrease", "repeat") else 0, n - 1))
+        rows[k][0] = {
+            "negative": repr(-freqs[k]),
+            "decrease": repr(freqs[k - 1] / 2),
+            "repeat": rows[k - 1][0],
+        }.get(broken, broken)
     lines = list(GOOD_HEADER)
     lines[1] = f"# n_frequencies = {n}"
     lines += [",".join(row) for row in rows]
@@ -318,9 +339,15 @@ def mic_spectra_texts(draw):
         # two times in three the mutation lands in the body, when there is one
         body = st.integers(min(len(GOOD_HEADER), len(lines) - 1), len(lines) - 1)
         i = draw(st.integers(0, len(lines) - 1) | body | body)
-        if kind == "field":
+        if kind == "pad":  # pads a field of a row
+            i = draw(body)
+        if kind in ("field", "pad"):
             fields = lines[i].split(",")
-            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(FIELD_TEXTS))
+            j = draw(st.integers(0, len(fields) - 1))
+            if kind == "field":
+                fields[j] = draw(st.sampled_from(FIELD_TEXTS))
+            else:
+                fields[j] = draw(PADDING) + fields[j] + draw(PADDING)
             lines[i] = ",".join(fields)
         elif kind == "drop":
             lines[i] = lines[i].rsplit(",", 1)[0]
@@ -332,11 +359,12 @@ def mic_spectra_texts(draw):
             lines[i] = draw(st.sampled_from(LINE_TEXTS))
         elif kind == "insert":
             lines.insert(i, draw(st.sampled_from(LINE_TEXTS)))
-    ending = draw(st.sampled_from(("\n", "\r\n", "\r")))
-    text = ending.join(lines)
+        elif kind == "blank":
+            lines[i:i] = draw(st.lists(st.sampled_from(BLANK_LINES), min_size=1, max_size=3))
+    endings = [draw(st.sampled_from(ENDINGS)) for _ in lines]
     if draw(st.booleans()):  # a file may lack its final line ending
-        text += ending
-    return text
+        endings[-1] = ""
+    return "".join(line + ending for line, ending in zip(lines, endings))
 
 
 @pytest.fixture(scope="module")
@@ -350,7 +378,10 @@ class TestMicSpectraReader:
     def test_reads_like_the_per_line_loop(self, drawn_dir, text):
         path = drawn_dir / "drawn.csv"
         path.write_bytes(text.encode())
-        assert read_outcome(read_table, path) == read_outcome(reference_read_mic_spectra, path)
+        outcome = read_outcome(read_table, path)
+        assert outcome == read_outcome(reference_read_mic_spectra, path)
+        # the share of each outcome shows with pytest --hypothesis-show-statistics
+        event(outcome[0] if outcome[0] == "read" else outcome[2].split(": ")[1])
 
     @pytest.mark.parametrize("ending", ["\r\n", "\r"])
     def test_line_endings_blank_and_comment_lines_are_accepted(self, tmp_path, ending):
@@ -413,6 +444,77 @@ class TestMicSpectraReader:
         path.write_text("\n".join(lines) + "\n")
         message = rf"spectra\.csv:{line}: bad frequency column: frequencies must be {rule}$"
         with pytest.raises(InputFormatError, match=message):
+            read_mic_spectra(path)
+
+    def test_a_written_file_is_parsed_without_the_per_line_reading(self, tmp_path, monkeypatch):
+        spectra = synth_spectra()
+        path = tmp_path / "spectra.csv"
+        write_mic_spectra(path, spectra, GEOMETRY, AIR)
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        read = read_mic_spectra(path)
+        monkeypatch.setattr(io_files, "_read_rows", None)  # a call would raise TypeError
+        for back in (read_mic_spectra(path), read_mic_spectra(crlf)):
+            assert [s.values.tobytes() for s in back[0]] == [s.values.tobytes() for s in read[0]]
+            assert back[1:] == read[1:]
+
+    @pytest.mark.parametrize("rows", ["", "\n\n", "\r\n \r\n"], ids=["none", "blank", "whitespace"])
+    def test_a_header_without_rows_warns_nothing(self, tmp_path, rows):
+        path = tmp_path / "spectra.csv"
+        write_mic_spectra(path, synth_spectra(), GEOMETRY, AIR)
+        head = path.read_text().splitlines()[:8]
+        path.write_text("\n".join(head) + "\n" + rows)
+        message = "no data rows" if rows != "\r\n \r\n" else ":10: expected 9 numeric columns, got 1"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InputFormatError, match=message):
+                read_mic_spectra(path)
+        assert caught == []
+
+    @pytest.mark.parametrize("pad", ["\x0b", "\x0c", "\x85", " ", "\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_padded_numbers_read_as_float_reads_them(self, tmp_path, pad):
+        spectra = synth_spectra()
+        path = tmp_path / "spectra.csv"
+        write_mic_spectra(path, spectra, GEOMETRY, AIR)
+        lines = path.read_text().splitlines()
+        lines[10] = ",".join(pad + field + pad for field in lines[10].split(","))
+        path.write_bytes("\n".join(lines).encode() + b"\n")
+        try:
+            float(pad + "1.5")
+        except ValueError:  # loadtxt strips \x1c..\x1f around a number, float() does not
+            with pytest.raises(InputFormatError, match=r"spectra\.csv:11: bad number: "):
+                read_mic_spectra(path)
+            return
+        loaded, _, _ = read_mic_spectra(path)
+        for original, back in zip(spectra, loaded):
+            assert original.values.tobytes() == back.values.tobytes()
+
+    @pytest.mark.parametrize("width", [1, 8, 10, 11, 17])
+    def test_rows_of_another_width_are_named(self, tmp_path, width):
+        path = tmp_path / "spectra.csv"
+        write_mic_spectra(path, synth_spectra(), GEOMETRY, AIR)
+        lines = path.read_text().splitlines()
+        lines[8:] = [",".join((line.split(",") * 2)[:width]) for line in lines[8:]]  # every row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputFormatError, match=rf"spectra\.csv:9: expected 9 numeric columns, got {width}$"):
+            read_mic_spectra(path)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r", "\r\r\n"])
+    def test_blank_lines_count_toward_the_named_line(self, tmp_path, ending):
+        path = tmp_path / "spectra.csv"
+        write_mic_spectra(path, synth_spectra(), GEOMETRY, AIR)  # 100..500 Hz on lines 9..13
+        lines = path.read_text().splitlines()
+        lines[11] = "nan" + lines[11][lines[11].index(","):]  # 400 Hz
+        lines[9:9] = ["", "# re-seated", ""]  # 200 Hz moves to line 13, 400 Hz to line 15
+        path.write_bytes(ending.join(lines).encode())
+        line = 15 if ending != "\r\r\n" else 29  # each \r\r\n ends a line, then a blank one
+        message = rf"spectra\.csv:{line}: bad frequency column: frequencies must be finite$"
+        with pytest.raises(InputFormatError, match=message):
+            read_mic_spectra(path)
+        lines[10] = " \t "  # a whitespace-only line is a row of one field
+        path.write_bytes(ending.join(lines).encode())
+        line = 11 if ending != "\r\r\n" else 21
+        with pytest.raises(InputFormatError, match=rf"spectra\.csv:{line}: expected 9 numeric columns, got 1$"):
             read_mic_spectra(path)
 
     def test_failed_write_keeps_the_old_file(self, tmp_path):
@@ -542,6 +644,21 @@ class TestBandCsv:
             read_band_csv(path)
         assert ":2:" in str(err.value)
 
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("band_nominal_hz,500,400\nL_r0,70.0,71.0\n", "bands must be strictly ascending"),
+            ("band_nominal_hz,500,630\nL_r0,70.0,\nL_r0_coverage,1.0,1.5\n", r"coverage must lie in \[0, 1\]"),
+            ("band_nominal_hz,500,630\nL_r0,70.0,71.0\nL_r0_coverage,,1.0\n", r"coverage must lie in \[0, 1\]"),
+        ],
+        ids=["descending", "above-one", "nan"],
+    )
+    def test_a_table_the_band_rules_reject_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(InputFormatError, match=rf"bad\.csv: table 'L_r0': {message}$"):
+            read_band_csv(path)
 
 class TestStackAndMaterials:
     def test_stack_loads(self, tmp_path):
