@@ -148,11 +148,25 @@ class FrequencyGrid:
             raise GridMismatchError(f"{context}: operands use different frequency grids")
 
     def wavenumbers(self, air: AirProperties) -> np.ndarray:
-        return wavenumber(self._frequencies, air)
+        """:func:`wavenumber` of every bin, without re-checking frequencies checked at construction."""
+        return 2.0 * math.pi * self._frequencies / air.sound_speed
 
 
 def locked_array(values, dtype, shape: tuple, what: str) -> np.ndarray:
-    """Read-only private copy of ``values`` as ``dtype``; ValueError unless it has ``shape``."""
+    """Read-only array of ``values`` as ``dtype``; ValueError unless it has ``shape``.
+
+    An ndarray of exactly that dtype and shape that owns its data and is
+    already read-only is returned as is; anything else is copied first, so no
+    caller keeps a writeable handle on the result.
+    """
+    if (
+        type(values) is np.ndarray
+        and values.dtype == np.dtype(dtype)
+        and values.shape == shape
+        and values.flags.owndata
+        and not values.flags.writeable
+    ):
+        return values
     arr = np.array(values, dtype=dtype)
     if arr.shape != shape:
         raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
@@ -160,11 +174,19 @@ def locked_array(values, dtype, shape: tuple, what: str) -> np.ndarray:
     return arr
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Lock arrays a producer has just computed, in place, so :func:`locked_array` keeps them."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 class PerBinArrays:
     """Mixin for frozen dataclasses whose array fields hold one entry per bin of ``self.grid``.
 
     ``_per_bin`` maps each such field to its dtype; construction replaces every
-    one with a :func:`locked_array` copy.
+    one with its :func:`locked_array`: an array a producer locked with
+    :func:`_frozen` is kept, any other is copied.
     """
 
     _per_bin: dict = {}

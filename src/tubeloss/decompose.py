@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AirProperties, ComplexSpectrum, FrequencyGrid, PerBinArrays, TubeGeometry
+from .core import AirProperties, ComplexSpectrum, FrequencyGrid, PerBinArrays, TubeGeometry, _frozen
 
 __all__ = [
     "SINGULARITY_TOLERANCE",
@@ -145,8 +145,8 @@ def decompose_four_mic(
         grid.require_matches(spectrum.grid, f"decompose_four_mic({name})")
     x1, x2, x3, x4 = geometry.mic_positions
     k = grid.wavenumbers(air)
-    a, b, upstream_singular = decompose_pair(p1, p2, x1, x2, k)
-    c, d, downstream_singular = decompose_pair(p3, p4, x3, x4, k)
+    a, b, upstream_singular = _frozen(*decompose_pair(p1, p2, x1, x2, k))
+    c, d, downstream_singular = _frozen(*decompose_pair(p3, p4, x3, x4, k))
     return PlaneWaveAmplitudes(
         grid=grid,
         a=a,

@@ -449,42 +449,46 @@ def write_narrowband_csv(path, grid: FrequencyGrid, stl_db, spread_db, reflectan
 def read_band_csv(path) -> dict[str, BandTable]:
     """Read band tables written by :func:`write_band_csv`."""
     with _open_utf8(path, newline="") as handle:
-        lines = [line.rstrip("\n").rstrip("\r") for line in handle]
-    lines = [line for line in lines if line]
+        stripped = (line.rstrip("\n").rstrip("\r") for line in handle)
+        # blank lines are skipped but counted, so an error names the line of the file
+        lines = [(lineno, line) for lineno, line in enumerate(stripped, start=1) if line]
     if not lines:
         raise InputFormatError("empty band CSV", path=path)
-    head = lines[0].split(",")
+    head_lineno, head_line = lines[0]
+    head = head_line.split(",")
     if head[0] != "band_nominal_hz" or len(head) < 2:
-        raise InputFormatError("first row must be 'band_nominal_hz,<centers...>'", path=path, line=1)
+        raise InputFormatError(
+            "first row must be 'band_nominal_hz,<centers...>'", path=path, line=head_lineno
+        )
     try:
         bands = tuple(band_from_nominal(float(v)) for v in head[1:])
     except ValueError as exc:
-        raise InputFormatError(f"bad nominal center: {exc}", path=path, line=1) from exc
+        raise InputFormatError(f"bad nominal center: {exc}", path=path, line=head_lineno) from exc
 
-    raw: dict[str, list[float]] = {}
-    order: list[str] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    rows: dict[str, tuple[int, list[float]]] = {}  # name -> (line, values), in file order
+    for lineno, line in lines[1:]:
         fields = line.split(",")
         if len(fields) != len(bands) + 1:
             raise InputFormatError(
                 f"expected {len(bands) + 1} columns, got {len(fields)}", path=path, line=lineno
             )
         name = fields[0]
-        if name in raw:
+        if name in rows:
             raise InputFormatError(f"duplicate row '{name}'", path=path, line=lineno)
         try:
-            raw[name] = [float(v) if v else float("nan") for v in fields[1:]]
+            rows[name] = (lineno, [float(v) if v else float("nan") for v in fields[1:]])
         except ValueError as exc:
             raise InputFormatError(f"bad number: {exc}", path=path, line=lineno) from exc
-        order.append(name)
 
     tables: dict[str, BandTable] = {}
-    for name in order:
+    for name, (lineno, values) in rows.items():
         if name.endswith("_coverage"):
+            if name[: -len("_coverage")] not in rows:
+                raise InputFormatError(f"coverage row '{name}' has no value row", path=path, line=lineno)
             continue
-        values = raw[name]
-        coverage = raw.get(name + "_coverage")
-        if coverage is None:
+        if name + "_coverage" in rows:
+            coverage = rows[name + "_coverage"][1]
+        else:
             coverage = [0.0 if np.isnan(v) else 1.0 for v in values]
         try:
             tables[name] = BandTable(bands, np.array(values), np.array(coverage))
@@ -637,12 +641,19 @@ def _json_indent2(value, pad: str = "") -> str:
     With ``indent`` set, ``json`` runs its pure-Python encoder. A flat list of
     scalars (the per-bin arrays) is instead rendered by the C encoder, which
     runs when ``indent`` is None, with the line break and indent of each item
-    put into the item separator.
+    put into the item separator. Dicts with string keys, and lists of
+    non-empty dicts or lists (the constituent blocks), are laid out here, so
+    the flat lists inside them reach the C encoder too.
     """
+    if not isinstance(value, (dict, list, tuple)):  # a scalar: indent changes nothing
+        return json.dumps(value, allow_nan=True)
     inner = pad + "  "
     if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
         items = (f"{inner}{json.dumps(key)}: {_json_indent2(v, inner)}" for key, v in value.items())
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, list) and value and all(isinstance(v, (dict, list)) and v for v in value):
+        items = (inner + _json_indent2(v, inner) for v in value)
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if (
         isinstance(value, list)
         and value

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AirProperties, DEFAULT_AIR, FrequencyGrid
+from .core import AirProperties, DEFAULT_AIR, FrequencyGrid, _frozen
 from .transfer import AcousticIndicators, TransferMatrix, acoustic_indicators
 
 __all__ = [
@@ -87,7 +87,7 @@ def limp_mass_matrix(grid: FrequencyGrid, m_s: float) -> TransferMatrix:
     zero = np.zeros(len(grid), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing m_s leaves a non-finite t12
         t12 = 1j * omega * m_s
-    return TransferMatrix(grid, one, t12, zero, one)
+    return TransferMatrix(grid, *_frozen(one, t12, zero, one))
 
 
 def air_gap_matrix(grid: FrequencyGrid, thickness: float, air: AirProperties = DEFAULT_AIR) -> TransferMatrix:
@@ -101,14 +101,14 @@ def air_gap_matrix(grid: FrequencyGrid, thickness: float, air: AirProperties = D
     z = air.impedance
     cos = np.cos(k_l).astype(complex)
     sin = np.sin(k_l)
-    return TransferMatrix(grid, cos, 1j * z * sin, 1j * sin / z, cos)
+    return TransferMatrix(grid, *_frozen(cos, 1j * z * sin, 1j * sin / z, cos))
 
 
 def identity_matrix(grid: FrequencyGrid) -> TransferMatrix:
     """Degenerate no-sample layer."""
     one = np.ones(len(grid), dtype=complex)
     zero = np.zeros(len(grid), dtype=complex)
-    return TransferMatrix(grid, one, zero, zero, one)
+    return TransferMatrix(grid, *_frozen(one, zero, zero, one))
 
 
 @dataclass(frozen=True)
@@ -189,15 +189,9 @@ class LayerModel:
             return air_gap_matrix(grid, self.thickness, air)
         if self.kind == "identity":
             return identity_matrix(grid)
-        t11, t12, t21, t22 = self.matrix  # type: ignore[misc]
         n = len(grid)
-        return TransferMatrix(
-            grid,
-            np.full(n, t11, dtype=complex),
-            np.full(n, t12, dtype=complex),
-            np.full(n, t21, dtype=complex),
-            np.full(n, t22, dtype=complex),
-        )
+        entries = (np.full(n, t, dtype=complex) for t in self.matrix)  # type: ignore[union-attr]
+        return TransferMatrix(grid, *_frozen(*entries))
 
     def describe(self) -> dict:
         """Loggable parameter summary."""

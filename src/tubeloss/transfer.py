@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AirProperties, FrequencyGrid, PerBinArrays, locked_array
+from .core import AirProperties, FrequencyGrid, PerBinArrays, _frozen, locked_array
 from .decompose import PlaneWaveAmplitudes
 from .errors import AnechoicQualityWarning
 
@@ -78,13 +78,13 @@ class TransferMatrix(PerBinArrays):
         self.grid.require_matches(other.grid, "transfer-matrix product")
         # overflowing entries stay non-finite; the coefficient guards drop those bins
         with np.errstate(over="ignore", invalid="ignore"):
-            return TransferMatrix(
-                self.grid,
+            entries = (
                 self.t11 * other.t11 + self.t12 * other.t21,
                 self.t11 * other.t12 + self.t12 * other.t22,
                 self.t21 * other.t11 + self.t22 * other.t21,
                 self.t21 * other.t12 + self.t22 * other.t22,
             )
+        return TransferMatrix(self.grid, *_frozen(*entries))
 
 
 @dataclass(frozen=True)
@@ -182,15 +182,17 @@ def reconstruct_one_load(grid: FrequencyGrid, p0, v0, pd, vd) -> TransferMatrix:
     t11 = _quotient(p0 * v0 + pd * vd, den, ok)
     t12 = _quotient(p0 * p0 - pd * pd, den, ok)
     t21 = _quotient(v0 * v0 - vd * vd, den, ok)
-    return TransferMatrix(grid, t11, t12, t21, t11)
+    return TransferMatrix(grid, *_frozen(t11, t12, t21, t11))
 
 
 def _anechoic_terms(matrix: TransferMatrix, air: AirProperties) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reflection numerator and shared denominator of the anechoic coefficients, and where it is usable."""
     z = air.impedance
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite den fails _nonvanishing
-        den = matrix.t11 + matrix.t12 / z + z * matrix.t21 + matrix.t22
-        num = matrix.t11 + matrix.t12 / z - z * matrix.t21 - matrix.t22  # read only where ok
+        front = matrix.t11 + matrix.t12 / z
+        back = z * matrix.t21
+        den = front + back + matrix.t22
+        num = front - back - matrix.t22  # read only where ok
     scale = (
         np.abs(matrix.t11)
         + np.abs(matrix.t12) / z
@@ -314,7 +316,9 @@ def acoustic_indicators(
         Indicators with a combined validity mask.
     """
     num, den, ok = _anechoic_terms(matrix, air)
-    transmission = _quotient(2.0 * np.exp(1j * matrix.grid.wavenumbers(air) * thickness), den, ok)
+    # e^{jk 0} is exactly 1, so a zero thickness needs no phase exponential
+    numerator = 2.0 if thickness == 0.0 else 2.0 * np.exp(1j * matrix.grid.wavenumbers(air) * thickness)
+    transmission = _quotient(numerator, den, ok)
     reflection = _quotient(num, den, ok)
     valid = np.isfinite(transmission) & np.isfinite(reflection)
-    return AcousticIndicators(matrix.grid, transmission, reflection, stl(transmission), valid)
+    return AcousticIndicators(matrix.grid, *_frozen(transmission, reflection, stl(transmission), valid))

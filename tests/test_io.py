@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -310,12 +311,15 @@ PADDING = st.text(alphabet="\x0b\x0c\x1c\x85 ", max_size=2)
 BLANK_LINES = ("", "", " ", "\t", "\x0c", " \x0b ")
 # frequencies breaking a sorted column: each of FrequencyGrid's rules, at any row
 BAD_FREQUENCIES = ("nan", "inf", "0", "negative", "decrease", "repeat")
+# pressures float() reads that ComplexSpectrum rejects
+NON_FINITE = ("nan", "inf", "-inf", "1e999", "-nan")
 ENDINGS = ("\n", "\r\n", "\r", "\r\r\n")
 
 
 @st.composite
 def mic_spectra_texts(draw):
-    """A good mic-spectra file, a broken frequency column or not, then up to three mutations.
+    """A good mic-spectra file, a broken frequency column, a non-finite pressure or neither,
+    then up to three mutations.
 
     A mutation changes, pads, drops or adds a field, or deletes, replaces or
     inserts a line; each line gets its own line ending.
@@ -323,7 +327,10 @@ def mic_spectra_texts(draw):
     n = draw(st.integers(1, 6))
     freqs = sorted(draw(st.sets(st.floats(1.0, 1e5), min_size=n, max_size=n)))
     rows = [[repr(f)] + [draw(NUMBER) for _ in range(8)] for f in freqs]
-    if draw(st.booleans()):
+    defect = draw(st.sampled_from((None, None, "frequency", "frequency", "pressure")))
+    if defect == "pressure":
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(1, 8))] = draw(st.sampled_from(NON_FINITE))
+    elif defect == "frequency":
         broken = draw(st.sampled_from(BAD_FREQUENCIES if n > 1 else BAD_FREQUENCIES[:4]))
         k = draw(st.integers(1 if broken in ("decrease", "repeat") else 0, n - 1))
         rows[k][0] = {
@@ -586,6 +593,48 @@ class TestReportEncoding:
         assert _json_indent2(report) == json.dumps(report, indent=2, allow_nan=True)
 
 
+# nominal centres in ascending order, header cells that name no band, and value-row cells
+BAND_CENTERS = ("400", "500", "630", "800", "1000")
+ODD_CENTERS = ("1e3", "500", "507", "0", "-1", "nan", "inf", "5e-324", "1e308", "", "x")
+BAND_ROW_NAMES = (
+    "L_r0", "L_r0_coverage", "L_rs", "L_rs_coverage", "x_coverage", "_coverage", "", "band_nominal_hz",
+)
+BAND_VALUES = ("", "70.0", "0", "1", "0.5")
+ODD_VALUES = ("1.5", "-0.1", "nan", "inf", "-inf", "1e999", "x", " 2", "1_0")
+
+
+def _with_one_odd_cell(draw, cells: list[str], odd: tuple[str, ...]) -> list[str]:
+    """``cells``, in one draw of six with one of them replaced by an ``odd`` text."""
+    if cells and not draw(st.integers(0, 5)):
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(odd))
+    return cells
+
+
+@st.composite
+def band_csv_bytes(draw):
+    """A band CSV: a header, value and coverage rows, blank lines, and odd cells, lines and bytes."""
+    width = draw(st.integers(1, 4))
+    first = draw(st.integers(0, len(BAND_CENTERS) - width))
+    head = "band_nominal_hz" if draw(st.integers(0, 9)) else draw(st.sampled_from(BAND_ROW_NAMES))
+    centers = _with_one_odd_cell(draw, list(BAND_CENTERS[first : first + width]), ODD_CENTERS)
+    lines = [",".join([head, *centers])]
+    names = iter(draw(st.permutations(BAND_ROW_NAMES)))  # a name repeats one time in ten
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("row",) * 10 + ("blank",) * 3 + ("text",)))
+        if kind == "row":
+            name = next(names) if draw(st.integers(0, 9)) else draw(st.sampled_from(BAND_ROW_NAMES))
+            cells = width + draw(st.sampled_from((0,) * 13 + (-1, 1)))
+            values = [draw(st.sampled_from(BAND_VALUES)) for _ in range(max(cells, 0))]
+            lines.append(",".join([name, *_with_one_odd_cell(draw, values, ODD_VALUES)]))
+        elif kind == "blank":
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("", "", "", " "))))
+        else:
+            lines.append(draw(st.text(max_size=12)))
+    ending = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    tail = draw(st.sampled_from((b"", b"\n") * 4 + (b"\xff",)))  # \xff is not UTF-8
+    return ending.join(lines).encode("utf-8", "surrogatepass") + tail
+
+
 class TestBandCsv:
     def make_table(self):
         bands = third_octave_bands(100.0, 5000.0)
@@ -643,6 +692,45 @@ class TestBandCsv:
         with pytest.raises(InputFormatError) as err:
             read_band_csv(path)
         assert ":2:" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("band_nominal_hz,500,630\n\n\nL_r0,70.0\n", "gap.csv:4: expected 3 columns, got 2"),
+            ("band_nominal_hz,500\r\n\r\n \r\n", "gap.csv:3: expected 2 columns, got 1"),
+            ("\n\nband_nominal_hz,507\nx,1.0\n", "gap.csv:3: bad nominal center: 507.0 Hz is not"),
+            ("\n\nrow,500\n", "gap.csv:3: first row must be"),
+        ],
+        ids=["short-row", "whitespace-row", "bad-center", "no-head"],
+    )
+    def test_blank_lines_count_toward_the_named_line(self, tmp_path, text, message):
+        path = tmp_path / "gap.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(InputFormatError, match=re.escape(message)):
+            read_band_csv(path)
+
+    def test_a_coverage_row_without_its_value_row_is_named(self, tmp_path):
+        path = tmp_path / "orphan.csv"
+        path.write_text(
+            "band_nominal_hz,500,630\nL_r0,70.0,71.0\nL_r0_coverage,1.0,1.0\nL_rs_coverage,0.5,2\n"
+        )
+        message = r"orphan\.csv:4: coverage row 'L_rs_coverage' has no value row$"
+        with pytest.raises(InputFormatError, match=message):
+            read_band_csv(path)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=band_csv_bytes())
+    def test_only_input_format_errors_escape(self, drawn_dir, data):
+        path = drawn_dir / "bands.csv"
+        path.write_bytes(data)
+        try:
+            tables = read_band_csv(path)
+        except InputFormatError as exc:
+            # the share of each outcome shows with pytest --hypothesis-show-statistics
+            event(re.sub(r"'[^']*'|-?[\d.]+(e[+-]?\d+)?", "_", str(exc).split(": ", 1)[1]))
+        else:
+            event("read")
+            assert tables and all(isinstance(table, BandTable) for table in tables.values())
 
 
     @pytest.mark.parametrize(

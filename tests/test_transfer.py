@@ -7,6 +7,7 @@ import pytest
 from tubeloss import (
     AnechoicQualityWarning,
     FrequencyGrid,
+    LayerModel,
     PlaneWaveAmplitudes,
     TransferMatrix,
     acoustic_indicators,
@@ -22,6 +23,7 @@ from tubeloss import (
     stl_direct_anechoic,
     surface_impedance_anechoic,
     transmission_coefficient,
+    wavenumber,
 )
 
 from helpers import AIR, GEOMETRY, air_layer_matrix_oracle, four_mic_spectra, limp_mass_stl_oracle
@@ -385,3 +387,44 @@ class TestIndicatorsBundle:
         assert ind.valid.tolist() == [True, False]
         assert np.isnan(ind.stl_db[1])
         assert np.isnan(ind.transmission[1].real)
+
+
+def reference_indicators(matrix, thickness, air):
+    """Transmission, reflection and loss with the phase exponential at every thickness
+    and each anechoic sum written out left to right."""
+    z = air.impedance
+    t11, t12, t21, t22 = matrix.t11, matrix.t12, matrix.t21, matrix.t22
+    with np.errstate(all="ignore"):
+        den = t11 + t12 / z + z * t21 + t22
+        num = t11 + t12 / z - z * t21 - t22
+        scale = np.abs(t11) + np.abs(t12) / z + z * np.abs(t21) + np.abs(t22)
+        ok = np.isfinite(den) & (scale > 0.0) & (np.abs(den) > 1e-12 * scale)
+        numerator = 2.0 * np.exp(1j * wavenumber(matrix.grid.frequencies, air) * thickness)
+        transmission = np.where(ok, numerator / den, complex(np.nan, np.nan))
+        reflection = np.where(ok, num / den, complex(np.nan, np.nan))
+    return transmission, reflection, stl(transmission)
+
+
+class TestZeroThicknessShortcut:
+    LAYERS = {
+        "limp-1.135": LayerModel.limp_mass(1.135),
+        "limp-1e300": LayerModel.limp_mass(1e300),
+        "limp-1e305": LayerModel.limp_mass(1e305),
+        "air-gap": LayerModel.air_gap(0.05),
+        "matrix": LayerModel.explicit(0.9 + 0.1j, 200.0 + 30.0j, 0.0005 + 0.0001j, 0.9 + 0.1j),
+    }
+
+    # 5 136, 19 001 and 19 991 bins: above 16 384 complex bins numpy computes temporaries
+    # in place, which may round differently
+    @pytest.mark.parametrize("f_max, step", [(2000.0, 0.37), (19100.0, 1.0), (200000.0, 10.0)])
+    @pytest.mark.parametrize("name", list(LAYERS))
+    def test_same_bits_as_the_phase_exponential(self, name, f_max, step):
+        grid = FrequencyGrid.from_range(100.0, f_max, step)
+        layer = self.LAYERS[name]
+        matrix = layer.matrix_on(grid, AIR)
+        for m in (matrix, matrix @ self.LAYERS["limp-1.135"].matrix_on(grid, AIR)):
+            for thickness in (0.0, -0.0, layer.thickness, 0.02):
+                got = acoustic_indicators(m, thickness, AIR)
+                want = reference_indicators(m, thickness, AIR)
+                for field, expected in zip(("transmission", "reflection", "stl_db"), want):
+                    assert getattr(got, field).tobytes() == expected.tobytes(), (field, thickness)
