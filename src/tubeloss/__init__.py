@@ -66,12 +66,10 @@ from .transfer import (
     anechoic_quality,
     boundary_states,
     reconstruct_one_load,
-    reflection_coefficient_anechoic,
     rigid_backing_reflection,
     stl,
     stl_direct_anechoic,
     surface_impedance_anechoic,
-    transmission_coefficient,
 )
 
 __version__ = "0.1.0"
@@ -98,8 +96,6 @@ __all__ = [
     "AcousticIndicators",
     "boundary_states",
     "reconstruct_one_load",
-    "transmission_coefficient",
-    "reflection_coefficient_anechoic",
     "surface_impedance_anechoic",
     "rigid_backing_reflection",
     "stl",

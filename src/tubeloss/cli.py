@@ -150,11 +150,8 @@ def _cmd_stl(args) -> dict:
         else:
             grid.require_matches(spectra[0].grid, f"input '{path}'")
         analysis = analyze_four_mic(*spectra, geometry=geometry, air=air)
-        stl_run = np.where(analysis.indicators.valid, analysis.indicators.stl_db, np.nan)
-        runs.append(stl_run)
-        reflectances.append(
-            np.where(analysis.indicators.valid, analysis.indicators.reflectance, np.nan)
-        )
+        runs.append(analysis.indicators.stl_db)
+        reflectances.append(analysis.indicators.reflectance)
         direct_runs.append(analysis.stl_direct_db)
         singular = analysis.amplitudes.singular_frequencies()
         for pair in ("upstream", "downstream"):
@@ -277,8 +274,7 @@ def _cmd_stack(args) -> dict:
     bands = third_octave_bands(args.f_min, args.f_max)
 
     def banded(matrix, thickness: float) -> tuple[np.ndarray, BandTable]:
-        indicators = acoustic_indicators(matrix, thickness, air)
-        narrow = np.where(indicators.valid, indicators.stl_db, np.nan)
+        narrow = acoustic_indicators(matrix, thickness, air).stl_db
         return narrow, band_average(grid, narrow, bands, mode=args.band_mode)
 
     # One pass builds each layer matrix once: banded alone, then multiplied into the stack.

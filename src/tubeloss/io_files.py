@@ -430,6 +430,8 @@ def write_band_csv(path, tables: dict[str, BandTable]) -> None:
             raise ValueError(f"table '{name}' uses a different band set")
         if any(ch in name for ch in ",\n\r"):
             raise ValueError(f"table name '{name}' may not contain commas or newlines")
+        if name.endswith("_coverage"):  # the reader takes such a row for another table's coverage
+            raise ValueError(f"table name '{name}' may not end in '_coverage'")
     header = "band_nominal_hz," + ",".join(format(b.nominal, "g") for b in first.bands)
     lines = [header]
     for name, table in tables.items():
@@ -507,11 +509,18 @@ def _load_json_list(path, what: str) -> list:
     try:
         with _open_utf8(path) as handle:
             data = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except InputFormatError:
+        raise
+    except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep
         raise InputFormatError(f"invalid JSON: {exc}", path=path) from exc
     if not isinstance(data, list) or not data:
         raise InputFormatError(f"{what} file must be a non-empty JSON list", path=path)
     return data
+
+
+# what reading a JSON record can raise: a missing key, a wrong type, a bad value, or an
+# integer too large for a float
+_BAD_RECORD = (KeyError, TypeError, ValueError, OverflowError)
 
 
 def _layer_from_record(record: dict, path, index: int) -> LayerModel:
@@ -538,7 +547,7 @@ def _layer_from_record(record: dict, path, index: int) -> LayerModel:
                 passive_symmetric=bool(record.get("passive_symmetric", False)),
                 thickness=float(record.get("thickness", 0.0)),
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_RECORD as exc:
         raise InputFormatError(f"bad layer #{index + 1}: {exc}", path=path) from exc
     raise InputFormatError(f"bad layer #{index + 1}: unknown kind '{kind}'", path=path)
 
@@ -566,7 +575,7 @@ def load_materials(path) -> tuple[MaterialSpec, ...]:
                     ),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except _BAD_RECORD as exc:
             raise InputFormatError(f"bad material #{i + 1}: {exc}", path=path) from exc
     return tuple(materials)
 

@@ -21,8 +21,6 @@ __all__ = [
     "AcousticIndicators",
     "boundary_states",
     "reconstruct_one_load",
-    "transmission_coefficient",
-    "reflection_coefficient_anechoic",
     "surface_impedance_anechoic",
     "rigid_backing_reflection",
     "stl",
@@ -44,8 +42,8 @@ def _nonvanishing(den: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 
 def _quotient(num, den: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """``num / den`` at the ``ok`` bins, complex NaN elsewhere."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    """``num / den`` at the ``ok`` bins, complex NaN elsewhere; an overflow stays non-finite."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where(ok, num / den, _NAN)
 
 
@@ -93,18 +91,23 @@ class AcousticIndicators(PerBinArrays):
 
     ``transmission``/``reflection`` are the anechoic-termination coefficients
     and ``stl_db`` the normal-incidence transmission loss (+inf where nothing
-    is transmitted). Surface impedance and rigid-backing reflection are not
-    fields: :func:`surface_impedance_anechoic` and
-    :func:`rigid_backing_reflection` compute them on request.
+    is transmitted). A dropped bin is NaN in all three; :attr:`valid` is
+    derived from the coefficients, not stored. Surface impedance and
+    rigid-backing reflection are not fields: :func:`surface_impedance_anechoic`
+    and :func:`rigid_backing_reflection` compute them on request.
     """
 
     grid: FrequencyGrid
     transmission: np.ndarray
     reflection: np.ndarray
     stl_db: np.ndarray
-    valid: np.ndarray
 
-    _per_bin = {"transmission": complex, "reflection": complex, "stl_db": float, "valid": bool}
+    _per_bin = {"transmission": complex, "reflection": complex, "stl_db": float}
+
+    @property
+    def valid(self) -> np.ndarray:
+        """Bins where both coefficients are finite."""
+        return np.isfinite(self.transmission) & np.isfinite(self.reflection)
 
     @property
     def reflectance(self) -> np.ndarray:
@@ -185,48 +188,6 @@ def reconstruct_one_load(grid: FrequencyGrid, p0, v0, pd, vd) -> TransferMatrix:
     return TransferMatrix(grid, *_frozen(t11, t12, t21, t11))
 
 
-def _anechoic_terms(matrix: TransferMatrix, air: AirProperties) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reflection numerator and shared denominator of the anechoic coefficients, and where it is usable."""
-    z = air.impedance
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite den fails _nonvanishing
-        front = matrix.t11 + matrix.t12 / z
-        back = z * matrix.t21
-        den = front + back + matrix.t22
-        num = front - back - matrix.t22  # read only where ok
-    scale = (
-        np.abs(matrix.t11)
-        + np.abs(matrix.t12) / z
-        + z * np.abs(matrix.t21)
-        + np.abs(matrix.t22)
-    )
-    return num, den, _nonvanishing(den, scale)
-
-
-def transmission_coefficient(
-    matrix: TransferMatrix,
-    k: np.ndarray,
-    thickness: float,
-    air: AirProperties,
-) -> np.ndarray:
-    """Anechoic transmission coefficient per frequency.
-
-        T = 2 e^{jkd} / (T11 + T12/(rho0 c) + rho0 c T21 + T22)
-
-    Both off-diagonal terms are scaled by rho0 c, the only dimensionally
-    consistent normalization. Bins with a vanishing denominator come back NaN.
-    """
-    _, den, ok = _anechoic_terms(matrix, air)
-    return _quotient(2.0 * np.exp(1j * np.asarray(k, dtype=float) * thickness), den, ok)
-
-
-def reflection_coefficient_anechoic(matrix: TransferMatrix, air: AirProperties) -> np.ndarray:
-    """Anechoic reflection coefficient per frequency.
-
-        R = (T11 + T12/(rho0 c) - rho0 c T21 - T22) / (T11 + T12/(rho0 c) + rho0 c T21 + T22)
-    """
-    return _quotient(*_anechoic_terms(matrix, air))
-
-
 def surface_impedance_anechoic(reflection: np.ndarray, air: AirProperties) -> np.ndarray:
     """Surface impedance rho0 c (1 + R) / (1 - R) in Pa s/m.
 
@@ -257,9 +218,8 @@ def stl(transmission: np.ndarray) -> np.ndarray:
 
     Zero transmission yields +inf, not an error; NaN marks invalid bins.
     """
-    mag2 = np.abs(np.asarray(transmission, dtype=complex)) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return -10.0 * np.log10(mag2)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return -10.0 * np.log10(np.abs(np.asarray(transmission, dtype=complex)) ** 2)
 
 
 def anechoic_quality(amplitudes: PlaneWaveAmplitudes) -> np.ndarray:
@@ -301,6 +261,12 @@ def acoustic_indicators(
 ) -> AcousticIndicators:
     """Evaluate all per-frequency indicators of a reconstructed matrix.
 
+    With z = rho0 c scaling both off-diagonal terms, the only dimensionally
+    consistent normalization, the anechoic coefficients are
+
+        T = 2 e^{jkd} / (T11 + T12/z + z T21 + T22)
+        R = (T11 + T12/z - z T21 - T22) / (T11 + T12/z + z T21 + T22)
+
     Parameters
     ----------
     matrix : TransferMatrix
@@ -313,12 +279,23 @@ def acoustic_indicators(
     Returns
     -------
     AcousticIndicators
-        Indicators with a combined validity mask.
+        Indicators that are NaN in ``transmission``, ``reflection`` and
+        ``stl_db`` at every bin where T or R is not finite: a non-finite
+        entry, a vanishing denominator or an overflowing quotient.
     """
-    num, den, ok = _anechoic_terms(matrix, air)
-    # e^{jk 0} is exactly 1, so a zero thickness needs no phase exponential
-    numerator = 2.0 if thickness == 0.0 else 2.0 * np.exp(1j * matrix.grid.wavenumbers(air) * thickness)
-    transmission = _quotient(numerator, den, ok)
-    reflection = _quotient(num, den, ok)
-    valid = np.isfinite(transmission) & np.isfinite(reflection)
-    return AcousticIndicators(matrix.grid, *_frozen(transmission, reflection, stl(transmission), valid))
+    z = air.impedance
+    t11, t12, t21, t22 = matrix.t11, matrix.t12, matrix.t21, matrix.t22
+    # an overflow here fails the denominator check or leaves T or R non-finite; both drop the bin
+    with np.errstate(over="ignore", invalid="ignore"):
+        front = t11 + t12 / z
+        back = z * t21
+        den = front + back + t22
+        ok = _nonvanishing(den, np.abs(t11) + np.abs(t12) / z + z * np.abs(t21) + np.abs(t22))
+        # e^{jk 0} is exactly 1, so a zero thickness needs no phase exponential
+        numerator = 2.0 if thickness == 0.0 else 2.0 * np.exp(1j * matrix.grid.wavenumbers(air) * thickness)
+        transmission = _quotient(numerator, den, ok)
+        reflection = _quotient(front - back - t22, den, ok)
+    dropped = ~(np.isfinite(transmission) & np.isfinite(reflection))
+    transmission[dropped] = _NAN
+    reflection[dropped] = _NAN
+    return AcousticIndicators(matrix.grid, *_frozen(transmission, reflection, stl(transmission)))

@@ -168,10 +168,29 @@ INPUTS = {
         ]
     ),
     "bad-layer.json": "[1]",
+    # t12 = 3.3e-320 and nothing else: a subnormal anechoic denominator, where 2 / den overflows
+    "subnormal.json": json.dumps(
+        [{"kind": "matrix", "t11": [0, 0], "t12": [3.3e-320, 0], "t21": [0, 0], "t22": [0, 0]}]
+    ),
+    # JSON integers too large for a float (1 and 400 zeros), one past the 4 300-digit limit of
+    # int(), and an array nested 100 000 deep
+    "huge-layer.json": '[{"kind": "limp-mass", "surface_density": 1' + "0" * 400 + "}]",
+    "huge-entry.json": '[{"kind": "matrix", "t11": [1, 0], "t12": [1' + "0" * 400 + ", 0], "
+    '"t21": [0, 0], "t22": [1, 0]}]',
+    "huge-thickness.json": '[{"name": "sheet", "thickness_mm": 1' + "0" * 400 + ', "surface_density": 1.135}]',
+    "digits.json": '[{"kind": "limp-mass", "surface_density": 1' + "0" * 4300 + "}]",
+    "deep.json": "[" * 100_000 + "]" * 100_000,
     "materials.json": json.dumps(
         [
             {"name": "sheet", "thickness_mm": 0.89, "surface_density": 1.135},
             {"name": "foil, thin", "thickness_mm": 0.01, "surface_density": 0.01},
+        ]
+    ),
+    # a band CSV row named felt_coverage would read as felt's coverage row
+    "coverage-names.json": json.dumps(
+        [
+            {"name": "felt", "thickness_mm": 5.0, "surface_density": 0.5},
+            {"name": "felt_coverage", "thickness_mm": 5.0, "surface_density": 0.5},
         ]
     ),
     "before.csv": _BAND_CSV.format(name="L_r0", values="70.0,72.5,71.0,69.0"),
@@ -237,6 +256,10 @@ RUNS: tuple[tuple[str, ...], ...] = (
         for constant in ("paper", "normal")
     ),
     ("masslaw", "--materials", "materials.json", "--f-max", "inf"),
+    ("masslaw", "--materials", "huge-thickness.json"),
+    ("masslaw", "--materials", "deep.json"),
+    ("masslaw", "--materials", "coverage-names.json", "--band-csv", "coverage-names.csv")
+    + ("--output", "masslaw-coverage-names.json"),
     ("il", "--before", "before.csv", "--after", "after.csv", "--output", "il.json", "--band-csv", "il.csv"),
     ("il", "--before", "before.csv", "--after", "missing.csv"),
     ("il", "--before", "bad-coverage.csv", "--after", "after.csv"),
@@ -255,7 +278,9 @@ RUNS: tuple[tuple[str, ...], ...] = (
     + ("--band-csv", "stack-large.csv", "--output", "stack-large.json"),
     ("stack", "--stack", "opaque.json", "--f-max", "1000", "--output", "stack-opaque.json"),
     ("stack", "--stack", "overflow.json", "--f-max", "1000", "--output", "stack-overflow.json"),
+    ("stack", "--stack", "subnormal.json", "--f-max", "1000", "--output", "stack-subnormal.json"),
     ("stack", "--stack", "bad-layer.json"),
+    *(("stack", "--stack", name) for name in ("huge-layer.json", "huge-entry.json", "digits.json", "deep.json")),
     ("stack", "--stack", "layers.json", "--f-max", "inf"),
     ("stack", "--stack", "layers.json", "--f-step", "1e-12"),
     *USAGE_ERRORS,

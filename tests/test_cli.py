@@ -313,6 +313,24 @@ class TestMasslaw:
         offset = normal["constant_db"] - paper["constant_db"]
         assert np.allclose(b - a, round(offset, 2), atol=0.011)
 
+    def test_a_coverage_suffixed_name_is_refused_before_writing(self, tmp_path, capsys):
+        materials = tmp_path / "materials.json"
+        materials.write_text(
+            json.dumps(
+                [
+                    {"name": "felt", "thickness_mm": 1.0, "surface_density": 1.0},
+                    {"name": "felt_coverage", "thickness_mm": 2.0, "surface_density": 2.0},
+                ]
+            )
+        )
+        band_csv, report_path = tmp_path / "m.csv", tmp_path / "m.json"
+        argv = ("masslaw", "--materials", str(materials), "--band-csv", str(band_csv))
+        assert run_cli(*argv, "--output", str(report_path)) == 2
+        assert capsys.readouterr().err == (
+            "error: table name 'felt_coverage' may not end in '_coverage'\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["materials.json"]
+
 
 class TestInsertionLoss:
     def test_wiring_identity(self, tmp_path):
@@ -455,6 +473,19 @@ class TestStack:
         assert "encountered in" not in capsys.readouterr().err
         # the overflowed bins are marked invalid, not reported as numbers
         assert report["narrowband"]["stl_db"] == [None] * len(report["narrowband"]["frequency_hz"])
+
+    def test_a_subnormal_denominator_drops_its_bins_without_numpy_warnings(self, tmp_path, capsys):
+        # t12 = 3.3e-320 and nothing else: the anechoic denominator is subnormal, 2 / den overflows
+        layer = {"kind": "matrix", "t11": [0, 0], "t12": [3.3e-320, 0], "t21": [0, 0], "t22": [0, 0]}
+        stack = tmp_path / "stack.json"
+        stack.write_text(json.dumps([layer]))
+        report_path = tmp_path / "report.json"
+        assert run_cli("stack", "--stack", str(stack), "--f-max", "1000", "--output", str(report_path)) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(report_path.read_text())
+        assert report["warnings"] == []
+        assert report["narrowband"]["stl_db"] == [None] * len(report["narrowband"]["frequency_hz"])
+        assert set(report["bands"]["values_db"]) == {None}
 
     @pytest.mark.parametrize("band_mode", ["power", "db"])
     def test_each_layer_matrix_is_built_once(self, tmp_path, monkeypatch, band_mode):

@@ -103,6 +103,37 @@ def test_a_bad_value_or_byte_names_its_file(runs):
     assert stderr["bad-coverage.csv"] == "error: bad-coverage.csv: table 'L_r0': coverage must lie in [0, 1]\n"
 
 
+def test_json_past_the_float_range_or_the_nesting_limit_names_its_file(runs):
+    stderr = {run.argv[:3]: run.stderr for run in runs}
+    int_too_large = "int too large to convert to float\n"
+    too_deep = "invalid JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string\n"
+    assert stderr["stack", "--stack", "huge-layer.json"] == f"error: huge-layer.json: bad layer #1: {int_too_large}"
+    assert stderr["stack", "--stack", "huge-entry.json"] == f"error: huge-entry.json: bad layer #1: {int_too_large}"
+    assert stderr["masslaw", "--materials", "huge-thickness.json"] == (
+        f"error: huge-thickness.json: bad material #1: {int_too_large}"
+    )
+    assert stderr["stack", "--stack", "digits.json"].startswith(
+        "error: digits.json: invalid JSON: Exceeds the limit (4300 digits) for integer string conversion"
+    )
+    assert stderr["stack", "--stack", "deep.json"] == f"error: deep.json: {too_deep}"
+    assert stderr["masslaw", "--materials", "deep.json"] == f"error: deep.json: {too_deep}"
+
+
+def test_a_subnormal_denominator_drops_its_bins_without_warnings(runs, corpus_dir):
+    (run,) = [run for run in runs if run.argv[:3] == ("stack", "--stack", "subnormal.json")]
+    assert (run.code, run.stderr) == (0, "")
+    report = json.loads((corpus_dir / "stack-subnormal.json").read_text())
+    assert report["warnings"] == []
+    assert set(report["narrowband"]["stl_db"]) == set(report["bands"]["values_db"]) == {None}
+
+
+def test_a_table_name_the_band_csv_reader_would_misread_writes_nothing(runs, corpus_dir):
+    (run,) = [run for run in runs if run.argv[:3] == ("masslaw", "--materials", "coverage-names.json")]
+    assert (run.code, run.stderr) == (2, "error: table name 'felt_coverage' may not end in '_coverage'\n")
+    assert not (corpus_dir / "coverage-names.csv").exists()
+    assert not (corpus_dir / "masslaw-coverage-names.json").exists()
+
+
 def test_usage_errors_exit_2_with_one_error_line(runs):
     usage_runs = [run for run in runs if run.argv in USAGE_ERRORS]
     assert len(usage_runs) == len(USAGE_ERRORS)

@@ -39,7 +39,7 @@ CONTAINERS = {
     "AcousticIndicators": (
         len(GRID),
         lambda arrays: AcousticIndicators(GRID, **arrays),
-        {"transmission": complex, "reflection": complex, "stl_db": float, "valid": bool},
+        {"transmission": complex, "reflection": complex, "stl_db": float},
     ),
     "ComplexSpectrum": (
         len(GRID),

@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import re
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from tubeloss import (
     AirProperties,
@@ -16,6 +18,7 @@ from tubeloss import (
     InputFormatError,
     LayerModel,
     SynthScenario,
+    TubelossError,
     TubeGeometry,
     band_from_nominal,
     synth_mic_pressures,
@@ -635,6 +638,31 @@ def band_csv_bytes(draw):
     return ending.join(lines).encode("utf-8", "surrogatepass") + tail
 
 
+# name fragments: any character, surrogates included, and the texts the format gives a meaning
+TABLE_NAMES = st.lists(
+    st.one_of(
+        st.text(st.characters(exclude_categories=()), max_size=4),
+        st.sampled_from(("felt", "_coverage", "band_nominal_hz", ",", "\n", "\r", "\udc80")),
+    ),
+    max_size=3,
+).map("".join)
+BAND_TABLE_VALUES = st.one_of(
+    st.floats(), st.sampled_from((math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308, -0.0))
+)
+
+
+@st.composite
+def band_tables(draw):
+    """Tables on one run of third-octave bands, with any names and any float values."""
+    all_bands = third_octave_bands(100.0, 5000.0)
+    first = draw(st.integers(0, len(all_bands) - 1))
+    bands = all_bands[first : first + draw(st.integers(1, 4))]
+    names = draw(st.lists(TABLE_NAMES, min_size=1, max_size=4, unique=True))
+    row = st.lists(BAND_TABLE_VALUES, min_size=len(bands), max_size=len(bands))
+    coverage = st.lists(st.floats(0.0, 1.0), min_size=len(bands), max_size=len(bands))
+    return {name: BandTable(bands, np.array(draw(row)), np.array(draw(coverage))) for name in names}
+
+
 class TestBandCsv:
     def make_table(self):
         bands = third_octave_bands(100.0, 5000.0)
@@ -732,6 +760,26 @@ class TestBandCsv:
             event("read")
             assert tables and all(isinstance(table, BandTable) for table in tables.values())
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(tables=band_tables())
+    def test_what_the_writer_writes_the_reader_reads_bit_for_bit(self, drawn_dir, tables):
+        with tempfile.TemporaryDirectory(dir=drawn_dir) as directory:
+            path = os.path.join(directory, "tables.csv")
+            try:
+                write_band_csv(path, tables)
+            except ValueError as exc:
+                event(type(exc).__name__ + ": " + re.sub(r"'.*' ", "", str(exc), flags=re.S))
+                assert not list(os.scandir(directory))
+                return
+            event("read")
+            back = read_band_csv(path)
+        assert list(back) == list(tables)
+        for name, table in tables.items():
+            assert back[name].same_bands(table)
+            nan = np.isnan(table.values)
+            np.testing.assert_array_equal(np.isnan(back[name].values), nan)
+            assert back[name].values[~nan].tobytes() == table.values[~nan].tobytes()
+            assert back[name].coverage.tobytes() == table.coverage.tobytes()
 
     @pytest.mark.parametrize(
         "text, message",
@@ -748,7 +796,67 @@ class TestBandCsv:
         with pytest.raises(InputFormatError, match=rf"bad\.csv: table 'L_r0': {message}$"):
             read_band_csv(path)
 
+
+RECORD_KEYS = (
+    "kind", "surface_density", "thickness", "t11", "t12", "t21", "t22", "passive_symmetric",
+    "name", "thickness_mm", "bulk_density",
+)
+# a record of each layer kind and a material, each read as given
+GOOD_RECORDS = (
+    {"kind": "limp-mass", "surface_density": 1.135},
+    {"kind": "air-gap", "thickness": 0.05},
+    {"kind": "identity"},
+    {
+        "kind": "matrix", "t11": [1, 0], "t12": [0, 50], "t21": [0, 0], "t22": [1, 0],
+        "passive_symmetric": True, "thickness": 0.02,
+    },
+    {"name": "sheet", "thickness_mm": 0.89, "surface_density": 1.135, "bulk_density": 1275.3},
+)
+# JSON values, and numbers at and past the ends of the float range
+RECORD_VALUES = st.one_of(
+    JSON_VALUES,
+    st.sampled_from(("limp-mass", "air-gap", "identity", "matrix")),
+    st.sampled_from((10**400, -(10**400), 2**1024, 1.7e308, -1.7e308, 5e-324, math.inf, math.nan)),
+)
+ENTRY_VALUES = st.one_of(st.lists(RECORD_VALUES, min_size=2, max_size=2), RECORD_VALUES)
+
+
+@st.composite
+def json_list_texts(draw):
+    """JSON text of a list of records: good layer and material records with keys dropped or redrawn."""
+    records = []
+    for _ in range(draw(st.integers(1, 3))):
+        if not draw(st.integers(0, 9)):
+            records.append(draw(RECORD_VALUES))
+            continue
+        record = dict(draw(st.sampled_from(GOOD_RECORDS)))
+        for key in draw(st.lists(st.sampled_from(RECORD_KEYS), unique=True, max_size=3)):
+            if draw(st.integers(0, 4)):
+                record[key] = draw(ENTRY_VALUES if key in ("t11", "t12", "t21", "t22") else RECORD_VALUES)
+            else:
+                record.pop(key, None)
+        records.append(record)
+    return json.dumps(records)
+
+
 class TestStackAndMaterials:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(text=json_list_texts())
+    @example(text='[{"kind": "limp-mass", "surface_density": 1' + "0" * 400 + "}]")
+    @example(text="[" * 100_000 + "]" * 100_000)
+    def test_only_tubeloss_errors_escape(self, drawn_dir, text):
+        path = drawn_dir / "records.json"
+        path.write_text(text)
+        for loader in (load_stack, load_materials):
+            try:
+                loader(path)
+            except TubelossError as exc:
+                # the share of each outcome shows with pytest --hypothesis-show-statistics
+                message = re.sub(r"'[^']*'|-?\d[\w.+-]*", "_", str(exc).split(": ", 1)[1])
+                event(f"{loader.__name__}: {message[:60]}")
+            else:
+                event(f"{loader.__name__}: read")
+
     def test_stack_loads(self, tmp_path):
         path = tmp_path / "stack.json"
         path.write_text(

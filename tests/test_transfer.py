@@ -1,10 +1,13 @@
 import cmath
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from tubeloss import (
+    AcousticIndicators,
     AnechoicQualityWarning,
     FrequencyGrid,
     LayerModel,
@@ -17,12 +20,10 @@ from tubeloss import (
     identity_matrix,
     limp_mass_matrix,
     reconstruct_one_load,
-    reflection_coefficient_anechoic,
     rigid_backing_reflection,
     stl,
     stl_direct_anechoic,
     surface_impedance_anechoic,
-    transmission_coefficient,
     wavenumber,
 )
 
@@ -207,13 +208,13 @@ class TestTransferMatrix:
 class TestTransmission:
     def test_identity_no_sample(self):
         grid = FrequencyGrid([1000.0])
-        t = transmission_coefficient(identity_matrix(grid), grid.wavenumbers(AIR), 0.0, AIR)
+        t = acoustic_indicators(identity_matrix(grid), 0.0, AIR).transmission
         assert t[0] == pytest.approx(1.0)
 
     def test_limp_mass_closed_form(self):
         grid = FrequencyGrid([1000.0])
         matrix = limp_mass_matrix(grid, 1.135)
-        t = transmission_coefficient(matrix, grid.wavenumbers(AIR), 0.0, AIR)
+        t = acoustic_indicators(matrix, 0.0, AIR).transmission
         loss = stl(t)
         oracle = limp_mass_stl_oracle(1000.0, 1.135)
         assert loss[0] == pytest.approx(float(oracle), abs=1e-9)
@@ -225,21 +226,21 @@ class TestTransmission:
         grid = FrequencyGrid.from_range(100.0, 4000.0, 100.0)
         d = 0.037
         matrix = air_gap_matrix(grid, d, AIR)
-        t = transmission_coefficient(matrix, grid.wavenumbers(AIR), d, AIR)
+        t = acoustic_indicators(matrix, d, AIR).transmission
         assert np.all(np.abs(np.abs(t) - 1.0) < 1e-12)
 
 
 class TestReflection:
     def test_identity_no_discontinuity(self):
         grid = FrequencyGrid([1000.0])
-        r = reflection_coefficient_anechoic(identity_matrix(grid), AIR)
+        r = acoustic_indicators(identity_matrix(grid), 0.0, AIR).reflection
         assert abs(r[0]) <= 1e-15
 
     def test_limp_mass_energy_identity(self):
         grid = FrequencyGrid.from_range(100.0, 2000.0, 50.0)
         matrix = limp_mass_matrix(grid, 0.644)
-        t = transmission_coefficient(matrix, grid.wavenumbers(AIR), 0.0, AIR)
-        r = reflection_coefficient_anechoic(matrix, AIR)
+        indicators = acoustic_indicators(matrix, 0.0, AIR)
+        t, r = indicators.transmission, indicators.reflection
         assert np.all(np.abs(np.abs(r) ** 2 + np.abs(t) ** 2 - 1.0) < 1e-12)
 
     def test_lossy_sample_dissipates(self):
@@ -253,8 +254,8 @@ class TestReflection:
             np.zeros(n, dtype=complex),
             np.ones(n, dtype=complex),
         )
-        t = transmission_coefficient(matrix, grid.wavenumbers(AIR), 0.0, AIR)
-        r = reflection_coefficient_anechoic(matrix, AIR)
+        indicators = acoustic_indicators(matrix, 0.0, AIR)
+        t, r = indicators.transmission, indicators.reflection
         energy = np.abs(r) ** 2 + np.abs(t) ** 2
         assert np.all(energy < 1.0)
 
@@ -263,8 +264,8 @@ class TestReflection:
         grid = FrequencyGrid.from_range(100.0, 3000.0, 290.0)
         for _ in range(100):
             matrix, thickness = passive_cascade_factory(rng, grid)
-            t = transmission_coefficient(matrix, grid.wavenumbers(AIR), thickness, AIR)
-            r = reflection_coefficient_anechoic(matrix, AIR)
+            indicators = acoustic_indicators(matrix, thickness, AIR)
+            t, r = indicators.transmission, indicators.reflection
             energy = np.abs(r) ** 2 + np.abs(t) ** 2
             assert np.all(energy <= 1.0 + 1e-9)
 
@@ -295,7 +296,7 @@ class TestSurfaceImpedance:
             limp_mass_matrix(grid, 0.224) @ air_gap_matrix(grid, 0.005, AIR) @ limp_mass_matrix(grid, 1.135),
         ):
             direct = (matrix.t11 + matrix.t12 / Z0) / (matrix.t21 + matrix.t22 / Z0)
-            r = reflection_coefficient_anechoic(matrix, AIR)
+            r = acoustic_indicators(matrix, 0.0, AIR).reflection
             via_r = surface_impedance_anechoic(r, AIR)
             assert np.all(np.abs(direct - via_r) <= 1e-9 * np.abs(direct))
 
@@ -303,7 +304,7 @@ class TestSurfaceImpedance:
         # Z from R equals P/V at the front face of the matching synthetic field.
         grid = FrequencyGrid.from_range(200.0, 1800.0, 200.0)
         matrix = limp_mass_matrix(grid, 1.135)
-        r = reflection_coefficient_anechoic(matrix, AIR)
+        r = acoustic_indicators(matrix, 0.0, AIR).reflection
         z = surface_impedance_anechoic(r, AIR)
         p0 = 1.0 + r
         v0 = (1.0 - r) / Z0
@@ -363,14 +364,13 @@ class TestStlDirect:
         # matrix route and direct route agree on clean anechoic fields
         grid = FrequencyGrid.from_range(100.0, 2000.0, 10.0)
         sample = limp_mass_matrix(grid, 1.135)
-        k = grid.wavenumbers(AIR)
         d = GEOMETRY.sample_thickness
-        t_sample = transmission_coefficient(sample, k, d, AIR)
-        r_sample = reflection_coefficient_anechoic(sample, AIR)
+        indicators = acoustic_indicators(sample, d, AIR)
+        t_sample, r_sample = indicators.transmission, indicators.reflection
         spectra = four_mic_spectra(grid, GEOMETRY, 1.0, r_sample, t_sample, 0.0)
         amps = decompose_four_mic(*spectra, geometry=GEOMETRY, air=AIR)
         matrix = reconstruct_one_load(grid, *boundary_states(amps, d, AIR))
-        matrix_route = stl(transmission_coefficient(matrix, k, d, AIR))
+        matrix_route = stl(acoustic_indicators(matrix, d, AIR).transmission)
         direct_route = stl_direct_anechoic(amps)
         ok = matrix.valid
         assert np.all(np.abs(matrix_route[ok] - direct_route[ok]) < 1e-6)
@@ -387,6 +387,39 @@ class TestIndicatorsBundle:
         assert ind.valid.tolist() == [True, False]
         assert np.isnan(ind.stl_db[1])
         assert np.isnan(ind.transmission[1].real)
+
+    def test_validity_is_not_a_field(self):
+        grid = FrequencyGrid([1000.0])
+        one = np.ones(1, dtype=complex)
+        with pytest.raises(TypeError):
+            AcousticIndicators(grid, one, one, np.zeros(1), valid=np.array([True]))
+
+    # finite, infinite, NaN, overflowing and subnormal entries
+    ODD_ENTRIES = (
+        0.0, 1.0, 0.5 + 0.5j, 200j, 3.3e-320, -5e-324j,
+        1.7e308, -1.7e308, 1.7e308j, np.inf, complex(0.0, -np.inf), np.nan,
+    )
+
+    @pytest.mark.parametrize("thickness", [0.0, 0.02])
+    @pytest.mark.parametrize("case", ["subnormal-t12", "every-combination"])
+    def test_a_dropped_bin_is_nan_in_every_indicator(self, case, thickness):
+        if case == "subnormal-t12":
+            # a subnormal denominator: 2 / den overflows while R = 1
+            entries = np.array([[0.0], [3.3e-320], [0.0], [0.0]], dtype=complex)
+        else:
+            # 12^4 bins, one for each choice of the four entries
+            entries = np.array(list(itertools.product(self.ODD_ENTRIES, repeat=4)), dtype=complex).T
+        grid = FrequencyGrid(np.arange(1.0, entries.shape[1] + 1.0))
+        matrix = TransferMatrix(grid, *entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ind = acoustic_indicators(matrix, thickness, AIR)
+        dropped = ~ind.valid
+        assert dropped.any() and (len(grid) == 1 or not dropped.all())
+        for values in (ind.transmission, ind.reflection):
+            np.testing.assert_array_equal(np.isnan(values.real), dropped)
+            np.testing.assert_array_equal(np.isnan(values.imag), dropped)
+        np.testing.assert_array_equal(np.isnan(ind.stl_db), dropped)
 
 
 def reference_indicators(matrix, thickness, air):
