@@ -177,7 +177,9 @@ def band_average(
     coverage = np.zeros(len(bands))
     # A band of +inf losses (nothing transmitted) averages to log10(0) = -inf
     # in power mode, so its value is +inf by design, not a divide error.
-    with np.errstate(divide="ignore"):
+    # 10^(-L/10) overflows below about L = -3083 dB; such a band is averaged
+    # again relative to its lowest value, which keeps it finite.
+    with np.errstate(divide="ignore", over="ignore"):
         for i, (start, stop) in enumerate(zip(lo.tolist(), hi.tolist())):
             if stop == start:
                 continue
@@ -189,6 +191,8 @@ def band_average(
             use = values[start:stop] if n_use == stop - start else values[start:stop][kept]
             if mode == "power":
                 out[i] = -10.0 * np.log10(np.mean(10.0 ** (-use / 10.0)))
+                if out[i] == -np.inf and np.isfinite(low := use.min()):
+                    out[i] = low - 10.0 * np.log10(np.mean(10.0 ** (-(use - low) / 10.0)))
             else:
                 out[i] = float(np.mean(use))
     return BandTable(bands, out, coverage)
@@ -224,7 +228,7 @@ def average_repetitions(runs, mode: str = "db") -> tuple[np.ndarray, np.ndarray]
     counts = finite.sum(axis=0)
 
     db_mean = np.full(runs.shape[1], np.nan)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         np.divide(
             np.where(finite, runs, 0.0).sum(axis=0), counts, out=db_mean, where=counts > 0
         )
@@ -235,6 +239,13 @@ def average_repetitions(runs, mode: str = "db") -> tuple[np.ndarray, np.ndarray]
             lin_mean = np.full(runs.shape[1], np.nan)
             np.divide(linear, counts, out=lin_mean, where=counts > 0)
             mean = -10.0 * np.log10(lin_mean)
+            # 10^(-L/10) overflows below about L = -3083 dB; such a bin is averaged
+            # again relative to its lowest value, which keeps it finite
+            overflowed = mean == -np.inf
+            if overflowed.any():
+                low = np.where(finite, runs, np.inf).min(axis=0)
+                shifted = np.where(finite, 10.0 ** (-(runs - low) / 10.0), 0.0).sum(axis=0)
+                mean[overflowed] = (low - 10.0 * np.log10(shifted / counts))[overflowed]
 
         dev2 = np.where(finite, (runs - db_mean) ** 2, 0.0).sum(axis=0)
         spread = np.full(runs.shape[1], np.nan)

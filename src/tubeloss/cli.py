@@ -163,9 +163,9 @@ def _cmd_stl(args) -> dict:
                 )
 
     mean_stl, spread_stl = average_repetitions(np.array(runs), mode=args.rep_mode)
-    if not np.any(np.isfinite(mean_stl)):
-        raise AllBinsInvalidError("no valid frequency bin in any input (all bins singular)")
     valid = np.isfinite(mean_stl)
+    if not valid.any():
+        raise AllBinsInvalidError("no valid frequency bin in any input (all bins singular)")
 
     cutoff = plane_wave_cutoff(geometry, air)
     above = grid.frequencies > cutoff
@@ -380,6 +380,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# every character str.splitlines() breaks a line at, mapped to its escape as repr() writes it
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
+def _print_line(kind: str, message) -> None:
+    """Print ``kind: message`` to stderr as one line, whatever the message holds."""
+    print(f"{kind}: {str(message).translate(_LINE_BREAKS)}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -387,15 +396,15 @@ def main(argv=None) -> int:
             warnings.simplefilter("always")
             report = args.func(args)
         for w in caught:
-            print(f"warning: {w.message}", file=sys.stderr)
+            _print_line("warning", w.message)
         if report is not None:
             report["warnings"] = [str(w.message) for w in caught]
             write_report(args.output, report)
     except NumericalValidityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_line("error", exc)
         return 3
     except (TubelossError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_line("error", exc)
         return 2
     return 0
 

@@ -36,10 +36,10 @@ class AirProperties:
     relative_humidity: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.density > 0.0:
-            raise ValueError(f"air density must be positive, got {self.density}")
-        if not self.sound_speed > 0.0:
-            raise ValueError(f"sound speed must be positive, got {self.sound_speed}")
+        if not 0.0 < self.density < math.inf:
+            raise ValueError(f"air density must be positive and finite, got {self.density}")
+        if not 0.0 < self.sound_speed < math.inf:
+            raise ValueError(f"sound speed must be positive and finite, got {self.sound_speed}")
 
     @property
     def impedance(self) -> float:
@@ -69,16 +69,18 @@ class TubeGeometry:
         pos = tuple(float(x) for x in self.mic_positions)
         if len(pos) != 4:
             raise ValueError("exactly four microphone positions are required")
+        if not all(map(math.isfinite, pos)):
+            raise ValueError(f"microphone positions must be finite, got {pos}")
         object.__setattr__(self, "mic_positions", pos)
         x1, x2, x3, x4 = pos
         if not x1 < x2:
             raise ValueError(f"upstream pair must satisfy x1 < x2, got {x1}, {x2}")
         if not x3 < x4:
             raise ValueError(f"downstream pair must satisfy x3 < x4, got {x3}, {x4}")
-        if not self.sample_thickness > 0.0:
-            raise ValueError("sample thickness must be positive")
-        if not self.tube_diameter > 0.0:
-            raise ValueError("tube diameter must be positive")
+        if not 0.0 < self.sample_thickness < math.inf:
+            raise ValueError("sample thickness must be positive and finite")
+        if not 0.0 < self.tube_diameter < math.inf:
+            raise ValueError("tube diameter must be positive and finite")
 
     @property
     def upstream_spacing(self) -> float:

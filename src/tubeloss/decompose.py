@@ -32,7 +32,7 @@ def decompose_pair(
     x_a: float,
     x_b: float,
     k: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Recover (forward, backward) wave amplitudes from one microphone pair.
 
     Parameters
@@ -47,10 +47,14 @@ def decompose_pair(
     Returns
     -------
     forward, backward : ndarray
-        Complex amplitudes per frequency, NaN at singular bins.
-    singular : ndarray
-        Boolean mask of the excluded bins, where
-        ``|sin k (x_a - x_b)| < SINGULARITY_TOLERANCE``.
+        Complex amplitudes per frequency, NaN exactly at the singular bins,
+        where ``|sin k (x_a - x_b)| < SINGULARITY_TOLERANCE``: that NaN is
+        the one record of a dropped bin.
+
+    Raises
+    ------
+    ValueError
+        If an amplitude is not finite at a retained bin.
     """
     if x_a == x_b:
         raise ValueError("microphone positions must differ")
@@ -62,12 +66,15 @@ def decompose_pair(
     s = np.sin(k * (x_a - x_b))
     singular = np.abs(s) < SINGULARITY_TOLERANCE
     den = 2.0 * s
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # an overflow leaves a retained amplitude non-finite, which the check below rejects
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         forward = 1j * (p_a.values * np.exp(1j * k * x_b) - p_b.values * np.exp(1j * k * x_a)) / den
         backward = 1j * (p_b.values * np.exp(-1j * k * x_a) - p_a.values * np.exp(-1j * k * x_b)) / den
-    forward = np.where(singular, _NAN, forward)
-    backward = np.where(singular, _NAN, backward)
-    return forward, backward, singular
+    forward[singular] = _NAN
+    backward[singular] = _NAN
+    if not ((np.isfinite(forward) & np.isfinite(backward)) | singular).all():
+        raise ValueError("amplitudes must be finite at every retained frequency")
+    return forward, backward
 
 
 @dataclass(frozen=True)
@@ -75,8 +82,9 @@ class PlaneWaveAmplitudes(PerBinArrays):
     """Forward/backward amplitudes on both sides of the sample, in Pa.
 
     ``a``/``b`` travel toward/away from the sample on the source side,
-    ``c``/``d`` away from/toward it on the termination side. Singular bins
-    carry NaN and are listed in the per-pair masks.
+    ``c``/``d`` away from/toward it on the termination side. A bin a
+    microphone pair dropped is NaN in that pair's two arrays; the per-pair
+    masks are derived from those NaNs, not stored.
     """
 
     grid: FrequencyGrid
@@ -84,23 +92,18 @@ class PlaneWaveAmplitudes(PerBinArrays):
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
-    upstream_singular: np.ndarray
-    downstream_singular: np.ndarray
 
-    _per_bin = {
-        "a": complex, "b": complex, "c": complex, "d": complex,
-        "upstream_singular": bool, "downstream_singular": bool,
-    }
+    _per_bin = {"a": complex, "b": complex, "c": complex, "d": complex}
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not (
-            np.all(np.isfinite(self.a[~self.upstream_singular]))
-            and np.all(np.isfinite(self.b[~self.upstream_singular]))
-            and np.all(np.isfinite(self.c[~self.downstream_singular]))
-            and np.all(np.isfinite(self.d[~self.downstream_singular]))
-        ):
-            raise ValueError("amplitudes must be finite at every retained frequency")
+    @property
+    def upstream_singular(self) -> np.ndarray:
+        """Bins the upstream pair dropped: ``a`` or ``b`` is not finite."""
+        return ~(np.isfinite(self.a) & np.isfinite(self.b))
+
+    @property
+    def downstream_singular(self) -> np.ndarray:
+        """Bins the downstream pair dropped: ``c`` or ``d`` is not finite."""
+        return ~(np.isfinite(self.c) & np.isfinite(self.d))
 
     @property
     def valid(self) -> np.ndarray:
@@ -138,21 +141,13 @@ def decompose_four_mic(
     Returns
     -------
     PlaneWaveAmplitudes
-        Amplitudes with per-pair singularity records.
+        Amplitudes, NaN in a pair's two arrays at each bin that pair dropped.
     """
     grid = p1.grid
     for name, spectrum in (("p2", p2), ("p3", p3), ("p4", p4)):
         grid.require_matches(spectrum.grid, f"decompose_four_mic({name})")
     x1, x2, x3, x4 = geometry.mic_positions
     k = grid.wavenumbers(air)
-    a, b, upstream_singular = _frozen(*decompose_pair(p1, p2, x1, x2, k))
-    c, d, downstream_singular = _frozen(*decompose_pair(p3, p4, x3, x4, k))
-    return PlaneWaveAmplitudes(
-        grid=grid,
-        a=a,
-        b=b,
-        c=c,
-        d=d,
-        upstream_singular=upstream_singular,
-        downstream_singular=downstream_singular,
-    )
+    a, b = decompose_pair(p1, p2, x1, x2, k)
+    c, d = decompose_pair(p3, p4, x3, x4, k)
+    return PlaneWaveAmplitudes(grid, *_frozen(a, b, c, d))

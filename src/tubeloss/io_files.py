@@ -511,6 +511,8 @@ def _load_json_list(path, what: str) -> list:
             data = json.load(handle)
     except InputFormatError:
         raise
+    except OSError:
+        raise InputFormatError(f"{what} file not found or unreadable", path=path) from None
     except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep
         raise InputFormatError(f"invalid JSON: {exc}", path=path) from exc
     if not isinstance(data, list) or not data:
@@ -605,9 +607,8 @@ def load_scenario(path, geometry: TubeGeometry, air: AirProperties) -> tuple[Syn
             layers = (LayerModel.identity(),)
         elif sample_kind == "stack":
             stack_path = section["stack_file"]
-            if not os.path.isabs(stack_path):
-                stack_path = os.path.join(os.path.dirname(os.path.abspath(os.fspath(path))), stack_path)
-            layers = load_stack(stack_path)
+            # from the scenario's directory, kept relative, so a message names it as the user did
+            layers = load_stack(os.path.join(os.path.dirname(os.fspath(path)), stack_path))
         else:
             raise InputFormatError(f"unknown sample kind '{sample_kind}'", path=path)
 

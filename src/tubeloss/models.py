@@ -97,10 +97,12 @@ def air_gap_matrix(grid: FrequencyGrid, thickness: float, air: AirProperties = D
     """
     if thickness < 0.0:
         raise ValueError("gap thickness must be non-negative")
-    k_l = grid.wavenumbers(air) * thickness
     z = air.impedance
-    cos = np.cos(k_l).astype(complex)
-    sin = np.sin(k_l)
+    # a thickness so large that k L overflows leaves NaN entries; the indicators drop those bins
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_l = grid.wavenumbers(air) * thickness
+        cos = np.cos(k_l).astype(complex)
+        sin = np.sin(k_l)
     return TransferMatrix(grid, *_frozen(cos, 1j * z * sin, 1j * sin / z, cos))
 
 

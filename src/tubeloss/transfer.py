@@ -216,10 +216,17 @@ def rigid_backing_reflection(matrix: TransferMatrix, air: AirProperties) -> np.n
 def stl(transmission: np.ndarray) -> np.ndarray:
     """Sound transmission loss 10 log10(1/|T|^2) in dB.
 
-    Zero transmission yields +inf, not an error; NaN marks invalid bins.
+    Zero transmission yields +inf, not an error; NaN marks invalid bins. A
+    finite |T| above about 1.3e154, where |T|^2 overflows, gets the finite
+    -20 log10 |T|.
     """
+    magnitude = np.abs(np.asarray(transmission, dtype=complex))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return -10.0 * np.log10(np.abs(np.asarray(transmission, dtype=complex)) ** 2)
+        out = -10.0 * np.log10(magnitude ** 2)
+        overflowed = out == -np.inf
+        if overflowed.any():
+            out = np.where(overflowed, -20.0 * np.log10(magnitude), out)
+    return out
 
 
 def anechoic_quality(amplitudes: PlaneWaveAmplitudes) -> np.ndarray:
@@ -248,9 +255,9 @@ def stl_direct_anechoic(
             AnechoicQualityWarning,
             stacklevel=2,
         )
+    # a dropped bin is NaN in a or c, so it is NaN here too
     with np.errstate(divide="ignore", invalid="ignore"):
         out = 20.0 * np.log10(np.abs(amplitudes.a) / np.abs(amplitudes.c))
-    out = np.where(amplitudes.valid, out, np.nan)
     return np.where(np.abs(amplitudes.a) == 0.0, np.nan, out)
 
 

@@ -106,6 +106,8 @@ INPUTS = {
     "singular.ini": _SCENARIO.format(
         surface_density=1e308, termination="anechoic", snr_db="off", f_max=2000, f_step=10
     ),
+    # a stack sample whose stack file is missing
+    "missing-stack.ini": "[scenario]\nsample = stack\nstack_file = missing.json\n",
     # a regular grid past the bin cap
     "tiny-step.ini": _SCENARIO.format(
         surface_density=1.135, termination="anechoic", snr_db="off", f_max=2000, f_step="1e-12"
@@ -168,6 +170,15 @@ INPUTS = {
         ]
     ),
     "bad-layer.json": "[1]",
+    # k L overflows at every bin, so every entry of the gap's matrix is NaN
+    "long-gap.json": json.dumps([{"kind": "air-gap", "thickness": 1e308}]),
+    # t12 = 1e-200 and nothing else: |T| is about 8e202, so |T|^2 overflows while T is finite
+    "huge-transmission.json": json.dumps(
+        [{"kind": "matrix", "t11": [0, 0], "t12": [1e-200, 0], "t21": [0, 0], "t22": [0, 0]}]
+    ),
+    # a line break in a layer kind and in a material name, each quoted in a message
+    "newline-kind.json": json.dumps([{"kind": "a\nb"}]),
+    "newline-name.json": json.dumps([{"name": "a\nb", "thickness_mm": 0.01, "surface_density": 0.01}]),
     # t12 = 3.3e-320 and nothing else: a subnormal anechoic denominator, where 2 / den overflows
     "subnormal.json": json.dumps(
         [{"kind": "matrix", "t11": [0, 0], "t12": [3.3e-320, 0], "t21": [0, 0], "t22": [0, 0]}]
@@ -223,6 +234,7 @@ RUNS: tuple[tuple[str, ...], ...] = (
     ("synth", "singular.ini", "--config", "tube.ini", "--output", "singular.csv"),
     ("synth", "limp.ini", "--output", "no-config.csv"),
     ("synth", "tiny-step.ini", "--config", "tube.ini", "--output", "tiny-step.csv"),
+    ("synth", "missing-stack.ini", "--config", "tube.ini", "--output", "missing-stack.csv"),
     ("stl", "run1.csv", "--config", "tube.ini", "--f-max", "2000"),
     *(
         _STL3
@@ -257,6 +269,8 @@ RUNS: tuple[tuple[str, ...], ...] = (
     ),
     ("masslaw", "--materials", "materials.json", "--f-max", "inf"),
     ("masslaw", "--materials", "huge-thickness.json"),
+    ("masslaw", "--materials", "newline-name.json", "--output", "masslaw-newline-name.json"),
+    ("masslaw", "--materials", "newline-name.json", "--band-csv", "newline-name.csv"),
     ("masslaw", "--materials", "deep.json"),
     ("masslaw", "--materials", "coverage-names.json", "--band-csv", "coverage-names.csv")
     + ("--output", "masslaw-coverage-names.json"),
@@ -279,7 +293,11 @@ RUNS: tuple[tuple[str, ...], ...] = (
     ("stack", "--stack", "opaque.json", "--f-max", "1000", "--output", "stack-opaque.json"),
     ("stack", "--stack", "overflow.json", "--f-max", "1000", "--output", "stack-overflow.json"),
     ("stack", "--stack", "subnormal.json", "--f-max", "1000", "--output", "stack-subnormal.json"),
+    ("stack", "--stack", "long-gap.json", "--f-max", "1000", "--output", "stack-long-gap.json"),
+    ("stack", "--stack", "huge-transmission.json", "--f-max", "1000")
+    + ("--output", "stack-huge-transmission.json"),
     ("stack", "--stack", "bad-layer.json"),
+    ("stack", "--stack", "newline-kind.json"),
     *(("stack", "--stack", name) for name in ("huge-layer.json", "huge-entry.json", "digits.json", "deep.json")),
     ("stack", "--stack", "layers.json", "--f-max", "inf"),
     ("stack", "--stack", "layers.json", "--f-step", "1e-12"),

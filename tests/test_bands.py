@@ -121,6 +121,13 @@ class TestBandAverage:
         table = band_average(grid, np.array([10.0, np.inf]), [band], mode="power")
         assert table.values[0] == pytest.approx(-10.0 * math.log10(0.05), rel=1e-12)
 
+    def test_power_mode_keeps_a_band_finite_where_the_power_sum_overflows(self):
+        # 10^(4010/10) overflows; relative to the lowest value the mean is 10 log10((1 + 0.1) / 2) lower
+        band = band_from_nominal(1000.0)
+        grid = FrequencyGrid([950.0, 1000.0, 1050.0])
+        table = band_average(grid, np.array([-4000.0, -4010.0, np.nan]), [band], mode="power")
+        assert table.values[0] == pytest.approx(-4010.0 - 10.0 * math.log10(0.55), rel=1e-12)
+
     def test_unknown_mode_rejected(self):
         grid = FrequencyGrid([950.0])
         with pytest.raises(ValueError):
@@ -220,6 +227,13 @@ class TestAverageRepetitions:
         mean_power, _ = average_repetitions(runs, mode="power")
         assert mean_db[0] == pytest.approx(10.0)
         assert mean_power[0] == pytest.approx(-10.0 * math.log10(0.505), rel=1e-12)
+
+    def test_power_mode_keeps_a_bin_finite_where_the_power_sum_overflows(self):
+        runs = np.array([[-4000.0, 0.0, np.nan], [-4010.0, 20.0, np.nan]])
+        mean, _ = average_repetitions(runs, mode="power")
+        assert mean[0] == pytest.approx(-4010.0 - 10.0 * math.log10(0.55), rel=1e-12)
+        # the other bins keep the bits they get on their own
+        assert mean[1:].tobytes() == average_repetitions(runs[:, 1:], mode="power")[0].tobytes()
 
     def test_missing_bins_excluded(self):
         mean, spread = average_repetitions(np.array([[10.0, np.nan], [20.0, np.nan]]))

@@ -244,6 +244,39 @@ class TestSynthAndStl:
         assert narrowband["stl_direct_db"][at_1000] is None
         assert narrowband["stl_db"][at_1000] is None
 
+    def test_a_non_finite_config_value_names_the_config(self, tmp_path, config, limp_scenario, capsys):
+        spectra_path = tmp_path / "spectra.csv"
+        run_cli("synth", limp_scenario, "--config", config, "--output", str(spectra_path))
+        infinite = tmp_path / "infinite.ini"
+        infinite.write_text(CONFIG_TEXT.replace("density = 1.204", "density = inf"))
+        capsys.readouterr()
+        assert run_cli("stl", str(spectra_path), "--config", str(infinite)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {infinite}: bad config: air density must be positive and finite, got inf\n"
+        )
+
+    def test_a_non_finite_header_value_names_the_file(self, tmp_path, config, limp_scenario, capsys):
+        spectra_path = tmp_path / "spectra.csv"
+        run_cli("synth", limp_scenario, "--config", config, "--output", str(spectra_path))
+        text = spectra_path.read_text()
+        spectra_path.write_text(text.replace("# air_density_kg_m3 = 1.204", "# air_density_kg_m3 = inf"))
+        capsys.readouterr()
+        assert run_cli("stl", str(spectra_path), "--config", config) == 2
+        assert capsys.readouterr().err == (
+            f"error: {spectra_path}: bad or missing header field: "
+            "air density must be positive and finite, got inf\n"
+        )
+
+    def test_overflowing_pressures_are_one_error_line(self, tmp_path, config, limp_scenario, capsys):
+        spectra_path = tmp_path / "spectra.csv"
+        run_cli("synth", limp_scenario, "--config", config, "--output", str(spectra_path))
+        lines = spectra_path.read_text().splitlines()
+        lines[8:] = [line.split(",")[0] + ",1.7e308,0,-1.7e308,0,1.7e308,0,-1.7e308,0" for line in lines[8:]]
+        spectra_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("stl", str(spectra_path), "--config", config) == 2
+        assert capsys.readouterr().err == "error: amplitudes must be finite at every retained frequency\n"
+
     def test_all_singular_exits_3(self, tmp_path):
         config = tmp_path / "tube.ini"
         config.write_text(
@@ -451,6 +484,17 @@ class TestStack:
         assert run_cli("stack", "--stack", str(stack)) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "bad layer #1: " in err[0]
+
+    def test_a_message_holding_line_breaks_is_one_error_line(self, tmp_path, capsys):
+        # every character str.splitlines() breaks a line at
+        kind = "a\nb\rc\r\nd\x0be\x0cf\x1cg\x1dh\x1ei\x85j\u2028k\u2029l"
+        stack = tmp_path / "stack.json"
+        stack.write_text(json.dumps([{"kind": kind}]))
+        assert run_cli("stack", "--stack", str(stack)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {stack}: bad layer #1: unknown kind "
+            "'a\\nb\\rc\\r\\nd\\x0be\\x0cf\\x1cg\\x1dh\\x1ei\\x85j\\u2028k\\u2029l'\n"
+        )
 
     def test_opaque_layer_keeps_numpy_warnings_out(self, tmp_path, capsys):
         stack = tmp_path / "stack.json"

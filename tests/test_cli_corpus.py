@@ -127,6 +127,41 @@ def test_a_subnormal_denominator_drops_its_bins_without_warnings(runs, corpus_di
     assert set(report["narrowband"]["stl_db"]) == set(report["bands"]["values_db"]) == {None}
 
 
+def test_an_air_gap_whose_phase_overflows_drops_its_bins_without_warnings(runs, corpus_dir):
+    (run,) = [run for run in runs if run.argv[:3] == ("stack", "--stack", "long-gap.json")]
+    assert (run.code, run.stderr) == (0, "")
+    report = json.loads((corpus_dir / "stack-long-gap.json").read_text())
+    assert report["warnings"] == []
+    assert set(report["narrowband"]["stl_db"]) == set(report["bands"]["values_db"]) == {None}
+
+
+def test_a_transmission_whose_square_overflows_reads_finite(runs, corpus_dir):
+    (run,) = [run for run in runs if run.argv[:3] == ("stack", "--stack", "huge-transmission.json")]
+    assert (run.code, run.stderr) == (0, "")
+    report = json.loads((corpus_dir / "stack-huge-transmission.json").read_text())
+    assert report["warnings"] == []
+    # T = 2 z / 1e-200 in every bin, so STL = -20 log10 |T| in every bin and band
+    assert set(report["narrowband"]["stl_db"]) == set(report["bands"]["values_db"]) == {-4058.34}
+
+
+def test_a_line_break_in_a_message_is_escaped(runs):
+    stderr = {run.argv: run.stderr for run in runs}
+    assert stderr["stack", "--stack", "newline-kind.json"] == (
+        "error: newline-kind.json: bad layer #1: unknown kind 'a\\nb'\n"
+    )
+    assert stderr["masslaw", "--materials", "newline-name.json", "--band-csv", "newline-name.csv"] == (
+        "error: table name 'a\\nb' may not contain commas or newlines\n"
+    )
+    warning = stderr["masslaw", "--materials", "newline-name.json", "--output", "masslaw-newline-name.json"]
+    assert warning.startswith("warning: a\\nb: mass-law prediction below validity (negative) in bands ")
+    assert warning.count("\n") == 1
+
+
+def test_a_missing_stack_file_names_it_as_the_scenario_does(runs):
+    (run,) = [run for run in runs if run.argv[:2] == ("synth", "missing-stack.ini")]
+    assert (run.code, run.stderr) == (2, "error: missing.json: stack file not found or unreadable\n")
+
+
 def test_a_table_name_the_band_csv_reader_would_misread_writes_nothing(runs, corpus_dir):
     (run,) = [run for run in runs if run.argv[:3] == ("masslaw", "--materials", "coverage-names.json")]
     assert (run.code, run.stderr) == (2, "error: table name 'felt_coverage' may not end in '_coverage'\n")

@@ -28,8 +28,7 @@ CONTAINERS = {
     "PlaneWaveAmplitudes": (
         len(GRID),
         lambda arrays: PlaneWaveAmplitudes(GRID, **arrays),
-        {"a": complex, "b": complex, "c": complex, "d": complex,
-         "upstream_singular": bool, "downstream_singular": bool},
+        {"a": complex, "b": complex, "c": complex, "d": complex},
     ),
     "TransferMatrix": (
         len(GRID),
@@ -58,10 +57,7 @@ def inputs(n: int, fields: dict) -> dict:
     """Finite per-bin arrays of each field's dtype, with entries x where 1 - x != x."""
     out = {}
     for name, dtype in fields.items():
-        if dtype is bool:
-            out[name] = np.zeros(n, dtype=bool)
-        else:
-            out[name] = np.full(n, 0.25, dtype=dtype) + (0.25j if dtype is complex else 0.0)
+        out[name] = np.full(n, 0.25, dtype=dtype) + (0.25j if dtype is complex else 0.0)
     return out
 
 
@@ -100,7 +96,7 @@ def test_stored_arrays_are_private_copies(name):
 
 
 # a dtype of the same kind that is not the field's own
-OTHER_DTYPE = {complex: np.complex64, float: np.float32, bool: np.int8}
+OTHER_DTYPE = {complex: np.complex64, float: np.float32}
 
 
 def locked(arrays: dict) -> dict:

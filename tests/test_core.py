@@ -102,6 +102,12 @@ class TestAirProperties:
         with pytest.raises(ValueError):
             AirProperties(sound_speed=-1.0)
 
+    @pytest.mark.parametrize("field", ["density", "sound_speed"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            AirProperties(**{field: value})
+
     def test_informational_fields_optional(self):
         air = AirProperties(temperature=23.7, relative_humidity=66.3)
         assert air.impedance == AIR.impedance
@@ -117,6 +123,21 @@ class TestTubeGeometry:
             TubeGeometry((-0.3, -0.2, 0.2, 0.3), 0.0, 0.1)
         with pytest.raises(ValueError):
             TubeGeometry((-0.3, -0.2, 0.2, 0.3), 0.001, 0.0)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ((-math.inf, -0.2, 0.2, 0.3), 0.001, 0.1),
+            ((-0.3, -0.2, 0.2, math.inf), 0.001, 0.1),
+            ((-0.3, math.nan, 0.2, 0.3), 0.001, 0.1),
+            ((-0.3, -0.2, 0.2, 0.3), math.inf, 0.1),
+            ((-0.3, -0.2, 0.2, 0.3), 0.001, math.inf),
+        ],
+        ids=["x1", "x4", "x2-nan", "thickness", "diameter"],
+    )
+    def test_non_finite_values_rejected(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            TubeGeometry(*args)
 
     def test_spacings(self):
         assert GEOMETRY.upstream_spacing == pytest.approx(0.08)

@@ -915,7 +915,89 @@ class TestStackAndMaterials:
             load_materials(path)
 
 
+# one file read as both a config and a scenario: each key's good value first, then others
+INI_SECTIONS = {
+    "air": {
+        "density": ("1.204", "inf", "-inf", "nan", "0", "1e400", "x", ""),
+        "sound_speed": ("343.2", "inf", "nan", "-1", "1e-320", ""),
+        "temperature": ("23.7", "nan", "x"),
+        "relative_humidity": ("66.3", "inf", "x"),
+    },
+    "tube": {
+        "mic_positions": (
+            "-0.33 -0.25 0.25 0.33", "-0.33, -0.25, 0.25, 0.33", "-inf -0.25 0.25 0.33",
+            "-0.33 -0.25 0.25 inf", "-0.33 nan 0.25 0.33", "-0.33 -0.25 0.25", "-0.25 -0.33 0.25 0.33", "",
+        ),
+        "sample_thickness": ("0.00089", "inf", "0", "nan", "x"),
+        "diameter": ("0.0998", "inf", "-1", "x"),
+    },
+    "scenario": {
+        "sample": ("limp-mass", "air-gap", "identity", "stack", "foam", ""),
+        "surface_density": ("1.135", "inf", "-1", "nan", "1e400", "x"),
+        "gap_thickness": ("0.05", "inf", "-1", "x"),
+        "stack_file": ("stack.json", "missing.json", ".", "", "scenario.ini", "sub/stack.json"),
+        "termination": ("anechoic", "0.2+0.1j", "0.2 + 0.1 j", "2", "nan", "infj", "x"),
+        "incident_amplitude": ("1.0", "1+1j", "nan", "x"),
+        "snr_db": ("off", "40", "none", "", "inf", "nan", "x"),
+        "seed": ("1200", "-1", "1.5", "9" * 5000, "x"),
+        "f_min": ("100", "0", "-1", "nan", "inf", "x"),
+        "f_max": ("2000", "50", "inf", "1e400", "x"),
+        "f_step": ("10", "1e-12", "0", "-1", "nan", "x"),
+    },
+}
+# lines put anywhere into a file: a stray section, a duplicate key, no '=', an interpolation
+INI_LINES = (
+    "[air]", "[extra]", "[DEFAULT]", "density = 2", "just words", "  continued", "% = 1",
+    "f_max = %(f_min)s", "seed = %", "# comment", "", "[unterminated",
+)
+
+
+@st.composite
+def ini_texts(draw):
+    """A good config and scenario in one INI file, with values redrawn and lines dropped or added."""
+    lines = []
+    for section, keys in INI_SECTIONS.items():
+        lines.append(f"[{section}]")
+        for key, values in keys.items():
+            value = draw(st.sampled_from(values)) if not draw(st.integers(0, 3)) else values[0]
+            lines.append(f"{key} = {value}")
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines)))
+        if draw(st.booleans()) and i < len(lines):
+            del lines[i]
+        else:
+            lines.insert(i, draw(st.sampled_from(INI_LINES)))
+    return "\n".join(lines) + "\n"
+
+
 class TestScenario:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(text=ini_texts())
+    @example(text="[scenario]\nsample = stack\nstack_file = missing.json\n")
+    def test_only_tubeloss_errors_escape(self, drawn_dir, text):
+        (drawn_dir / "stack.json").write_text(json.dumps([{"kind": "limp-mass", "surface_density": 0.5}]))
+        path = drawn_dir / "scenario.ini"
+        path.write_text(text)
+        loaders = (load_config, lambda path: load_scenario(path, GEOMETRY, AIR))
+        for name, loader in zip(("load_config", "load_scenario"), loaders):
+            try:
+                loader(path)
+            except TubelossError as exc:
+                # the share of each outcome shows with pytest --hypothesis-show-statistics
+                message = re.sub(r"'[^']*'|-?\d[\w.+-]*", "_", str(exc).split(": ", 1)[-1])
+                event(f"{name}: {message[:60]}")
+            else:
+                event(f"{name}: read")
+
+    def test_a_missing_stack_file_is_named_relative_to_the_scenario(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "runs").mkdir()
+        path = os.path.join("runs", "scenario.ini")
+        (tmp_path / path).write_text("[scenario]\nsample = stack\nstack_file = missing.json\n")
+        missing = os.path.join("runs", "missing.json")
+        with pytest.raises(InputFormatError, match=f"^{re.escape(missing)}: stack file not found or unreadable$"):
+            load_scenario(path, GEOMETRY, AIR)
+
     def test_load_limp_mass(self, tmp_path):
         path = tmp_path / "scenario.ini"
         path.write_text(

@@ -34,9 +34,8 @@ Z0 = AIR.impedance
 
 def make_amplitudes(grid, a, b, c, d):
     n = len(grid)
-    no = np.zeros(n, dtype=bool)
     full = lambda v: np.full(n, v, dtype=complex)
-    return PlaneWaveAmplitudes(grid, full(a), full(b), full(c), full(d), no, no)
+    return PlaneWaveAmplitudes(grid, full(a), full(b), full(c), full(d))
 
 
 class TestBoundaryStates:
@@ -344,6 +343,23 @@ class TestStl:
     def test_zero_transmission_marker(self):
         out = stl(np.array([0.0 + 0.0j]))
         assert np.isposinf(out[0])
+
+    def test_a_finite_transmission_whose_square_overflows_keeps_a_finite_loss(self):
+        t = np.array([1e160, 3e200j, 0.5 + 0.5j, 3e-200, 0.0, complex(np.inf, 0.0), complex(np.nan, np.nan)])
+        out = stl(t)
+        assert out[0] == pytest.approx(-3200.0, rel=1e-12)
+        assert out[1] == pytest.approx(-20.0 * math.log10(3e200), rel=1e-12)
+        # every other bin keeps the bits of 10 log10(1 / |T|^2)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            plain = -10.0 * np.log10(np.abs(t[2:]) ** 2)
+        assert out[2:].tobytes() == plain.tobytes()
+
+    def test_a_matrix_layer_with_a_tiny_t12_has_a_finite_loss(self):
+        grid = FrequencyGrid.from_range(100.0, 1000.0, 100.0)
+        layer = LayerModel.explicit(0.0, 1e-200, 0.0, 0.0)
+        loss = acoustic_indicators(layer.matrix_on(grid, AIR), 0.0, AIR).stl_db
+        # T = 2 / (t12 / z) = 2 z / 1e-200
+        assert np.allclose(loss, -20.0 * math.log10(2.0 * Z0 / 1e-200), rtol=1e-12, atol=0.0)
 
 
 class TestStlDirect:
