@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrequencyGrid, locked_array
+from .core import FrequencyGrid, _frozen, locked_array
 from .errors import BandMismatchError, NegativeInsertionLossWarning
 
 __all__ = [
@@ -24,6 +24,9 @@ __all__ = [
 # Renard-series mantissas of the nominal centers, scaled by 100 to stay exact
 # in binary floating point (1.25e2 -> 125 and so on).
 _NOMINAL_BASE_X100 = (100, 125, 160, 200, 250, 315, 400, 500, 630, 800)
+
+# a band's lower and upper edge over its center: a sixth of an octave each way
+_EDGE_RATIOS = (2.0 ** (-1.0 / 6.0), 2.0 ** (1.0 / 6.0))
 
 
 @dataclass(frozen=True, order=True)
@@ -50,11 +53,11 @@ class ThirdOctaveBand:
 
     @property
     def lower(self) -> float:
-        return self.center * 2.0 ** (-1.0 / 6.0)
+        return self.center * _EDGE_RATIOS[0]
 
     @property
     def upper(self) -> float:
-        return self.center * 2.0 ** (1.0 / 6.0)
+        return self.center * _EDGE_RATIOS[1]
 
 
 def third_octave_bands(f_min: float, f_max: float) -> tuple[ThirdOctaveBand, ...]:
@@ -117,7 +120,7 @@ class BandTable:
         object.__setattr__(self, "bands", bands)
         values = locked_array(self.values, float, (len(bands),), "band values")
         coverage = locked_array(self.coverage, float, (len(bands),), "band coverage")
-        if not np.all(np.isfinite(coverage)) or np.any((coverage < 0.0) | (coverage > 1.0)):
+        if not (coverage.min() >= 0.0 and coverage.max() <= 1.0):  # a NaN fails too
             raise ValueError("coverage must lie in [0, 1]")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "coverage", coverage)
@@ -162,40 +165,61 @@ def band_average(
     BandTable
         Per-band values; bands without a single valid bin are absent (NaN)
         with coverage reflecting the exclusions.
+
+    Notes
+    -----
+    The whole-curve work runs once per curve, over the span of bins the bands
+    cover: the NaN mask, the exact integer count of usable bins per band (one
+    cumulative sum of the mask, or the band widths when no bin is NaN), the
+    power terms, and, after the bands, the means, the dB conversion and the
+    coverage. Only each band's sum stays per band: one ``np.add.reduce`` of
+    its contiguous terms, which adds them pairwise, as ``np.mean`` of the band
+    alone does, so every value keeps the bits the band gets on its own.
+    ``np.add.reduceat`` and a cumulative sum are not pairwise and change
+    those bits.
     """
     if mode not in ("power", "db"):
         raise ValueError(f"unknown band averaging mode '{mode}'")
     values = np.asarray(values_db, dtype=float)
     if values.shape != (len(grid),):
         raise ValueError("narrowband curve must match the grid length")
-    usable = ~np.isnan(values)
 
     bands = tuple(bands)
-    # On the sorted grid, [lo, hi) holds exactly the bins with lower <= f < upper.
-    lo, hi = np.searchsorted(grid.frequencies, [[b.lower for b in bands], [b.upper for b in bands]])
+    # On the sorted grid, [lo, hi) holds exactly the bins with lower <= f < upper;
+    # the edges are the ones ThirdOctaveBand.lower and .upper give.
+    edges = np.multiply.outer(_EDGE_RATIOS, [b.center for b in bands])
+    lo, hi = np.searchsorted(grid.frequencies, edges)
+    first = lo.min(initial=len(values))
+    kept = values[first : hi.max(initial=0)]
+    starts, stops = lo - first, hi - first
+    widths = stops - starts
+    is_nan = np.isnan(kept)
+    if is_nan.any():
+        # band i's usable bins are kept[starts[i]:stops[i]] once the NaN bins are dropped
+        usable = ~is_nan
+        ends = np.concatenate(([0], np.cumsum(usable)))
+        kept, starts, stops = kept[usable], ends[starts], ends[stops]
+    counts = stops - starts
     out = np.full(len(bands), np.nan)
     coverage = np.zeros(len(bands))
+    np.divide(counts, widths, out=coverage, where=widths > 0)
     # A band of +inf losses (nothing transmitted) averages to log10(0) = -inf
     # in power mode, so its value is +inf by design, not a divide error.
     # 10^(-L/10) overflows below about L = -3083 dB; such a band is averaged
     # again relative to its lowest value, which keeps it finite.
     with np.errstate(divide="ignore", over="ignore"):
-        for i, (start, stop) in enumerate(zip(lo.tolist(), hi.tolist())):
-            if stop == start:
-                continue
-            kept = usable[start:stop]
-            n_use = int(np.count_nonzero(kept))
-            coverage[i] = n_use / (stop - start)
-            if n_use == 0:
-                continue
-            use = values[start:stop] if n_use == stop - start else values[start:stop][kept]
-            if mode == "power":
-                out[i] = -10.0 * np.log10(np.mean(10.0 ** (-use / 10.0)))
-                if out[i] == -np.inf and np.isfinite(low := use.min()):
+        # x / -10 has the bits of -x / 10, in one pass instead of two
+        terms = 10.0 ** (kept / -10.0) if mode == "power" else kept
+        bounds = list(zip(starts.tolist(), stops.tolist()))
+        sums = np.array([np.add.reduce(terms[start:stop]) for start, stop in bounds])
+        np.divide(sums, counts, out=out, where=counts > 0)
+        if mode == "power":
+            out = -10.0 * np.log10(out)
+            for i in np.flatnonzero(out == -np.inf).tolist():
+                use = kept[slice(*bounds[i])]
+                if np.isfinite(low := use.min()):
                     out[i] = low - 10.0 * np.log10(np.mean(10.0 ** (-(use - low) / 10.0)))
-            else:
-                out[i] = float(np.mean(use))
-    return BandTable(bands, out, coverage)
+    return BandTable(bands, *_frozen(out, coverage))
 
 
 def average_repetitions(runs, mode: str = "db") -> tuple[np.ndarray, np.ndarray]:

@@ -380,13 +380,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# every character str.splitlines() breaks a line at, mapped to its escape as repr() writes it
-_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
+# every C0 control but tab (NUL and most line breaks among them) and the other characters
+# str.splitlines() breaks a line at, each mapped to its escape as repr() writes it
+_CONTROLS = {ord(c): repr(c)[1:-1] for c in (*map(chr, range(32)), "\x85", "\u2028", "\u2029") if c != "\t"}
 
 
 def _print_line(kind: str, message) -> None:
-    """Print ``kind: message`` to stderr as one line, whatever the message holds."""
-    print(f"{kind}: {str(message).translate(_LINE_BREAKS)}", file=sys.stderr)
+    """Print ``kind: message`` to stderr as one line, every C0 control but tab escaped."""
+    print(f"{kind}: {str(message).translate(_CONTROLS)}", file=sys.stderr)
 
 
 def main(argv=None) -> int:

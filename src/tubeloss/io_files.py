@@ -508,11 +508,13 @@ def read_band_csv(path) -> dict[str, BandTable]:
 def _load_json_list(path, what: str) -> list:
     try:
         with _open_utf8(path) as handle:
-            data = json.load(handle)
+            text = handle.read()
     except InputFormatError:
         raise
-    except OSError:
+    except (OSError, ValueError):  # ValueError: a NUL byte in the path
         raise InputFormatError(f"{what} file not found or unreadable", path=path) from None
+    try:
+        data = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep
         raise InputFormatError(f"invalid JSON: {exc}", path=path) from exc
     if not isinstance(data, list) or not data:

@@ -44,10 +44,13 @@ class SynthScenario:
             raise ValueError("sample must be one or more LayerModels")
         object.__setattr__(self, "sample", layers)
         ratio = complex(self.termination_ratio)
-        if abs(ratio) >= 1.0:
+        if not abs(ratio) < 1.0:  # NaN fails this test too
             raise ValueError("termination ratio magnitude must be below 1")
         object.__setattr__(self, "termination_ratio", ratio)
-        object.__setattr__(self, "incident_amplitude", complex(self.incident_amplitude))
+        incident = complex(self.incident_amplitude)
+        if not np.isfinite(incident):
+            raise ValueError("incident amplitude must be finite")
+        object.__setattr__(self, "incident_amplitude", incident)
         if self.snr_db is not None and not np.isfinite(self.snr_db):
             raise ValueError("snr_db must be finite or None")
 

@@ -108,6 +108,16 @@ INPUTS = {
     ),
     # a stack sample whose stack file is missing
     "missing-stack.ini": "[scenario]\nsample = stack\nstack_file = missing.json\n",
+    # a stack file whose name holds a NUL byte, which no file name can
+    "nul-stack.ini": "[scenario]\nsample = stack\nstack_file = a\x00b.json\n",
+    # a NaN termination ratio and a NaN incident amplitude
+    "nan-termination.ini": _SCENARIO.format(
+        surface_density=1.135, termination="nan", snr_db="off", f_max=2000, f_step=10
+    ),
+    "nan-incident.ini": _SCENARIO.format(
+        surface_density=1.135, termination="anechoic", snr_db="off", f_max=2000, f_step=10
+    )
+    + "incident_amplitude = nan\n",
     # a regular grid past the bin cap
     "tiny-step.ini": _SCENARIO.format(
         surface_density=1.135, termination="anechoic", snr_db="off", f_max=2000, f_step="1e-12"
@@ -235,6 +245,9 @@ RUNS: tuple[tuple[str, ...], ...] = (
     ("synth", "limp.ini", "--output", "no-config.csv"),
     ("synth", "tiny-step.ini", "--config", "tube.ini", "--output", "tiny-step.csv"),
     ("synth", "missing-stack.ini", "--config", "tube.ini", "--output", "missing-stack.csv"),
+    ("synth", "nul-stack.ini", "--config", "tube.ini", "--output", "nul-stack.csv"),
+    ("synth", "nan-termination.ini", "--config", "tube.ini", "--output", "nan-termination.csv"),
+    ("synth", "nan-incident.ini", "--config", "tube.ini", "--output", "nan-incident.csv"),
     ("stl", "run1.csv", "--config", "tube.ini", "--f-max", "2000"),
     *(
         _STL3

@@ -128,6 +128,29 @@ class TestBandAverage:
         table = band_average(grid, np.array([-4000.0, -4010.0, np.nan]), [band], mode="power")
         assert table.values[0] == pytest.approx(-4010.0 - 10.0 * math.log10(0.55), rel=1e-12)
 
+    def test_an_overflowing_band_between_others_keeps_their_bits(self):
+        # 630-1600 Hz: -4000 and -4010 dB bins fill the 1000 Hz band, the 3rd of 5
+        grid = FrequencyGrid.from_range(550.0, 1800.0, 1.0)
+        bands = third_octave_bands(630.0, 1600.0)
+        values = np.random.default_rng(7).uniform(20.0, 60.0, len(grid))
+        middle = (grid.frequencies >= bands[2].lower) & (grid.frequencies < bands[2].upper)
+        at = np.flatnonzero(middle)
+        values[at] = np.where(at % 2 == 0, -4010.0, -4000.0)
+        # a NaN bin before and in the band, so its terms sit at an offset in the kept bins
+        values[[at[0] - 5, at[3]]] = np.nan
+        n_low = np.count_nonzero(values[at] == -4010.0)
+        n_high = np.count_nonzero(values[at] == -4000.0)
+
+        table = band_average(grid, values, bands, mode="power")
+        want = -4010.0 - 10.0 * math.log10((n_low + 0.1 * n_high) / (n_low + n_high))
+        assert table.values[2] == pytest.approx(want, rel=1e-12)
+        with np.errstate(over="ignore"):
+            want_values, want_coverage = reference_band_average(grid, values, bands, "power")
+        assert want_values[2] == -np.inf  # the plain power mean overflows there
+        others = [0, 1, 3, 4]
+        assert table.values[others].tobytes() == want_values[others].tobytes()
+        assert table.coverage.tobytes() == want_coverage.tobytes()
+
     def test_unknown_mode_rejected(self):
         grid = FrequencyGrid([950.0])
         with pytest.raises(ValueError):
@@ -197,6 +220,23 @@ class TestBandAverageAgainstMaskLoop:
     @given(case=band_average_cases())
     def test_same_bits_as_the_mask_loop(self, case):
         grid, values, bands, mode = case
+        table = band_average(grid, values, bands, mode=mode)
+        want_values, want_coverage = reference_band_average(grid, values, bands, mode)
+        assert table.values.tobytes() == want_values.tobytes()
+        assert table.coverage.tobytes() == want_coverage.tobytes()
+
+
+    @pytest.mark.parametrize("mode", ["power", "db"])
+    def test_same_bits_past_the_temporary_elision_threshold(self, mode):
+        # 49 001 bins, above the 32 768 from which numpy may compute temporaries in place
+        grid = FrequencyGrid.from_range(100.0, 5000.0, 0.1)
+        assert len(grid) == 49_001
+        rng = np.random.default_rng(49_001)
+        values = rng.uniform(-20.0, 120.0, len(grid))
+        kind = rng.random(len(grid))
+        values[kind < 0.05] = np.nan
+        values[(kind >= 0.05) & (kind < 0.08)] = np.inf
+        bands = third_octave_bands(100.0, 5000.0)
         table = band_average(grid, values, bands, mode=mode)
         want_values, want_coverage = reference_band_average(grid, values, bands, mode)
         assert table.values.tobytes() == want_values.tobytes()
@@ -330,6 +370,13 @@ class TestBandTable:
             BandTable(bands, np.array([1.0, 2.0]), np.array([1.0, 1.5]))
         with pytest.raises(ValueError):
             BandTable(bands[::-1], np.array([1.0, 2.0]), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.5])
+    def test_coverage_outside_the_unit_interval_rejected(self, bad):
+        bands = tuple(band_from_nominal(n) for n in (500.0, 630.0, 800.0))
+        assert BandTable(bands, np.zeros(3), np.array([0.0, 0.5, 1.0])).coverage[2] == 1.0
+        with pytest.raises(ValueError, match=r"coverage must lie in \[0, 1\]"):
+            BandTable(bands, np.zeros(3), np.array([0.0, bad, 1.0]))
 
     def test_same_bands(self):
         a = BandTable.from_values(third_octave_bands(100.0, 200.0), [1.0, 2.0, 3.0, 4.0])

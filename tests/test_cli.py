@@ -496,6 +496,17 @@ class TestStack:
             "'a\\nb\\rc\\r\\nd\\x0be\\x0cf\\x1cg\\x1dh\\x1ei\\x85j\\u2028k\\u2029l'\n"
         )
 
+    def test_every_c0_control_but_tab_is_escaped(self, tmp_path, capsys):
+        kind = "".join(f"{chr(code)}{code}" for code in range(32))
+        stack = tmp_path / "stack.json"
+        stack.write_text(json.dumps([{"kind": kind}]))
+        assert run_cli("stack", "--stack", str(stack)) == 2
+        err = capsys.readouterr().err
+        # each written as repr() writes it; the tab is kept as is
+        shown = repr(kind).replace("\\t", "\t")
+        assert err == f"error: {stack}: bad layer #1: unknown kind {shown}\n"
+        assert not any(chr(code) in err[:-1] for code in range(32) if code != 9)
+
     def test_opaque_layer_keeps_numpy_warnings_out(self, tmp_path, capsys):
         stack = tmp_path / "stack.json"
         stack.write_text(json.dumps([{"kind": "limp-mass", "surface_density": 1e300}]))

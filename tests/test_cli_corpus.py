@@ -162,6 +162,21 @@ def test_a_missing_stack_file_names_it_as_the_scenario_does(runs):
     assert (run.code, run.stderr) == (2, "error: missing.json: stack file not found or unreadable\n")
 
 
+def test_a_nan_termination_or_incident_amplitude_names_the_scenario(runs):
+    outcome = {run.argv[1]: (run.code, run.stderr) for run in runs if run.argv[0] == "synth"}
+    assert outcome["nan-termination.ini"] == (
+        2, "error: nan-termination.ini: bad scenario: termination ratio magnitude must be below 1\n"
+    )
+    assert outcome["nan-incident.ini"] == (
+        2, "error: nan-incident.ini: bad scenario: incident amplitude must be finite\n"
+    )
+
+
+def test_a_nul_byte_in_a_stack_file_name_is_an_unreadable_file_printed_escaped(runs):
+    (run,) = [run for run in runs if run.argv[:2] == ("synth", "nul-stack.ini")]
+    assert (run.code, run.stderr) == (2, "error: a\\x00b.json: stack file not found or unreadable\n")
+
+
 def test_a_table_name_the_band_csv_reader_would_misread_writes_nothing(runs, corpus_dir):
     (run,) = [run for run in runs if run.argv[:3] == ("masslaw", "--materials", "coverage-names.json")]
     assert (run.code, run.stderr) == (2, "error: table name 'felt_coverage' may not end in '_coverage'\n")

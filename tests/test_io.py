@@ -377,6 +377,15 @@ def mic_spectra_texts(draw):
     return "".join(line + ending for line, ending in zip(lines, endings))
 
 
+def _float_from_bits(bits: int) -> float:
+    return float(np.uint64(bits).view(np.float64))
+
+
+FINITE_FLOAT_BITS = st.integers(0, 2**64 - 1).map(_float_from_bits).filter(math.isfinite)
+# 1 is the smallest subnormal, 0x7FEF... the largest finite double
+POSITIVE_FLOAT_BITS = st.integers(1, 0x7FEF_FFFF_FFFF_FFFF).map(_float_from_bits)
+
+
 @pytest.fixture(scope="module")
 def drawn_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("drawn")
@@ -547,9 +556,13 @@ class TestMicSpectraReader:
             ),
             min_size=8,
             max_size=40,
-        )
+        ),
+        # header floats from any bit pattern a valid header allows: ascending finite
+        # positions, and a positive finite thickness, diameter, density and sound speed
+        positions=st.lists(FINITE_FLOAT_BITS, min_size=4, max_size=4, unique=True).map(sorted),
+        positives=st.lists(POSITIVE_FLOAT_BITS, min_size=4, max_size=4),
     )
-    def test_round_trip_keeps_every_bit(self, drawn_dir, bits):
+    def test_round_trip_keeps_every_bit(self, drawn_dir, bits, positions, positives):
         values = np.array(bits, dtype=np.uint64).view(np.float64)
         values = values[np.isfinite(values)]
         n = len(values) // 8
@@ -558,11 +571,23 @@ class TestMicSpectraReader:
         pressures = np.ascontiguousarray(values[: 8 * n].reshape(n, 8)).view(complex)
         grid = FrequencyGrid(np.arange(1.0, n + 1.0) * 0.1)
         spectra = tuple(ComplexSpectrum(grid, pressures[:, i]) for i in range(4))
+        thickness, diameter, density, sound_speed = positives
+        geometry = TubeGeometry(tuple(positions), thickness, diameter)
+        air = AirProperties(density, sound_speed)
         path = drawn_dir / "round-trip.csv"
-        write_mic_spectra(path, spectra, GEOMETRY, AIR)
-        loaded, _, _ = read_mic_spectra(path)
+        write_mic_spectra(path, spectra, geometry, air)
+        loaded, geometry_back, air_back = read_mic_spectra(path)
         for original, back in zip(spectra, loaded):
             assert original.values.tobytes() == back.values.tobytes()
+        header = (*positions, *positives)
+        header_back = (
+            *geometry_back.mic_positions,
+            geometry_back.sample_thickness,
+            geometry_back.tube_diameter,
+            air_back.density,
+            air_back.sound_speed,
+        )
+        assert [x.hex() for x in header_back] == [x.hex() for x in header]
 
 
 JSON_SCALARS = st.one_of(

@@ -118,6 +118,13 @@ class TestDeterminismAndValidation:
         with pytest.raises(ValueError):
             scenario(LayerModel.identity(), termination_ratio=1.2j)
 
+    @pytest.mark.parametrize("value", [complex("nan"), complex("nan+1j"), complex("inf"), complex(0, float("-inf"))])
+    def test_non_finite_termination_or_incident_amplitude_rejected(self, value):
+        with pytest.raises(ValueError, match="termination ratio"):
+            scenario(LayerModel.identity(), termination_ratio=value)
+        with pytest.raises(ValueError, match="incident amplitude must be finite"):
+            scenario(LayerModel.identity(), incident_amplitude=value)
+
     def test_single_layer_normalized_to_tuple(self):
         sc = scenario(LayerModel.limp_mass(0.5))
         assert isinstance(sc.sample, tuple)
