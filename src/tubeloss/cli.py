@@ -33,7 +33,7 @@ from .bands import (
     insertion_loss,
     third_octave_bands,
 )
-from .core import DEFAULT_AIR, FrequencyGrid, plane_wave_cutoff
+from .core import DEFAULT_AIR, ComplexSpectrum, FrequencyGrid, _frozen, plane_wave_cutoff
 from .errors import (
     AllBinsInvalidError,
     InputFormatError,
@@ -60,7 +60,7 @@ from .io_files import (
 from .models import mass_law_constant_db, mass_law_stl, stack_thickness
 from .pipeline import analyze_four_mic
 from .synth import synth_mic_pressures
-from .transfer import acoustic_indicators
+from .transfer import _QUALITY_THRESHOLD, _worst_quality, acoustic_indicators
 
 _DB_DECIMALS = 2  # reports quote dB to 0.01; CSV files keep full precision
 
@@ -136,12 +136,46 @@ def _cmd_synth(args) -> None:
     write_mic_spectra(args.output, spectra, geometry, air)
 
 
+#: Bins analysed at once: the files of a group hold at most this many together (a file of
+#: more bins is a group of its own), so batching repetitions leaves peak memory flat.
+_GROUP_BINS = 16_384
+
+
+def _analyze_group(group: list, grid, geometry, air) -> tuple[np.ndarray, ...]:
+    """``(stl_db, reflectance, stl_direct_db)`` of a group's files, one row each.
+
+    ``group`` holds ``(path, spectra)`` pairs on ``grid``. One
+    :func:`analyze_four_mic` call analyses their ``(R, n)`` rows; each file's
+    warnings, the library's anechoic one and then its singular pairs, come out
+    in file order, as one call per file would give them.
+    """
+    rows = _frozen(*(np.stack([spectra[i].values for _, spectra in group]) for i in range(4)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        analysis = analyze_four_mic(*(ComplexSpectrum(grid, r) for r in rows), geometry=geometry, air=air)
+    # the library's one warning: AnechoicQualityWarning, once per row over the default threshold
+    anechoic = iter(caught)
+    warned = _worst_quality(analysis.amplitudes) > _QUALITY_THRESHOLD
+    singular = analysis.amplitudes.singular_frequencies()
+    for row, (path, _) in enumerate(group):
+        if warned[row]:
+            warnings.warn(next(anechoic).message, stacklevel=1)
+        for pair in ("upstream", "downstream"):
+            if singular[pair][row].size:
+                warnings.warn(
+                    f"{path}: {pair} pair singular at {singular[pair][row].tolist()} Hz",
+                    SingularBinWarning,
+                    stacklevel=1,
+                )
+    indicators = analysis.indicators
+    return indicators.stl_db, indicators.reflectance, analysis.stl_direct_db
+
+
 def _cmd_stl(args) -> dict:
     air, geometry = _require_config(args)
     grid = None
-    runs = []
-    reflectances = []
-    direct_runs = []
+    group: list = []
+    curves: list = []  # each group's (stl_db, reflectance, stl_direct_db) rows
     for path in args.inputs:
         spectra, file_geometry, file_air = read_mic_spectra(path)
         require_header_matches(path, file_geometry, file_air, geometry, air)
@@ -149,20 +183,16 @@ def _cmd_stl(args) -> dict:
             grid = spectra[0].grid
         else:
             grid.require_matches(spectra[0].grid, f"input '{path}'")
-        analysis = analyze_four_mic(*spectra, geometry=geometry, air=air)
-        runs.append(analysis.indicators.stl_db)
-        reflectances.append(analysis.indicators.reflectance)
-        direct_runs.append(analysis.stl_direct_db)
-        singular = analysis.amplitudes.singular_frequencies()
-        for pair in ("upstream", "downstream"):
-            if singular[pair].size:
-                warnings.warn(
-                    f"{path}: {pair} pair singular at {singular[pair].tolist()} Hz",
-                    SingularBinWarning,
-                    stacklevel=1,
-                )
+        group.append((path, spectra))
+        # every file of a group is read before any is analysed
+        if (len(group) + 1) * len(grid) > _GROUP_BINS:
+            curves.append(_analyze_group(group, grid, geometry, air))
+            group = []
+    if group:
+        curves.append(_analyze_group(group, grid, geometry, air))
+    runs, reflectances, direct_runs = (np.concatenate(rows) for rows in zip(*curves))
 
-    mean_stl, spread_stl = average_repetitions(np.array(runs), mode=args.rep_mode)
+    mean_stl, spread_stl = average_repetitions(runs, mode=args.rep_mode)
     valid = np.isfinite(mean_stl)
     if not valid.any():
         raise AllBinsInvalidError("no valid frequency bin in any input (all bins singular)")
@@ -177,8 +207,8 @@ def _cmd_stl(args) -> dict:
             stacklevel=1,
         )
 
-    mean_reflectance = average_repetitions(np.array(reflectances))[0]
-    mean_direct = average_repetitions(np.array(direct_runs))[0]
+    mean_reflectance = average_repetitions(reflectances)[0]
+    mean_direct = average_repetitions(direct_runs)[0]
 
     bands = third_octave_bands(args.f_min, args.f_max)
     table = band_average(grid, mean_stl, bands, mode=args.band_mode)

@@ -176,6 +176,19 @@ def locked_array(values, dtype, shape: tuple, what: str) -> np.ndarray:
     return arr
 
 
+def _per_bin_shape(values, n: int, what: str) -> tuple:
+    """The shape of ``values`` if it holds one entry per bin of an ``n``-bin grid.
+
+    That is ``(n,)`` for one measurement or ``(R, n)`` for R >= 1 of them
+    (repetitions, one per row); any other shape, 3-D or larger included, is a
+    ValueError.
+    """
+    shape = np.shape(values)
+    if len(shape) in (1, 2) and shape[-1] == n and shape[0] > 0:
+        return shape
+    raise ValueError(f"{what} must have shape ({n},) or (R, {n}), got {shape}")
+
+
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """Lock arrays a producer has just computed, in place, so :func:`locked_array` keeps them."""
     for arr in arrays:
@@ -186,30 +199,36 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 class PerBinArrays:
     """Mixin for frozen dataclasses whose array fields hold one entry per bin of ``self.grid``.
 
-    ``_per_bin`` maps each such field to its dtype; construction replaces every
-    one with its :func:`locked_array`: an array a producer locked with
-    :func:`_frozen` is kept, any other is copied.
+    ``_per_bin`` maps each such field to its dtype. The fields share one
+    shape, ``(n,)`` or ``(R, n)`` (:func:`_per_bin_shape`), the first field's;
+    construction replaces every one with its :func:`locked_array`: an array a
+    producer locked with :func:`_frozen` is kept, any other is copied.
     """
 
     _per_bin: dict = {}
 
     def __post_init__(self) -> None:
-        shape = (len(self.grid),)
+        shape = None
         for name, dtype in self._per_bin.items():
-            arr = locked_array(getattr(self, name), dtype, shape, f"field '{name}'")
-            object.__setattr__(self, name, arr)
+            what = f"field '{name}'"
+            values = getattr(self, name)
+            if shape is None:
+                shape = _per_bin_shape(values, len(self.grid), what)
+            object.__setattr__(self, name, locked_array(values, dtype, shape, what))
 
 
 class ComplexSpectrum:
     """Complex values on a frequency grid (Pa for pressures, 1 for coefficients).
 
-    Immutable.
+    ``values`` has shape ``(n,)`` for one measurement or ``(R, n)`` for R
+    repetitions on the same grid, one per row. Immutable.
     """
 
     __slots__ = ("_grid", "_values")
 
     def __init__(self, grid: FrequencyGrid, values) -> None:
-        v = locked_array(values, complex, (len(grid),), "spectrum values")
+        what = "spectrum values"
+        v = locked_array(values, complex, _per_bin_shape(values, len(grid), what), what)
         if not np.all(np.isfinite(v)):
             raise ValueError("spectrum values must be finite")
         self._grid = grid

@@ -38,18 +38,21 @@ def decompose_pair(
     Parameters
     ----------
     p_a, p_b : ComplexSpectrum
-        Complex pressures at the two microphones, sharing one grid.
+        Complex pressures at the two microphones, sharing one grid; each
+        ``(n,)`` or ``(R, n)``, one repetition per row.
     x_a, x_b : float
         Microphone coordinates in m along the tube axis; must differ.
     k : ndarray
-        Real wavenumber per frequency in rad/m.
+        Real wavenumber per frequency in rad/m, shape ``(n,)``.
 
     Returns
     -------
     forward, backward : ndarray
-        Complex amplitudes per frequency, NaN exactly at the singular bins,
-        where ``|sin k (x_a - x_b)| < SINGULARITY_TOLERANCE``: that NaN is
-        the one record of a dropped bin.
+        Complex amplitudes per frequency, the pressures' broadcast shape,
+        NaN exactly at the singular bins, where
+        ``|sin k (x_a - x_b)| < SINGULARITY_TOLERANCE``: that NaN is the one
+        record of a dropped bin. A bin's bits depend on its own inputs only,
+        not on the grid's length or on the other rows.
 
     Raises
     ------
@@ -63,15 +66,21 @@ def decompose_pair(
     if k.shape != (len(p_a.grid),):
         raise ValueError("wavenumber array must match the grid length")
 
+    # the mask and the exponentials depend on the grid alone: one (n,) array each for all rows
     s = np.sin(k * (x_a - x_b))
     singular = np.abs(s) < SINGULARITY_TOLERANCE
     den = 2.0 * s
-    # an overflow leaves a retained amplitude non-finite, which the check below rejects
+    # Every complex product and quotient is an explicit ufunc call: an operator on a
+    # temporary of 256 KiB or more computes in place, which can round differently.
+    # An overflow leaves a retained amplitude non-finite, which the check below rejects.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        forward = 1j * (p_a.values * np.exp(1j * k * x_b) - p_b.values * np.exp(1j * k * x_a)) / den
-        backward = 1j * (p_b.values * np.exp(-1j * k * x_a) - p_a.values * np.exp(-1j * k * x_b)) / den
-    forward[singular] = _NAN
-    backward[singular] = _NAN
+        phase_a, phase_b = np.exp(1j * k * x_a), np.exp(1j * k * x_b)
+        back_a, back_b = np.exp(-1j * k * x_a), np.exp(-1j * k * x_b)
+        forward = np.multiply(p_a.values, phase_b) - np.multiply(p_b.values, phase_a)
+        backward = np.multiply(p_b.values, back_a) - np.multiply(p_a.values, back_b)
+        forward, backward = (np.divide(np.multiply(1j, diff), den) for diff in (forward, backward))
+    forward[..., singular] = _NAN
+    backward[..., singular] = _NAN
     if not ((np.isfinite(forward) & np.isfinite(backward)) | singular).all():
         raise ValueError("amplitudes must be finite at every retained frequency")
     return forward, backward
@@ -82,9 +91,10 @@ class PlaneWaveAmplitudes(PerBinArrays):
     """Forward/backward amplitudes on both sides of the sample, in Pa.
 
     ``a``/``b`` travel toward/away from the sample on the source side,
-    ``c``/``d`` away from/toward it on the termination side. A bin a
-    microphone pair dropped is NaN in that pair's two arrays; the per-pair
-    masks are derived from those NaNs, not stored.
+    ``c``/``d`` away from/toward it on the termination side. Each array is
+    ``(n,)``, or ``(R, n)`` with one repetition per row; all four share one
+    shape. A bin a microphone pair dropped is NaN in that pair's two arrays;
+    the per-pair masks are derived from those NaNs, not stored.
     """
 
     grid: FrequencyGrid
@@ -110,13 +120,18 @@ class PlaneWaveAmplitudes(PerBinArrays):
         """Bins where both microphone pairs decomposed cleanly."""
         return ~(self.upstream_singular | self.downstream_singular)
 
-    def singular_frequencies(self) -> dict[str, np.ndarray]:
-        """Excluded frequencies in Hz, keyed by microphone pair."""
+    def singular_frequencies(self) -> dict:
+        """Excluded frequencies in Hz, keyed by microphone pair.
+
+        One array per pair for ``(n,)`` amplitudes; for ``(R, n)`` amplitudes a
+        list of R arrays per pair, one per row.
+        """
         f = self.grid.frequencies
-        return {
-            "upstream": f[self.upstream_singular].copy(),
-            "downstream": f[self.downstream_singular].copy(),
-        }
+
+        def excluded(mask: np.ndarray):
+            return f[mask].copy() if mask.ndim == 1 else [f[row] for row in mask]
+
+        return {"upstream": excluded(self.upstream_singular), "downstream": excluded(self.downstream_singular)}
 
 
 def decompose_four_mic(
@@ -132,7 +147,8 @@ def decompose_four_mic(
     Parameters
     ----------
     p1, p2, p3, p4 : ComplexSpectrum
-        Pressures at x1..x4, all on one grid.
+        Pressures at x1..x4, all on one grid and of one shape: ``(n,)``, or
+        ``(R, n)`` for R repetitions analysed at once.
     geometry : TubeGeometry
         Supplies the microphone coordinates.
     air : AirProperties
@@ -141,7 +157,8 @@ def decompose_four_mic(
     Returns
     -------
     PlaneWaveAmplitudes
-        Amplitudes, NaN in a pair's two arrays at each bin that pair dropped.
+        Amplitudes of the pressures' shape, NaN in a pair's two arrays at
+        each bin that pair dropped.
     """
     grid = p1.grid
     for name, spectrum in (("p2", p2), ("p3", p3), ("p4", p4)):

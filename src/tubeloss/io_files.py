@@ -80,13 +80,22 @@ def _atomic_text_file(path):
 
 
 @contextlib.contextmanager
-def _open_utf8(path, newline=None):
-    """A UTF-8 text handle on ``path``; a byte that is not UTF-8 is an input error naming the file."""
+def _open_utf8(path, what: str, newline=None):
+    """A UTF-8 text handle on the ``what`` file ``path``.
+
+    A name ``open`` rejects with ``ValueError`` (one holding a NUL byte, which
+    no file name can) and a byte that is not UTF-8 are input errors naming the
+    file; a missing or unreadable file raises ``open``'s ``OSError``.
+    """
     try:
-        with open(path, "r", encoding="utf-8", newline=newline) as handle:
+        handle = open(path, "r", encoding="utf-8", newline=newline)
+    except ValueError:
+        raise InputFormatError(f"{what} file not found or unreadable", path=path) from None
+    with handle:
+        try:
             yield handle
-    except UnicodeDecodeError as exc:
-        raise InputFormatError(f"not UTF-8 text: {exc.reason}", path=path) from None
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(f"not UTF-8 text: {exc.reason}", path=path) from None
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -102,7 +111,7 @@ def write_text_atomic(path, text: str) -> None:
 def _read_ini(path, what: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
     try:
-        with _open_utf8(path) as handle:
+        with _open_utf8(path, what) as handle:
             parser.read_file(handle, source=os.fspath(path))
     except OSError:
         raise InputFormatError(f"{what} file not found or unreadable", path=path) from None
@@ -227,14 +236,16 @@ def read_mic_spectra(path):
     non-ASCII digits), and a file holding one of ``_LOADTXT_ONLY_SPACES``,
     which only ``loadtxt`` takes, never reaches it.
     """
-    try:
-        return _spectra_from_table(path, *_read_canonical(path), linenos=None)
-    except ValueError:  # InputFormatError included: the per-line reading names the error
-        pass
+    # opened once here, so a name no file can have is an error of its own, not a fallback
+    with _open_utf8(path, "mic-spectra") as handle:
+        try:
+            return _spectra_from_table(path, *_read_canonical(handle), linenos=None)
+        except ValueError:  # InputFormatError included: the per-line reading names the error
+            pass
     return _spectra_from_table(path, *_read_rows(path))
 
 
-def _read_canonical(path) -> tuple[dict[str, str], np.ndarray]:
+def _read_canonical(handle) -> tuple[dict[str, str], np.ndarray]:
     """Header fields and the (n, 9) table of a file laid out as the writer lays it out.
 
     Raises ``ValueError`` on any other layout: a header line that is neither
@@ -244,25 +255,24 @@ def _read_canonical(path) -> tuple[dict[str, str], np.ndarray]:
     lines among the rows are skipped, as by :func:`_read_rows`.
     """
     header: dict[str, str] = {}
-    with _open_utf8(path) as handle:
-        if handle.readline() != MIC_SPECTRA_MAGIC + "\n":
-            raise ValueError("not a canonical mic-spectra header")
-        for line in handle:
-            if not line.startswith("#"):
-                break
-            if "=" in line:
-                key, _, value = line[1:].partition("=")
-                header[key.strip()] = value.strip()
-        else:
-            raise ValueError("no column header")
-        rows = itertools.chain.from_iterable(_checked_line_blocks(handle))
-        first = next(rows, "")
-        if line != MIC_SPECTRA_HEADER + "\n" or not first.strip():
-            # without a first row loadtxt would warn that the input holds no data
-            raise ValueError("not a canonical mic-spectra body")
-        data = np.loadtxt(
-            itertools.chain((first,), rows), delimiter=",", comments=None, dtype=float, ndmin=2
-        )
+    if handle.readline() != MIC_SPECTRA_MAGIC + "\n":
+        raise ValueError("not a canonical mic-spectra header")
+    for line in handle:
+        if not line.startswith("#"):
+            break
+        if "=" in line:
+            key, _, value = line[1:].partition("=")
+            header[key.strip()] = value.strip()
+    else:
+        raise ValueError("no column header")
+    rows = itertools.chain.from_iterable(_checked_line_blocks(handle))
+    first = next(rows, "")
+    if line != MIC_SPECTRA_HEADER + "\n" or not first.strip():
+        # without a first row loadtxt would warn that the input holds no data
+        raise ValueError("not a canonical mic-spectra body")
+    data = np.loadtxt(
+        itertools.chain((first,), rows), delimiter=",", comments=None, dtype=float, ndmin=2
+    )
     if data.shape[1] != 9:
         raise ValueError("rows without 9 columns")
     return header, data
@@ -294,7 +304,7 @@ def _read_rows(path) -> tuple[dict[str, str], np.ndarray, list[int]]:
     rows: list[list[float]] = []
     linenos: list[int] = []
     seen_columns = False
-    with _open_utf8(path, newline="") as handle:
+    with _open_utf8(path, "mic-spectra", newline="") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line:
@@ -450,7 +460,7 @@ def write_narrowband_csv(path, grid: FrequencyGrid, stl_db, spread_db, reflectan
 
 def read_band_csv(path) -> dict[str, BandTable]:
     """Read band tables written by :func:`write_band_csv`."""
-    with _open_utf8(path, newline="") as handle:
+    with _open_utf8(path, "band CSV", newline="") as handle:
         stripped = (line.rstrip("\n").rstrip("\r") for line in handle)
         # blank lines are skipped but counted, so an error names the line of the file
         lines = [(lineno, line) for lineno, line in enumerate(stripped, start=1) if line]
@@ -507,11 +517,9 @@ def read_band_csv(path) -> dict[str, BandTable]:
 
 def _load_json_list(path, what: str) -> list:
     try:
-        with _open_utf8(path) as handle:
+        with _open_utf8(path, what) as handle:
             text = handle.read()
-    except InputFormatError:
-        raise
-    except (OSError, ValueError):  # ValueError: a NUL byte in the path
+    except OSError:
         raise InputFormatError(f"{what} file not found or unreadable", path=path) from None
     try:
         data = json.loads(text)

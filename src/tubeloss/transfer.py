@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AirProperties, FrequencyGrid, PerBinArrays, _frozen, locked_array
+from .core import AirProperties, FrequencyGrid, PerBinArrays, _frozen, _per_bin_shape, locked_array
 from .decompose import PlaneWaveAmplitudes
 from .errors import AnechoicQualityWarning
 
@@ -32,6 +32,9 @@ __all__ = [
 #: Relative floor below which a shared denominator counts as vanishing.
 _DENOMINATOR_RTOL = 1e-12
 
+#: |D/C| above which the direct anechoic route warns by default.
+_QUALITY_THRESHOLD = 0.01
+
 _NAN = complex(np.nan, np.nan)
 
 
@@ -42,17 +45,24 @@ def _nonvanishing(den: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 
 def _quotient(num, den: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """``num / den`` at the ``ok`` bins, complex NaN elsewhere; an overflow stays non-finite."""
+    """``num / den`` at the ``ok`` bins, complex NaN elsewhere; an overflow stays non-finite.
+
+    The quotient is an explicit ufunc call, so it never computes in place into
+    a temporary ``num`` (which numpy does from 256 KiB, and which can round
+    differently): a bin's bits depend on its own inputs only.
+    """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.where(ok, num / den, _NAN)
+        return np.where(ok, np.divide(num, den), _NAN)
 
 
 @dataclass(frozen=True)
 class TransferMatrix(PerBinArrays):
     """2x2 complex matrix per frequency linking (P, V) across the sample.
 
-    A dropped bin (a singular reconstruction, or a product with one) is NaN in
-    all four entries; :attr:`valid` is derived from the entries, not stored.
+    Each entry is ``(n,)``, or ``(R, n)`` with one repetition per row; all
+    four share one shape. A dropped bin (a singular reconstruction, or a
+    product with one) is NaN in all four entries; :attr:`valid` is derived
+    from the entries, not stored.
     """
 
     grid: FrequencyGrid
@@ -91,8 +101,9 @@ class AcousticIndicators(PerBinArrays):
 
     ``transmission``/``reflection`` are the anechoic-termination coefficients
     and ``stl_db`` the normal-incidence transmission loss (+inf where nothing
-    is transmitted). A dropped bin is NaN in all three; :attr:`valid` is
-    derived from the coefficients, not stored. Surface impedance and
+    is transmitted). Each is ``(n,)``, or ``(R, n)`` with one repetition per
+    row, all three of one shape. A dropped bin is NaN in all three;
+    :attr:`valid` is derived from the coefficients, not stored. Surface impedance and
     rigid-backing reflection are not fields: :func:`surface_impedance_anechoic`
     and :func:`rigid_backing_reflection` compute them on request.
     """
@@ -125,7 +136,7 @@ def boundary_states(
     Parameters
     ----------
     amplitudes : PlaneWaveAmplitudes
-        Wave amplitudes on both sides of the sample.
+        Wave amplitudes on both sides of the sample, ``(n,)`` or ``(R, n)``.
     thickness : float
         Sample thickness d in m (0 allowed for a degenerate layer).
     air : AirProperties
@@ -134,19 +145,20 @@ def boundary_states(
     Returns
     -------
     (p0, v0, pd, vd) : tuple of ndarray
-        Entry-face, then exit-face pressure and velocity per bin; NaN at the
-        bins the decomposition dropped.
+        Entry-face, then exit-face pressure and velocity per bin, of the
+        amplitudes' shape; NaN at the bins the decomposition dropped.
     """
     if thickness < 0.0:
         raise ValueError("thickness must be non-negative")
     z = air.impedance
     k = amplitudes.grid.wavenumbers(air)
     p0 = amplitudes.a + amplitudes.b
-    v0 = (amplitudes.a - amplitudes.b) / z
+    v0 = np.divide(amplitudes.a - amplitudes.b, z)
+    # (n,) phases, shared by every row; each quotient an explicit call (see _quotient)
     phase_out = np.exp(-1j * k * thickness)
     phase_back = np.exp(1j * k * thickness)
     pd = amplitudes.c * phase_out + amplitudes.d * phase_back
-    vd = (amplitudes.c * phase_out - amplitudes.d * phase_back) / z
+    vd = np.divide(amplitudes.c * phase_out - amplitudes.d * phase_back, z)
     return p0, v0, pd, vd
 
 
@@ -171,14 +183,16 @@ def reconstruct_one_load(grid: FrequencyGrid, p0, v0, pd, vd) -> TransferMatrix:
     grid : FrequencyGrid
     p0, v0, pd, vd : array_like
         Entry-face, then exit-face pressure and velocity from
-        :func:`boundary_states`, one value per bin (``ValueError`` otherwise).
+        :func:`boundary_states`, one value per bin: all four ``(n,)``, or all
+        four ``(R, n)`` for R repetitions (``ValueError`` otherwise).
 
     Returns
     -------
     TransferMatrix
         Symmetric unit-determinant matrix, NaN at the dropped bins.
     """
-    p0, v0, pd, vd = (locked_array(a, complex, (len(grid),), "face array") for a in (p0, v0, pd, vd))
+    shape = _per_bin_shape(p0, len(grid), "face array")
+    p0, v0, pd, vd = (locked_array(a, complex, shape, "face array") for a in (p0, v0, pd, vd))
     den = p0 * vd + pd * v0
     scale = np.abs(p0) * np.abs(vd) + np.abs(pd) * np.abs(v0)
     ok = _nonvanishing(den, scale)
@@ -197,7 +211,7 @@ def surface_impedance_anechoic(reflection: np.ndarray, air: AirProperties) -> np
     r = np.asarray(reflection, dtype=complex)
     one_minus = 1.0 - r
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = air.impedance * (1.0 + r) / one_minus
+        z = np.divide(np.multiply(air.impedance, 1.0 + r), one_minus)
     return np.where(one_minus == 0.0, complex(np.inf, 0.0), z)
 
 
@@ -235,26 +249,34 @@ def anechoic_quality(amplitudes: PlaneWaveAmplitudes) -> np.ndarray:
         return np.abs(amplitudes.d) / np.abs(amplitudes.c)
 
 
+def _worst_quality(amplitudes: PlaneWaveAmplitudes) -> np.ndarray:
+    """The largest finite ``|D/C|`` of each row (-inf where none is finite), shape ``(R,)``.
+
+    One-dimensional amplitudes count as one row.
+    """
+    ratio = anechoic_quality(amplitudes)
+    return np.atleast_1d(np.where(np.isfinite(ratio), ratio, -np.inf).max(axis=-1))
+
+
 def stl_direct_anechoic(
     amplitudes: PlaneWaveAmplitudes,
-    quality_threshold: float = 0.01,
+    quality_threshold: float = _QUALITY_THRESHOLD,
 ) -> np.ndarray:
     """Transmission loss 20 log10 |A/C| assuming a clean anechoic termination.
 
     Valid only while the backward wave behind the sample is negligible; if
-    ``|D/C|`` exceeds ``quality_threshold`` anywhere, the result is still
-    returned but an :class:`AnechoicQualityWarning` is emitted.
+    ``|D/C|`` exceeds ``quality_threshold`` anywhere in a row, the result is
+    still returned but an :class:`AnechoicQualityWarning` is emitted, one per
+    such row of ``(R, n)`` amplitudes, in row order.
     """
-    ratio = anechoic_quality(amplitudes)
-    finite = np.isfinite(ratio)
-    if np.any(ratio[finite] > quality_threshold):
-        worst = float(np.max(ratio[finite]))
-        warnings.warn(
-            f"anechoic assumption violated: max |D/C| = {worst:.4g} "
-            f"exceeds {quality_threshold:.4g}",
-            AnechoicQualityWarning,
-            stacklevel=2,
-        )
+    for worst in _worst_quality(amplitudes).tolist():
+        if worst > quality_threshold:
+            warnings.warn(
+                f"anechoic assumption violated: max |D/C| = {worst:.4g} "
+                f"exceeds {quality_threshold:.4g}",
+                AnechoicQualityWarning,
+                stacklevel=2,
+            )
     # a dropped bin is NaN in a or c, so it is NaN here too
     with np.errstate(divide="ignore", invalid="ignore"):
         out = 20.0 * np.log10(np.abs(amplitudes.a) / np.abs(amplitudes.c))
@@ -277,7 +299,8 @@ def acoustic_indicators(
     Parameters
     ----------
     matrix : TransferMatrix
-        Sample matrix, typically from :func:`reconstruct_one_load`.
+        Sample matrix, typically from :func:`reconstruct_one_load`; ``(n,)`` or
+        ``(R, n)`` entries.
     thickness : float
         Sample thickness d in m, used in the transmission phase reference.
     air : AirProperties
@@ -298,8 +321,10 @@ def acoustic_indicators(
         back = z * t21
         den = front + back + t22
         ok = _nonvanishing(den, np.abs(t11) + np.abs(t12) / z + z * np.abs(t21) + np.abs(t22))
-        # e^{jk 0} is exactly 1, so a zero thickness needs no phase exponential
-        numerator = 2.0 if thickness == 0.0 else 2.0 * np.exp(1j * matrix.grid.wavenumbers(air) * thickness)
+        # e^{jk 0} is exactly 1, so a zero thickness needs no phase exponential; the (n,)
+        # phase serves every row, and its product with 2 is an explicit call (see _quotient)
+        phase = 1.0 if thickness == 0.0 else np.exp(1j * matrix.grid.wavenumbers(air) * thickness)
+        numerator = np.multiply(2.0, phase)
         transmission = _quotient(numerator, den, ok)
         reflection = _quotient(front - back - t22, den, ok)
     dropped = ~(np.isfinite(transmission) & np.isfinite(reflection))

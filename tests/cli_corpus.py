@@ -81,6 +81,11 @@ _WHITESPACE_ROW = _ZERO_DOWNSTREAM.replace("\n1000,", "\n \t\n1000,")
 _NON_FINITE = _ZERO_DOWNSTREAM.replace("# n_frequencies = 3", "# n_frequencies = 5") + (
     "1200,1.8,0.1,0.5,0.02,0.1,-0.02,-0.02,nan\n1300,inf,0.1,0.5,0.02,0.1,-0.02,-0.02,-0.1\n"
 )
+# pressures of +-1.7e308 Pa: a file that reads, but whose amplitudes overflow
+_OVERFLOWING = "".join(
+    line + "\n" if line.startswith(("#", "frequency")) else line.split(",")[0] + ",1.7e308,0,-1.7e308,0,1.7e308,0,-1.7e308,0\n"
+    for line in _ZERO_DOWNSTREAM.splitlines()
+)
 # a nan frequency on line 10; a frequency of 950 after 1000 on line 11
 _NAN_FREQUENCY = _ZERO_DOWNSTREAM.replace("\n1000,", "\nnan,")
 _DECREASING = _ZERO_DOWNSTREAM.replace("\n1100,", "\n950,")
@@ -101,6 +106,10 @@ INPUTS = {
     # reaches past the plane-wave cutoff and hits the 2145 Hz blind spot of both pairs
     "anechoic.ini": _SCENARIO.format(
         surface_density=1.135, termination="anechoic", snr_db="off", f_max=2500, f_step=5
+    ),
+    # 6 001 bins up to 6 100 Hz, past the cutoff and over two blind spots of both pairs
+    "wide.ini": _SCENARIO.format(
+        surface_density=1.135, termination="0.2+0.1j", snr_db=40, f_max=6100, f_step=1
     ),
     # the sample matrix overflows, so the synthetic field cannot be solved
     "singular.ini": _SCENARIO.format(
@@ -132,6 +141,7 @@ INPUTS = {
     "whitespace-row.csv": _WHITESPACE_ROW,
     "bad-rows.csv": _BAD_ROWS,
     "nan.csv": _NON_FINITE,
+    "overflowing.csv": _OVERFLOWING,
     "latin1.csv": _NOT_UTF8,
     "badf.csv": _NAN_FREQUENCY,
     "dec.csv": _DECREASING,
@@ -241,6 +251,10 @@ RUNS: tuple[tuple[str, ...], ...] = (
     ("synth", "limp.ini", "--config", "tube.ini", "--seed", "1201", "--output", "run2.csv"),
     ("synth", "limp.ini", "--config", "tube.ini", "--seed", "1202", "--output", "run3.csv"),
     ("synth", "anechoic.ini", "--config", "tube.ini", "--output", "anechoic.csv"),
+    *(
+        ("synth", "wide.ini", "--config", "tube.ini", "--seed", str(1300 + i), "--output", f"wide{i}.csv")
+        for i in (1, 2, 3)
+    ),
     ("synth", "singular.ini", "--config", "tube.ini", "--output", "singular.csv"),
     ("synth", "limp.ini", "--output", "no-config.csv"),
     ("synth", "tiny-step.ini", "--config", "tube.ini", "--output", "tiny-step.csv"),
@@ -258,6 +272,9 @@ RUNS: tuple[tuple[str, ...], ...] = (
         for band in ("power", "db")
     ),
     ("stl", "anechoic.csv", "--config", "tube.ini", "--output", "stl-anechoic.json"),
+    # 3 x 6 001 bins: the first two files are analysed as one group of 12 002 bins, the third alone
+    ("stl", "wide1.csv", "wide2.csv", "wide3.csv", "--config", "tube.ini", "--f-max", "6000")
+    + ("--output", "stl-wide3.json", "--band-csv", "stl-wide3-bands.csv", "--narrowband-csv", "stl-wide3-narrow.csv"),
     ("stl", "zero-downstream.csv", "--config", "tube.ini", "--f-min", "1000", "--f-max", "1000")
     + ("--output", "stl-zero-downstream.json"),
     *(
@@ -266,6 +283,9 @@ RUNS: tuple[tuple[str, ...], ...] = (
         for name in ("crlf", "commented", "cr")
     ),
     ("stl", "bad-rows.csv", "--config", "tube.ini"),
+    # both files are read before either is analysed, so the second one's read error wins
+    ("stl", "overflowing.csv", "--config", "tube.ini"),
+    ("stl", "overflowing.csv", "bad-rows.csv", "--config", "tube.ini"),
     ("stl", "nan.csv", "--config", "tube.ini"),
     ("stl", "latin1.csv", "--config", "tube.ini"),
     ("stl", "badf.csv", "--config", "tube.ini"),

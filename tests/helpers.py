@@ -14,9 +14,12 @@ from tubeloss import (
     AirProperties,
     ComplexSpectrum,
     FrequencyGrid,
+    LayerModel,
+    SynthScenario,
     TransferMatrix,
     TubeGeometry,
     air_gap_matrix,
+    synth_mic_pressures,
 )
 
 AIR = AirProperties()
@@ -55,6 +58,34 @@ def four_mic_spectra(grid, geometry: TubeGeometry, a, b, c, d, air: AirPropertie
         field_spectrum(grid, x3, c, d, air),
         field_spectrum(grid, x4, c, d, air),
     )
+
+
+#: 19 001 bins (100-19 100 Hz): each complex array of one measurement on it passes the
+#: 256 KiB from which numpy computes an operator on a temporary in place
+WIDE_GRID = FrequencyGrid.from_range(100.0, 19100.0, 1.0)
+
+
+def noisy_spectra(grid: FrequencyGrid, seed: int) -> tuple[ComplexSpectrum, ...]:
+    """Seeded synthetic pressures of a 1.135 kg/m^2 limp mass at 40 dB SNR, termination D/C 0.2+0.1j."""
+    scenario = SynthScenario(
+        LayerModel.limp_mass(1.135), GEOMETRY, AIR, termination_ratio=0.2 + 0.1j, snr_db=40.0, seed=seed
+    )
+    return synth_mic_pressures(scenario, grid)
+
+
+def row_slices(spectra, rows: int = 1000):
+    """``(lo, hi, spectra)``: consecutive slices of ``rows`` bins, each on a grid of its own."""
+    grid = spectra[0].grid
+    for lo in range(0, len(grid), rows):
+        hi = min(lo + rows, len(grid))
+        part = FrequencyGrid(grid.frequencies[lo:hi])
+        yield lo, hi, tuple(ComplexSpectrum(part, s.values[lo:hi]) for s in spectra)
+
+
+def stacked(measurements) -> tuple[ComplexSpectrum, ...]:
+    """The four ``(R, n)`` spectra of R measurements on one grid, one row each."""
+    grid = measurements[0][0].grid
+    return tuple(ComplexSpectrum(grid, np.stack([m[i].values for m in measurements])) for i in range(4))
 
 
 def limp_mass_stl_oracle(f, m_s: float, air: AirProperties = AIR):

@@ -17,8 +17,12 @@ from tubeloss import (
     stack_indicators,
     third_octave_bands,
 )
+from tubeloss import cli
 from tubeloss.cli import _band_block, _round_db, main
-from tubeloss.io_files import load_stack, read_band_csv, read_mic_spectra, write_band_csv
+from tubeloss.io_files import load_stack, read_band_csv, read_mic_spectra, write_band_csv, write_mic_spectra
+from tubeloss.pipeline import analyze_four_mic
+
+from helpers import AIR, GEOMETRY, noisy_spectra
 
 CONFIG_TEXT = """
 [air]
@@ -293,6 +297,115 @@ class TestSynthAndStl:
             run_cli("stl", str(spectra_path), "--config", str(config), "--f-min", "1600", "--f-max", "1600")
             == 3
         )
+
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("stl", "a\x00b.csv", "--config", "tube.ini"), "a\\x00b.csv: mic-spectra"),
+            (("stl", "run.csv", "--config", "a\x00b.ini"), "a\\x00b.ini: config"),
+            (("il", "--before", "a\x00b.csv", "--after", "after.csv"), "a\\x00b.csv: band CSV"),
+        ],
+        ids=["stl-input", "config", "il-before"],
+    )
+    def test_a_nul_byte_in_an_input_path_names_the_file(self, tmp_path, monkeypatch, capsys, argv, named):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tube.ini").write_text(CONFIG_TEXT)
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: {named} file not found or unreadable\n"
+
+
+def _write_spectra(path, grid, seed) -> str:
+    write_mic_spectra(path, noisy_spectra(grid, seed), GEOMETRY, AIR)
+    return str(path)
+
+
+class TestRepetitionsOnOneAxis:
+    """``stl`` analyses its files in groups of at most 16 384 bins, one library call per group."""
+
+    @pytest.mark.parametrize(
+        "n_files, f_max, f_step, n_groups",
+        [
+            (1, 2000.0, 10.0, 1),
+            (2, 2000.0, 10.0, 1),
+            (10, 2000.0, 10.0, 1),
+            (1, 1800.0, 0.1, 1),  # 17 001 bins: one file past the cap is a group of its own
+            (2, 1000.0, 0.1, 2),  # 2 x 9 001 bins
+            (10, 2000.0, 1.0, 2),  # 10 x 1 901 bins: 8 files, then 2
+        ],
+    )
+    def test_each_row_has_the_bits_of_its_file_alone(self, tmp_path, config, monkeypatch, n_files, f_max, f_step, n_groups):
+        grid = FrequencyGrid.from_range(100.0, f_max, f_step)
+        files = [_write_spectra(tmp_path / f"rep{i}.csv", grid, 1200 + i) for i in range(n_files)]
+        averaged, groups = [], []
+
+        def average(rows, *args, **kwargs):
+            averaged.append(rows)
+            return average_repetitions(rows, *args, **kwargs)
+
+        def analyze(*args, **kwargs):
+            groups.append(args[0].values.shape[0])
+            return analyze_four_mic(*args, **kwargs)
+
+        average_repetitions = cli.average_repetitions
+        monkeypatch.setattr(cli, "average_repetitions", average)
+        monkeypatch.setattr(cli, "analyze_four_mic", analyze)
+        assert run_cli("stl", *files, "--config", config, "--output", str(tmp_path / "r.json")) == 0
+        assert len(groups) == n_groups and sum(groups) == n_files
+        assert all(rows == 1 or rows * len(grid) <= 16_384 for rows in groups)
+        stl_rows, reflectance_rows, direct_rows = averaged
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for row, path in enumerate(files):
+                alone = analyze_four_mic(*read_mic_spectra(path)[0], geometry=GEOMETRY, air=AIR)
+                assert stl_rows[row].tobytes() == alone.indicators.stl_db.tobytes(), row
+                assert reflectance_rows[row].tobytes() == alone.indicators.reflectance.tobytes(), row
+                assert direct_rows[row].tobytes() == alone.stl_direct_db.tobytes(), row
+
+    def test_each_files_warnings_keep_their_text_and_order(self, tmp_path):
+        # 0.1 m spacing: both pairs are blind at 1716 Hz; only the middle file's termination reflects
+        config = tmp_path / "tube.ini"
+        config.write_text(
+            "[tube]\nmic_positions = -0.35 -0.25 0.25 0.35\nsample_thickness = 0.00089\ndiameter = 0.0998\n"
+        )
+        files = []
+        for i, termination in enumerate(("anechoic", "0.2+0.1j", "anechoic")):
+            scenario = tmp_path / f"s{i}.ini"
+            scenario.write_text(
+                "[scenario]\nsample = limp-mass\nsurface_density = 1.135\n"
+                f"termination = {termination}\nf_min = 1700\nf_max = 1730\nf_step = 1\n"
+            )
+            files.append(str(tmp_path / f"rep{i}.csv"))
+            assert run_cli("synth", str(scenario), "--config", str(config), "--output", files[-1]) == 0
+
+        def warnings_of(*inputs):
+            report = tmp_path / "r.json"
+            assert run_cli("stl", *inputs, "--config", str(config), "--output", str(report)) == 0
+            return json.loads(report.read_text())["warnings"]
+
+        together = warnings_of(*files)
+        assert together == [w for path in files for w in warnings_of(path)]
+        assert [w.split(":")[0] for w in together] == [
+            files[0], files[0], "anechoic assumption violated", files[1], files[1], files[2], files[2],
+        ]
+
+    def test_a_later_files_read_error_wins_over_an_earlier_files_analysis_error(self, tmp_path, config, capsys):
+        grid = FrequencyGrid.from_range(100.0, 2000.0, 10.0)
+        overflowing = tmp_path / "overflowing.csv"
+        _write_spectra(overflowing, grid, 1)
+        lines = overflowing.read_text().splitlines()
+        lines[8:] = [line.split(",")[0] + ",1.7e308,0,-1.7e308,0,1.7e308,0,-1.7e308,0" for line in lines[8:]]
+        overflowing.write_text("\n".join(lines) + "\n")
+        malformed = tmp_path / "malformed.csv"
+        malformed.write_text("# tubeloss mic spectra v1\nnot,really\n")
+        capsys.readouterr()
+        # both files fit one group, so both are read before either is analysed
+        assert run_cli("stl", str(overflowing), str(malformed), "--config", config) == 2
+        assert capsys.readouterr().err == (
+            f"error: {malformed}:2: unexpected column header 'not,really'\n"
+        )
+        assert run_cli("stl", str(overflowing), "--config", config) == 2
+        assert capsys.readouterr().err == "error: amplitudes must be finite at every retained frequency\n"
 
 
 class TestMasslaw:

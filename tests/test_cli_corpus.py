@@ -177,6 +177,24 @@ def test_a_nul_byte_in_a_stack_file_name_is_an_unreadable_file_printed_escaped(r
     assert (run.code, run.stderr) == (2, "error: a\\x00b.json: stack file not found or unreadable\n")
 
 
+def test_every_file_of_a_group_is_read_before_any_is_analysed(runs):
+    stderr = {run.argv[1:-2]: run.stderr for run in runs if run.argv[:2] == ("stl", "overflowing.csv")}
+    assert stderr["overflowing.csv",] == "error: amplitudes must be finite at every retained frequency\n"
+    assert stderr["overflowing.csv", "bad-rows.csv"].startswith("error: bad-rows.csv:9: bad number: ")
+
+
+def test_each_file_of_a_batch_warns_in_file_order(runs):
+    (run,) = [run for run in runs if run.argv[:4] == ("stl", "wide1.csv", "wide2.csv", "wide3.csv")]
+    lines = run.stderr.splitlines()
+    assert run.code == 0 and len(lines) == 10
+    for i, name in enumerate(("wide1.csv", "wide2.csv", "wide3.csv")):
+        anechoic, upstream, downstream = lines[3 * i : 3 * i + 3]
+        assert anechoic.startswith("warning: anechoic assumption violated: ")
+        assert upstream == f"warning: {name}: upstream pair singular at [2145.0, 4290.0] Hz"
+        assert downstream == f"warning: {name}: downstream pair singular at [2145.0, 4290.0] Hz"
+    assert lines[9].startswith("warning: 4085 bins above the plane-wave cutoff")
+
+
 def test_a_table_name_the_band_csv_reader_would_misread_writes_nothing(runs, corpus_dir):
     (run,) = [run for run in runs if run.argv[:3] == ("masslaw", "--materials", "coverage-names.json")]
     assert (run.code, run.stderr) == (2, "error: table name 'felt_coverage' may not end in '_coverage'\n")

@@ -131,6 +131,74 @@ def test_any_other_array_is_copied(name, kind):
         np.testing.assert_array_equal(stored, arr, err_msg=field)
 
 
+# the containers of per-bin arrays, which also hold R repetitions as (R, n) rows
+PER_BIN = [name for name in CONTAINERS if name != "BandTable"]
+
+
+def rows(n: int, fields: dict, r: int = 3) -> dict:
+    """``inputs`` as ``(r, n)`` arrays, each row different."""
+    return {name: np.outer(np.arange(1, r + 1), arr) for name, arr in inputs(n, fields).items()}
+
+
+@pytest.mark.parametrize("name", PER_BIN)
+@pytest.mark.parametrize("r", [1, 3])
+def test_rows_are_read_only_private_copies(name, r):
+    n, build, fields = CONTAINERS[name]
+    arrays = rows(n, fields, r)
+    obj = build(arrays)
+    for field, arr in arrays.items():
+        stored = getattr(obj, field)
+        assert stored.shape == (r, n) and stored.dtype == fields[field], field
+        assert not stored.flags.writeable and not np.shares_memory(stored, arr), field
+        np.testing.assert_array_equal(stored, arr, err_msg=field)
+        with pytest.raises(ValueError):
+            stored[0, 0] = stored[0, 1]
+
+
+@pytest.mark.parametrize("name", PER_BIN)
+def test_locked_rows_that_own_their_data_are_kept(name):
+    n, build, fields = CONTAINERS[name]
+    arrays = locked(rows(n, fields))
+    obj = build(arrays)
+    for field, arr in arrays.items():
+        assert getattr(obj, field) is arr, field
+
+
+@pytest.mark.parametrize("name", PER_BIN)
+@pytest.mark.parametrize(
+    "shape", [(3, 4), (5, 3), (0, 5), (1, 1, 5), (2, 3, 5), ()], ids=["short", "transposed", "no-row", "3-D", "3-D", "0-D"]
+)
+def test_rows_need_one_entry_per_bin_on_the_last_axis_and_at_most_two_axes(name, shape):
+    n, build, fields = CONTAINERS[name]
+    assert n == 5
+    for field in fields:
+        arrays = rows(n, fields)
+        arrays[field] = np.full(shape, arrays[field].flat[0])
+        with pytest.raises(ValueError, match="must have shape"):
+            build(arrays)
+
+
+@pytest.mark.parametrize("name", [name for name in PER_BIN if len(CONTAINERS[name][2]) > 1])
+def test_fields_with_different_rows_are_rejected(name):
+    n, build, fields = CONTAINERS[name]
+    for field in fields:
+        for other in (rows(n, fields, 2)[field], inputs(n, fields)[field]):  # 2 rows among 3, 1-D among rows
+            arrays = rows(n, fields)
+            arrays[field] = other
+            with pytest.raises(ValueError, match="must have shape"):
+                build(arrays)
+        arrays = inputs(n, fields)
+        arrays[field] = arrays[field][np.newaxis]  # one row among 1-D fields
+        with pytest.raises(ValueError, match="must have shape"):
+            build(arrays)
+
+
+def test_band_tables_hold_one_row_only():
+    n, build, fields = CONTAINERS["BandTable"]
+    with pytest.raises(ValueError, match="must have shape"):
+        build(rows(n, fields, 1))
+
+
 LAYERS = {
     "limp-mass": LayerModel.limp_mass(1.135),
     "air-gap": LayerModel.air_gap(0.05),

@@ -15,7 +15,7 @@ from tubeloss import (
 )
 from tubeloss.io_files import read_mic_spectra, write_mic_spectra
 
-from helpers import AIR, GEOMETRY, field_spectrum, four_mic_spectra
+from helpers import AIR, GEOMETRY, WIDE_GRID, field_spectrum, four_mic_spectra, noisy_spectra, row_slices, stacked
 
 finite_complex = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=10.0, allow_nan=False, allow_infinity=False
@@ -192,3 +192,36 @@ def test_grid_mismatch_rejected():
     q = ComplexSpectrum(FrequencyGrid([600.0]), [1.0])
     with pytest.raises(GridMismatchError):
         decompose_pair(p, q, -0.3, -0.25, np.array([9.0]))
+
+
+def test_a_bins_amplitudes_do_not_depend_on_the_grids_length():
+    # whole, every array is past numpy's in-place threshold; in 1 000-bin slices none is
+    spectra = noisy_spectra(WIDE_GRID, 1)
+    whole = decompose_four_mic(*spectra, GEOMETRY, AIR)
+    assert whole.upstream_singular.any()  # the blind spots are in the comparison
+    for lo, hi, part in row_slices(spectra):
+        amps = decompose_four_mic(*part, GEOMETRY, AIR)
+        for name in "abcd":
+            assert getattr(amps, name).tobytes() == getattr(whole, name)[lo:hi].tobytes(), (name, lo)
+
+
+@pytest.mark.parametrize("grid", [FrequencyGrid.from_range(100.0, 2000.0, 10.0), WIDE_GRID], ids=["191", "19001"])
+def test_repetitions_decompose_on_one_axis_with_each_files_bits(grid):
+    measurements = [noisy_spectra(grid, seed) for seed in range(3)]
+    batch = decompose_four_mic(*stacked(measurements), GEOMETRY, AIR)
+    singular = batch.singular_frequencies()
+    for row, spectra in enumerate(measurements):
+        alone = decompose_four_mic(*spectra, GEOMETRY, AIR)
+        for name in "abcd":
+            assert getattr(batch, name).shape == (3, len(grid))
+            assert getattr(batch, name)[row].tobytes() == getattr(alone, name).tobytes(), (name, row)
+        for pair, frequencies in alone.singular_frequencies().items():
+            np.testing.assert_array_equal(singular[pair][row], frequencies)
+
+
+def test_one_spectrum_of_rows_among_single_ones_is_rejected():
+    grid = FrequencyGrid.from_range(100.0, 500.0, 100.0)
+    p1, p2, p3, p4 = four_mic_spectra(grid, GEOMETRY, 1.0, 0.3j, 0.5, 0.0)
+    rows = ComplexSpectrum(grid, np.stack([p1.values, p1.values]))
+    with pytest.raises(ValueError, match=r"field 'c' must have shape \(2, 5\)"):
+        decompose_four_mic(rows, p2, p3, p4, GEOMETRY, AIR)

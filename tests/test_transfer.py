@@ -27,7 +27,17 @@ from tubeloss import (
     wavenumber,
 )
 
-from helpers import AIR, GEOMETRY, air_layer_matrix_oracle, four_mic_spectra, limp_mass_stl_oracle
+from helpers import (
+    AIR,
+    GEOMETRY,
+    WIDE_GRID,
+    air_layer_matrix_oracle,
+    four_mic_spectra,
+    limp_mass_stl_oracle,
+    noisy_spectra,
+    row_slices,
+    stacked,
+)
 
 Z0 = AIR.impedance
 
@@ -156,12 +166,21 @@ class TestOneLoadReconstruction:
         assert from_lists.valid.all()
         for name in ("t11", "t12", "t21", "t22"):
             assert getattr(from_lists, name).tobytes() == getattr(from_arrays, name).tobytes()
+        # four one-row faces are a batch of one repetition, with the bits of the 1-D call
+        one_row = reconstruct_one_load(grid, *([f] for f in faces))
+        for name in ("t11", "t12", "t21", "t22"):
+            assert getattr(one_row, name).shape == (1, 3)
+            assert getattr(one_row, name)[0].tobytes() == getattr(from_arrays, name).tobytes()
         for i in range(4):
-            for bad in ([1.0], [1.0, 2.0], [1.0] * 4, [[1.0] * 3], 1.0):  # a length-1 array must not broadcast
+            for bad in ([1.0], [1.0, 2.0], [1.0] * 4, [[1.0] * 4], [[[1.0] * 3]], 1.0):  # no broadcasting
                 edited = list(faces)
                 edited[i] = bad
                 with pytest.raises(ValueError, match=r"must have shape \(3,\)"):
                     reconstruct_one_load(grid, *edited)
+            edited = list(faces)
+            edited[i] = [faces[i]]  # one row among 1-D faces: the shapes differ
+            with pytest.raises(ValueError, match=r"must have shape \((1, )?3,?\)"):
+                reconstruct_one_load(grid, *edited)
 
     def test_a_dropped_bin_is_nan_in_every_entry(self):
         rng = np.random.default_rng(2718)
@@ -376,6 +395,21 @@ class TestStlDirect:
         with pytest.warns(AnechoicQualityWarning):
             stl_direct_anechoic(amps)
 
+    def test_one_quality_warning_per_row_over_the_threshold_in_row_order(self):
+        grid = FrequencyGrid([1000.0, 2000.0])
+        d = np.array([[0.1, 0.3], [0.001, 0.0], [0.2, np.inf], [np.nan, 0.05]])  # |C| = 0.5
+        rows = PlaneWaveAmplitudes(grid, np.ones((4, 2)), np.zeros((4, 2)), np.full((4, 2), 0.5), d)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            direct = stl_direct_anechoic(rows)
+        assert [str(w.message) for w in caught] == [
+            "anechoic assumption violated: max |D/C| = 0.6 exceeds 0.01",
+            "anechoic assumption violated: max |D/C| = 0.4 exceeds 0.01",
+            "anechoic assumption violated: max |D/C| = 0.1 exceeds 0.01",
+        ]
+        assert direct.shape == (4, 2)
+        assert direct.tobytes() == np.tile(stl_direct_anechoic(make_amplitudes(grid, 1, 0, 0.5, 0)), (4, 1)).tobytes()
+
     def test_dual_path_consistency(self):
         # matrix route and direct route agree on clean anechoic fields
         grid = FrequencyGrid.from_range(100.0, 2000.0, 10.0)
@@ -477,3 +511,38 @@ class TestZeroThicknessShortcut:
                 want = reference_indicators(m, thickness, AIR)
                 for field, expected in zip(("transmission", "reflection", "stl_db"), want):
                     assert getattr(got, field).tobytes() == expected.tobytes(), (field, thickness)
+
+
+def _stages(spectra, thickness=GEOMETRY.sample_thickness):
+    """Every stage's arrays for one set of spectra: amplitudes, faces, matrix, indicators."""
+    amplitudes = decompose_four_mic(*spectra, GEOMETRY, AIR)
+    faces = boundary_states(amplitudes, thickness, AIR)
+    matrix = reconstruct_one_load(amplitudes.grid, *faces)
+    indicators = acoustic_indicators(matrix, thickness, AIR)
+    out = {name: getattr(amplitudes, name) for name in "abcd"}
+    out.update(zip(("p0", "v0", "pd", "vd"), faces))
+    out.update((name, getattr(matrix, name)) for name in ("t11", "t12", "t21", "t22"))
+    out.update((name, getattr(indicators, name)) for name in ("transmission", "reflection", "stl_db"))
+    out["stl_direct_db"] = stl_direct_anechoic(amplitudes, np.inf)
+    return out
+
+
+class TestBitsOfABin:
+    """A bin's bits depend on its own inputs only: not on the grid's length, not on other rows."""
+
+    def test_whole_file_and_its_slices_agree_in_every_stage(self):
+        spectra = noisy_spectra(WIDE_GRID, 2)
+        whole = _stages(spectra)
+        for lo, hi, part in row_slices(spectra):
+            for name, values in _stages(part).items():
+                assert values.tobytes() == whole[name][lo:hi].tobytes(), (name, lo)
+
+    @pytest.mark.parametrize("thickness", [0.0, GEOMETRY.sample_thickness])
+    @pytest.mark.parametrize("grid", [FrequencyGrid.from_range(100.0, 2000.0, 10.0), WIDE_GRID], ids=["191", "19001"])
+    def test_rows_of_one_batch_agree_with_each_file_alone(self, grid, thickness):
+        measurements = [noisy_spectra(grid, seed) for seed in range(3)]
+        batch = _stages(stacked(measurements), thickness)
+        for row, spectra in enumerate(measurements):
+            for name, values in _stages(spectra, thickness).items():
+                assert batch[name].shape == (3, len(grid)), name
+                assert batch[name][row].tobytes() == values.tobytes(), (name, row)
