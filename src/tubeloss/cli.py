@@ -57,10 +57,10 @@ from .io_files import (
     write_report,
     write_text_atomic,
 )
-from .models import mass_law_constant_db, mass_law_stl, stack_thickness
+from .models import mass_law_constant_db, mass_law_stl, stack_indicators
 from .pipeline import analyze_four_mic
 from .synth import synth_mic_pressures
-from .transfer import _QUALITY_THRESHOLD, _worst_quality, acoustic_indicators
+from .transfer import _QUALITY_THRESHOLD, _worst_quality
 
 _DB_DECIMALS = 2  # reports quote dB to 0.01; CSV files keep full precision
 
@@ -303,18 +303,12 @@ def _cmd_stack(args) -> dict:
     grid = FrequencyGrid.from_range(args.f_min, args.f_max, args.f_step)
     bands = third_octave_bands(args.f_min, args.f_max)
 
-    def banded(matrix, thickness: float) -> tuple[np.ndarray, BandTable]:
-        narrow = acoustic_indicators(matrix, thickness, air).stl_db
-        return narrow, band_average(grid, narrow, bands, mode=args.band_mode)
-
-    # One pass builds each layer matrix once: banded alone, then multiplied into the stack.
-    constituents, product = [], None
-    for layer in layers:
-        matrix = layer.matrix_on(grid, air)
-        _, table = banded(matrix, layer.thickness)
-        constituents.append({"layer": layer.describe(), "bands": _band_block(table)})
-        product = matrix if product is None else product @ matrix
-    stack_stl, stack_table = banded(product, stack_thickness(layers))
+    stack, layer_stl_db = stack_indicators(layers, grid, air)
+    constituents = [
+        {"layer": layer.describe(), "bands": _band_block(band_average(grid, row, bands, mode=args.band_mode))}
+        for layer, row in zip(layers, layer_stl_db)
+    ]
+    stack_table = band_average(grid, stack.stl_db, bands, mode=args.band_mode)
 
     report = _provenance(args, air, None)
     report.update(
@@ -322,7 +316,7 @@ def _cmd_stack(args) -> dict:
             "stack": [layer.describe() for layer in layers],
             "narrowband": {
                 "frequency_hz": grid.frequencies.tolist(),
-                "stl_db": _round_db(stack_stl),
+                "stl_db": _round_db(stack.stl_db),
             },
             "bands": _band_block(stack_table),
             "constituents": constituents,

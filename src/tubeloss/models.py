@@ -5,6 +5,7 @@ stacks, and exact analytic oracles for verifying the measurement pipeline.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -153,6 +154,14 @@ class LayerModel:
             raise ValueError(f"unknown layer kind '{self.kind}'")
         if self.thickness < 0.0:
             raise ValueError("layer thickness must be non-negative")
+        # NaN passes the sign checks above; an infinite parameter would drop every bin of the layer.
+        # A surface density of None (any kind but limp-mass) is not checked.
+        parameters = {"surface_density": self.surface_density or 0.0, "thickness": self.thickness}
+        if self.kind == "matrix":
+            parameters.update(zip(("t11", "t12", "t21", "t22"), self.matrix))
+        for name, value in parameters.items():
+            if not cmath.isfinite(value):
+                raise ValueError(f"layer {name} must be finite")
 
     @classmethod
     def limp_mass(cls, m_s: float) -> "LayerModel":
@@ -252,8 +261,38 @@ def stack_indicators(
     layers,
     grid: FrequencyGrid,
     air: AirProperties = DEFAULT_AIR,
-) -> AcousticIndicators:
-    """Indicators of a whole stack, phase-referenced to its total thickness."""
+) -> tuple[AcousticIndicators, np.ndarray]:
+    """Indicators of a whole stack and each layer's own loss, in one pass over the layers.
+
+    Each layer matrix is built once. Its own indicators, phase-referenced to
+    its own thickness, give that layer's row of ``layer_stl_db``; then it is
+    multiplied into the running product in :func:`cascade`'s order, so the
+    stack gets the bits of ``cascade``.
+
+    Parameters
+    ----------
+    layers : sequence of LayerModel
+        Stack from the incident face to the back face; must be non-empty.
+    grid : FrequencyGrid
+        Evaluation grid.
+    air : AirProperties, optional
+        Ambient air.
+
+    Returns
+    -------
+    (AcousticIndicators, ndarray)
+        The stack's indicators, phase-referenced to its total thickness, and
+        a read-only ``(L, n)`` float array whose row i is ``stl_db`` of layer
+        i alone.
+    """
     layers = tuple(layers)
-    matrix = cascade(layers, grid, air)
-    return acoustic_indicators(matrix, stack_thickness(layers), air)
+    if not layers:
+        raise ValueError("stack_indicators needs at least one layer")
+    layer_stl_db = np.empty((len(layers), len(grid)))
+    product = None
+    for row, layer in zip(layer_stl_db, layers):
+        matrix = layer.matrix_on(grid, air)
+        row[:] = acoustic_indicators(matrix, layer.thickness, air).stl_db
+        product = matrix if product is None else product @ matrix
+    _frozen(layer_stl_db)
+    return acoustic_indicators(product, stack_thickness(layers), air), layer_stl_db

@@ -96,11 +96,14 @@ def synth_mic_pressures(
     a_inc = scenario.incident_amplitude
 
     # Exit-face state for a unit downstream forward wave, then the matching
-    # entry-face state through the sample matrix.
+    # entry-face state through the sample matrix. Every product or quotient
+    # with a temporary operand is an explicit ufunc call, so numpy never
+    # computes it in place into the temporary (which it does from 256 KiB, and
+    # which can round differently): a bin's bits depend on its own inputs only.
     phase_out = np.exp(-1j * k * d)
     phase_back = np.exp(1j * k * d)
     pd_unit = phase_out + ratio * phase_back
-    vd_unit = (phase_out - ratio * phase_back) / z
+    vd_unit = np.divide(phase_out - ratio * phase_back, z)
     p0_unit = matrix.t11 * pd_unit + matrix.t12 * vd_unit
     v0_unit = matrix.t21 * pd_unit + matrix.t22 * vd_unit
 
@@ -108,22 +111,21 @@ def synth_mic_pressures(
     if np.any(~np.isfinite(forward_unit)) or np.any(forward_unit == 0.0):
         raise NumericalValidityError("sample/termination combination is singular on this grid")
     c = a_inc / forward_unit
-    b = 0.5 * (p0_unit - z * v0_unit) * c
+    b = np.multiply(0.5 * (p0_unit - z * v0_unit), c)
     d_amp = ratio * c
 
-    x1, x2, x3, x4 = geometry.mic_positions
+    # the upstream mics see the waves A and B, the downstream mics C and D
+    waves = ((a_inc, b), (a_inc, b), (c, d_amp), (c, d_amp))
     pressures = [
-        a_inc * np.exp(-1j * k * x1) + b * np.exp(1j * k * x1),
-        a_inc * np.exp(-1j * k * x2) + b * np.exp(1j * k * x2),
-        c * np.exp(-1j * k * x3) + d_amp * np.exp(1j * k * x3),
-        c * np.exp(-1j * k * x4) + d_amp * np.exp(1j * k * x4),
+        np.multiply(forward, np.exp(-1j * k * x)) + np.multiply(backward, np.exp(1j * k * x))
+        for (forward, backward), x in zip(waves, geometry.mic_positions)
     ]
 
     if scenario.snr_db is not None:
         sigma = abs(a_inc) * 10.0 ** (-scenario.snr_db / 20.0)
         rng = np.random.default_rng(scenario.seed)
         draws = rng.standard_normal((4, len(grid), 2))
-        noise = sigma * (draws[..., 0] + 1j * draws[..., 1]) / np.sqrt(2.0)
+        noise = np.divide(sigma * (draws[..., 0] + 1j * draws[..., 1]), np.sqrt(2.0))
         pressures = [p + n for p, n in zip(pressures, noise)]
 
     return tuple(ComplexSpectrum(grid, p) for p in pressures)

@@ -7,6 +7,8 @@ transmission, reflection, impedance, and transmission loss follow from it.
 """
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -258,6 +260,21 @@ def _worst_quality(amplitudes: PlaneWaveAmplitudes) -> np.ndarray:
     return np.atleast_1d(np.where(np.isfinite(ratio), ratio, -np.inf).max(axis=-1))
 
 
+_PACKAGE = os.path.dirname(__file__) + os.sep
+
+
+def _stacklevel_outside_package() -> int:
+    """``stacklevel`` for a warning its caller raises: the first frame outside tubeloss.
+
+    Python 3.12's ``skip_file_prefixes`` would pick the same frame; this also
+    runs on 3.10 and 3.11.
+    """
+    level, frame = 2, sys._getframe(2)
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE):
+        level, frame = level + 1, frame.f_back
+    return level
+
+
 def stl_direct_anechoic(
     amplitudes: PlaneWaveAmplitudes,
     quality_threshold: float = _QUALITY_THRESHOLD,
@@ -267,7 +284,9 @@ def stl_direct_anechoic(
     Valid only while the backward wave behind the sample is negligible; if
     ``|D/C|`` exceeds ``quality_threshold`` anywhere in a row, the result is
     still returned but an :class:`AnechoicQualityWarning` is emitted, one per
-    such row of ``(R, n)`` amplitudes, in row order.
+    such row of ``(R, n)`` amplitudes, in row order. The warning points at
+    the first caller outside tubeloss: the caller of this function, or of
+    :func:`analyze_four_mic` when that runs it.
     """
     for worst in _worst_quality(amplitudes).tolist():
         if worst > quality_threshold:
@@ -275,7 +294,7 @@ def stl_direct_anechoic(
                 f"anechoic assumption violated: max |D/C| = {worst:.4g} "
                 f"exceeds {quality_threshold:.4g}",
                 AnechoicQualityWarning,
-                stacklevel=2,
+                stacklevel=_stacklevel_outside_package(),
             )
     # a dropped bin is NaN in a or c, so it is NaN here too
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -127,6 +127,10 @@ INPUTS = {
         surface_density=1.135, termination="anechoic", snr_db="off", f_max=2000, f_step=10
     )
     + "incident_amplitude = nan\n",
+    # a NaN surface density, which the sign check alone let through
+    "nan-mass.ini": _SCENARIO.format(
+        surface_density="nan", termination="anechoic", snr_db="off", f_max=2000, f_step=10
+    ),
     # a regular grid past the bin cap
     "tiny-step.ini": _SCENARIO.format(
         surface_density=1.135, termination="anechoic", snr_db="off", f_max=2000, f_step="1e-12"
@@ -211,6 +215,11 @@ INPUTS = {
     "huge-thickness.json": '[{"name": "sheet", "thickness_mm": 1' + "0" * 400 + ', "surface_density": 1.135}]',
     "digits.json": '[{"kind": "limp-mass", "surface_density": 1' + "0" * 4300 + "}]",
     "deep.json": "[" * 100_000 + "]" * 100_000,
+    # non-finite layer parameters: a float literal past the float range, NaN and Infinity tokens
+    "1e400-mass.json": '[{"kind": "limp-mass", "surface_density": 1e400}]',
+    "nan-mass.json": '[{"kind": "limp-mass", "surface_density": NaN}]',
+    "infinite-gap.json": '[{"kind": "identity"}, {"kind": "air-gap", "thickness": Infinity}]',
+    "nan-entry.json": '[{"kind": "matrix", "t11": [1, 0], "t12": [0, NaN], "t21": [0, 0], "t22": [1, 0]}]',
     "materials.json": json.dumps(
         [
             {"name": "sheet", "thickness_mm": 0.89, "surface_density": 1.135},
@@ -262,6 +271,7 @@ RUNS: tuple[tuple[str, ...], ...] = (
     ("synth", "nul-stack.ini", "--config", "tube.ini", "--output", "nul-stack.csv"),
     ("synth", "nan-termination.ini", "--config", "tube.ini", "--output", "nan-termination.csv"),
     ("synth", "nan-incident.ini", "--config", "tube.ini", "--output", "nan-incident.csv"),
+    ("synth", "nan-mass.ini", "--config", "tube.ini", "--output", "nan-mass.csv"),
     ("stl", "run1.csv", "--config", "tube.ini", "--f-max", "2000"),
     *(
         _STL3
@@ -332,6 +342,10 @@ RUNS: tuple[tuple[str, ...], ...] = (
     ("stack", "--stack", "bad-layer.json"),
     ("stack", "--stack", "newline-kind.json"),
     *(("stack", "--stack", name) for name in ("huge-layer.json", "huge-entry.json", "digits.json", "deep.json")),
+    *(
+        ("stack", "--stack", name, "--output", f"stack-{name}")
+        for name in ("1e400-mass.json", "nan-mass.json", "infinite-gap.json", "nan-entry.json")
+    ),
     ("stack", "--stack", "layers.json", "--f-max", "inf"),
     ("stack", "--stack", "layers.json", "--f-step", "1e-12"),
     *USAGE_ERRORS,

@@ -74,6 +74,15 @@ class TestSynthAndStl:
         assert len(spectra[0].grid) == 191
         assert geometry.sample_thickness == 0.00089
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_a_non_finite_surface_density_is_a_bad_scenario(self, tmp_path, capsys, config, value):
+        scenario = tmp_path / "scenario.ini"
+        scenario.write_text(SCENARIO_LIMP.replace("surface_density = 1.135", f"surface_density = {value}"))
+        out = tmp_path / "spectra.csv"
+        assert run_cli("synth", str(scenario), "--config", config, "--output", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {scenario}: bad scenario: layer surface_density must be finite\n"
+        assert not out.exists()
+
     def test_stl_report_matches_oracle(self, tmp_path, config, limp_scenario):
         spectra_path = tmp_path / "spectra.csv"
         run_cli("synth", limp_scenario, "--config", config, "--output", str(spectra_path))
@@ -598,6 +607,33 @@ class TestStack:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "bad layer #1: " in err[0]
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('[{"kind": "limp-mass", "surface_density": 1e400}]', "#1: layer surface_density must be finite"),
+            ('[{"kind": "limp-mass", "surface_density": NaN}]', "#1: layer surface_density must be finite"),
+            ('[{"kind": "identity"}, {"kind": "air-gap", "thickness": Infinity}]', "#2: layer thickness must be finite"),
+            (
+                '[{"kind": "matrix", "t11": [1, 0], "t12": [0, NaN], "t21": [0, 0], "t22": [1, 0]}]',
+                "#1: layer t12 must be finite",
+            ),
+            (
+                '[{"kind": "matrix", "t11": [1, 0], "t12": [0, 0], "t21": [0, 0], "t22": [1, 0], "thickness": NaN}]',
+                "#1: layer thickness must be finite",
+            ),
+            # a negative parameter keeps its message
+            ('[{"kind": "limp-mass", "surface_density": -1e400}]', "#1: limp-mass layer needs a non-negative surface_density"),
+        ],
+        ids=["1e400", "nan", "infinity-second", "nan-entry", "nan-thickness", "-1e400"],
+    )
+    def test_a_non_finite_layer_parameter_exits_2(self, tmp_path, capsys, text, message):
+        stack = tmp_path / "stack.json"
+        stack.write_text(text)
+        report_path = tmp_path / "report.json"
+        assert run_cli("stack", "--stack", str(stack), "--output", str(report_path)) == 2
+        assert capsys.readouterr().err == f"error: {stack}: bad layer {message}\n"
+        assert not report_path.exists()
+
     def test_a_message_holding_line_breaks_is_one_error_line(self, tmp_path, capsys):
         # every character str.splitlines() breaks a line at
         kind = "a\nb\rc\r\nd\x0be\x0cf\x1cg\x1dh\x1ei\x85j\u2028k\u2029l"
@@ -687,7 +723,7 @@ class TestStack:
         bands = third_octave_bands(100.0, 5000.0)
 
         def block(stack_layers):
-            single = stack_indicators(stack_layers, grid, DEFAULT_AIR)
+            single, _ = stack_indicators(stack_layers, grid, DEFAULT_AIR)
             narrow = np.where(single.valid, single.stl_db, np.nan)
             return json.loads(json.dumps(_band_block(band_average(grid, narrow, bands, mode=band_mode))))
 

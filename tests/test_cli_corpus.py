@@ -172,6 +172,21 @@ def test_a_nan_termination_or_incident_amplitude_names_the_scenario(runs):
     )
 
 
+def test_a_non_finite_layer_parameter_is_a_bad_layer_or_a_bad_scenario(runs, corpus_dir):
+    outcome = {run.argv[1:3]: (run.code, run.stderr) for run in runs}
+    assert outcome["nan-mass.ini", "--config"] == (
+        2, "error: nan-mass.ini: bad scenario: layer surface_density must be finite\n"
+    )
+    for name, message in (
+        ("1e400-mass.json", "bad layer #1: layer surface_density must be finite"),
+        ("nan-mass.json", "bad layer #1: layer surface_density must be finite"),
+        ("infinite-gap.json", "bad layer #2: layer thickness must be finite"),
+        ("nan-entry.json", "bad layer #1: layer t12 must be finite"),
+    ):
+        assert outcome["--stack", name] == (2, f"error: {name}: {message}\n")
+        assert not (corpus_dir / f"stack-{name}").exists()
+
+
 def test_a_nul_byte_in_a_stack_file_name_is_an_unreadable_file_printed_escaped(runs):
     (run,) = [run for run in runs if run.argv[:2] == ("synth", "nul-stack.ini")]
     assert (run.code, run.stderr) == (2, "error: a\\x00b.json: stack file not found or unreadable\n")

@@ -19,7 +19,7 @@ from tubeloss import (
     stl,
 )
 
-from helpers import AIR, MATERIALS, limp_mass_stl_oracle
+from helpers import AIR, MATERIALS, WIDE_GRID, limp_mass_stl_oracle
 
 DOUBLING_DB = 20.0 * math.log10(2.0)  # 6.0206
 
@@ -162,8 +162,8 @@ class TestCascade:
     def test_stack_improves_on_light_layer(self):
         grid = FrequencyGrid([1000.0])
         layers = [LayerModel.limp_mass(0.224), LayerModel.air_gap(0.005), LayerModel.limp_mass(1.216)]
-        stack = stack_indicators(layers, grid, AIR)
-        single = stack_indicators([LayerModel.limp_mass(0.224)], grid, AIR)
+        stack, _ = stack_indicators(layers, grid, AIR)
+        single, _ = stack_indicators([LayerModel.limp_mass(0.224)], grid, AIR)
         assert stack.stl_db[0] > single.stl_db[0]
         # also clears the summed-mass rule of thumb minus 6 dB
         assert stack.stl_db[0] > mass_law_stl(1000.0, 0.224 + 1.216) - 6.0
@@ -173,7 +173,67 @@ class TestCascade:
         assert stack_thickness(layers) == pytest.approx(0.005)
 
 
+class TestStackIndicators:
+    # a matrix with thickness, an identity, a mass that is opaque (+inf) up to 286 Hz and whose
+    # t12 overflows (NaN) above, an air gap
+    LAYERS = (
+        LayerModel.explicit(0.9 + 0.1j, 200.0 + 30.0j, 0.0005 + 0.0001j, 0.9 + 0.1j, thickness=0.02),
+        LayerModel.identity(),
+        LayerModel.limp_mass(1e305),
+        LayerModel.air_gap(0.05),
+    )
+
+    def test_stack_has_the_bits_of_the_cascade(self):
+        stack, _ = stack_indicators(self.LAYERS, WIDE_GRID, AIR)
+        want = acoustic_indicators(cascade(self.LAYERS, WIDE_GRID, AIR), stack_thickness(self.LAYERS), AIR)
+        for field in ("transmission", "reflection", "stl_db"):
+            assert getattr(stack, field).tobytes() == getattr(want, field).tobytes(), field
+        assert np.isnan(stack.stl_db).any() and np.isinf(stack.stl_db).any()
+
+    def test_each_row_is_that_layer_alone(self):
+        _, rows = stack_indicators(self.LAYERS, WIDE_GRID, AIR)
+        assert rows.shape == (len(self.LAYERS), len(WIDE_GRID)) and rows.dtype == float
+        for row, layer in zip(rows, self.LAYERS):
+            alone = acoustic_indicators(layer.matrix_on(WIDE_GRID, AIR), layer.thickness, AIR)
+            assert row.tobytes() == alone.stl_db.tobytes(), layer
+        assert np.isnan(rows[2]).any() and np.isinf(rows[2]).any()
+
+    def test_rows_are_read_only(self):
+        _, rows = stack_indicators(self.LAYERS, FrequencyGrid([100.0, 200.0]), AIR)
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.0
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            stack_indicators([], FrequencyGrid([100.0]), AIR)
+
+
 class TestLayerModel:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, float("1e400")], ids=["nan", "inf", "1e400"])
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (LayerModel.limp_mass, "surface_density"),
+            (LayerModel.air_gap, "thickness"),
+            (lambda v: LayerModel.explicit(1.0, 0.0, 0.0, 1.0, thickness=v), "thickness"),
+            (lambda v: LayerModel.explicit(1.0, complex(0.0, v), 0.0, 1.0), "t12"),
+            (lambda v: LayerModel.explicit(v, 0.0, 0.0, 1.0), "t11"),
+        ],
+        ids=["limp-mass", "air-gap", "matrix-thickness", "matrix-t12", "matrix-t11"],
+    )
+    def test_non_finite_parameters_rejected(self, make, name, value):
+        with pytest.raises(ValueError, match=f"^layer {name} must be finite$"):
+            make(value)
+
+    @pytest.mark.parametrize("value", [-1.0, -math.inf], ids=["negative", "-inf"])
+    def test_negative_parameters_keep_their_messages(self, value):
+        with pytest.raises(ValueError, match="^limp-mass layer needs a non-negative surface_density$"):
+            LayerModel.limp_mass(value)
+        with pytest.raises(ValueError, match="^air-gap layer needs a non-negative thickness$"):
+            LayerModel.air_gap(value)
+        with pytest.raises(ValueError, match="^layer thickness must be non-negative$"):
+            LayerModel.explicit(1.0, 0.0, 0.0, 1.0, thickness=value)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             LayerModel(kind="limp-mass")

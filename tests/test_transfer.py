@@ -12,9 +12,11 @@ from tubeloss import (
     FrequencyGrid,
     LayerModel,
     PlaneWaveAmplitudes,
+    SynthScenario,
     TransferMatrix,
     acoustic_indicators,
     air_gap_matrix,
+    analyze_four_mic,
     boundary_states,
     decompose_four_mic,
     identity_matrix,
@@ -24,6 +26,7 @@ from tubeloss import (
     stl,
     stl_direct_anechoic,
     surface_impedance_anechoic,
+    synth_mic_pressures,
     wavenumber,
 )
 
@@ -395,6 +398,23 @@ class TestStlDirect:
         with pytest.warns(AnechoicQualityWarning):
             stl_direct_anechoic(amps)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda spectra: stl_direct_anechoic(decompose_four_mic(*spectra, GEOMETRY, AIR)),
+            lambda spectra: analyze_four_mic(*spectra, GEOMETRY, AIR),
+        ],
+        ids=["direct", "analyze_four_mic"],
+    )
+    def test_quality_warning_points_at_the_caller(self, call):
+        spectra = noisy_spectra(FrequencyGrid.from_range(100.0, 2000.0, 10.0), 1)  # |D/C| about 0.22
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(spectra)
+        (w,) = caught
+        assert w.category is AnechoicQualityWarning
+        assert w.filename == __file__
+
     def test_one_quality_warning_per_row_over_the_threshold_in_row_order(self):
         grid = FrequencyGrid([1000.0, 2000.0])
         d = np.array([[0.1, 0.3], [0.001, 0.0], [0.2, np.inf], [np.nan, 0.05]])  # |C| = 0.5
@@ -546,3 +566,10 @@ class TestBitsOfABin:
             for name, values in _stages(spectra, thickness).items():
                 assert batch[name].shape == (3, len(grid)), name
                 assert batch[name][row].tobytes() == values.tobytes(), (name, row)
+
+    def test_synth_of_a_whole_grid_and_its_slices_agree(self):
+        scenario = SynthScenario(LayerModel.limp_mass(1.135), GEOMETRY, AIR, termination_ratio=0.2 + 0.1j)
+        whole = synth_mic_pressures(scenario, WIDE_GRID)
+        for lo, hi, part in row_slices(whole):
+            for mic, (values, alone) in enumerate(zip(whole, synth_mic_pressures(scenario, part[0].grid))):
+                assert alone.values.tobytes() == values.values[lo:hi].tobytes(), (mic, lo)
