@@ -57,7 +57,7 @@ from .models import (
     stack_indicators,
     stack_thickness,
 )
-from .pipeline import TubeAnalysis, analyze_four_mic
+from .pipeline import QUALITY_THRESHOLD, TubeAnalysis, analyze_four_mic
 from .synth import SynthScenario, synth_mic_pressures, synth_room_levels
 from .transfer import (
     AcousticIndicators,
@@ -103,6 +103,7 @@ __all__ = [
     "stl_direct_anechoic",
     "acoustic_indicators",
     # pipeline
+    "QUALITY_THRESHOLD",
     "TubeAnalysis",
     "analyze_four_mic",
     # analytic models

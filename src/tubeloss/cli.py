@@ -36,6 +36,7 @@ from .bands import (
 from .core import DEFAULT_AIR, ComplexSpectrum, FrequencyGrid, _frozen, plane_wave_cutoff
 from .errors import (
     AllBinsInvalidError,
+    AnechoicQualityWarning,
     InputFormatError,
     NumericalValidityError,
     PlaneWaveCutoffWarning,
@@ -58,9 +59,8 @@ from .io_files import (
     write_text_atomic,
 )
 from .models import mass_law_constant_db, mass_law_stl, stack_indicators
-from .pipeline import analyze_four_mic
+from .pipeline import QUALITY_THRESHOLD, analyze_four_mic
 from .synth import synth_mic_pressures
-from .transfer import _QUALITY_THRESHOLD, _worst_quality
 
 _DB_DECIMALS = 2  # reports quote dB to 0.01; CSV files keep full precision
 
@@ -145,21 +145,21 @@ def _analyze_group(group: list, grid, geometry, air) -> tuple[np.ndarray, ...]:
     """``(stl_db, reflectance, stl_direct_db)`` of a group's files, one row each.
 
     ``group`` holds ``(path, spectra)`` pairs on ``grid``. One
-    :func:`analyze_four_mic` call analyses their ``(R, n)`` rows; each file's
-    warnings, the library's anechoic one and then its singular pairs, come out
-    in file order, as one call per file would give them.
+    :func:`analyze_four_mic` call, its own warnings off, analyses their
+    ``(R, n)`` rows. Each file's warnings are then built from the analysis,
+    in file order: its anechoic one from ``worst_quality``, then its singular
+    pairs, as one call per file would give them.
     """
     rows = _frozen(*(np.stack([spectra[i].values for _, spectra in group]) for i in range(4)))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        analysis = analyze_four_mic(*(ComplexSpectrum(grid, r) for r in rows), geometry=geometry, air=air)
-    # the library's one warning: AnechoicQualityWarning, once per row over the default threshold
-    anechoic = iter(caught)
-    warned = _worst_quality(analysis.amplitudes) > _QUALITY_THRESHOLD
+    analysis = analyze_four_mic(
+        *(ComplexSpectrum(grid, r) for r in rows), geometry=geometry, air=air, quality_threshold=math.inf
+    )
     singular = analysis.amplitudes.singular_frequencies()
     for row, (path, _) in enumerate(group):
-        if warned[row]:
-            warnings.warn(next(anechoic).message, stacklevel=1)
+        worst = float(analysis.worst_quality[row])
+        if worst > QUALITY_THRESHOLD:
+            # the library's wording; analyze_four_mic alone issues the warning itself
+            warnings.warn(str(AnechoicQualityWarning(worst, QUALITY_THRESHOLD)), stacklevel=1)
         for pair in ("upstream", "downstream"):
             if singular[pair][row].size:
                 warnings.warn(

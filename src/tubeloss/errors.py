@@ -46,7 +46,14 @@ class SingularBinWarning(UserWarning):
 
 
 class AnechoicQualityWarning(UserWarning):
-    """Downstream backward wave is too strong for the anechoic assumption."""
+    """Downstream backward wave is too strong for the anechoic assumption.
+
+    The message quotes a row's largest finite |D/C|, ``worst``, and the
+    ``threshold`` it exceeds, to four significant digits.
+    """
+
+    def __init__(self, worst: float, threshold: float):
+        super().__init__(f"anechoic assumption violated: max |D/C| = {worst:.4g} exceeds {threshold:.4g}")
 
 
 class NegativeInsertionLossWarning(UserWarning):

@@ -1,23 +1,28 @@
 """Four-microphone spectra to acoustic indicators in one call."""
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import AirProperties, ComplexSpectrum, DEFAULT_AIR, TubeGeometry
 from .decompose import PlaneWaveAmplitudes, decompose_four_mic
+from .errors import AnechoicQualityWarning
 from .transfer import (
-    _QUALITY_THRESHOLD,
     AcousticIndicators,
     TransferMatrix,
     acoustic_indicators,
+    anechoic_quality,
     boundary_states,
     reconstruct_one_load,
     stl_direct_anechoic,
 )
 
-__all__ = ["TubeAnalysis", "analyze_four_mic"]
+__all__ = ["QUALITY_THRESHOLD", "TubeAnalysis", "analyze_four_mic"]
+
+#: |D/C| above which :func:`analyze_four_mic` warns by default.
+QUALITY_THRESHOLD = 0.01
 
 
 @dataclass(frozen=True)
@@ -25,13 +30,16 @@ class TubeAnalysis:
     """All intermediate and final products of one tube measurement, or of R repetitions.
 
     Every per-bin array is ``(n,)``, or ``(R, n)`` with one repetition per row.
-    The termination quality ``|D/C|`` is :func:`anechoic_quality` of ``amplitudes``.
+    The termination quality ``|D/C|`` is :func:`anechoic_quality` of
+    ``amplitudes``; ``worst_quality`` holds each row's largest finite |D/C|,
+    shape ``(R,)`` (``(1,)`` for one measurement), -inf for a row without one.
     """
 
     amplitudes: PlaneWaveAmplitudes
     matrix: TransferMatrix
     indicators: AcousticIndicators
     stl_direct_db: np.ndarray
+    worst_quality: np.ndarray
 
 
 def analyze_four_mic(
@@ -41,28 +49,34 @@ def analyze_four_mic(
     p4: ComplexSpectrum,
     geometry: TubeGeometry,
     air: AirProperties = DEFAULT_AIR,
-    quality_threshold: float = _QUALITY_THRESHOLD,
+    quality_threshold: float = QUALITY_THRESHOLD,
 ) -> TubeAnalysis:
     """Run decomposition, matrix reconstruction, and indicator extraction.
 
     The matrix route is the primary result; the direct anechoic route
-    20 log10 |A/C| is carried along as a cross-check and warns when the
-    termination quality assumption is violated.
+    20 log10 |A/C| is carried along as a cross-check, valid only while the
+    termination is close to anechoic.
 
     The four spectra share one grid and one shape: ``(n,)`` for one
     measurement, or ``(R, n)`` for R repetitions, one per row. Repetitions
     are analysed on that axis in one pass, and each row gets the bits it
-    would get alone; the direct route warns once per row over the
-    threshold, in row order.
+    would get alone. Each row whose ``worst_quality`` exceeds
+    ``quality_threshold`` gets one :class:`AnechoicQualityWarning`, in row
+    order, pointing at the caller; ``math.inf`` turns the warnings off.
     """
     amplitudes = decompose_four_mic(p1, p2, p3, p4, geometry, air)
     faces = boundary_states(amplitudes, geometry.sample_thickness, air)
     matrix = reconstruct_one_load(amplitudes.grid, *faces)
     indicators = acoustic_indicators(matrix, geometry.sample_thickness, air)
-    direct = stl_direct_anechoic(amplitudes, quality_threshold)
+    ratio = anechoic_quality(amplitudes)
+    worst = np.atleast_1d(np.where(np.isfinite(ratio), ratio, -np.inf).max(axis=-1))
+    for row_worst in worst.tolist():
+        if row_worst > quality_threshold:
+            warnings.warn(AnechoicQualityWarning(row_worst, quality_threshold), stacklevel=2)
     return TubeAnalysis(
         amplitudes=amplitudes,
         matrix=matrix,
         indicators=indicators,
-        stl_direct_db=direct,
+        stl_direct_db=stl_direct_anechoic(amplitudes),
+        worst_quality=worst,
     )

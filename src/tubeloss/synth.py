@@ -53,6 +53,8 @@ class SynthScenario:
         object.__setattr__(self, "incident_amplitude", incident)
         if self.snr_db is not None and not np.isfinite(self.snr_db):
             raise ValueError("snr_db must be finite or None")
+        if self.seed < 0:  # numpy's generator rejects it, but only once noise is drawn
+            raise ValueError(f"seed must be a non-negative integer, not {self.seed}")
 
 
 def synth_mic_pressures(

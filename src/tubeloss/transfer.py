@@ -7,16 +7,12 @@ transmission, reflection, impedance, and transmission loss follow from it.
 """
 from __future__ import annotations
 
-import os
-import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import AirProperties, FrequencyGrid, PerBinArrays, _frozen, _per_bin_shape, locked_array
 from .decompose import PlaneWaveAmplitudes
-from .errors import AnechoicQualityWarning
 
 __all__ = [
     "TransferMatrix",
@@ -33,9 +29,6 @@ __all__ = [
 
 #: Relative floor below which a shared denominator counts as vanishing.
 _DENOMINATOR_RTOL = 1e-12
-
-#: |D/C| above which the direct anechoic route warns by default.
-_QUALITY_THRESHOLD = 0.01
 
 _NAN = complex(np.nan, np.nan)
 
@@ -251,51 +244,13 @@ def anechoic_quality(amplitudes: PlaneWaveAmplitudes) -> np.ndarray:
         return np.abs(amplitudes.d) / np.abs(amplitudes.c)
 
 
-def _worst_quality(amplitudes: PlaneWaveAmplitudes) -> np.ndarray:
-    """The largest finite ``|D/C|`` of each row (-inf where none is finite), shape ``(R,)``.
-
-    One-dimensional amplitudes count as one row.
-    """
-    ratio = anechoic_quality(amplitudes)
-    return np.atleast_1d(np.where(np.isfinite(ratio), ratio, -np.inf).max(axis=-1))
-
-
-_PACKAGE = os.path.dirname(__file__) + os.sep
-
-
-def _stacklevel_outside_package() -> int:
-    """``stacklevel`` for a warning its caller raises: the first frame outside tubeloss.
-
-    Python 3.12's ``skip_file_prefixes`` would pick the same frame; this also
-    runs on 3.10 and 3.11.
-    """
-    level, frame = 2, sys._getframe(2)
-    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE):
-        level, frame = level + 1, frame.f_back
-    return level
-
-
-def stl_direct_anechoic(
-    amplitudes: PlaneWaveAmplitudes,
-    quality_threshold: float = _QUALITY_THRESHOLD,
-) -> np.ndarray:
+def stl_direct_anechoic(amplitudes: PlaneWaveAmplitudes) -> np.ndarray:
     """Transmission loss 20 log10 |A/C| assuming a clean anechoic termination.
 
-    Valid only while the backward wave behind the sample is negligible; if
-    ``|D/C|`` exceeds ``quality_threshold`` anywhere in a row, the result is
-    still returned but an :class:`AnechoicQualityWarning` is emitted, one per
-    such row of ``(R, n)`` amplitudes, in row order. The warning points at
-    the first caller outside tubeloss: the caller of this function, or of
-    :func:`analyze_four_mic` when that runs it.
+    Valid only while the backward wave behind the sample is negligible, which
+    :func:`anechoic_quality` measures; this function only computes the curve.
+    :func:`analyze_four_mic` judges the termination and warns.
     """
-    for worst in _worst_quality(amplitudes).tolist():
-        if worst > quality_threshold:
-            warnings.warn(
-                f"anechoic assumption violated: max |D/C| = {worst:.4g} "
-                f"exceeds {quality_threshold:.4g}",
-                AnechoicQualityWarning,
-                stacklevel=_stacklevel_outside_package(),
-            )
     # a dropped bin is NaN in a or c, so it is NaN here too
     with np.errstate(divide="ignore", invalid="ignore"):
         out = 20.0 * np.log10(np.abs(amplitudes.a) / np.abs(amplitudes.c))

@@ -131,6 +131,10 @@ INPUTS = {
     "nan-mass.ini": _SCENARIO.format(
         surface_density="nan", termination="anechoic", snr_db="off", f_max=2000, f_step=10
     ),
+    # a negative seed with noise on, which numpy's generator would reject unnamed
+    "negative-seed.ini": _SCENARIO.format(
+        surface_density=1.135, termination="anechoic", snr_db=40, f_max=2000, f_step=10
+    ).replace("seed = 1200", "seed = -1"),
     # a regular grid past the bin cap
     "tiny-step.ini": _SCENARIO.format(
         surface_density=1.135, termination="anechoic", snr_db="off", f_max=2000, f_step="1e-12"
@@ -272,6 +276,8 @@ RUNS: tuple[tuple[str, ...], ...] = (
     ("synth", "nan-termination.ini", "--config", "tube.ini", "--output", "nan-termination.csv"),
     ("synth", "nan-incident.ini", "--config", "tube.ini", "--output", "nan-incident.csv"),
     ("synth", "nan-mass.ini", "--config", "tube.ini", "--output", "nan-mass.csv"),
+    ("synth", "negative-seed.ini", "--config", "tube.ini", "--output", "negative-seed.csv"),
+    ("synth", "limp.ini", "--config", "tube.ini", "--seed", "-1", "--output", "negative-seed-option.csv"),
     ("stl", "run1.csv", "--config", "tube.ini", "--f-max", "2000"),
     *(
         _STL3

@@ -83,6 +83,22 @@ class TestSynthAndStl:
         assert capsys.readouterr().err == f"error: {scenario}: bad scenario: layer surface_density must be finite\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("snr_db", ["40", "off"])
+    @pytest.mark.parametrize("where", ["scenario", "option"])
+    def test_a_negative_seed_is_one_error_line_naming_the_seed(self, tmp_path, capsys, config, where, snr_db):
+        scenario = tmp_path / "scenario.ini"
+        text = SCENARIO_LIMP.replace("snr_db = off", f"snr_db = {snr_db}")
+        if where == "scenario":
+            scenario.write_text(text.replace("seed = 0", "seed = -1"))
+            argv, prefix = (), f"{scenario}: bad scenario: "
+        else:
+            scenario.write_text(text)
+            argv, prefix = ("--seed", "-1"), ""
+        out = tmp_path / "spectra.csv"
+        assert run_cli("synth", str(scenario), "--config", config, "--output", str(out), *argv) == 2
+        assert capsys.readouterr().err == f"error: {prefix}seed must be a non-negative integer, not -1\n"
+        assert not out.exists()
+
     def test_stl_report_matches_oracle(self, tmp_path, config, limp_scenario):
         spectra_path = tmp_path / "spectra.csv"
         run_cli("synth", limp_scenario, "--config", config, "--output", str(spectra_path))
@@ -371,8 +387,10 @@ class TestRepetitionsOnOneAxis:
                 assert reflectance_rows[row].tobytes() == alone.indicators.reflectance.tobytes(), row
                 assert direct_rows[row].tobytes() == alone.stl_direct_db.tobytes(), row
 
-    def test_each_files_warnings_keep_their_text_and_order(self, tmp_path):
-        # 0.1 m spacing: both pairs are blind at 1716 Hz; only the middle file's termination reflects
+    @pytest.fixture
+    def three_files(self, tmp_path):
+        """``(config, files)``: 0.1 m spacing, so both pairs are blind at 1716 Hz; only the
+        middle file's termination reflects."""
         config = tmp_path / "tube.ini"
         config.write_text(
             "[tube]\nmic_positions = -0.35 -0.25 0.25 0.35\nsample_thickness = 0.00089\ndiameter = 0.0998\n"
@@ -386,17 +404,35 @@ class TestRepetitionsOnOneAxis:
             )
             files.append(str(tmp_path / f"rep{i}.csv"))
             assert run_cli("synth", str(scenario), "--config", str(config), "--output", files[-1]) == 0
+        return str(config), files
 
-        def warnings_of(*inputs):
-            report = tmp_path / "r.json"
-            assert run_cli("stl", *inputs, "--config", str(config), "--output", str(report)) == 0
-            return json.loads(report.read_text())["warnings"]
+    @staticmethod
+    def _report_warnings(config, *inputs):
+        report = f"{inputs[0]}.json"
+        assert run_cli("stl", *inputs, "--config", config, "--output", report) == 0
+        with open(report) as f:
+            return json.load(f)["warnings"]
 
-        together = warnings_of(*files)
-        assert together == [w for path in files for w in warnings_of(path)]
+    def test_each_files_warnings_keep_their_text_and_order(self, three_files):
+        config, files = three_files
+        together = self._report_warnings(config, *files)
+        assert together == [w for path in files for w in self._report_warnings(config, path)]
         assert [w.split(":")[0] for w in together] == [
             files[0], files[0], "anechoic assumption violated", files[1], files[1], files[2], files[2],
         ]
+
+    def test_each_anechoic_line_is_the_librarys_warning_for_its_file_alone(self, three_files):
+        config, files = three_files
+        library = []
+        for path in files:
+            spectra, geometry, air = read_mic_spectra(path)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                analyze_four_mic(*spectra, geometry=geometry, air=air)
+            library += [str(w.message) for w in caught]
+        lines = [w for w in self._report_warnings(config, *files) if w.startswith("anechoic assumption violated")]
+        assert len(library) == 1
+        assert lines == library
 
     def test_a_later_files_read_error_wins_over_an_earlier_files_analysis_error(self, tmp_path, config, capsys):
         grid = FrequencyGrid.from_range(100.0, 2000.0, 10.0)

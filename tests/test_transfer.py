@@ -9,6 +9,7 @@ import pytest
 from tubeloss import (
     AcousticIndicators,
     AnechoicQualityWarning,
+    ComplexSpectrum,
     FrequencyGrid,
     LayerModel,
     PlaneWaveAmplitudes,
@@ -17,6 +18,7 @@ from tubeloss import (
     acoustic_indicators,
     air_gap_matrix,
     analyze_four_mic,
+    anechoic_quality,
     boundary_states,
     decompose_four_mic,
     identity_matrix,
@@ -29,6 +31,7 @@ from tubeloss import (
     synth_mic_pressures,
     wavenumber,
 )
+from tubeloss import pipeline
 
 from helpers import (
     AIR,
@@ -394,41 +397,58 @@ class TestStlDirect:
 
     def test_quality_warning(self):
         grid = FrequencyGrid([1000.0])
-        amps = make_amplitudes(grid, 1.0, 0.0, 0.5, 0.2)
+        spectra = four_mic_spectra(grid, GEOMETRY, 1.0, 0.0, 0.5, 0.2)
         with pytest.warns(AnechoicQualityWarning):
-            stl_direct_anechoic(amps)
+            analyze_four_mic(*spectra, GEOMETRY, AIR)
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda spectra: stl_direct_anechoic(decompose_four_mic(*spectra, GEOMETRY, AIR)),
-            lambda spectra: analyze_four_mic(*spectra, GEOMETRY, AIR),
-        ],
-        ids=["direct", "analyze_four_mic"],
-    )
-    def test_quality_warning_points_at_the_caller(self, call):
+    def test_stl_direct_anechoic_issues_no_warning(self):
+        spectra = noisy_spectra(FrequencyGrid.from_range(100.0, 2000.0, 10.0), 1)  # |D/C| about 0.22
+        amplitudes = decompose_four_mic(*spectra, GEOMETRY, AIR)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stl_direct_anechoic(amplitudes)
+
+    def test_quality_warning_points_at_the_caller(self):
         spectra = noisy_spectra(FrequencyGrid.from_range(100.0, 2000.0, 10.0), 1)  # |D/C| about 0.22
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            call(spectra)
+            analyze_four_mic(*spectra, GEOMETRY, AIR)
         (w,) = caught
         assert w.category is AnechoicQualityWarning
         assert w.filename == __file__
 
-    def test_one_quality_warning_per_row_over_the_threshold_in_row_order(self):
+    def test_one_quality_warning_per_row_over_the_threshold_in_row_order(self, monkeypatch):
         grid = FrequencyGrid([1000.0, 2000.0])
-        d = np.array([[0.1, 0.3], [0.001, 0.0], [0.2, np.inf], [np.nan, 0.05]])  # |C| = 0.5
-        rows = PlaneWaveAmplitudes(grid, np.ones((4, 2)), np.zeros((4, 2)), np.full((4, 2), 0.5), d)
-        with warnings.catch_warnings(record=True) as caught:
+        # |C| = 0.5; the last row's |D/C| is exactly 0.01, which does not exceed the threshold
+        d = np.array([[0.1, 0.3], [0.001, 0.0], [0.2, np.inf], [np.nan, 0.05], [0.005, 0.005]])
+        rows = PlaneWaveAmplitudes(grid, np.ones((5, 2)), np.zeros((5, 2)), np.full((5, 2), 0.5), d)
+        # the amplitudes go through analyze_four_mic as they are, not through a decomposition;
+        # no decomposition gives an infinite d, so numpy's warnings about it are not under test
+        monkeypatch.setattr(pipeline, "decompose_four_mic", lambda *args: rows)
+        with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
             warnings.simplefilter("always")
-            direct = stl_direct_anechoic(rows)
+            direct = analyze_four_mic(*four_mic_spectra(grid, GEOMETRY, 1, 0, 0.5, 0), GEOMETRY, AIR).stl_direct_db
         assert [str(w.message) for w in caught] == [
             "anechoic assumption violated: max |D/C| = 0.6 exceeds 0.01",
             "anechoic assumption violated: max |D/C| = 0.4 exceeds 0.01",
             "anechoic assumption violated: max |D/C| = 0.1 exceeds 0.01",
         ]
-        assert direct.shape == (4, 2)
-        assert direct.tobytes() == np.tile(stl_direct_anechoic(make_amplitudes(grid, 1, 0, 0.5, 0)), (4, 1)).tobytes()
+        assert direct.shape == (5, 2)
+        assert direct.tobytes() == np.tile(stl_direct_anechoic(make_amplitudes(grid, 1, 0, 0.5, 0)), (5, 1)).tobytes()
+
+    def test_worst_quality_is_each_rows_largest_finite_ratio(self):
+        grid = FrequencyGrid.from_range(100.0, 2500.0, 5.0)  # both pairs are blind at 2 145 Hz
+        one = noisy_spectra(grid, 1)
+        # no downstream pressure, so |D/C| is 0/0 at every bin
+        silent = (*noisy_spectra(grid, 2)[:2], *(ComplexSpectrum(grid, np.zeros(len(grid))),) * 2)
+        for spectra, n_rows in ((one, 1), (stacked([one, noisy_spectra(grid, 3), silent]), 3)):
+            analysis = analyze_four_mic(*spectra, GEOMETRY, AIR, quality_threshold=np.inf)
+            ratio = anechoic_quality(analysis.amplitudes).reshape(n_rows, -1).tolist()
+            assert analysis.worst_quality.shape == (n_rows,)
+            assert analysis.worst_quality.tolist() == [
+                max((q for q in row if math.isfinite(q)), default=-math.inf) for row in ratio
+            ]
+        assert analysis.worst_quality[-1] == -np.inf
 
     def test_dual_path_consistency(self):
         # matrix route and direct route agree on clean anechoic fields
@@ -543,7 +563,7 @@ def _stages(spectra, thickness=GEOMETRY.sample_thickness):
     out.update(zip(("p0", "v0", "pd", "vd"), faces))
     out.update((name, getattr(matrix, name)) for name in ("t11", "t12", "t21", "t22"))
     out.update((name, getattr(indicators, name)) for name in ("transmission", "reflection", "stl_db"))
-    out["stl_direct_db"] = stl_direct_anechoic(amplitudes, np.inf)
+    out["stl_direct_db"] = stl_direct_anechoic(amplitudes)
     return out
 
 
