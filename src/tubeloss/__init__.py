@@ -19,9 +19,9 @@ from .bands import (
 from .core import (
     DEFAULT_AIR,
     AirProperties,
-    ComplexSpectrum,
     FrequencyGrid,
     MaterialSpec,
+    MicSpectra,
     TubeGeometry,
     plane_wave_cutoff,
     surface_density,
@@ -81,7 +81,7 @@ __all__ = [
     "DEFAULT_AIR",
     "TubeGeometry",
     "FrequencyGrid",
-    "ComplexSpectrum",
+    "MicSpectra",
     "MaterialSpec",
     "wavenumber",
     "plane_wave_cutoff",

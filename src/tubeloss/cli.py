@@ -33,7 +33,7 @@ from .bands import (
     insertion_loss,
     third_octave_bands,
 )
-from .core import DEFAULT_AIR, ComplexSpectrum, FrequencyGrid, _frozen, plane_wave_cutoff
+from .core import DEFAULT_AIR, FrequencyGrid, MicSpectra, _frozen, plane_wave_cutoff
 from .errors import (
     AllBinsInvalidError,
     AnechoicQualityWarning,
@@ -146,13 +146,13 @@ def _analyze_group(group: list, grid, geometry, air) -> tuple[np.ndarray, ...]:
 
     ``group`` holds ``(path, spectra)`` pairs on ``grid``. One
     :func:`analyze_four_mic` call, its own warnings off, analyses their
-    ``(R, n)`` rows. Each file's warnings are then built from the analysis,
+    ``(4, R, n)`` stack. Each file's warnings are then built from the analysis,
     in file order: its anechoic one from ``worst_quality``, then its singular
     pairs, as one call per file would give them.
     """
-    rows = _frozen(*(np.stack([spectra[i].values for _, spectra in group]) for i in range(4)))
+    pressures = np.stack([spectra.pressures for _, spectra in group], axis=1)
     analysis = analyze_four_mic(
-        *(ComplexSpectrum(grid, r) for r in rows), geometry=geometry, air=air, quality_threshold=math.inf
+        MicSpectra(grid, *_frozen(pressures)), geometry=geometry, air=air, quality_threshold=math.inf
     )
     singular = analysis.amplitudes.singular_frequencies()
     for row, (path, _) in enumerate(group):
@@ -180,9 +180,9 @@ def _cmd_stl(args) -> dict:
         spectra, file_geometry, file_air = read_mic_spectra(path)
         require_header_matches(path, file_geometry, file_air, geometry, air)
         if grid is None:
-            grid = spectra[0].grid
+            grid = spectra.grid
         else:
-            grid.require_matches(spectra[0].grid, f"input '{path}'")
+            grid.require_matches(spectra.grid, f"input '{path}'")
         group.append((path, spectra))
         # every file of a group is read before any is analysed
         if (len(group) + 1) * len(grid) > _GROUP_BINS:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -13,7 +14,7 @@ __all__ = [
     "DEFAULT_AIR",
     "TubeGeometry",
     "FrequencyGrid",
-    "ComplexSpectrum",
+    "MicSpectra",
     "MaterialSpec",
     "wavenumber",
     "plane_wave_cutoff",
@@ -155,21 +156,22 @@ class FrequencyGrid:
 
 
 def locked_array(values, dtype, shape: tuple, what: str) -> np.ndarray:
-    """Read-only array of ``values`` as ``dtype``; ValueError unless it has ``shape``.
+    """Read-only C-contiguous array of ``values`` as ``dtype``; ValueError unless it has ``shape``.
 
-    An ndarray of exactly that dtype and shape that owns its data and is
-    already read-only is returned as is; anything else is copied first, so no
-    caller keeps a writeable handle on the result.
+    An ndarray of exactly that dtype and shape that owns its data, is
+    C-contiguous and is already read-only is returned as is; anything else is
+    copied first, so no caller keeps a writeable handle on the result.
     """
     if (
         type(values) is np.ndarray
         and values.dtype == np.dtype(dtype)
         and values.shape == shape
         and values.flags.owndata
+        and values.flags.c_contiguous
         and not values.flags.writeable
     ):
         return values
-    arr = np.array(values, dtype=dtype)
+    arr = np.array(values, dtype=dtype, order="C")
     if arr.shape != shape:
         raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
     arr.flags.writeable = False
@@ -217,33 +219,37 @@ class PerBinArrays:
             object.__setattr__(self, name, locked_array(values, dtype, shape, what))
 
 
-class ComplexSpectrum:
-    """Complex values on a frequency grid (Pa for pressures, 1 for coefficients).
+class MicSpectra:
+    """Complex pressures in Pa at the four microphones x1..x4, on one frequency grid.
 
-    ``values`` has shape ``(n,)`` for one measurement or ``(R, n)`` for R
-    repetitions on the same grid, one per row. Immutable.
+    ``pressures`` has shape ``(4, n)`` for one measurement or ``(4, R, n)``
+    for R repetitions on the grid, so ``pressures[i]`` is microphone i + 1's
+    ``(n,)`` or ``(R, n)`` spectrum. It is read-only, C-contiguous and finite.
+    Immutable.
     """
 
-    __slots__ = ("_grid", "_values")
+    __slots__ = ("_grid", "_pressures")
 
-    def __init__(self, grid: FrequencyGrid, values) -> None:
-        what = "spectrum values"
-        v = locked_array(values, complex, _per_bin_shape(values, len(grid), what), what)
-        if not np.all(np.isfinite(v)):
+    def __init__(self, grid: FrequencyGrid, pressures) -> None:
+        shape, n = np.shape(pressures), len(grid)
+        if not (len(shape) in (2, 3) and shape[0] == 4 and shape[-1] == n and 0 not in shape):
+            raise ValueError(f"mic pressures must have shape (4, {n}) or (4, R, {n}), got {shape}")
+        p = locked_array(pressures, complex, shape, "mic pressures")
+        if not np.all(np.isfinite(p)):
             raise ValueError("spectrum values must be finite")
         self._grid = grid
-        self._values = v
+        self._pressures = p
 
     @property
     def grid(self) -> FrequencyGrid:
         return self._grid
 
     @property
-    def values(self) -> np.ndarray:
-        return self._values
+    def pressures(self) -> np.ndarray:
+        return self._pressures
 
-    def __len__(self) -> int:
-        return len(self._grid)
+    def __iter__(self):  # x1..x4 as ``.values``, the way bench/harness/workloads.py reads them
+        return (SimpleNamespace(values=p) for p in self._pressures)
 
 
 @dataclass(frozen=True)

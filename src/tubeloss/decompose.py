@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AirProperties, ComplexSpectrum, FrequencyGrid, PerBinArrays, TubeGeometry, _frozen
+from .core import AirProperties, FrequencyGrid, MicSpectra, PerBinArrays, TubeGeometry, _frozen
 
 __all__ = [
     "SINGULARITY_TOLERANCE",
@@ -27,8 +27,8 @@ _NAN = complex(np.nan, np.nan)
 
 
 def decompose_pair(
-    p_a: ComplexSpectrum,
-    p_b: ComplexSpectrum,
+    p_a: np.ndarray,
+    p_b: np.ndarray,
     x_a: float,
     x_b: float,
     k: np.ndarray,
@@ -37,9 +37,9 @@ def decompose_pair(
 
     Parameters
     ----------
-    p_a, p_b : ComplexSpectrum
-        Complex pressures at the two microphones, sharing one grid; each
-        ``(n,)`` or ``(R, n)``, one repetition per row.
+    p_a, p_b : ndarray
+        Complex pressures at the two microphones, on one grid; each ``(n,)``
+        or ``(R, n)``, one repetition per row.
     x_a, x_b : float
         Microphone coordinates in m along the tube axis; must differ.
     k : ndarray
@@ -61,10 +61,9 @@ def decompose_pair(
     """
     if x_a == x_b:
         raise ValueError("microphone positions must differ")
-    p_a.grid.require_matches(p_b.grid, "decompose_pair")
     k = np.asarray(k, dtype=float)
-    if k.shape != (len(p_a.grid),):
-        raise ValueError("wavenumber array must match the grid length")
+    if k.shape != np.shape(p_a)[-1:]:
+        raise ValueError("wavenumber array must match the pressures' last axis")
 
     # the mask and the exponentials depend on the grid alone: one (n,) array each for all rows
     s = np.sin(k * (x_a - x_b))
@@ -76,8 +75,8 @@ def decompose_pair(
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         phase_a, phase_b = np.exp(1j * k * x_a), np.exp(1j * k * x_b)
         back_a, back_b = np.exp(-1j * k * x_a), np.exp(-1j * k * x_b)
-        forward = np.multiply(p_a.values, phase_b) - np.multiply(p_b.values, phase_a)
-        backward = np.multiply(p_b.values, back_a) - np.multiply(p_a.values, back_b)
+        forward = np.multiply(p_a, phase_b) - np.multiply(p_b, phase_a)
+        backward = np.multiply(p_b, back_a) - np.multiply(p_a, back_b)
         forward, backward = (np.divide(np.multiply(1j, diff), den) for diff in (forward, backward))
     forward[..., singular] = _NAN
     backward[..., singular] = _NAN
@@ -134,21 +133,14 @@ class PlaneWaveAmplitudes(PerBinArrays):
         return {"upstream": excluded(self.upstream_singular), "downstream": excluded(self.downstream_singular)}
 
 
-def decompose_four_mic(
-    p1: ComplexSpectrum,
-    p2: ComplexSpectrum,
-    p3: ComplexSpectrum,
-    p4: ComplexSpectrum,
-    geometry: TubeGeometry,
-    air: AirProperties,
-) -> PlaneWaveAmplitudes:
+def decompose_four_mic(spectra: MicSpectra, geometry: TubeGeometry, air: AirProperties) -> PlaneWaveAmplitudes:
     """Recover (A, B) from the upstream pair and (C, D) from the downstream pair.
 
     Parameters
     ----------
-    p1, p2, p3, p4 : ComplexSpectrum
-        Pressures at x1..x4, all on one grid and of one shape: ``(n,)``, or
-        ``(R, n)`` for R repetitions analysed at once.
+    spectra : MicSpectra
+        Pressures at x1..x4: ``(4, n)``, or ``(4, R, n)`` for R repetitions
+        analysed at once.
     geometry : TubeGeometry
         Supplies the microphone coordinates.
     air : AirProperties
@@ -157,14 +149,12 @@ def decompose_four_mic(
     Returns
     -------
     PlaneWaveAmplitudes
-        Amplitudes of the pressures' shape, NaN in a pair's two arrays at
+        Amplitudes of one microphone's shape, NaN in a pair's two arrays at
         each bin that pair dropped.
     """
-    grid = p1.grid
-    for name, spectrum in (("p2", p2), ("p3", p3), ("p4", p4)):
-        grid.require_matches(spectrum.grid, f"decompose_four_mic({name})")
     x1, x2, x3, x4 = geometry.mic_positions
-    k = grid.wavenumbers(air)
+    p1, p2, p3, p4 = spectra.pressures
+    k = spectra.grid.wavenumbers(air)
     a, b = decompose_pair(p1, p2, x1, x2, k)
     c, d = decompose_pair(p3, p4, x3, x4, k)
-    return PlaneWaveAmplitudes(grid, *_frozen(a, b, c, d))
+    return PlaneWaveAmplitudes(spectra.grid, *_frozen(a, b, c, d))

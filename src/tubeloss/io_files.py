@@ -28,7 +28,7 @@ import tempfile
 import numpy as np
 
 from .bands import BandTable, band_from_nominal
-from .core import AirProperties, ComplexSpectrum, FrequencyGrid, MaterialSpec, TubeGeometry
+from .core import AirProperties, FrequencyGrid, MaterialSpec, MicSpectra, TubeGeometry, _frozen
 from .errors import ConfigMismatchError, InputFormatError
 from .models import LayerModel
 from .synth import SynthScenario
@@ -197,12 +197,9 @@ def _write_csv(path, head: list[str], columns) -> None:
             handle.write("\n".join([",".join(map(float.__repr__, row)) for row in block]) + "\n")
 
 
-def write_mic_spectra(path, spectra, geometry: TubeGeometry, air: AirProperties) -> None:
-    """Write four pressure spectra with the geometry/air echo header."""
-    p1, p2, p3, p4 = spectra
-    grid = p1.grid
-    for s in (p2, p3, p4):
-        grid.require_matches(s.grid, "write_mic_spectra")
+def write_mic_spectra(path, spectra: MicSpectra, geometry: TubeGeometry, air: AirProperties) -> None:
+    """Write the ``(4, n)`` pressures of ``spectra`` with the geometry/air echo header."""
+    grid = spectra.grid
     head = [
         MIC_SPECTRA_MAGIC,
         f"# n_frequencies = {len(grid)}",
@@ -214,15 +211,15 @@ def write_mic_spectra(path, spectra, geometry: TubeGeometry, air: AirProperties)
         MIC_SPECTRA_HEADER,
     ]
     columns = [grid.frequencies]
-    for s in (p1, p2, p3, p4):
-        columns += [s.values.real, s.values.imag]
+    for p in spectra.pressures:
+        columns += [p.real, p.imag]
     _write_csv(path, head, columns)
 
 
 def read_mic_spectra(path):
     """Read a mic-spectra CSV.
 
-    Returns (spectra tuple, TubeGeometry, AirProperties). A malformed file
+    Returns (MicSpectra, TubeGeometry, AirProperties). A malformed file
     raises :class:`InputFormatError` naming its first bad line.
 
     A file laid out as :func:`write_mic_spectra` lays it out (any line
@@ -380,12 +377,13 @@ def _spectra_from_table(path, header: dict[str, str], data: np.ndarray, linenos)
             bad = np.diff(f, prepend=-np.inf) <= 0.0
         line = None if linenos is None else linenos[int(np.flatnonzero(bad)[0])]
         raise InputFormatError(f"bad frequency column: {exc}", path=path, line=line) from exc
-    # each (re, im) column pair viewed as one complex column keeps every bit, -0.0 included
-    pressures = np.ascontiguousarray(data[:, 1:]).view(complex)
+    # each (re, im) column pair viewed as one complex column keeps every bit, -0.0 included;
+    # the (n, 4) view is copied once, into the container's (4, n) layout
+    pressures = np.ascontiguousarray(data[:, 1:].view(complex).T)
     try:
-        spectra = tuple(ComplexSpectrum(grid, pressures[:, i]) for i in range(4))
+        spectra = MicSpectra(grid, *_frozen(pressures))
     except ValueError as exc:
-        first = int(np.flatnonzero(~np.isfinite(pressures).all(axis=1))[0])
+        first = int(np.flatnonzero(~np.isfinite(pressures).all(axis=0))[0])
         line = None if linenos is None else linenos[first]
         raise InputFormatError(str(exc), path=path, line=line) from None
     return spectra, geometry, air

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AirProperties, ComplexSpectrum, DEFAULT_AIR, TubeGeometry
+from .core import AirProperties, DEFAULT_AIR, MicSpectra, TubeGeometry, _frozen
 from .decompose import PlaneWaveAmplitudes, decompose_four_mic
 from .errors import AnechoicQualityWarning
 from .transfer import (
@@ -33,6 +33,7 @@ class TubeAnalysis:
     The termination quality ``|D/C|`` is :func:`anechoic_quality` of
     ``amplitudes``; ``worst_quality`` holds each row's largest finite |D/C|,
     shape ``(R,)`` (``(1,)`` for one measurement), -inf for a row without one.
+    Every array reachable from an analysis is read-only.
     """
 
     amplitudes: PlaneWaveAmplitudes
@@ -43,10 +44,7 @@ class TubeAnalysis:
 
 
 def analyze_four_mic(
-    p1: ComplexSpectrum,
-    p2: ComplexSpectrum,
-    p3: ComplexSpectrum,
-    p4: ComplexSpectrum,
+    spectra: MicSpectra,
     geometry: TubeGeometry,
     air: AirProperties = DEFAULT_AIR,
     quality_threshold: float = QUALITY_THRESHOLD,
@@ -57,19 +55,22 @@ def analyze_four_mic(
     20 log10 |A/C| is carried along as a cross-check, valid only while the
     termination is close to anechoic.
 
-    The four spectra share one grid and one shape: ``(n,)`` for one
-    measurement, or ``(R, n)`` for R repetitions, one per row. Repetitions
-    are analysed on that axis in one pass, and each row gets the bits it
-    would get alone. Each row whose ``worst_quality`` exceeds
-    ``quality_threshold`` gets one :class:`AnechoicQualityWarning`, in row
-    order, pointing at the caller; ``math.inf`` turns the warnings off.
+    ``spectra`` holds ``(4, n)`` pressures for one measurement, or
+    ``(4, R, n)`` for R repetitions, one per row. Repetitions are analysed
+    on that axis in one pass, and each row gets the bits it would get alone.
+    Each row whose ``worst_quality`` exceeds ``quality_threshold`` gets one
+    :class:`AnechoicQualityWarning`, in row order, pointing at the caller;
+    ``math.inf`` turns the warnings off.
     """
-    amplitudes = decompose_four_mic(p1, p2, p3, p4, geometry, air)
+    amplitudes = decompose_four_mic(spectra, geometry, air)
     faces = boundary_states(amplitudes, geometry.sample_thickness, air)
     matrix = reconstruct_one_load(amplitudes.grid, *faces)
     indicators = acoustic_indicators(matrix, geometry.sample_thickness, air)
     ratio = anechoic_quality(amplitudes)
-    worst = np.atleast_1d(np.where(np.isfinite(ratio), ratio, -np.inf).max(axis=-1))
+    direct, worst = _frozen(
+        stl_direct_anechoic(amplitudes),
+        np.atleast_1d(np.where(np.isfinite(ratio), ratio, -np.inf).max(axis=-1)),
+    )
     for row_worst in worst.tolist():
         if row_worst > quality_threshold:
             warnings.warn(AnechoicQualityWarning(row_worst, quality_threshold), stacklevel=2)
@@ -77,6 +78,6 @@ def analyze_four_mic(
         amplitudes=amplitudes,
         matrix=matrix,
         indicators=indicators,
-        stl_direct_db=stl_direct_anechoic(amplitudes),
+        stl_direct_db=direct,
         worst_quality=worst,
     )

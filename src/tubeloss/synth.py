@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import BandTable
-from .core import AirProperties, ComplexSpectrum, FrequencyGrid, TubeGeometry
+from .core import AirProperties, FrequencyGrid, MicSpectra, TubeGeometry, _frozen
 from .errors import BandMismatchError, NumericalValidityError
 from .models import LayerModel, cascade
 
@@ -60,7 +60,7 @@ class SynthScenario:
 def synth_mic_pressures(
     scenario: SynthScenario,
     grid: FrequencyGrid,
-) -> tuple[ComplexSpectrum, ComplexSpectrum, ComplexSpectrum, ComplexSpectrum]:
+) -> MicSpectra:
     """Microphone pressures for a known sample under a given termination.
 
     The downstream field is C e^{-jkx} + D e^{jkx} with D = ratio * C; the
@@ -78,9 +78,9 @@ def synth_mic_pressures(
 
     Returns
     -------
-    tuple of ComplexSpectrum
-        Pressures at the four microphone positions, noise included when
-        configured. Identical scenario and seed give bit-identical spectra.
+    MicSpectra
+        ``(4, n)`` pressures at the four microphone positions, noise included
+        when configured. Identical scenario and seed give bit-identical spectra.
 
     Raises
     ------
@@ -118,19 +118,18 @@ def synth_mic_pressures(
 
     # the upstream mics see the waves A and B, the downstream mics C and D
     waves = ((a_inc, b), (a_inc, b), (c, d_amp), (c, d_amp))
-    pressures = [
+    pressures = np.stack([
         np.multiply(forward, np.exp(-1j * k * x)) + np.multiply(backward, np.exp(1j * k * x))
         for (forward, backward), x in zip(waves, geometry.mic_positions)
-    ]
+    ])
 
     if scenario.snr_db is not None:
         sigma = abs(a_inc) * 10.0 ** (-scenario.snr_db / 20.0)
         rng = np.random.default_rng(scenario.seed)
         draws = rng.standard_normal((4, len(grid), 2))
-        noise = np.divide(sigma * (draws[..., 0] + 1j * draws[..., 1]), np.sqrt(2.0))
-        pressures = [p + n for p, n in zip(pressures, noise)]
+        pressures += np.divide(sigma * (draws[..., 0] + 1j * draws[..., 1]), np.sqrt(2.0))
 
-    return tuple(ComplexSpectrum(grid, p) for p in pressures)
+    return MicSpectra(grid, *_frozen(pressures))
 
 
 def synth_room_levels(

@@ -12,9 +12,9 @@ import numpy as np
 
 from tubeloss import (
     AirProperties,
-    ComplexSpectrum,
     FrequencyGrid,
     LayerModel,
+    MicSpectra,
     SynthScenario,
     TransferMatrix,
     TubeGeometry,
@@ -38,26 +38,22 @@ def pressure_at(x: float, k: float, forward: complex, backward: complex) -> comp
     return forward * cmath.exp(-1j * k * x) + backward * cmath.exp(1j * k * x)
 
 
-def field_spectrum(grid: FrequencyGrid, x: float, forward, backward, air: AirProperties = AIR) -> ComplexSpectrum:
-    """Pressure spectrum of a two-wave field at position x, bin by bin."""
+def field_spectrum(grid: FrequencyGrid, x: float, forward, backward, air: AirProperties = AIR) -> np.ndarray:
+    """Complex pressure spectrum of a two-wave field at position x, bin by bin."""
     forward = np.broadcast_to(np.asarray(forward, dtype=complex), (len(grid),))
     backward = np.broadcast_to(np.asarray(backward, dtype=complex), (len(grid),))
     values = [
         pressure_at(x, 2.0 * math.pi * f / air.sound_speed, fw, bw)
         for f, fw, bw in zip(grid.frequencies, forward, backward)
     ]
-    return ComplexSpectrum(grid, values)
+    return np.array(values, dtype=complex)
 
 
-def four_mic_spectra(grid, geometry: TubeGeometry, a, b, c, d, air: AirProperties = AIR):
+def four_mic_spectra(grid, geometry: TubeGeometry, a, b, c, d, air: AirProperties = AIR) -> MicSpectra:
     """Forward-model spectra at the four microphones for given amplitudes."""
     x1, x2, x3, x4 = geometry.mic_positions
-    return (
-        field_spectrum(grid, x1, a, b, air),
-        field_spectrum(grid, x2, a, b, air),
-        field_spectrum(grid, x3, c, d, air),
-        field_spectrum(grid, x4, c, d, air),
-    )
+    waves = ((x1, a, b), (x2, a, b), (x3, c, d), (x4, c, d))
+    return MicSpectra(grid, [field_spectrum(grid, x, fw, bw, air) for x, fw, bw in waves])
 
 
 #: 19 001 bins (100-19 100 Hz): each complex array of one measurement on it passes the
@@ -65,7 +61,7 @@ def four_mic_spectra(grid, geometry: TubeGeometry, a, b, c, d, air: AirPropertie
 WIDE_GRID = FrequencyGrid.from_range(100.0, 19100.0, 1.0)
 
 
-def noisy_spectra(grid: FrequencyGrid, seed: int) -> tuple[ComplexSpectrum, ...]:
+def noisy_spectra(grid: FrequencyGrid, seed: int) -> MicSpectra:
     """Seeded synthetic pressures of a 1.135 kg/m^2 limp mass at 40 dB SNR, termination D/C 0.2+0.1j."""
     scenario = SynthScenario(
         LayerModel.limp_mass(1.135), GEOMETRY, AIR, termination_ratio=0.2 + 0.1j, snr_db=40.0, seed=seed
@@ -73,19 +69,18 @@ def noisy_spectra(grid: FrequencyGrid, seed: int) -> tuple[ComplexSpectrum, ...]
     return synth_mic_pressures(scenario, grid)
 
 
-def row_slices(spectra, rows: int = 1000):
+def row_slices(spectra: MicSpectra, rows: int = 1000):
     """``(lo, hi, spectra)``: consecutive slices of ``rows`` bins, each on a grid of its own."""
-    grid = spectra[0].grid
+    grid = spectra.grid
     for lo in range(0, len(grid), rows):
         hi = min(lo + rows, len(grid))
         part = FrequencyGrid(grid.frequencies[lo:hi])
-        yield lo, hi, tuple(ComplexSpectrum(part, s.values[lo:hi]) for s in spectra)
+        yield lo, hi, MicSpectra(part, spectra.pressures[..., lo:hi])
 
 
-def stacked(measurements) -> tuple[ComplexSpectrum, ...]:
-    """The four ``(R, n)`` spectra of R measurements on one grid, one row each."""
-    grid = measurements[0][0].grid
-    return tuple(ComplexSpectrum(grid, np.stack([m[i].values for m in measurements])) for i in range(4))
+def stacked(measurements) -> MicSpectra:
+    """The ``(4, R, n)`` spectra of R measurements on one grid, one row each."""
+    return MicSpectra(measurements[0].grid, np.stack([m.pressures for m in measurements], axis=1))
 
 
 def limp_mass_stl_oracle(f, m_s: float, air: AirProperties = AIR):

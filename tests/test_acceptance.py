@@ -50,7 +50,7 @@ def run_pipeline(sample, seed=None, snr_db=None, termination_ratio=0j):
         seed=seed or 0,
     )
     spectra = synth_mic_pressures(scenario, GRID)
-    return analyze_four_mic(*spectra, geometry=GEOMETRY, air=AIR, quality_threshold=np.inf)
+    return analyze_four_mic(spectra, geometry=GEOMETRY, air=AIR, quality_threshold=np.inf)
 
 
 def test_criterion_1_limp_mass_round_trip():

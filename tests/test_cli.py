@@ -71,7 +71,7 @@ class TestSynthAndStl:
         out = tmp_path / "spectra.csv"
         assert run_cli("synth", limp_scenario, "--config", config, "--output", str(out)) == 0
         spectra, geometry, air = read_mic_spectra(out)
-        assert len(spectra[0].grid) == 191
+        assert len(spectra.grid) == 191
         assert geometry.sample_thickness == 0.00089
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
@@ -369,7 +369,7 @@ class TestRepetitionsOnOneAxis:
             return average_repetitions(rows, *args, **kwargs)
 
         def analyze(*args, **kwargs):
-            groups.append(args[0].values.shape[0])
+            groups.append(args[0].pressures.shape[1])
             return analyze_four_mic(*args, **kwargs)
 
         average_repetitions = cli.average_repetitions
@@ -382,7 +382,7 @@ class TestRepetitionsOnOneAxis:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for row, path in enumerate(files):
-                alone = analyze_four_mic(*read_mic_spectra(path)[0], geometry=GEOMETRY, air=AIR)
+                alone = analyze_four_mic(read_mic_spectra(path)[0], geometry=GEOMETRY, air=AIR)
                 assert stl_rows[row].tobytes() == alone.indicators.stl_db.tobytes(), row
                 assert reflectance_rows[row].tobytes() == alone.indicators.reflectance.tobytes(), row
                 assert direct_rows[row].tobytes() == alone.stl_direct_db.tobytes(), row
@@ -428,7 +428,7 @@ class TestRepetitionsOnOneAxis:
             spectra, geometry, air = read_mic_spectra(path)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                analyze_four_mic(*spectra, geometry=geometry, air=air)
+                analyze_four_mic(spectra, geometry=geometry, air=air)
             library += [str(w.message) for w in caught]
         lines = [w for w in self._report_warnings(config, *files) if w.startswith("anechoic assumption violated")]
         assert len(library) == 1

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import tubeloss
 from tubeloss import (
     AirProperties,
-    ComplexSpectrum,
     FrequencyGrid,
     MaterialSpec,
+    MicSpectra,
     TubeGeometry,
     plane_wave_cutoff,
     surface_density,
@@ -181,13 +182,29 @@ class TestFrequencyGrid:
             grid.frequencies[0] = 50.0
 
 
-class TestComplexSpectrum:
+class TestMicSpectra:
     def test_length_and_finiteness(self):
         grid = FrequencyGrid([100.0, 200.0])
-        with pytest.raises(ValueError):
-            ComplexSpectrum(grid, [1.0])
-        with pytest.raises(ValueError):
-            ComplexSpectrum(grid, [1.0, np.nan])
+        for shape in ((3, 2), (5, 2), (4, 1), (4, 3, 1), (4, 0, 2), (4, 1, 1, 2), (4,), (2,)):
+            with pytest.raises(ValueError, match="mic pressures must have shape"):
+                MicSpectra(grid, np.ones(shape, dtype=complex))
+        with pytest.raises(ValueError, match="spectrum values must be finite"):
+            MicSpectra(grid, [[1.0, 1.0]] * 3 + [[1.0, np.nan]])
+
+    def test_one_measurement_or_repetitions_locked_and_c_contiguous(self):
+        grid = FrequencyGrid([100.0, 200.0])
+        for values in (np.ones((4, 2)), np.ones((2, 4)).T, np.ones((4, 3, 2), dtype=complex)):
+            spectra = MicSpectra(grid, values)
+            assert spectra.grid is grid
+            assert spectra.pressures.shape == values.shape
+            assert spectra.pressures.dtype == complex
+            assert spectra.pressures.flags.c_contiguous
+            assert not spectra.pressures.flags.writeable
+
+    def test_iteration_gives_each_microphones_values(self):
+        grid = FrequencyGrid([100.0, 200.0])
+        spectra = MicSpectra(grid, np.arange(8.0).reshape(4, 2))
+        assert [mic.values.tolist() for mic in spectra] == spectra.pressures.tolist()
 
     def test_equal_valued_grids_match(self):
         a = FrequencyGrid([100.0, 200.0])
@@ -212,3 +229,14 @@ class TestMaterialSpec:
     def test_thickness_conversion(self):
         mat = MaterialSpec("pvc_coated_pe_fabric", 0.89, 1.135)
         assert mat.thickness_m == pytest.approx(0.00089, rel=1e-15)
+
+
+class TestPublicApi:
+    def test_all_names_resolve_and_star_import_binds_exactly_them(self):
+        assert len(tubeloss.__all__) == len(set(tubeloss.__all__)) == 58
+        for name in tubeloss.__all__:
+            assert hasattr(tubeloss, name), name
+        namespace: dict = {}
+        exec("from tubeloss import *", namespace)
+        namespace.pop("__builtins__")
+        assert sorted(namespace) == sorted(tubeloss.__all__)

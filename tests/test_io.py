@@ -12,11 +12,11 @@ from hypothesis import event, example, given, settings, strategies as st
 from tubeloss import (
     AirProperties,
     BandTable,
-    ComplexSpectrum,
     ConfigMismatchError,
     FrequencyGrid,
     InputFormatError,
     LayerModel,
+    MicSpectra,
     SynthScenario,
     TubelossError,
     TubeGeometry,
@@ -135,8 +135,8 @@ class TestMicSpectraCsv:
         path = tmp_path / "spectra.csv"
         write_mic_spectra(path, spectra, GEOMETRY, AIR)
         loaded, geometry, air = read_mic_spectra(path)
-        for original, back in zip(spectra, loaded):
-            assert np.array_equal(original.values, back.values)
+        for original, back in zip(spectra.pressures, loaded.pressures):
+            assert np.array_equal(original, back)
         assert geometry == GEOMETRY
         assert air.density == AIR.density
 
@@ -269,9 +269,9 @@ def reference_read_mic_spectra(path):
 def read_table(path):
     """``read_mic_spectra`` with its spectra laid out as the file's (n, 9) table."""
     spectra, geometry, air = read_mic_spectra(path)
-    columns = [spectra[0].grid.frequencies]
-    for s in spectra:
-        columns += [s.values.real, s.values.imag]
+    columns = [spectra.grid.frequencies]
+    for p in spectra.pressures:
+        columns += [p.real, p.imag]
     return np.column_stack(columns), geometry, air
 
 
@@ -314,7 +314,7 @@ PADDING = st.text(alphabet="\x0b\x0c\x1c\x85 ", max_size=2)
 BLANK_LINES = ("", "", " ", "\t", "\x0c", " \x0b ")
 # frequencies breaking a sorted column: each of FrequencyGrid's rules, at any row
 BAD_FREQUENCIES = ("nan", "inf", "0", "negative", "decrease", "repeat")
-# pressures float() reads that ComplexSpectrum rejects
+# pressures float() reads that MicSpectra rejects
 NON_FINITE = ("nan", "inf", "-inf", "1e999", "-nan")
 ENDINGS = ("\n", "\r\n", "\r", "\r\r\n")
 
@@ -411,8 +411,8 @@ class TestMicSpectraReader:
         lines[9:9] = ["", "# measured on the second day"]
         path.write_bytes(ending.join(lines).encode())
         loaded, geometry, air = read_mic_spectra(path)
-        for original, back in zip(spectra, loaded):
-            assert np.array_equal(original.values, back.values)
+        for original, back in zip(spectra.pressures, loaded.pressures):
+            assert np.array_equal(original, back)
         assert geometry == GEOMETRY and air == AIR
 
     def test_first_bad_line_is_named(self, tmp_path):
@@ -474,7 +474,7 @@ class TestMicSpectraReader:
         read = read_mic_spectra(path)
         monkeypatch.setattr(io_files, "_read_rows", None)  # a call would raise TypeError
         for back in (read_mic_spectra(path), read_mic_spectra(crlf)):
-            assert [s.values.tobytes() for s in back[0]] == [s.values.tobytes() for s in read[0]]
+            assert [p.tobytes() for p in back[0].pressures] == [p.tobytes() for p in read[0].pressures]
             assert back[1:] == read[1:]
 
     @pytest.mark.parametrize("rows", ["", "\n\n", "\r\n \r\n"], ids=["none", "blank", "whitespace"])
@@ -505,8 +505,8 @@ class TestMicSpectraReader:
                 read_mic_spectra(path)
             return
         loaded, _, _ = read_mic_spectra(path)
-        for original, back in zip(spectra, loaded):
-            assert original.values.tobytes() == back.values.tobytes()
+        for original, back in zip(spectra.pressures, loaded.pressures):
+            assert original.tobytes() == back.tobytes()
 
     @pytest.mark.parametrize("width", [1, 8, 10, 11, 17])
     def test_rows_of_another_width_are_named(self, tmp_path, width):
@@ -570,15 +570,15 @@ class TestMicSpectraReader:
             return
         pressures = np.ascontiguousarray(values[: 8 * n].reshape(n, 8)).view(complex)
         grid = FrequencyGrid(np.arange(1.0, n + 1.0) * 0.1)
-        spectra = tuple(ComplexSpectrum(grid, pressures[:, i]) for i in range(4))
+        spectra = MicSpectra(grid, pressures.T)
         thickness, diameter, density, sound_speed = positives
         geometry = TubeGeometry(tuple(positions), thickness, diameter)
         air = AirProperties(density, sound_speed)
         path = drawn_dir / "round-trip.csv"
         write_mic_spectra(path, spectra, geometry, air)
         loaded, geometry_back, air_back = read_mic_spectra(path)
-        for original, back in zip(spectra, loaded):
-            assert original.values.tobytes() == back.values.tobytes()
+        for original, back in zip(spectra.pressures, loaded.pressures):
+            assert original.tobytes() == back.tobytes()
         header = (*positions, *positives)
         header_back = (
             *geometry_back.mic_positions,

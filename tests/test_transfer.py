@@ -9,9 +9,9 @@ import pytest
 from tubeloss import (
     AcousticIndicators,
     AnechoicQualityWarning,
-    ComplexSpectrum,
     FrequencyGrid,
     LayerModel,
+    MicSpectra,
     PlaneWaveAmplitudes,
     SynthScenario,
     TransferMatrix,
@@ -399,11 +399,11 @@ class TestStlDirect:
         grid = FrequencyGrid([1000.0])
         spectra = four_mic_spectra(grid, GEOMETRY, 1.0, 0.0, 0.5, 0.2)
         with pytest.warns(AnechoicQualityWarning):
-            analyze_four_mic(*spectra, GEOMETRY, AIR)
+            analyze_four_mic(spectra, GEOMETRY, AIR)
 
     def test_stl_direct_anechoic_issues_no_warning(self):
         spectra = noisy_spectra(FrequencyGrid.from_range(100.0, 2000.0, 10.0), 1)  # |D/C| about 0.22
-        amplitudes = decompose_four_mic(*spectra, GEOMETRY, AIR)
+        amplitudes = decompose_four_mic(spectra, GEOMETRY, AIR)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             stl_direct_anechoic(amplitudes)
@@ -412,7 +412,7 @@ class TestStlDirect:
         spectra = noisy_spectra(FrequencyGrid.from_range(100.0, 2000.0, 10.0), 1)  # |D/C| about 0.22
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            analyze_four_mic(*spectra, GEOMETRY, AIR)
+            analyze_four_mic(spectra, GEOMETRY, AIR)
         (w,) = caught
         assert w.category is AnechoicQualityWarning
         assert w.filename == __file__
@@ -427,7 +427,7 @@ class TestStlDirect:
         monkeypatch.setattr(pipeline, "decompose_four_mic", lambda *args: rows)
         with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
             warnings.simplefilter("always")
-            direct = analyze_four_mic(*four_mic_spectra(grid, GEOMETRY, 1, 0, 0.5, 0), GEOMETRY, AIR).stl_direct_db
+            direct = analyze_four_mic(four_mic_spectra(grid, GEOMETRY, 1, 0, 0.5, 0), GEOMETRY, AIR).stl_direct_db
         assert [str(w.message) for w in caught] == [
             "anechoic assumption violated: max |D/C| = 0.6 exceeds 0.01",
             "anechoic assumption violated: max |D/C| = 0.4 exceeds 0.01",
@@ -440,9 +440,9 @@ class TestStlDirect:
         grid = FrequencyGrid.from_range(100.0, 2500.0, 5.0)  # both pairs are blind at 2 145 Hz
         one = noisy_spectra(grid, 1)
         # no downstream pressure, so |D/C| is 0/0 at every bin
-        silent = (*noisy_spectra(grid, 2)[:2], *(ComplexSpectrum(grid, np.zeros(len(grid))),) * 2)
+        silent = MicSpectra(grid, [*noisy_spectra(grid, 2).pressures[:2], *np.zeros((2, len(grid)))])
         for spectra, n_rows in ((one, 1), (stacked([one, noisy_spectra(grid, 3), silent]), 3)):
-            analysis = analyze_four_mic(*spectra, GEOMETRY, AIR, quality_threshold=np.inf)
+            analysis = analyze_four_mic(spectra, GEOMETRY, AIR, quality_threshold=np.inf)
             ratio = anechoic_quality(analysis.amplitudes).reshape(n_rows, -1).tolist()
             assert analysis.worst_quality.shape == (n_rows,)
             assert analysis.worst_quality.tolist() == [
@@ -458,7 +458,7 @@ class TestStlDirect:
         indicators = acoustic_indicators(sample, d, AIR)
         t_sample, r_sample = indicators.transmission, indicators.reflection
         spectra = four_mic_spectra(grid, GEOMETRY, 1.0, r_sample, t_sample, 0.0)
-        amps = decompose_four_mic(*spectra, geometry=GEOMETRY, air=AIR)
+        amps = decompose_four_mic(spectra, geometry=GEOMETRY, air=AIR)
         matrix = reconstruct_one_load(grid, *boundary_states(amps, d, AIR))
         matrix_route = stl(acoustic_indicators(matrix, d, AIR).transmission)
         direct_route = stl_direct_anechoic(amps)
@@ -555,7 +555,7 @@ class TestZeroThicknessShortcut:
 
 def _stages(spectra, thickness=GEOMETRY.sample_thickness):
     """Every stage's arrays for one set of spectra: amplitudes, faces, matrix, indicators."""
-    amplitudes = decompose_four_mic(*spectra, GEOMETRY, AIR)
+    amplitudes = decompose_four_mic(spectra, GEOMETRY, AIR)
     faces = boundary_states(amplitudes, thickness, AIR)
     matrix = reconstruct_one_load(amplitudes.grid, *faces)
     indicators = acoustic_indicators(matrix, thickness, AIR)
@@ -591,5 +591,6 @@ class TestBitsOfABin:
         scenario = SynthScenario(LayerModel.limp_mass(1.135), GEOMETRY, AIR, termination_ratio=0.2 + 0.1j)
         whole = synth_mic_pressures(scenario, WIDE_GRID)
         for lo, hi, part in row_slices(whole):
-            for mic, (values, alone) in enumerate(zip(whole, synth_mic_pressures(scenario, part[0].grid))):
-                assert alone.values.tobytes() == values.values[lo:hi].tobytes(), (mic, lo)
+            alone = synth_mic_pressures(scenario, part.grid).pressures
+            for mic, values in enumerate(whole.pressures):
+                assert alone[mic].tobytes() == values[lo:hi].tobytes(), (mic, lo)
