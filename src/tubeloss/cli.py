@@ -1,12 +1,13 @@
 """Command-line surface tying the analysis pipeline together.
 
-Each ``_cmd_*`` function only computes: the report commands (``stl``, ``il``,
-``masslaw``, ``stack``) return their report dict, ``bands`` and ``synth``
-return None. :func:`main` is the one place that records warnings, prints them
-to stderr as ``warning:`` lines, puts them into the report, writes the report
-and maps exceptions to exit codes: 0 success, 2 input/format error, 3
-numerical validity error. Warnings never change the exit code; a failing run
-prints one ``error:`` line and nothing else.
+Each ``_cmd_*`` function only computes. A report command (``stl``, ``il``,
+``masslaw``, ``stack``) returns ``(air, geometry, body, tables)``: what its
+``config_hash`` covers, its own report keys and the ``--band-csv`` tables;
+``bands`` and ``synth`` write their output and return None. :func:`main` alone
+records warnings, assembles and writes every report and band CSV, prints the
+warnings to stderr as ``warning:`` lines and maps exceptions to exit codes: 0
+success, 2 input/format error, 3 numerical validity error. Warnings never
+change the exit code; a failing run prints one ``error:`` line and nothing else.
 
 Each subcommand declares only the options its ``_cmd_*`` reads; an option that
 several commands read is declared once, in a parent parser. A command line the
@@ -121,10 +122,10 @@ def _cmd_bands(args) -> None:
     for b in bands:
         lines.append(f"{b.nominal:g},{b.center!r},{b.lower!r},{b.upper!r}")
     text = "\n".join(lines) + "\n"
-    if args.output and args.output != "-":
-        write_text_atomic(args.output, text)
-    else:
+    if args.output == "-":
         print(text, end="")
+    else:
+        write_text_atomic(args.output, text)
 
 
 def _cmd_synth(args) -> None:
@@ -171,7 +172,7 @@ def _analyze_group(group: list, grid, geometry, air) -> tuple[np.ndarray, ...]:
     return indicators.stl_db, indicators.reflectance, analysis.stl_direct_db
 
 
-def _cmd_stl(args) -> dict:
+def _cmd_stl(args) -> tuple:
     air, geometry = _require_config(args)
     grid = None
     group: list = []
@@ -213,33 +214,28 @@ def _cmd_stl(args) -> dict:
     bands = third_octave_bands(args.f_min, args.f_max)
     table = band_average(grid, mean_stl, bands, mode=args.band_mode)
 
-    report = _provenance(args, air, geometry)
-    report.update(
-        {
-            "inputs": list(args.inputs),
-            "n_repetitions": len(args.inputs),
-            "cutoff_hz": cutoff,
-            "narrowband": {
-                "frequency_hz": grid.frequencies.tolist(),
-                "stl_db": _round_db(mean_stl),
-                "stl_spread_db": _round_db(spread_stl),
-                "stl_direct_db": _round_db(mean_direct),
-                # NaN or finite (a valid bin needs a finite reflection), never +-inf
-                "reflectance": _round_db(mean_reflectance, decimals=6),
-                "valid": valid.tolist(),
-                "above_cutoff": above.tolist(),
-            },
-            "bands": _band_block(table),
-        }
-    )
-    if args.band_csv:
-        write_band_csv(args.band_csv, {"stl_db": table})
-    if args.narrowband_csv:
+    body = {
+        "inputs": list(args.inputs),
+        "n_repetitions": len(args.inputs),
+        "cutoff_hz": cutoff,
+        "narrowband": {
+            "frequency_hz": grid.frequencies.tolist(),
+            "stl_db": _round_db(mean_stl),
+            "stl_spread_db": _round_db(spread_stl),
+            "stl_direct_db": _round_db(mean_direct),
+            # NaN or finite (a valid bin needs a finite reflection), never +-inf
+            "reflectance": _round_db(mean_reflectance, decimals=6),
+            "valid": valid.tolist(),
+            "above_cutoff": above.tolist(),
+        },
+        "bands": _band_block(table),
+    }
+    if args.narrowband_csv is not None:
         write_narrowband_csv(args.narrowband_csv, grid, mean_stl, spread_stl, mean_reflectance)
-    return report
+    return air, geometry, body, {"stl_db": table}
 
 
-def _cmd_masslaw(args) -> dict:
+def _cmd_masslaw(args) -> tuple:
     air = load_config(args.config)[0] if args.config else DEFAULT_AIR
     materials = load_materials(args.materials)
     bands = third_octave_bands(args.f_min, args.f_max)
@@ -270,15 +266,11 @@ def _cmd_masslaw(args) -> dict:
             }
         )
         tables[mat.name.replace(",", " ")] = BandTable.from_values(bands, values)
-    report = _provenance(args, air, None)
-    report["constant_db"] = mass_law_constant_db(args.masslaw_constant, air)
-    report["materials"] = entries
-    if args.band_csv:
-        write_band_csv(args.band_csv, tables)
-    return report
+    body = {"constant_db": mass_law_constant_db(args.masslaw_constant, air), "materials": entries}
+    return air, None, body, tables
 
 
-def _cmd_il(args) -> dict:
+def _cmd_il(args) -> tuple:
     def pick_table(path, preferred: str) -> BandTable:
         tables = read_band_csv(path)
         if preferred in tables:
@@ -288,16 +280,11 @@ def _cmd_il(args) -> dict:
     before = pick_table(args.before, "L_r0")
     after = pick_table(args.after, "L_rs")
     table = insertion_loss(before, after)
-    report = _provenance(args, DEFAULT_AIR, None)
-    report.update(
-        {"before": args.before, "after": args.after, "bands": _band_block(table, "il_db")}
-    )
-    if args.band_csv:
-        write_band_csv(args.band_csv, {"il_db": table})
-    return report
+    body = {"before": args.before, "after": args.after, "bands": _band_block(table, "il_db")}
+    return DEFAULT_AIR, None, body, {"il_db": table}
 
 
-def _cmd_stack(args) -> dict:
+def _cmd_stack(args) -> tuple:
     air = load_config(args.config)[0] if args.config else DEFAULT_AIR
     layers = load_stack(args.stack)
     grid = FrequencyGrid.from_range(args.f_min, args.f_max, args.f_step)
@@ -310,21 +297,16 @@ def _cmd_stack(args) -> dict:
     ]
     stack_table = band_average(grid, stack.stl_db, bands, mode=args.band_mode)
 
-    report = _provenance(args, air, None)
-    report.update(
-        {
-            "stack": [layer.describe() for layer in layers],
-            "narrowband": {
-                "frequency_hz": grid.frequencies.tolist(),
-                "stl_db": _round_db(stack.stl_db),
-            },
-            "bands": _band_block(stack_table),
-            "constituents": constituents,
-        }
-    )
-    if args.band_csv:
-        write_band_csv(args.band_csv, {"stack_stl_db": stack_table})
-    return report
+    body = {
+        "stack": [layer.describe() for layer in layers],
+        "narrowband": {
+            "frequency_hz": grid.frequencies.tolist(),
+            "stl_db": _round_db(stack.stl_db),
+        },
+        "bands": _band_block(stack_table),
+        "constituents": constituents,
+    }
+    return air, None, body, {"stack_stl_db": stack_table}
 
 
 class _UsageError(TubelossError):
@@ -419,12 +401,15 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            report = args.func(args)
-        for w in caught:
-            _print_line("warning", w.message)
-        if report is not None:
-            report["warnings"] = [str(w.message) for w in caught]
-            write_report(args.output, report)
+            result = args.func(args)
+            if result is not None and args.band_csv is not None:
+                write_band_csv(args.band_csv, result[3])
+        messages = [str(w.message) for w in caught]
+        if result is not None:
+            air, geometry, body, _ = result
+            write_report(args.output, {**_provenance(args, air, geometry), **body, "warnings": messages})
+        for message in messages:
+            _print_line("warning", message)
     except NumericalValidityError as exc:
         _print_line("error", exc)
         return 3

@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import tempfile
 
 import numpy as np
@@ -65,17 +66,34 @@ def _fmt(x: float) -> str:
 
 @contextlib.contextmanager
 def _atomic_text_file(path):
-    """A text handle on a temp file that replaces ``path`` when the ``with`` body succeeds."""
+    """A text handle on a temp file that replaces ``path`` when the ``with`` body succeeds.
+
+    An empty path, and an existing ``path`` that is neither a regular file nor
+    a directory (a device, FIFO or socket, after following symlinks), are input
+    errors raised before the temp file exists. A failed write raises its
+    ``OSError`` naming ``path`` as given, never the temp file.
+    """
     path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tubeloss-", suffix=".tmp")
+    if not path:
+        raise InputFormatError("output path is empty")
     try:
+        mode = os.stat(path).st_mode
+    except (OSError, ValueError):  # a missing path, or one no file can have: the write names it
+        mode = stat.S_IFREG
+    if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+        raise InputFormatError("not a regular file; refusing to replace it", path=path)
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tubeloss-", suffix=".tmp")
         with os.fdopen(fd, "w", newline="") as handle:
             yield handle
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -401,23 +419,15 @@ def require_header_matches(
     def close(a: float, b: float) -> bool:
         return abs(a - b) <= _HEADER_RTOL * max(abs(a), abs(b), 1e-300)
 
-    problems = []
-    for i, (got, want) in enumerate(zip(file_geometry.mic_positions, geometry.mic_positions)):
-        if not close(got, want):
-            problems.append(f"mic x{i + 1}: file {got} vs config {want}")
-    if not close(file_geometry.sample_thickness, geometry.sample_thickness):
-        problems.append(
-            f"sample_thickness: file {file_geometry.sample_thickness} "
-            f"vs config {geometry.sample_thickness}"
-        )
-    if not close(file_geometry.tube_diameter, geometry.tube_diameter):
-        problems.append(
-            f"tube_diameter: file {file_geometry.tube_diameter} vs config {geometry.tube_diameter}"
-        )
-    if not close(file_air.density, air.density):
-        problems.append(f"air density: file {file_air.density} vs config {air.density}")
-    if not close(file_air.sound_speed, air.sound_speed):
-        problems.append(f"sound speed: file {file_air.sound_speed} vs config {air.sound_speed}")
+    positions = enumerate(zip(file_geometry.mic_positions, geometry.mic_positions), start=1)
+    fields = [
+        *((f"mic x{i}", got, want) for i, (got, want) in positions),
+        ("sample_thickness", file_geometry.sample_thickness, geometry.sample_thickness),
+        ("tube_diameter", file_geometry.tube_diameter, geometry.tube_diameter),
+        ("air density", file_air.density, air.density),
+        ("sound speed", file_air.sound_speed, air.sound_speed),
+    ]
+    problems = [f"{label}: file {got} vs config {want}" for label, got, want in fields if not close(got, want)]
     if problems:
         raise ConfigMismatchError(
             "header disagrees with active config: " + "; ".join(problems), path=path

@@ -260,6 +260,8 @@ RUNS: tuple[tuple[str, ...], ...] = (
     ("bands", "--f-min", "125", "--f-max", "1600", "--output", "bands.csv"),
     ("bands", "--f-max", "inf"),
     ("bands", "--f-min", "nan"),
+    # an empty output path is an input error, never standard output
+    ("bands", "--output", ""),
     ("synth", "limp.ini", "--config", "tube.ini", "--output", "run1.csv"),
     ("synth", "limp.ini", "--config", "tube.ini", "--seed", "1201", "--output", "run2.csv"),
     ("synth", "limp.ini", "--config", "tube.ini", "--seed", "1202", "--output", "run3.csv"),
@@ -287,6 +289,9 @@ RUNS: tuple[tuple[str, ...], ...] = (
         for rep in ("db", "power")
         for band in ("power", "db")
     ),
+    # the narrowband CSV is written before the band CSV, so its failure leaves neither file
+    _STL3 + ("--output", "stl-narrow-fails.json", "--band-csv", "stl-narrow-fails-bands.csv")
+    + ("--narrowband-csv", "missing-dir/narrow.csv"),
     ("stl", "anechoic.csv", "--config", "tube.ini", "--output", "stl-anechoic.json"),
     # 3 x 6 001 bins: the first two files are analysed as one group of 12 002 bins, the third alone
     ("stl", "wide1.csv", "wide2.csv", "wide3.csv", "--config", "tube.ini", "--f-max", "6000")
@@ -321,6 +326,9 @@ RUNS: tuple[tuple[str, ...], ...] = (
     ("masslaw", "--materials", "newline-name.json", "--output", "masslaw-newline-name.json"),
     ("masslaw", "--materials", "newline-name.json", "--band-csv", "newline-name.csv"),
     ("masslaw", "--materials", "deep.json"),
+    # a failed write names the path as given, and no warning precedes its error line
+    ("masslaw", "--materials", "materials.json", "--output", "missing-dir/report.json"),
+    ("masslaw", "--materials", "materials.json", "--band-csv", ""),
     ("masslaw", "--materials", "coverage-names.json", "--band-csv", "coverage-names.csv")
     + ("--output", "masslaw-coverage-names.json"),
     ("il", "--before", "before.csv", "--after", "after.csv", "--output", "il.json", "--band-csv", "il.csv"),

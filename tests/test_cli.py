@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -783,6 +785,67 @@ class TestBandsCommand:
         text = out.read_text().splitlines()
         assert len(text) == 2
         assert text[1].startswith("1000,1000.0,")
+
+
+class TestOutputPaths:
+    """Every command writes its files by one rule, whatever the option."""
+
+    @pytest.fixture
+    def work(self, tmp_path, monkeypatch):
+        """A working directory inside ``tmp_path`` holding a config, a scenario and materials."""
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / "tube.ini").write_text(CONFIG_TEXT)
+        (work / "limp.ini").write_text(SCENARIO_LIMP)
+        (work / "m.json").write_text(json.dumps([{"name": "x", "thickness_mm": 1.0, "surface_density": 0.1}]))
+        monkeypatch.chdir(work)
+        return work
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bands", "--output"),
+            ("synth", "limp.ini", "--config", "tube.ini", "--output"),
+            ("masslaw", "--materials", "m.json", "--output"),
+            ("masslaw", "--materials", "m.json", "--band-csv"),
+            ("stl", "run.csv", "--config", "tube.ini", "--narrowband-csv"),
+        ],
+        ids=["bands", "synth", "report", "band-csv", "narrowband-csv"],
+    )
+    def test_an_empty_path_is_an_input_error_that_writes_nothing(self, work, capsys, argv):
+        assert run_cli("synth", "limp.ini", "--config", "tube.ini", "--output", "run.csv") == 0
+        names = sorted(p.name for p in work.parent.rglob("*"))
+        assert run_cli(*argv, "") == 2
+        assert capsys.readouterr() == ("", "error: output path is empty\n")
+        assert sorted(p.name for p in work.parent.rglob("*")) == names
+
+    @pytest.mark.parametrize("option", ["--output", "--band-csv"])
+    @pytest.mark.parametrize("linked", [False, True], ids=["fifo", "symlink-to-fifo"])
+    def test_a_fifo_is_refused_and_kept(self, work, capsys, option, linked):
+        # a FIFO made here stands for any device: never try this on a real device node
+        os.mkfifo(work / "pipe")
+        target = "pipe"
+        if linked:
+            os.symlink("pipe", work / "link")
+            target = "link"
+        assert run_cli("masslaw", "--materials", "m.json", option, target) == 2
+        assert capsys.readouterr().err == f"error: {target}: not a regular file; refusing to replace it\n"
+        assert stat.S_ISFIFO(os.lstat(work / "pipe").st_mode)
+        assert {p.name for p in work.iterdir()} == {"limp.ini", "m.json", "tube.ini", "pipe", target}
+
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ("adir", "[Errno 21] Is a directory: 'adir'"),
+            ("missing/x.json", "[Errno 2] No such file or directory: 'missing/x.json'"),
+        ],
+    )
+    def test_a_failed_write_names_the_path_as_given(self, work, capsys, target, message):
+        (work / "adir").mkdir()
+        for _ in range(2):  # the same path fails the same way every run
+            assert run_cli("masslaw", "--materials", "m.json", "--output", target) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(p.name for p in work.rglob("*")) == ["adir", "limp.ini", "m.json", "tube.ini"]
 
 
 def python_round(v: float, decimals: int):

@@ -6,6 +6,8 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tubeloss.io_files import read_band_csv
+
 from cli_corpus import INPUTS, USAGE_ERRORS, inside, run_corpus, run_one
 
 # mic-spectra files the corpus synthesises and the stl runs read
@@ -237,3 +239,51 @@ def test_drawn_command_lines_keep_the_cli_contract(runs, corpus_dir, argv):
         with inside(scratch):
             run = run_one(argv)
     test_every_run_keeps_the_cli_contract([run])
+
+
+def test_two_runs_of_the_corpus_write_the_same_bytes(runs, corpus_dir, tmp_path):
+    def contents(directory):
+        return {str(p.relative_to(directory)): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+
+    run_corpus(tmp_path)
+    first, second = contents(corpus_dir), contents(tmp_path)
+    assert sorted(first) == sorted(second)
+    assert [name for name in first if first[name] != second[name]] == []
+
+
+PROVENANCE = ["tool", "version", "command", "timestamp", "config_hash", "modes", "seed"]
+
+
+@pytest.mark.parametrize(
+    "report, band_csv, body, tables",
+    [
+        (
+            "stl-db-power.json", "stl-db-power-bands.csv",
+            ["inputs", "n_repetitions", "cutoff_hz", "narrowband", "bands"], ["stl_db"],
+        ),
+        ("masslaw-paper.json", "masslaw-paper.csv", ["constant_db", "materials"], ["sheet", "foil  thin"]),
+        ("il.json", "il.csv", ["before", "after", "bands"], ["il_db"]),
+        ("stack-power.json", "stack-power.csv", ["stack", "narrowband", "bands", "constituents"], ["stack_stl_db"]),
+    ],
+    ids=["stl", "masslaw", "il", "stack"],
+)
+def test_each_report_is_provenance_body_and_warnings_and_writes_its_band_csv(
+    runs, corpus_dir, report, band_csv, body, tables
+):
+    assert list(json.loads((corpus_dir / report).read_text())) == [*PROVENANCE, *body, "warnings"]
+    assert list(read_band_csv(corpus_dir / band_csv)) == tables
+
+
+def test_a_failed_write_is_one_error_line_naming_the_path_as_given(runs, corpus_dir):
+    stderr = {run.argv: run.stderr for run in runs}
+    missing = "error: [Errno 2] No such file or directory: 'missing-dir/{}'\n"
+    assert stderr["masslaw", "--materials", "materials.json", "--output", "missing-dir/report.json"] == (
+        missing.format("report.json")
+    )
+    (narrow,) = [run for run in runs if "stl-narrow-fails.json" in run.argv]
+    assert (narrow.code, narrow.stderr) == (2, missing.format("narrow.csv"))
+    # the narrowband CSV is written first, so its failure leaves no band CSV and no report
+    assert not (corpus_dir / "stl-narrow-fails-bands.csv").exists()
+    assert not (corpus_dir / "stl-narrow-fails.json").exists()
+    for argv in (("bands", "--output", ""), ("masslaw", "--materials", "materials.json", "--band-csv", "")):
+        assert stderr[argv] == "error: output path is empty\n"

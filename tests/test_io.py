@@ -178,6 +178,29 @@ class TestMicSpectraCsv:
         # matching config passes silently
         require_header_matches(path, file_geometry, file_air, GEOMETRY, AIR)
 
+    @pytest.mark.parametrize(
+        "index, message",
+        [
+            (0, "mic x1: file -0.35 vs config -0.33"),
+            (1, "mic x2: file -0.26 vs config -0.25"),
+            (2, "mic x3: file 0.26 vs config 0.25"),
+            (3, "mic x4: file 0.35 vs config 0.33"),
+            (4, "sample_thickness: file 0.001 vs config 0.00089"),
+            (5, "tube_diameter: file 0.1 vs config 0.0998"),
+            (6, "air density: file 1.2 vs config 1.204"),
+            (7, "sound speed: file 340.0 vs config 343.2"),
+        ],
+    )
+    def test_each_mismatched_header_value_is_named_alone(self, index, message):
+        values = [*GEOMETRY.mic_positions, GEOMETRY.sample_thickness, GEOMETRY.tube_diameter]
+        values += [AIR.density, AIR.sound_speed]
+        values[index] = (-0.35, -0.26, 0.26, 0.35, 0.001, 0.1, 1.2, 340.0)[index]
+        file_geometry = TubeGeometry(tuple(values[:4]), values[4], values[5])
+        file_air = AirProperties(density=values[6], sound_speed=values[7])
+        with pytest.raises(ConfigMismatchError) as err:
+            require_header_matches("x.csv", file_geometry, file_air, GEOMETRY, AIR)
+        assert str(err.value) == f"x.csv: header disagrees with active config: {message}"
+
 
 def reference_read_mic_spectra(path):
     """The mic-spectra reader as a plain per-line loop: the oracle of the differential test.
