@@ -59,7 +59,7 @@ from .io_files import (
     write_report,
     write_text_atomic,
 )
-from .models import mass_law_constant_db, mass_law_stl, stack_indicators
+from .models import MASS_LAW_CONSTANTS, mass_law_constant_db, mass_law_stl, stack_indicators
 from .pipeline import QUALITY_THRESHOLD, analyze_four_mic
 from .synth import synth_mic_pressures
 
@@ -111,7 +111,7 @@ def _band_block(table: BandTable, key: str = "values_db") -> dict:
 
 
 def _require_config(args) -> tuple:
-    if not args.config:
+    if args.config is None:
         raise InputFormatError("this command needs --config <path>")
     return load_config(args.config)
 
@@ -236,7 +236,7 @@ def _cmd_stl(args) -> tuple:
 
 
 def _cmd_masslaw(args) -> tuple:
-    air = load_config(args.config)[0] if args.config else DEFAULT_AIR
+    air = DEFAULT_AIR if args.config is None else load_config(args.config)[0]
     materials = load_materials(args.materials)
     bands = third_octave_bands(args.f_min, args.f_max)
     centers = np.array([b.center for b in bands])
@@ -285,7 +285,7 @@ def _cmd_il(args) -> tuple:
 
 
 def _cmd_stack(args) -> tuple:
-    air = load_config(args.config)[0] if args.config else DEFAULT_AIR
+    air = DEFAULT_AIR if args.config is None else load_config(args.config)[0]
     layers = load_stack(args.stack)
     grid = FrequencyGrid.from_range(args.f_min, args.f_max, args.f_step)
     bands = third_octave_bands(args.f_min, args.f_max)
@@ -366,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "masslaw", parents=[config, frange, band_csv, output], help="mass-law predictions per material"
     )
     p.add_argument("--materials", required=True, metavar="PATH", help="materials JSON")
-    p.add_argument("--masslaw-constant", choices=("paper", "normal"), default="paper")
+    p.add_argument("--masslaw-constant", choices=MASS_LAW_CONSTANTS, default="paper")
     p.set_defaults(func=_cmd_masslaw)
 
     p = sub.add_parser("il", parents=[band_csv, output], help="insertion loss from two band CSVs")

@@ -1,5 +1,19 @@
 """Exception and warning types shared across the toolkit."""
 
+__all__ = [
+    "TubelossError",
+    "GridMismatchError",
+    "BandMismatchError",
+    "InputFormatError",
+    "ConfigMismatchError",
+    "NumericalValidityError",
+    "AllBinsInvalidError",
+    "PlaneWaveCutoffWarning",
+    "SingularBinWarning",
+    "AnechoicQualityWarning",
+    "NegativeInsertionLossWarning",
+]
+
 
 class TubelossError(Exception):
     """Base class for toolkit-specific errors."""

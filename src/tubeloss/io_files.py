@@ -42,6 +42,7 @@ __all__ = [
     "read_mic_spectra",
     "require_header_matches",
     "write_band_csv",
+    "write_narrowband_csv",
     "read_band_csv",
     "load_stack",
     "load_materials",
@@ -101,10 +102,14 @@ def _atomic_text_file(path):
 def _open_utf8(path, what: str, newline=None):
     """A UTF-8 text handle on the ``what`` file ``path``.
 
-    A name ``open`` rejects with ``ValueError`` (one holding a NUL byte, which
-    no file name can) and a byte that is not UTF-8 are input errors naming the
-    file; a missing or unreadable file raises ``open``'s ``OSError``.
+    An empty path is an input error raised before anything is opened. A name
+    ``open`` rejects with ``ValueError`` (one holding a NUL byte, which no file
+    name can) and a byte that is not UTF-8 are input errors naming the file; a
+    missing or unreadable file raises ``open``'s ``OSError``.
     """
+    path = os.fspath(path)
+    if not path:
+        raise InputFormatError(f"{what} path is empty")
     try:
         handle = open(path, "r", encoding="utf-8", newline=newline)
     except ValueError:

@@ -15,13 +15,12 @@ from .core import AirProperties, DEFAULT_AIR, FrequencyGrid, _frozen
 from .transfer import AcousticIndicators, TransferMatrix, acoustic_indicators
 
 __all__ = [
-    "MASS_LAW_CONSTANTS",
+    "LayerModel",
     "mass_law_constant_db",
     "mass_law_stl",
     "limp_mass_matrix",
     "air_gap_matrix",
     "identity_matrix",
-    "LayerModel",
     "cascade",
     "stack_thickness",
     "stack_indicators",

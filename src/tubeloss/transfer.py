@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AirProperties, FrequencyGrid, PerBinArrays, _frozen, _per_bin_shape, locked_array
+from .core import AirProperties, FrequencyGrid, PerBinArrays, _frozen, _per_bin_shape
 from .decompose import PlaneWaveAmplitudes
 
 __all__ = [
@@ -187,7 +187,10 @@ def reconstruct_one_load(grid: FrequencyGrid, p0, v0, pd, vd) -> TransferMatrix:
         Symmetric unit-determinant matrix, NaN at the dropped bins.
     """
     shape = _per_bin_shape(p0, len(grid), "face array")
-    p0, v0, pd, vd = (locked_array(a, complex, shape, "face array") for a in (p0, v0, pd, vd))
+    p0, v0, pd, vd = faces = [np.asarray(a, dtype=complex) for a in (p0, v0, pd, vd)]
+    for a in faces:
+        if a.shape != shape:
+            raise ValueError(f"face array must have shape {shape}, got {a.shape}")
     den = p0 * vd + pd * v0
     scale = np.abs(p0) * np.abs(vd) + np.abs(pd) * np.abs(v0)
     ok = _nonvanishing(den, scale)

@@ -19,6 +19,7 @@ import io
 import json
 import os
 import re
+import shlex
 import sys
 import warnings
 from dataclasses import dataclass
@@ -314,6 +315,8 @@ RUNS: tuple[tuple[str, ...], ...] = (
     ("stl", "gapped-nan.csv", "--config", "tube.ini"),
     ("stl", "whitespace-row.csv", "--config", "tube.ini"),
     ("stl", "missing.csv", "--config", "tube.ini"),
+    # an empty input path is an input error, as an empty output path is
+    ("stl", "", "--config", "tube.ini"),
     ("stl", "run1.csv", "--config", "before.csv"),
     ("stl", "run1.csv", "--config", "tube.ini", "--f-max", "inf"),
     *(
@@ -329,6 +332,7 @@ RUNS: tuple[tuple[str, ...], ...] = (
     # a failed write names the path as given, and no warning precedes its error line
     ("masslaw", "--materials", "materials.json", "--output", "missing-dir/report.json"),
     ("masslaw", "--materials", "materials.json", "--band-csv", ""),
+    ("masslaw", "--materials", "materials.json", "--config", ""),
     ("masslaw", "--materials", "coverage-names.json", "--band-csv", "coverage-names.csv")
     + ("--output", "masslaw-coverage-names.json"),
     ("il", "--before", "before.csv", "--after", "after.csv", "--output", "il.json", "--band-csv", "il.csv"),
@@ -362,6 +366,7 @@ RUNS: tuple[tuple[str, ...], ...] = (
     ),
     ("stack", "--stack", "layers.json", "--f-max", "inf"),
     ("stack", "--stack", "layers.json", "--f-step", "1e-12"),
+    ("stack", "--stack", "layers.json", "--config", ""),
     *USAGE_ERRORS,
 )
 
@@ -378,7 +383,7 @@ class Run:
 
     def log(self) -> str:
         return (
-            f"$ tubeloss {' '.join(self.argv)}\n"
+            f"$ tubeloss {shlex.join(self.argv)}\n"
             f"exit: {self.code if self.escaped is None else 'escaped ' + self.escaped}\n"
             f"--- stdout\n{self.stdout}--- stderr\n{self.stderr}\n"
         )
@@ -444,4 +449,4 @@ if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit("usage: python tests/cli_corpus.py OUTDIR")
     for run in run_corpus(sys.argv[1]):
-        print(f"{run.code if run.escaped is None else 'escaped'}\t{' '.join(run.argv)}")
+        print(f"{run.code if run.escaped is None else 'escaped'}\t{shlex.join(run.argv)}")

@@ -819,6 +819,33 @@ class TestOutputPaths:
         assert capsys.readouterr() == ("", "error: output path is empty\n")
         assert sorted(p.name for p in work.parent.rglob("*")) == names
 
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (("masslaw", "--materials", "m.json", "--config", ""), "config"),
+            (("stack", "--stack", "s.json", "--config", ""), "config"),
+            (("stl", "run.csv", "--config", ""), "config"),
+            (("synth", "limp.ini", "--config", ""), "config"),
+            (("stl", "", "--config", "tube.ini"), "mic-spectra"),
+            (("il", "--before", "", "--after", "b.csv"), "band CSV"),
+            (("stack", "--stack", ""), "stack"),
+            (("masslaw", "--materials", ""), "materials"),
+            (("synth", "", "--config", "tube.ini"), "scenario"),
+        ],
+        ids=["masslaw-config", "stack-config", "stl-config", "synth-config", "stl-input", "il-before",
+             "stack", "materials", "scenario"],
+    )
+    def test_an_empty_input_path_is_an_input_error_that_writes_nothing(self, work, capsys, argv, what):
+        (work / "s.json").write_text(json.dumps([{"kind": "identity"}]))
+        assert run_cli("synth", "limp.ini", "--config", "tube.ini", "--output", "run.csv") == 0
+        assert run_cli("masslaw", "--materials", "m.json", "--output", "m-report.json", "--band-csv", "b.csv") == 0
+        capsys.readouterr()
+        names = sorted(p.name for p in work.parent.rglob("*"))
+        outputs = ("--output", "out.csv") if argv[0] == "synth" else ("--output", "out.json", "--band-csv", "out.csv")
+        assert run_cli(*argv, *outputs) == 2
+        assert capsys.readouterr() == ("", f"error: {what} path is empty\n")
+        assert sorted(p.name for p in work.parent.rglob("*")) == names
+
     @pytest.mark.parametrize("option", ["--output", "--band-csv"])
     @pytest.mark.parametrize("linked", [False, True], ids=["fifo", "symlink-to-fifo"])
     def test_a_fifo_is_refused_and_kept(self, work, capsys, option, linked):

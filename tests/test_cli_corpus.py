@@ -1,5 +1,6 @@
 """The command-line contract over a fixed corpus of runs (see ``cli_corpus.py``)."""
 import json
+import shlex
 import shutil
 import tempfile
 
@@ -60,7 +61,7 @@ def runs(corpus_dir):
 
 def test_every_run_keeps_the_cli_contract(runs):
     for run in runs:
-        where = f"tubeloss {' '.join(run.argv)}"
+        where = f"tubeloss {shlex.join(run.argv)}"
         assert run.escaped is None, f"{where}: {run.escaped}"
         assert run.code in (0, 2, 3), where
         lines = run.stderr.splitlines()
@@ -223,7 +224,7 @@ def test_usage_errors_exit_2_with_one_error_line(runs):
     usage_runs = [run for run in runs if run.argv in USAGE_ERRORS]
     assert len(usage_runs) == len(USAGE_ERRORS)
     for run in usage_runs:
-        where = f"tubeloss {' '.join(run.argv)}"
+        where = f"tubeloss {shlex.join(run.argv)}"
         assert run.escaped is None and run.code == 2, (where, run.escaped, run.code)
         lines = run.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: tubeloss"), (where, lines)

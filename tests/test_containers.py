@@ -17,7 +17,7 @@ from tubeloss import (
     reconstruct_one_load,
     third_octave_bands,
 )
-from tubeloss import core
+from tubeloss import bands, core, transfer
 
 from helpers import AIR, GEOMETRY, four_mic_spectra, noisy_spectra, stacked
 
@@ -218,7 +218,7 @@ GRID_1HZ = FrequencyGrid.from_range(100.0, 2000.0, 1.0)
 
 @pytest.fixture
 def copies(monkeypatch):
-    """Arrays ``core.locked_array`` copies while the test runs."""
+    """Arrays ``core.locked_array`` copies while the test runs, through any module's binding of it."""
     made = []
     keep_or_copy = core.locked_array
 
@@ -228,7 +228,9 @@ def copies(monkeypatch):
             made.append(args[-1])
         return stored
 
-    monkeypatch.setattr(core, "locked_array", counting)
+    for module in (core, transfer, bands):
+        if getattr(module, "locked_array", None) is keep_or_copy:
+            monkeypatch.setattr(module, "locked_array", counting)
     return made
 
 

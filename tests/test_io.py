@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -70,6 +71,15 @@ def synth_spectra(grid=None):
     grid = grid or FrequencyGrid.from_range(100.0, 500.0, 100.0)
     scenario = SynthScenario(sample=LayerModel.limp_mass(1.135), geometry=GEOMETRY, air=AIR)
     return synth_mic_pressures(scenario, grid)
+
+
+def test_all_names_every_public_function():
+    defined = {
+        name
+        for name, value in vars(io_files).items()
+        if inspect.isfunction(value) and value.__module__ == io_files.__name__ and not name.startswith("_")
+    }
+    assert sorted(defined - set(io_files.__all__)) == []
 
 
 class TestConfig:
