@@ -266,10 +266,10 @@ class MaterialSpec:
     bulk_density: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.thickness_mm > 0.0:
-            raise ValueError(f"{self.name}: thickness must be positive")
-        if not self.surface_density > 0.0:
-            raise ValueError(f"{self.name}: surface density must be positive")
+        if not 0.0 < self.thickness_mm < math.inf:  # NaN fails this test too
+            raise ValueError(f"{self.name}: thickness must be positive and finite")
+        if not 0.0 < self.surface_density < math.inf:
+            raise ValueError(f"{self.name}: surface density must be positive and finite")
         if self.bulk_density is not None:
             implied = surface_density(self.thickness_mm / 1000.0, self.bulk_density)
             if abs(implied - self.surface_density) > 0.01 * self.surface_density:

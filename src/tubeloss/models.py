@@ -18,9 +18,6 @@ __all__ = [
     "LayerModel",
     "mass_law_constant_db",
     "mass_law_stl",
-    "limp_mass_matrix",
-    "air_gap_matrix",
-    "identity_matrix",
     "cascade",
     "stack_thickness",
     "stack_indicators",
@@ -73,44 +70,6 @@ def mass_law_stl(f, m_s: float, constant: str = "paper", air: AirProperties = DE
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def limp_mass_matrix(grid: FrequencyGrid, m_s: float) -> TransferMatrix:
-    """Impervious inertia-only layer: [[1, j omega m_s], [0, 1]].
-
-    ``m_s = 0`` degenerates to the identity.
-    """
-    if m_s < 0.0:
-        raise ValueError("surface density must be non-negative")
-    omega = 2.0 * math.pi * grid.frequencies
-    one = np.ones(len(grid), dtype=complex)
-    zero = np.zeros(len(grid), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing m_s leaves a non-finite t12
-        t12 = 1j * omega * m_s
-    return TransferMatrix(grid, *_frozen(one, t12, zero, one))
-
-
-def air_gap_matrix(grid: FrequencyGrid, thickness: float, air: AirProperties = DEFAULT_AIR) -> TransferMatrix:
-    """Plain air layer of the given thickness in m.
-
-        [[cos kL, j rho0 c sin kL], [(j / rho0 c) sin kL, cos kL]]
-    """
-    if thickness < 0.0:
-        raise ValueError("gap thickness must be non-negative")
-    z = air.impedance
-    # a thickness so large that k L overflows leaves NaN entries; the indicators drop those bins
-    with np.errstate(over="ignore", invalid="ignore"):
-        k_l = grid.wavenumbers(air) * thickness
-        cos = np.cos(k_l).astype(complex)
-        sin = np.sin(k_l)
-    return TransferMatrix(grid, *_frozen(cos, 1j * z * sin, 1j * sin / z, cos))
-
-
-def identity_matrix(grid: FrequencyGrid) -> TransferMatrix:
-    """Degenerate no-sample layer."""
-    one = np.ones(len(grid), dtype=complex)
-    zero = np.zeros(len(grid), dtype=complex)
-    return TransferMatrix(grid, *_frozen(one, zero, zero, one))
 
 
 @dataclass(frozen=True)
@@ -192,16 +151,25 @@ class LayerModel:
         )
 
     def matrix_on(self, grid: FrequencyGrid, air: AirProperties = DEFAULT_AIR) -> TransferMatrix:
-        """Evaluate this layer's transfer matrix on a grid."""
-        if self.kind == "limp-mass":
-            return limp_mass_matrix(grid, float(self.surface_density))
+        """Evaluate this layer's transfer matrix on a grid.
+
+        A limp mass is [[1, j omega m_s], [0, 1]], an air gap of thickness L [[cos kL, j rho0 c sin kL],
+        [(j / rho0 c) sin kL, cos kL]]; any other layer holds its constant entries at every bin.
+        """
         if self.kind == "air-gap":
-            return air_gap_matrix(grid, self.thickness, air)
-        if self.kind == "identity":
-            return identity_matrix(grid)
-        n = len(grid)
-        entries = (np.full(n, t, dtype=complex) for t in self.matrix)  # type: ignore[union-attr]
-        return TransferMatrix(grid, *_frozen(*entries))
+            z = air.impedance
+            # a thickness so large that k L overflows leaves NaN entries; the indicators drop those bins
+            with np.errstate(over="ignore", invalid="ignore"):
+                k_l = grid.wavenumbers(air) * self.thickness
+                cos = np.cos(k_l).astype(complex)
+                sin = np.sin(k_l)
+            return TransferMatrix(grid, *_frozen(cos, 1j * z * sin, 1j * sin / z, cos))
+        t11, t12, t21, t22 = (np.full(len(grid), t, dtype=complex) for t in self.matrix or (1, 0, 0, 1))
+        if self.kind == "limp-mass":
+            omega = 2.0 * math.pi * grid.frequencies
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflowing m_s leaves a non-finite t12
+                t12 = 1j * omega * float(self.surface_density)
+        return TransferMatrix(grid, *_frozen(t11, t12, t21, t22))
 
     def describe(self) -> dict:
         """Loggable parameter summary."""

@@ -53,6 +53,12 @@ class SynthScenario:
         object.__setattr__(self, "incident_amplitude", incident)
         if self.snr_db is not None and not np.isfinite(self.snr_db):
             raise ValueError("snr_db must be finite or None")
+        try:  # a float power past the float range raises OverflowError; it does not give inf
+            finite = self.snr_db is None or np.isfinite(abs(incident) * 10.0 ** (-self.snr_db / 20.0))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"noise amplitude at snr_db = {self.snr_db:g} must be finite")
         if self.seed < 0:  # numpy's generator rejects it, but only once noise is drawn
             raise ValueError(f"seed must be a non-negative integer, not {self.seed}")
 

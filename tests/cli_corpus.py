@@ -112,6 +112,14 @@ INPUTS = {
     "wide.ini": _SCENARIO.format(
         surface_density=1.135, termination="0.2+0.1j", snr_db=40, f_max=6100, f_step=1
     ),
+    # the limp.ini sheet on a 20 Hz grid, which no file on the 10 Hz grid can be averaged with
+    "coarse.ini": _SCENARIO.format(
+        surface_density=1.135, termination="0.2+0.1j", snr_db=40, f_max=2000, f_step=20
+    ),
+    # a noise amplitude of 10 ** 350, past the float range
+    "loud-noise.ini": _SCENARIO.format(
+        surface_density=1.135, termination="anechoic", snr_db=-7000, f_max=2000, f_step=10
+    ),
     # the sample matrix overflows, so the synthetic field cannot be solved
     "singular.ini": _SCENARIO.format(
         surface_density=1e308, termination="anechoic", snr_db="off", f_max=2000, f_step=10
@@ -218,6 +226,9 @@ INPUTS = {
     "huge-entry.json": '[{"kind": "matrix", "t11": [1, 0], "t12": [1' + "0" * 400 + ", 0], "
     '"t21": [0, 0], "t22": [1, 0]}]',
     "huge-thickness.json": '[{"name": "sheet", "thickness_mm": 1' + "0" * 400 + ', "surface_density": 1.135}]',
+    # a material thickness and surface density past the float range
+    "inf-thickness.json": '[{"name": "sheet", "thickness_mm": 1e400, "surface_density": 1.135}]',
+    "inf-mass.json": '[{"name": "sheet", "thickness_mm": 0.89, "surface_density": 1e400}]',
     "digits.json": '[{"kind": "limp-mass", "surface_density": 1' + "0" * 4300 + "}]",
     "deep.json": "[" * 100_000 + "]" * 100_000,
     # non-finite layer parameters: a float literal past the float range, NaN and Infinity tokens
@@ -271,7 +282,9 @@ RUNS: tuple[tuple[str, ...], ...] = (
         ("synth", "wide.ini", "--config", "tube.ini", "--seed", str(1300 + i), "--output", f"wide{i}.csv")
         for i in (1, 2, 3)
     ),
+    ("synth", "coarse.ini", "--config", "tube.ini", "--output", "run5.csv"),
     ("synth", "singular.ini", "--config", "tube.ini", "--output", "singular.csv"),
+    ("synth", "loud-noise.ini", "--config", "tube.ini", "--output", "loud-noise.csv"),
     ("synth", "limp.ini", "--output", "no-config.csv"),
     ("synth", "tiny-step.ini", "--config", "tube.ini", "--output", "tiny-step.csv"),
     ("synth", "missing-stack.ini", "--config", "tube.ini", "--output", "missing-stack.csv"),
@@ -282,6 +295,8 @@ RUNS: tuple[tuple[str, ...], ...] = (
     ("synth", "negative-seed.ini", "--config", "tube.ini", "--output", "negative-seed.csv"),
     ("synth", "limp.ini", "--config", "tube.ini", "--seed", "-1", "--output", "negative-seed-option.csv"),
     ("stl", "run1.csv", "--config", "tube.ini", "--f-max", "2000"),
+    # repetitions on two grids: the second file is named
+    ("stl", "run1.csv", "run5.csv", "--config", "tube.ini"),
     *(
         _STL3
         + ("--rep-mode", rep, "--band-mode", band, "--output", f"stl-{rep}-{band}.json")
@@ -326,6 +341,8 @@ RUNS: tuple[tuple[str, ...], ...] = (
     ),
     ("masslaw", "--materials", "materials.json", "--f-max", "inf"),
     ("masslaw", "--materials", "huge-thickness.json"),
+    ("masslaw", "--materials", "inf-thickness.json"),
+    ("masslaw", "--materials", "inf-mass.json"),
     ("masslaw", "--materials", "newline-name.json", "--output", "masslaw-newline-name.json"),
     ("masslaw", "--materials", "newline-name.json", "--band-csv", "newline-name.csv"),
     ("masslaw", "--materials", "deep.json"),

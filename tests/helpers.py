@@ -18,7 +18,6 @@ from tubeloss import (
     SynthScenario,
     TransferMatrix,
     TubeGeometry,
-    air_gap_matrix,
     synth_mic_pressures,
 )
 
@@ -140,7 +139,7 @@ def build_passive_cascade(rng: np.random.Generator, grid) -> tuple[TransferMatri
         kind = rng.integers(0, 3)
         if kind == 0:
             gap = float(rng.uniform(0.001, 0.05))
-            layer = air_gap_matrix(grid, gap, AIR)
+            layer = LayerModel.air_gap(gap).matrix_on(grid, AIR)
             thickness += gap
         elif kind == 1:
             layer = _series_impedance(grid, float(rng.uniform(0.0, 800.0)), float(rng.uniform(0.0, 2.5)))

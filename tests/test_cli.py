@@ -101,6 +101,26 @@ class TestSynthAndStl:
         assert capsys.readouterr().err == f"error: {prefix}seed must be a non-negative integer, not -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("snr_db", ["-6200", "-7000"])
+    def test_noise_past_the_float_range_is_a_bad_scenario(self, tmp_path, capsys, config, snr_db):
+        # 10 ** (-snr_db / 20) is past the float range below about -6 165 dB
+        scenario = tmp_path / "scenario.ini"
+        scenario.write_text(SCENARIO_LIMP.replace("snr_db = off", f"snr_db = {snr_db}"))
+        out = tmp_path / "spectra.csv"
+        assert run_cli("synth", str(scenario), "--config", config, "--output", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {scenario}: bad scenario: noise amplitude at snr_db = {snr_db} must be finite\n"
+        )
+        assert not out.exists()
+
+    def test_noise_just_inside_the_float_range_is_drawn(self, tmp_path, config):
+        scenario = tmp_path / "scenario.ini"
+        scenario.write_text(SCENARIO_LIMP.replace("snr_db = off", "snr_db = -6100"))
+        out = tmp_path / "spectra.csv"
+        assert run_cli("synth", str(scenario), "--config", config, "--output", str(out)) == 0
+        spectra, _, _ = read_mic_spectra(out)
+        assert np.all(np.isfinite(spectra.pressures))
+
     def test_stl_report_matches_oracle(self, tmp_path, config, limp_scenario):
         spectra_path = tmp_path / "spectra.csv"
         run_cli("synth", limp_scenario, "--config", config, "--output", str(spectra_path))
@@ -555,6 +575,21 @@ class TestInsertionLoss:
             "il", "--before", str(tmp_path / "b.csv"), "--after", str(tmp_path / "a.csv"),
             "--output", str(report_path),
         )
+        assert json.loads(report_path.read_text())["bands"]["il_db"] == [11.0]
+
+    def test_a_file_without_the_named_row_falls_back_to_its_first_table(self, tmp_path):
+        bands = (band_from_nominal(500.0),)
+        write_band_csv(tmp_path / "b.csv", {"room": BandTable.from_values(bands, [70.0])})
+        write_band_csv(
+            tmp_path / "a.csv",
+            {"first": BandTable.from_values(bands, [59.0]), "second": BandTable.from_values(bands, [65.0])},
+        )
+        report_path = tmp_path / "il.json"
+        code = run_cli(
+            "il", "--before", str(tmp_path / "b.csv"), "--after", str(tmp_path / "a.csv"),
+            "--output", str(report_path),
+        )
+        assert code == 0
         assert json.loads(report_path.read_text())["bands"]["il_db"] == [11.0]
 
     def test_band_mismatch_exits_2(self, tmp_path):

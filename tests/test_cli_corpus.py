@@ -3,13 +3,14 @@ import json
 import shlex
 import shutil
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tubeloss.io_files import read_band_csv
 
-from cli_corpus import INPUTS, USAGE_ERRORS, inside, run_corpus, run_one
+from cli_corpus import CONFIG, INPUTS, USAGE_ERRORS, inside, run_corpus, run_one
 
 # mic-spectra files the corpus synthesises and the stl runs read
 SPECTRA = ("run1.csv", "anechoic.csv")
@@ -190,6 +191,23 @@ def test_a_non_finite_layer_parameter_is_a_bad_layer_or_a_bad_scenario(runs, cor
         assert not (corpus_dir / f"stack-{name}").exists()
 
 
+def test_a_value_past_the_float_range_is_a_bad_material_or_a_bad_scenario(runs):
+    outcome = {run.argv[1:3]: (run.code, run.stderr) for run in runs}
+    for name, message in (
+        ("inf-thickness.json", "bad material #1: sheet: thickness must be positive and finite"),
+        ("inf-mass.json", "bad material #1: sheet: surface density must be positive and finite"),
+    ):
+        assert outcome["--materials", name] == (2, f"error: {name}: {message}\n")
+    assert outcome["loud-noise.ini", "--config"] == (
+        2, "error: loud-noise.ini: bad scenario: noise amplitude at snr_db = -7000 must be finite\n"
+    )
+
+
+def test_repetitions_on_two_grids_name_the_second_file(runs):
+    (run,) = [run for run in runs if run.argv[:3] == ("stl", "run1.csv", "run5.csv")]
+    assert (run.code, run.stderr) == (2, "error: input 'run5.csv': operands use different frequency grids\n")
+
+
 def test_a_nul_byte_in_a_stack_file_name_is_an_unreadable_file_printed_escaped(runs):
     (run,) = [run for run in runs if run.argv[:2] == ("synth", "nul-stack.ini")]
     assert (run.code, run.stderr) == (2, "error: a\\x00b.json: stack file not found or unreadable\n")
@@ -240,6 +258,60 @@ def test_drawn_command_lines_keep_the_cli_contract(runs, corpus_dir, argv):
         with inside(scratch):
             run = run_one(argv)
     test_every_run_keeps_the_cli_contract([run])
+
+
+# numeric texts for the fields of a drawn input file: past the float range, at its edges,
+# non-finite, zero, negative and ordinary
+NUMBERS = ("1e308", "1e400", "-7000", "5e-324", "0", "-1", "nan", "inf", "1.135", "0.89", "40", "2000")
+SCENARIO_FIELDS = (
+    "surface_density", "termination", "incident_amplitude", "snr_db", "seed", "f_min", "f_max", "f_step",
+)
+MATERIAL_FIELDS = ("thickness_mm", "surface_density", "bulk_density")
+# JSON spells the non-finite constants its own way
+JSON_SPELLING = {"nan": "NaN", "inf": "Infinity"}
+
+
+def _scenario_ini(fields) -> str:
+    section = {"sample": "limp-mass", "surface_density": "1.135", "snr_db": "40", **fields}
+    return "[scenario]\n" + "".join(f"{key} = {value}\n" for key, value in section.items())
+
+
+def _materials_json(fields) -> str:
+    record = {"thickness_mm": "0.89", "surface_density": "1.135", **fields}
+    pairs = "".join(f', "{key}": {JSON_SPELLING.get(value, value)}' for key, value in record.items())
+    return '[{"name": "sheet"' + pairs + "}]"
+
+
+def _reject_constant(name):
+    raise ValueError(f"report holds the non-JSON token {name}")
+
+
+DRAWN_FILES = st.one_of(
+    st.dictionaries(st.sampled_from(SCENARIO_FIELDS), st.sampled_from(NUMBERS)).map(
+        lambda fields: ("synth", _scenario_ini(fields))
+    ),
+    st.dictionaries(st.sampled_from(MATERIAL_FIELDS), st.sampled_from(NUMBERS)).map(
+        lambda fields: ("masslaw", _materials_json(fields))
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(drawn=DRAWN_FILES)
+def test_drawn_input_file_values_keep_the_cli_contract(drawn):
+    command, text = drawn
+    with tempfile.TemporaryDirectory() as scratch:
+        with inside(scratch):
+            if command == "synth":
+                Path("tube.ini").write_text(CONFIG)
+                Path("drawn.ini").write_text(text)
+                run = run_one(["synth", "drawn.ini", "--config", "tube.ini", "--output", "drawn.csv"])
+            else:
+                Path("drawn.json").write_text(text)
+                run = run_one(["masslaw", "--materials", "drawn.json"])
+    test_every_run_keeps_the_cli_contract([run])
+    if command == "masslaw" and run.code == 0:
+        json.loads(run.stdout, parse_constant=_reject_constant)
 
 
 def test_two_runs_of_the_corpus_write_the_same_bytes(runs, corpus_dir, tmp_path):

@@ -233,7 +233,7 @@ class TestMaterialSpec:
 
 class TestPublicApi:
     def test_all_names_resolve_and_star_import_binds_exactly_them(self):
-        assert len(tubeloss.__all__) == len(set(tubeloss.__all__)) == 58
+        assert len(tubeloss.__all__) == len(set(tubeloss.__all__)) == 55
         for name in tubeloss.__all__:
             assert hasattr(tubeloss, name), name
         namespace: dict = {}

@@ -804,6 +804,31 @@ class TestBandCsv:
         with pytest.raises(InputFormatError, match=message):
             read_band_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", r"rows\.csv: empty band CSV$"),
+            ("\n\r\n", r"rows\.csv: empty band CSV$"),
+            ("band_nominal_hz,500\nL_r0,70.0\nL_rs,61.0\nL_r0,71.0\n", r"rows\.csv:4: duplicate row 'L_r0'$"),
+        ],
+        ids=["empty", "blank-lines-only", "duplicate-row"],
+    )
+    def test_an_empty_file_or_a_duplicate_row_is_named(self, tmp_path, text, message):
+        path = tmp_path / "rows.csv"
+        path.write_text(text)
+        with pytest.raises(InputFormatError, match=message):
+            read_band_csv(path)
+
+    def test_the_writer_refuses_no_tables_or_two_band_sets_and_writes_nothing(self, tmp_path):
+        path = tmp_path / "bands.csv"
+        with pytest.raises(ValueError, match="^need at least one table$"):
+            write_band_csv(path, {})
+        a = BandTable.from_values(third_octave_bands(100.0, 200.0), [70.0, 69.0, 68.0, 67.0])
+        b = BandTable.from_values(third_octave_bands(100.0, 160.0), [59.0, 58.5, 58.0])
+        with pytest.raises(ValueError, match="^table 'L_rs' uses a different band set$"):
+            write_band_csv(path, {"L_r0": a, "L_rs": b})
+        assert not list(tmp_path.iterdir())
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(data=band_csv_bytes())
     def test_only_input_format_errors_escape(self, drawn_dir, data):

@@ -16,13 +16,10 @@ from tubeloss import (
     SynthScenario,
     TransferMatrix,
     acoustic_indicators,
-    air_gap_matrix,
     analyze_four_mic,
     anechoic_quality,
     boundary_states,
     decompose_four_mic,
-    identity_matrix,
-    limp_mass_matrix,
     reconstruct_one_load,
     rigid_backing_reflection,
     stl,
@@ -116,7 +113,7 @@ class TestOneLoadReconstruction:
 
     def test_limp_mass_round_trip(self):
         grid = FrequencyGrid.from_range(100.0, 1600.0, 100.0)
-        sample = limp_mass_matrix(grid, 1.135)
+        sample = LayerModel.limp_mass(1.135).matrix_on(grid, AIR)
         matrix = reconstruct_one_load(grid, *states_from_matrix(grid, sample))
         assert np.all(np.abs(matrix.t11 - sample.t11) <= 1e-9)
         assert np.all(np.abs(matrix.t12 - sample.t12) <= 1e-9 * np.abs(sample.t12))
@@ -217,7 +214,7 @@ class TestOneLoadReconstruction:
 class TestTransferMatrix:
     def test_an_overflowed_entry_reads_invalid(self):
         grid = FrequencyGrid.from_range(100.0, 1000.0, 10.0)
-        matrix = limp_mass_matrix(grid, 1e305)  # omega m_s overflows from about 286 Hz
+        matrix = LayerModel.limp_mass(1e305).matrix_on(grid, AIR)  # omega m_s overflows from about 286 Hz
         infinite = np.isinf(matrix.t12)
         assert infinite.any() and not infinite.all()
         np.testing.assert_array_equal(matrix.valid, ~infinite)
@@ -232,12 +229,12 @@ class TestTransferMatrix:
 class TestTransmission:
     def test_identity_no_sample(self):
         grid = FrequencyGrid([1000.0])
-        t = acoustic_indicators(identity_matrix(grid), 0.0, AIR).transmission
+        t = acoustic_indicators(LayerModel.identity().matrix_on(grid, AIR), 0.0, AIR).transmission
         assert t[0] == pytest.approx(1.0)
 
     def test_limp_mass_closed_form(self):
         grid = FrequencyGrid([1000.0])
-        matrix = limp_mass_matrix(grid, 1.135)
+        matrix = LayerModel.limp_mass(1.135).matrix_on(grid, AIR)
         t = acoustic_indicators(matrix, 0.0, AIR).transmission
         loss = stl(t)
         oracle = limp_mass_stl_oracle(1000.0, 1.135)
@@ -249,7 +246,7 @@ class TestTransmission:
     def test_air_layer_is_transparent(self):
         grid = FrequencyGrid.from_range(100.0, 4000.0, 100.0)
         d = 0.037
-        matrix = air_gap_matrix(grid, d, AIR)
+        matrix = LayerModel.air_gap(d).matrix_on(grid, AIR)
         t = acoustic_indicators(matrix, d, AIR).transmission
         assert np.all(np.abs(np.abs(t) - 1.0) < 1e-12)
 
@@ -257,12 +254,12 @@ class TestTransmission:
 class TestReflection:
     def test_identity_no_discontinuity(self):
         grid = FrequencyGrid([1000.0])
-        r = acoustic_indicators(identity_matrix(grid), 0.0, AIR).reflection
+        r = acoustic_indicators(LayerModel.identity().matrix_on(grid, AIR), 0.0, AIR).reflection
         assert abs(r[0]) <= 1e-15
 
     def test_limp_mass_energy_identity(self):
         grid = FrequencyGrid.from_range(100.0, 2000.0, 50.0)
-        matrix = limp_mass_matrix(grid, 0.644)
+        matrix = LayerModel.limp_mass(0.644).matrix_on(grid, AIR)
         indicators = acoustic_indicators(matrix, 0.0, AIR)
         t, r = indicators.transmission, indicators.reflection
         assert np.all(np.abs(np.abs(r) ** 2 + np.abs(t) ** 2 - 1.0) < 1e-12)
@@ -315,9 +312,11 @@ class TestSurfaceImpedance:
         # (T11 + T12/z) / (T21 + T22/z) must agree with z (1+R)/(1-R)
         grid = FrequencyGrid.from_range(150.0, 1500.0, 150.0)
         for matrix in (
-            limp_mass_matrix(grid, 1.216),
-            air_gap_matrix(grid, 0.004, AIR),
-            limp_mass_matrix(grid, 0.224) @ air_gap_matrix(grid, 0.005, AIR) @ limp_mass_matrix(grid, 1.135),
+            LayerModel.limp_mass(1.216).matrix_on(grid, AIR),
+            LayerModel.air_gap(0.004).matrix_on(grid, AIR),
+            LayerModel.limp_mass(0.224).matrix_on(grid, AIR)
+            @ LayerModel.air_gap(0.005).matrix_on(grid, AIR)
+            @ LayerModel.limp_mass(1.135).matrix_on(grid, AIR),
         ):
             direct = (matrix.t11 + matrix.t12 / Z0) / (matrix.t21 + matrix.t22 / Z0)
             r = acoustic_indicators(matrix, 0.0, AIR).reflection
@@ -327,7 +326,7 @@ class TestSurfaceImpedance:
     def test_consistent_with_unit_incident_field(self):
         # Z from R equals P/V at the front face of the matching synthetic field.
         grid = FrequencyGrid.from_range(200.0, 1800.0, 200.0)
-        matrix = limp_mass_matrix(grid, 1.135)
+        matrix = LayerModel.limp_mass(1.135).matrix_on(grid, AIR)
         r = acoustic_indicators(matrix, 0.0, AIR).reflection
         z = surface_impedance_anechoic(r, AIR)
         p0 = 1.0 + r
@@ -338,7 +337,7 @@ class TestSurfaceImpedance:
 class TestRigidBacking:
     def test_bare_wall(self):
         grid = FrequencyGrid([1000.0])
-        r = rigid_backing_reflection(identity_matrix(grid), AIR)
+        r = rigid_backing_reflection(LayerModel.identity().matrix_on(grid, AIR), AIR)
         assert r[0] == pytest.approx(1.0)
 
     def test_quarter_wave_air_layer(self):
@@ -346,14 +345,14 @@ class TestRigidBacking:
         d = 0.05
         f = AIR.sound_speed / (4.0 * d)
         grid = FrequencyGrid([f])
-        matrix = air_gap_matrix(grid, d, AIR)
+        matrix = LayerModel.air_gap(d).matrix_on(grid, AIR)
         r = rigid_backing_reflection(matrix, AIR)
         assert r[0].real == pytest.approx(-1.0, abs=1e-12)
         assert abs(r[0].imag) <= 1e-12
 
     def test_limp_mass_reflects_everything(self):
         grid = FrequencyGrid.from_range(100.0, 2000.0, 100.0)
-        matrix = limp_mass_matrix(grid, 0.366)
+        matrix = LayerModel.limp_mass(0.366).matrix_on(grid, AIR)
         r = rigid_backing_reflection(matrix, AIR)
         assert np.all(np.abs(np.abs(r) - 1.0) < 1e-12)
 
@@ -453,7 +452,7 @@ class TestStlDirect:
     def test_dual_path_consistency(self):
         # matrix route and direct route agree on clean anechoic fields
         grid = FrequencyGrid.from_range(100.0, 2000.0, 10.0)
-        sample = limp_mass_matrix(grid, 1.135)
+        sample = LayerModel.limp_mass(1.135).matrix_on(grid, AIR)
         d = GEOMETRY.sample_thickness
         indicators = acoustic_indicators(sample, d, AIR)
         t_sample, r_sample = indicators.transmission, indicators.reflection
