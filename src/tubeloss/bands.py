@@ -17,7 +17,6 @@ __all__ = [
     "BandTable",
     "band_average",
     "average_repetitions",
-    "energetic_spl_average",
     "insertion_loss",
 ]
 
@@ -131,11 +130,10 @@ class BandTable:
         )
 
     @classmethod
-    def from_values(cls, bands, values, coverage=None) -> "BandTable":
+    def from_values(cls, bands, values) -> "BandTable":
+        """A table of ``values`` with full coverage in every band."""
         bands = tuple(bands)
-        if coverage is None:
-            coverage = np.ones(len(bands))
-        return cls(bands, np.asarray(values, dtype=float), coverage)
+        return cls(bands, np.asarray(values, dtype=float), np.ones(len(bands)))
 
 
 def band_average(
@@ -277,16 +275,6 @@ def average_repetitions(runs, mode: str = "db") -> tuple[np.ndarray, np.ndarray]
         np.sqrt(spread, out=spread, where=counts > 1)
     spread[counts == 1] = 0.0
     return mean, spread
-
-
-def energetic_spl_average(levels) -> float:
-    """Energetic mean of sound pressure levels: 10 log10(mean 10^(L/10))."""
-    arr = np.asarray(levels, dtype=float)
-    if arr.size == 0:
-        raise ValueError("need at least one level")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("levels must be finite")
-    return float(10.0 * np.log10(np.mean(10.0 ** (arr / 10.0))))
 
 
 def insertion_loss(l_r0: BandTable, l_rs: BandTable) -> BandTable:

@@ -6,8 +6,9 @@ Each ``_cmd_*`` function only computes. A report command (``stl``, ``il``,
 ``bands`` and ``synth`` write their output and return None. :func:`main` alone
 records warnings, assembles and writes every report and band CSV, prints the
 warnings to stderr as ``warning:`` lines and maps exceptions to exit codes: 0
-success, 2 input/format error, 3 numerical validity error. Warnings never
-change the exit code; a failing run prints one ``error:`` line and nothing else.
+success, 2 input/format error or a refused memory allocation, 3 numerical
+validity error. Warnings never change the exit code; a failing run prints one
+``error:`` line and nothing else.
 
 Each subcommand declares only the options its ``_cmd_*`` reads; an option that
 several commands read is declared once, in a parent parser. A command line the
@@ -146,21 +147,18 @@ def _analyze_group(group: list, grid, geometry, air) -> tuple[np.ndarray, ...]:
     """``(stl_db, reflectance, stl_direct_db)`` of a group's files, one row each.
 
     ``group`` holds ``(path, spectra)`` pairs on ``grid``. One
-    :func:`analyze_four_mic` call, its own warnings off, analyses their
-    ``(4, R, n)`` stack. Each file's warnings are then built from the analysis,
-    in file order: its anechoic one from ``worst_quality``, then its singular
-    pairs, as one call per file would give them.
+    :func:`analyze_four_mic` call analyses their ``(4, R, n)`` stack. Each
+    file's warnings are then built from the analysis, in file order: an
+    :class:`AnechoicQualityWarning` when its ``worst_quality`` exceeds
+    :data:`QUALITY_THRESHOLD`, then its singular pairs.
     """
     pressures = np.stack([spectra.pressures for _, spectra in group], axis=1)
-    analysis = analyze_four_mic(
-        MicSpectra(grid, *_frozen(pressures)), geometry=geometry, air=air, quality_threshold=math.inf
-    )
+    analysis = analyze_four_mic(MicSpectra(grid, *_frozen(pressures)), geometry=geometry, air=air)
     singular = analysis.amplitudes.singular_frequencies()
     for row, (path, _) in enumerate(group):
         worst = float(analysis.worst_quality[row])
         if worst > QUALITY_THRESHOLD:
-            # the library's wording; analyze_four_mic alone issues the warning itself
-            warnings.warn(str(AnechoicQualityWarning(worst, QUALITY_THRESHOLD)), stacklevel=1)
+            warnings.warn(AnechoicQualityWarning(worst, QUALITY_THRESHOLD), stacklevel=1)
         for pair in ("upstream", "downstream"):
             if singular[pair][row].size:
                 warnings.warn(
@@ -415,6 +413,9 @@ def main(argv=None) -> int:
         return 3
     except (TubelossError, OSError, ValueError) as exc:
         _print_line("error", exc)
+        return 2
+    except MemoryError as exc:  # numpy's refused allocations included; a bare one has no message
+        _print_line("error", str(exc) or "out of memory")
         return 2
     return 0
 

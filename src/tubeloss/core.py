@@ -16,9 +16,7 @@ __all__ = [
     "FrequencyGrid",
     "MicSpectra",
     "MaterialSpec",
-    "wavenumber",
     "plane_wave_cutoff",
-    "surface_density",
 ]
 
 
@@ -83,14 +81,6 @@ class TubeGeometry:
         if not 0.0 < self.tube_diameter < math.inf:
             raise ValueError("tube diameter must be positive and finite")
 
-    @property
-    def upstream_spacing(self) -> float:
-        return self.mic_positions[1] - self.mic_positions[0]
-
-    @property
-    def downstream_spacing(self) -> float:
-        return self.mic_positions[3] - self.mic_positions[2]
-
 
 #: Cap on the bins of a regular grid (about 50 times the benchmark's 19 001-bin
 #: grids), so a tiny step fails as bad input instead of exhausting memory.
@@ -151,7 +141,7 @@ class FrequencyGrid:
             raise GridMismatchError(f"{context}: operands use different frequency grids")
 
     def wavenumbers(self, air: AirProperties) -> np.ndarray:
-        """:func:`wavenumber` of every bin, without re-checking frequencies checked at construction."""
+        """Lossless real wavenumber k = 2 pi f / c in rad/m of every bin."""
         return 2.0 * math.pi * self._frequencies / air.sound_speed
 
 
@@ -271,40 +261,14 @@ class MaterialSpec:
         if not 0.0 < self.surface_density < math.inf:
             raise ValueError(f"{self.name}: surface density must be positive and finite")
         if self.bulk_density is not None:
-            implied = surface_density(self.thickness_mm / 1000.0, self.bulk_density)
+            if not self.bulk_density > 0.0:  # NaN fails this test too
+                raise ValueError("thickness and density must be positive")
+            implied = self.thickness_mm / 1000.0 * self.bulk_density
             if abs(implied - self.surface_density) > 0.01 * self.surface_density:
                 raise ValueError(
                     f"{self.name}: surface density {self.surface_density} kg/m^2 is "
                     f"inconsistent with thickness x bulk density = {implied:.6g} kg/m^2"
                 )
-
-    @property
-    def thickness_m(self) -> float:
-        return self.thickness_mm / 1000.0
-
-
-def wavenumber(f, air: AirProperties):
-    """Lossless real wavenumber k = 2 pi f / c in rad/m.
-
-    Parameters
-    ----------
-    f : float or ndarray
-        Frequency in Hz, strictly positive.
-    air : AirProperties
-        Supplies the sound speed.
-
-    Returns
-    -------
-    float or ndarray
-        Wavenumber per input frequency.
-    """
-    arr = np.asarray(f, dtype=float)
-    if arr.size == 0 or not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValueError("frequency must be positive and finite")
-    k = 2.0 * math.pi * arr / air.sound_speed
-    if arr.ndim == 0:
-        return float(k)
-    return k
 
 
 def plane_wave_cutoff(geometry: TubeGeometry, air: AirProperties) -> float:
@@ -314,10 +278,3 @@ def plane_wave_cutoff(geometry: TubeGeometry, air: AirProperties) -> float:
     rejected.
     """
     return 1.841 * air.sound_speed / (math.pi * geometry.tube_diameter)
-
-
-def surface_density(thickness: float, density: float) -> float:
-    """Mass per unit area in kg/m^2 from thickness (m) and bulk density (kg/m^3)."""
-    if not thickness > 0.0 or not density > 0.0:
-        raise ValueError("thickness and density must be positive")
-    return thickness * density

@@ -1,14 +1,12 @@
 """Four-microphone spectra to acoustic indicators in one call."""
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import AirProperties, DEFAULT_AIR, MicSpectra, TubeGeometry, _frozen
 from .decompose import PlaneWaveAmplitudes, decompose_four_mic
-from .errors import AnechoicQualityWarning
 from .transfer import (
     AcousticIndicators,
     TransferMatrix,
@@ -21,7 +19,7 @@ from .transfer import (
 
 __all__ = ["QUALITY_THRESHOLD", "TubeAnalysis", "analyze_four_mic"]
 
-#: |D/C| above which :func:`analyze_four_mic` warns by default.
+#: |D/C| above which the ``stl`` command warns that the termination is not anechoic.
 QUALITY_THRESHOLD = 0.01
 
 
@@ -47,7 +45,6 @@ def analyze_four_mic(
     spectra: MicSpectra,
     geometry: TubeGeometry,
     air: AirProperties = DEFAULT_AIR,
-    quality_threshold: float = QUALITY_THRESHOLD,
 ) -> TubeAnalysis:
     """Run decomposition, matrix reconstruction, and indicator extraction.
 
@@ -58,9 +55,8 @@ def analyze_four_mic(
     ``spectra`` holds ``(4, n)`` pressures for one measurement, or
     ``(4, R, n)`` for R repetitions, one per row. Repetitions are analysed
     on that axis in one pass, and each row gets the bits it would get alone.
-    Each row whose ``worst_quality`` exceeds ``quality_threshold`` gets one
-    :class:`AnechoicQualityWarning`, in row order, pointing at the caller;
-    ``math.inf`` turns the warnings off.
+    Nothing is judged here: ``worst_quality`` carries each row's largest
+    |D/C| for the caller to compare with :data:`QUALITY_THRESHOLD`.
     """
     amplitudes = decompose_four_mic(spectra, geometry, air)
     faces = boundary_states(amplitudes, geometry.sample_thickness, air)
@@ -71,9 +67,6 @@ def analyze_four_mic(
         stl_direct_anechoic(amplitudes),
         np.atleast_1d(np.where(np.isfinite(ratio), ratio, -np.inf).max(axis=-1)),
     )
-    for row_worst in worst.tolist():
-        if row_worst > quality_threshold:
-            warnings.warn(AnechoicQualityWarning(row_worst, quality_threshold), stacklevel=2)
     return TubeAnalysis(
         amplitudes=amplitudes,
         matrix=matrix,

@@ -1,4 +1,4 @@
-"""Synthetic four-microphone benches and idealized two-room level tables.
+"""Synthetic four-microphone benches.
 
 Given a known sample model, the bench solves the duct boundary-value problem
 for the wave amplitudes, evaluates the pressures the four microphones would
@@ -11,12 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import BandTable
 from .core import AirProperties, FrequencyGrid, MicSpectra, TubeGeometry, _frozen
-from .errors import BandMismatchError, NumericalValidityError
+from .errors import NumericalValidityError
 from .models import LayerModel, cascade
 
-__all__ = ["SynthScenario", "synth_mic_pressures", "synth_room_levels"]
+__all__ = ["SynthScenario", "synth_mic_pressures"]
 
 
 @dataclass(frozen=True)
@@ -136,24 +135,3 @@ def synth_mic_pressures(
         pressures += np.divide(sigma * (draws[..., 0] + 1j * draws[..., 1]), np.sqrt(2.0))
 
     return MicSpectra(grid, *_frozen(pressures))
-
-
-def synth_room_levels(
-    source_spectrum: BandTable,
-    transmission: BandTable,
-) -> tuple[BandTable, BandTable]:
-    """Idealized two-room receiver levels before and after installation.
-
-    The receiver level simply drops by the transmission table per band; no
-    flanking, no room correction. Meant to wire-test the insertion-loss
-    pipeline, not to model rooms.
-    """
-    if not source_spectrum.same_bands(transmission):
-        raise BandMismatchError("source spectrum and transmission use different band sets")
-    l_r0 = source_spectrum
-    l_rs = BandTable(
-        l_r0.bands,
-        l_r0.values - transmission.values,
-        np.minimum(l_r0.coverage, transmission.coverage),
-    )
-    return l_r0, l_rs

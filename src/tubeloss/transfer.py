@@ -19,8 +19,6 @@ __all__ = [
     "AcousticIndicators",
     "boundary_states",
     "reconstruct_one_load",
-    "surface_impedance_anechoic",
-    "rigid_backing_reflection",
     "stl",
     "anechoic_quality",
     "stl_direct_anechoic",
@@ -98,9 +96,7 @@ class AcousticIndicators(PerBinArrays):
     and ``stl_db`` the normal-incidence transmission loss (+inf where nothing
     is transmitted). Each is ``(n,)``, or ``(R, n)`` with one repetition per
     row, all three of one shape. A dropped bin is NaN in all three;
-    :attr:`valid` is derived from the coefficients, not stored. Surface impedance and
-    rigid-backing reflection are not fields: :func:`surface_impedance_anechoic`
-    and :func:`rigid_backing_reflection` compute them on request.
+    :attr:`valid` is derived from the coefficients, not stored.
     """
 
     grid: FrequencyGrid
@@ -200,31 +196,6 @@ def reconstruct_one_load(grid: FrequencyGrid, p0, v0, pd, vd) -> TransferMatrix:
     return TransferMatrix(grid, *_frozen(t11, t12, t21, t11))
 
 
-def surface_impedance_anechoic(reflection: np.ndarray, air: AirProperties) -> np.ndarray:
-    """Surface impedance rho0 c (1 + R) / (1 - R) in Pa s/m.
-
-    R = 1 (a rigid face) maps to an infinite-impedance marker rather than an
-    error; NaN reflections stay NaN.
-    """
-    r = np.asarray(reflection, dtype=complex)
-    one_minus = 1.0 - r
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.divide(np.multiply(air.impedance, 1.0 + r), one_minus)
-    return np.where(one_minus == 0.0, complex(np.inf, 0.0), z)
-
-
-def rigid_backing_reflection(matrix: TransferMatrix, air: AirProperties) -> np.ndarray:
-    """Reflection coefficient with a rigid plate behind the sample.
-
-        R_h = (T11 - rho0 c T21) / (T11 + rho0 c T21)
-    """
-    z = air.impedance
-    den = matrix.t11 + z * matrix.t21
-    scale = np.abs(matrix.t11) + z * np.abs(matrix.t21)
-    ok = _nonvanishing(den, scale)
-    return _quotient(matrix.t11 - z * matrix.t21, den, ok)
-
-
 def stl(transmission: np.ndarray) -> np.ndarray:
     """Sound transmission loss 10 log10(1/|T|^2) in dB.
 
@@ -252,7 +223,6 @@ def stl_direct_anechoic(amplitudes: PlaneWaveAmplitudes) -> np.ndarray:
 
     Valid only while the backward wave behind the sample is negligible, which
     :func:`anechoic_quality` measures; this function only computes the curve.
-    :func:`analyze_four_mic` judges the termination and warns.
     """
     # a dropped bin is NaN in a or c, so it is NaN here too
     with np.errstate(divide="ignore", invalid="ignore"):

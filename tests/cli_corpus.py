@@ -11,19 +11,30 @@ shows whether a change keeps the command line's bytes::
     PYTHONPATH=src python tests/cli_corpus.py OUT_NEW
     PYTHONPATH=<other checkout>/src python tests/cli_corpus.py OUT_OLD
     diff -r OUT_OLD OUT_NEW
+
+``corpus_digests.json`` next to this module holds :func:`digests` of the
+corpus, which ``test_cli_corpus.py`` compares with every test run. A change
+that alters the corpus on purpose rewrites it with::
+
+    PYTHONPATH=src python tests/cli_corpus.py --write-digests OUTDIR
 """
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import hashlib
 import io
 import json
 import os
+import platform
 import re
 import shlex
 import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from tubeloss.cli import main
 
@@ -397,6 +408,7 @@ class Run:
     escaped: str | None
     stdout: str
     stderr: str
+    written: tuple[str, ...] = ()  # files of the corpus directory the run created or replaced
 
     def log(self) -> str:
         return (
@@ -453,8 +465,14 @@ def run_corpus(outdir) -> list[Run]:
             (outdir / name).write_bytes(content)
         else:
             (outdir / name).write_text(content)
+    runs = []
     with inside(outdir):
-        runs = [run_one(argv) for argv in RUNS]
+        for argv in RUNS:
+            before = _listing(Path.cwd())
+            run = run_one(argv)
+            after = _listing(Path.cwd())
+            written = tuple(sorted(name for name, state in after.items() if before.get(name) != state))
+            runs.append(dataclasses.replace(run, written=written))
     for path in outdir.iterdir():
         if path.suffix == ".json" and path.name not in INPUTS:
             path.write_text(_mask(path.read_text()))
@@ -462,8 +480,51 @@ def run_corpus(outdir) -> list[Run]:
     return runs
 
 
+def _listing(directory: Path) -> dict:
+    """Each file of ``directory`` by name, with what changes when a writer replaces it."""
+    listing = {}
+    for path in directory.iterdir():
+        if path.is_file():
+            info = path.stat()
+            listing[path.name] = (info.st_ino, info.st_mtime_ns, info.st_size)
+    return listing
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+DIGESTS = Path(__file__).with_name("corpus_digests.json")
+
+
+def digests(outdir, runs) -> dict:
+    """The library versions, then each run's exit code and the sha256 of each output, masked.
+
+    A run's outputs are its stdout, its stderr and every file it wrote, keyed
+    by the run's command line.
+    """
+    outdir = Path(outdir)
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "runs": {
+            shlex.join(run.argv): {
+                "exit": run.code,
+                "stdout": _sha256(run.stdout.encode()),
+                "stderr": _sha256(run.stderr.encode()),
+                "files": {name: _sha256((outdir / name).read_bytes()) for name in run.written},
+            }
+            for run in runs
+        },
+    }
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: python tests/cli_corpus.py OUTDIR")
-    for run in run_corpus(sys.argv[1]):
+    write = sys.argv[1:2] == ["--write-digests"]
+    if len(sys.argv) != 2 + write:
+        sys.exit("usage: python tests/cli_corpus.py [--write-digests] OUTDIR")
+    runs = run_corpus(sys.argv[-1])
+    for run in runs:
         print(f"{run.code if run.escaped is None else 'escaped'}\t{shlex.join(run.argv)}")
+    if write:
+        DIGESTS.write_text(json.dumps(digests(sys.argv[-1], runs), indent=1) + "\n")

@@ -12,6 +12,8 @@ import numpy as np
 
 from tubeloss import (
     AirProperties,
+    BandMismatchError,
+    BandTable,
     FrequencyGrid,
     LayerModel,
     MicSpectra,
@@ -147,6 +149,24 @@ def build_passive_cascade(rng: np.random.Generator, grid) -> tuple[TransferMatri
             layer = _shunt_admittance(grid, float(rng.uniform(0.0, 0.004)), float(rng.uniform(0.0, 6e-7)))
         matrix = layer if matrix is None else matrix @ layer
     return matrix, thickness
+
+
+def synth_room_levels(source_spectrum: BandTable, transmission: BandTable) -> tuple[BandTable, BandTable]:
+    """Idealized two-room receiver levels before and after installation.
+
+    The receiver level simply drops by the transmission table per band; no
+    flanking, no room correction. The insertion-loss oracle: ``il`` on the two
+    tables must give back the transmission table.
+    """
+    if not source_spectrum.same_bands(transmission):
+        raise BandMismatchError("source spectrum and transmission use different band sets")
+    l_r0 = source_spectrum
+    l_rs = BandTable(
+        l_r0.bands,
+        l_r0.values - transmission.values,
+        np.minimum(l_r0.coverage, transmission.coverage),
+    )
+    return l_r0, l_rs
 
 
 # Surface densities (kg/m^2) and thicknesses (mm) of the measured curtain and

@@ -12,7 +12,6 @@ from tubeloss import (
     average_repetitions,
     band_average,
     band_from_nominal,
-    energetic_spl_average,
     insertion_loss,
     third_octave_bands,
 )
@@ -285,30 +284,6 @@ class TestAverageRepetitions:
         for runs in ([1.0, 2.0], np.empty((0, 3)), [[[1.0]]]):
             with pytest.raises(ValueError, match="n_runs"):
                 average_repetitions(runs)
-
-
-class TestEnergeticAverage:
-    def test_equal_levels(self):
-        assert energetic_spl_average([60.0, 60.0]) == pytest.approx(60.0)
-
-    def test_mixed_levels_oracle(self):
-        oracle = 10.0 * math.log10((1e6 + 1e7) / 2.0)
-        got = energetic_spl_average([60.0, 70.0])
-        assert got == pytest.approx(oracle, rel=1e-12)
-        assert got == pytest.approx(67.40, abs=0.01)
-
-    def test_single_value(self):
-        assert energetic_spl_average([42.5]) == pytest.approx(42.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            energetic_spl_average([])
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.floats(min_value=0.0, max_value=120.0), min_size=1, max_size=12))
-    def test_bounded_by_extremes(self, levels):
-        avg = energetic_spl_average(levels)
-        assert min(levels) - 1e-9 <= avg <= max(levels) + 1e-9
 
 
 class TestInsertionLoss:

@@ -2,7 +2,10 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,21 +13,24 @@ from hypothesis import given, settings, strategies as st
 
 from tubeloss import (
     DEFAULT_AIR,
+    QUALITY_THRESHOLD,
+    AnechoicQualityWarning,
     BandTable,
     FrequencyGrid,
     LayerModel,
+    PlaneWaveAmplitudes,
     band_average,
     band_from_nominal,
     mass_law_stl,
     stack_indicators,
     third_octave_bands,
 )
-from tubeloss import cli
+from tubeloss import cli, pipeline
 from tubeloss.cli import _band_block, _round_db, main
 from tubeloss.io_files import load_stack, read_band_csv, read_mic_spectra, write_band_csv, write_mic_spectra
 from tubeloss.pipeline import analyze_four_mic
 
-from helpers import AIR, GEOMETRY, noisy_spectra
+from helpers import AIR, GEOMETRY, four_mic_spectra, noisy_spectra
 
 CONFIG_TEXT = """
 [air]
@@ -450,11 +456,36 @@ class TestRepetitionsOnOneAxis:
             spectra, geometry, air = read_mic_spectra(path)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                analyze_four_mic(spectra, geometry=geometry, air=air)
-            library += [str(w.message) for w in caught]
+                worst = analyze_four_mic(spectra, geometry=geometry, air=air).worst_quality[0]
+            assert caught == []  # the library reports |D/C|; only the command judges it
+            if worst > QUALITY_THRESHOLD:
+                library.append(str(AnechoicQualityWarning(worst, QUALITY_THRESHOLD)))
         lines = [w for w in self._report_warnings(config, *files) if w.startswith("anechoic assumption violated")]
         assert len(library) == 1
         assert lines == library
+
+    def test_each_file_over_the_quality_threshold_warns_once_in_file_order(self, tmp_path, config, monkeypatch, capsys):
+        grid = FrequencyGrid([1000.0, 2000.0])
+        # |C| = 0.5; the last file's |D/C| is exactly 0.01, which does not exceed the threshold
+        d = np.array([[0.1, 0.3], [0.001, 0.0], [0.2, np.inf], [np.nan, 0.05], [0.005, 0.005]])
+        rows = PlaneWaveAmplitudes(grid, np.ones((5, 2)), np.zeros((5, 2)), np.full((5, 2), 0.5), d)
+        # the five files' amplitudes reach the analysis as they are, not through a decomposition;
+        # no decomposition gives an infinite d, so numpy's warnings about it are not under test
+        monkeypatch.setattr(pipeline, "decompose_four_mic", lambda *args: rows)
+        files = []
+        for i in range(5):
+            files.append(str(tmp_path / f"rep{i}.csv"))
+            write_mic_spectra(files[-1], four_mic_spectra(grid, GEOMETRY, 1, 0, 0.5, 0), GEOMETRY, AIR)
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            assert run_cli("stl", *files, "--config", config, "--output", str(tmp_path / "r.json")) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: anechoic assumption violated: max |D/C| = 0.6 exceeds 0.01",
+            "warning: anechoic assumption violated: max |D/C| = 0.4 exceeds 0.01",
+            f"warning: {files[2]}: downstream pair singular at [2000.0] Hz",
+            "warning: anechoic assumption violated: max |D/C| = 0.1 exceeds 0.01",
+            f"warning: {files[3]}: downstream pair singular at [1000.0] Hz",
+        ]
 
     def test_a_later_files_read_error_wins_over_an_earlier_files_analysis_error(self, tmp_path, config, capsys):
         grid = FrequencyGrid.from_range(100.0, 2000.0, 10.0)
@@ -803,6 +834,43 @@ class TestStack:
         report = json.loads(report_path.read_text())
         assert [c["bands"] for c in report["constituents"]] == [block((layer,)) for layer in layers]
         assert report["bands"] == block(layers)
+
+    # the child caps its own address space at 2 GiB before it imports tubeloss, so the
+    # 7.3 GiB request below is refused instead of filling the host's memory
+    _LIMITED_MAIN = """import resource, sys
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 2 * 1024**3 if hard == resource.RLIM_INFINITY else min(2 * 1024**3, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from tubeloss.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+    def test_a_refused_allocation_is_one_error_line(self, tmp_path):
+        pytest.importorskip("resource")
+        # 1 000 layers on 980 001 bins: the (layers, bins) array of layer losses is 7.3 GiB
+        stack = tmp_path / "deep.json"
+        stack.write_text(json.dumps([{"kind": "limp-mass", "surface_density": 0.6}] * 1000))
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        env["OPENBLAS_NUM_THREADS"] = "1"  # one BLAS thread's buffers, so numpy imports under the cap on any host
+        done = subprocess.run(
+            [sys.executable, "-c", self._LIMITED_MAIN, "stack", "--stack", str(stack), "--f-step", "0.005"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        lines = done.stderr.splitlines()
+        assert (done.returncode, len(lines)) == (2, 1), done.stderr
+        assert lines[0].startswith("error: ") and "(1000, 980001)" in lines[0], lines
+
+    def test_a_memory_error_without_a_message_still_names_its_cause(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "stack_indicators", refuse)
+        stack = tmp_path / "stack.json"
+        stack.write_text(json.dumps([{"kind": "identity"}]))
+        capsys.readouterr()
+        assert run_cli("stack", "--stack", str(stack)) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
 
 
 class TestBandsCommand:

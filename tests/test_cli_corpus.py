@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from tubeloss.io_files import read_band_csv
 
-from cli_corpus import CONFIG, INPUTS, USAGE_ERRORS, inside, run_corpus, run_one
+from cli_corpus import CONFIG, DIGESTS, INPUTS, USAGE_ERRORS, digests, inside, run_corpus, run_one
 
 # mic-spectra files the corpus synthesises and the stl runs read
 SPECTRA = ("run1.csv", "anechoic.csv")
@@ -312,6 +312,36 @@ def test_drawn_input_file_values_keep_the_cli_contract(drawn):
     test_every_run_keeps_the_cli_contract([run])
     if command == "masslaw" and run.code == 0:
         json.loads(run.stdout, parse_constant=_reject_constant)
+
+
+def _digest_changes(expected: dict, actual: dict) -> list[str]:
+    """One line per run of either manifest whose exit code or an output's digest differs."""
+    changes = []
+    for argv in {**expected, **actual}:
+        where = f"tubeloss {argv}"
+        if argv not in expected:
+            changes.append(f"{where}: not in the manifest")
+        elif argv not in actual:
+            changes.append(f"{where}: not run")
+        else:
+            old, new = expected[argv], actual[argv]
+            changed = [key for key in ("exit", "stdout", "stderr") if old[key] != new[key]]
+            files = {**old["files"], **new["files"]}
+            changed += [name for name in files if old["files"].get(name) != new["files"].get(name)]
+            if changed:
+                changes.append(f"{where}: {', '.join(changed)} changed")
+    return changes
+
+
+def test_the_corpus_matches_its_committed_digests(runs, corpus_dir):
+    expected = json.loads(DIGESTS.read_text())
+    actual = digests(corpus_dir, runs)
+    changes = _digest_changes(expected["runs"], actual["runs"])
+    versions = (
+        f"manifest: Python {expected['python']}, numpy {expected['numpy']}; "
+        f"this run: Python {actual['python']}, numpy {actual['numpy']}"
+    )
+    assert not changes, "\n".join([*changes, versions])
 
 
 def test_two_runs_of_the_corpus_write_the_same_bytes(runs, corpus_dir, tmp_path):

@@ -267,7 +267,7 @@ def test_every_array_of_an_analysis_is_read_only(rows):
     spectra = noisy_spectra(GRID, 1)
     if rows:
         spectra = stacked([noisy_spectra(GRID, seed) for seed in range(rows)])
-    analysis = analyze_four_mic(spectra, GEOMETRY, AIR, quality_threshold=np.inf)
+    analysis = analyze_four_mic(spectra, GEOMETRY, AIR)
     held = dict(held_arrays(analysis, "analysis"))
     assert {"analysis.stl_direct_db", "analysis.worst_quality", "analysis.indicators.stl_db"} <= set(held)
     assert [path for path, arr in held.items() if arr.flags.writeable] == []

@@ -17,11 +17,10 @@ from tubeloss import (
     insertion_loss,
     mass_law_stl,
     synth_mic_pressures,
-    synth_room_levels,
     third_octave_bands,
 )
 
-from helpers import AIR, GEOMETRY, limp_mass_stl_oracle
+from helpers import AIR, GEOMETRY, limp_mass_stl_oracle, synth_room_levels
 
 GRID = FrequencyGrid.from_range(100.0, 2000.0, 10.0)
 
@@ -34,8 +33,8 @@ def scenario(sample, **kwargs):
     return SynthScenario(sample=sample, geometry=GEOMETRY, air=AIR, **kwargs)
 
 
-def pipeline_stl(spectra, quality_threshold=np.inf):
-    analysis = analyze_four_mic(spectra, geometry=GEOMETRY, air=AIR, quality_threshold=quality_threshold)
+def pipeline_stl(spectra):
+    analysis = analyze_four_mic(spectra, geometry=GEOMETRY, air=AIR)
     return np.where(analysis.indicators.valid, analysis.indicators.stl_db, np.nan), analysis
 
 
