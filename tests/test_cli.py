@@ -487,6 +487,17 @@ class TestRepetitionsOnOneAxis:
             f"warning: {files[3]}: downstream pair singular at [1000.0] Hz",
         ]
 
+    def test_the_anechoic_warning_is_an_anechoic_quality_warning(self):
+        # stl issues the library's class, so a filter on AnechoicQualityWarning catches it
+        grid = FrequencyGrid([1000.0])
+        spectra = four_mic_spectra(grid, GEOMETRY, 1.0, 0.0, 0.5, 0.2)  # |D/C| = 0.4
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cli._analyze_group([("rep.csv", spectra)], grid, GEOMETRY, AIR)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (AnechoicQualityWarning, "anechoic assumption violated: max |D/C| = 0.4 exceeds 0.01")
+        ]
+
     def test_a_later_files_read_error_wins_over_an_earlier_files_analysis_error(self, tmp_path, config, capsys):
         grid = FrequencyGrid.from_range(100.0, 2000.0, 10.0)
         overflowing = tmp_path / "overflowing.csv"

@@ -11,10 +11,46 @@ from tubeloss import (
     MaterialSpec,
     MicSpectra,
     TubeGeometry,
+    decompose_four_mic,
     plane_wave_cutoff,
 )
 
-from helpers import AIR, GEOMETRY
+from helpers import AIR, GEOMETRY, four_mic_spectra
+
+
+class TestWavenumber:
+    """``FrequencyGrid.wavenumbers``: k = 2 pi f / c on every bin."""
+
+    def test_definition_collapse(self):
+        # f = c / (2 pi) makes k exactly 1 rad/m
+        k = FrequencyGrid([AIR.sound_speed / (2.0 * math.pi)]).wavenumbers(AIR)
+        assert k[0] == pytest.approx(1.0, rel=1e-14)
+
+    def test_direct_evaluation_1000_hz(self):
+        oracle = 2.0 * math.pi * 1000.0 / 343.2
+        assert FrequencyGrid([1000.0]).wavenumbers(AIR)[0] == pytest.approx(oracle, rel=1e-15)
+        assert oracle == pytest.approx(18.3076, abs=5e-5)
+
+    def test_domain_errors(self):
+        # a frequency that is not positive never reaches a wavenumber: no grid holds one
+        for frequencies in ([0.0], [-10.0], np.array([100.0, 0.0])):
+            with pytest.raises(ValueError, match="frequencies must be positive"):
+                FrequencyGrid(frequencies)
+
+    @given(
+        f=st.floats(min_value=1.0, max_value=1e5),
+        scale=st.floats(min_value=1.5, max_value=8.0),
+    )
+    def test_linear_in_f_inverse_in_c(self, f, scale):
+        base = FrequencyGrid([f]).wavenumbers(AIR)[0]
+        assert FrequencyGrid([scale * f]).wavenumbers(AIR)[0] == pytest.approx(scale * base, rel=1e-12)
+        faster = AirProperties(sound_speed=AIR.sound_speed * scale)
+        assert FrequencyGrid([f]).wavenumbers(faster)[0] == pytest.approx(base / scale, rel=1e-12)
+
+    def test_array_input(self):
+        k = FrequencyGrid([100.0, 200.0]).wavenumbers(AIR)
+        assert k.shape == (2,)
+        assert k[1] == pytest.approx(2 * k[0], rel=1e-14)
 
 
 class TestPlaneWaveCutoff:
@@ -82,6 +118,15 @@ class TestTubeGeometry:
         with pytest.raises(ValueError, match="finite"):
             TubeGeometry(*args)
 
+    def test_spacings(self):
+        # each pair's spacing s = 0.08 m blinds it where k s = pi, at c / (2 s) = 2145 Hz
+        x1, x2, x3, x4 = GEOMETRY.mic_positions
+        assert (x2 - x1, x4 - x3) == (pytest.approx(0.08), pytest.approx(0.08))
+        grid = FrequencyGrid([2000.0, AIR.sound_speed / (2.0 * 0.08)])
+        spectra = four_mic_spectra(grid, GEOMETRY, 1.0, 0.2, 0.5, 0.1)
+        singular = decompose_four_mic(spectra, GEOMETRY, AIR).singular_frequencies()
+        assert singular["upstream"].tolist() == singular["downstream"].tolist() == [2145.0]
+
 
 class TestFrequencyGrid:
     def test_validation(self):
@@ -98,8 +143,7 @@ class TestFrequencyGrid:
 
     @pytest.mark.parametrize("frequencies", [[0.0], [-10.0], [100.0, 0.0]])
     def test_a_frequency_that_is_not_positive_is_rejected(self, frequencies):
-        with pytest.raises(ValueError, match="frequencies must be positive"):
-            FrequencyGrid(frequencies)
+        # the constructor's own rejection is TestWavenumber.test_domain_errors
         with pytest.raises(ValueError, match="frequencies must be positive"):
             FrequencyGrid.from_range(frequencies[-1], 100.0, 10.0)
 
@@ -114,25 +158,6 @@ class TestFrequencyGrid:
         for f_max, step in ((1_000_001.0, 1.0), (5000.0, 1e-12)):
             with pytest.raises(ValueError, match="grid would have more than 1000000 bins"):
                 FrequencyGrid.from_range(1.0, f_max, step)
-
-    def test_wavenumbers_are_two_pi_f_over_c(self):
-        # f = c / (2 pi) makes k exactly 1 rad/m
-        k = FrequencyGrid([AIR.sound_speed / (2.0 * math.pi), 1000.0, 2000.0]).wavenumbers(AIR)
-        assert k[0] == pytest.approx(1.0, rel=1e-14)
-        oracle = 2.0 * math.pi * 1000.0 / 343.2
-        assert k[1] == pytest.approx(oracle, rel=1e-15)
-        assert oracle == pytest.approx(18.3076, abs=5e-5)
-        assert k[2] == pytest.approx(2 * k[1], rel=1e-14)
-
-    @given(
-        f=st.floats(min_value=1.0, max_value=1e5),
-        scale=st.floats(min_value=1.5, max_value=8.0),
-    )
-    def test_wavenumbers_linear_in_f_inverse_in_c(self, f, scale):
-        base = FrequencyGrid([f]).wavenumbers(AIR)[0]
-        assert FrequencyGrid([scale * f]).wavenumbers(AIR)[0] == pytest.approx(scale * base, rel=1e-12)
-        faster = AirProperties(sound_speed=AIR.sound_speed * scale)
-        assert FrequencyGrid([f]).wavenumbers(faster)[0] == pytest.approx(base / scale, rel=1e-12)
 
     def test_wavenumbers_never_stale(self):
         grid = FrequencyGrid([100.0, 200.0])
@@ -194,6 +219,42 @@ class TestMaterialSpec:
     def test_a_bulk_density_that_is_not_positive_is_rejected(self, bulk_density):
         with pytest.raises(ValueError, match="thickness and density must be positive"):
             MaterialSpec("sheet", 0.89, 1.135, bulk_density=bulk_density)
+
+    def test_thickness_conversion(self):
+        # the data sheet's thickness is in mm: read as metres, the same sheet would
+        # need a bulk density a thousand times smaller
+        MaterialSpec("pvc_coated_pe_fabric", 0.89, 1.135, bulk_density=1.135 / 0.00089)
+        with pytest.raises(ValueError, match="inconsistent"):
+            MaterialSpec("pvc_coated_pe_fabric", 0.89, 1.135, bulk_density=1.135 / 0.89)
+
+
+class TestSurfaceDensity:
+    """``MaterialSpec`` checks surface density against thickness x bulk density."""
+
+    def test_identity(self):
+        MaterialSpec("unit", 1000.0, 1.0, bulk_density=1.0)  # 1 m at 1 kg/m^3 is 1 kg/m^2
+
+    def test_pure_pvc_round_trip(self):
+        # 1.012 mm sheet at 1.216 kg/m^2 implies its bulk density; within 1 percent of it
+        # the sheet is accepted, beyond it rejected
+        implied_density = 1.216 / 0.001012
+        for scale in (0.995, 1.0, 1.005):
+            MaterialSpec("pure_pvc_sheet", 1.012, 1.216, bulk_density=scale * implied_density)
+        for scale in (0.985, 1.015):
+            with pytest.raises(ValueError, match="inconsistent"):
+                MaterialSpec("pure_pvc_sheet", 1.012, 1.216, bulk_density=scale * implied_density)
+
+    def test_coated_fabric_forward_check(self):
+        # 0.89 mm at 1275.3 kg/m^3, back-solved from 1.135 kg/m^2
+        MaterialSpec("pvc_coated_pe_fabric", 0.89, 1.135, bulk_density=1275.3)
+        with pytest.raises(ValueError, match=r"inconsistent with thickness x bulk density = 1\.13502 kg/m\^2"):
+            MaterialSpec("pvc_coated_pe_fabric", 0.89, 1.16, bulk_density=1275.3)
+
+    def test_domain_errors(self):
+        cases = ((0.0, 1.0, "thickness"), (-1.0, 1.0, "thickness"), (1.0, 0.0, "surface density"))
+        for thickness, surface, field in cases:
+            with pytest.raises(ValueError, match=f"x: {field} must be positive and finite"):
+                MaterialSpec("x", thickness, surface, bulk_density=1000.0)
 
 
 class TestPublicApi:

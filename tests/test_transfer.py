@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from tubeloss import (
+    QUALITY_THRESHOLD,
     AcousticIndicators,
+    AnechoicQualityWarning,
     FrequencyGrid,
     LayerModel,
     MicSpectra,
@@ -286,6 +288,74 @@ class TestReflection:
             assert np.all(energy <= 1.0 + 1e-9)
 
 
+class TestSurfaceImpedance:
+    """Impedance a sample on an anechoic termination presents at its entry face."""
+
+    @staticmethod
+    def from_matrix(matrix):
+        # (T11 + T12/z) / (T21 + T22/z): an exit face that carries the forward wave alone
+        return (matrix.t11 + matrix.t12 / Z0) / (matrix.t21 + matrix.t22 / Z0)
+
+    def test_matched(self):
+        grid = FrequencyGrid([1000.0])
+        matrix = LayerModel.identity().matrix_on(grid, AIR)
+        r = acoustic_indicators(matrix, 0.0, AIR).reflection
+        assert self.from_matrix(matrix)[0] == pytest.approx(Z0)
+        assert Z0 * (1.0 + r[0]) / (1.0 - r[0]) == pytest.approx(Z0)
+
+    def test_printed_ratio_equivalence(self):
+        # (T11 + T12/z) / (T21 + T22/z) must agree with z (1+R)/(1-R)
+        grid = FrequencyGrid.from_range(150.0, 1500.0, 150.0)
+        for matrix in (
+            LayerModel.limp_mass(1.216).matrix_on(grid, AIR),
+            LayerModel.air_gap(0.004).matrix_on(grid, AIR),
+            LayerModel.limp_mass(0.224).matrix_on(grid, AIR)
+            @ LayerModel.air_gap(0.005).matrix_on(grid, AIR)
+            @ LayerModel.limp_mass(1.135).matrix_on(grid, AIR),
+        ):
+            direct = self.from_matrix(matrix)
+            r = acoustic_indicators(matrix, 0.0, AIR).reflection
+            via_r = Z0 * (1.0 + r) / (1.0 - r)
+            assert np.all(np.abs(direct - via_r) <= 1e-9 * np.abs(direct))
+
+    def test_consistent_with_unit_incident_field(self):
+        # the matrix's impedance equals P/V at the front face of the matching field
+        grid = FrequencyGrid.from_range(200.0, 1800.0, 200.0)
+        matrix = LayerModel.limp_mass(1.135).matrix_on(grid, AIR)
+        indicators = acoustic_indicators(matrix, 0.0, AIR)
+        amps = make_amplitudes(grid, 1.0, 0.0, 0.0, 0.0)
+        amps = PlaneWaveAmplitudes(grid, amps.a, indicators.reflection, indicators.transmission, amps.d)
+        p0, v0, _, _ = boundary_states(amps, 0.0, AIR)
+        z = self.from_matrix(matrix)
+        assert np.all(np.abs(z - p0 / v0) <= 1e-9 * np.abs(z))
+
+
+class TestRigidBacking:
+    """A sample's matrix against a rigid wall: R = (T11 - z T21) / (T11 + z T21)."""
+
+    @staticmethod
+    def reflection(matrix):
+        return (matrix.t11 - Z0 * matrix.t21) / (matrix.t11 + Z0 * matrix.t21)
+
+    def test_bare_wall(self):
+        grid = FrequencyGrid([1000.0])
+        r = self.reflection(LayerModel.identity().matrix_on(grid, AIR))
+        assert r[0] == pytest.approx(1.0)
+
+    def test_quarter_wave_air_layer(self):
+        # kd = pi/2 turns a rigid wall into a pressure-release surface
+        d = 0.05
+        grid = FrequencyGrid([AIR.sound_speed / (4.0 * d)])
+        r = self.reflection(LayerModel.air_gap(d).matrix_on(grid, AIR))
+        assert r[0].real == pytest.approx(-1.0, abs=1e-12)
+        assert abs(r[0].imag) <= 1e-12
+
+    def test_limp_mass_reflects_everything(self):
+        grid = FrequencyGrid.from_range(100.0, 2000.0, 100.0)
+        r = self.reflection(LayerModel.limp_mass(0.366).matrix_on(grid, AIR))
+        assert np.all(np.abs(np.abs(r) - 1.0) < 1e-12)
+
+
 class TestStl:
     def test_unit_transmission(self):
         assert stl(np.array([1.0 + 0.0j]))[0] == 0.0
@@ -322,6 +392,19 @@ class TestStlDirect:
         assert stl_direct_anechoic(amps)[0] == pytest.approx(0.0, abs=1e-12)
         amps = make_amplitudes(grid, 1.0, 0.0, 0.5, 0.0)
         assert stl_direct_anechoic(amps)[0] == pytest.approx(20.0 * math.log10(2.0), rel=1e-12)
+
+    def test_quality_warning(self):
+        # |D/C| = 0.4: analyze_four_mic reports it and warns of nothing; the stl command words it
+        grid = FrequencyGrid([1000.0])
+        spectra = four_mic_spectra(grid, GEOMETRY, 1.0, 0.0, 0.5, 0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            worst = analyze_four_mic(spectra, GEOMETRY, AIR).worst_quality
+        assert worst.tolist() == [pytest.approx(0.4, rel=1e-9)]
+        assert worst[0] > QUALITY_THRESHOLD
+        assert str(AnechoicQualityWarning(worst[0], QUALITY_THRESHOLD)) == (
+            "anechoic assumption violated: max |D/C| = 0.4 exceeds 0.01"
+        )
 
     def test_stl_direct_anechoic_issues_no_warning(self):
         spectra = noisy_spectra(FrequencyGrid.from_range(100.0, 2000.0, 10.0), 1)  # |D/C| about 0.22
