@@ -3,11 +3,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrequencyGrid, _frozen, locked_array
+from .core import FrequencyGrid, Record, _frozen, locked_array
 from .errors import BandMismatchError, NegativeInsertionLossWarning
 
 __all__ = [
@@ -28,8 +27,7 @@ _NOMINAL_BASE_X100 = (100, 125, 160, 200, 250, 315, 400, 500, 630, 800)
 _EDGE_RATIOS = (2.0 ** (-1.0 / 6.0), 2.0 ** (1.0 / 6.0))
 
 
-@dataclass(frozen=True, order=True)
-class ThirdOctaveBand:
+class ThirdOctaveBand(Record):
     """One third-octave band, identified by its index relative to 1000 Hz.
 
     Exact centers follow the base-2 series 1000 * 2^(index/3); edges sit a
@@ -37,7 +35,10 @@ class ThirdOctaveBand:
     nominal label comes from the standard renard series.
     """
 
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        self._set(index)
 
     @property
     def center(self) -> float:
@@ -97,8 +98,7 @@ def band_from_nominal(nominal: float) -> ThirdOctaveBand:
     raise ValueError(f"{nominal} Hz is not a standard third-octave nominal center")
 
 
-@dataclass(frozen=True)
-class BandTable:
+class BandTable(Record):
     """Per-band dB values with a coverage fraction for each band.
 
     NaN values mark absent bands (no valid narrowband bin landed there);
@@ -106,23 +106,19 @@ class BandTable:
     for tables that never saw narrowband data problems.
     """
 
-    bands: tuple[ThirdOctaveBand, ...]
-    values: np.ndarray
-    coverage: np.ndarray
+    __slots__ = ("bands", "values", "coverage")
 
-    def __post_init__(self) -> None:
-        bands = tuple(self.bands)
+    def __init__(self, bands: tuple[ThirdOctaveBand, ...], values: np.ndarray, coverage: np.ndarray) -> None:
+        bands = tuple(bands)
         if not bands:
             raise ValueError("band table needs at least one band")
         if any(b.index >= nxt.index for b, nxt in zip(bands, bands[1:])):
             raise ValueError("bands must be strictly ascending")
-        object.__setattr__(self, "bands", bands)
-        values = locked_array(self.values, float, (len(bands),), "band values")
-        coverage = locked_array(self.coverage, float, (len(bands),), "band coverage")
+        values = locked_array(values, float, (len(bands),), "band values")
+        coverage = locked_array(coverage, float, (len(bands),), "band coverage")
         if not (coverage.min() >= 0.0 and coverage.max() <= 1.0):  # a NaN fails too
             raise ValueError("coverage must lie in [0, 1]")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "coverage", coverage)
+        self._set(bands, values, coverage)
 
     def same_bands(self, other: "BandTable") -> bool:
         return len(self.bands) == len(other.bands) and all(

@@ -19,7 +19,6 @@ like any other input error. ``--help`` and ``--version`` print and exit 0.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import math
 import sys
@@ -40,6 +39,7 @@ from .errors import (
     AllBinsInvalidError,
     AnechoicQualityWarning,
     InputFormatError,
+    MassLawValidityWarning,
     NumericalValidityError,
     PlaneWaveCutoffWarning,
     SingularBinWarning,
@@ -133,8 +133,11 @@ def _cmd_synth(args) -> None:
     air, geometry = _require_config(args)
     scenario, grid = load_scenario(args.scenario, geometry, air)
     if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
-    spectra = synth_mic_pressures(scenario, grid)
+        scenario = scenario.replace(seed=args.seed)
+    try:
+        spectra = synth_mic_pressures(scenario, grid)
+    except ValueError as exc:  # pressures past the float range: the scenario's amplitude is too large
+        raise InputFormatError(str(exc), path=args.scenario) from None
     write_mic_spectra(args.output, spectra, geometry, air)
 
 
@@ -248,7 +251,7 @@ def _cmd_masslaw(args) -> tuple:
             warnings.warn(
                 f"{mat.name}: mass-law prediction below validity (negative) in bands "
                 f"{nominals} Hz",
-                UserWarning,
+                MassLawValidityWarning,
                 stacklevel=1,
             )
         entries.append(

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,8 +19,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AirProperties:
+class Record:
+    """Immutable base of the toolkit's records.
+
+    A subclass lists its fields in ``__slots__``, in the order of its
+    ``__init__`` parameters, which sets each field once (:meth:`_set` sets
+    them all in that order) through ``object.__setattr__``. ``repr``,
+    ``==`` and ``hash`` read the fields in that order, as a frozen dataclass
+    does; assigning or deleting a field raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):  # copy and pickle go through __init__, as assignment is refused
+        return type(self), self._fields()
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied to its fields, validated again by ``__init__``."""
+        return type(self)(**dict(zip(self.__slots__, self._fields()), **changes))
+
+
+class AirProperties(Record):
     """Ambient air state of a measurement.
 
     Only ``density`` and ``sound_speed`` enter the acoustics. Temperature and
@@ -29,16 +70,20 @@ class AirProperties:
     applied to derive one field from another.
     """
 
-    density: float = 1.204
-    sound_speed: float = 343.2
-    temperature: float | None = None
-    relative_humidity: float | None = None
+    __slots__ = ("density", "sound_speed", "temperature", "relative_humidity")
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.density < math.inf:
-            raise ValueError(f"air density must be positive and finite, got {self.density}")
-        if not 0.0 < self.sound_speed < math.inf:
-            raise ValueError(f"sound speed must be positive and finite, got {self.sound_speed}")
+    def __init__(
+        self,
+        density: float = 1.204,
+        sound_speed: float = 343.2,
+        temperature: float | None = None,
+        relative_humidity: float | None = None,
+    ) -> None:
+        if not 0.0 < density < math.inf:
+            raise ValueError(f"air density must be positive and finite, got {density}")
+        if not 0.0 < sound_speed < math.inf:
+            raise ValueError(f"sound speed must be positive and finite, got {sound_speed}")
+        self._set(density, sound_speed, temperature, relative_humidity)
 
     @property
     def impedance(self) -> float:
@@ -51,8 +96,7 @@ class AirProperties:
 DEFAULT_AIR = AirProperties()
 
 
-@dataclass(frozen=True)
-class TubeGeometry:
+class TubeGeometry(Record):
     """Microphone layout and sample extent along the tube axis.
 
     ``mic_positions`` is ``(x1, x2, x3, x4)`` in m in the frame where the
@@ -60,26 +104,26 @@ class TubeGeometry:
     x3 < x4 on the termination side.
     """
 
-    mic_positions: tuple[float, float, float, float]
-    sample_thickness: float
-    tube_diameter: float
+    __slots__ = ("mic_positions", "sample_thickness", "tube_diameter")
 
-    def __post_init__(self) -> None:
-        pos = tuple(float(x) for x in self.mic_positions)
+    def __init__(
+        self, mic_positions: tuple[float, float, float, float], sample_thickness: float, tube_diameter: float
+    ) -> None:
+        pos = tuple(float(x) for x in mic_positions)
         if len(pos) != 4:
             raise ValueError("exactly four microphone positions are required")
         if not all(map(math.isfinite, pos)):
             raise ValueError(f"microphone positions must be finite, got {pos}")
-        object.__setattr__(self, "mic_positions", pos)
         x1, x2, x3, x4 = pos
         if not x1 < x2:
             raise ValueError(f"upstream pair must satisfy x1 < x2, got {x1}, {x2}")
         if not x3 < x4:
             raise ValueError(f"downstream pair must satisfy x3 < x4, got {x3}, {x4}")
-        if not 0.0 < self.sample_thickness < math.inf:
+        if not 0.0 < sample_thickness < math.inf:
             raise ValueError("sample thickness must be positive and finite")
-        if not 0.0 < self.tube_diameter < math.inf:
+        if not 0.0 < tube_diameter < math.inf:
             raise ValueError("tube diameter must be positive and finite")
+        self._set(pos, sample_thickness, tube_diameter)
 
 
 #: Cap on the bins of a regular grid (about 50 times the benchmark's 19 001-bin
@@ -188,24 +232,33 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-class PerBinArrays:
-    """Mixin for frozen dataclasses whose array fields hold one entry per bin of ``self.grid``.
+class PerBinArrays(Record):
+    """Base of the records whose array fields hold one entry per bin of ``self.grid``.
 
-    ``_per_bin`` maps each such field to its dtype. The fields share one
-    shape, ``(n,)`` or ``(R, n)`` (:func:`_per_bin_shape`), the first field's;
-    construction replaces every one with its :func:`locked_array`: an array a
-    producer locked with :func:`_frozen` is kept, any other is copied.
+    ``_per_bin`` maps each such field to its dtype, and a subclass declares
+    ``__slots__ = ("grid", *_per_bin)``, the order of its parameters. The
+    fields share one shape, ``(n,)`` or ``(R, n)`` (:func:`_per_bin_shape`),
+    the first field's; construction stores each one's :func:`locked_array`:
+    an array a producer locked with :func:`_frozen` is kept, any other is
+    copied.
     """
 
+    __slots__ = ()
     _per_bin: dict = {}
 
-    def __post_init__(self) -> None:
+    def __init__(self, grid: FrequencyGrid, *arrays, **named) -> None:
+        if named:  # keyword arrays: bind them in field order, or refuse the call below
+            bound = dict(zip(self._per_bin, arrays), **named)
+            fits = len(bound) == len(arrays) + len(named) and bound.keys() == self._per_bin.keys()
+            arrays = tuple(bound[name] for name in self._per_bin) if fits else ()
+        if len(arrays) != len(self._per_bin):
+            raise TypeError(f"{type(self).__name__} takes grid, {', '.join(self._per_bin)}")
+        object.__setattr__(self, "grid", grid)
         shape = None
-        for name, dtype in self._per_bin.items():
+        for (name, dtype), values in zip(self._per_bin.items(), arrays):
             what = f"field '{name}'"
-            values = getattr(self, name)
             if shape is None:
-                shape = _per_bin_shape(values, len(self.grid), what)
+                shape = _per_bin_shape(values, len(grid), what)
             object.__setattr__(self, name, locked_array(values, dtype, shape, what))
 
 
@@ -242,33 +295,32 @@ class MicSpectra:
         return (SimpleNamespace(values=p) for p in self._pressures)
 
 
-@dataclass(frozen=True)
-class MaterialSpec:
+class MaterialSpec(Record):
     """Material record as ingested from a data sheet (mm at the boundary).
 
     When a bulk density is supplied, the stored surface density must agree
     with thickness times density within 1 percent.
     """
 
-    name: str
-    thickness_mm: float
-    surface_density: float
-    bulk_density: float | None = None
+    __slots__ = ("name", "thickness_mm", "surface_density", "bulk_density")
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.thickness_mm < math.inf:  # NaN fails this test too
-            raise ValueError(f"{self.name}: thickness must be positive and finite")
-        if not 0.0 < self.surface_density < math.inf:
-            raise ValueError(f"{self.name}: surface density must be positive and finite")
-        if self.bulk_density is not None:
-            if not self.bulk_density > 0.0:  # NaN fails this test too
-                raise ValueError("thickness and density must be positive")
-            implied = self.thickness_mm / 1000.0 * self.bulk_density
-            if abs(implied - self.surface_density) > 0.01 * self.surface_density:
+    def __init__(
+        self, name: str, thickness_mm: float, surface_density: float, bulk_density: float | None = None
+    ) -> None:
+        if not 0.0 < thickness_mm < math.inf:  # NaN fails this test too
+            raise ValueError(f"{name}: thickness must be positive and finite")
+        if not 0.0 < surface_density < math.inf:
+            raise ValueError(f"{name}: surface density must be positive and finite")
+        if bulk_density is not None:
+            if not bulk_density > 0.0:  # NaN fails this test too
+                raise ValueError(f"{name}: bulk density must be positive")
+            implied = thickness_mm / 1000.0 * bulk_density
+            if abs(implied - surface_density) > 0.01 * surface_density:
                 raise ValueError(
-                    f"{self.name}: surface density {self.surface_density} kg/m^2 is "
+                    f"{name}: surface density {surface_density} kg/m^2 is "
                     f"inconsistent with thickness x bulk density = {implied:.6g} kg/m^2"
                 )
+        self._set(name, thickness_mm, surface_density, bulk_density)
 
 
 def plane_wave_cutoff(geometry: TubeGeometry, air: AirProperties) -> float:

@@ -7,11 +7,9 @@ method; they are excluded and recorded, never interpolated.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import AirProperties, FrequencyGrid, MicSpectra, PerBinArrays, TubeGeometry, _frozen
+from .core import AirProperties, MicSpectra, PerBinArrays, TubeGeometry, _frozen
 
 __all__ = [
     "SINGULARITY_TOLERANCE",
@@ -85,7 +83,6 @@ def decompose_pair(
     return forward, backward
 
 
-@dataclass(frozen=True)
 class PlaneWaveAmplitudes(PerBinArrays):
     """Forward/backward amplitudes on both sides of the sample, in Pa.
 
@@ -96,13 +93,8 @@ class PlaneWaveAmplitudes(PerBinArrays):
     the per-pair masks are derived from those NaNs, not stored.
     """
 
-    grid: FrequencyGrid
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-
     _per_bin = {"a": complex, "b": complex, "c": complex, "d": complex}
+    __slots__ = ("grid", *_per_bin)
 
     @property
     def upstream_singular(self) -> np.ndarray:

@@ -12,6 +12,7 @@ __all__ = [
     "SingularBinWarning",
     "AnechoicQualityWarning",
     "NegativeInsertionLossWarning",
+    "MassLawValidityWarning",
 ]
 
 
@@ -72,3 +73,7 @@ class AnechoicQualityWarning(UserWarning):
 
 class NegativeInsertionLossWarning(UserWarning):
     """Insertion loss came out negative in at least one band."""
+
+
+class MassLawValidityWarning(UserWarning):
+    """A mass-law prediction came out negative, below the rule's validity, in some band."""

@@ -29,7 +29,7 @@ import tempfile
 import numpy as np
 
 from .bands import BandTable, band_from_nominal
-from .core import AirProperties, FrequencyGrid, MaterialSpec, MicSpectra, TubeGeometry, _frozen
+from .core import AirProperties, DEFAULT_AIR, FrequencyGrid, MaterialSpec, MicSpectra, TubeGeometry, _frozen
 from .errors import ConfigMismatchError, InputFormatError
 from .models import LayerModel
 from .synth import SynthScenario
@@ -150,8 +150,8 @@ def load_config(path) -> tuple[AirProperties, TubeGeometry]:
     try:
         air_section = parser["air"] if parser.has_section("air") else {}
         air = AirProperties(
-            density=float(air_section.get("density", AirProperties.density)),
-            sound_speed=float(air_section.get("sound_speed", AirProperties.sound_speed)),
+            density=float(air_section.get("density", DEFAULT_AIR.density)),
+            sound_speed=float(air_section.get("sound_speed", DEFAULT_AIR.sound_speed)),
             temperature=(
                 float(air_section["temperature"]) if "temperature" in air_section else None
             ),

@@ -7,11 +7,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AirProperties, DEFAULT_AIR, FrequencyGrid, _frozen
+from .core import AirProperties, DEFAULT_AIR, FrequencyGrid, Record, _frozen
 from .transfer import AcousticIndicators, TransferMatrix, acoustic_indicators
 
 __all__ = [
@@ -72,8 +71,7 @@ def mass_law_stl(f, m_s: float, constant: str = "paper", air: AirProperties = DE
     return out
 
 
-@dataclass(frozen=True)
-class LayerModel:
+class LayerModel(Record):
     """One layer of a stack: a limp mass, an air gap, or an explicit matrix.
 
     ``matrix`` holds a frequency-independent 2x2 as (t11, t12, t21, t22);
@@ -81,45 +79,48 @@ class LayerModel:
     unit-determinant shape expected of passive symmetric samples.
     """
 
-    kind: str
-    surface_density: float | None = None
-    thickness: float = 0.0
-    matrix: tuple[complex, complex, complex, complex] | None = None
-    passive_symmetric: bool = False
+    __slots__ = ("kind", "surface_density", "thickness", "matrix", "passive_symmetric")
 
-    def __post_init__(self) -> None:
-        if self.kind == "limp-mass":
-            if self.surface_density is None or self.surface_density < 0.0:
+    def __init__(
+        self,
+        kind: str,
+        surface_density: float | None = None,
+        thickness: float = 0.0,
+        matrix: tuple[complex, complex, complex, complex] | None = None,
+        passive_symmetric: bool = False,
+    ) -> None:
+        if kind == "limp-mass":
+            if surface_density is None or surface_density < 0.0:
                 raise ValueError("limp-mass layer needs a non-negative surface_density")
-        elif self.kind == "air-gap":
-            if self.thickness < 0.0:
+        elif kind == "air-gap":
+            if thickness < 0.0:
                 raise ValueError("air-gap layer needs a non-negative thickness")
-        elif self.kind == "identity":
+        elif kind == "identity":
             pass
-        elif self.kind == "matrix":
-            if self.matrix is None or len(self.matrix) != 4:
+        elif kind == "matrix":
+            if matrix is None or len(matrix) != 4:
                 raise ValueError("matrix layer needs four complex entries")
-            entries = tuple(complex(v) for v in self.matrix)
-            object.__setattr__(self, "matrix", entries)
-            if self.passive_symmetric:
-                t11, t12, t21, t22 = entries
+            matrix = tuple(complex(v) for v in matrix)
+            if passive_symmetric:
+                t11, t12, t21, t22 = matrix
                 det = t11 * t22 - t12 * t21
                 if t11 != t22 or abs(det - 1.0) > 1e-9:
                     raise ValueError(
                         "passive-symmetric matrix must have equal diagonal and unit determinant"
                     )
         else:
-            raise ValueError(f"unknown layer kind '{self.kind}'")
-        if self.thickness < 0.0:
+            raise ValueError(f"unknown layer kind '{kind}'")
+        if thickness < 0.0:
             raise ValueError("layer thickness must be non-negative")
         # NaN passes the sign checks above; an infinite parameter would drop every bin of the layer.
         # A surface density of None (any kind but limp-mass) is not checked.
-        parameters = {"surface_density": self.surface_density or 0.0, "thickness": self.thickness}
-        if self.kind == "matrix":
-            parameters.update(zip(("t11", "t12", "t21", "t22"), self.matrix))
+        parameters = {"surface_density": surface_density or 0.0, "thickness": thickness}
+        if kind == "matrix":
+            parameters.update(zip(("t11", "t12", "t21", "t22"), matrix))
         for name, value in parameters.items():
             if not cmath.isfinite(value):
                 raise ValueError(f"layer {name} must be finite")
+        self._set(kind, surface_density, thickness, matrix, passive_symmetric)
 
     @classmethod
     def limp_mass(cls, m_s: float) -> "LayerModel":

@@ -1,11 +1,9 @@
 """Four-microphone spectra to acoustic indicators in one call."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import AirProperties, DEFAULT_AIR, MicSpectra, TubeGeometry, _frozen
+from .core import AirProperties, DEFAULT_AIR, MicSpectra, Record, TubeGeometry, _frozen
 from .decompose import PlaneWaveAmplitudes, decompose_four_mic
 from .transfer import (
     AcousticIndicators,
@@ -23,8 +21,7 @@ __all__ = ["QUALITY_THRESHOLD", "TubeAnalysis", "analyze_four_mic"]
 QUALITY_THRESHOLD = 0.01
 
 
-@dataclass(frozen=True)
-class TubeAnalysis:
+class TubeAnalysis(Record):
     """All intermediate and final products of one tube measurement, or of R repetitions.
 
     Every per-bin array is ``(n,)``, or ``(R, n)`` with one repetition per row.
@@ -34,11 +31,17 @@ class TubeAnalysis:
     Every array reachable from an analysis is read-only.
     """
 
-    amplitudes: PlaneWaveAmplitudes
-    matrix: TransferMatrix
-    indicators: AcousticIndicators
-    stl_direct_db: np.ndarray
-    worst_quality: np.ndarray
+    __slots__ = ("amplitudes", "matrix", "indicators", "stl_direct_db", "worst_quality")
+
+    def __init__(
+        self,
+        amplitudes: PlaneWaveAmplitudes,
+        matrix: TransferMatrix,
+        indicators: AcousticIndicators,
+        stl_direct_db: np.ndarray,
+        worst_quality: np.ndarray,
+    ) -> None:
+        self._set(amplitudes, matrix, indicators, stl_direct_db, worst_quality)
 
 
 def analyze_four_mic(

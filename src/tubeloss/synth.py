@@ -7,19 +7,16 @@ oracle for end-to-end verification of the measurement pipeline.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import AirProperties, FrequencyGrid, MicSpectra, TubeGeometry, _frozen
+from .core import AirProperties, FrequencyGrid, MicSpectra, Record, TubeGeometry, _frozen
 from .errors import NumericalValidityError
 from .models import LayerModel, cascade
 
 __all__ = ["SynthScenario", "synth_mic_pressures"]
 
 
-@dataclass(frozen=True)
-class SynthScenario:
+class SynthScenario(Record):
     """Everything needed to generate one synthetic measurement.
 
     The termination is parameterized by the downstream amplitude ratio D/C;
@@ -29,37 +26,38 @@ class SynthScenario:
     incident amplitude; ``None`` disables it.
     """
 
-    sample: tuple[LayerModel, ...]
-    geometry: TubeGeometry
-    air: AirProperties
-    incident_amplitude: complex = 1.0 + 0.0j
-    termination_ratio: complex = 0.0 + 0.0j
-    snr_db: float | None = None
-    seed: int = 0
+    __slots__ = ("sample", "geometry", "air", "incident_amplitude", "termination_ratio", "snr_db", "seed")
 
-    def __post_init__(self) -> None:
-        layers = (self.sample,) if isinstance(self.sample, LayerModel) else tuple(self.sample)
+    def __init__(
+        self,
+        sample: tuple[LayerModel, ...],
+        geometry: TubeGeometry,
+        air: AirProperties,
+        incident_amplitude: complex = 1.0 + 0.0j,
+        termination_ratio: complex = 0.0 + 0.0j,
+        snr_db: float | None = None,
+        seed: int = 0,
+    ) -> None:
+        layers = (sample,) if isinstance(sample, LayerModel) else tuple(sample)
         if not layers or not all(isinstance(l, LayerModel) for l in layers):
             raise ValueError("sample must be one or more LayerModels")
-        object.__setattr__(self, "sample", layers)
-        ratio = complex(self.termination_ratio)
+        ratio = complex(termination_ratio)
         if not abs(ratio) < 1.0:  # NaN fails this test too
             raise ValueError("termination ratio magnitude must be below 1")
-        object.__setattr__(self, "termination_ratio", ratio)
-        incident = complex(self.incident_amplitude)
+        incident = complex(incident_amplitude)
         if not np.isfinite(incident):
             raise ValueError("incident amplitude must be finite")
-        object.__setattr__(self, "incident_amplitude", incident)
-        if self.snr_db is not None and not np.isfinite(self.snr_db):
+        if snr_db is not None and not np.isfinite(snr_db):
             raise ValueError("snr_db must be finite or None")
         try:  # a float power past the float range raises OverflowError; it does not give inf
-            finite = self.snr_db is None or np.isfinite(abs(incident) * 10.0 ** (-self.snr_db / 20.0))
+            finite = snr_db is None or np.isfinite(abs(incident) * 10.0 ** (-snr_db / 20.0))
         except OverflowError:
             finite = False
         if not finite:
-            raise ValueError(f"noise amplitude at snr_db = {self.snr_db:g} must be finite")
-        if self.seed < 0:  # numpy's generator rejects it, but only once noise is drawn
-            raise ValueError(f"seed must be a non-negative integer, not {self.seed}")
+            raise ValueError(f"noise amplitude at snr_db = {snr_db:g} must be finite")
+        if seed < 0:  # numpy's generator rejects it, but only once noise is drawn
+            raise ValueError(f"seed must be a non-negative integer, not {seed}")
+        self._set(layers, geometry, air, incident, ratio, snr_db, seed)
 
 
 def synth_mic_pressures(
@@ -134,4 +132,7 @@ def synth_mic_pressures(
         draws = rng.standard_normal((4, len(grid), 2))
         pressures += np.divide(sigma * (draws[..., 0] + 1j * draws[..., 1]), np.sqrt(2.0))
 
-    return MicSpectra(grid, *_frozen(pressures))
+    try:
+        return MicSpectra(grid, *_frozen(pressures))
+    except ValueError:  # the shape fits the grid by construction, so the pressures overflowed
+        raise ValueError(f"incident_amplitude = {a_inc:g} makes the microphone pressures overflow") from None

@@ -7,8 +7,6 @@ transmission, reflection, impedance, and transmission loss follow from it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import AirProperties, FrequencyGrid, PerBinArrays, _frozen, _per_bin_shape
@@ -48,7 +46,6 @@ def _quotient(num, den: np.ndarray, ok: np.ndarray) -> np.ndarray:
         return np.where(ok, np.divide(num, den), _NAN)
 
 
-@dataclass(frozen=True)
 class TransferMatrix(PerBinArrays):
     """2x2 complex matrix per frequency linking (P, V) across the sample.
 
@@ -58,21 +55,13 @@ class TransferMatrix(PerBinArrays):
     from the entries, not stored.
     """
 
-    grid: FrequencyGrid
-    t11: np.ndarray
-    t12: np.ndarray
-    t21: np.ndarray
-    t22: np.ndarray
-
     _per_bin = {"t11": complex, "t12": complex, "t21": complex, "t22": complex}
+    __slots__ = ("grid", *_per_bin)
 
     @property
     def valid(self) -> np.ndarray:
         """Bins where all four entries are finite."""
         return np.isfinite(self.t11) & np.isfinite(self.t12) & np.isfinite(self.t21) & np.isfinite(self.t22)
-
-    def determinant(self) -> np.ndarray:
-        return self.t11 * self.t22 - self.t12 * self.t21
 
     def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
         """Per-frequency matrix product; left operand sits on the incident side."""
@@ -88,7 +77,6 @@ class TransferMatrix(PerBinArrays):
         return TransferMatrix(self.grid, *_frozen(*entries))
 
 
-@dataclass(frozen=True)
 class AcousticIndicators(PerBinArrays):
     """Per-frequency sample indicators from one reconstructed matrix.
 
@@ -99,12 +87,8 @@ class AcousticIndicators(PerBinArrays):
     :attr:`valid` is derived from the coefficients, not stored.
     """
 
-    grid: FrequencyGrid
-    transmission: np.ndarray
-    reflection: np.ndarray
-    stl_db: np.ndarray
-
     _per_bin = {"transmission": complex, "reflection": complex, "stl_db": float}
+    __slots__ = ("grid", *_per_bin)
 
     @property
     def valid(self) -> np.ndarray:

@@ -34,6 +34,11 @@ GEOMETRY = TubeGeometry(
 )
 
 
+def determinant(matrix: TransferMatrix) -> np.ndarray:
+    """t11 t22 - t12 t21 of every bin."""
+    return matrix.t11 * matrix.t22 - matrix.t12 * matrix.t21
+
+
 def pressure_at(x: float, k: float, forward: complex, backward: complex) -> complex:
     """Duct pressure F e^{-jkx} + G e^{jkx} at one position and wavenumber."""
     return forward * cmath.exp(-1j * k * x) + backward * cmath.exp(1j * k * x)

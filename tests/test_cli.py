@@ -18,6 +18,7 @@ from tubeloss import (
     BandTable,
     FrequencyGrid,
     LayerModel,
+    MassLawValidityWarning,
     PlaneWaveAmplitudes,
     band_average,
     band_from_nominal,
@@ -116,6 +117,16 @@ class TestSynthAndStl:
         assert run_cli("synth", str(scenario), "--config", config, "--output", str(out)) == 2
         assert capsys.readouterr().err == (
             f"error: {scenario}: bad scenario: noise amplitude at snr_db = {snr_db} must be finite\n"
+        )
+        assert not out.exists()
+
+    def test_an_overflowing_incident_amplitude_is_one_error_line_naming_the_scenario(self, tmp_path, capsys, config):
+        scenario = tmp_path / "scenario.ini"
+        scenario.write_text(SCENARIO_LIMP + "incident_amplitude = 1e308\n")
+        out = tmp_path / "spectra.csv"
+        assert run_cli("synth", str(scenario), "--config", config, "--output", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {scenario}: incident_amplitude = 1e+308+0j makes the microphone pressures overflow\n"
         )
         assert not out.exists()
 
@@ -548,6 +559,20 @@ class TestMasslaw:
         assert felt["bands"]["stl_db"][0] == pytest.approx(-1.43, abs=0.01)
         assert felt["bands"]["below_validity"][0] is True
         assert any("below validity" in w for w in report["warnings"])
+
+    def test_the_below_validity_warning_is_a_mass_law_validity_warning(self, tmp_path):
+        # masslaw issues tubeloss's own class, so a filter on MassLawValidityWarning catches it
+        materials = tmp_path / "materials.json"
+        materials.write_text(json.dumps([{"name": "felt", "thickness_mm": 1.0, "surface_density": 0.01}]))
+        args = cli._build_parser().parse_args(
+            ["masslaw", "--materials", str(materials), "--f-min", "1000", "--f-max", "1000"]
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            args.func(args)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (MassLawValidityWarning, "felt: mass-law prediction below validity (negative) in bands [1000.0] Hz")
+        ]
 
     def test_constant_switch_is_fixed_offset(self, tmp_path):
         materials = tmp_path / "materials.json"

@@ -1,4 +1,9 @@
+import copy
 import math
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,10 +12,16 @@ from hypothesis import given, strategies as st
 import tubeloss
 from tubeloss import (
     AirProperties,
+    BandTable,
     FrequencyGrid,
+    LayerModel,
     MaterialSpec,
     MicSpectra,
+    SynthScenario,
+    ThirdOctaveBand,
+    TransferMatrix,
     TubeGeometry,
+    analyze_four_mic,
     decompose_four_mic,
     plane_wave_cutoff,
 )
@@ -217,7 +228,7 @@ class TestMaterialSpec:
 
     @pytest.mark.parametrize("bulk_density", [0.0, -2.0, math.nan])
     def test_a_bulk_density_that_is_not_positive_is_rejected(self, bulk_density):
-        with pytest.raises(ValueError, match="thickness and density must be positive"):
+        with pytest.raises(ValueError, match="^sheet: bulk density must be positive$"):
             MaterialSpec("sheet", 0.89, 1.135, bulk_density=bulk_density)
 
     def test_thickness_conversion(self):
@@ -259,10 +270,93 @@ class TestSurfaceDensity:
 
 class TestPublicApi:
     def test_all_names_resolve_and_star_import_binds_exactly_them(self):
-        assert len(tubeloss.__all__) == len(set(tubeloss.__all__)) == 49
+        assert len(tubeloss.__all__) == len(set(tubeloss.__all__)) == 50
         for name in tubeloss.__all__:
             assert hasattr(tubeloss, name), name
         namespace: dict = {}
         exec("from tubeloss import *", namespace)
         namespace.pop("__builtins__")
         assert sorted(namespace) == sorted(tubeloss.__all__)
+
+
+def _records() -> dict:
+    """One instance of each of the eleven record classes, by class name."""
+    grid = FrequencyGrid([100.0, 200.0])
+    scenario = SynthScenario(LayerModel.limp_mass(1.135), GEOMETRY, AIR, snr_db=40.0, seed=3)
+    analysis = analyze_four_mic(four_mic_spectra(grid, GEOMETRY, 1.0, 0.5, 0.5, 0.0), GEOMETRY, AIR)
+    records = [
+        AIR, GEOMETRY, MaterialSpec("sheet", 0.89, 1.135), ThirdOctaveBand(0),
+        BandTable.from_values([ThirdOctaveBand(0)], [1.0]), scenario.sample[0], scenario,
+        analysis, analysis.amplitudes, analysis.matrix, analysis.indicators,
+    ]
+    return {type(record).__name__: record for record in records}
+
+
+RECORDS = _records()
+
+# the records whose fields are plain values, not arrays
+VALUE_RECORDS = ("AirProperties", "TubeGeometry", "MaterialSpec", "ThirdOctaveBand", "LayerModel", "SynthScenario")
+
+
+class TestRecords:
+    """The immutable records: refused assignment, value semantics, ``replace``, no code at import."""
+
+    def test_importing_the_command_line_leaves_dataclasses_unimported(self):
+        src = str(Path(tubeloss.__file__).parents[1])
+        code = f"import sys; sys.path.insert(0, {src!r}); import tubeloss.cli; print('dataclasses' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+    @pytest.mark.parametrize("name", list(RECORDS))
+    def test_fields_refuse_assignment_and_deletion(self, name):
+        record = RECORDS[name]
+        assert len(RECORDS) == 11 and not hasattr(record, "__dict__")
+        field = record.__slots__[0]
+        before = repr(record)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert repr(record) == before
+
+    @pytest.mark.parametrize("name", VALUE_RECORDS)
+    def test_value_records_compare_hash_copy_and_pickle_by_value(self, name):
+        record = RECORDS[name]
+        twin = type(record)(*(getattr(record, field) for field in record.__slots__))
+        assert twin is not record and twin == record and hash(twin) == hash(record)
+        assert repr(twin) == repr(record)
+        assert copy.copy(record) == record == pickle.loads(pickle.dumps(record))
+
+    def test_per_bin_arrays_bind_by_position_or_name_and_refuse_a_bad_call(self):
+        matrix = RECORDS["TransferMatrix"]
+        grid, t11, t12, t21, t22 = matrix._fields()
+        bound = TransferMatrix(grid, t11, t12, t22=t22, t21=t21)  # locked arrays are kept, not copied
+        assert all(a is b for a, b in zip(bound._fields(), matrix._fields()))
+        for args, named in [
+            ((t11, t12, t21), {}),  # one array short
+            ((t11, t12, t21, t22, t22), {}),  # one too many
+            ((t11, t12, t21, t22), {"t11": t11}),  # twice
+            ((t11, t12, t21), {"t23": t22}),  # unknown
+        ]:
+            with pytest.raises(TypeError, match=r"^TransferMatrix takes grid, t11, t12, t21, t22$"):
+                TransferMatrix(grid, *args, **named)
+
+    def test_reprs_read_as_a_dataclass_repr(self):
+        assert repr(AirProperties()) == (
+            "AirProperties(density=1.204, sound_speed=343.2, temperature=None, relative_humidity=None)"
+        )
+        assert repr(LayerModel.limp_mass(1.135)) == (
+            "LayerModel(kind='limp-mass', surface_density=1.135, thickness=0.0, matrix=None, passive_symmetric=False)"
+        )
+
+    def test_replace_changes_one_field_and_validates_again(self):
+        scenario = RECORDS["SynthScenario"]
+        reseeded = scenario.replace(seed=7)
+        assert (reseeded.seed, reseeded.snr_db, reseeded.sample) == (7, 40.0, scenario.sample)
+        assert reseeded != scenario and reseeded.replace(seed=3) == scenario
+        with pytest.raises(ValueError, match="termination ratio magnitude must be below 1"):
+            scenario.replace(termination_ratio=2)
+        with pytest.raises(TypeError):
+            scenario.replace(no_such_field=1)

@@ -16,7 +16,7 @@ from tubeloss import (
     stl,
 )
 
-from helpers import AIR, MATERIALS, WIDE_GRID, limp_mass_stl_oracle
+from helpers import AIR, MATERIALS, WIDE_GRID, determinant, limp_mass_stl_oracle
 
 DOUBLING_DB = 20.0 * math.log10(2.0)  # 6.0206
 
@@ -91,7 +91,7 @@ class TestLayerMatrices:
     def test_limp_mass_determinant(self):
         grid = FrequencyGrid.from_range(100.0, 4000.0, 100.0)
         matrix = LayerModel.limp_mass(1.216).matrix_on(grid, AIR)
-        assert np.all(np.abs(matrix.determinant() - 1.0) < 1e-15)
+        assert np.all(np.abs(determinant(matrix) - 1.0) < 1e-15)
 
     def test_limp_mass_stl_closed_form(self):
         grid = FrequencyGrid([1000.0])
@@ -109,7 +109,7 @@ class TestLayerMatrices:
     def test_air_gap_determinant(self):
         grid = FrequencyGrid.from_range(100.0, 4000.0, 37.0)
         matrix = LayerModel.air_gap(0.123).matrix_on(grid, AIR)
-        assert np.all(np.abs(matrix.determinant() - 1.0) < 1e-12)
+        assert np.all(np.abs(determinant(matrix) - 1.0) < 1e-12)
 
     def test_half_wave_gap(self):
         # kL = pi flips both diagonal signs and stays transparent

@@ -32,6 +32,7 @@ from helpers import (
     GEOMETRY,
     WIDE_GRID,
     air_layer_matrix_oracle,
+    determinant,
     four_mic_spectra,
     limp_mass_stl_oracle,
     noisy_spectra,
@@ -140,7 +141,7 @@ class TestOneLoadReconstruction:
             assert ok.any()
             # equal diagonal bitwise, unit determinant to 1e-9
             assert np.array_equal(matrix.t11[ok], matrix.t22[ok])
-            assert np.all(np.abs(matrix.determinant()[ok] - 1.0) < 1e-9)
+            assert np.all(np.abs(determinant(matrix)[ok] - 1.0) < 1e-9)
 
     def test_zero_exit_velocity_handled(self):
         # Vd = 0 is fine as long as the shared denominator is not
@@ -150,7 +151,7 @@ class TestOneLoadReconstruction:
         # reconstructed matrix must map the exit state to the entry state
         assert matrix.t11[0] * 1.0 + matrix.t12[0] * 0.0 == pytest.approx(2.0)
         assert matrix.t21[0] * 1.0 + matrix.t22[0] * 0.0 == pytest.approx(3.0)
-        assert abs(matrix.determinant()[0] - 1.0) < 1e-12
+        assert abs(determinant(matrix)[0] - 1.0) < 1e-12
 
     def test_closure_singular_flagged(self):
         grid = FrequencyGrid([1000.0])
