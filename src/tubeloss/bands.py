@@ -120,11 +120,6 @@ class BandTable(Record):
             raise ValueError("coverage must lie in [0, 1]")
         self._set(bands, values, coverage)
 
-    def same_bands(self, other: "BandTable") -> bool:
-        return len(self.bands) == len(other.bands) and all(
-            a.index == b.index for a, b in zip(self.bands, other.bands)
-        )
-
     @classmethod
     def from_values(cls, bands, values) -> "BandTable":
         """A table of ``values`` with full coverage in every band."""
@@ -279,7 +274,7 @@ def insertion_loss(l_r0: BandTable, l_rs: BandTable) -> BandTable:
     Negative values are physically suspicious but not invalid; they are kept
     and flagged with a :class:`NegativeInsertionLossWarning`.
     """
-    if not l_r0.same_bands(l_rs):
+    if l_r0.bands != l_rs.bands:
         a = {b.nominal for b in l_r0.bands}
         b = {b.nominal for b in l_rs.bands}
         only_first = sorted(a - b)

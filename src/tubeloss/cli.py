@@ -147,7 +147,9 @@ _GROUP_BINS = 16_384
 
 
 def _analyze_group(group: list, grid, geometry, air) -> tuple[np.ndarray, ...]:
-    """``(stl_db, reflectance, stl_direct_db)`` of a group's files, one row each.
+    """``(stl_db, reflectance, stl_direct_db, singular)`` of a group's files, one row each.
+
+    ``singular`` marks the bins a microphone pair dropped (NaN amplitudes).
 
     ``group`` holds ``(path, spectra)`` pairs on ``grid``. One
     :func:`analyze_four_mic` call analyses their ``(4, R, n)`` stack. Each
@@ -170,14 +172,14 @@ def _analyze_group(group: list, grid, geometry, air) -> tuple[np.ndarray, ...]:
                     stacklevel=1,
                 )
     indicators = analysis.indicators
-    return indicators.stl_db, indicators.reflectance, analysis.stl_direct_db
+    return indicators.stl_db, indicators.reflectance, analysis.stl_direct_db, ~analysis.amplitudes.valid
 
 
 def _cmd_stl(args) -> tuple:
     air, geometry = _require_config(args)
     grid = None
     group: list = []
-    curves: list = []  # each group's (stl_db, reflectance, stl_direct_db) rows
+    curves: list = []  # each group's (stl_db, reflectance, stl_direct_db, singular) rows
     for path in args.inputs:
         spectra, file_geometry, file_air = read_mic_spectra(path)
         require_header_matches(path, file_geometry, file_air, geometry, air)
@@ -192,12 +194,17 @@ def _cmd_stl(args) -> tuple:
             group = []
     if group:
         curves.append(_analyze_group(group, grid, geometry, air))
-    runs, reflectances, direct_runs = (np.concatenate(rows) for rows in zip(*curves))
+    runs, reflectances, direct_runs, singular = (np.concatenate(rows) for rows in zip(*curves))
 
     mean_stl, spread_stl = average_repetitions(runs, mode=args.rep_mode)
     valid = np.isfinite(mean_stl)
     if not valid.any():
-        raise AllBinsInvalidError("no valid frequency bin in any input (all bins singular)")
+        n_singular = int(np.count_nonzero(singular.all(axis=0)))
+        why = (
+            "all bins singular" if n_singular == len(grid)
+            else f"{n_singular} of {len(grid)} bins singular, the rest numerically invalid"
+        )
+        raise AllBinsInvalidError(f"no valid frequency bin in any input ({why})")
 
     cutoff = plane_wave_cutoff(geometry, air)
     above = grid.frequencies > cutoff

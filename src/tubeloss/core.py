@@ -26,7 +26,9 @@ class Record:
     ``__init__`` parameters, which sets each field once (:meth:`_set` sets
     them all in that order) through ``object.__setattr__``. ``repr``,
     ``==`` and ``hash`` read the fields in that order, as a frozen dataclass
-    does; assigning or deleting a field raises ``AttributeError``.
+    does; assigning or deleting a field raises ``AttributeError``. ``==``
+    compares an ndarray field by value, NaN equal to NaN; ``hash`` of a
+    record holding one raises ``TypeError``, as a frozen dataclass's does.
     """
 
     __slots__ = ()
@@ -49,7 +51,12 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other):
-        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            a is b or (np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b)
+            for a, b in zip(self._fields(), other._fields())
+        )
 
     def __hash__(self) -> int:
         return hash(self._fields())
@@ -131,14 +138,14 @@ class TubeGeometry(Record):
 _MAX_BINS = 1_000_000
 
 
-class FrequencyGrid:
+class FrequencyGrid(Record):
     """Strictly increasing frequency axis in Hz.
 
     Wavenumbers are derived on demand from an :class:`AirProperties`; nothing
     frequency-dependent is cached against a stale air state.
     """
 
-    __slots__ = ("_frequencies",)
+    __slots__ = ("frequencies",)
 
     def __init__(self, frequencies) -> None:
         f = np.array(frequencies, dtype=float)
@@ -151,7 +158,7 @@ class FrequencyGrid:
         if np.any(np.diff(f) <= 0.0):
             raise ValueError("frequencies must be strictly increasing")
         f.flags.writeable = False
-        self._frequencies = f
+        self._set(f)
 
     @classmethod
     def from_range(cls, f_min: float, f_max: float, step: float) -> "FrequencyGrid":
@@ -166,27 +173,20 @@ class FrequencyGrid:
             raise ValueError(f"grid would have more than {_MAX_BINS} bins")
         return cls(np.arange(f_min, f_max + 0.5 * step, step))
 
-    @property
-    def frequencies(self) -> np.ndarray:
-        return self._frequencies
-
     def __len__(self) -> int:
-        return int(self._frequencies.size)
+        return int(self.frequencies.size)
 
     def __repr__(self) -> str:
-        f = self._frequencies
+        f = self.frequencies
         return f"FrequencyGrid({f[0]:g}..{f[-1]:g} Hz, {f.size} bins)"
 
-    def matches(self, other: "FrequencyGrid") -> bool:
-        return self is other or np.array_equal(self._frequencies, other._frequencies)
-
     def require_matches(self, other: "FrequencyGrid", context: str = "operation") -> None:
-        if not self.matches(other):
+        if self is not other and self != other:
             raise GridMismatchError(f"{context}: operands use different frequency grids")
 
     def wavenumbers(self, air: AirProperties) -> np.ndarray:
         """Lossless real wavenumber k = 2 pi f / c in rad/m of every bin."""
-        return 2.0 * math.pi * self._frequencies / air.sound_speed
+        return 2.0 * math.pi * self.frequencies / air.sound_speed
 
 
 def locked_array(values, dtype, shape: tuple, what: str) -> np.ndarray:
@@ -262,7 +262,7 @@ class PerBinArrays(Record):
             object.__setattr__(self, name, locked_array(values, dtype, shape, what))
 
 
-class MicSpectra:
+class MicSpectra(Record):
     """Complex pressures in Pa at the four microphones x1..x4, on one frequency grid.
 
     ``pressures`` has shape ``(4, n)`` for one measurement or ``(4, R, n)``
@@ -271,7 +271,7 @@ class MicSpectra:
     Immutable.
     """
 
-    __slots__ = ("_grid", "_pressures")
+    __slots__ = ("grid", "pressures")
 
     def __init__(self, grid: FrequencyGrid, pressures) -> None:
         shape, n = np.shape(pressures), len(grid)
@@ -280,19 +280,10 @@ class MicSpectra:
         p = locked_array(pressures, complex, shape, "mic pressures")
         if not np.all(np.isfinite(p)):
             raise ValueError("spectrum values must be finite")
-        self._grid = grid
-        self._pressures = p
-
-    @property
-    def grid(self) -> FrequencyGrid:
-        return self._grid
-
-    @property
-    def pressures(self) -> np.ndarray:
-        return self._pressures
+        self._set(grid, p)
 
     def __iter__(self):  # x1..x4 as ``.values``, the way bench/harness/workloads.py reads them
-        return (SimpleNamespace(values=p) for p in self._pressures)
+        return (SimpleNamespace(values=p) for p in self.pressures)
 
 
 class MaterialSpec(Record):

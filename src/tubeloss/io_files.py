@@ -102,23 +102,26 @@ def _atomic_text_file(path):
 def _open_utf8(path, what: str, newline=None):
     """A UTF-8 text handle on the ``what`` file ``path``.
 
-    An empty path is an input error raised before anything is opened. A name
-    ``open`` rejects with ``ValueError`` (one holding a NUL byte, which no file
-    name can) and a byte that is not UTF-8 are input errors naming the file; a
-    missing or unreadable file raises ``open``'s ``OSError``.
+    An empty path is an input error raised before anything is opened. A file
+    that cannot be opened or read (missing, a directory, unreadable, or a name
+    no file can have, such as one holding a NUL byte) and a byte that is not
+    UTF-8 are input errors naming the file.
     """
     path = os.fspath(path)
     if not path:
         raise InputFormatError(f"{what} path is empty")
+    unreadable = f"{what} file not found or unreadable"
     try:
         handle = open(path, "r", encoding="utf-8", newline=newline)
-    except ValueError:
-        raise InputFormatError(f"{what} file not found or unreadable", path=path) from None
+    except (OSError, ValueError):
+        raise InputFormatError(unreadable, path=path) from None
     with handle:
         try:
             yield handle
         except UnicodeDecodeError as exc:
             raise InputFormatError(f"not UTF-8 text: {exc.reason}", path=path) from None
+        except OSError:  # a read that fails after the open, such as EIO
+            raise InputFormatError(unreadable, path=path) from None
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -136,8 +139,6 @@ def _read_ini(path, what: str) -> configparser.ConfigParser:
     try:
         with _open_utf8(path, what) as handle:
             parser.read_file(handle, source=os.fspath(path))
-    except OSError:
-        raise InputFormatError(f"{what} file not found or unreadable", path=path) from None
     except configparser.Error as exc:
         # the parser's messages quote the offending lines; keep the first, one-line part
         raise InputFormatError(f"{what} file is not INI: {str(exc).splitlines()[0]}", path=path) from None
@@ -449,7 +450,7 @@ def write_band_csv(path, tables: dict[str, BandTable]) -> None:
         raise ValueError("need at least one table")
     first = next(iter(tables.values()))
     for name, table in tables.items():
-        if not first.same_bands(table):
+        if first.bands != table.bands:
             raise ValueError(f"table '{name}' uses a different band set")
         if any(ch in name for ch in ",\n\r"):
             raise ValueError(f"table name '{name}' may not contain commas or newlines")
@@ -529,11 +530,8 @@ def read_band_csv(path) -> dict[str, BandTable]:
 
 
 def _load_json_list(path, what: str) -> list:
-    try:
-        with _open_utf8(path, what) as handle:
-            text = handle.read()
-    except OSError:
-        raise InputFormatError(f"{what} file not found or unreadable", path=path) from None
+    with _open_utf8(path, what) as handle:
+        text = handle.read()
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep

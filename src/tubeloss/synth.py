@@ -121,16 +121,17 @@ def synth_mic_pressures(
 
     # the upstream mics see the waves A and B, the downstream mics C and D
     waves = ((a_inc, b), (a_inc, b), (c, d_amp), (c, d_amp))
-    pressures = np.stack([
-        np.multiply(forward, np.exp(-1j * k * x)) + np.multiply(backward, np.exp(1j * k * x))
-        for (forward, backward), x in zip(waves, geometry.mic_positions)
-    ])
-
-    if scenario.snr_db is not None:
-        sigma = abs(a_inc) * 10.0 ** (-scenario.snr_db / 20.0)
-        rng = np.random.default_rng(scenario.seed)
-        draws = rng.standard_normal((4, len(grid), 2))
-        pressures += np.divide(sigma * (draws[..., 0] + 1j * draws[..., 1]), np.sqrt(2.0))
+    # an overflowed pressure is refused below, without a numpy warning
+    with np.errstate(over="ignore"):
+        pressures = np.stack([
+            np.multiply(forward, np.exp(-1j * k * x)) + np.multiply(backward, np.exp(1j * k * x))
+            for (forward, backward), x in zip(waves, geometry.mic_positions)
+        ])
+        if scenario.snr_db is not None:
+            sigma = abs(a_inc) * 10.0 ** (-scenario.snr_db / 20.0)
+            rng = np.random.default_rng(scenario.seed)
+            draws = rng.standard_normal((4, len(grid), 2))
+            pressures += np.divide(sigma * (draws[..., 0] + 1j * draws[..., 1]), np.sqrt(2.0))
 
     try:
         return MicSpectra(grid, *_frozen(pressures))

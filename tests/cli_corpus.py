@@ -155,6 +155,14 @@ INPUTS = {
     "negative-seed.ini": _SCENARIO.format(
         surface_density=1.135, termination="anechoic", snr_db=40, f_max=2000, f_step=10
     ).replace("seed = 1200", "seed = -1"),
+    # an incident amplitude of 1e300 Pa: the pressures fit the float range, every later stage overflows
+    "huge-incident.ini": _SCENARIO.format(
+        surface_density=1.135, termination="anechoic", snr_db="off", f_max=2000, f_step=10
+    )
+    + "incident_amplitude = 1e300\n",
+    # mics 0.1 m apart put the first blind spot of both pairs at 1716 Hz, the one bin of this grid
+    "blind-tube.ini": CONFIG.replace("-0.33 -0.25 0.25 0.33", "-0.35 -0.25 0.25 0.35"),
+    "blind.ini": "[scenario]\nsample = identity\nf_min = 1716\nf_max = 1716\nf_step = 1\n",
     # a regular grid past the bin cap
     "tiny-step.ini": _SCENARIO.format(
         surface_density=1.135, termination="anechoic", snr_db="off", f_max=2000, f_step="1e-12"
@@ -305,6 +313,8 @@ RUNS: tuple[tuple[str, ...], ...] = (
     ("synth", "nan-mass.ini", "--config", "tube.ini", "--output", "nan-mass.csv"),
     ("synth", "negative-seed.ini", "--config", "tube.ini", "--output", "negative-seed.csv"),
     ("synth", "limp.ini", "--config", "tube.ini", "--seed", "-1", "--output", "negative-seed-option.csv"),
+    ("synth", "huge-incident.ini", "--config", "tube.ini", "--output", "huge-incident.csv"),
+    ("synth", "blind.ini", "--config", "blind-tube.ini", "--output", "blind.csv"),
     ("stl", "run1.csv", "--config", "tube.ini", "--f-max", "2000"),
     # repetitions on two grids: the second file is named
     ("stl", "run1.csv", "run5.csv", "--config", "tube.ini"),
@@ -340,6 +350,9 @@ RUNS: tuple[tuple[str, ...], ...] = (
     ("stl", "dec.csv", "--config", "tube.ini"),
     ("stl", "gapped-nan.csv", "--config", "tube.ini"),
     ("stl", "whitespace-row.csv", "--config", "tube.ini"),
+    # no bin survives: every bin is a blind spot, or none is and the analysis overflows
+    ("stl", "blind.csv", "--config", "blind-tube.ini", "--f-min", "1600", "--f-max", "1600"),
+    ("stl", "huge-incident.csv", "--config", "tube.ini"),
     ("stl", "missing.csv", "--config", "tube.ini"),
     # an empty input path is an input error, as an empty output path is
     ("stl", "", "--config", "tube.ini"),

@@ -163,7 +163,7 @@ def synth_room_levels(source_spectrum: BandTable, transmission: BandTable) -> tu
     flanking, no room correction. The insertion-loss oracle: ``il`` on the two
     tables must give back the transmission table.
     """
-    if not source_spectrum.same_bands(transmission):
+    if source_spectrum.bands != transmission.bands:
         raise BandMismatchError("source spectrum and transmission use different band sets")
     l_r0 = source_spectrum
     l_rs = BandTable(

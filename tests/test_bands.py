@@ -357,5 +357,5 @@ class TestBandTable:
         a = BandTable.from_values(third_octave_bands(100.0, 200.0), [1.0, 2.0, 3.0, 4.0])
         b = BandTable.from_values(third_octave_bands(100.0, 200.0), [9.0, 9.0, 9.0, 9.0])
         c = BandTable.from_values(third_octave_bands(125.0, 250.0), [1.0, 2.0, 3.0, 4.0])
-        assert a.same_bands(b)
-        assert not a.same_bands(c)
+        assert a.bands == b.bands
+        assert a.bands != c.bands

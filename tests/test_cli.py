@@ -369,8 +369,15 @@ class TestSynthAndStl:
             (("stl", "a\x00b.csv", "--config", "tube.ini"), "a\\x00b.csv: mic-spectra"),
             (("stl", "run.csv", "--config", "a\x00b.ini"), "a\\x00b.ini: config"),
             (("il", "--before", "a\x00b.csv", "--after", "after.csv"), "a\\x00b.csv: band CSV"),
+            # a missing file, or a directory, reads the same way
+            (("stl", "missing.csv", "--config", "tube.ini"), "missing.csv: mic-spectra"),
+            (("stl", "run.csv", "--config", "missing.ini"), "missing.ini: config"),
+            (("il", "--before", "missing.csv", "--after", "after.csv"), "missing.csv: band CSV"),
+            (("stack", "--stack", "missing.json"), "missing.json: stack"),
+            (("stl", ".", "--config", "tube.ini"), ".: mic-spectra"),
         ],
-        ids=["stl-input", "config", "il-before"],
+        ids=["stl-input", "config", "il-before", "missing-stl-input", "missing-config", "missing-il-before",
+             "missing-stack", "directory-stl-input"],
     )
     def test_a_nul_byte_in_an_input_path_names_the_file(self, tmp_path, monkeypatch, capsys, argv, named):
         monkeypatch.chdir(tmp_path)

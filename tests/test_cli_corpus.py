@@ -213,6 +213,15 @@ def test_a_nul_byte_in_a_stack_file_name_is_an_unreadable_file_printed_escaped(r
     assert (run.code, run.stderr) == (2, "error: a\\x00b.json: stack file not found or unreadable\n")
 
 
+def test_no_surviving_bin_says_how_many_were_singular(runs):
+    outcome = {run.argv[1]: (run.code, run.stderr) for run in runs if run.argv[0] == "stl" and run.argv[1:]}
+    assert outcome["blind.csv"] == (3, "error: no valid frequency bin in any input (all bins singular)\n")
+    # the 1e300 Pa file holds no blind spot: its first one is at 2145 Hz
+    assert outcome["huge-incident.csv"] == (
+        3, "error: no valid frequency bin in any input (0 of 191 bins singular, the rest numerically invalid)\n"
+    )
+
+
 def test_every_file_of_a_group_is_read_before_any_is_analysed(runs):
     stderr = {run.argv[1:-2]: run.stderr for run in runs if run.argv[:2] == ("stl", "overflowing.csv")}
     assert stderr["overflowing.csv",] == "error: amplitudes must be finite at every retained frequency\n"

@@ -1,6 +1,8 @@
 import copy
+import importlib
 import math
 import pickle
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +26,9 @@ from tubeloss import (
     analyze_four_mic,
     decompose_four_mic,
     plane_wave_cutoff,
+    third_octave_bands,
 )
+from tubeloss.core import Record
 
 from helpers import AIR, GEOMETRY, four_mic_spectra
 
@@ -209,7 +213,7 @@ class TestMicSpectra:
     def test_equal_valued_grids_match(self):
         a = FrequencyGrid([100.0, 200.0])
         b = FrequencyGrid([100.0, 200.0])
-        assert a.matches(b)
+        assert a == b
 
 
 class TestMaterialSpec:
@@ -280,12 +284,13 @@ class TestPublicApi:
 
 
 def _records() -> dict:
-    """One instance of each of the eleven record classes, by class name."""
+    """One instance of each of the thirteen record classes, by class name."""
     grid = FrequencyGrid([100.0, 200.0])
     scenario = SynthScenario(LayerModel.limp_mass(1.135), GEOMETRY, AIR, snr_db=40.0, seed=3)
-    analysis = analyze_four_mic(four_mic_spectra(grid, GEOMETRY, 1.0, 0.5, 0.5, 0.0), GEOMETRY, AIR)
+    spectra = four_mic_spectra(grid, GEOMETRY, 1.0, 0.5, 0.5, 0.0)
+    analysis = analyze_four_mic(spectra, GEOMETRY, AIR)
     records = [
-        AIR, GEOMETRY, MaterialSpec("sheet", 0.89, 1.135), ThirdOctaveBand(0),
+        AIR, GEOMETRY, grid, spectra, MaterialSpec("sheet", 0.89, 1.135), ThirdOctaveBand(0),
         BandTable.from_values([ThirdOctaveBand(0)], [1.0]), scenario.sample[0], scenario,
         analysis, analysis.amplitudes, analysis.matrix, analysis.indicators,
     ]
@@ -296,6 +301,7 @@ RECORDS = _records()
 
 # the records whose fields are plain values, not arrays
 VALUE_RECORDS = ("AirProperties", "TubeGeometry", "MaterialSpec", "ThirdOctaveBand", "LayerModel", "SynthScenario")
+ARRAY_RECORDS = tuple(name for name in RECORDS if name not in VALUE_RECORDS)
 
 
 class TestRecords:
@@ -310,7 +316,7 @@ class TestRecords:
     @pytest.mark.parametrize("name", list(RECORDS))
     def test_fields_refuse_assignment_and_deletion(self, name):
         record = RECORDS[name]
-        assert len(RECORDS) == 11 and not hasattr(record, "__dict__")
+        assert len(RECORDS) == 13 and not hasattr(record, "__dict__")
         field = record.__slots__[0]
         before = repr(record)
         with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
@@ -328,6 +334,39 @@ class TestRecords:
         assert twin is not record and twin == record and hash(twin) == hash(record)
         assert repr(twin) == repr(record)
         assert copy.copy(record) == record == pickle.loads(pickle.dumps(record))
+
+    @pytest.mark.parametrize("name", ARRAY_RECORDS)
+    def test_array_records_compare_by_value_and_refuse_hash(self, name):
+        record = RECORDS[name]
+        twin = pickle.loads(pickle.dumps(record))  # rebuilt through __init__ on fresh arrays
+        assert twin is not record and twin == record and not twin != record
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+
+    def test_array_fields_compare_by_value_with_nan_equal_to_nan(self):
+        bands = third_octave_bands(100.0, 200.0)
+        a = BandTable.from_values(bands, [1.0, np.nan, 3.0, 4.0])
+        assert a == BandTable.from_values(bands, [1.0, np.nan, 3.0, 4.0])
+        assert a != BandTable.from_values(bands, [1.0, np.nan, 3.0, 5.0])
+        assert a != BandTable.from_values(bands, [1.0, 2.0, 3.0, 4.0])
+        assert a != BandTable.from_values(third_octave_bands(125.0, 250.0), [1.0, np.nan, 3.0, 4.0])
+        grid = FrequencyGrid([100.0, 200.0])
+        assert grid == FrequencyGrid(np.array([100.0, 200.0])) != FrequencyGrid([100.0, 300.0])
+        assert grid != FrequencyGrid([100.0]) and grid != AIR
+        spectra = RECORDS["MicSpectra"]
+        assert spectra != MicSpectra(grid, 2 * spectra.pressures)
+
+    def test_every_class_with_slots_is_a_record(self):
+        names = (info.name for info in pkgutil.iter_modules(tubeloss.__path__))
+        modules = [importlib.import_module(f"tubeloss.{name}") for name in names]
+        slotted = [
+            cls
+            for module in modules
+            for cls in vars(module).values()
+            if isinstance(cls, type) and cls.__module__ == module.__name__ and "__slots__" in vars(cls)
+        ]
+        assert len(slotted) == 15  # Record, PerBinArrays and the thirteen records
+        assert [cls.__name__ for cls in slotted if not issubclass(cls, Record)] == []
 
     def test_per_bin_arrays_bind_by_position_or_name_and_refuse_a_bad_call(self):
         matrix = RECORDS["TransferMatrix"]

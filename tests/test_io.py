@@ -745,7 +745,7 @@ class TestBandCsv:
         path = tmp_path / "bands.csv"
         write_band_csv(path, {"stl_db": table})
         back = read_band_csv(path)["stl_db"]
-        assert back.same_bands(table)
+        assert back.bands == table.bands
         assert np.array_equal(back.values, table.values, equal_nan=True)
         assert np.array_equal(back.coverage, table.coverage)
 
@@ -858,7 +858,7 @@ class TestBandCsv:
             back = read_band_csv(path)
         assert list(back) == list(tables)
         for name, table in tables.items():
-            assert back[name].same_bands(table)
+            assert back[name].bands == table.bands
             nan = np.isnan(table.values)
             np.testing.assert_array_equal(np.isnan(back[name].values), nan)
             assert back[name].values[~nan].tobytes() == table.values[~nan].tobytes()

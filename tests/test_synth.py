@@ -123,6 +123,14 @@ class TestDeterminismAndValidation:
         with pytest.raises(ValueError, match="incident amplitude must be finite"):
             scenario(LayerModel.identity(), incident_amplitude=value)
 
+    @pytest.mark.parametrize("snr_db", [None, 40.0])
+    def test_overflowing_pressures_raise_one_value_error_without_numpy_warnings(self, snr_db):
+        # RuntimeWarnings are errors under the test configuration, so a leaked one fails here
+        sc = scenario(LayerModel.limp_mass(1.135), incident_amplitude=1e308, snr_db=snr_db, seed=1)
+        message = r"^incident_amplitude = 1e\+308\+0j makes the microphone pressures overflow$"
+        with pytest.raises(ValueError, match=message):
+            synth_mic_pressures(sc, GRID)
+
     def test_single_layer_normalized_to_tuple(self):
         sc = scenario(LayerModel.limp_mass(0.5))
         assert isinstance(sc.sample, tuple)
