@@ -167,48 +167,63 @@ def band_average(
     ``np.add.reduceat`` and a cumulative sum are not pairwise and change
     those bits.
     """
+    return _band_averager(grid, bands, mode)(values_db)
+
+
+def _band_averager(grid: FrequencyGrid, bands, mode: str = "power"):
+    """:func:`band_average` on ``grid``, ``bands`` and ``mode`` as a function of the curve alone.
+
+    The band spans (the edges, their bins on the grid and the band widths)
+    are found once here, so many curves of one grid share them; each call
+    returns the table ``band_average(grid, values_db, bands, mode)`` would,
+    bit for bit.
+    """
     if mode not in ("power", "db"):
         raise ValueError(f"unknown band averaging mode '{mode}'")
-    values = np.asarray(values_db, dtype=float)
-    if values.shape != (len(grid),):
-        raise ValueError("narrowband curve must match the grid length")
-
+    n = len(grid)
     bands = tuple(bands)
     # On the sorted grid, [lo, hi) holds exactly the bins with lower <= f < upper;
     # the edges are the ones ThirdOctaveBand.lower and .upper give.
     edges = np.multiply.outer(_EDGE_RATIOS, [b.center for b in bands])
     lo, hi = np.searchsorted(grid.frequencies, edges)
-    first = lo.min(initial=len(values))
-    kept = values[first : hi.max(initial=0)]
-    starts, stops = lo - first, hi - first
-    widths = stops - starts
-    is_nan = np.isnan(kept)
-    if is_nan.any():
-        # band i's usable bins are kept[starts[i]:stops[i]] once the NaN bins are dropped
-        usable = ~is_nan
-        ends = np.concatenate(([0], np.cumsum(usable)))
-        kept, starts, stops = kept[usable], ends[starts], ends[stops]
-    counts = stops - starts
-    out = np.full(len(bands), np.nan)
-    coverage = np.zeros(len(bands))
-    np.divide(counts, widths, out=coverage, where=widths > 0)
-    # A band of +inf losses (nothing transmitted) averages to log10(0) = -inf
-    # in power mode, so its value is +inf by design, not a divide error.
-    # 10^(-L/10) overflows below about L = -3083 dB; such a band is averaged
-    # again relative to its lowest value, which keeps it finite.
-    with np.errstate(divide="ignore", over="ignore"):
-        # x / -10 has the bits of -x / 10, in one pass instead of two
-        terms = 10.0 ** (kept / -10.0) if mode == "power" else kept
-        bounds = list(zip(starts.tolist(), stops.tolist()))
-        sums = np.array([np.add.reduce(terms[start:stop]) for start, stop in bounds])
-        np.divide(sums, counts, out=out, where=counts > 0)
-        if mode == "power":
-            out = -10.0 * np.log10(out)
-            for i in np.flatnonzero(out == -np.inf).tolist():
-                use = kept[slice(*bounds[i])]
-                if np.isfinite(low := use.min()):
-                    out[i] = low - 10.0 * np.log10(np.mean(10.0 ** (-(use - low) / 10.0)))
-    return BandTable(bands, *_frozen(out, coverage))
+    first, last = lo.min(initial=n), hi.max(initial=0)
+    band_starts, band_stops = lo - first, hi - first
+    widths = band_stops - band_starts
+
+    def average(values_db) -> BandTable:
+        values = np.asarray(values_db, dtype=float)
+        if values.shape != (n,):
+            raise ValueError("narrowband curve must match the grid length")
+        kept, starts, stops = values[first:last], band_starts, band_stops
+        is_nan = np.isnan(kept)
+        if is_nan.any():
+            # band i's usable bins are kept[starts[i]:stops[i]] once the NaN bins are dropped
+            usable = ~is_nan
+            ends = np.concatenate(([0], np.cumsum(usable)))
+            kept, starts, stops = kept[usable], ends[starts], ends[stops]
+        counts = stops - starts
+        out = np.full(len(bands), np.nan)
+        coverage = np.zeros(len(bands))
+        np.divide(counts, widths, out=coverage, where=widths > 0)
+        # A band of +inf losses (nothing transmitted) averages to log10(0) = -inf
+        # in power mode, so its value is +inf by design, not a divide error.
+        # 10^(-L/10) overflows below about L = -3083 dB; such a band is averaged
+        # again relative to its lowest value, which keeps it finite.
+        with np.errstate(divide="ignore", over="ignore"):
+            # x / -10 has the bits of -x / 10, in one pass instead of two
+            terms = 10.0 ** (kept / -10.0) if mode == "power" else kept
+            bounds = list(zip(starts.tolist(), stops.tolist()))
+            sums = np.array([np.add.reduce(terms[start:stop]) for start, stop in bounds])
+            np.divide(sums, counts, out=out, where=counts > 0)
+            if mode == "power":
+                out = -10.0 * np.log10(out)
+                for i in np.flatnonzero(out == -np.inf).tolist():
+                    use = kept[slice(*bounds[i])]
+                    if np.isfinite(low := use.min()):
+                        out[i] = low - 10.0 * np.log10(np.mean(10.0 ** (-(use - low) / 10.0)))
+        return BandTable(bands, *_frozen(out, coverage))
+
+    return average
 
 
 def average_repetitions(runs, mode: str = "db") -> tuple[np.ndarray, np.ndarray]:

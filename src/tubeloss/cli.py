@@ -251,7 +251,10 @@ def _cmd_masslaw(args) -> tuple:
     entries = []
     tables = {}
     for mat in materials:
-        values = mass_law_stl(centers, mat.surface_density, args.masslaw_constant, air)
+        try:
+            values = mass_law_stl(centers, mat.surface_density, args.masslaw_constant, air)
+        except ValueError as exc:  # a surface density so large that f * m_s overflows
+            raise InputFormatError(f"{mat.name}: {exc}", path=args.materials) from None
         below = values < 0.0
         if np.any(below):
             nominals = [b.nominal for b, flag in zip(bands, below) if flag]
@@ -298,10 +301,9 @@ def _cmd_stack(args) -> tuple:
     grid = FrequencyGrid.from_range(args.f_min, args.f_max, args.f_step)
     bands = third_octave_bands(args.f_min, args.f_max)
 
-    stack, layer_stl_db = stack_indicators(layers, grid, air)
+    stack, layer_tables = stack_indicators(layers, grid, air, bands=bands, mode=args.band_mode)
     constituents = [
-        {"layer": layer.describe(), "bands": _band_block(band_average(grid, row, bands, mode=args.band_mode))}
-        for layer, row in zip(layers, layer_stl_db)
+        {"layer": layer.describe(), "bands": _band_block(table)} for layer, table in zip(layers, layer_tables)
     ]
     stack_table = band_average(grid, stack.stl_db, bands, mode=args.band_mode)
 

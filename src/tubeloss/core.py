@@ -171,7 +171,9 @@ class FrequencyGrid(Record):
             raise ValueError("f_max must not be below f_min")
         if (f_max - f_min) / step >= _MAX_BINS:
             raise ValueError(f"grid would have more than {_MAX_BINS} bins")
-        return cls(np.arange(f_min, f_max + 0.5 * step, step))
+        frequencies = np.arange(f_min, f_max + 0.5 * step, step)
+        # where f_max + step / 2 rounds to f_max, f_min == f_max still has its one bin
+        return cls(frequencies if frequencies.size else np.array([f_min]))
 
     def __len__(self) -> int:
         return int(self.frequencies.size)

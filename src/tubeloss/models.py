@@ -10,8 +10,15 @@ import math
 
 import numpy as np
 
+from .bands import BandTable, _band_averager
 from .core import AirProperties, DEFAULT_AIR, FrequencyGrid, Record, _frozen
-from .transfer import AcousticIndicators, TransferMatrix, acoustic_indicators
+from .transfer import (
+    AcousticIndicators,
+    TransferMatrix,
+    _indicators,
+    _transmission_phase,
+    acoustic_indicators,
+)
 
 __all__ = [
     "LayerModel",
@@ -61,9 +68,19 @@ def mass_law_stl(f, m_s: float, constant: str = "paper", air: AirProperties = DE
         Predicted loss; may be negative at low f * m_s, in which case the
         prediction is below the validity of the rule and callers should flag
         it rather than clip it.
+
+    Raises
+    ------
+    ValueError
+        Unless every f * m_s is positive and finite; the message says so when
+        finite inputs make the product overflow.
     """
-    product = np.asarray(f, dtype=float) * np.asarray(m_s, dtype=float)
+    f, m_s = np.asarray(f, dtype=float), np.asarray(m_s, dtype=float)
+    with np.errstate(over="ignore"):  # an overflow is raised below as such, not warned about
+        product = f * m_s
     if product.size == 0 or not np.all(np.isfinite(product)) or np.any(product <= 0.0):
+        if np.isinf(product).any() and np.isfinite(f).all() and np.isfinite(m_s).all():
+            raise ValueError("f * m_s overflows")
         raise ValueError("f * m_s must be positive")
     out = 20.0 * np.log10(product) + mass_law_constant_db(constant, air)
     if out.ndim == 0:
@@ -157,20 +174,32 @@ class LayerModel(Record):
         A limp mass is [[1, j omega m_s], [0, 1]], an air gap of thickness L [[cos kL, j rho0 c sin kL],
         [(j / rho0 c) sin kL, cos kL]]; any other layer holds its constant entries at every bin.
         """
+        return self._matrix_and_phase(grid, air)[0]
+
+    def _matrix_and_phase(
+        self, grid: FrequencyGrid, air: AirProperties,
+    ) -> tuple[TransferMatrix, np.ndarray | float | None]:
+        """This layer's matrix and, for an air gap, the e^{jkL} it is built from (None for other kinds).
+
+        An air gap's cos kL and sin kL are the real and imaginary parts of
+        its transmission phase, so the gap's exponential serves its matrix and
+        its indicators. With numpy 2.4 on x86-64 Linux, np.exp(1j x) has the
+        bits of np.cos(x) and np.sin(x) at every bin checked, so the matrix
+        keeps the bits it had when it was built from np.cos and np.sin.
+        """
         if self.kind == "air-gap":
             z = air.impedance
             # a thickness so large that k L overflows leaves NaN entries; the indicators drop those bins
-            with np.errstate(over="ignore", invalid="ignore"):
-                k_l = grid.wavenumbers(air) * self.thickness
-                cos = np.cos(k_l).astype(complex)
-                sin = np.sin(k_l)
-            return TransferMatrix(grid, *_frozen(cos, 1j * z * sin, 1j * sin / z, cos))
+            phase = _transmission_phase(grid, self.thickness, air)
+            gap = np.broadcast_to(phase, (len(grid),))  # the phase of a zero thickness is the scalar 1.0
+            cos, sin = gap.real.astype(complex), gap.imag
+            return TransferMatrix(grid, *_frozen(cos, 1j * z * sin, 1j * sin / z, cos)), phase
         t11, t12, t21, t22 = (np.full(len(grid), t, dtype=complex) for t in self.matrix or (1, 0, 0, 1))
         if self.kind == "limp-mass":
             omega = 2.0 * math.pi * grid.frequencies
             with np.errstate(over="ignore", invalid="ignore"):  # an overflowing m_s leaves a non-finite t12
                 t12 = 1j * omega * float(self.surface_density)
-        return TransferMatrix(grid, *_frozen(t11, t12, t21, t22))
+        return TransferMatrix(grid, *_frozen(t11, t12, t21, t22)), None
 
     def describe(self) -> dict:
         """Loggable parameter summary."""
@@ -229,13 +258,18 @@ def stack_indicators(
     layers,
     grid: FrequencyGrid,
     air: AirProperties = DEFAULT_AIR,
-) -> tuple[AcousticIndicators, np.ndarray]:
-    """Indicators of a whole stack and each layer's own loss, in one pass over the layers.
+    *,
+    bands,
+    mode: str = "power",
+) -> tuple[AcousticIndicators, tuple[BandTable, ...]]:
+    """Indicators of a whole stack and each layer's own banded loss, in one pass over the layers.
 
     Each layer matrix is built once. Its own indicators, phase-referenced to
-    its own thickness, give that layer's row of ``layer_stl_db``; then it is
+    its own thickness, are banded at once into that layer's table; then it is
     multiplied into the running product in :func:`cascade`'s order, so the
-    stack gets the bits of ``cascade``.
+    stack gets the bits of ``cascade``. No per-bin curve outlives its layer,
+    so memory grows with the grid plus layers times bands, not layers times
+    bins.
 
     Parameters
     ----------
@@ -245,22 +279,27 @@ def stack_indicators(
         Evaluation grid.
     air : AirProperties, optional
         Ambient air.
+    bands : sequence of ThirdOctaveBand
+        Bands of each layer's table.
+    mode : {"power", "db"}, optional
+        Band averaging mode, as in :func:`~tubeloss.bands.band_average`.
 
     Returns
     -------
-    (AcousticIndicators, ndarray)
+    (AcousticIndicators, tuple of BandTable)
         The stack's indicators, phase-referenced to its total thickness, and
-        a read-only ``(L, n)`` float array whose row i is ``stl_db`` of layer
-        i alone.
+        one read-only table per layer: table i equals ``band_average(grid,
+        acoustic_indicators(layers[i].matrix_on(grid, air),
+        layers[i].thickness, air).stl_db, bands, mode=mode)`` bit for bit.
     """
     layers = tuple(layers)
     if not layers:
         raise ValueError("stack_indicators needs at least one layer")
-    layer_stl_db = np.empty((len(layers), len(grid)))
+    average = _band_averager(grid, bands, mode)
+    tables = []
     product = None
-    for row, layer in zip(layer_stl_db, layers):
-        matrix = layer.matrix_on(grid, air)
-        row[:] = acoustic_indicators(matrix, layer.thickness, air).stl_db
+    for layer in layers:
+        matrix, phase = layer._matrix_and_phase(grid, air)
+        tables.append(average(_indicators(matrix, layer.thickness, air, phase).stl_db))
         product = matrix if product is None else product @ matrix
-    _frozen(layer_stl_db)
-    return acoustic_indicators(product, stack_thickness(layers), air), layer_stl_db
+    return acoustic_indicators(product, stack_thickness(layers), air), tuple(tables)

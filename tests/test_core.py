@@ -168,6 +168,11 @@ class TestFrequencyGrid:
         assert grid.frequencies[0] == 100.0
         assert grid.frequencies[-1] == 2000.0
 
+    @pytest.mark.parametrize("f", [100.0, 1e16], ids=["small", "large"])
+    def test_from_range_of_one_frequency_is_one_bin(self, f):
+        # at 1e16, f + step / 2 rounds to f, so arange alone would give no bin
+        assert FrequencyGrid.from_range(f, f, 1.0).frequencies.tolist() == [f]
+
     def test_from_range_caps_the_bin_count(self):
         assert len(FrequencyGrid.from_range(1.0, 1_000_000.0, 1.0)) == 1_000_000
         for f_max, step in ((1_000_001.0, 1.0), (5000.0, 1e-12)):

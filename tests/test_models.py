@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,12 +10,14 @@ from tubeloss import (
     FrequencyGrid,
     LayerModel,
     acoustic_indicators,
+    band_average,
     cascade,
     mass_law_constant_db,
     mass_law_stl,
     stack_indicators,
     stack_thickness,
     stl,
+    third_octave_bands,
 )
 
 from helpers import AIR, MATERIALS, WIDE_GRID, determinant, limp_mass_stl_oracle
@@ -52,6 +56,12 @@ class TestMassLaw:
             mass_law_stl(0.0, 1.0)
         with pytest.raises(ValueError):
             mass_law_stl(1000.0, -1.0)
+
+    def test_an_overflowing_product_is_named_without_a_numpy_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^f \* m_s overflows$"):
+                mass_law_stl(np.array([100.0, 1000.0]), 1e308)
 
     def test_constants_differ_by_fixed_offset(self):
         f = np.array([200.0, 630.0, 1600.0])
@@ -159,8 +169,9 @@ class TestCascade:
     def test_stack_improves_on_light_layer(self):
         grid = FrequencyGrid([1000.0])
         layers = [LayerModel.limp_mass(0.224), LayerModel.air_gap(0.005), LayerModel.limp_mass(1.216)]
-        stack, _ = stack_indicators(layers, grid, AIR)
-        single, _ = stack_indicators([LayerModel.limp_mass(0.224)], grid, AIR)
+        bands = third_octave_bands(1000.0, 1000.0)
+        stack, _ = stack_indicators(layers, grid, AIR, bands=bands)
+        single, _ = stack_indicators([LayerModel.limp_mass(0.224)], grid, AIR, bands=bands)
         assert stack.stl_db[0] > single.stl_db[0]
         # also clears the summed-mass rule of thumb minus 6 dB
         assert stack.stl_db[0] > mass_law_stl(1000.0, 0.224 + 1.216) - 6.0
@@ -180,29 +191,59 @@ class TestStackIndicators:
         LayerModel.air_gap(0.05),
     )
 
+    BANDS = third_octave_bands(100.0, 16000.0)
+
     def test_stack_has_the_bits_of_the_cascade(self):
-        stack, _ = stack_indicators(self.LAYERS, WIDE_GRID, AIR)
+        stack, _ = stack_indicators(self.LAYERS, WIDE_GRID, AIR, bands=self.BANDS)
         want = acoustic_indicators(cascade(self.LAYERS, WIDE_GRID, AIR), stack_thickness(self.LAYERS), AIR)
         for field in ("transmission", "reflection", "stl_db"):
             assert getattr(stack, field).tobytes() == getattr(want, field).tobytes(), field
         assert np.isnan(stack.stl_db).any() and np.isinf(stack.stl_db).any()
 
-    def test_each_row_is_that_layer_alone(self):
-        _, rows = stack_indicators(self.LAYERS, WIDE_GRID, AIR)
-        assert rows.shape == (len(self.LAYERS), len(WIDE_GRID)) and rows.dtype == float
-        for row, layer in zip(rows, self.LAYERS):
+    @pytest.mark.parametrize("mode", ["power", "db"])
+    def test_each_table_is_that_layer_alone(self, mode):
+        _, tables = stack_indicators(self.LAYERS, WIDE_GRID, AIR, bands=self.BANDS, mode=mode)
+        assert len(tables) == len(self.LAYERS)
+        for table, layer in zip(tables, self.LAYERS):
             alone = acoustic_indicators(layer.matrix_on(WIDE_GRID, AIR), layer.thickness, AIR)
-            assert row.tobytes() == alone.stl_db.tobytes(), layer
-        assert np.isnan(rows[2]).any() and np.isinf(rows[2]).any()
+            want = band_average(WIDE_GRID, alone.stl_db, self.BANDS, mode=mode)
+            assert table.bands == want.bands, layer
+            assert table.values.tobytes() == want.values.tobytes(), layer
+            assert table.coverage.tobytes() == want.coverage.tobytes(), layer
+        # the opaque mass: +inf bands below the overflow of its t12, NaN (no valid bin) above
+        assert np.isinf(tables[2].values).any() and np.isnan(tables[2].values).any()
 
-    def test_rows_are_read_only(self):
-        _, rows = stack_indicators(self.LAYERS, FrequencyGrid([100.0, 200.0]), AIR)
-        with pytest.raises(ValueError):
-            rows[0, 0] = 0.0
+    def test_tables_are_read_only(self):
+        grid = FrequencyGrid([100.0, 200.0])
+        _, tables = stack_indicators(self.LAYERS, grid, AIR, bands=third_octave_bands(100.0, 200.0))
+        for table in tables:
+            for array in (table.values, table.coverage):
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
+
+    def test_memory_does_not_grow_with_layers_times_bins(self):
+        grid = FrequencyGrid.from_range(100.0, 5000.0, 1.0)  # 4 901 bins, as in the stack-deep benchmark
+        bands = third_octave_bands(100.0, 5000.0)
+
+        def peak_bytes(n_layers):
+            layers = [LayerModel.limp_mass(0.6), LayerModel.air_gap(0.05)] * (n_layers // 2)
+            tracemalloc.start()
+            try:
+                stack_indicators(layers, grid, AIR, bands=bands)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # an (L, n) array of layer losses would add 190 x 4 901 x 8 bytes = 7.1 MiB
+        assert peak_bytes(200) - peak_bytes(10) < 0.5 * 1024**2
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            stack_indicators([], FrequencyGrid([100.0]), AIR)
+            stack_indicators([], FrequencyGrid([100.0]), AIR, bands=third_octave_bands(100.0, 100.0))
+
+    def test_unknown_band_mode_rejected(self):
+        with pytest.raises(ValueError, match="^unknown band averaging mode 'linear'$"):
+            stack_indicators(self.LAYERS, FrequencyGrid([100.0]), AIR, bands=self.BANDS, mode="linear")
 
 
 class TestLayerModel:
