@@ -122,11 +122,7 @@ def _cmd_bands(args) -> None:
     lines = ["band_nominal_hz,exact_center_hz,lower_edge_hz,upper_edge_hz"]
     for b in bands:
         lines.append(f"{b.nominal:g},{b.center!r},{b.lower!r},{b.upper!r}")
-    text = "\n".join(lines) + "\n"
-    if args.output == "-":
-        print(text, end="")
-    else:
-        write_text_atomic(args.output, text)
+    write_text_atomic(args.output, "\n".join(lines) + "\n")
 
 
 def _cmd_synth(args) -> None:
@@ -250,7 +246,14 @@ def _cmd_masslaw(args) -> tuple:
     centers = np.array([b.center for b in bands])
     entries = []
     tables = {}
-    for mat in materials:
+    first = {}  # each band-CSV row name -> the number and name of the first material named so
+    for i, mat in enumerate(materials, start=1):
+        row = mat.name.replace(",", " ")
+        if row in first:
+            j, other = first[row]
+            message = f"materials #{j} '{other}' and #{i} '{mat.name}' share the band-CSV row name '{row}'"
+            raise InputFormatError(message, path=args.materials)
+        first[row] = (i, mat.name)
         try:
             values = mass_law_stl(centers, mat.surface_density, args.masslaw_constant, air)
         except ValueError as exc:  # a surface density so large that f * m_s overflows
@@ -276,7 +279,7 @@ def _cmd_masslaw(args) -> tuple:
                 },
             }
         )
-        tables[mat.name.replace(",", " ")] = BandTable.from_values(bands, values)
+        tables[row] = BandTable.from_values(bands, values)
     body = {"constant_db": mass_law_constant_db(args.masslaw_constant, air), "materials": entries}
     return air, None, body, tables
 

@@ -171,6 +171,8 @@ class FrequencyGrid(Record):
             raise ValueError("f_max must not be below f_min")
         if (f_max - f_min) / step >= _MAX_BINS:
             raise ValueError(f"grid would have more than {_MAX_BINS} bins")
+        if f_max > f_min and step < math.ulp(f_max):
+            raise ValueError(f"step {step!r} is below the spacing of doubles at f_max ({math.ulp(f_max)!r})")
         frequencies = np.arange(f_min, f_max + 0.5 * step, step)
         # where f_max + step / 2 rounds to f_max, f_min == f_max still has its one bin
         return cls(frequencies if frequencies.size else np.array([f_min]))

@@ -24,7 +24,7 @@ import json
 import math
 import os
 import stat
-import tempfile
+import sys
 
 import numpy as np
 
@@ -67,27 +67,35 @@ def _fmt(x: float) -> str:
 
 @contextlib.contextmanager
 def _atomic_text_file(path):
-    """A text handle on a temp file that replaces ``path`` when the ``with`` body succeeds.
+    """A text handle for the output ``path``: stdout for ``-``, else a temp file replacing it on success.
 
     An empty path, and an existing ``path`` that is neither a regular file nor
     a directory (a device, FIFO or socket, after following symlinks), are input
     errors raised before the temp file exists. A failed write raises its
-    ``OSError`` naming ``path`` as given, never the temp file.
+    ``OSError`` naming ``path`` as given, never the temp file. A new file gets
+    the mode ``open(path, "w")`` gives (0o666 less the umask); a replaced
+    regular file keeps its permission bits.
     """
     path = os.fspath(path)
+    if path == "-":
+        yield sys.stdout
+        return
     if not path:
         raise InputFormatError("output path is empty")
     try:
         mode = os.stat(path).st_mode
     except (OSError, ValueError):  # a missing path, or one no file can have: the write names it
-        mode = stat.S_IFREG
-    if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+        mode = None
+    if mode is not None and not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
         raise InputFormatError("not a regular file; refusing to replace it", path=path)
-    directory = os.path.dirname(os.path.abspath(path))
+    name = os.path.join(os.path.dirname(os.path.abspath(path)), f".tubeloss-{os.urandom(8).hex()}.tmp")
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tubeloss-", suffix=".tmp")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name
         with os.fdopen(fd, "w", newline="") as handle:
+            if mode is not None and stat.S_ISREG(mode):
+                os.chmod(fd, mode & 0o777)
             yield handle
         os.replace(tmp, path)
     except BaseException as exc:
@@ -124,8 +132,24 @@ def _open_utf8(path, what: str, newline=None):
             raise InputFormatError(unreadable, path=path) from None
 
 
+@contextlib.contextmanager
+def _record_errors(label: str, path, line=None):
+    """Turn an error raised while a record of the file ``path`` is built into an input error.
+
+    A ``KeyError``, ``TypeError``, ``ValueError``, ``OverflowError`` or
+    ``configparser.Error`` becomes ``InputFormatError("<label>: <error>",
+    path, line)``; an :class:`InputFormatError` passes unchanged.
+    """
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError, configparser.Error) as exc:
+        if isinstance(exc, InputFormatError):
+            raise
+        raise InputFormatError(f"{label}: {exc}", path=path, line=line) from exc
+
+
 def write_text_atomic(path, text: str) -> None:
-    """Write a text file atomically (temp file + rename in the same directory)."""
+    """Write a text file atomically (temp file + rename in the same directory); ``-`` is stdout."""
     with _atomic_text_file(path) as handle:
         handle.write(text)
 
@@ -148,7 +172,7 @@ def _read_ini(path, what: str) -> configparser.ConfigParser:
 def load_config(path) -> tuple[AirProperties, TubeGeometry]:
     """Read the INI config: [air] density/sound_speed..., [tube] geometry."""
     parser = _read_ini(path, "config")
-    try:
+    with _record_errors("bad config", path):
         air_section = parser["air"] if parser.has_section("air") else {}
         air = AirProperties(
             density=float(air_section.get("density", DEFAULT_AIR.density)),
@@ -171,10 +195,6 @@ def load_config(path) -> tuple[AirProperties, TubeGeometry]:
             sample_thickness=float(tube["sample_thickness"]),
             tube_diameter=float(tube["diameter"]),
         )
-    except InputFormatError:
-        raise
-    except (KeyError, ValueError, configparser.Error) as exc:
-        raise InputFormatError(f"bad config: {exc}", path=path) from exc
     return air, geometry
 
 
@@ -369,7 +389,7 @@ def _spectra_from_table(path, header: dict[str, str], data: np.ndarray, linenos)
     ``linenos`` gives each row's line number, named when a row is rejected;
     with None (the ``loadtxt`` path, whose errors are not shown) no line is named.
     """
-    try:
+    with _record_errors("bad or missing header field", path):
         positions = tuple(float(v) for v in header["mic_positions_m"].split())
         geometry = TubeGeometry(
             mic_positions=positions,  # type: ignore[arg-type]
@@ -381,8 +401,6 @@ def _spectra_from_table(path, header: dict[str, str], data: np.ndarray, linenos)
             sound_speed=float(header["air_sound_speed_m_s"]),
         )
         n_declared = int(header["n_frequencies"])
-    except (KeyError, ValueError) as exc:
-        raise InputFormatError(f"bad or missing header field: {exc}", path=path) from exc
     if n_declared != len(data):
         raise InputFormatError(
             f"header declares {n_declared} frequencies but file has {len(data)} rows",
@@ -486,10 +504,8 @@ def read_band_csv(path) -> dict[str, BandTable]:
         raise InputFormatError(
             "first row must be 'band_nominal_hz,<centers...>'", path=path, line=head_lineno
         )
-    try:
+    with _record_errors("bad nominal center", path, head_lineno):
         bands = tuple(band_from_nominal(float(v)) for v in head[1:])
-    except ValueError as exc:
-        raise InputFormatError(f"bad nominal center: {exc}", path=path, line=head_lineno) from exc
 
     rows: dict[str, tuple[int, list[float]]] = {}  # name -> (line, values), in file order
     for lineno, line in lines[1:]:
@@ -501,10 +517,8 @@ def read_band_csv(path) -> dict[str, BandTable]:
         name = fields[0]
         if name in rows:
             raise InputFormatError(f"duplicate row '{name}'", path=path, line=lineno)
-        try:
+        with _record_errors("bad number", path, lineno):
             rows[name] = (lineno, [float(v) if v else float("nan") for v in fields[1:]])
-        except ValueError as exc:
-            raise InputFormatError(f"bad number: {exc}", path=path, line=lineno) from exc
 
     tables: dict[str, BandTable] = {}
     for name, (lineno, values) in rows.items():
@@ -516,10 +530,8 @@ def read_band_csv(path) -> dict[str, BandTable]:
             coverage = rows[name + "_coverage"][1]
         else:
             coverage = [0.0 if np.isnan(v) else 1.0 for v in values]
-        try:
+        with _record_errors(f"table '{name}'", path):  # descending band centres, or a coverage outside [0, 1]
             tables[name] = BandTable(bands, np.array(values), np.array(coverage))
-        except ValueError as exc:  # descending band centres, or a coverage outside [0, 1]
-            raise InputFormatError(f"table '{name}': {exc}", path=path) from exc
     if not tables:
         raise InputFormatError("no value rows found", path=path)
     return tables
@@ -529,7 +541,12 @@ def read_band_csv(path) -> dict[str, BandTable]:
 # stacks, materials, scenarios
 
 
-def _load_json_list(path, what: str) -> list:
+def _load_records(path, what: str, label: str, build) -> tuple:
+    """``build(record)`` of each record of the ``what`` file ``path``, a non-empty JSON list.
+
+    A record that is not a JSON object, and a record ``build`` rejects, is an
+    input error naming it: ``bad <label> #<i>: <error>``.
+    """
     with _open_utf8(path, what) as handle:
         text = handle.read()
     try:
@@ -538,69 +555,53 @@ def _load_json_list(path, what: str) -> list:
         raise InputFormatError(f"invalid JSON: {exc}", path=path) from exc
     if not isinstance(data, list) or not data:
         raise InputFormatError(f"{what} file must be a non-empty JSON list", path=path)
-    return data
+    records = []
+    for i, record in enumerate(data, start=1):
+        with _record_errors(f"bad {label} #{i}", path):
+            if not isinstance(record, dict):
+                raise TypeError(f"expected a JSON object, got {type(record).__name__}")
+            records.append(build(record))
+    return tuple(records)
 
 
-# what reading a JSON record can raise: a missing key, a wrong type, a bad value, or an
-# integer too large for a float
-_BAD_RECORD = (KeyError, TypeError, ValueError, OverflowError)
-
-
-def _layer_from_record(record: dict, path, index: int) -> LayerModel:
-    if not isinstance(record, dict):
-        raise InputFormatError(
-            f"bad layer #{index + 1}: expected a JSON object, got {type(record).__name__}",
-            path=path,
-        )
+def _layer_from_record(record: dict) -> LayerModel:
     kind = record.get("kind")
-    try:
-        if kind == "limp-mass":
-            return LayerModel.limp_mass(float(record["surface_density"]))
-        if kind == "air-gap":
-            return LayerModel.air_gap(float(record["thickness"]))
-        if kind == "identity":
-            return LayerModel.identity()
-        if kind == "matrix":
-            entries = []
-            for key in ("t11", "t12", "t21", "t22"):
-                re_part, im_part = record[key]
-                entries.append(complex(float(re_part), float(im_part)))
-            return LayerModel.explicit(
-                *entries,
-                passive_symmetric=bool(record.get("passive_symmetric", False)),
-                thickness=float(record.get("thickness", 0.0)),
-            )
-    except _BAD_RECORD as exc:
-        raise InputFormatError(f"bad layer #{index + 1}: {exc}", path=path) from exc
-    raise InputFormatError(f"bad layer #{index + 1}: unknown kind '{kind}'", path=path)
+    if kind == "limp-mass":
+        return LayerModel.limp_mass(float(record["surface_density"]))
+    if kind == "air-gap":
+        return LayerModel.air_gap(float(record["thickness"]))
+    if kind == "identity":
+        return LayerModel.identity()
+    if kind == "matrix":
+        entries = []
+        for key in ("t11", "t12", "t21", "t22"):
+            re_part, im_part = record[key]
+            entries.append(complex(float(re_part), float(im_part)))
+        return LayerModel.explicit(
+            *entries,
+            passive_symmetric=bool(record.get("passive_symmetric", False)),
+            thickness=float(record.get("thickness", 0.0)),
+        )
+    raise ValueError(f"unknown kind '{kind}'")
+
+
+def _material_from_record(record: dict) -> MaterialSpec:
+    return MaterialSpec(
+        name=str(record["name"]),
+        thickness_mm=float(record["thickness_mm"]),
+        surface_density=float(record["surface_density"]),
+        bulk_density=None if record.get("bulk_density") is None else float(record["bulk_density"]),
+    )
 
 
 def load_stack(path) -> tuple[LayerModel, ...]:
     """Read an ordered JSON list of layer records (incident side first)."""
-    data = _load_json_list(path, "stack")
-    return tuple(_layer_from_record(rec, path, i) for i, rec in enumerate(data))
+    return _load_records(path, "stack", "layer", _layer_from_record)
 
 
 def load_materials(path) -> tuple[MaterialSpec, ...]:
     """Read a JSON list of material records."""
-    materials = []
-    for i, rec in enumerate(_load_json_list(path, "materials")):
-        try:
-            materials.append(
-                MaterialSpec(
-                    name=str(rec["name"]),
-                    thickness_mm=float(rec["thickness_mm"]),
-                    surface_density=float(rec["surface_density"]),
-                    bulk_density=(
-                        float(rec["bulk_density"])
-                        if rec.get("bulk_density") is not None
-                        else None
-                    ),
-                )
-            )
-        except _BAD_RECORD as exc:
-            raise InputFormatError(f"bad material #{i + 1}: {exc}", path=path) from exc
-    return tuple(materials)
+    return _load_records(path, "materials", "material", _material_from_record)
 
 
 def _parse_complex(text: str, what: str, path) -> complex:
@@ -616,7 +617,7 @@ def load_scenario(path, geometry: TubeGeometry, air: AirProperties) -> tuple[Syn
     if not parser.has_section("scenario"):
         raise InputFormatError("missing [scenario] section", path=path)
     section = parser["scenario"]
-    try:
+    with _record_errors("bad scenario", path):
         sample_kind = section.get("sample", "identity").strip()
         if sample_kind == "limp-mass":
             layers: tuple[LayerModel, ...] = (
@@ -655,10 +656,6 @@ def load_scenario(path, geometry: TubeGeometry, air: AirProperties) -> tuple[Syn
             snr_db=snr,
             seed=seed,
         )
-    except InputFormatError:
-        raise
-    except (KeyError, ValueError, configparser.Error) as exc:
-        raise InputFormatError(f"bad scenario: {exc}", path=path) from exc
     return scenario, grid
 
 
@@ -696,11 +693,6 @@ def _json_indent2(value, pad: str = "") -> str:
     return json.dumps(value, indent=2, allow_nan=True).replace("\n", "\n" + pad)
 
 
-def write_report(path, report: dict) -> str:
-    """Serialize a run report as JSON; path None or '-' prints to stdout."""
-    text = _json_indent2(report) + "\n"
-    if path is None or path == "-":
-        print(text, end="")
-    else:
-        write_text_atomic(path, text)
-    return text
+def write_report(path, report: dict) -> None:
+    """Write a run report as indented JSON; ``-`` is stdout."""
+    write_text_atomic(path, _json_indent2(report) + "\n")

@@ -268,6 +268,14 @@ INPUTS = {
             {"name": "felt_coverage", "thickness_mm": 5.0, "surface_density": 0.5},
         ]
     ),
+    "bad-material.json": "[1]",
+    # two materials whose band CSV rows are both named 'foil thin'
+    "row-names.json": json.dumps(
+        [
+            {"name": "foil,thin", "thickness_mm": 0.01, "surface_density": 0.01},
+            {"name": "foil thin", "thickness_mm": 0.02, "surface_density": 0.02},
+        ]
+    ),
     "before.csv": _BAND_CSV.format(name="L_r0", values="70.0,72.5,71.0,69.0"),
     "after.csv": _BAND_CSV.format(name="L_rs", values="60.0,61.5,71.5,55.0"),
     "bad-coverage.csv": _BAD_COVERAGE,
@@ -376,6 +384,9 @@ RUNS: tuple[tuple[str, ...], ...] = (
     ("masslaw", "--materials", "materials.json", "--config", ""),
     ("masslaw", "--materials", "coverage-names.json", "--band-csv", "coverage-names.csv")
     + ("--output", "masslaw-coverage-names.json"),
+    ("masslaw", "--materials", "bad-material.json"),
+    # refused whether or not a band CSV is asked for
+    ("masslaw", "--materials", "row-names.json"),
     ("il", "--before", "before.csv", "--after", "after.csv", "--output", "il.json", "--band-csv", "il.csv"),
     ("il", "--before", "before.csv", "--after", "missing.csv"),
     ("il", "--before", "bad-coverage.csv", "--after", "after.csv"),
@@ -407,6 +418,8 @@ RUNS: tuple[tuple[str, ...], ...] = (
     ),
     ("stack", "--stack", "layers.json", "--f-max", "inf"),
     ("stack", "--stack", "layers.json", "--f-step", "1e-12"),
+    # a step below the spacing of doubles at f_max, 0.125 Hz
+    ("stack", "--stack", "layers.json", "--f-min", "1e15", "--f-max", "1000000000000001", "--f-step", "0.1"),
     ("stack", "--stack", "layers.json", "--config", ""),
     *USAGE_ERRORS,
 )

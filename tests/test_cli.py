@@ -626,6 +626,19 @@ class TestMasslaw:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["materials.json"]
 
 
+    @pytest.mark.parametrize("names, row", [(("a", "a"), "a"), (("a,b", "a b"), "a b")], ids=["equal", "comma"])
+    @pytest.mark.parametrize("band_csv", [False, True], ids=["report", "band-csv"])
+    def test_two_materials_of_one_band_csv_row_are_refused(self, tmp_path, capsys, names, row, band_csv):
+        materials = tmp_path / "materials.json"
+        records = [{"name": name, "thickness_mm": 1.0, "surface_density": 1.0} for name in ("sheet", *names)]
+        materials.write_text(json.dumps(records))
+        argv = ["masslaw", "--materials", str(materials), "--output", str(tmp_path / "m.json")]
+        assert run_cli(*argv, *(["--band-csv", str(tmp_path / "m.csv")] if band_csv else [])) == 2
+        message = f"materials #2 '{names[0]}' and #3 '{names[1]}' share the band-CSV row name '{row}'"
+        assert capsys.readouterr() == ("", f"error: {materials}: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["materials.json"]
+
+
 class TestInsertionLoss:
     def test_wiring_identity(self, tmp_path):
         bands = third_octave_bands(100.0, 5000.0)
@@ -1024,6 +1037,54 @@ class TestOutputPaths:
         assert capsys.readouterr().err == f"error: {target}: not a regular file; refusing to replace it\n"
         assert stat.S_ISFIFO(os.lstat(work / "pipe").st_mode)
         assert {p.name for p in work.iterdir()} == {"limp.ini", "m.json", "tube.ini", "pipe", target}
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("masslaw", "--materials", "m.json", "--output", "r.json"), "--band-csv"),
+            (("stl", "run.csv", "--config", "tube.ini", "--output", "r.json"), "--narrowband-csv"),
+            (("synth", "limp.ini", "--config", "tube.ini"), "--output"),
+            (("bands",), "--output"),
+        ],
+        ids=["band-csv", "narrowband-csv", "synth", "bands"],
+    )
+    def test_a_dash_is_standard_output_with_the_bytes_of_the_file(self, work, capsys, argv, option):
+        assert run_cli("synth", "limp.ini", "--config", "tube.ini", "--output", "run.csv") == 0
+        assert run_cli(*argv, option, "out.txt") == 0
+        capsys.readouterr()
+        assert run_cli(*argv, option, "-") == 0
+        assert capsys.readouterr().out == (work / "out.txt").read_bytes().decode()
+        assert not (work / "-").exists()
+
+    # every command line is run in one process whose umask is 027
+    _MAIN_UNDER_UMASK = """import os, sys
+os.umask(0o027)
+from tubeloss.cli import main
+sys.exit(max([main(argv.split()) for argv in sys.argv[1:]]))
+"""
+
+    def test_a_new_file_gets_the_umask_mode_and_a_replaced_file_keeps_its_mode(self, work):
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        argvs = [
+            "synth limp.ini --config tube.ini --output run.csv",
+            "stl run.csv --config tube.ini --output stl.json --narrowband-csv narrow.csv",
+            "masslaw --materials m.json --output m-report.json --band-csv bands.csv",
+            "bands --output list.csv",
+        ]
+        outputs = ("run.csv", "stl.json", "narrow.csv", "m-report.json", "bands.csv", "list.csv")
+
+        def modes():
+            done = subprocess.run([sys.executable, "-c", self._MAIN_UNDER_UMASK, *argvs], capture_output=True,
+                                  text=True, env=env, timeout=120)
+            assert done.returncode == 0, done.stderr
+            return {name: stat.S_IMODE(os.stat(work / name).st_mode) for name in outputs}
+
+        assert modes() == dict.fromkeys(outputs, 0o640)  # as open(path, "w") would make them
+        for i, name in enumerate(outputs):
+            os.chmod(work / name, 0o600 + 4 * (i % 2))
+        assert modes() == {name: 0o600 + 4 * (i % 2) for i, name in enumerate(outputs)}
+        assert sorted(p.name for p in work.iterdir()) == sorted({"limp.ini", "m.json", "tube.ini", *outputs})
 
     @pytest.mark.parametrize(
         "target, message",

@@ -179,6 +179,23 @@ class TestFrequencyGrid:
             with pytest.raises(ValueError, match="grid would have more than 1000000 bins"):
                 FrequencyGrid.from_range(1.0, f_max, step)
 
+    @pytest.mark.parametrize(
+        "f_min, f_max, step, spacing",
+        [
+            (1e15, 1e15 + 1, 0.1, 0.125),
+            (1e16, 1.0000000000000004e16, 1.0, 2.0),
+            (100.0, 100.00000000000003, 5e-15, 1.4210854715202004e-14),
+        ],
+    )
+    def test_a_step_below_the_spacing_of_doubles_is_named(self, f_min, f_max, step, spacing):
+        # arange would fill from its first rounded step: bins 0.125 Hz apart past f_max, or repeated bins
+        message = f"step {step!r} is below the spacing of doubles at f_max ({spacing!r})"
+        with pytest.raises(ValueError) as caught:
+            FrequencyGrid.from_range(f_min, f_max, step)
+        assert str(caught.value) == message
+        assert len(FrequencyGrid.from_range(f_min, f_max, spacing)) > 1
+        assert FrequencyGrid.from_range(f_max, f_max, step).frequencies.tolist() == [f_max]
+
     def test_wavenumbers_never_stale(self):
         grid = FrequencyGrid([100.0, 200.0])
         k_default = grid.wavenumbers(AIR)

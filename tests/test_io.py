@@ -1,3 +1,4 @@
+import configparser
 import inspect
 import json
 import math
@@ -968,6 +969,19 @@ class TestStackAndMaterials:
         with pytest.raises(InputFormatError):
             load_stack(path)
 
+    @pytest.mark.parametrize("record, kind", [(1, "int"), ("x", "str"), ([1], "list"), (None, "NoneType")])
+    @pytest.mark.parametrize("loader, label", [(load_stack, "layer"), (load_materials, "material")])
+    def test_a_record_that_is_not_an_object_is_refused_in_one_wording(self, tmp_path, loader, label, record, kind):
+        path = tmp_path / "records.json"
+        # a record both loaders read: the stack ignores a material's keys and the materials a kind
+        good = {"kind": "identity", "name": "x", "thickness_mm": 1.0, "surface_density": 0.1}
+        path.write_text(json.dumps([good, record]))
+        with pytest.raises(InputFormatError) as caught:
+            loader(path)
+        assert str(caught.value) == f"{path}: bad {label} #2: expected a JSON object, got {kind}"
+        path.write_text(json.dumps([good]))
+        assert len(loader(path)) == 1
+
     def test_materials_load_and_validate(self, tmp_path):
         path = tmp_path / "materials.json"
         path.write_text(
@@ -1114,6 +1128,37 @@ class TestScenario:
         path.write_text("[scenario]\nsample = foam\n")
         with pytest.raises(InputFormatError):
             load_scenario(path, GEOMETRY, AIR)
+
+
+class TestRecordErrors:
+    """``_record_errors``: the one guard that turns a bad input record into an input error."""
+
+    @pytest.mark.parametrize(
+        "error, text",
+        [
+            (KeyError("density"), "'density'"),
+            (TypeError("float() argument must be a string or a real number"), None),
+            (ValueError("could not convert string to float: 'x'"), None),
+            (OverflowError("int too large to convert to float"), None),
+            (configparser.InterpolationSyntaxError("seed", "scenario", "'%' must be followed by '%'"), None),
+        ],
+        ids=["KeyError", "TypeError", "ValueError", "OverflowError", "configparser.Error"],
+    )
+    def test_each_record_error_becomes_an_input_error_naming_the_record(self, error, text):
+        with pytest.raises(InputFormatError) as caught:
+            with io_files._record_errors("bad thing #3", "things.json", 7):
+                raise error
+        assert str(caught.value) == f"things.json:7: bad thing #3: {text or error}"
+        assert (caught.value.path, caught.value.line, caught.value.__cause__) == ("things.json", 7, error)
+
+    @pytest.mark.parametrize(
+        "error", [InputFormatError("missing [tube] section", path="tube.ini"), RuntimeError("x"), MemoryError()]
+    )
+    def test_an_input_error_and_any_other_error_pass_unchanged(self, error):
+        with pytest.raises(type(error)) as caught:
+            with io_files._record_errors("bad config", "other.ini"):
+                raise error
+        assert caught.value is error
 
 
 def test_band_from_nominal_accepts_csv_formatting():
