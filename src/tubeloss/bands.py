@@ -287,7 +287,8 @@ def insertion_loss(l_r0: BandTable, l_rs: BandTable) -> BandTable:
     """Per-band insertion loss: receiver level before minus after installation.
 
     Negative values are physically suspicious but not invalid; they are kept
-    and flagged with a :class:`NegativeInsertionLossWarning`.
+    and flagged with a :class:`NegativeInsertionLossWarning`. Two finite levels
+    whose difference overflows raise ``ValueError`` naming their bands.
     """
     if l_r0.bands != l_rs.bands:
         a = {b.nominal for b in l_r0.bands}
@@ -298,7 +299,12 @@ def insertion_loss(l_r0: BandTable, l_rs: BandTable) -> BandTable:
             "band sets differ: "
             f"only in first table {only_first}, only in second table {only_second}"
         )
-    values = l_r0.values - l_rs.values
+    with np.errstate(over="ignore"):  # an overflow is raised below as such, not warned about
+        values = l_r0.values - l_rs.values
+    overflowed = np.isinf(values) & np.isfinite(l_r0.values) & np.isfinite(l_rs.values)
+    if np.any(overflowed):
+        where = [b.nominal for b, over in zip(l_r0.bands, overflowed) if over]
+        raise ValueError(f"level difference overflows in bands {where} Hz")
     coverage = np.minimum(l_r0.coverage, l_rs.coverage)
     with np.errstate(invalid="ignore"):
         negative = values < 0.0

@@ -145,7 +145,7 @@ _GROUP_BINS = 16_384
 def _analyze_group(group: list, grid, geometry, air) -> tuple[np.ndarray, ...]:
     """``(stl_db, reflectance, stl_direct_db, singular)`` of a group's files, one row each.
 
-    ``singular`` marks the bins a microphone pair dropped (NaN amplitudes).
+    ``singular`` marks the bins either microphone pair dropped.
 
     ``group`` holds ``(path, spectra)`` pairs on ``grid``. One
     :func:`analyze_four_mic` call analyses their ``(4, R, n)`` stack. Each
@@ -155,20 +155,20 @@ def _analyze_group(group: list, grid, geometry, air) -> tuple[np.ndarray, ...]:
     """
     pressures = np.stack([spectra.pressures for _, spectra in group], axis=1)
     analysis = analyze_four_mic(MicSpectra(grid, *_frozen(pressures)), geometry=geometry, air=air)
-    singular = analysis.amplitudes.singular_frequencies()
+    upstream, downstream = analysis.amplitudes.upstream_singular, analysis.amplitudes.downstream_singular
     for row, (path, _) in enumerate(group):
         worst = float(analysis.worst_quality[row])
         if worst > QUALITY_THRESHOLD:
             warnings.warn(AnechoicQualityWarning(worst, QUALITY_THRESHOLD), stacklevel=1)
-        for pair in ("upstream", "downstream"):
-            if singular[pair][row].size:
+        for pair, mask in (("upstream", upstream), ("downstream", downstream)):
+            if mask[row].any():
                 warnings.warn(
-                    f"{path}: {pair} pair singular at {singular[pair][row].tolist()} Hz",
+                    f"{path}: {pair} pair singular at {grid.frequencies[mask[row]].tolist()} Hz",
                     SingularBinWarning,
                     stacklevel=1,
                 )
     indicators = analysis.indicators
-    return indicators.stl_db, indicators.reflectance, analysis.stl_direct_db, ~analysis.amplitudes.valid
+    return indicators.stl_db, indicators.reflectance, analysis.stl_direct_db, upstream | downstream
 
 
 def _cmd_stl(args) -> tuple:
@@ -287,13 +287,20 @@ def _cmd_masslaw(args) -> tuple:
 def _cmd_il(args) -> tuple:
     def pick_table(path, preferred: str) -> BandTable:
         tables = read_band_csv(path)
-        if preferred in tables:
-            return tables[preferred]
-        return next(iter(tables.values()))
+        name = preferred if preferred in tables else next(iter(tables))
+        table = tables[name]
+        # an empty field reads as NaN, an absent band; an infinite level has no insertion loss
+        infinite = [b.nominal for b, level in zip(table.bands, table.values) if np.isinf(level)]
+        if infinite:
+            raise InputFormatError(f"table '{name}': infinite level in bands {infinite} Hz", path=path)
+        return table
 
     before = pick_table(args.before, "L_r0")
     after = pick_table(args.after, "L_rs")
-    table = insertion_loss(before, after)
+    try:
+        table = insertion_loss(before, after)
+    except ValueError as exc:  # band sets that differ, or two levels whose difference overflows
+        raise InputFormatError(f"{args.before} minus {args.after}: {exc}") from None
     body = {"before": args.before, "after": args.after, "bands": _band_block(table, "il_db")}
     return DEFAULT_AIR, None, body, {"il_db": table}
 

@@ -162,20 +162,20 @@ class FrequencyGrid(Record):
 
     @classmethod
     def from_range(cls, f_min: float, f_max: float, step: float) -> "FrequencyGrid":
-        """Regular grid from ``f_min`` to ``f_max`` inclusive (when it lands on the step)."""
+        """Regular grid of the bins ``f_min + step * i`` that lie below ``f_max + step / 2``."""
         if not all(math.isfinite(v) for v in (f_min, f_max, step)):
             raise ValueError("f_min, f_max and step must be finite")
         if step <= 0.0:
             raise ValueError("step must be positive")
         if f_max < f_min:
             raise ValueError("f_max must not be below f_min")
-        if (f_max - f_min) / step >= _MAX_BINS:
+        n = (f_max + 0.5 * step - f_min) / step
+        if n > _MAX_BINS:
             raise ValueError(f"grid would have more than {_MAX_BINS} bins")
         if f_max > f_min and step < math.ulp(f_max):
             raise ValueError(f"step {step!r} is below the spacing of doubles at f_max ({math.ulp(f_max)!r})")
-        frequencies = np.arange(f_min, f_max + 0.5 * step, step)
         # where f_max + step / 2 rounds to f_max, f_min == f_max still has its one bin
-        return cls(frequencies if frequencies.size else np.array([f_min]))
+        return cls(f_min + step * np.arange(max(math.ceil(n), 1)))
 
     def __len__(self) -> int:
         return int(self.frequencies.size)

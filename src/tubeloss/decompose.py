@@ -106,24 +106,6 @@ class PlaneWaveAmplitudes(PerBinArrays):
         """Bins the downstream pair dropped: ``c`` or ``d`` is not finite."""
         return ~(np.isfinite(self.c) & np.isfinite(self.d))
 
-    @property
-    def valid(self) -> np.ndarray:
-        """Bins where both microphone pairs decomposed cleanly."""
-        return ~(self.upstream_singular | self.downstream_singular)
-
-    def singular_frequencies(self) -> dict:
-        """Excluded frequencies in Hz, keyed by microphone pair.
-
-        One array per pair for ``(n,)`` amplitudes; for ``(R, n)`` amplitudes a
-        list of R arrays per pair, one per row.
-        """
-        f = self.grid.frequencies
-
-        def excluded(mask: np.ndarray):
-            return f[mask].copy() if mask.ndim == 1 else [f[row] for row in mask]
-
-        return {"upstream": excluded(self.upstream_singular), "downstream": excluded(self.downstream_singular)}
-
 
 def decompose_four_mic(spectra: MicSpectra, geometry: TubeGeometry, air: AirProperties) -> PlaneWaveAmplitudes:
     """Recover (A, B) from the upstream pair and (C, D) from the downstream pair.

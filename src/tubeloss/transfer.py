@@ -127,13 +127,15 @@ def boundary_states(
         raise ValueError("thickness must be non-negative")
     z = air.impedance
     k = amplitudes.grid.wavenumbers(air)
-    p0 = amplitudes.a + amplitudes.b
-    v0 = np.divide(amplitudes.a - amplitudes.b, z)
     # (n,) phases, shared by every row; each quotient an explicit call (see _quotient)
     phase_out = np.exp(-1j * k * thickness)
     phase_back = np.exp(1j * k * thickness)
-    pd = amplitudes.c * phase_out + amplitudes.d * phase_back
-    vd = np.divide(amplitudes.c * phase_out - amplitudes.d * phase_back, z)
+    # an overflow leaves a non-finite face value, whose bin the reconstruction drops
+    with np.errstate(over="ignore", invalid="ignore"):
+        p0 = amplitudes.a + amplitudes.b
+        v0 = np.divide(amplitudes.a - amplitudes.b, z)
+        pd = amplitudes.c * phase_out + amplitudes.d * phase_back
+        vd = np.divide(amplitudes.c * phase_out - amplitudes.d * phase_back, z)
     return p0, v0, pd, vd
 
 
@@ -171,12 +173,14 @@ def reconstruct_one_load(grid: FrequencyGrid, p0, v0, pd, vd) -> TransferMatrix:
     for a in faces:
         if a.shape != shape:
             raise ValueError(f"face array must have shape {shape}, got {a.shape}")
-    den = p0 * vd + pd * v0
-    scale = np.abs(p0) * np.abs(vd) + np.abs(pd) * np.abs(v0)
-    ok = _nonvanishing(den, scale)
-    t11 = _quotient(p0 * v0 + pd * vd, den, ok)
-    t12 = _quotient(p0 * p0 - pd * pd, den, ok)
-    t21 = _quotient(v0 * v0 - vd * vd, den, ok)
+    # an overflowing denominator drops its bin; an overflowing numerator stays non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = p0 * vd + pd * v0
+        scale = np.abs(p0) * np.abs(vd) + np.abs(pd) * np.abs(v0)
+        ok = _nonvanishing(den, scale)
+        t11 = _quotient(p0 * v0 + pd * vd, den, ok)
+        t12 = _quotient(p0 * p0 - pd * pd, den, ok)
+        t21 = _quotient(v0 * v0 - vd * vd, den, ok)
     return TransferMatrix(grid, *_frozen(t11, t12, t21, t11))
 
 
@@ -209,7 +213,7 @@ def stl_direct_anechoic(amplitudes: PlaneWaveAmplitudes) -> np.ndarray:
     :func:`anechoic_quality` measures; this function only computes the curve.
     """
     # a dropped bin is NaN in a or c, so it is NaN here too
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out = 20.0 * np.log10(np.abs(amplitudes.a) / np.abs(amplitudes.c))
     return np.where(np.abs(amplitudes.a) == 0.0, np.nan, out)
 

@@ -98,6 +98,8 @@ _OVERFLOWING = "".join(
     line + "\n" if line.startswith(("#", "frequency")) else line.split(",")[0] + ",1.7e308,0,-1.7e308,0,1.7e308,0,-1.7e308,0\n"
     for line in _ZERO_DOWNSTREAM.splitlines()
 )
+# a finite p1 of 1e200 Pa at 900 Hz: the reconstruction overflows there and drops the bin
+_HUGE_PRESSURE = _ZERO_DOWNSTREAM.replace("900,1.22062,", "900,1e200,")
 # a nan frequency on line 10; a frequency of 950 after 1000 on line 11
 _NAN_FREQUENCY = _ZERO_DOWNSTREAM.replace("\n1000,", "\nnan,")
 _DECREASING = _ZERO_DOWNSTREAM.replace("\n1100,", "\n950,")
@@ -107,6 +109,8 @@ _NOT_UTF8 = _ZERO_DOWNSTREAM.replace("# tube_diameter_m", "# J\u00fcrgen's sheet
 )
 
 _BAND_CSV = "band_nominal_hz,500,630,800,1000\n{name},{values}\n{name}_coverage,1.0,1.0,1.0,1.0\n"
+# an infinite level in the 630 Hz band
+_INF_LEVEL = _BAND_CSV.format(name="L_r0", values="70.0,inf,71.0,69.0")
 # a coverage of 1.5 in the 630 Hz band
 _BAD_COVERAGE = "band_nominal_hz,500,630,800,1000\nL_r0,70.0,72.5,71.0,69.0\nL_r0_coverage,1.0,1.5,1.0,1.0\n"
 
@@ -178,6 +182,7 @@ INPUTS = {
     "bad-rows.csv": _BAD_ROWS,
     "nan.csv": _NON_FINITE,
     "overflowing.csv": _OVERFLOWING,
+    "huge-pressure.csv": _HUGE_PRESSURE,
     "latin1.csv": _NOT_UTF8,
     "badf.csv": _NAN_FREQUENCY,
     "dec.csv": _DECREASING,
@@ -279,6 +284,10 @@ INPUTS = {
     "before.csv": _BAND_CSV.format(name="L_r0", values="70.0,72.5,71.0,69.0"),
     "after.csv": _BAND_CSV.format(name="L_rs", values="60.0,61.5,71.5,55.0"),
     "bad-coverage.csv": _BAD_COVERAGE,
+    "inf-level.csv": _INF_LEVEL,
+    # finite levels of 1e308 and -1e308 in the 630 Hz band, whose difference overflows
+    "huge-before.csv": _BAND_CSV.format(name="L_r0", values="70.0,1e308,71.0,69.0"),
+    "huge-after.csv": _BAND_CSV.format(name="L_rs", values="60.0,-1e308,71.5,55.0"),
 }
 
 # command lines the parser rejects: a missing input, an option the command does not read,
@@ -348,6 +357,8 @@ RUNS: tuple[tuple[str, ...], ...] = (
         + ("--output", f"stl-{name}.json")
         for name in ("crlf", "commented", "cr")
     ),
+    ("stl", "huge-pressure.csv", "--config", "tube.ini", "--f-min", "1000", "--f-max", "1000")
+    + ("--output", "stl-huge-pressure.json"),
     ("stl", "bad-rows.csv", "--config", "tube.ini"),
     # both files are read before either is analysed, so the second one's read error wins
     ("stl", "overflowing.csv", "--config", "tube.ini"),
@@ -390,6 +401,8 @@ RUNS: tuple[tuple[str, ...], ...] = (
     ("il", "--before", "before.csv", "--after", "after.csv", "--output", "il.json", "--band-csv", "il.csv"),
     ("il", "--before", "before.csv", "--after", "missing.csv"),
     ("il", "--before", "bad-coverage.csv", "--after", "after.csv"),
+    ("il", "--before", "inf-level.csv", "--after", "after.csv"),
+    ("il", "--before", "huge-before.csv", "--after", "huge-after.csv"),
     *(
         ("stack", "--stack", "layers.json", "--band-mode", band, "--config", "tube.ini")
         + ("--f-min", "500", "--f-max", "1600", "--output", f"stack-{band}.json")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -327,6 +328,14 @@ class TestInsertionLoss:
         with pytest.warns(NegativeInsertionLossWarning):
             il = insertion_loss(a, b)
         assert il.values[1] == pytest.approx(-1.0)
+
+    def test_two_finite_levels_whose_difference_overflows_raise_naming_the_band(self):
+        before = self.make_table([70.0, 1e308, 70.0])
+        after = self.make_table([60.0, -1e308, 60.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy warning on the way
+            with pytest.raises(ValueError, match=r"^level difference overflows in bands \[630\.0\] Hz$"):
+                insertion_loss(before, after)
 
     def test_coverage_is_minimum(self):
         bands = tuple(band_from_nominal(n) for n in (500.0, 630.0))

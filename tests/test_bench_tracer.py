@@ -13,6 +13,8 @@ from pathlib import Path
 import tubeloss
 from tubeloss.cli import main
 
+from cli_corpus import CONFIG, INPUTS
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -42,4 +44,20 @@ def test_a_traced_op_counts_the_bytes_its_writers_are_given(tmp_path, monkeypatc
     assert {span.name for span in traced.spans} >= {"cli.main", "io_files.load_stack", "io_files.write_report"}
     assert traced.counts["io_files.bytes_read"] == os.path.getsize("stack.json")
     assert traced.counts["io_files.bytes_written"] == os.path.getsize("r.json") + os.path.getsize("b.csv")
+    assert not traced.errors
+
+
+def test_a_traced_stl_op_reads_the_decomposition_and_analysis_counters(tmp_path, monkeypatch):
+    # the counters read each pair's mask, the grid and the indicators' valid mask after the op
+    monkeypatch.chdir(tmp_path)
+    Path("tube.ini").write_text(CONFIG)
+    Path("anechoic.ini").write_text(INPUTS["anechoic.ini"])  # 481 bins, over the 2145 Hz blind spot
+    for name in ("run1.csv", "run2.csv"):
+        assert main(["synth", "anechoic.ini", "--config", "tube.ini", "--output", name]) == 0
+    traced = _tracer_module().Tracer()
+    argv = ["stl", "run1.csv", "run2.csv", "--config", "tube.ini", "--output", "r.json"]
+    assert traced.run_op(0, lambda: main(argv)) == 0
+    assert {span.name for span in traced.spans} >= {"decompose.decompose_four_mic", "pipeline.analyze_four_mic"}
+    assert traced.counts["decompose.bins_singular"] == 2  # one blind bin in each file's row
+    assert traced.counts["pipeline.bins_in"] == 2 * 481
     assert not traced.errors

@@ -92,7 +92,7 @@ def test_edited_mic_spectra_read_like_the_original(runs, corpus_dir):
 def test_a_bad_value_or_byte_names_its_file(runs):
     names = ("nan.csv", "latin1.csv", "badf.csv", "dec.csv", "gapped-nan.csv", "whitespace-row.csv")
     stderr = {run.argv[1]: run.stderr for run in runs if len(run.argv) > 1 and run.argv[1] in names}
-    stderr.update((run.argv[2], run.stderr) for run in runs if run.argv[1:3] == ("--before", "bad-coverage.csv"))
+    stderr.update((run.argv[2], run.stderr) for run in runs if run.argv[:2] == ("il", "--before"))
     assert stderr["nan.csv"] == "error: nan.csv:12: spectrum values must be finite\n"
     assert stderr["latin1.csv"] == "error: latin1.csv: not UTF-8 text: invalid start byte\n"
     assert stderr["badf.csv"] == "error: badf.csv:10: bad frequency column: frequencies must be finite\n"
@@ -105,6 +105,11 @@ def test_a_bad_value_or_byte_names_its_file(runs):
     )
     assert stderr["whitespace-row.csv"] == "error: whitespace-row.csv:10: expected 9 numeric columns, got 1\n"
     assert stderr["bad-coverage.csv"] == "error: bad-coverage.csv: table 'L_r0': coverage must lie in [0, 1]\n"
+    assert stderr["inf-level.csv"] == "error: inf-level.csv: table 'L_r0': infinite level in bands [630.0] Hz\n"
+    # two finite levels whose difference overflows: both files are named
+    assert stderr["huge-before.csv"] == (
+        "error: huge-before.csv minus huge-after.csv: level difference overflows in bands [630.0] Hz\n"
+    )
 
 
 def test_json_past_the_float_range_or_the_nesting_limit_names_its_file(runs):
@@ -222,6 +227,15 @@ def test_no_surviving_bin_says_how_many_were_singular(runs):
     )
 
 
+def test_a_huge_finite_pressure_drops_its_bin_without_warnings(runs, corpus_dir):
+    (run,) = [run for run in runs if run.argv[1:2] == ("huge-pressure.csv",)]
+    assert (run.code, run.stderr) == (0, "")
+    report = json.loads((corpus_dir / "stl-huge-pressure.json").read_text())
+    assert report["warnings"] == []
+    # 900 Hz holds the 1e200 Pa pressure; 1000 Hz is the sheet's own silent downstream pair
+    assert report["narrowband"]["valid"] == [False, False, True]
+
+
 def test_every_file_of_a_group_is_read_before_any_is_analysed(runs):
     stderr = {run.argv[1:-2]: run.stderr for run in runs if run.argv[:2] == ("stl", "overflowing.csv")}
     assert stderr["overflowing.csv",] == "error: amplitudes must be finite at every retained frequency\n"
@@ -320,6 +334,46 @@ def test_drawn_input_file_values_keep_the_cli_contract(drawn):
                 run = run_one(["masslaw", "--materials", "drawn.json"])
     test_every_run_keeps_the_cli_contract([run])
     if command == "masslaw" and run.code == 0:
+        json.loads(run.stdout, parse_constant=_reject_constant)
+
+
+# texts put into one pressure field of a mic-spectra file and one level of a band CSV: finite
+# but huge, past the float range, non-finite, subnormal, and a 400-digit number
+FIELD_TOKENS = ("1e160", "1e200", "1e308", "-1e308", "1e400", "inf", "-inf", "nan", "5e-324", "9" * 400)
+
+
+def _short_id(token: str) -> str:
+    return token if len(token) < 20 else f"{len(token)}-digits"
+
+
+def _keeps_the_contract_without_numpy_warnings(run):
+    test_every_run_keeps_the_cli_contract([run])
+    assert not [line for line in run.stderr.splitlines() if "encountered in" in line], run.stderr
+
+
+@pytest.mark.parametrize("token", FIELD_TOKENS, ids=_short_id)
+def test_one_pressure_field_keeps_the_cli_contract(token, tmp_path):
+    sheet = INPUTS["zero-downstream.csv"].replace("900,1.22062,", f"900,{token},")
+    with inside(tmp_path):
+        Path("tube.ini").write_text(CONFIG)
+        Path("drawn.csv").write_text(sheet)
+        run = run_one(["stl", "drawn.csv", "--config", "tube.ini"])
+    _keeps_the_contract_without_numpy_warnings(run)
+
+
+@pytest.mark.parametrize(
+    "before, after",
+    [*((token, "61.5") for token in FIELD_TOKENS), ("1e308", "-1e308")],
+    ids=[*map(_short_id, FIELD_TOKENS), "overflowing-pair"],
+)
+def test_one_band_level_keeps_the_cli_contract(before, after, tmp_path):
+    # the 630 Hz levels of the corpus tables, 72.5 dB before and 61.5 dB after, replaced
+    with inside(tmp_path):
+        Path("before.csv").write_text(INPUTS["before.csv"].replace("72.5", before))
+        Path("after.csv").write_text(INPUTS["after.csv"].replace("61.5", after))
+        run = run_one(["il", "--before", "before.csv", "--after", "after.csv"])
+    _keeps_the_contract_without_numpy_warnings(run)
+    if run.code == 0:
         json.loads(run.stdout, parse_constant=_reject_constant)
 
 

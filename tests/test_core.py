@@ -139,8 +139,9 @@ class TestTubeGeometry:
         assert (x2 - x1, x4 - x3) == (pytest.approx(0.08), pytest.approx(0.08))
         grid = FrequencyGrid([2000.0, AIR.sound_speed / (2.0 * 0.08)])
         spectra = four_mic_spectra(grid, GEOMETRY, 1.0, 0.2, 0.5, 0.1)
-        singular = decompose_four_mic(spectra, GEOMETRY, AIR).singular_frequencies()
-        assert singular["upstream"].tolist() == singular["downstream"].tolist() == [2145.0]
+        amps = decompose_four_mic(spectra, GEOMETRY, AIR)
+        assert amps.upstream_singular.tolist() == amps.downstream_singular.tolist() == [False, True]
+        assert grid.frequencies[1] == 2145.0
 
 
 class TestFrequencyGrid:
@@ -173,9 +174,22 @@ class TestFrequencyGrid:
         # at 1e16, f + step / 2 rounds to f, so arange alone would give no bin
         assert FrequencyGrid.from_range(f, f, 1.0).frequencies.tolist() == [f]
 
+    def test_from_range_puts_each_bin_a_whole_number_of_steps_from_f_min(self):
+        # numpy's arange steps by fl(f_min + step) - f_min, which drifts from f_min + i * step
+        grid = FrequencyGrid.from_range(100.0, 1800.0, 0.1)
+        assert len(grid) == 17_001
+        assert grid.frequencies[-1] == 1800.0
+        assert grid.frequencies[[1, 9000]].tolist() == [100.0 + 0.1, 100.0 + 0.1 * 9000]
+
+    def test_from_range_near_the_spacing_of_doubles_ends_at_f_max(self):
+        # steps of 0.2 Hz round to the 0.125 Hz spacing at 1e15, but stay distinct and stop at f_max
+        f = FrequencyGrid.from_range(1e15, 1e15 + 1, 0.2).frequencies
+        assert f[-1] == 1e15 + 1
+        assert (np.diff(f) > 0).all()
+
     def test_from_range_caps_the_bin_count(self):
         assert len(FrequencyGrid.from_range(1.0, 1_000_000.0, 1.0)) == 1_000_000
-        for f_max, step in ((1_000_001.0, 1.0), (5000.0, 1e-12)):
+        for f_max, step in ((1_000_001.0, 1.0), (1_000_000.7, 1.0), (5000.0, 1e-12)):
             with pytest.raises(ValueError, match="grid would have more than 1000000 bins"):
                 FrequencyGrid.from_range(1.0, f_max, step)
 
