@@ -175,7 +175,11 @@ class FrequencyGrid(Record):
         if f_max > f_min and step < math.ulp(f_max):
             raise ValueError(f"step {step!r} is below the spacing of doubles at f_max ({math.ulp(f_max)!r})")
         # where f_max + step / 2 rounds to f_max, f_min == f_max still has its one bin
-        return cls(f_min + step * np.arange(max(math.ceil(n), 1)))
+        f = f_min + step * np.arange(max(math.ceil(n), 1))
+        if not (f[1:] > f[:-1]).all():  # a step of one spacing can round two ties to one even double
+            spacing = math.ulp(f_max)
+            raise ValueError(f"step {step!r} rounds two bins onto one double; doubles at f_max are {spacing!r} apart")
+        return cls(f)
 
     def __len__(self) -> int:
         return int(self.frequencies.size)

@@ -16,8 +16,11 @@ from .transfer import (
     AcousticIndicators,
     TransferMatrix,
     _indicators,
+    _nonvanishing,
+    _quotient,
     _transmission_phase,
     acoustic_indicators,
+    stl,
 )
 
 __all__ = [
@@ -188,18 +191,55 @@ class LayerModel(Record):
         keeps the bits it had when it was built from np.cos and np.sin.
         """
         if self.kind == "air-gap":
-            z = air.impedance
             # a thickness so large that k L overflows leaves NaN entries; the indicators drop those bins
             phase = _transmission_phase(grid, self.thickness, air)
-            gap = np.broadcast_to(phase, (len(grid),))  # the phase of a zero thickness is the scalar 1.0
-            cos, sin = gap.real.astype(complex), gap.imag
-            return TransferMatrix(grid, *_frozen(cos, 1j * z * sin, 1j * sin / z, cos)), phase
-        t11, t12, t21, t22 = (np.full(len(grid), t, dtype=complex) for t in self.matrix or (1, 0, 0, 1))
+            return _gap_matrix(grid, phase, air.impedance), phase
         if self.kind == "limp-mass":
             omega = 2.0 * math.pi * grid.frequencies
             with np.errstate(over="ignore", invalid="ignore"):  # an overflowing m_s leaves a non-finite t12
-                t12 = 1j * omega * float(self.surface_density)
+                return _limp_mass_matrix(grid, 1j * omega * float(self.surface_density)), None
+        t11, t12, t21, t22 = (np.full(len(grid), t, dtype=complex) for t in self.matrix or (1, 0, 0, 1))
         return TransferMatrix(grid, *_frozen(t11, t12, t21, t22)), None
+
+    def _loss_and_factor(
+        self, grid: FrequencyGrid, air: AirProperties, omega: np.ndarray, jk: np.ndarray,
+    ) -> tuple[np.ndarray, TransferMatrix | np.ndarray]:
+        """This layer's own ``stl_db`` and its factor in a stack's product, given the grid's 2 pi f and j k.
+
+        A limp mass of zero thickness, and an air gap of positive thickness,
+        take the parameter path where z = rho0 c, 1 / z and the layer's
+        omega m_s or e^{jkL} are finite: the anechoic denominator and its
+        scale come from those real arrays with the IEEE operations that
+        :func:`~tubeloss.transfer._indicators` performs on the nonzero parts
+        of the layer's matrix, and only the transmission quotient is taken.
+        Every other layer takes the general path, ``_indicators`` on
+        :meth:`_matrix_and_phase`. Both give the same bits.
+
+        The factor of a limp mass on the parameter path is the t12 = j omega m_s
+        of its [[1, t12], [0, 1]]; any other layer's is its matrix. An air
+        gap's phase serves its loss and its matrix.
+        """
+        z = air.impedance
+        # an impedance that overflows or underflows makes NaN of the matrix's zeros (inf 0, 0 / 0)
+        if 0.0 < z < math.inf and 1.0 / z < math.inf:
+            with np.errstate(over="ignore", invalid="ignore"):
+                if self.kind == "limp-mass" and self.thickness == 0.0:
+                    w = omega * float(self.surface_density)
+                    if np.isfinite(w).all():
+                        # den = (1 + t12 / z) + z 0 + 1 and scale = (1 + |t12| / z) + z 0 + 1, with t12 = j w
+                        den = _complex(2.0, w * (1.0 / z))
+                        return _transmission_loss(den, (1.0 + w / z) + 1.0, 1.0), 1j * w
+                elif self.kind == "air-gap" and self.thickness > 0.0:
+                    phase = np.exp(jk * self.thickness)
+                    if np.isfinite(phase).all():
+                        # t11 = t22 = c, t12 = j z s and t21 = j s / z, without the matrix's zero parts
+                        c, s = phase.real, phase.imag
+                        zs, s_z, c_abs = z * s, s * (1.0 / z), np.abs(c)
+                        den = _complex(c + c, zs * (1.0 / z) + z * s_z)
+                        scale = ((c_abs + np.abs(zs) / z) + z * np.abs(s_z)) + c_abs
+                        return _transmission_loss(den, scale, phase), _gap_matrix(grid, phase, z)
+        matrix, phase = self._matrix_and_phase(grid, air)
+        return _indicators(matrix, self.thickness, air, phase).stl_db, matrix
 
     def describe(self) -> dict:
         """Loggable parameter summary."""
@@ -214,6 +254,36 @@ class LayerModel(Record):
             if self.thickness:
                 out["thickness"] = self.thickness
         return out
+
+
+def _limp_mass_matrix(grid: FrequencyGrid, t12: np.ndarray) -> TransferMatrix:
+    """The limp mass [[1, t12], [0, 1]]."""
+    n = len(grid)
+    return TransferMatrix(grid, *_frozen(np.full(n, 1 + 0j), t12, np.full(n, 0j), np.full(n, 1 + 0j)))
+
+
+def _gap_matrix(grid: FrequencyGrid, phase, z: float) -> TransferMatrix:
+    """An air gap's [[cos kL, j z sin kL], [(j / z) sin kL, cos kL]] from its phase e^{jkL}."""
+    gap = np.broadcast_to(phase, (len(grid),))  # the phase of a zero thickness is the scalar 1.0
+    cos, sin = gap.real.astype(complex), gap.imag
+    return TransferMatrix(grid, *_frozen(cos, 1j * z * sin, 1j * sin / z, cos))
+
+
+def _complex(real, imag: np.ndarray) -> np.ndarray:
+    """The complex array ``real + j imag``, each part copied in as it is."""
+    out = np.empty(imag.shape, dtype=complex)
+    out.real, out.imag = real, imag
+    return out
+
+
+def _transmission_loss(den: np.ndarray, scale: np.ndarray, phase) -> np.ndarray:
+    """``stl`` of T = 2 phase / den, NaN where ``den`` vanishes against ``scale``, as ``_indicators`` has it.
+
+    The caller vouches that T and R are finite wherever ``den`` does not
+    vanish, so ``_indicators`` would drop no further bin.
+    """
+    ok = _nonvanishing(den, scale)
+    return stl(_quotient(np.multiply(2.0, phase), den, ok))
 
 
 def cascade(
@@ -264,12 +334,23 @@ def stack_indicators(
 ) -> tuple[AcousticIndicators, tuple[BandTable, ...]]:
     """Indicators of a whole stack and each layer's own banded loss, in one pass over the layers.
 
-    Each layer matrix is built once. Its own indicators, phase-referenced to
-    its own thickness, are banded at once into that layer's table; then it is
-    multiplied into the running product in :func:`cascade`'s order, so the
-    stack gets the bits of ``cascade``. No per-bin curve outlives its layer,
-    so memory grows with the grid plus layers times bands, not layers times
-    bins.
+    Each layer is evaluated once. Its own loss, phase-referenced to its own
+    thickness, is banded at once into that layer's table; then the layer is
+    multiplied into the running product in :func:`cascade`'s order. No
+    per-bin curve outlives its layer, so memory grows with the grid plus
+    layers times bands, not layers times bins.
+
+    A limp mass of zero thickness and an air gap of positive thickness take
+    a parameter path: their own loss is built from omega m_s or e^{jkL}
+    alone, skipping the matrix entries that are known zeros and the
+    reflection quotient, and a limp mass enters the product in 2 complex
+    products instead of 8. The general path, the indicators of the layer's
+    matrix, runs for ``matrix`` and ``identity`` layers, for a zero-thickness
+    gap, and wherever omega m_s, e^{jkL}, rho0 c or 1 / (rho0 c) is not
+    finite. Both paths give the same bits: the tables and the stack's
+    indicators equal those of the general path; the running product equals
+    :func:`cascade`'s in value at the bins where that is finite, though a
+    zero may take the other sign.
 
     Parameters
     ----------
@@ -295,11 +376,35 @@ def stack_indicators(
     layers = tuple(layers)
     if not layers:
         raise ValueError("stack_indicators needs at least one layer")
-    average = _band_averager(grid, bands, mode)
+    product, tables = _layer_pass(layers, grid, air, _band_averager(grid, bands, mode))
+    return acoustic_indicators(product, stack_thickness(layers), air), tables
+
+
+def _layer_pass(layers, grid: FrequencyGrid, air: AirProperties, average) -> tuple[TransferMatrix, tuple]:
+    """The running product of ``layers`` and the ``average`` of each one's own loss."""
+    omega = 2.0 * math.pi * grid.frequencies  # the bits of the limp mass's and of grid.wavenumbers' 2 pi f
+    jk = 1j * (omega / air.sound_speed)
     tables = []
     product = None
     for layer in layers:
-        matrix, phase = layer._matrix_and_phase(grid, air)
-        tables.append(average(_indicators(matrix, layer.thickness, air, phase).stl_db))
-        product = matrix if product is None else product @ matrix
-    return acoustic_indicators(product, stack_thickness(layers), air), tuple(tables)
+        loss, factor = layer._loss_and_factor(grid, air, omega, jk)
+        tables.append(average(loss))
+        if isinstance(factor, TransferMatrix):
+            product = factor if product is None else product @ factor
+        elif product is None:
+            product = _limp_mass_matrix(grid, factor)
+        else:
+            product = _times_limp_mass(product, factor)
+    return product, tuple(tables)
+
+
+def _times_limp_mass(product: TransferMatrix, t12: np.ndarray) -> TransferMatrix:
+    """``product @ [[1, t12], [0, 1]]`` in 2 complex products: t11 and t21 carry over.
+
+    Where ``product`` is finite this equals the 8-product ``@`` in value; a
+    zero may take the other sign, and an infinite entry is not turned into
+    NaN by a product with 0. Either way the stack's indicators keep their bits.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        t12, t22 = product.t11 * t12 + product.t12, product.t21 * t12 + product.t22
+    return TransferMatrix(product.grid, product.t11, *_frozen(t12), product.t21, *_frozen(t22))

@@ -760,6 +760,14 @@ class TestStack:
         assert report["narrowband"] == {"frequency_hz": [1e16], "stl_db": [0.0]}
         assert report["bands"]["nominal_hz"] == [1e16]
 
+    def test_a_step_that_rounds_two_bins_onto_one_double_exits_2_naming_the_step(self, tmp_path, capsys):
+        stack = tmp_path / "stack.json"
+        stack.write_text(json.dumps([{"kind": "identity"}]))
+        argv = ("--f-min", "4503599627370495.5", "--f-max", "4503599627370506", "--f-step", "1")
+        assert run_cli("stack", "--stack", str(stack), *argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: step 1.0 rounds two bins onto one double; doubles at f_max are 1.0 apart"]
+
     def test_identity_stack_is_transparent(self, tmp_path):
         stack = tmp_path / "stack.json"
         stack.write_text(json.dumps([{"kind": "identity"}]))
@@ -869,7 +877,8 @@ class TestStack:
         assert set(report["bands"]["values_db"]) == {None}
 
     @pytest.mark.parametrize("band_mode", ["power", "db"])
-    def test_each_layer_matrix_is_built_once(self, tmp_path, monkeypatch, band_mode):
+    def test_each_layer_is_evaluated_once(self, tmp_path, monkeypatch, band_mode):
+        # the matrix and the 1e305 mass (whose omega m_s overflows) take the general path, the gap its parameters
         records = [
             {
                 "kind": "matrix", "t11": [0.9, 0.1], "t12": [200.0, 30.0], "t21": [0.0005, 0.0001],
@@ -882,18 +891,18 @@ class TestStack:
         stack = tmp_path / "stack.json"
         stack.write_text(json.dumps(records))
         layers = load_stack(stack)
-        built = []
-        build = LayerModel._matrix_and_phase  # matrix_on's builder, which stack_indicators calls
+        evaluated = []
+        evaluate = LayerModel._loss_and_factor  # the one per-layer call of stack_indicators, either path
 
         def counted(layer, *args, **kwargs):
-            built.append(layer)
-            return build(layer, *args, **kwargs)
+            evaluated.append(layer)
+            return evaluate(layer, *args, **kwargs)
 
-        monkeypatch.setattr(LayerModel, "_matrix_and_phase", counted)
+        monkeypatch.setattr(LayerModel, "_loss_and_factor", counted)
         report_path = tmp_path / "report.json"
         argv = ("stack", "--stack", str(stack), "--band-mode", band_mode, "--f-step", "0.37")
         assert run_cli(*argv, "--output", str(report_path)) == 0
-        assert built == list(layers)
+        assert evaluated == list(layers)
 
         # each constituent reads as that layer stacked alone
         grid = FrequencyGrid.from_range(100.0, 5000.0, 0.37)

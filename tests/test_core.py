@@ -210,6 +210,14 @@ class TestFrequencyGrid:
         assert len(FrequencyGrid.from_range(f_min, f_max, spacing)) > 1
         assert FrequencyGrid.from_range(f_max, f_max, step).frequencies.tolist() == [f_max]
 
+    def test_a_step_that_rounds_two_bins_onto_one_double_is_named(self):
+        # 2**52 - 0.5 + 1 and + 2 are ties between doubles 1 apart, and both round to even, 2**52 + 2
+        message = "step 1.0 rounds two bins onto one double; doubles at f_max are 1.0 apart"
+        with pytest.raises(ValueError) as caught:
+            FrequencyGrid.from_range(4503599627370495.5, 4503599627370506.0, 1.0)
+        assert str(caught.value) == message
+        assert len(FrequencyGrid.from_range(4503599627370496.0, 4503599627370506.0, 1.0)) > 1  # no ties
+
     def test_wavenumbers_never_stale(self):
         grid = FrequencyGrid([100.0, 200.0])
         k_default = grid.wavenumbers(AIR)

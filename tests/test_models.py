@@ -19,6 +19,10 @@ from tubeloss import (
     stl,
     third_octave_bands,
 )
+from tubeloss.bands import _band_averager
+from tubeloss.core import AirProperties
+from tubeloss.models import _layer_pass
+from tubeloss.transfer import _indicators
 
 from helpers import AIR, MATERIALS, WIDE_GRID, determinant, limp_mass_stl_oracle
 
@@ -240,6 +244,90 @@ class TestStackIndicators:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             stack_indicators([], FrequencyGrid([100.0]), AIR, bands=third_octave_bands(100.0, 100.0))
+
+    # The parameter path of limp masses and air gaps against the general one. The stack's
+    # curves and every table are compared bit for bit (as int64 views, so a NaN or a zero of the
+    # other sign counts). The running product is compared by value where the general one is
+    # finite: a limp mass enters it in 2 products instead of @'s 8, which add terms 0 * x, so
+    # a zero can take the other sign (in 9 of the 40 drawn stacks when this was written) and an
+    # infinite entry is not made NaN by 0 * inf; the stack's curves keep their bits either way.
+    GRIDS = {f"{step} Hz": FrequencyGrid.from_range(100.0, 5000.0, step) for step in (1.0, 0.37)}
+
+    @staticmethod
+    def assert_general_path_bits(layers, grid, air, mode):
+        bands = third_octave_bands(100.0, 5000.0)
+        average = _band_averager(grid, bands, mode)
+        stack, tables = stack_indicators(layers, grid, air, bands=bands, mode=mode)
+        product, _ = _layer_pass(layers, grid, air, average)
+        # the general path: each layer's _indicators on its _matrix_and_phase, cascade's products
+        want_tables = []
+        for layer in layers:
+            matrix, phase = layer._matrix_and_phase(grid, air)
+            want_tables.append(average(_indicators(matrix, layer.thickness, air, phase).stl_db))
+        want_product = cascade(layers, grid, air)
+        want = acoustic_indicators(want_product, stack_thickness(layers), air)
+
+        def bits(values):
+            return np.ascontiguousarray(values).view(np.int64)
+
+        for field in ("stl_db", "transmission", "reflection"):
+            assert np.array_equal(bits(getattr(stack, field)), bits(getattr(want, field))), field
+        assert len(tables) == len(want_tables)
+        for layer, table, want_table in zip(layers, tables, want_tables):
+            assert table.bands == want_table.bands
+            assert np.array_equal(bits(table.values), bits(want_table.values)), layer
+            assert np.array_equal(bits(table.coverage), bits(want_table.coverage)), layer
+        finite = want_product.valid
+        assert np.array_equal(product.valid, finite)
+        for entry in ("t11", "t12", "t21", "t22"):
+            got, expected = getattr(product, entry), getattr(want_product, entry)
+            assert np.array_equal(got[finite], expected[finite]), entry
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        layers=st.lists(
+            st.one_of(
+                st.floats(0.0, 1e4).map(LayerModel.limp_mass),
+                st.floats(0.0, 10.0).map(LayerModel.air_gap),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        grid=st.sampled_from(sorted(GRIDS)),
+        mode=st.sampled_from(["power", "db"]),
+    )
+    def test_drawn_masses_and_gaps_keep_the_general_paths_bits(self, layers, grid, mode):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            self.assert_general_path_bits(layers, self.GRIDS[grid], AIR, mode)
+
+    @pytest.mark.parametrize("mode", ["power", "db"])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize(
+        "edge",
+        [
+            *(LayerModel.limp_mass(m) for m in (0.0, 1e-300, 1e300, 1e305, 1e307)),
+            *(LayerModel.air_gap(L) for L in (0.0, 5e-324, 1e300, 1e308)),
+        ],
+        ids=lambda layer: f"{layer.kind} {layer.surface_density or layer.thickness!r}",
+    )
+    def test_edge_layers_keep_the_general_paths_bits(self, edge, grid, mode):
+        # omega m_s overflows above 286 Hz at 1e305 and everywhere at 1e307, k L overflows at
+        # 1e308 (those take the general path); at 1e300 the gap's phase has a huge finite argument
+        layers = (edge, LayerModel.air_gap(0.05), edge, LayerModel.limp_mass(0.6))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            self.assert_general_path_bits((edge,), self.GRIDS[grid], AIR, mode)
+            self.assert_general_path_bits(layers, self.GRIDS[grid], AIR, mode)
+
+    @pytest.mark.parametrize(
+        "air",
+        [AirProperties(1e300, 1e300), AirProperties(1e-200, 1e-200), AirProperties(1e-160, 1e-150)],
+        ids=["impedance overflows", "impedance underflows to 0", "its inverse overflows"],
+    )
+    def test_air_whose_impedance_or_its_inverse_is_not_finite_keeps_the_bits(self, air):
+        # the general path warns here (numpy's 0 * inf); only the bits are compared
+        layers = (LayerModel.limp_mass(0.6), LayerModel.air_gap(0.05), LayerModel.limp_mass(0.0))
+        with np.errstate(all="ignore"):
+            self.assert_general_path_bits(layers, self.GRIDS["1.0 Hz"], air, "power")
 
     def test_unknown_band_mode_rejected(self):
         with pytest.raises(ValueError, match="^unknown band averaging mode 'linear'$"):
