@@ -162,20 +162,19 @@ class FrequencyGrid(Record):
 
     @classmethod
     def from_range(cls, f_min: float, f_max: float, step: float) -> "FrequencyGrid":
-        """Regular grid of the bins ``f_min + step * i`` that lie below ``f_max + step / 2``."""
+        """Regular grid of the bins ``f_min + step * i`` with ``i < (f_max - f_min) / step + 1 / 2``."""
         if not all(math.isfinite(v) for v in (f_min, f_max, step)):
             raise ValueError("f_min, f_max and step must be finite")
         if step <= 0.0:
             raise ValueError("step must be positive")
         if f_max < f_min:
             raise ValueError("f_max must not be below f_min")
-        n = (f_max + 0.5 * step - f_min) / step
+        n = (f_max - f_min) / step + 0.5  # f_max + step / 2 itself can round down to f_max
         if n > _MAX_BINS:
             raise ValueError(f"grid would have more than {_MAX_BINS} bins")
         if f_max > f_min and step < math.ulp(f_max):
             raise ValueError(f"step {step!r} is below the spacing of doubles at f_max ({math.ulp(f_max)!r})")
-        # where f_max + step / 2 rounds to f_max, f_min == f_max still has its one bin
-        f = f_min + step * np.arange(max(math.ceil(n), 1))
+        f = f_min + step * np.arange(math.ceil(n))
         if not (f[1:] > f[:-1]).all():  # a step of one spacing can round two ties to one even double
             spacing = math.ulp(f_max)
             raise ValueError(f"step {step!r} rounds two bins onto one double; doubles at f_max are {spacing!r} apart")

@@ -6,13 +6,13 @@ write cycle is byte-identical and a read returns every bit written.
 The mic-spectra reader accepts LF, CRLF or CR line endings, blank lines, and
 ``#`` lines anywhere; a ``#`` line holding ``=`` is read as a ``key = value``
 header field wherever it stands. A rejected file names its first bad line.
-It has two paths. A file laid out as the writer lays it out has its rows
-parsed by numpy's C ``loadtxt``; every other file, and every file that path
-fails on, is read again line by line, and that reading is the definition of
-the format and of its error messages. Both give the same bits: ``loadtxt``
-converts each field with ``PyOS_string_to_double``, as ``float()`` does
-(numpy 1.23 and later), and the few spellings it takes that ``float()``
-rejects send the file to the per-line path.
+One line classifier reads every file: the lines above the column header one
+at a time, the rows in blocks. Two converters read its row blocks: numpy's C
+``loadtxt`` first, and on any failure ``float()`` on each field of a second
+reading, which names the first bad line. Both give the same bits: ``loadtxt``
+converts each field with ``PyOS_string_to_double``, as ``float()`` does (numpy
+1.23 and later), and the few spellings it takes that ``float()`` rejects send
+the file to ``float()``.
 """
 from __future__ import annotations
 
@@ -186,6 +186,10 @@ def load_config(path) -> tuple[AirProperties, TubeGeometry]:
                 else None
             ),
         )
+        # the models divide by rho0 c and multiply by its inverse, so both must be positive and finite
+        z = air.impedance
+        if not 0.0 < z < math.inf or 1.0 / z == math.inf:
+            raise ValueError(f"air impedance density * sound_speed = {z!r}: it and its inverse must be positive and finite")
         if not parser.has_section("tube"):
             raise InputFormatError("missing [tube] section", path=path)
         tube = parser["tube"]
@@ -266,121 +270,94 @@ def read_mic_spectra(path):
     Returns (MicSpectra, TubeGeometry, AirProperties). A malformed file
     raises :class:`InputFormatError` naming its first bad line.
 
-    A file laid out as :func:`write_mic_spectra` lays it out (any line
-    ending, blank lines among the rows) has its rows parsed by
-    ``np.loadtxt``'s C reader. Any other file, and any file that path fails
-    on, is read again line by line by :func:`_read_rows`, which defines the
-    format and names the first bad line. Both paths give the same bits:
-    ``loadtxt`` converts each field with ``PyOS_string_to_double``, the
-    conversion ``float()`` makes (numpy 1.23 and later). Of the spellings the
-    two do not share, ``loadtxt`` rejects those ``float()`` takes (``1_0``,
-    non-ASCII digits), and a file holding one of ``_LOADTXT_ONLY_SPACES``,
-    which only ``loadtxt`` takes, never reaches it.
+    :func:`_row_blocks` classifies the lines, and two converters read the
+    rows. ``np.loadtxt``'s C reader runs first and names no line. On any
+    ``ValueError`` the file is read again, each field through ``float()``
+    (:func:`_float_rows`), which names the first bad line. Both give the same
+    bits: ``loadtxt`` converts with ``PyOS_string_to_double``, as ``float()``
+    does (numpy 1.23 and later). Only ``float()`` takes ``1_0`` and non-ASCII
+    digits; only ``loadtxt`` takes ``_LOADTXT_ONLY_SPACES``, which never reach it.
     """
-    # opened once here, so a name no file can have is an error of its own, not a fallback
     with _open_utf8(path, "mic-spectra") as handle:
+        header: dict[str, str] = {}
         try:
-            return _spectra_from_table(path, *_read_canonical(handle), linenos=None)
-        except ValueError:  # InputFormatError included: the per-line reading names the error
-            pass
-    return _spectra_from_table(path, *_read_rows(path))
+            lines = itertools.chain.from_iterable(block for _, block in _row_blocks(path, handle, header, True))
+            data = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+            if data.shape[1] != 9:
+                raise ValueError("rows without 9 columns")
+            return _spectra_from_table(path, header, data, linenos=None)
+        except ValueError:  # InputFormatError included: the float() reading names the error
+            handle.seek(0)
+            header.clear()
+        return _spectra_from_table(path, header, *_float_rows(path, _row_blocks(path, handle, header, False)))
 
 
-def _read_canonical(handle) -> tuple[dict[str, str], np.ndarray]:
-    """Header fields and the (n, 9) table of a file laid out as the writer lays it out.
+def _row_blocks(path, handle, header: dict[str, str], for_loadtxt: bool):
+    """The format's definition: the rows of the mic-spectra file ``handle`` as (first line number, lines) blocks.
 
-    Raises ``ValueError`` on any other layout: a header line that is neither
-    the magic line, a ``#`` line nor the column header, a blank first row, a
-    character of ``_LOADTXT_ONLY_SPACES`` among the rows, or rows ``loadtxt``
-    cannot read as 9 floats each (a ``#`` line among them, for one). Blank
-    lines among the rows are skipped, as by :func:`_read_rows`.
+    A line ends at LF, CRLF or CR (``handle`` reads each as LF). A blank line
+    is skipped. A ``#`` line may stand anywhere and sets a ``key = value``
+    field of ``header``; a ``#`` first line must be the magic line. The first
+    other line must be the column header, each line after it a row. Lines
+    above the column header are read one at a time, the rows in blocks of
+    about ``_BLOCK_CHARS`` characters, where a ``#`` line is blanked in place:
+    a row's line number is its block's first line number plus its index.
+    ``for_loadtxt`` raises ``ValueError`` at a block holding one of
+    ``_LOADTXT_ONLY_SPACES``. A file without rows raises after its last block,
+    so that ``loadtxt`` never warns of one.
     """
-    header: dict[str, str] = {}
-    if handle.readline() != MIC_SPECTRA_MAGIC + "\n":
-        raise ValueError("not a canonical mic-spectra header")
-    for line in handle:
-        if not line.startswith("#"):
+    for lineno, line in enumerate(handle, start=1):
+        line = line.rstrip("\n")
+        if line.startswith("#"):
+            if lineno == 1 and line != MIC_SPECTRA_MAGIC:
+                raise InputFormatError(f"not a mic-spectra file (expected '{MIC_SPECTRA_MAGIC}')", path=path, line=1)
+            _set_header_field(header, line)
+        elif line:
+            if line != MIC_SPECTRA_HEADER:
+                raise InputFormatError(f"unexpected column header '{line}'", path=path, line=lineno)
             break
-        if "=" in line:
-            key, _, value = line[1:].partition("=")
-            header[key.strip()] = value.strip()
-    else:
-        raise ValueError("no column header")
-    rows = itertools.chain.from_iterable(_checked_line_blocks(handle))
-    first = next(rows, "")
-    if line != MIC_SPECTRA_HEADER + "\n" or not first.strip():
-        # without a first row loadtxt would warn that the input holds no data
-        raise ValueError("not a canonical mic-spectra body")
-    data = np.loadtxt(
-        itertools.chain((first,), rows), delimiter=",", comments=None, dtype=float, ndmin=2
-    )
-    if data.shape[1] != 9:
-        raise ValueError("rows without 9 columns")
-    return header, data
-
-
-def _checked_line_blocks(handle):
-    """The rest of ``handle`` as lists of lines, about ``_BLOCK_CHARS`` characters each.
-
-    Raises ``ValueError`` at a block holding a character of
-    ``_LOADTXT_ONLY_SPACES``, which ``loadtxt`` strips from a number and
-    ``float()`` rejects.
-    """
+    any_row = False  # whether a line below the column header holds more than whitespace
     while lines := handle.readlines(_BLOCK_CHARS):
-        block = "".join(lines)
-        if any(char in block for char in _LOADTXT_ONLY_SPACES):
+        text = "".join(lines)
+        if for_loadtxt and any(char in text for char in _LOADTXT_ONLY_SPACES):
             raise ValueError("a separator character that float() rejects")
-        yield lines
+        if "#" in text:
+            for i, line in enumerate(lines):
+                if line.startswith("#"):
+                    _set_header_field(header, line)
+                    lines[i] = "\n"
+            text = "".join(lines)
+        any_row = any_row or not text.isspace()
+        yield lineno + 1, lines
+        lineno += len(lines)
+    if not any_row:  # a row of whitespace alone is an error the float() reading names first
+        raise InputFormatError("no data rows", path=path)
 
 
-def _read_rows(path) -> tuple[dict[str, str], np.ndarray, list[int]]:
-    """Header fields, the (n, 9) table and each row's line number, read line by line.
+def _set_header_field(header: dict[str, str], line: str) -> None:
+    if "=" in line:  # a '# key = value' line
+        key, _, value = line[1:].partition("=")
+        header[key.strip()] = value.strip()
 
-    This is the format's definition. LF, CRLF and CR end a line; blank lines
-    are skipped; a ``#`` line may stand anywhere and, holding ``=``, sets a
-    ``key = value`` header field; each row is 9 fields ``float()`` reads.
-    A bad line raises :class:`InputFormatError` naming it.
-    """
-    header: dict[str, str] = {}
+
+def _float_rows(path, blocks) -> tuple[np.ndarray, list[int]]:
+    """The (n, 9) table of ``blocks`` and each row's line number; a bad row is an error naming its line."""
     rows: list[list[float]] = []
     linenos: list[int] = []
-    seen_columns = False
-    with _open_utf8(path, "mic-spectra", newline="") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
+    for first, lines in blocks:
+        for lineno, line in enumerate(lines, start=first):
+            line = line.rstrip("\n")
             if not line:
-                continue
-            if line.startswith("#"):
-                if lineno == 1 and line != MIC_SPECTRA_MAGIC:
-                    raise InputFormatError(
-                        f"not a mic-spectra file (expected '{MIC_SPECTRA_MAGIC}')",
-                        path=path,
-                        line=lineno,
-                    )
-                if "=" in line:
-                    key, _, value = line[1:].partition("=")
-                    header[key.strip()] = value.strip()
-                continue
-            if not seen_columns:
-                if line != MIC_SPECTRA_HEADER:
-                    raise InputFormatError(
-                        f"unexpected column header '{line}'", path=path, line=lineno
-                    )
-                seen_columns = True
                 continue
             fields = line.split(",")
             if len(fields) != 9:
-                raise InputFormatError(
-                    f"expected 9 numeric columns, got {len(fields)}", path=path, line=lineno
-                )
+                raise InputFormatError(f"expected 9 numeric columns, got {len(fields)}", path=path, line=lineno)
             try:
                 rows.append(list(map(float, fields)))
             except ValueError as exc:
                 raise InputFormatError(f"bad number: {exc}", path=path, line=lineno) from exc
             linenos.append(lineno)
-    if not rows:
-        raise InputFormatError("no data rows", path=path)
-    return header, np.array(rows), linenos
+    return np.array(rows), linenos
 
 
 def _spectra_from_table(path, header: dict[str, str], data: np.ndarray, linenos):

@@ -956,6 +956,30 @@ sys.exit(main(sys.argv[1:]))
         assert run_cli("stack", "--stack", str(stack)) == 2
         assert capsys.readouterr().err == "error: out of memory\n"
 
+    @pytest.mark.parametrize(
+        "density, sound_speed, impedance",
+        [("1e300", "1e300", "inf"), ("1e-200", "1e-200", "0.0"), ("1e-160", "1e-150", "1e-310")],
+        ids=["impedance overflows", "impedance underflows to 0", "its inverse overflows"],
+    )
+    @pytest.mark.parametrize("command", ["stack", "masslaw"])
+    def test_air_whose_impedance_or_its_inverse_is_not_finite_is_a_bad_config(
+        self, tmp_path, capsys, command, density, sound_speed, impedance
+    ):
+        config = tmp_path / "air.ini"
+        config.write_text(CONFIG_TEXT.replace("1.204", density).replace("343.2", sound_speed))
+        inputs = tmp_path / "inputs.json"
+        if command == "stack":
+            layers = [{"kind": "limp-mass", "surface_density": 0.6}, {"kind": "air-gap", "thickness": 0.05}]
+            inputs.write_text(json.dumps(layers))
+            argv = ("stack", "--stack", str(inputs))
+        else:
+            inputs.write_text(json.dumps([{"name": "sheet", "thickness_mm": 0.89, "surface_density": 1.135}]))
+            argv = ("masslaw", "--materials", str(inputs), "--masslaw-constant", "normal")
+        capsys.readouterr()
+        assert run_cli(*argv, "--config", str(config)) == 2
+        message = f"bad config: air impedance density * sound_speed = {impedance}: it and its inverse must be"
+        assert capsys.readouterr() == ("", f"error: {config}: {message} positive and finite\n")
+
 
 class TestBandsCommand:
     def test_lists_18_bands(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """The command-line contract over a fixed corpus of runs (see ``cli_corpus.py``)."""
 import json
+import random
+import re
 import shlex
 import shutil
 import tempfile
@@ -453,3 +455,94 @@ def test_a_failed_write_is_one_error_line_naming_the_path_as_given(runs, corpus_
     assert not (corpus_dir / "stl-narrow-fails.json").exists()
     for argv in (("bands", "--output", ""), ("masslaw", "--materials", "materials.json", "--band-csv", "")):
         assert stderr[argv] == "error: output path is empty\n"
+
+
+# Seeded mutations of the corpus's mic-spectra, config and stack files, one mutation per case,
+# each run in-process as the corpus runs it. A case is (mutated file, command line).
+MUTATED_RUNS = (
+    *((name, ("stl", name, "--config", "tube.ini")) for name in ("zero-downstream.csv", "commented.csv", "crlf.csv")),
+    ("tube.ini", ("stl", "zero-downstream.csv", "--config", "tube.ini")),
+    *(
+        (name, ("stack", "--stack", name, "--config", "tube.ini", "--f-min", "500", "--f-max", "1600"))
+        for name in ("layers.json", "mixed.json", "twin-matrix.json")
+    ),
+    ("tube.ini", ("stack", "--stack", "layers.json", "--config", "tube.ini", "--f-min", "500", "--f-max", "1600")),
+)
+MUTATION_FAMILIES = ("delete", "duplicate", "swap", "token", "insert", "truncate")
+# texts swapped in for one token: past the float range, at its edges, non-finite, and no number
+SWAP_TOKENS = ("1e308", "-1e308", "1e400", "5e-324", "nan", "inf", "-inf", "0", "-1", "[]", "null", "%", "9" * 400)
+# characters put anywhere: separators, C0 and C1 controls, and characters that end a line for
+# str.splitlines but not for a file
+INSERTED_CHARS = (
+    ",", ";", " ", "\t", "\x00", "\x0b", "\x0c", "\x1c", "\x1f", "\x7f", "\x85", "\u2028",
+    "\r", "\n", "#", "=", '"', "[", "{", "\ufeff",
+)
+_TOKEN = re.compile(r'[^\s,=:\[\]{}"]+')
+MUTATION_SEED = 2611
+MUTATION_CASES = 1800
+
+
+def _mutated(text: str, rng: random.Random) -> tuple[str, str]:
+    """One mutation of ``text`` drawn from ``rng``: its family and the mutated text."""
+    family = rng.choice(MUTATION_FAMILIES)
+    lines = text.splitlines(keepends=True)
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    if family == "delete":
+        del lines[i]
+    elif family == "duplicate":
+        lines.insert(i, lines[j])
+    elif family == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif family == "token":
+        token = rng.choice(list(_TOKEN.finditer(text)))
+        return family, text[: token.start()] + rng.choice(SWAP_TOKENS) + text[token.end() :]
+    elif family == "insert":
+        k = rng.randrange(len(text) + 1)
+        return family, text[:k] + rng.choice(INSERTED_CHARS) + text[k:]
+    else:
+        return family, text[: rng.randrange(len(text))]
+    return family, "".join(lines)
+
+
+def _mutation_cases():
+    """``MUTATION_CASES`` (file, command line, family, mutated text) cases, the same on every run.
+
+    Every token swap of the config comes first, under each command; the rest are drawn.
+    """
+    swaps = [
+        (name, argv, "token", CONFIG[: token.start()] + swap + CONFIG[token.end() :])
+        for name, argv in MUTATED_RUNS
+        if name == "tube.ini"
+        for token in _TOKEN.finditer(CONFIG)
+        for swap in SWAP_TOKENS
+    ]
+    yield from swaps
+    rng = random.Random(MUTATION_SEED)
+    texts = {name: INPUTS[name] for name, _ in MUTATED_RUNS}
+    for name in texts:
+        if name.endswith(".json"):  # one value to a line, so that line mutations reach inside its records
+            texts[name] = json.dumps(json.loads(texts[name]), indent=1)
+    for _ in range(MUTATION_CASES - len(swaps)):
+        name, argv = rng.choice(MUTATED_RUNS)
+        yield (name, argv, *_mutated(texts[name], rng))
+
+
+def test_mutated_input_files_keep_the_cli_contract(tmp_path):
+    with inside(tmp_path):
+        for name, _ in MUTATED_RUNS:
+            Path(name).write_text(INPUTS[name])
+        broken = []
+        for name, argv, family, text in _mutation_cases():
+            Path(name).write_bytes(text.encode())
+            run = run_one(argv)
+            Path(name).write_text(INPUTS[name])
+            lines = run.stderr.splitlines()
+            kept = run.escaped is None and run.code in (0, 2, 3) and "encountered in" not in run.stdout + run.stderr
+            kept = kept and (
+                all(line.startswith("warning: ") for line in lines)
+                if run.code == 0
+                else len(lines) == 1 and lines[0].startswith("error: ")
+            )
+            if not kept:
+                broken.append(f"{family} in {name}, {text!r}: tubeloss {shlex.join(argv)}: {run}")
+    assert not broken, f"{len(broken)} of {MUTATION_CASES} cases:\n" + "\n".join(broken[:10])

@@ -186,6 +186,9 @@ class TestFrequencyGrid:
         f = FrequencyGrid.from_range(1e15, 1e15 + 1, 0.2).frequencies
         assert f[-1] == 1e15 + 1
         assert (np.diff(f) > 0).all()
+        # 2**52 + 10 + 1 / 2 is a tie that rounds down to 2**52 + 10, which a count taken from it left out
+        f = FrequencyGrid.from_range(2.0**52, 2.0**52 + 10, 1.0).frequencies
+        assert len(f) == 11 and f[-1] == 2.0**52 + 10
 
     def test_from_range_caps_the_bin_count(self):
         assert len(FrequencyGrid.from_range(1.0, 1_000_000.0, 1.0)) == 1_000_000

@@ -503,11 +503,18 @@ class TestMicSpectraReader:
         spectra = synth_spectra()
         path = tmp_path / "spectra.csv"
         write_mic_spectra(path, spectra, GEOMETRY, AIR)
+        text = path.read_text()
         crlf = tmp_path / "crlf.csv"
         crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        # the layout of the corpus's commented.csv: a comment and a blank line among the rows
+        rows = text.splitlines(keepends=True)
+        commented = tmp_path / "commented.csv"
+        commented.write_text("".join(rows[:10] + ["# re-seated the sample\n", "\n"] + rows[10:]))
+        gapped = tmp_path / "gapped.csv"  # a blank line between two header fields
+        gapped.write_text(text.replace("\n# sample_thickness_m", "\n\n# sample_thickness_m"))
         read = read_mic_spectra(path)
-        monkeypatch.setattr(io_files, "_read_rows", None)  # a call would raise TypeError
-        for back in (read_mic_spectra(path), read_mic_spectra(crlf)):
+        monkeypatch.setattr(io_files, "_float_rows", None)  # a call would raise TypeError
+        for back in (read_mic_spectra(path), *map(read_mic_spectra, (crlf, commented, gapped))):
             assert [p.tobytes() for p in back[0].pressures] == [p.tobytes() for p in read[0].pressures]
             assert back[1:] == read[1:]
 
