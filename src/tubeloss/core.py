@@ -151,12 +151,9 @@ class FrequencyGrid(Record):
         f = np.array(frequencies, dtype=float)
         if f.ndim != 1 or f.size == 0:
             raise ValueError("frequency grid must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(f)):
-            raise ValueError("frequencies must be finite")
-        if np.any(f <= 0.0):
-            raise ValueError("frequencies must be positive")
-        if np.any(np.diff(f) <= 0.0):
-            raise ValueError("frequencies must be strictly increasing")
+        fault = _frequency_fault(f)
+        if fault is not None:
+            raise ValueError(fault[0])
         f.flags.writeable = False
         self._set(f)
 
@@ -194,6 +191,20 @@ class FrequencyGrid(Record):
     def wavenumbers(self, air: AirProperties) -> np.ndarray:
         """Lossless real wavenumber k = 2 pi f / c in rad/m of every bin."""
         return 2.0 * math.pi * self.frequencies / air.sound_speed
+
+
+def _frequency_fault(f: np.ndarray) -> tuple[str, int] | None:
+    """The first of a frequency axis's rules that the 1-D ``f`` breaks, and the first bin breaking it.
+
+    The rules are checked one at a time, in this order: every bin finite,
+    then positive, then above the bin before it. None if ``f`` keeps all three.
+    """
+    message, bad, offset = "frequencies must be finite", ~np.isfinite(f), 0
+    if not bad.any():
+        message, bad = "frequencies must be positive", f <= 0.0
+    if not bad.any():  # bin i + 1 breaks it when it is not above bin i
+        message, bad, offset = "frequencies must be strictly increasing", f[1:] <= f[:-1], 1
+    return (message, offset + int(np.flatnonzero(bad)[0])) if bad.any() else None
 
 
 def locked_array(values, dtype, shape: tuple, what: str) -> np.ndarray:

@@ -29,7 +29,9 @@ import sys
 import numpy as np
 
 from .bands import BandTable, band_from_nominal
-from .core import AirProperties, DEFAULT_AIR, FrequencyGrid, MaterialSpec, MicSpectra, TubeGeometry, _frozen
+from .core import (
+    AirProperties, DEFAULT_AIR, FrequencyGrid, MaterialSpec, MicSpectra, TubeGeometry, _frequency_fault, _frozen,
+)
 from .errors import ConfigMismatchError, InputFormatError
 from .models import LayerModel
 from .synth import SynthScenario
@@ -387,14 +389,8 @@ def _spectra_from_table(path, header: dict[str, str], data: np.ndarray, linenos)
     try:
         grid = FrequencyGrid(data[:, 0])
     except ValueError as exc:
-        # name the first row breaking the rule the message states, in FrequencyGrid's check order
-        f = data[:, 0]
-        bad = ~np.isfinite(f)
-        if not bad.any():
-            bad = f <= 0.0
-        if not bad.any():
-            bad = np.diff(f, prepend=-np.inf) <= 0.0
-        line = None if linenos is None else linenos[int(np.flatnonzero(bad)[0])]
+        # name the first row breaking the rule the message states
+        line = None if linenos is None else linenos[_frequency_fault(data[:, 0])[1]]
         raise InputFormatError(f"bad frequency column: {exc}", path=path, line=line) from exc
     # each (re, im) column pair viewed as one complex column keeps every bit, -0.0 included;
     # the (n, 4) view is copied once, into the container's (4, n) layout

@@ -15,7 +15,6 @@ from .core import AirProperties, DEFAULT_AIR, FrequencyGrid, Record, _frozen
 from .transfer import (
     AcousticIndicators,
     TransferMatrix,
-    _indicators,
     _nonvanishing,
     _quotient,
     _transmission_phase,
@@ -109,6 +108,9 @@ class LayerModel(Record):
         matrix: tuple[complex, complex, complex, complex] | None = None,
         passive_symmetric: bool = False,
     ) -> None:
+        if kind in ("limp-mass", "identity") and thickness != 0.0:
+            # neither file format gives one, and describe() would not report it
+            raise ValueError(f"{kind} layer takes no thickness")
         if kind == "limp-mass":
             if surface_density is None or surface_density < 0.0:
                 raise ValueError("limp-mass layer needs a non-negative surface_density")
@@ -177,53 +179,38 @@ class LayerModel(Record):
         A limp mass is [[1, j omega m_s], [0, 1]], an air gap of thickness L [[cos kL, j rho0 c sin kL],
         [(j / rho0 c) sin kL, cos kL]]; any other layer holds its constant entries at every bin.
         """
-        return self._matrix_and_phase(grid, air)[0]
-
-    def _matrix_and_phase(
-        self, grid: FrequencyGrid, air: AirProperties,
-    ) -> tuple[TransferMatrix, np.ndarray | float | None]:
-        """This layer's matrix and, for an air gap, the e^{jkL} it is built from (None for other kinds).
-
-        An air gap's cos kL and sin kL are the real and imaginary parts of
-        its transmission phase, so the gap's exponential serves its matrix and
-        its indicators. With numpy 2.4 on x86-64 Linux, np.exp(1j x) has the
-        bits of np.cos(x) and np.sin(x) at every bin checked, so the matrix
-        keeps the bits it had when it was built from np.cos and np.sin.
-        """
         if self.kind == "air-gap":
             # a thickness so large that k L overflows leaves NaN entries; the indicators drop those bins
-            phase = _transmission_phase(grid, self.thickness, air)
-            return _gap_matrix(grid, phase, air.impedance), phase
+            return _gap_matrix(grid, _transmission_phase(grid, self.thickness, air), air.impedance)
         if self.kind == "limp-mass":
             omega = 2.0 * math.pi * grid.frequencies
             with np.errstate(over="ignore", invalid="ignore"):  # an overflowing m_s leaves a non-finite t12
-                return _limp_mass_matrix(grid, 1j * omega * float(self.surface_density)), None
+                return _limp_mass_matrix(grid, 1j * omega * float(self.surface_density))
         t11, t12, t21, t22 = (np.full(len(grid), t, dtype=complex) for t in self.matrix or (1, 0, 0, 1))
-        return TransferMatrix(grid, *_frozen(t11, t12, t21, t22)), None
+        return TransferMatrix(grid, *_frozen(t11, t12, t21, t22))
 
     def _loss_and_factor(
         self, grid: FrequencyGrid, air: AirProperties, omega: np.ndarray, jk: np.ndarray,
     ) -> tuple[np.ndarray, TransferMatrix | np.ndarray]:
         """This layer's own ``stl_db`` and its factor in a stack's product, given the grid's 2 pi f and j k.
 
-        A limp mass of zero thickness, and an air gap of positive thickness,
-        take the parameter path where z = rho0 c, 1 / z and the layer's
-        omega m_s or e^{jkL} are finite: the anechoic denominator and its
-        scale come from those real arrays with the IEEE operations that
-        :func:`~tubeloss.transfer._indicators` performs on the nonzero parts
-        of the layer's matrix, and only the transmission quotient is taken.
-        Every other layer takes the general path, ``_indicators`` on
-        :meth:`_matrix_and_phase`. Both give the same bits.
+        A limp mass, and an air gap of positive thickness, take the parameter
+        path where z = rho0 c, 1 / z and the layer's omega m_s or e^{jkL} are
+        finite: the anechoic denominator and its scale come from those real
+        arrays with the IEEE operations that :func:`acoustic_indicators`
+        performs on the nonzero parts of the layer's matrix, and only the
+        transmission quotient is taken. Every other layer takes the general
+        path, ``acoustic_indicators(self.matrix_on(grid, air), self.thickness,
+        air)``. Both give the same bits.
 
         The factor of a limp mass on the parameter path is the t12 = j omega m_s
-        of its [[1, t12], [0, 1]]; any other layer's is its matrix. An air
-        gap's phase serves its loss and its matrix.
+        of its [[1, t12], [0, 1]]; any other layer's is its matrix.
         """
         z = air.impedance
         # an impedance that overflows or underflows makes NaN of the matrix's zeros (inf 0, 0 / 0)
         if 0.0 < z < math.inf and 1.0 / z < math.inf:
             with np.errstate(over="ignore", invalid="ignore"):
-                if self.kind == "limp-mass" and self.thickness == 0.0:
+                if self.kind == "limp-mass":
                     w = omega * float(self.surface_density)
                     if np.isfinite(w).all():
                         # den = (1 + t12 / z) + z 0 + 1 and scale = (1 + |t12| / z) + z 0 + 1, with t12 = j w
@@ -238,8 +225,8 @@ class LayerModel(Record):
                         den = _complex(c + c, zs * (1.0 / z) + z * s_z)
                         scale = ((c_abs + np.abs(zs) / z) + z * np.abs(s_z)) + c_abs
                         return _transmission_loss(den, scale, phase), _gap_matrix(grid, phase, z)
-        matrix, phase = self._matrix_and_phase(grid, air)
-        return _indicators(matrix, self.thickness, air, phase).stl_db, matrix
+        matrix = self.matrix_on(grid, air)
+        return acoustic_indicators(matrix, self.thickness, air).stl_db, matrix
 
     def describe(self) -> dict:
         """Loggable parameter summary."""
@@ -277,10 +264,10 @@ def _complex(real, imag: np.ndarray) -> np.ndarray:
 
 
 def _transmission_loss(den: np.ndarray, scale: np.ndarray, phase) -> np.ndarray:
-    """``stl`` of T = 2 phase / den, NaN where ``den`` vanishes against ``scale``, as ``_indicators`` has it.
+    """``stl`` of T = 2 phase / den, NaN where ``den`` vanishes against ``scale``, as in ``acoustic_indicators``.
 
     The caller vouches that T and R are finite wherever ``den`` does not
-    vanish, so ``_indicators`` would drop no further bin.
+    vanish, so ``acoustic_indicators`` would drop no further bin.
     """
     ok = _nonvanishing(den, scale)
     return stl(_quotient(np.multiply(2.0, phase), den, ok))
@@ -340,15 +327,15 @@ def stack_indicators(
     per-bin curve outlives its layer, so memory grows with the grid plus
     layers times bands, not layers times bins.
 
-    A limp mass of zero thickness and an air gap of positive thickness take
-    a parameter path: their own loss is built from omega m_s or e^{jkL}
-    alone, skipping the matrix entries that are known zeros and the
-    reflection quotient, and a limp mass enters the product in 2 complex
-    products instead of 8. The general path, the indicators of the layer's
-    matrix, runs for ``matrix`` and ``identity`` layers, for a zero-thickness
-    gap, and wherever omega m_s, e^{jkL}, rho0 c or 1 / (rho0 c) is not
-    finite. Both paths give the same bits: the tables and the stack's
-    indicators equal those of the general path; the running product equals
+    A limp mass and an air gap of positive thickness take a parameter path:
+    their own loss is built from omega m_s or e^{jkL} alone, skipping the
+    matrix entries that are known zeros and the reflection quotient, and a
+    limp mass enters the product in 2 complex products instead of 8. The
+    general path, :func:`acoustic_indicators` of :meth:`LayerModel.matrix_on`,
+    runs for ``matrix`` and ``identity`` layers, for a zero-thickness gap,
+    and wherever omega m_s, e^{jkL}, rho0 c or 1 / (rho0 c) is not finite.
+    Both paths give the same bits: the tables and the stack's indicators
+    equal those of the general path; the running product equals
     :func:`cascade`'s in value at the bins where that is finite, though a
     zero may take the other sign.
 

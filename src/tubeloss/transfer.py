@@ -237,7 +237,8 @@ def acoustic_indicators(
         Sample matrix, typically from :func:`reconstruct_one_load`; ``(n,)`` or
         ``(R, n)`` entries.
     thickness : float
-        Sample thickness d in m, used in the transmission phase reference.
+        Sample thickness d in m, used in the transmission phase reference
+        e^{jkd}: exactly 1.0 at d = 0; a bin where k d overflows is dropped.
     air : AirProperties
         Ambient air.
 
@@ -248,30 +249,6 @@ def acoustic_indicators(
         ``stl_db`` at every bin where T or R is not finite: a non-finite
         entry, a vanishing denominator or an overflowing quotient.
     """
-    return _indicators(matrix, thickness, air)
-
-
-def _transmission_phase(grid: FrequencyGrid, thickness: float, air: AirProperties):
-    """e^{jkd} on every bin of ``grid``: the phase reference of a sample of thickness d.
-
-    A zero thickness gives the exact scalar 1.0, with no exponential. Where
-    k d overflows the phase is NaN, and :func:`acoustic_indicators` drops the
-    bin.
-    """
-    if thickness == 0.0:
-        return 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.exp(1j * grid.wavenumbers(air) * thickness)
-
-
-def _indicators(
-    matrix: TransferMatrix, thickness: float, air: AirProperties, phase=None,
-) -> AcousticIndicators:
-    """:func:`acoustic_indicators`, reusing the :func:`_transmission_phase` of ``thickness`` if given.
-
-    A phase computed here is computed after the denominator, once its
-    temporaries are freed, so it adds nothing to the peak memory of the call.
-    """
     z = air.impedance
     t11, t12, t21, t22 = matrix.t11, matrix.t12, matrix.t21, matrix.t22
     # an overflow here fails the denominator check or leaves T or R non-finite; both drop the bin
@@ -280,13 +257,24 @@ def _indicators(
         back = z * t21
         den = front + back + t22
         ok = _nonvanishing(den, np.abs(t11) + np.abs(t12) / z + z * np.abs(t21) + np.abs(t22))
-        if phase is None:
-            phase = _transmission_phase(matrix.grid, thickness, air)
-        # the (n,) phase serves every row; its product with 2 is an explicit call (see _quotient)
-        numerator = np.multiply(2.0, phase)
+        # the (n,) phase serves every row, and adds nothing to the call's peak memory once the
+        # denominator's temporaries are freed; its product with 2 is an explicit call (see _quotient)
+        numerator = np.multiply(2.0, _transmission_phase(matrix.grid, thickness, air))
         transmission = _quotient(numerator, den, ok)
         reflection = _quotient(front - back - t22, den, ok)
     dropped = ~(np.isfinite(transmission) & np.isfinite(reflection))
     transmission[dropped] = _NAN
     reflection[dropped] = _NAN
     return AcousticIndicators(matrix.grid, *_frozen(transmission, reflection, stl(transmission)))
+
+
+def _transmission_phase(grid: FrequencyGrid, thickness: float, air: AirProperties):
+    """e^{jkd} on every bin of ``grid``: the phase reference of a sample of thickness d.
+
+    A zero thickness gives the exact scalar 1.0, with no exponential. Where
+    k d overflows the phase is NaN.
+    """
+    if thickness == 0.0:
+        return 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(1j * grid.wavenumbers(air) * thickness)

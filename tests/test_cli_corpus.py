@@ -457,9 +457,9 @@ def test_a_failed_write_is_one_error_line_naming_the_path_as_given(runs, corpus_
         assert stderr[argv] == "error: output path is empty\n"
 
 
-# Seeded mutations of the corpus's mic-spectra, config and stack files, one mutation per case,
-# each run in-process as the corpus runs it. A case is (mutated file, command line).
-MUTATED_RUNS = (
+# Seeded mutations of the corpus's input files, one mutation per case, each run in-process as
+# the corpus runs it. A case is (mutated file, command line).
+STL_AND_STACK_RUNS = (
     *((name, ("stl", name, "--config", "tube.ini")) for name in ("zero-downstream.csv", "commented.csv", "crlf.csv")),
     ("tube.ini", ("stl", "zero-downstream.csv", "--config", "tube.ini")),
     *(
@@ -468,6 +468,21 @@ MUTATED_RUNS = (
     ),
     ("tube.ini", ("stack", "--stack", "layers.json", "--config", "tube.ini", "--f-min", "500", "--f-max", "1600")),
 )
+IL_MASSLAW_AND_SYNTH_RUNS = (
+    *(
+        (name, ("il", "--before", "before.csv", "--after", "after.csv", "--band-csv", "il.csv"))
+        for name in ("before.csv", "after.csv")
+    ),
+    *(
+        ("materials.json", ("masslaw", "--materials", "materials.json", "--masslaw-constant", constant))
+        for constant in ("paper", "normal")
+    ),
+    *(
+        (name, ("synth", name, "--config", "tube.ini", "--output", "synth.csv"))
+        for name in ("limp.ini", "anechoic.ini")
+    ),
+)
+MUTATED_RUNS = STL_AND_STACK_RUNS + IL_MASSLAW_AND_SYNTH_RUNS
 MUTATION_FAMILIES = ("delete", "duplicate", "swap", "token", "insert", "truncate")
 # texts swapped in for one token: past the float range, at its edges, non-finite, and no number
 SWAP_TOKENS = ("1e308", "-1e308", "1e400", "5e-324", "nan", "inf", "-inf", "0", "-1", "[]", "null", "%", "9" * 400)
@@ -478,8 +493,10 @@ INSERTED_CHARS = (
     "\r", "\n", "#", "=", '"', "[", "{", "\ufeff",
 )
 _TOKEN = re.compile(r'[^\s,=:\[\]{}"]+')
-MUTATION_SEED = 2611
-MUTATION_CASES = 1800
+# Each generator draws its cases from its own runs, after the cases of the ones before it, so
+# runs added under a new generator only add cases. (runs, seed, cases including the config swaps)
+MUTATION_DRAWS = ((STL_AND_STACK_RUNS, 2611, 1800), (IL_MASSLAW_AND_SYNTH_RUNS, 2903, 700))
+MUTATION_CASES = sum(cases for _, _, cases in MUTATION_DRAWS)
 
 
 def _mutated(text: str, rng: random.Random) -> tuple[str, str]:
@@ -507,24 +524,25 @@ def _mutated(text: str, rng: random.Random) -> tuple[str, str]:
 def _mutation_cases():
     """``MUTATION_CASES`` (file, command line, family, mutated text) cases, the same on every run.
 
-    Every token swap of the config comes first, under each command; the rest are drawn.
+    Every token swap of the config comes first, under each run that mutates it; the rest are drawn.
     """
-    swaps = [
-        (name, argv, "token", CONFIG[: token.start()] + swap + CONFIG[token.end() :])
-        for name, argv in MUTATED_RUNS
-        if name == "tube.ini"
-        for token in _TOKEN.finditer(CONFIG)
-        for swap in SWAP_TOKENS
-    ]
-    yield from swaps
-    rng = random.Random(MUTATION_SEED)
     texts = {name: INPUTS[name] for name, _ in MUTATED_RUNS}
     for name in texts:
         if name.endswith(".json"):  # one value to a line, so that line mutations reach inside its records
             texts[name] = json.dumps(json.loads(texts[name]), indent=1)
-    for _ in range(MUTATION_CASES - len(swaps)):
-        name, argv = rng.choice(MUTATED_RUNS)
-        yield (name, argv, *_mutated(texts[name], rng))
+    for runs, seed, cases in MUTATION_DRAWS:
+        swaps = [
+            (name, argv, "token", CONFIG[: token.start()] + swap + CONFIG[token.end() :])
+            for name, argv in runs
+            if name == "tube.ini"
+            for token in _TOKEN.finditer(CONFIG)
+            for swap in SWAP_TOKENS
+        ]
+        yield from swaps
+        rng = random.Random(seed)
+        for _ in range(cases - len(swaps)):
+            name, argv = rng.choice(runs)
+            yield (name, argv, *_mutated(texts[name], rng))
 
 
 def test_mutated_input_files_keep_the_cli_contract(tmp_path):

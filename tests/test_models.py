@@ -22,7 +22,6 @@ from tubeloss import (
 from tubeloss.bands import _band_averager
 from tubeloss.core import AirProperties
 from tubeloss.models import _layer_pass
-from tubeloss.transfer import _indicators
 
 from helpers import AIR, MATERIALS, WIDE_GRID, determinant, limp_mass_stl_oracle
 
@@ -259,11 +258,10 @@ class TestStackIndicators:
         average = _band_averager(grid, bands, mode)
         stack, tables = stack_indicators(layers, grid, air, bands=bands, mode=mode)
         product, _ = _layer_pass(layers, grid, air, average)
-        # the general path: each layer's _indicators on its _matrix_and_phase, cascade's products
-        want_tables = []
-        for layer in layers:
-            matrix, phase = layer._matrix_and_phase(grid, air)
-            want_tables.append(average(_indicators(matrix, layer.thickness, air, phase).stl_db))
+        # the general path: each layer's acoustic_indicators of its matrix_on, cascade's products
+        want_tables = [
+            average(acoustic_indicators(layer.matrix_on(grid, air), layer.thickness, air).stl_db) for layer in layers
+        ]
         want_product = cascade(layers, grid, air)
         want = acoustic_indicators(want_product, stack_thickness(layers), air)
 
@@ -367,6 +365,13 @@ class TestLayerModel:
             LayerModel(kind="air-gap", thickness=-0.001)
         with pytest.raises(ValueError):
             LayerModel(kind="bogus")
+
+    @pytest.mark.parametrize("thickness", [0.001, -0.001, math.nan, math.inf])
+    @pytest.mark.parametrize("kind", ["limp-mass", "identity"])
+    def test_only_gaps_and_matrices_take_a_thickness(self, kind, thickness):
+        # neither file format can give these kinds a thickness, and describe() would leave it out
+        with pytest.raises(ValueError, match=f"^{kind} layer takes no thickness$"):
+            LayerModel(kind=kind, surface_density=1.0, thickness=thickness)
 
     def test_explicit_passive_symmetric_checked(self):
         LayerModel.explicit(1.0, 100j, 0.0, 1.0, passive_symmetric=True)
