@@ -10,9 +10,14 @@ success, 2 input/format error or a refused memory allocation, 3 numerical
 validity error. Warnings never change the exit code; a failing run prints one
 ``error:`` line and nothing else.
 
-Each subcommand declares only the options its ``_cmd_*`` reads; an option that
-several commands read is declared once, in a parent parser. A command line the
-parser rejects is a usage error: :class:`_Parser` raises it as a
+Each subcommand declares only the options its ``_cmd_*`` reads, in one table,
+:data:`_COMMANDS`; an option that several commands read is declared once, in a
+shared group the table names. A command line that begins with a command name
+builds only that command's parser from the table; any other (``--help``,
+``--version``, no command, an unknown one, an option before the command) builds
+the full parser, whose subparsers come from the same table, so both word every
+help, usage and error line alike. A command line the parser rejects is a usage
+error: :class:`_Parser` raises it as a
 :class:`~tubeloss.errors.TubelossError`, so it exits 2 with one ``error:`` line
 like any other input error. ``--help`` and ``--version`` print and exit 0.
 """
@@ -340,70 +345,107 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _parent(*flags, **keywords) -> argparse.ArgumentParser:
-    """A parent parser declaring one option that several commands read."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(*flags, **keywords)
-    return parent
+def _opt(*flags, **keywords) -> tuple:
+    """One ``add_argument`` call's arguments."""
+    return flags, keywords
+
+
+# the options several commands read, each group declared once
+_CONFIG = (_opt("--config", metavar="PATH", help="INI config with [air] and [tube]"),)
+_BAND_MODE = (_opt("--band-mode", choices=("power", "db"), default="power"),)
+_FRANGE = (_opt("--f-min", type=float, default=100.0), _opt("--f-max", type=float, default=5000.0))
+_BAND_CSV = (_opt("--band-csv", metavar="PATH"),)
+_OUTPUT = (_opt("--output", "-o", default="-", metavar="PATH", help="'-' for stdout"),)
+
+#: Each command's help line, its options (shared groups first) and its ``_cmd_*``.
+_COMMANDS = {
+    "bands": ("list third-octave bands", (*_FRANGE, *_OUTPUT), _cmd_bands),
+    "synth": (
+        "generate synthetic mic spectra",
+        (
+            *_CONFIG,
+            _opt("scenario", help="scenario INI file"),
+            _opt("--seed", type=int, default=None, metavar="U64"),
+            _opt("--output", "-o", required=True, metavar="PATH", help="mic-spectra CSV to write"),
+        ),
+        _cmd_synth,
+    ),
+    "stl": (
+        "transmission loss from mic spectra files",
+        (
+            *_CONFIG, *_BAND_MODE, *_FRANGE, *_BAND_CSV, *_OUTPUT,
+            _opt("inputs", nargs="+", help="mic-spectra CSV files (repetitions)"),
+            _opt("--rep-mode", choices=("db", "power"), default="db"),
+            _opt("--narrowband-csv", metavar="PATH"),
+        ),
+        _cmd_stl,
+    ),
+    "masslaw": (
+        "mass-law predictions per material",
+        (
+            *_CONFIG, *_FRANGE, *_BAND_CSV, *_OUTPUT,
+            _opt("--materials", required=True, metavar="PATH", help="materials JSON"),
+            _opt("--masslaw-constant", choices=MASS_LAW_CONSTANTS, default="paper"),
+        ),
+        _cmd_masslaw,
+    ),
+    "il": (
+        "insertion loss from two band CSVs",
+        (
+            *_BAND_CSV, *_OUTPUT,
+            _opt("--before", required=True, metavar="PATH", help="receiver levels, no sample"),
+            _opt("--after", required=True, metavar="PATH", help="receiver levels, sample installed"),
+        ),
+        _cmd_il,
+    ),
+    "stack": (
+        "predicted loss of a layer stack",
+        (
+            *_CONFIG, *_BAND_MODE, *_FRANGE, *_BAND_CSV, *_OUTPUT,
+            _opt("--stack", required=True, metavar="PATH", help="stack JSON"),
+            _opt("--f-step", type=float, default=10.0),
+        ),
+        _cmd_stack,
+    ),
+}
+
+
+def _fill(parser: _Parser, command: str) -> _Parser:
+    """``parser`` given ``command``'s options, with ``func`` and ``command`` as defaults."""
+    _, options, func = _COMMANDS[command]
+    for flags, keywords in options:
+        parser.add_argument(*flags, **keywords)
+    parser.set_defaults(func=func, command=command)
+    return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    output = _parent("--output", "-o", default="-", metavar="PATH", help="'-' for stdout")
-    config = _parent("--config", metavar="PATH", help="INI config with [air] and [tube]")
-    band_mode = _parent("--band-mode", choices=("power", "db"), default="power")
-    band_csv = _parent("--band-csv", metavar="PATH")
-    frange = argparse.ArgumentParser(add_help=False)
-    frange.add_argument("--f-min", type=float, default=100.0)
-    frange.add_argument("--f-max", type=float, default=5000.0)
-
     parser = _Parser(
         prog="tubeloss",
         description="Impedance-tube transmission loss and two-room insertion loss toolkit",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bands", parents=[frange, output], help="list third-octave bands")
-    p.set_defaults(func=_cmd_bands)
-
-    p = sub.add_parser("synth", parents=[config], help="generate synthetic mic spectra")
-    p.add_argument("scenario", help="scenario INI file")
-    p.add_argument("--seed", type=int, default=None, metavar="U64")
-    p.add_argument("--output", "-o", required=True, metavar="PATH", help="mic-spectra CSV to write")
-    p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser(
-        "stl",
-        parents=[config, band_mode, frange, band_csv, output],
-        help="transmission loss from mic spectra files",
-    )
-    p.add_argument("inputs", nargs="+", help="mic-spectra CSV files (repetitions)")
-    p.add_argument("--rep-mode", choices=("db", "power"), default="db")
-    p.add_argument("--narrowband-csv", metavar="PATH")
-    p.set_defaults(func=_cmd_stl)
-
-    p = sub.add_parser(
-        "masslaw", parents=[config, frange, band_csv, output], help="mass-law predictions per material"
-    )
-    p.add_argument("--materials", required=True, metavar="PATH", help="materials JSON")
-    p.add_argument("--masslaw-constant", choices=MASS_LAW_CONSTANTS, default="paper")
-    p.set_defaults(func=_cmd_masslaw)
-
-    p = sub.add_parser("il", parents=[band_csv, output], help="insertion loss from two band CSVs")
-    p.add_argument("--before", required=True, metavar="PATH", help="receiver levels, no sample")
-    p.add_argument("--after", required=True, metavar="PATH", help="receiver levels, sample installed")
-    p.set_defaults(func=_cmd_il)
-
-    p = sub.add_parser(
-        "stack",
-        parents=[config, band_mode, frange, band_csv, output],
-        help="predicted loss of a layer stack",
-    )
-    p.add_argument("--stack", required=True, metavar="PATH", help="stack JSON")
-    p.add_argument("--f-step", type=float, default=10.0)
-    p.set_defaults(func=_cmd_stack)
-
+    for command, (help_line, _, _) in _COMMANDS.items():
+        _fill(sub.add_parser(command, help=help_line), command)
     return parser
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """``argv`` parsed as :func:`_build_parser`'s parser parses it, building less where it can.
+
+    A command line that begins with a command name takes only that command's
+    parser. Any other goes to the full parser, and so does one with an
+    argument that begins ``--=`` before any ``--``: the full parser refuses
+    that as ambiguous between its own ``--help`` and ``--version``.
+    """
+    head = argv[: argv.index("--")] if "--" in argv else argv
+    if not argv or argv[0] not in _COMMANDS or any(arg.startswith("--=") for arg in head):
+        return _build_parser().parse_args(argv)
+    args, extra = _fill(_Parser(prog=f"tubeloss {argv[0]}"), argv[0]).parse_known_args(argv[1:])
+    if extra:
+        raise _UsageError(f"tubeloss: unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 # every C0 control but tab (NUL and most line breaks among them) and the other characters
@@ -418,7 +460,7 @@ def _print_line(kind: str, message) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = args.func(args)

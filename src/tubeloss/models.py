@@ -132,6 +132,11 @@ class LayerModel(Record):
                     )
         else:
             raise ValueError(f"unknown layer kind '{kind}'")
+        # neither file format gives these, describe() would not report them, and == would count them
+        if kind != "limp-mass" and surface_density is not None:
+            raise ValueError(f"{kind} layer takes no surface_density")
+        if kind != "matrix" and (matrix is not None or passive_symmetric):
+            raise ValueError(f"{kind} layer takes no {'matrix' if matrix is not None else 'passive_symmetric'}")
         if thickness < 0.0:
             raise ValueError("layer thickness must be non-negative")
         # NaN passes the sign checks above; an infinite parameter would drop every bin of the layer.

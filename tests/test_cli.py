@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,10 +9,11 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from tubeloss import (
     DEFAULT_AIR,
@@ -1132,6 +1136,165 @@ sys.exit(max([main(argv.split()) for argv in sys.argv[1:]]))
             assert run_cli("masslaw", "--materials", "m.json", "--output", target) == 2
             assert capsys.readouterr() == ("", f"error: {message}\n")
         assert sorted(p.name for p in work.rglob("*")) == ["adir", "limp.ini", "m.json", "tube.ini"]
+
+
+def _full_parse(argv):
+    return cli._build_parser().parse_args(argv)
+
+
+def _parse_outcome(parse, argv) -> tuple:
+    """``("namespace", items)``, ``("usage", message)`` or ``("exit", code, stdout)`` of one parse."""
+    stdout = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout):
+            namespace = parse(argv)
+        # repr compares NaN with NaN and tells -0.0 from 0.0; a function's repr is its identity
+        return "namespace", sorted((key, repr(value)) for key, value in vars(namespace).items())
+    except cli._UsageError as exc:
+        return "usage", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, stdout.getvalue()
+
+
+def _main_outcome(argv, parse=None) -> tuple:
+    """``(exit code, stdout, stderr)`` of ``main(argv)``, parsing with ``parse`` if given."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(contextlib.redirect_stdout(stdout))
+        stack.enter_context(contextlib.redirect_stderr(stderr))
+        if parse is not None:
+            stack.enter_context(mock.patch.object(cli, "_parse_args", parse))
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+# tokens no command declares, or spells otherwise: unknown options, the top parser's own options,
+# abbreviations (unique, ambiguous and none), attached values and the end-of-options marker
+ODD_TOKENS = (
+    "--", "--bogus", "-x", "--version", "--vers", "-h", "--help", "--=x", "--=", "---", "-",
+    "--f-st", "--narrow", "--conf", "--f-m", "--band", "--mat", "--b", "-o", "-ox", "-o=x",
+    "--f-min=2", "--f-st=0.5", "--band-mode=db", "--output=", "--seed=-1",
+)
+VALUES = ("in.csv", "", "1", "-1", "1e3", "x", "nan", "-5e-324", "db", "power", "paper", "normal", "a b")
+
+
+def _good_values(keywords: dict) -> tuple:
+    """Values an option declared with ``keywords`` accepts."""
+    if "choices" in keywords:
+        return tuple(keywords["choices"])
+    return ("1", "-1", "2e3", "0") if keywords.get("type") in (float, int) else ("p.csv", "-")
+
+
+@st.composite
+def command_lines(draw) -> list:
+    """A command line that begins with a command name, drawn mostly from that command's options."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    declared = cli._COMMANDS[command][1]
+    options = [(flag, keywords) for flags, keywords in declared for flag in flags if flag[0] == "-"]
+    # a value for each required option and positional, so that some draws parse
+    required = [
+        token for flags, keywords in declared if flags[0][0] != "-" or keywords.get("required")
+        for token in ((flags[0], "p.csv") if flags[0][0] == "-" else ("in.csv",))
+    ]
+    pieces = {
+        "required": st.just(tuple(required)),
+        "option and good value": st.sampled_from([(flag, v) for flag, kw in options for v in _good_values(kw)]),
+        "option and any value": st.tuples(st.sampled_from([flag for flag, _ in options]), st.sampled_from(VALUES)),
+        "option": st.tuples(st.sampled_from([flag for flag, _ in options])),
+        "odd token": st.tuples(st.sampled_from(ODD_TOKENS)),
+        "value": st.tuples(st.sampled_from(VALUES)),
+    }
+    kinds = st.sampled_from(["option and good value"] * 3 + ["required"] * 2 + list(pieces))
+    return [command, *(token for kind in draw(st.lists(kinds, max_size=6)) for token in draw(pieces[kind]))]
+
+
+class TestOneParserPerRun:
+    """A command line naming its command first takes that command's parser alone, with the same result."""
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_each_commands_help_is_the_full_parsers(self, command, flag):
+        one = _parse_outcome(cli._parse_args, [command, flag])
+        assert one == _parse_outcome(_full_parse, [command, flag])
+        assert one[:2] == ("exit", 0) and one[2].startswith(f"usage: tubeloss {command} [-h]")
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(argv=command_lines())
+    def test_a_drawn_command_line_parses_as_the_full_parser_parses_it(self, argv):
+        one = _parse_outcome(cli._parse_args, argv)
+        event(one[0])  # the share of each outcome shows with pytest --hypothesis-show-statistics
+        assert one == _parse_outcome(_full_parse, argv)
+        if one[0] == "usage":
+            # main words the refusal alike: exit 2 and one error line
+            code, stdout, stderr = _main_outcome(argv)
+            assert (code, stdout, stderr) == _main_outcome(argv, parse=_full_parse)
+            assert code == 2 and stdout == "" and stderr.count("\n") == 1
+            assert stderr.startswith("error: tubeloss")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["stl", "in.csv", "--=x"], "tubeloss: ambiguous option: --=x could match --help, --version"),
+            (["stl", "in.csv", "--bogus", "-x"], "tubeloss: unrecognized arguments: --bogus -x"),
+            (["stack", "--stack", "s.json", "--version"], "tubeloss: unrecognized arguments: --version"),
+            (["stack", "--f-st"], "tubeloss stack: argument --f-step: expected one argument"),
+            (["masslaw", "--f-m", "1"], "tubeloss masslaw: ambiguous option: --f-m could match --f-min, --f-max"),
+            (["il", "--before", "a"], "tubeloss il: the following arguments are required: --after"),
+        ],
+    )
+    def test_a_refused_command_line_keeps_the_full_parsers_error_line(self, argv, message):
+        assert _main_outcome(argv) == (2, "", f"error: {message}\n")
+        assert _main_outcome(argv, parse=_full_parse) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["stl", "--narrow", "n.csv", "-o", "-", "--rep", "power", "-o", "r.json", "--", "-a.csv"],
+                {"narrowband_csv": "n.csv", "output": "r.json", "rep_mode": "power", "inputs": ["-a.csv"]},
+            ),
+            (["stack", "--f-st", "5", "--stack=s.json", "-o-"], {"f_step": 5.0, "stack": "s.json", "output": "-"}),
+        ],
+    )
+    def test_abbreviations_repeats_and_the_end_of_options_parse_alike(self, argv, expected):
+        one = vars(cli._parse_args(argv))
+        assert one == vars(_full_parse(argv))
+        assert one["command"] == argv[0] and one["func"] is getattr(cli, f"_cmd_{argv[0]}")
+        assert {key: one[key] for key in expected} == expected
+
+    @pytest.fixture
+    def parsers_built(self, monkeypatch):
+        """The list of parsers built, by class, while the test runs."""
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **keywords):
+            built.append(type(self))
+            init(self, *args, **keywords)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        return built
+
+    def test_stl_and_stack_build_one_parser(self, tmp_path, config, limp_scenario, parsers_built):
+        spectra, stack = tmp_path / "run.csv", tmp_path / "stack.json"
+        stack.write_text(json.dumps([{"kind": "limp-mass", "surface_density": 1.0}]))
+        assert run_cli("synth", limp_scenario, "--config", config, "--output", str(spectra)) == 0
+        del parsers_built[:]
+        assert run_cli("stl", str(spectra), "--config", config, "--output", str(tmp_path / "stl.json")) == 0
+        assert parsers_built == [cli._Parser]
+        del parsers_built[:]
+        assert run_cli("stack", "--stack", str(stack), "--output", str(tmp_path / "stack.out")) == 0
+        assert parsers_built == [cli._Parser]
+
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["--version"], ["bogus"], [], ["--config", "x", "stl", "in.csv"], ["st"]]
+    )
+    def test_any_other_command_line_builds_the_full_parser(self, argv, parsers_built, capsys):
+        try:
+            assert main(argv) == 2
+        except SystemExit as exc:
+            assert exc.code == 0
+        assert parsers_built == [cli._Parser] * (1 + len(cli._COMMANDS))
 
 
 def python_round(v: float, decimals: int):
