@@ -61,10 +61,14 @@ _BLOCK_CHARS = 1 << 16  # mic-spectra text checked at a time before loadtxt pars
 # the ASCII file, group, record and unit separators: str.isspace() counts them as
 # whitespace, so loadtxt strips them around a number, but float() rejects them
 _LOADTXT_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
+_REQUIRED = object()  # the default, in a key table, of a key that must be given
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _fmt(value) -> str:
+    """A config value as the config dump and the mic-spectra header write it: ``repr`` floats, ``none`` for None."""
+    if isinstance(value, tuple):
+        return " ".join(map(_fmt, value))
+    return "none" if value is None else repr(float(value))
 
 
 @contextlib.contextmanager
@@ -140,12 +144,15 @@ def _record_errors(label: str, path, line=None):
 
     A ``KeyError``, ``TypeError``, ``ValueError``, ``OverflowError`` or
     ``configparser.Error`` becomes ``InputFormatError("<label>: <error>",
-    path, line)``; an :class:`InputFormatError` passes unchanged.
+    path, line)``; an :class:`InputFormatError` passes unchanged, given
+    ``path`` and ``line`` if it names no file.
     """
     try:
         yield
     except (KeyError, TypeError, ValueError, OverflowError, configparser.Error) as exc:
         if isinstance(exc, InputFormatError):
+            if exc.path is None:  # a key parser's own wording, such as a scenario's bad termination
+                raise InputFormatError(str(exc), path=path, line=line) from exc
             raise
         raise InputFormatError(f"{label}: {exc}", path=path, line=line) from exc
 
@@ -157,7 +164,43 @@ def write_text_atomic(path, text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# input keys and configuration
+
+
+def _read_keys(fields, keys: dict, where: str) -> dict:
+    """Each key of ``keys``, a table of key -> (parser, default), from ``fields``, a JSON record or INI section.
+
+    A given key is parsed, a missing one takes its default (``KeyError`` if ``_REQUIRED``); first, a key
+    ``keys`` does not declare raises ``ValueError``: ``<where> takes no key '<key>'``.
+    """
+    _refuse_undeclared(fields, keys, f"{where} takes no key")
+    return {key: _read_key(fields, key, *spec) for key, spec in keys.items()}
+
+
+def _read_key(fields, key: str, parse, default):
+    return parse(fields[key]) if key in fields or default is _REQUIRED else default
+
+
+def _refuse_undeclared(names, declared, what: str) -> None:
+    """Raise ``ValueError("<what> '<name>'")`` for the first name not ``declared``, with the closest declared one."""
+    for name in names:
+        if name not in declared:
+            import difflib  # on this error path only, so that no good input pays for its import
+            close = difflib.get_close_matches(name, declared, n=1)
+            raise ValueError(f"{what} '{name}'" + (f" (did you mean '{close[0]}'?)" if close else ""))
+
+
+# the config's sections, each section's keys in the order of its record's fields
+_CONFIG_KEYS = {
+    "air": {
+        "density": (float, DEFAULT_AIR.density), "sound_speed": (float, DEFAULT_AIR.sound_speed),
+        "temperature": (float, None), "relative_humidity": (float, None),
+    },
+    "tube": {
+        "mic_positions": (lambda text: tuple(map(float, text.replace(",", " ").split())), _REQUIRED),  # or commas
+        "sample_thickness": (float, _REQUIRED), "diameter": (float, _REQUIRED),
+    },
+}
 
 
 def _read_ini(path, what: str) -> configparser.ConfigParser:
@@ -175,52 +218,27 @@ def load_config(path) -> tuple[AirProperties, TubeGeometry]:
     """Read the INI config: [air] density/sound_speed..., [tube] geometry."""
     parser = _read_ini(path, "config")
     with _record_errors("bad config", path):
+        _refuse_undeclared(parser.sections(), _CONFIG_KEYS, "a config takes no section")
         air_section = parser["air"] if parser.has_section("air") else {}
-        air = AirProperties(
-            density=float(air_section.get("density", DEFAULT_AIR.density)),
-            sound_speed=float(air_section.get("sound_speed", DEFAULT_AIR.sound_speed)),
-            temperature=(
-                float(air_section["temperature"]) if "temperature" in air_section else None
-            ),
-            relative_humidity=(
-                float(air_section["relative_humidity"])
-                if "relative_humidity" in air_section
-                else None
-            ),
-        )
+        air = AirProperties(*_read_keys(air_section, _CONFIG_KEYS["air"], "[air]").values())
         # the models divide by rho0 c and multiply by its inverse, so both must be positive and finite
         z = air.impedance
         if not 0.0 < z < math.inf or 1.0 / z == math.inf:
             raise ValueError(f"air impedance density * sound_speed = {z!r}: it and its inverse must be positive and finite")
         if not parser.has_section("tube"):
             raise InputFormatError("missing [tube] section", path=path)
-        tube = parser["tube"]
-        positions = tuple(float(v) for v in tube["mic_positions"].replace(",", " ").split())
-        geometry = TubeGeometry(
-            mic_positions=positions,  # type: ignore[arg-type]
-            sample_thickness=float(tube["sample_thickness"]),
-            tube_diameter=float(tube["diameter"]),
-        )
+        geometry = TubeGeometry(*_read_keys(parser["tube"], _CONFIG_KEYS["tube"], "[tube]").values())
     return air, geometry
 
 
 def dump_config(air: AirProperties, geometry: TubeGeometry | None) -> str:
-    """Canonical flat rendering of the effective configuration."""
-    lines = [
-        f"air.density={_fmt(air.density)}",
-        f"air.sound_speed={_fmt(air.sound_speed)}",
-        f"air.temperature={'none' if air.temperature is None else _fmt(air.temperature)}",
-        "air.relative_humidity="
-        + ("none" if air.relative_humidity is None else _fmt(air.relative_humidity)),
-    ]
-    if geometry is None:
-        lines.append("tube=none")
-    else:
-        lines += [
-            "tube.mic_positions=" + " ".join(_fmt(x) for x in geometry.mic_positions),
-            f"tube.sample_thickness={_fmt(geometry.sample_thickness)}",
-            f"tube.diameter={_fmt(geometry.tube_diameter)}",
-        ]
+    """Canonical flat rendering of the effective configuration: ``<section>.<key>=<value>`` per config key."""
+    lines = []
+    for (section, keys), record in zip(_CONFIG_KEYS.items(), (air, geometry)):
+        if record is None:
+            lines.append(f"{section}=none")
+        else:
+            lines += [f"{section}.{key}={_fmt(value)}" for key, value in zip(keys, record._fields())]
     return "\n".join(lines) + "\n"
 
 
@@ -230,6 +248,18 @@ def config_hash(air: AirProperties, geometry: TubeGeometry | None) -> str:
 
 # ---------------------------------------------------------------------------
 # mic spectra CSV
+
+# the header's echo of the config, by record: header key -> (record field, parser, mismatch label, numbered
+# from 1 for the mic positions, which are split at whitespace only)
+_HEADER_ECHO = {
+    TubeGeometry: {
+        "mic_positions_m": ("mic_positions", lambda text: tuple(map(float, text.split())), "mic x{}"),
+        "sample_thickness_m": ("sample_thickness", float, "sample_thickness"),
+        "tube_diameter_m": ("tube_diameter", float, "tube_diameter"),
+    },
+    AirProperties: {"air_density_kg_m3": ("density", float, "air density"),
+                    "air_sound_speed_m_s": ("sound_speed", float, "sound speed")},
+}
 
 
 def _write_csv(path, head: list[str], columns) -> None:
@@ -250,16 +280,10 @@ def _write_csv(path, head: list[str], columns) -> None:
 def write_mic_spectra(path, spectra: MicSpectra, geometry: TubeGeometry, air: AirProperties) -> None:
     """Write the ``(4, n)`` pressures of ``spectra`` with the geometry/air echo header."""
     grid = spectra.grid
-    head = [
-        MIC_SPECTRA_MAGIC,
-        f"# n_frequencies = {len(grid)}",
-        "# mic_positions_m = " + " ".join(_fmt(x) for x in geometry.mic_positions),
-        f"# sample_thickness_m = {_fmt(geometry.sample_thickness)}",
-        f"# tube_diameter_m = {_fmt(geometry.tube_diameter)}",
-        f"# air_density_kg_m3 = {_fmt(air.density)}",
-        f"# air_sound_speed_m_s = {_fmt(air.sound_speed)}",
-        MIC_SPECTRA_HEADER,
-    ]
+    head = [MIC_SPECTRA_MAGIC, f"# n_frequencies = {len(grid)}"]
+    for record, echo in zip((geometry, air), _HEADER_ECHO.values()):
+        head += [f"# {key} = {_fmt(getattr(record, field))}" for key, (field, _, _) in echo.items()]
+    head.append(MIC_SPECTRA_HEADER)
     columns = [grid.frequencies]
     for p in spectra.pressures:
         columns += [p.real, p.imag]
@@ -369,15 +393,9 @@ def _spectra_from_table(path, header: dict[str, str], data: np.ndarray, linenos)
     with None (the ``loadtxt`` path, whose errors are not shown) no line is named.
     """
     with _record_errors("bad or missing header field", path):
-        positions = tuple(float(v) for v in header["mic_positions_m"].split())
-        geometry = TubeGeometry(
-            mic_positions=positions,  # type: ignore[arg-type]
-            sample_thickness=float(header["sample_thickness_m"]),
-            tube_diameter=float(header["tube_diameter_m"]),
-        )
-        air = AirProperties(
-            density=float(header["air_density_kg_m3"]),
-            sound_speed=float(header["air_sound_speed_m_s"]),
+        geometry, air = (
+            record(**{field: parse(header[key]) for key, (field, parse, _) in echo.items()})
+            for record, echo in _HEADER_ECHO.items()
         )
         n_declared = int(header["n_frequencies"])
     if n_declared != len(data):
@@ -405,30 +423,18 @@ def _spectra_from_table(path, header: dict[str, str], data: np.ndarray, linenos)
 
 
 def require_header_matches(
-    path,
-    file_geometry: TubeGeometry,
-    file_air: AirProperties,
-    geometry: TubeGeometry,
-    air: AirProperties,
+    path, file_geometry: TubeGeometry, file_air: AirProperties, geometry: TubeGeometry, air: AirProperties
 ) -> None:
     """Abort when a file's geometry/air echo disagrees with the active config."""
-
-    def close(a: float, b: float) -> bool:
-        return abs(a - b) <= _HEADER_RTOL * max(abs(a), abs(b), 1e-300)
-
-    positions = enumerate(zip(file_geometry.mic_positions, geometry.mic_positions), start=1)
-    fields = [
-        *((f"mic x{i}", got, want) for i, (got, want) in positions),
-        ("sample_thickness", file_geometry.sample_thickness, geometry.sample_thickness),
-        ("tube_diameter", file_geometry.tube_diameter, geometry.tube_diameter),
-        ("air density", file_air.density, air.density),
-        ("sound speed", file_air.sound_speed, air.sound_speed),
-    ]
-    problems = [f"{label}: file {got} vs config {want}" for label, got, want in fields if not close(got, want)]
+    problems = []
+    for got_record, want_record, echo in zip((file_geometry, file_air), (geometry, air), _HEADER_ECHO.values()):
+        for field, _, label in echo.values():
+            got, want = getattr(got_record, field), getattr(want_record, field)
+            for i, (a, b) in enumerate(zip(got, want) if isinstance(got, tuple) else [(got, want)], start=1):
+                if not abs(a - b) <= _HEADER_RTOL * max(abs(a), abs(b), 1e-300):
+                    problems.append(f"{label.format(i)}: file {a} vs config {b}")
     if problems:
-        raise ConfigMismatchError(
-            "header disagrees with active config: " + "; ".join(problems), path=path
-        )
+        raise ConfigMismatchError("header disagrees with active config: " + "; ".join(problems), path=path)
 
 
 # ---------------------------------------------------------------------------
@@ -537,34 +543,32 @@ def _load_records(path, what: str, label: str, build) -> tuple:
     return tuple(records)
 
 
+def _matrix_entry(pair) -> complex:
+    re_part, im_part = pair
+    return complex(float(re_part), float(im_part))
+
+
+_MATRIX_ENTRIES = ("t11", "t12", "t21", "t22")
+# each stack layer kind's keys besides "kind"
+_LAYER_KEYS = {
+    "limp-mass": {"surface_density": (float, _REQUIRED)}, "air-gap": {"thickness": (float, _REQUIRED)}, "identity": {},
+    "matrix": {**dict.fromkeys(_MATRIX_ENTRIES, (_matrix_entry, _REQUIRED)), "passive_symmetric": (bool, False),
+               "thickness": (float, 0.0)},
+}
+_MATERIAL_KEYS = {
+    "name": (str, _REQUIRED), "thickness_mm": (float, _REQUIRED), "surface_density": (float, _REQUIRED),
+    "bulk_density": (lambda value: None if value is None else float(value), None),
+}
+
+
 def _layer_from_record(record: dict) -> LayerModel:
     kind = record.get("kind")
-    if kind == "limp-mass":
-        return LayerModel.limp_mass(float(record["surface_density"]))
-    if kind == "air-gap":
-        return LayerModel.air_gap(float(record["thickness"]))
-    if kind == "identity":
-        return LayerModel.identity()
+    if not isinstance(kind, str) or kind not in _LAYER_KEYS:  # a list or object kind is unhashable
+        raise ValueError(f"unknown kind '{kind}'")
+    values = _read_keys(record, {"kind": (str, _REQUIRED), **_LAYER_KEYS[kind]}, f"kind '{kind}'")
     if kind == "matrix":
-        entries = []
-        for key in ("t11", "t12", "t21", "t22"):
-            re_part, im_part = record[key]
-            entries.append(complex(float(re_part), float(im_part)))
-        return LayerModel.explicit(
-            *entries,
-            passive_symmetric=bool(record.get("passive_symmetric", False)),
-            thickness=float(record.get("thickness", 0.0)),
-        )
-    raise ValueError(f"unknown kind '{kind}'")
-
-
-def _material_from_record(record: dict) -> MaterialSpec:
-    return MaterialSpec(
-        name=str(record["name"]),
-        thickness_mm=float(record["thickness_mm"]),
-        surface_density=float(record["surface_density"]),
-        bulk_density=None if record.get("bulk_density") is None else float(record["bulk_density"]),
-    )
+        values["matrix"] = tuple(values.pop(key) for key in _MATRIX_ENTRIES)
+    return LayerModel(**values)
 
 
 def load_stack(path) -> tuple[LayerModel, ...]:
@@ -574,61 +578,56 @@ def load_stack(path) -> tuple[LayerModel, ...]:
 
 def load_materials(path) -> tuple[MaterialSpec, ...]:
     """Read a JSON list of material records."""
-    return _load_records(path, "materials", "material", _material_from_record)
+    return _load_records(
+        path, "materials", "material", lambda record: MaterialSpec(**_read_keys(record, _MATERIAL_KEYS, "a material"))
+    )
 
 
-def _parse_complex(text: str, what: str, path) -> complex:
+def _complex(text: str, what: str) -> complex:
+    """A complex number written as ``0.2+0.1j``, spaces allowed; an error names ``what``."""
     try:
         return complex(text.replace(" ", ""))
-    except ValueError as exc:
-        raise InputFormatError(f"bad {what}: '{text}'", path=path) from exc
+    except ValueError:
+        raise InputFormatError(f"bad {what}: '{text}'") from None
+
+
+# [scenario], read after the sample kind's own keys
+_SCENARIO_KEYS = {
+    "sample": (str.strip, "identity"),
+    "termination": (lambda text: 0j if text.strip() == "anechoic" else _complex(text.strip(), "termination"), 0j),
+    "incident_amplitude": (lambda text: _complex(text, "incident amplitude"), 1 + 0j),
+    "snr_db": (lambda text: None if text.strip().lower() in ("off", "none", "") else float(text.strip().lower()), None),
+    "seed": (int, 0), "f_min": (float, 100.0), "f_max": (float, 2000.0), "f_step": (float, 10.0),
+}
+# each sample kind's own keys: scenario key -> the layer-record key it gives (a stack's file holds its records)
+_SAMPLE_KEYS = {
+    "limp-mass": {"surface_density": "surface_density"}, "air-gap": {"gap_thickness": "thickness"},
+    "identity": {}, "stack": {"stack_file": "stack_file"},
+}
 
 
 def load_scenario(path, geometry: TubeGeometry, air: AirProperties) -> tuple[SynthScenario, FrequencyGrid]:
     """Read a synthesis scenario INI; geometry and air come from the config."""
     parser = _read_ini(path, "scenario")
-    if not parser.has_section("scenario"):
-        raise InputFormatError("missing [scenario] section", path=path)
-    section = parser["scenario"]
     with _record_errors("bad scenario", path):
-        sample_kind = section.get("sample", "identity").strip()
-        if sample_kind == "limp-mass":
-            layers: tuple[LayerModel, ...] = (
-                LayerModel.limp_mass(float(section["surface_density"])),
-            )
-        elif sample_kind == "air-gap":
-            layers = (LayerModel.air_gap(float(section["gap_thickness"])),)
-        elif sample_kind == "identity":
-            layers = (LayerModel.identity(),)
-        elif sample_kind == "stack":
-            stack_path = section["stack_file"]
+        _refuse_undeclared(parser.sections(), ("scenario",), "a scenario takes no section")
+        if not parser.has_section("scenario"):
+            raise InputFormatError("missing [scenario] section", path=path)
+        section = parser["scenario"]
+        sample = _read_key(section, "sample", *_SCENARIO_KEYS["sample"])
+        if sample not in _SAMPLE_KEYS:
+            raise InputFormatError(f"unknown sample kind '{sample}'", path=path)
+        own = _SAMPLE_KEYS[sample]
+        keys = {**dict.fromkeys(own, (str, _REQUIRED)), **_SCENARIO_KEYS}
+        values = _read_keys(section, keys, f"[scenario] with sample = {sample}")
+        if sample == "stack":
             # from the scenario's directory, kept relative, so a message names it as the user did
-            layers = load_stack(os.path.join(os.path.dirname(os.fspath(path)), stack_path))
+            layers = load_stack(os.path.join(os.path.dirname(os.fspath(path)), values["stack_file"]))
         else:
-            raise InputFormatError(f"unknown sample kind '{sample_kind}'", path=path)
-
-        termination_text = section.get("termination", "anechoic").strip()
-        termination = (
-            0j if termination_text == "anechoic" else _parse_complex(termination_text, "termination", path)
-        )
-        incident = _parse_complex(section.get("incident_amplitude", "1.0"), "incident amplitude", path)
-        snr_text = section.get("snr_db", "off").strip().lower()
-        snr = None if snr_text in ("off", "none", "") else float(snr_text)
-        seed = int(section.get("seed", "0"))
-        grid = FrequencyGrid.from_range(
-            float(section.get("f_min", "100")),
-            float(section.get("f_max", "2000")),
-            float(section.get("f_step", "10")),
-        )
-        scenario = SynthScenario(
-            sample=layers,
-            geometry=geometry,
-            air=air,
-            incident_amplitude=incident,
-            termination_ratio=termination,
-            snr_db=snr,
-            seed=seed,
-        )
+            layers = (_layer_from_record({"kind": sample, **{own[key]: values[key] for key in own}}),)
+        grid = FrequencyGrid.from_range(values["f_min"], values["f_max"], values["f_step"])
+        signal = (values[key] for key in ("incident_amplitude", "termination", "snr_db", "seed"))
+        scenario = SynthScenario(layers, geometry, air, *signal)
     return scenario, grid
 
 

@@ -13,8 +13,13 @@ shows whether a change keeps the command line's bytes::
     diff -r OUT_OLD OUT_NEW
 
 ``corpus_digests.json`` next to this module holds :func:`digests` of the
-corpus, which ``test_cli_corpus.py`` compares with every test run. A change
-that alters the corpus on purpose rewrites it with::
+corpus, which ``test_cli_corpus.py`` compares with every test run. numpy's
+float64 ``log10``, ``power``, ``exp`` and ``log`` kernels differ in the last
+bits between its SIMD dispatch classes, so each class has its own manifest
+(:func:`manifest`): ``corpus_digests.json`` holds ``X86_V4`` (AVX-512), and
+``corpus_digests_X86_V3.json`` the same host with those kernels switched off
+by ``NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR X86_V4"``. A change that
+alters the corpus on purpose rewrites the running class's manifest with::
 
     PYTHONPATH=src python tests/cli_corpus.py --write-digests OUTDIR
 """
@@ -288,6 +293,20 @@ INPUTS = {
     # finite levels of 1e308 and -1e308 in the 630 Hz band, whose difference overflows
     "huge-before.csv": _BAND_CSV.format(name="L_r0", values="70.0,1e308,71.0,69.0"),
     "huge-after.csv": _BAND_CSV.format(name="L_rs", values="60.0,-1e308,71.5,55.0"),
+    # a misspelt key, a section spelt with a capital, and a key the sample kind or layer kind does not
+    # use: each is refused, naming the key and the closest declared one
+    "sound-sped.ini": CONFIG.replace("sound_speed = 343.2", "sound_sped = 500"),
+    "capital-air.ini": CONFIG.replace("[air]", "[Air]"),
+    "snr-bd.ini": _SCENARIO.format(
+        surface_density=1.135, termination="anechoic", snr_db=40, f_max=2000, f_step=10
+    ).replace("snr_db", "snr_bd"),
+    "gap-mass.ini": "[scenario]\nsample = air-gap\ngap_thickness = 0.05\nsurface_density = 1.135\n",
+    "gap-extras.json": json.dumps(
+        [{"kind": "air-gap", "thickness": 0.01, "surface_density": 3, "passive_symmetric": True}]
+    ),
+    "bulk-densty.json": json.dumps(
+        [{"name": "sheet", "thickness_mm": 0.89, "surface_density": 1.135, "bulk_densty": 99999}]
+    ),
 }
 
 # command lines the parser rejects: a missing input, an option the command does not read,
@@ -435,6 +454,14 @@ RUNS: tuple[tuple[str, ...], ...] = (
     ("stack", "--stack", "layers.json", "--f-min", "1e15", "--f-max", "1000000000000001", "--f-step", "0.1"),
     ("stack", "--stack", "layers.json", "--config", ""),
     *USAGE_ERRORS,
+    *(
+        ("stack", "--stack", "layers.json", "--config", name, "--f-max", "1000")
+        for name in ("sound-sped.ini", "capital-air.ini")
+    ),
+    ("synth", "snr-bd.ini", "--config", "tube.ini", "--seed", "7", "--output", "snr-bd.csv"),
+    ("synth", "gap-mass.ini", "--config", "tube.ini", "--output", "gap-mass.csv"),
+    ("stack", "--stack", "gap-extras.json", "--f-max", "1000"),
+    ("masslaw", "--materials", "bulk-densty.json"),
 )
 
 _TIMESTAMP = re.compile(r'("timestamp": )"[^"]*"')
@@ -533,11 +560,22 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-DIGESTS = Path(__file__).with_name("corpus_digests.json")
+def dispatch_class() -> str:
+    """numpy's SIMD dispatch class in this process: the highest x86-64 level it runs, else the machine."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    levels = ("X86_V4", "X86_V3", "X86_V2")
+    return next((level for level in levels if __cpu_features__.get(level)), platform.machine())
+
+
+def manifest(dispatch: str) -> Path:
+    """The committed digests of the corpus under numpy's dispatch class ``dispatch``."""
+    name = "corpus_digests.json" if dispatch == "X86_V4" else f"corpus_digests_{dispatch}.json"
+    return Path(__file__).with_name(name)
 
 
 def digests(outdir, runs) -> dict:
-    """The library versions, then each run's exit code and the sha256 of each output, masked.
+    """The library versions and dispatch class, then each run's exit code and the sha256 of each output, masked.
 
     A run's outputs are its stdout, its stderr and every file it wrote, keyed
     by the run's command line.
@@ -546,6 +584,7 @@ def digests(outdir, runs) -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "dispatch": dispatch_class(),
         "runs": {
             shlex.join(run.argv): {
                 "exit": run.code,
@@ -566,4 +605,4 @@ if __name__ == "__main__":
     for run in runs:
         print(f"{run.code if run.escaped is None else 'escaped'}\t{shlex.join(run.argv)}")
     if write:
-        DIGESTS.write_text(json.dumps(digests(sys.argv[-1], runs), indent=1) + "\n")
+        manifest(dispatch_class()).write_text(json.dumps(digests(sys.argv[-1], runs), indent=1) + "\n")

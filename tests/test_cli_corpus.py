@@ -1,18 +1,23 @@
 """The command-line contract over a fixed corpus of runs (see ``cli_corpus.py``)."""
+import configparser
 import json
+import os
 import random
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tubeloss.io_files import read_band_csv
+import tubeloss
+from tubeloss.io_files import _CONFIG_KEYS, _LAYER_KEYS, _MATERIAL_KEYS, _SAMPLE_KEYS, _SCENARIO_KEYS, read_band_csv
 
-from cli_corpus import CONFIG, DIGESTS, INPUTS, USAGE_ERRORS, digests, inside, run_corpus, run_one
+from cli_corpus import CONFIG, INPUTS, USAGE_ERRORS, digests, inside, manifest, run_corpus, run_one
 
 # mic-spectra files the corpus synthesises and the stl runs read
 SPECTRA = ("run1.csv", "anechoic.csv")
@@ -210,6 +215,37 @@ def test_a_value_past_the_float_range_is_a_bad_material_or_a_bad_scenario(runs):
     )
 
 
+def test_an_undeclared_section_or_key_names_it_and_the_closest_declared_one(runs):
+    outcome = {run.argv: (run.code, run.stderr) for run in runs}
+    for argv, message in (
+        (
+            ("stack", "--stack", "layers.json", "--config", "sound-sped.ini", "--f-max", "1000"),
+            "sound-sped.ini: bad config: [air] takes no key 'sound_sped' (did you mean 'sound_speed'?)",
+        ),
+        (
+            ("stack", "--stack", "layers.json", "--config", "capital-air.ini", "--f-max", "1000"),
+            "capital-air.ini: bad config: a config takes no section 'Air' (did you mean 'air'?)",
+        ),
+        (
+            ("synth", "snr-bd.ini", "--config", "tube.ini", "--seed", "7", "--output", "snr-bd.csv"),
+            "snr-bd.ini: bad scenario: [scenario] with sample = limp-mass takes no key 'snr_bd' (did you mean 'snr_db'?)",
+        ),
+        (
+            ("synth", "gap-mass.ini", "--config", "tube.ini", "--output", "gap-mass.csv"),
+            "gap-mass.ini: bad scenario: [scenario] with sample = air-gap takes no key 'surface_density'",
+        ),
+        (
+            ("stack", "--stack", "gap-extras.json", "--f-max", "1000"),
+            "gap-extras.json: bad layer #1: kind 'air-gap' takes no key 'surface_density'",
+        ),
+        (
+            ("masslaw", "--materials", "bulk-densty.json"),
+            "bulk-densty.json: bad material #1: a material takes no key 'bulk_densty' (did you mean 'bulk_density'?)",
+        ),
+    ):
+        assert outcome[argv] == (2, f"error: {message}\n")
+
+
 def test_repetitions_on_two_grids_name_the_second_file(runs):
     (run,) = [run for run in runs if run.argv[:3] == ("stl", "run1.csv", "run5.csv")]
     assert (run.code, run.stderr) == (2, "error: input 'run5.csv': operands use different frequency grids\n")
@@ -398,15 +434,36 @@ def _digest_changes(expected: dict, actual: dict) -> list[str]:
     return changes
 
 
-def test_the_corpus_matches_its_committed_digests(runs, corpus_dir):
-    expected = json.loads(DIGESTS.read_text())
-    actual = digests(corpus_dir, runs)
+def _require_the_manifest_of_its_class(actual: dict) -> None:
+    path = manifest(actual["dispatch"])
+    assert path.exists(), f"no manifest for numpy dispatch class {actual['dispatch']}: {path.name}"
+    expected = json.loads(path.read_text())
     changes = _digest_changes(expected["runs"], actual["runs"])
     versions = (
-        f"manifest: Python {expected['python']}, numpy {expected['numpy']}; "
-        f"this run: Python {actual['python']}, numpy {actual['numpy']}"
+        f"{path.name}: Python {expected['python']}, numpy {expected['numpy']}, {expected['dispatch']}; "
+        f"this run: Python {actual['python']}, numpy {actual['numpy']}, {actual['dispatch']}"
     )
     assert not changes, "\n".join([*changes, versions])
+
+
+def test_the_corpus_matches_its_committed_digests(runs, corpus_dir):
+    _require_the_manifest_of_its_class(digests(corpus_dir, runs))
+
+
+# numpy's own process-local switch: its AVX-512 kernels off, which changes the last bits of float64
+# log10, power, exp and log, and so the CSVs of eight runs
+WITHOUT_AVX512 = "AVX512_ICL AVX512_SPR X86_V4"
+
+
+def test_the_corpus_matches_its_digests_with_numpy_avx512_kernels_off(tmp_path):
+    paths = (Path(tubeloss.__file__).parents[1], Path(__file__).parent)
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": WITHOUT_AVX512, "PYTHONPATH": os.pathsep.join(map(str, paths))}
+    script = "import json, sys, cli_corpus as c; print(json.dumps(c.digests(sys.argv[1], c.run_corpus(sys.argv[1]))))"
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    actual = json.loads(done.stdout)
+    assert actual["dispatch"] != "X86_V4", "the switch left numpy's AVX-512 kernels on"
+    _require_the_manifest_of_its_class(actual)
 
 
 def test_two_runs_of_the_corpus_write_the_same_bytes(runs, corpus_dir, tmp_path):
@@ -493,14 +550,18 @@ INSERTED_CHARS = (
     "\r", "\n", "#", "=", '"', "[", "{", "\ufeff",
 )
 _TOKEN = re.compile(r'[^\s,=:\[\]{}"]+')
-# Each generator draws its cases from its own runs, after the cases of the ones before it, so
-# runs added under a new generator only add cases. (runs, seed, cases including the config swaps)
-MUTATION_DRAWS = ((STL_AND_STACK_RUNS, 2611, 1800), (IL_MASSLAW_AND_SYNTH_RUNS, 2903, 700))
-MUTATION_CASES = sum(cases for _, _, cases in MUTATION_DRAWS)
+# the runs whose file declares its keys: a config, a scenario, a stack or a materials file
+KEYED_RUNS = tuple((name, argv) for name, argv in MUTATED_RUNS if name.endswith((".ini", ".json")))
+# every key that a table of the file formats declares
+DECLARED_KEYS = {
+    *(key for keys in _CONFIG_KEYS.values() for key in keys), *_SCENARIO_KEYS,
+    *(key for keys in _SAMPLE_KEYS.values() for key in keys),
+    "kind", *(key for keys in _LAYER_KEYS.values() for key in keys), *_MATERIAL_KEYS,
+}
 
 
-def _mutated(text: str, rng: random.Random) -> tuple[str, str]:
-    """One mutation of ``text`` drawn from ``rng``: its family and the mutated text."""
+def _mutated(name: str, text: str, rng: random.Random) -> tuple[str, str, None]:
+    """One mutation of ``text`` drawn from ``rng``: its family, the mutated text and None."""
     family = rng.choice(MUTATION_FAMILIES)
     lines = text.splitlines(keepends=True)
     i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
@@ -512,29 +573,83 @@ def _mutated(text: str, rng: random.Random) -> tuple[str, str]:
         lines[i], lines[j] = lines[j], lines[i]
     elif family == "token":
         token = rng.choice(list(_TOKEN.finditer(text)))
-        return family, text[: token.start()] + rng.choice(SWAP_TOKENS) + text[token.end() :]
+        return family, text[: token.start()] + rng.choice(SWAP_TOKENS) + text[token.end() :], None
     elif family == "insert":
         k = rng.randrange(len(text) + 1)
-        return family, text[:k] + rng.choice(INSERTED_CHARS) + text[k:]
+        return family, text[:k] + rng.choice(INSERTED_CHARS) + text[k:], None
     else:
-        return family, text[: rng.randrange(len(text))]
-    return family, "".join(lines)
+        return family, text[: rng.randrange(len(text))], None
+    return family, "".join(lines), None
+
+
+def _near_misses(key: str) -> list[str]:
+    """``key`` with one character dropped, doubled or swapped with the next, where no table declares the result."""
+    drops = {key[:i] + key[i + 1 :] for i in range(len(key))}
+    doubles = {key[:i] + key[i] + key[i:] for i in range(len(key))}
+    swaps = {key[:i] + key[i + 1] + key[i] + key[i + 2 :] for i in range(len(key) - 1)}
+    return sorted((drops | doubles | swaps) - DECLARED_KEYS - {""})
+
+
+def _key_mutated(name: str, text: str, rng: random.Random) -> tuple[str, str, str]:
+    """A key of one record or section of ``text`` renamed to a near miss, or a key it does not declare moved in.
+
+    Returns the family, the mutated text and the key the file now holds that its table does not declare. A
+    layer's kind and a scenario's sample are never renamed: they choose the table, so renaming one is an
+    unknown kind.
+    """
+    if name.endswith(".json"):
+        records = json.loads(text)
+        i = rng.randrange(len(records))
+        record = records[i]
+        declared = {"kind", *_LAYER_KEYS[record["kind"]]} if "kind" in record else set(_MATERIAL_KEYS)
+        present = [key for key in record if key != "kind"]
+    else:
+        parser = configparser.ConfigParser()
+        parser.read_string(text)
+        section = rng.choice(parser.sections())
+        if section == "scenario":
+            declared = {*_SCENARIO_KEYS, *_SAMPLE_KEYS[parser[section].get("sample", "identity")]}
+        else:
+            declared = set(_CONFIG_KEYS[section])
+        present = [key for key in parser[section] if key != "sample"]
+    family = rng.choice(("rename", "foreign")) if present else "foreign"  # an identity layer has no key to rename
+    old = rng.choice(present) if family == "rename" else None
+    new = rng.choice(_near_misses(old)) if old else rng.choice(sorted(DECLARED_KEYS - declared))
+    if name.endswith(".json"):
+        renamed = {new if key == old else key: value for key, value in record.items()}
+        records[i] = renamed if old else {**record, new: 1.0}
+        return family, json.dumps(records, indent=1), new
+    if old:
+        return family, re.sub(rf"^{old} =", f"{new} =", text, count=1, flags=re.M), new
+    return family, text.replace(f"[{section}]\n", f"[{section}]\n{new} = 1\n", 1), new
+
+
+# Each generator draws its cases from its own runs with its own mutation, after the cases of the ones
+# before it, so runs or generators added later only add cases: (runs, seed, cases, mutation). The
+# cases of a generator of line and token mutations include every token swap of the config.
+MUTATION_DRAWS = (
+    (STL_AND_STACK_RUNS, 2611, 1800, _mutated),
+    (IL_MASSLAW_AND_SYNTH_RUNS, 2903, 700, _mutated),
+    (KEYED_RUNS, 3109, 300, _key_mutated),
+)
+MUTATION_CASES = sum(cases for _, _, cases, _ in MUTATION_DRAWS)
 
 
 def _mutation_cases():
-    """``MUTATION_CASES`` (file, command line, family, mutated text) cases, the same on every run.
+    """``MUTATION_CASES`` (file, command line, family, mutated text, undeclared key) cases, the same on every run.
 
-    Every token swap of the config comes first, under each run that mutates it; the rest are drawn.
+    Every token swap of the config comes first, under each run of a line and token generator that mutates it;
+    the rest are drawn. The undeclared key is None but for a key mutation.
     """
     texts = {name: INPUTS[name] for name, _ in MUTATED_RUNS}
     for name in texts:
         if name.endswith(".json"):  # one value to a line, so that line mutations reach inside its records
             texts[name] = json.dumps(json.loads(texts[name]), indent=1)
-    for runs, seed, cases in MUTATION_DRAWS:
+    for runs, seed, cases, mutation in MUTATION_DRAWS:
         swaps = [
-            (name, argv, "token", CONFIG[: token.start()] + swap + CONFIG[token.end() :])
+            (name, argv, "token", CONFIG[: token.start()] + swap + CONFIG[token.end() :], None)
             for name, argv in runs
-            if name == "tube.ini"
+            if name == "tube.ini" and mutation is _mutated
             for token in _TOKEN.finditer(CONFIG)
             for swap in SWAP_TOKENS
         ]
@@ -542,7 +657,7 @@ def _mutation_cases():
         rng = random.Random(seed)
         for _ in range(cases - len(swaps)):
             name, argv = rng.choice(runs)
-            yield (name, argv, *_mutated(texts[name], rng))
+            yield (name, argv, *mutation(name, texts[name], rng))
 
 
 def test_mutated_input_files_keep_the_cli_contract(tmp_path):
@@ -550,7 +665,7 @@ def test_mutated_input_files_keep_the_cli_contract(tmp_path):
         for name, _ in MUTATED_RUNS:
             Path(name).write_text(INPUTS[name])
         broken = []
-        for name, argv, family, text in _mutation_cases():
+        for name, argv, family, text, key in _mutation_cases():
             Path(name).write_bytes(text.encode())
             run = run_one(argv)
             Path(name).write_text(INPUTS[name])
@@ -561,6 +676,8 @@ def test_mutated_input_files_keep_the_cli_contract(tmp_path):
                 if run.code == 0
                 else len(lines) == 1 and lines[0].startswith("error: ")
             )
+            # a key no table declares is an input error that names it
+            kept = kept and (key is None or (run.code == 2 and f"'{key}'" in run.stderr))
             if not kept:
                 broken.append(f"{family} in {name}, {text!r}: tubeloss {shlex.join(argv)}: {run}")
     assert not broken, f"{len(broken)} of {MUTATION_CASES} cases:\n" + "\n".join(broken[:10])

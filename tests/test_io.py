@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -15,6 +17,7 @@ from tubeloss import (
     AirProperties,
     BandTable,
     ConfigMismatchError,
+    DEFAULT_AIR,
     FrequencyGrid,
     InputFormatError,
     LayerModel,
@@ -129,6 +132,57 @@ class TestConfig:
         other = AirProperties(density=1.3)
         assert config_hash(other, geometry) != h1
         assert "tube.mic_positions" in dump_config(air, geometry)
+
+    # every report's config_hash is the sha256 of this text, so its bytes are pinned
+    def test_the_dump_of_a_config_with_temperature_humidity_and_geometry(self, config_path):
+        assert dump_config(*load_config(config_path)) == (
+            "air.density=1.204\nair.sound_speed=343.2\nair.temperature=23.7\nair.relative_humidity=66.3\n"
+            "tube.mic_positions=-0.33 -0.25 0.25 0.33\ntube.sample_thickness=0.00089\ntube.diameter=0.0998\n"
+        )
+
+    def test_the_dump_of_the_default_air_without_geometry(self):
+        assert dump_config(DEFAULT_AIR, None) == (
+            "air.density=1.204\nair.sound_speed=343.2\nair.temperature=none\nair.relative_humidity=none\ntube=none\n"
+        )
+
+
+class TestKeyTables:
+    """The key tables of the input formats (``io_files._read_keys``)."""
+
+    def test_the_readme_names_every_declared_section_key_and_kind(self):
+        with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as handle:
+            formats = handle.read().split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+        tables = (
+            *io_files._CONFIG_KEYS.values(), io_files._SCENARIO_KEYS, *io_files._SAMPLE_KEYS.values(),
+            *io_files._LAYER_KEYS.values(), io_files._MATERIAL_KEYS, *io_files._HEADER_ECHO.values(),
+        )
+        declared = {
+            *io_files._CONFIG_KEYS, "scenario", "sample", *io_files._SAMPLE_KEYS, "kind", *io_files._LAYER_KEYS,
+            *(key for table in tables for key in table),
+        }
+        named = re.compile(r"(?<![\w-])({})(?![\w-])".format("|".join(map(re.escape, declared))))
+        assert sorted(declared - set(named.findall(formats))) == []
+
+    def test_only_a_refused_key_imports_difflib(self, config_path):
+        script = (
+            "import sys\n"
+            "import tubeloss.cli\n"
+            "from tubeloss.io_files import load_config\n"
+            "print('difflib' in sys.modules)\n"
+            "load_config(sys.argv[1])\n"
+            "print('difflib' in sys.modules)\n"
+            "open(sys.argv[1], 'a').write('[tub]\\n')\n"
+            "try:\n"
+            "    load_config(sys.argv[1])\n"
+            "except ValueError as exc:\n"
+            "    print('difflib' in sys.modules, exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(io_files.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", script, str(config_path)], capture_output=True, text=True, env=env)
+        assert done.stdout.splitlines() == [
+            "False", "False", f"True {config_path}: bad config: a config takes no section 'tub' (did you mean 'tube'?)",
+        ], done.stderr
 
 
 class TestMicSpectraCsv:
@@ -977,11 +1031,16 @@ class TestStackAndMaterials:
             load_stack(path)
 
     @pytest.mark.parametrize("record, kind", [(1, "int"), ("x", "str"), ([1], "list"), (None, "NoneType")])
-    @pytest.mark.parametrize("loader, label", [(load_stack, "layer"), (load_materials, "material")])
-    def test_a_record_that_is_not_an_object_is_refused_in_one_wording(self, tmp_path, loader, label, record, kind):
+    @pytest.mark.parametrize(
+        "loader, label, good",
+        [
+            (load_stack, "layer", {"kind": "identity"}),
+            (load_materials, "material", {"name": "x", "thickness_mm": 1.0, "surface_density": 0.1}),
+        ],
+        ids=["load_stack-layer", "load_materials-material"],
+    )
+    def test_a_record_that_is_not_an_object_is_refused_in_one_wording(self, tmp_path, loader, label, good, record, kind):
         path = tmp_path / "records.json"
-        # a record both loaders read: the stack ignores a material's keys and the materials a kind
-        good = {"kind": "identity", "name": "x", "thickness_mm": 1.0, "surface_density": 0.1}
         path.write_text(json.dumps([good, record]))
         with pytest.raises(InputFormatError) as caught:
             loader(path)
@@ -1019,8 +1078,8 @@ class TestStackAndMaterials:
             load_materials(path)
 
 
-# one file read as both a config and a scenario: each key's good value first, then others
-INI_SECTIONS = {
+# the sections of a config file: each key's good value first, then others
+CONFIG_SECTIONS = {
     "air": {
         "density": ("1.204", "inf", "-inf", "nan", "0", "1e400", "x", ""),
         "sound_speed": ("343.2", "inf", "nan", "-1", "1e-320", ""),
@@ -1035,32 +1094,38 @@ INI_SECTIONS = {
         "sample_thickness": ("0.00089", "inf", "0", "nan", "x"),
         "diameter": ("0.0998", "inf", "-1", "x"),
     },
-    "scenario": {
-        "sample": ("limp-mass", "air-gap", "identity", "stack", "foam", ""),
-        "surface_density": ("1.135", "inf", "-1", "nan", "1e400", "x"),
-        "gap_thickness": ("0.05", "inf", "-1", "x"),
-        "stack_file": ("stack.json", "missing.json", ".", "", "scenario.ini", "sub/stack.json"),
-        "termination": ("anechoic", "0.2+0.1j", "0.2 + 0.1 j", "2", "nan", "infj", "x"),
-        "incident_amplitude": ("1.0", "1+1j", "nan", "x"),
-        "snr_db": ("off", "40", "none", "", "inf", "nan", "x"),
-        "seed": ("1200", "-1", "1.5", "9" * 5000, "x"),
-        "f_min": ("100", "0", "-1", "nan", "inf", "x"),
-        "f_max": ("2000", "50", "inf", "1e400", "x"),
-        "f_step": ("10", "1e-12", "0", "-1", "nan", "x"),
-    },
 }
-# lines put anywhere into a file: a stray section, a duplicate key, no '=', an interpolation
+# the keys of a scenario file's [scenario] section, after its sample kind's own key
+SCENARIO_KEYS = {
+    "termination": ("anechoic", "0.2+0.1j", "0.2 + 0.1 j", "2", "nan", "infj", "x"),
+    "incident_amplitude": ("1.0", "1+1j", "nan", "x"),
+    "snr_db": ("off", "40", "none", "", "inf", "nan", "x"),
+    "seed": ("1200", "-1", "1.5", "9" * 5000, "x"),
+    "f_min": ("100", "0", "-1", "nan", "inf", "x"),
+    "f_max": ("2000", "50", "inf", "1e400", "x"),
+    "f_step": ("10", "1e-12", "0", "-1", "nan", "x"),
+}
+# each sample kind with its own key, and two kinds that do not exist
+SAMPLE_KEYS = {
+    "limp-mass": {"surface_density": ("1.135", "inf", "-1", "nan", "1e400", "x")},
+    "air-gap": {"gap_thickness": ("0.05", "inf", "-1", "x")},
+    "identity": {},
+    "stack": {"stack_file": ("stack.json", "missing.json", ".", "", "scenario.ini", "sub/stack.json")},
+    "foam": {},
+    "": {},
+}
+# lines put anywhere into a file: a stray section, a duplicate or foreign key, no '=', an interpolation
 INI_LINES = (
-    "[air]", "[extra]", "[DEFAULT]", "density = 2", "just words", "  continued", "% = 1",
+    "[air]", "[extra]", "[DEFAULT]", "density = 2", "gap_thickness = 0.05", "just words", "  continued", "% = 1",
     "f_max = %(f_min)s", "seed = %", "# comment", "", "[unterminated",
 )
 
 
 @st.composite
-def ini_texts(draw):
-    """A good config and scenario in one INI file, with values redrawn and lines dropped or added."""
+def ini_texts(draw, sections):
+    """An INI file of ``sections``, with values redrawn and lines dropped or added."""
     lines = []
-    for section, keys in INI_SECTIONS.items():
+    for section, keys in sections.items():
         lines.append(f"[{section}]")
         for key, values in keys.items():
             value = draw(st.sampled_from(values)) if not draw(st.integers(0, 3)) else values[0]
@@ -1074,18 +1139,23 @@ def ini_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+SCENARIO_TEXTS = st.sampled_from(list(SAMPLE_KEYS)).flatmap(
+    lambda sample: ini_texts({"scenario": {"sample": (sample,), **SAMPLE_KEYS[sample], **SCENARIO_KEYS}})
+)
+
+
 class TestScenario:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(text=ini_texts())
-    @example(text="[scenario]\nsample = stack\nstack_file = missing.json\n")
-    def test_only_tubeloss_errors_escape(self, drawn_dir, text):
+    @given(config=ini_texts(CONFIG_SECTIONS), scenario=SCENARIO_TEXTS)
+    @example(config="", scenario="[scenario]\nsample = stack\nstack_file = missing.json\n")
+    def test_only_tubeloss_errors_escape(self, drawn_dir, config, scenario):
         (drawn_dir / "stack.json").write_text(json.dumps([{"kind": "limp-mass", "surface_density": 0.5}]))
-        path = drawn_dir / "scenario.ini"
-        path.write_text(text)
+        (drawn_dir / "tube.ini").write_text(config)
+        (drawn_dir / "scenario.ini").write_text(scenario)
         loaders = (load_config, lambda path: load_scenario(path, GEOMETRY, AIR))
-        for name, loader in zip(("load_config", "load_scenario"), loaders):
+        for name, loader, path in zip(("load_config", "load_scenario"), loaders, ("tube.ini", "scenario.ini")):
             try:
-                loader(path)
+                loader(drawn_dir / path)
             except TubelossError as exc:
                 # the share of each outcome shows with pytest --hypothesis-show-statistics
                 message = re.sub(r"'[^']*'|-?\d[\w.+-]*", "_", str(exc).split(": ", 1)[-1])
@@ -1130,6 +1200,24 @@ class TestScenario:
         scenario, _ = load_scenario(path, GEOMETRY, AIR)
         assert scenario.termination_ratio == pytest.approx(0.2 + 0.1j)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("termination = 0.2+0.1i", "bad termination: '0.2+0.1i'"),
+            ("incident_amplitude = x", "bad incident amplitude: 'x'"),
+            # an empty stack file name is named with the scenario that holds it
+            ("sample = stack\nstack_file =", "stack path is empty"),
+        ],
+        ids=["termination", "incident-amplitude", "empty-stack-file"],
+    )
+    def test_a_value_a_key_parser_words_itself_names_the_scenario(self, tmp_path, monkeypatch, line, message):
+        monkeypatch.chdir(tmp_path)
+        with open("s.ini", "w") as handle:
+            handle.write(f"[scenario]\n{line}\n")
+        with pytest.raises(InputFormatError) as caught:
+            load_scenario("s.ini", GEOMETRY, AIR)
+        assert (str(caught.value), caught.value.path) == (f"s.ini: {message}", "s.ini")
+
     def test_bad_sample_kind(self, tmp_path):
         path = tmp_path / "scenario.ini"
         path.write_text("[scenario]\nsample = foam\n")
@@ -1157,6 +1245,14 @@ class TestRecordErrors:
                 raise error
         assert str(caught.value) == f"things.json:7: bad thing #3: {text or error}"
         assert (caught.value.path, caught.value.line, caught.value.__cause__) == ("things.json", 7, error)
+
+    def test_an_input_error_that_names_no_file_is_given_the_records(self):
+        error = InputFormatError("bad termination: 'x'")
+        with pytest.raises(InputFormatError) as caught:
+            with io_files._record_errors("bad scenario", "s.ini", 4):
+                raise error
+        assert str(caught.value) == "s.ini:4: bad termination: 'x'"
+        assert (caught.value.path, caught.value.line, caught.value.__cause__) == ("s.ini", 4, error)
 
     @pytest.mark.parametrize(
         "error", [InputFormatError("missing [tube] section", path="tube.ini"), RuntimeError("x"), MemoryError()]
