@@ -16,10 +16,10 @@ shared group the table names. A command line that begins with a command name
 builds only that command's parser from the table; any other (``--help``,
 ``--version``, no command, an unknown one, an option before the command) builds
 the full parser, whose subparsers come from the same table, so both word every
-help, usage and error line alike. A command line the parser rejects is a usage
-error: :class:`_Parser` raises it as a
-:class:`~tubeloss.errors.TubelossError`, so it exits 2 with one ``error:`` line
-like any other input error. ``--help`` and ``--version`` print and exit 0.
+help, usage and error line alike but for ``--=`` (:func:`_parse_args`). A
+command line the parser rejects is a usage error: :class:`_Parser` raises it as
+a :class:`~tubeloss.errors.TubelossError`, so it exits 2 with one ``error:``
+line like any other input error. ``--help`` and ``--version`` print and exit 0.
 """
 from __future__ import annotations
 
@@ -435,12 +435,12 @@ def _parse_args(argv: list) -> argparse.Namespace:
     """``argv`` parsed as :func:`_build_parser`'s parser parses it, building less where it can.
 
     A command line that begins with a command name takes only that command's
-    parser. Any other goes to the full parser, and so does one with an
-    argument that begins ``--=`` before any ``--``: the full parser refuses
-    that as ambiguous between its own ``--help`` and ``--version``.
+    parser; any other goes to the full parser. The two differ only where an
+    argument beginning ``--=`` comes before any ``--``: the command's parser
+    refuses it as ambiguous between its own long options, the full parser
+    between its top level's ``--help`` and ``--version``.
     """
-    head = argv[: argv.index("--")] if "--" in argv else argv
-    if not argv or argv[0] not in _COMMANDS or any(arg.startswith("--=") for arg in head):
+    if not argv or argv[0] not in _COMMANDS:
         return _build_parser().parse_args(argv)
     args, extra = _fill(_Parser(prog=f"tubeloss {argv[0]}"), argv[0]).parse_known_args(argv[1:])
     if extra:

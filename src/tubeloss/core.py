@@ -74,7 +74,8 @@ class AirProperties(Record):
 
     Only ``density`` and ``sound_speed`` enter the acoustics. Temperature and
     relative humidity are informational metadata; no psychro-acoustic model is
-    applied to derive one field from another.
+    applied to derive one field from another. The models divide by rho0 c and
+    multiply by its inverse, so both must be positive and finite.
     """
 
     __slots__ = ("density", "sound_speed", "temperature", "relative_humidity")
@@ -90,6 +91,9 @@ class AirProperties(Record):
             raise ValueError(f"air density must be positive and finite, got {density}")
         if not 0.0 < sound_speed < math.inf:
             raise ValueError(f"sound speed must be positive and finite, got {sound_speed}")
+        z = density * sound_speed
+        if not 0.0 < z < math.inf or 1.0 / z == math.inf:
+            raise ValueError(f"air impedance density * sound_speed = {z!r}: it and its inverse must be positive and finite")
         self._set(density, sound_speed, temperature, relative_humidity)
 
     @property

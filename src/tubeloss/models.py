@@ -90,12 +90,23 @@ def mass_law_stl(f, m_s: float, constant: str = "paper", air: AirProperties = DE
     return out
 
 
+#: each layer kind's parameters; a kind leaves every other one at its default, as neither file
+#: format can give it one, describe() would not report it, and == would count it
+_KIND_PARAMETERS = {
+    "limp-mass": ("surface_density",),
+    "air-gap": ("thickness",),
+    "identity": (),
+    "matrix": ("matrix", "passive_symmetric", "thickness"),
+}
+
+
 class LayerModel(Record):
     """One layer of a stack: a limp mass, an air gap, or an explicit matrix.
 
     ``matrix`` holds a frequency-independent 2x2 as (t11, t12, t21, t22);
     flag it ``passive_symmetric`` to enforce the equal-diagonal,
-    unit-determinant shape expected of passive symmetric samples.
+    unit-determinant shape expected of passive symmetric samples. Each kind
+    takes only the parameters :data:`_KIND_PARAMETERS` gives it.
     """
 
     __slots__ = ("kind", "surface_density", "thickness", "matrix", "passive_symmetric")
@@ -108,18 +119,18 @@ class LayerModel(Record):
         matrix: tuple[complex, complex, complex, complex] | None = None,
         passive_symmetric: bool = False,
     ) -> None:
-        if kind in ("limp-mass", "identity") and thickness != 0.0:
-            # neither file format gives one, and describe() would not report it
-            raise ValueError(f"{kind} layer takes no thickness")
-        if kind == "limp-mass":
-            if surface_density is None or surface_density < 0.0:
-                raise ValueError("limp-mass layer needs a non-negative surface_density")
-        elif kind == "air-gap":
-            if thickness < 0.0:
-                raise ValueError("air-gap layer needs a non-negative thickness")
-        elif kind == "identity":
-            pass
-        elif kind == "matrix":
+        if not isinstance(kind, str) or kind not in _KIND_PARAMETERS:
+            raise ValueError(f"unknown layer kind '{kind}'")
+        given = {"thickness": thickness != 0.0, "surface_density": surface_density is not None,
+                 "matrix": matrix is not None, "passive_symmetric": passive_symmetric}
+        for name, is_given in given.items():
+            if is_given and name not in _KIND_PARAMETERS[kind]:
+                raise ValueError(f"{kind} layer takes no {name}")
+        if kind == "limp-mass" and (surface_density is None or surface_density < 0.0):
+            raise ValueError("limp-mass layer needs a non-negative surface_density")
+        if thickness < 0.0:
+            raise ValueError(f"{kind} layer needs a non-negative thickness")
+        if kind == "matrix":
             if matrix is None or len(matrix) != 4:
                 raise ValueError("matrix layer needs four complex entries")
             matrix = tuple(complex(v) for v in matrix)
@@ -130,15 +141,6 @@ class LayerModel(Record):
                     raise ValueError(
                         "passive-symmetric matrix must have equal diagonal and unit determinant"
                     )
-        else:
-            raise ValueError(f"unknown layer kind '{kind}'")
-        # neither file format gives these, describe() would not report them, and == would count them
-        if kind != "limp-mass" and surface_density is not None:
-            raise ValueError(f"{kind} layer takes no surface_density")
-        if kind != "matrix" and (matrix is not None or passive_symmetric):
-            raise ValueError(f"{kind} layer takes no {'matrix' if matrix is not None else 'passive_symmetric'}")
-        if thickness < 0.0:
-            raise ValueError("layer thickness must be non-negative")
         # NaN passes the sign checks above; an infinite parameter would drop every bin of the layer.
         # A surface density of None (any kind but limp-mass) is not checked.
         parameters = {"surface_density": surface_density or 0.0, "thickness": thickness}
@@ -200,36 +202,34 @@ class LayerModel(Record):
         """This layer's own ``stl_db`` and its factor in a stack's product, given the grid's 2 pi f and j k.
 
         A limp mass, and an air gap of positive thickness, take the parameter
-        path where z = rho0 c, 1 / z and the layer's omega m_s or e^{jkL} are
-        finite: the anechoic denominator and its scale come from those real
-        arrays with the IEEE operations that :func:`acoustic_indicators`
-        performs on the nonzero parts of the layer's matrix, and only the
-        transmission quotient is taken. Every other layer takes the general
-        path, ``acoustic_indicators(self.matrix_on(grid, air), self.thickness,
+        path where the layer's omega m_s or e^{jkL} is finite: the anechoic
+        denominator and its scale come from those real arrays and z = rho0 c
+        with the IEEE operations that :func:`acoustic_indicators` performs on
+        the nonzero parts of the layer's matrix, and only the transmission
+        quotient is taken. Every other layer takes the general path,
+        ``acoustic_indicators(self.matrix_on(grid, air), self.thickness,
         air)``. Both give the same bits.
 
         The factor of a limp mass on the parameter path is the t12 = j omega m_s
         of its [[1, t12], [0, 1]]; any other layer's is its matrix.
         """
         z = air.impedance
-        # an impedance that overflows or underflows makes NaN of the matrix's zeros (inf 0, 0 / 0)
-        if 0.0 < z < math.inf and 1.0 / z < math.inf:
-            with np.errstate(over="ignore", invalid="ignore"):
-                if self.kind == "limp-mass":
-                    w = omega * float(self.surface_density)
-                    if np.isfinite(w).all():
-                        # den = (1 + t12 / z) + z 0 + 1 and scale = (1 + |t12| / z) + z 0 + 1, with t12 = j w
-                        den = _complex(2.0, w * (1.0 / z))
-                        return _transmission_loss(den, (1.0 + w / z) + 1.0, 1.0), 1j * w
-                elif self.kind == "air-gap" and self.thickness > 0.0:
-                    phase = np.exp(jk * self.thickness)
-                    if np.isfinite(phase).all():
-                        # t11 = t22 = c, t12 = j z s and t21 = j s / z, without the matrix's zero parts
-                        c, s = phase.real, phase.imag
-                        zs, s_z, c_abs = z * s, s * (1.0 / z), np.abs(c)
-                        den = _complex(c + c, zs * (1.0 / z) + z * s_z)
-                        scale = ((c_abs + np.abs(zs) / z) + z * np.abs(s_z)) + c_abs
-                        return _transmission_loss(den, scale, phase), _gap_matrix(grid, phase, z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind == "limp-mass":
+                w = omega * float(self.surface_density)
+                if np.isfinite(w).all():
+                    # den = (1 + t12 / z) + z 0 + 1 and scale = (1 + |t12| / z) + z 0 + 1, with t12 = j w
+                    den = _complex(2.0, w * (1.0 / z))
+                    return _transmission_loss(den, (1.0 + w / z) + 1.0, 1.0), 1j * w
+            elif self.kind == "air-gap" and self.thickness > 0.0:
+                phase = np.exp(jk * self.thickness)
+                if np.isfinite(phase).all():
+                    # t11 = t22 = c, t12 = j z s and t21 = j s / z, without the matrix's zero parts
+                    c, s = phase.real, phase.imag
+                    zs, s_z, c_abs = z * s, s * (1.0 / z), np.abs(c)
+                    den = _complex(c + c, zs * (1.0 / z) + z * s_z)
+                    scale = ((c_abs + np.abs(zs) / z) + z * np.abs(s_z)) + c_abs
+                    return _transmission_loss(den, scale, phase), _gap_matrix(grid, phase, z)
         matrix = self.matrix_on(grid, air)
         return acoustic_indicators(matrix, self.thickness, air).stl_db, matrix
 
@@ -338,11 +338,10 @@ def stack_indicators(
     limp mass enters the product in 2 complex products instead of 8. The
     general path, :func:`acoustic_indicators` of :meth:`LayerModel.matrix_on`,
     runs for ``matrix`` and ``identity`` layers, for a zero-thickness gap,
-    and wherever omega m_s, e^{jkL}, rho0 c or 1 / (rho0 c) is not finite.
-    Both paths give the same bits: the tables and the stack's indicators
-    equal those of the general path; the running product equals
-    :func:`cascade`'s in value at the bins where that is finite, though a
-    zero may take the other sign.
+    and wherever omega m_s or e^{jkL} is not finite. Both paths give the
+    same bits: the tables and the stack's indicators equal those of the
+    general path; the running product equals :func:`cascade`'s in value at
+    the bins where that is finite, though a zero may take the other sign.
 
     Parameters
     ----------

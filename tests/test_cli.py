@@ -339,6 +339,21 @@ class TestSynthAndStl:
             "air density must be positive and finite, got inf\n"
         )
 
+    def test_a_header_air_whose_impedance_overflows_names_the_file(self, tmp_path, config, limp_scenario, capsys):
+        # each value is finite, but density * sound_speed is not: the header is refused, not compared
+        spectra_path = tmp_path / "spectra.csv"
+        run_cli("synth", limp_scenario, "--config", config, "--output", str(spectra_path))
+        text = spectra_path.read_text()
+        for key, value in (("air_density_kg_m3", "1.204"), ("air_sound_speed_m_s", "343.2")):
+            text = text.replace(f"# {key} = {value}", f"# {key} = 1e300")
+        spectra_path.write_text(text)
+        capsys.readouterr()
+        assert run_cli("stl", str(spectra_path), "--config", config) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {spectra_path}: bad or missing header field: "
+            "air impedance density * sound_speed = inf: it and its inverse must be positive and finite\n"
+        ))
+
     def test_overflowing_pressures_are_one_error_line(self, tmp_path, config, limp_scenario, capsys):
         spectra_path = tmp_path / "spectra.csv"
         run_cli("synth", limp_scenario, "--config", config, "--output", str(spectra_path))
@@ -1208,6 +1223,21 @@ def command_lines(draw) -> list:
     return [command, *(token for kind in draw(st.lists(kinds, max_size=6)) for token in draw(pieces[kind]))]
 
 
+def _first_ambiguous_option(argv) -> str:
+    """The one-command parser's refusal of ``argv``: its first ambiguous argument before any ``--``.
+
+    An argument is ambiguous when its part before any ``=`` names none of the
+    command's long options and begins two or more of them.
+    """
+    options = ["--help", *(flag for flags, _ in cli._COMMANDS[argv[0]][1] for flag in flags if flag[:2] == "--")]
+    for arg in argv[1 : argv.index("--") if "--" in argv else None]:
+        prefix = arg.split("=", 1)[0]
+        matches = [option for option in options if option.startswith(prefix)]
+        if arg[:2] == "--" and prefix not in options and len(matches) > 1:
+            return f"tubeloss {argv[0]}: ambiguous option: {arg} could match {', '.join(matches)}"
+    raise AssertionError(f"no ambiguous option in {argv}")
+
+
 class TestOneParserPerRun:
     """A command line naming its command first takes that command's parser alone, with the same result."""
 
@@ -1223,6 +1253,14 @@ class TestOneParserPerRun:
     def test_a_drawn_command_line_parses_as_the_full_parser_parses_it(self, argv):
         one = _parse_outcome(cli._parse_args, argv)
         event(one[0])  # the share of each outcome shows with pytest --hypothesis-show-statistics
+        head = argv[: argv.index("--")] if "--" in argv else argv
+        if any(arg.startswith("--=") for arg in head):
+            # the full parser's top level refuses this between its --help and --version; the
+            # command's parser, which alone reads it, refuses its first ambiguous option
+            message = _first_ambiguous_option(argv)
+            assert one == ("usage", message)
+            assert _main_outcome(argv) == (2, "", f"error: {message}\n")
+            return
         assert one == _parse_outcome(_full_parse, argv)
         if one[0] == "usage":
             # main words the refusal alike: exit 2 and one error line
@@ -1234,7 +1272,7 @@ class TestOneParserPerRun:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["stl", "in.csv", "--=x"], "tubeloss: ambiguous option: --=x could match --help, --version"),
+            (["--=x", "stl", "in.csv"], "tubeloss: ambiguous option: --=x could match --help, --version"),
             (["stl", "in.csv", "--bogus", "-x"], "tubeloss: unrecognized arguments: --bogus -x"),
             (["stack", "--stack", "s.json", "--version"], "tubeloss: unrecognized arguments: --version"),
             (["stack", "--f-st"], "tubeloss stack: argument --f-step: expected one argument"),
@@ -1245,6 +1283,15 @@ class TestOneParserPerRun:
     def test_a_refused_command_line_keeps_the_full_parsers_error_line(self, argv, message):
         assert _main_outcome(argv) == (2, "", f"error: {message}\n")
         assert _main_outcome(argv, parse=_full_parse) == (2, "", f"error: {message}\n")
+
+    def test_a_dashes_equals_argument_after_the_command_names_the_commands_options(self):
+        # '--=x' abbreviates every long option of the parser that reads it; before the command, that
+        # is the full parser's top level (pinned in test_a_refused_command_line_keeps_the_full_parsers_error_line)
+        message = (
+            "tubeloss stl: ambiguous option: --=x could match --help, --config, --band-mode, --f-min, --f-max, "
+            "--band-csv, --output, --rep-mode, --narrowband-csv"
+        )
+        assert _main_outcome(["stl", "in.csv", "--=x"]) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv, expected",

@@ -3,6 +3,7 @@ import importlib
 import math
 import pickle
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -101,6 +102,17 @@ class TestAirProperties:
     def test_non_finite_values_rejected(self, field, value):
         with pytest.raises(ValueError, match="positive and finite"):
             AirProperties(**{field: value})
+
+    @pytest.mark.parametrize(
+        "density, sound_speed, impedance",
+        [(1e300, 1e300, "inf"), (1e-200, 1e-200, "0.0"), (1e-160, 1e-150, "1e-310")],
+        ids=["impedance overflows", "impedance underflows to 0", "its inverse overflows"],
+    )
+    def test_air_whose_impedance_or_its_inverse_is_not_finite_is_refused(self, density, sound_speed, impedance):
+        # every model divides by rho0 c and multiplies by its inverse
+        message = f"air impedance density * sound_speed = {impedance}: it and its inverse must be positive and finite"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AirProperties(density, sound_speed)
 
     def test_informational_fields_optional(self):
         air = AirProperties(temperature=23.7, relative_humidity=66.3)

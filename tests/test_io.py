@@ -47,6 +47,7 @@ from tubeloss.io_files import (
     write_band_csv,
     write_mic_spectra,
 )
+from tubeloss.models import _KIND_PARAMETERS
 
 from helpers import AIR, GEOMETRY
 
@@ -162,6 +163,15 @@ class TestKeyTables:
         }
         named = re.compile(r"(?<![\w-])({})(?![\w-])".format("|".join(map(re.escape, declared))))
         assert sorted(declared - set(named.findall(formats))) == []
+
+    def test_each_layer_kind_reads_the_parameters_the_layer_model_declares(self):
+        # a stack record's t11..t22 are the model's one matrix; a sample kind names the record keys it gives
+        matrix = dict.fromkeys(("t11", "t12", "t21", "t22"), "matrix")
+        record_kinds = {kind: {matrix.get(key, key) for key in keys} for kind, keys in io_files._LAYER_KEYS.items()}
+        sample_kinds = {kind: set(keys.values()) for kind, keys in io_files._SAMPLE_KEYS.items() if kind != "stack"}
+        declared = {kind: set(parameters) for kind, parameters in _KIND_PARAMETERS.items()}
+        assert record_kinds == declared
+        assert sample_kinds == {kind: declared[kind] for kind in sample_kinds}
 
     def test_only_a_refused_key_imports_difflib(self, config_path):
         script = (
@@ -474,6 +484,19 @@ FINITE_FLOAT_BITS = st.integers(0, 2**64 - 1).map(_float_from_bits).filter(math.
 POSITIVE_FLOAT_BITS = st.integers(1, 0x7FEF_FFFF_FFFF_FFFF).map(_float_from_bits)
 
 
+def _with_accepted_air(positives: list) -> list:
+    """``positives`` with its last, the sound speed, scaled by a power of two so that AirProperties accepts it.
+
+    With density m1 2^e1 and sound speed m2 2^e2 (``math.frexp``), their product
+    lies in [2^(e1+e2-2), 2^(e1+e2)), or halves once more if the scaled sound
+    speed is subnormal; -1020 <= e1 + e2 <= 1023 keeps it and its inverse finite.
+    """
+    thickness, diameter, density, sound_speed = positives
+    e1 = math.frexp(density)[1]
+    m2, e2 = math.frexp(sound_speed)
+    return [thickness, diameter, density, math.ldexp(m2, min(max(e2, -1020 - e1), 1023 - e1))]
+
+
 @pytest.fixture(scope="module")
 def drawn_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("drawn")
@@ -653,9 +676,10 @@ class TestMicSpectraReader:
             max_size=40,
         ),
         # header floats from any bit pattern a valid header allows: ascending finite
-        # positions, and a positive finite thickness, diameter, density and sound speed
+        # positions, a positive finite thickness, diameter, density and sound speed, and
+        # a density * sound speed that is positive and finite and has a finite inverse
         positions=st.lists(FINITE_FLOAT_BITS, min_size=4, max_size=4, unique=True).map(sorted),
-        positives=st.lists(POSITIVE_FLOAT_BITS, min_size=4, max_size=4),
+        positives=st.lists(POSITIVE_FLOAT_BITS, min_size=4, max_size=4).map(_with_accepted_air),
     )
     def test_round_trip_keeps_every_bit(self, drawn_dir, bits, positions, positives):
         values = np.array(bits, dtype=np.uint64).view(np.float64)

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tubeloss import (
     QUALITY_THRESHOLD,
@@ -36,6 +37,7 @@ from helpers import (
     four_mic_spectra,
     limp_mass_stl_oracle,
     noisy_spectra,
+    one_load_closed_form,
     row_slices,
     stacked,
 )
@@ -572,3 +574,50 @@ class TestBitsOfABin:
             alone = synth_mic_pressures(scenario, part.grid).pressures
             for mic, values in enumerate(whole.pressures):
                 assert alone[mic].tobytes() == values[lo:hi].tobytes(), (mic, lo)
+
+
+# one bin of a passive measurement: (f in Hz, |A|, |B/A|, |C/A|, |D/C|, and the phases of A, B/A,
+# C/A and D/C); the sample reflects and transmits no more than reaches it, the termination reflects
+# no more than reaches it. A ratio is 0 or at least 1e-100: the route's matrix entries grow as 1 / |T|,
+# so below |T| of about 1e-306 they overflow, or its denominator P0 Vd + Pd V0 turns subnormal, and it drops
+# or loses a bin that the closed form keeps.
+RATIOS = st.one_of(st.just(0.0), st.floats(1e-100, 1.0))
+PASSIVE_BINS = st.tuples(
+    st.floats(20.0, 6000.0), st.floats(1e-3, 1e3), *[RATIOS] * 3, *[st.floats(-math.pi, math.pi)] * 4
+)
+
+
+def _passive_amplitudes(bins) -> PlaneWaveAmplitudes:
+    f, size, b_a, c_a, d_c, *phases = map(np.array, zip(*sorted(bins)))
+    a, b_a, c_a, d_c = (ratio * np.exp(1j * phase) for ratio, phase in zip((size, b_a, c_a, d_c), phases))
+    return PlaneWaveAmplitudes(FrequencyGrid(f), a, a * b_a, a * c_a, a * c_a * d_c)
+
+
+class TestClosedForm:
+    """``boundary_states``, ``reconstruct_one_load`` and ``acoustic_indicators`` against ``one_load_closed_form``."""
+
+    # The tolerance, stated before the test first ran: with cond the closed form's condition factor,
+    # |T_route - T| <= 32 eps cond |T| and |R_route - R| <= 32 eps cond (1 + |R|). R's error is bounded
+    # absolutely as well, as the route takes R's numerator from matrix entries of the size of T's
+    # denominator terms. The route keeps every bin where cond < 1e9 (its own rule drops a bin at a
+    # relative 1e-12); where cond is larger either side may drop it.
+    TOLERANCE = 32 * np.finfo(float).eps
+    WELL_DEFINED = 1e9
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(bins=st.lists(PASSIVE_BINS, min_size=1, max_size=8, unique_by=lambda b: b[0]), thickness=st.floats(0.0, 0.5))
+    def test_the_route_agrees_with_the_closed_form(self, bins, thickness):
+        amplitudes = _passive_amplitudes(bins)
+        faces = boundary_states(amplitudes, thickness, AIR)
+        route = acoustic_indicators(reconstruct_one_load(amplitudes.grid, *faces), thickness, AIR)
+        t, r, cond = one_load_closed_form(amplitudes, thickness, AIR)
+        kept = route.valid
+        for i in np.flatnonzero((kept & ~np.isfinite(cond)) | (~kept & (cond < self.WELL_DEFINED))):
+            raise AssertionError(
+                f"bin {i} ({amplitudes.grid.frequencies[i]} Hz) kept by one side only: route T "
+                f"{route.transmission[i]}, R {route.reflection[i]}; closed form T {t[i]}, R {r[i]}, cond {cond[i]}"
+            )
+        t_error = abs(route.transmission - t)[kept]
+        r_error = abs(route.reflection - r)[kept]
+        assert (t_error <= self.TOLERANCE * cond[kept] * abs(t[kept])).all(), (t_error, cond[kept], t[kept])
+        assert (r_error <= self.TOLERANCE * cond[kept] * (1.0 + abs(r[kept]))).all(), (r_error, cond[kept], r[kept])
