@@ -15,8 +15,6 @@ from .core import AirProperties, DEFAULT_AIR, FrequencyGrid, Record, _frozen
 from .transfer import (
     AcousticIndicators,
     TransferMatrix,
-    _nonvanishing,
-    _quotient,
     _transmission_phase,
     acoustic_indicators,
     stl,
@@ -201,14 +199,18 @@ class LayerModel(Record):
     ) -> tuple[np.ndarray, TransferMatrix | np.ndarray]:
         """This layer's own ``stl_db`` and its factor in a stack's product, given the grid's 2 pi f and j k.
 
-        A limp mass, and an air gap of positive thickness, take the parameter
-        path where the layer's omega m_s or e^{jkL} is finite: the anechoic
-        denominator and its scale come from those real arrays and z = rho0 c
-        with the IEEE operations that :func:`acoustic_indicators` performs on
-        the nonzero parts of the layer's matrix, and only the transmission
-        quotient is taken. Every other layer takes the general path,
-        ``acoustic_indicators(self.matrix_on(grid, air), self.thickness,
-        air)``. Both give the same bits.
+        A limp mass whose w = omega m_s gives a finite w / z and w (1 / z) at
+        every bin, with z = rho0 c, and an air gap of positive thickness whose
+        e^{jkL} is finite at every bin, take the parameter path: the anechoic
+        denominator comes from those real arrays and z with the IEEE operations
+        that :func:`acoustic_indicators` performs on the nonzero parts of the
+        layer's matrix, and the loss is one quotient, ``stl(2 e^{jkL} / den)``.
+        No vanishing-denominator guard is evaluated, as it cannot fire there:
+        a limp mass has |den| >= 2 against a scale 2 + |w| / z <= 2 |den|, and
+        a gap's den = (2 cos kL, 2 sin kL) up to rounding has a modulus of
+        about 2 against a scale of at most about 2 (|cos kL| + |sin kL|).
+        Every other layer takes the general path, ``acoustic_indicators(
+        self.matrix_on(grid, air), self.thickness, air)``. Both give the same bits.
 
         The factor of a limp mass on the parameter path is the t12 = j omega m_s
         of its [[1, t12], [0, 1]]; any other layer's is its matrix.
@@ -217,19 +219,17 @@ class LayerModel(Record):
         with np.errstate(over="ignore", invalid="ignore"):
             if self.kind == "limp-mass":
                 w = omega * float(self.surface_density)
-                if np.isfinite(w).all():
-                    # den = (1 + t12 / z) + z 0 + 1 and scale = (1 + |t12| / z) + z 0 + 1, with t12 = j w
-                    den = _complex(2.0, w * (1.0 / z))
-                    return _transmission_loss(den, (1.0 + w / z) + 1.0, 1.0), 1j * w
+                w_z = w * (1.0 / z)
+                if np.isfinite(w_z).all() and np.isfinite(w / z).all():
+                    # den = (1 + t12 / z) + z 0 + 1 with t12 = j w; the numerator 2 e^{j k 0} is 2
+                    return stl(np.divide(2.0, _complex(2.0, w_z))), 1j * w
             elif self.kind == "air-gap" and self.thickness > 0.0:
                 phase = np.exp(jk * self.thickness)
                 if np.isfinite(phase).all():
                     # t11 = t22 = c, t12 = j z s and t21 = j s / z, without the matrix's zero parts
                     c, s = phase.real, phase.imag
-                    zs, s_z, c_abs = z * s, s * (1.0 / z), np.abs(c)
-                    den = _complex(c + c, zs * (1.0 / z) + z * s_z)
-                    scale = ((c_abs + np.abs(zs) / z) + z * np.abs(s_z)) + c_abs
-                    return _transmission_loss(den, scale, phase), _gap_matrix(grid, phase, z)
+                    den = _complex(c + c, (z * s) * (1.0 / z) + z * (s * (1.0 / z)))
+                    return stl(np.divide(np.multiply(2.0, phase), den)), _gap_matrix(grid, phase, z)
         matrix = self.matrix_on(grid, air)
         return acoustic_indicators(matrix, self.thickness, air).stl_db, matrix
 
@@ -266,16 +266,6 @@ def _complex(real, imag: np.ndarray) -> np.ndarray:
     out = np.empty(imag.shape, dtype=complex)
     out.real, out.imag = real, imag
     return out
-
-
-def _transmission_loss(den: np.ndarray, scale: np.ndarray, phase) -> np.ndarray:
-    """``stl`` of T = 2 phase / den, NaN where ``den`` vanishes against ``scale``, as in ``acoustic_indicators``.
-
-    The caller vouches that T and R are finite wherever ``den`` does not
-    vanish, so ``acoustic_indicators`` would drop no further bin.
-    """
-    ok = _nonvanishing(den, scale)
-    return stl(_quotient(np.multiply(2.0, phase), den, ok))
 
 
 def cascade(
@@ -333,15 +323,21 @@ def stack_indicators(
     layers times bands, not layers times bins.
 
     A limp mass and an air gap of positive thickness take a parameter path:
-    their own loss is built from omega m_s or e^{jkL} alone, skipping the
-    matrix entries that are known zeros and the reflection quotient, and a
-    limp mass enters the product in 2 complex products instead of 8. The
+    their own loss is one quotient, 2 e^{jkL} over an anechoic denominator
+    built from omega m_s or e^{jkL} alone, skipping the matrix entries that
+    are known zeros and the reflection quotient, and a limp mass enters the
+    product in 2 complex products instead of 8. The path evaluates no
+    vanishing-denominator guard: the denominator's modulus is at least 2 for
+    a mass and about 2 for a gap, against a scale of at most twice that, so
+    the guard of :func:`acoustic_indicators` could not drop a bin there. The
     general path, :func:`acoustic_indicators` of :meth:`LayerModel.matrix_on`,
-    runs for ``matrix`` and ``identity`` layers, for a zero-thickness gap,
-    and wherever omega m_s or e^{jkL} is not finite. Both paths give the
-    same bits: the tables and the stack's indicators equal those of the
-    general path; the running product equals :func:`cascade`'s in value at
-    the bins where that is finite, though a zero may take the other sign.
+    runs for ``matrix`` and ``identity`` layers, for a zero-thickness gap, for
+    a gap whose e^{jkL} is not finite at every bin, and for a limp mass whose
+    omega m_s / rho0 c or omega m_s (1 / rho0 c) is not finite at every bin.
+    Both paths give the same bits: the tables and the stack's indicators
+    equal those of the general path; the running product equals
+    :func:`cascade`'s in value at the bins where that is finite, though a
+    zero may take the other sign.
 
     Parameters
     ----------
@@ -374,7 +370,9 @@ def stack_indicators(
 def _layer_pass(layers, grid: FrequencyGrid, air: AirProperties, average) -> tuple[TransferMatrix, tuple]:
     """The running product of ``layers`` and the ``average`` of each one's own loss."""
     omega = 2.0 * math.pi * grid.frequencies  # the bits of the limp mass's and of grid.wavenumbers' 2 pi f
-    jk = 1j * (omega / air.sound_speed)
+    # k overflows under the least sound speeds; those gaps get a NaN phase and take the general path
+    with np.errstate(over="ignore", invalid="ignore"):
+        jk = 1j * (omega / air.sound_speed)
     tables = []
     product = None
     for layer in layers:

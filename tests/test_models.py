@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tubeloss import (
+    AirProperties,
     FrequencyGrid,
     LayerModel,
     acoustic_indicators,
@@ -25,6 +26,30 @@ from tubeloss.models import _layer_pass
 from helpers import AIR, MATERIALS, WIDE_GRID, determinant, limp_mass_stl_oracle
 
 DOUBLING_DB = 20.0 * math.log10(2.0)  # 6.0206
+
+POSITIVE_FLOATS = st.floats(5e-324, 1.7976931348623157e308)
+
+
+def _accepted_air(density: float, sound_speed: float) -> AirProperties:
+    """The air of ``density`` and of ``sound_speed`` halved or doubled until AirProperties accepts it.
+
+    A draw far out of range lands at an edge: rho0 c just under 1.8e308, or just
+    above 5.6e-309, below which 1 / (rho0 c) overflows.
+    """
+    while True:
+        try:
+            return AirProperties(density, sound_speed)
+        except ValueError:
+            sound_speed = sound_speed / 2.0 if density * sound_speed >= 1.0 else sound_speed * 2.0
+
+
+#: the default air, and airs whose rho0 c spans what AirProperties accepts
+AIRS = st.one_of(st.just(AIR), st.builds(_accepted_air, POSITIVE_FLOATS, POSITIVE_FLOATS))
+
+
+def _edge(layer: LayerModel, air: AirProperties = AIR):
+    name = f"{layer.kind} {layer.surface_density or layer.thickness!r}"
+    return pytest.param(layer, air, id=name if air is AIR else f"{name} under rho0 c {air.impedance!r}")
 
 
 class TestMassLaw:
@@ -291,29 +316,66 @@ class TestStackIndicators:
             max_size=6,
         ),
         grid=st.sampled_from(sorted(GRIDS)),
+        air=AIRS,
         mode=st.sampled_from(["power", "db"]),
     )
-    def test_drawn_masses_and_gaps_keep_the_general_paths_bits(self, layers, grid, mode):
+    def test_drawn_masses_and_gaps_keep_the_general_paths_bits(self, layers, grid, air, mode):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            self.assert_general_path_bits(layers, self.GRIDS[grid], AIR, mode)
+            self.assert_general_path_bits(layers, self.GRIDS[grid], air, mode)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        layer=st.one_of(
+            st.floats(0.0, 1.7976931348623157e308).map(LayerModel.limp_mass),
+            POSITIVE_FLOATS.map(LayerModel.air_gap),
+        ),
+        grid=st.sampled_from(sorted(GRIDS)),
+        air=AIRS,
+    )
+    def test_the_general_path_keeps_every_bin_exactly_where_the_parameter_path_runs(self, layer, grid, air):
+        # the parameter path evaluates no vanishing-denominator guard: where it runs, the general
+        # path's guard drops no bin, and where it does not, the general path drops some bin
+        grid = self.GRIDS[grid]
+        omega = 2.0 * math.pi * grid.frequencies
+        z = air.impedance
+        with np.errstate(over="ignore", invalid="ignore"):
+            if layer.kind == "limp-mass":
+                w = omega * layer.surface_density
+                parameter_path = np.isfinite(w / z).all() and np.isfinite(w * (1.0 / z)).all()
+            else:
+                parameter_path = np.isfinite(np.exp(1j * (omega / air.sound_speed) * layer.thickness)).all()
+        indicators = acoustic_indicators(layer.matrix_on(grid, air), layer.thickness, air)
+        assert indicators.valid.all() == parameter_path
 
     @pytest.mark.parametrize("mode", ["power", "db"])
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     @pytest.mark.parametrize(
-        "edge",
+        "edge, air",
         [
-            *(LayerModel.limp_mass(m) for m in (0.0, 1e-300, 1e300, 1e305, 1e307)),
-            *(LayerModel.air_gap(L) for L in (0.0, 5e-324, 1e300, 1e308)),
+            *(_edge(LayerModel.limp_mass(m)) for m in (0.0, 1e-300, 1e300, 1e305, 1e307)),
+            *(_edge(LayerModel.air_gap(L)) for L in (0.0, 5e-324, 1e300, 1e308)),
+            _edge(LayerModel.limp_mass(1e302), AirProperties(1e-3, 1.0)),
+            _edge(LayerModel.limp_mass(1.5450034423087953e301), AirProperties(0.0027, 1.0)),
+            _edge(LayerModel.limp_mass(5.1500114743626504e300), AirProperties(0.0009000000000000001, 1.0)),
+            *(
+                _edge(LayerModel.air_gap(0.05), AirProperties(z, 1.0))
+                for z in (2.0**-1024 + 5e-324, 1.7976931348623157e308)
+            ),
+            _edge(LayerModel.air_gap(0.05), AirProperties(1e20, 1e-320)),
         ],
-        ids=lambda layer: f"{layer.kind} {layer.surface_density or layer.thickness!r}",
     )
-    def test_edge_layers_keep_the_general_paths_bits(self, edge, grid, mode):
+    def test_edge_layers_keep_the_general_paths_bits(self, edge, air, grid, mode):
         # omega m_s overflows above 286 Hz at 1e305 and everywhere at 1e307, k L overflows at
-        # 1e308 (those take the general path); at 1e300 the gap's phase has a huge finite argument
+        # 1e308 (those take the general path); at 1e300 the gap's phase has a huge finite argument.
+        # Under rho0 c = 1e-3, omega m_s / rho0 c overflows above 286 Hz at 1e302 while omega m_s
+        # stays finite (general path); at 5000 Hz on the 1 Hz grid, omega m_s / rho0 c overflows and
+        # omega m_s (1 / rho0 c) does not under 0.0027, and the other way round under 9e-4 (general
+        # path). The gaps sit under the least and the greatest rho0 c accepted, and under a sound
+        # speed of 1e-320 m/s, where k overflows (general path).
         layers = (edge, LayerModel.air_gap(0.05), edge, LayerModel.limp_mass(0.6))
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            self.assert_general_path_bits((edge,), self.GRIDS[grid], AIR, mode)
-            self.assert_general_path_bits(layers, self.GRIDS[grid], AIR, mode)
+            self.assert_general_path_bits((edge,), self.GRIDS[grid], air, mode)
+            self.assert_general_path_bits(layers, self.GRIDS[grid], air, mode)
 
     def test_unknown_band_mode_rejected(self):
         with pytest.raises(ValueError, match="^unknown band averaging mode 'linear'$"):
