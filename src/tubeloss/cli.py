@@ -108,12 +108,22 @@ def _provenance(args, air, geometry) -> dict:
     }
 
 
+def _band_blocks(tables, key: str = "values_db") -> list[dict]:
+    """The report block of each table of one band set, rounded in one ``_round_db`` call.
+
+    The blocks share one ``nominal_hz`` list.
+    """
+    nominal_hz = [b.nominal for b in tables[0].bands]
+    width = len(nominal_hz)
+    rounded = _round_db(np.concatenate([table.values for table in tables]))
+    return [
+        {"nominal_hz": nominal_hz, key: rounded[start : start + width], "coverage": table.coverage.tolist()}
+        for start, table in zip(range(0, len(rounded), width), tables)
+    ]
+
+
 def _band_block(table: BandTable, key: str = "values_db") -> dict:
-    return {
-        "nominal_hz": [b.nominal for b in table.bands],
-        key: _round_db(table.values),
-        "coverage": table.coverage.tolist(),
-    }
+    return _band_blocks([table], key)[0]
 
 
 def _require_config(args) -> tuple:
@@ -317,10 +327,9 @@ def _cmd_stack(args) -> tuple:
     bands = third_octave_bands(args.f_min, args.f_max)
 
     stack, layer_tables = stack_indicators(layers, grid, air, bands=bands, mode=args.band_mode)
-    constituents = [
-        {"layer": layer.describe(), "bands": _band_block(table)} for layer, table in zip(layers, layer_tables)
-    ]
     stack_table = band_average(grid, stack.stl_db, bands, mode=args.band_mode)
+    *layer_blocks, stack_block = _band_blocks([*layer_tables, stack_table])
+    constituents = [{"layer": layer.describe(), "bands": block} for layer, block in zip(layers, layer_blocks)]
 
     body = {
         "stack": [layer.describe() for layer in layers],
@@ -328,7 +337,7 @@ def _cmd_stack(args) -> tuple:
             "frequency_hz": grid.frequencies.tolist(),
             "stl_db": _round_db(stack.stl_db),
         },
-        "bands": _band_block(stack_table),
+        "bands": stack_block,
         "constituents": constituents,
     }
     return air, None, body, {"stack_stl_db": stack_table}

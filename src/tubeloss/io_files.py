@@ -25,6 +25,7 @@ import math
 import os
 import stat
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -62,6 +63,7 @@ _BLOCK_CHARS = 1 << 16  # mic-spectra text checked at a time before loadtxt pars
 # whitespace, so loadtxt strips them around a number, but float() rejects them
 _LOADTXT_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
 _REQUIRED = object()  # the default, in a key table, of a key that must be given
+_LIST_ENCODERS = {}  # indent -> the C encoder's encode of a flat list whose items sit at that indent
 
 
 def _fmt(value) -> str:
@@ -261,16 +263,19 @@ _HEADER_ECHO = {
 def _write_csv(path, head: list[str], columns) -> None:
     """Atomically write ``head`` lines, then one row of ``repr`` floats per index of ``columns``.
 
-    Rows are converted with ``tolist()`` and written one block at a time, so
-    neither the table's Python floats nor the file's whole text are ever held
-    in memory at once.
+    The table is written one block of rows at a time, so neither its Python
+    floats nor the file's whole text are ever held in memory at once. Each
+    block's floats go through ``float.__repr__`` in one flat pass and are
+    grouped into rows by ``zip`` over that one iterator, so a block costs
+    little beyond the ``repr`` of its floats.
     """
     table = np.column_stack(columns)
+    width = table.shape[1]
     with _atomic_text_file(path) as handle:
         handle.write("\n".join(head) + "\n")
         for start in range(0, len(table), _ROWS_PER_BLOCK):
-            block = table[start : start + _ROWS_PER_BLOCK].tolist()
-            handle.write("\n".join([",".join(map(float.__repr__, row)) for row in block]) + "\n")
+            cells = map(float.__repr__, table[start : start + _ROWS_PER_BLOCK].ravel().tolist())
+            handle.write("\n".join(map(",".join, zip(*[cells] * width))) + "\n")
 
 
 def write_mic_spectra(path, spectra: MicSpectra, geometry: TubeGeometry, air: AirProperties) -> None:
@@ -634,18 +639,28 @@ def load_scenario(path, geometry: TubeGeometry, air: AirProperties) -> tuple[Syn
 def _json_indent2(value, pad: str = "") -> str:
     """The text of ``json.dumps(value, indent=2, allow_nan=True)``, indented by ``pad``.
 
-    With ``indent`` set, ``json`` runs its pure-Python encoder. A flat list of
-    scalars (the per-bin arrays) is instead rendered by the C encoder, which
-    runs when ``indent`` is None, with the line break and indent of each item
-    put into the item separator. Dicts with string keys, and lists of
-    non-empty dicts or lists (the constituent blocks), are laid out here, so
-    the flat lists inside them reach the C encoder too.
+    With ``indent`` set, ``json`` runs its pure-Python encoder; this lays the
+    text out itself and hands each piece to the function that encoder would
+    call. Strings and dict keys go through ``encode_basestring_ascii`` and
+    finite scalars of type ``float`` through ``float.__repr__``; any other
+    scalar (None, a bool, an int, a non-finite float, a float subclass such
+    as ``np.float64``) goes through ``json.dumps``. A flat list of scalars
+    (the per-bin arrays) is rendered by the C encoder, which runs when
+    ``indent`` is None, with the line break and indent of each item put into
+    the item separator; one such encoder per indent is kept in
+    ``_LIST_ENCODERS``. Dicts with string keys, and lists of non-empty dicts
+    or lists (the constituent blocks), are laid out here, so the flat lists
+    inside them reach the C encoder too.
     """
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
     if not isinstance(value, (dict, list, tuple)):  # a scalar: indent changes nothing
         return json.dumps(value, allow_nan=True)
     inner = pad + "  "
     if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
-        items = (f"{inner}{json.dumps(key)}: {_json_indent2(v, inner)}" for key, v in value.items())
+        items = (f"{inner}{encode_basestring_ascii(key)}: {_json_indent2(v, inner)}" for key, v in value.items())
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(value, list) and value and all(isinstance(v, (dict, list)) and v for v in value):
         items = (inner + _json_indent2(v, inner) for v in value)
@@ -655,8 +670,10 @@ def _json_indent2(value, pad: str = "") -> str:
         and value
         and not any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, value)))
     ):
-        flat = json.dumps(value, separators=(",\n" + inner, ": "), allow_nan=True)
-        return "[\n" + inner + flat[1:-1] + "\n" + pad + "]"
+        encode = _LIST_ENCODERS.get(inner)
+        if encode is None:
+            encode = _LIST_ENCODERS[inner] = json.JSONEncoder(separators=(",\n" + inner, ": ")).encode
+        return "[\n" + inner + encode(value)[1:-1] + "\n" + pad + "]"
     # json escapes every newline inside a string, so each line break here is layout
     return json.dumps(value, indent=2, allow_nan=True).replace("\n", "\n" + pad)
 

@@ -936,6 +936,42 @@ class TestStack:
         assert [c["bands"] for c in report["constituents"]] == [block((layer,)) for layer in layers]
         assert report["bands"] == block(layers)
 
+    def test_constituents_round_as_each_layer_alone(self, tmp_path, monkeypatch):
+        # the stack rounds every layer's table in one _round_db call; these bands are the ones
+        # it sends to Python's round: a NaN band (at --f-step 50 no bin lands in 125 Hz's
+        # 111-140 Hz), +inf (a 1e300 kg/m2 mass), one of 1e6 dB or more, and 10.344999999999999
+        # dB (this mass's 100 Hz band), within 1e-6 of a half step once scaled by 100
+        records = [
+            {"kind": "limp-mass", "surface_density": 4.123157161581102},
+            {"kind": "air-gap", "thickness": 0.05},
+            {"kind": "limp-mass", "surface_density": 1e300},
+            {"kind": "limp-mass", "surface_density": 2.0},
+        ]
+        stack = tmp_path / "stack.json"
+        stack.write_text(json.dumps(records))
+        tables = []
+
+        def scaled_last(*args, **kwargs):
+            # no layer's own loss reaches 1e6 dB (its transmission coefficient is a finite
+            # double, so |L| < 7000 dB): the last table is scaled past it
+            product, layer_tables = stack_indicators(*args, **kwargs)
+            last = layer_tables[-1]
+            tables.extend((*layer_tables[:-1], BandTable(last.bands, 1e5 * last.values, last.coverage)))
+            return product, tuple(tables)
+
+        monkeypatch.setattr(cli, "stack_indicators", scaled_last)
+        report_path = tmp_path / "report.json"
+        argv = ("stack", "--stack", str(stack), "--f-max", "1000", "--f-step", "50", "--output", str(report_path))
+        assert run_cli(*argv) == 0
+        values = np.concatenate([table.values for table in tables])
+        assert np.isnan(values).any() and np.isposinf(values).any()
+        assert (np.abs(values[np.isfinite(values)]) >= 1e6).any()
+        scaled = 100 * values[np.isfinite(values)]
+        assert (np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6).any()
+        report = json.loads(report_path.read_text())
+        got = [c["bands"]["values_db"] for c in report["constituents"]]
+        assert json.dumps(got) == json.dumps([_round_db(table.values) for table in tables])
+
     # after its imports the child caps its address space at 32 MiB above what it maps, so the
     # first arrays of a 980 001-bin grid are refused instead of filling the host's memory
     _LIMITED_MAIN = """import resource, sys

@@ -708,15 +708,48 @@ class TestMicSpectraReader:
         )
         assert [x.hex() for x in header_back] == [x.hex() for x in header]
 
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])  # around the writer's 1024-row blocks
+    @pytest.mark.parametrize("width", [4, 9])
+    @settings(max_examples=5, deadline=None, derandomize=True, database=None)
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64), offset=st.integers(0, 71))
+    def test_blocks_write_the_per_row_text(self, drawn_dir, n, width, bits, offset):
+        specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 1e22]
+        pool = np.roll(np.concatenate([specials, np.array(bits, dtype=np.uint64).view(np.float64)]), offset)
+        path = drawn_dir / "blocks.csv"
+        if width == 4:
+            table = np.resize(pool, (n, width))
+            _write_csv(path, ["head"], list(table.T))
+            head = "head\n"
+        else:  # a mic-spectra file: ascending frequencies, then finite pressures
+            pressures = np.resize(pool[np.isfinite(pool)], (n, 8))
+            grid = FrequencyGrid(np.arange(1.0, n + 1.0) * 0.1)
+            spectra = MicSpectra(grid, pressures.view(complex).T)
+            write_mic_spectra(path, spectra, GEOMETRY, AIR)
+            table = np.column_stack([grid.frequencies, pressures])
+            head = path.read_text().partition(MIC_SPECTRA_HEADER + "\n")[0] + MIC_SPECTRA_HEADER + "\n"
+        rows = "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
+        assert path.read_bytes() == (head + rows).encode()
+        if width == 9:
+            loaded, _, _ = read_mic_spectra(path)
+            assert loaded.grid.frequencies.tobytes() == grid.frequencies.tobytes()
+            for original, back in zip(spectra.pressures, loaded.pressures):
+                assert original.tobytes() == back.tobytes()
 
+
+# strings with non-ASCII, quote, backslash and control characters, which json escapes
+JSON_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\U0001f600')), max_size=8)
 JSON_SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(), st.text(max_size=8)
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.floats().map(np.float64),
+    JSON_TEXT,
 )
 JSON_VALUES = st.recursive(
     JSON_SCALARS,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=5), st.dictionaries(st.text(max_size=5), inner, max_size=5)
-    ),
+    lambda inner: st.one_of(st.lists(inner, max_size=5), st.dictionaries(JSON_TEXT, inner, max_size=5)),
     max_leaves=30,
 )
 
@@ -724,6 +757,11 @@ JSON_VALUES = st.recursive(
 class TestReportEncoding:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(value=JSON_VALUES)
+    # nested three and four deep, so flat lists sit at several indents
+    @example(
+        value={"a\u00e9": [{"b": {"c": [1.5, -0.0, math.nan], "\"": [math.inf]}, "d": [np.float64(0.1)]}], "e": [True]}
+    )
+    @example(value=[[[[-math.inf, "\x00"]]], [["\u2028"]]])
     def test_same_text_as_json_indent_2(self, value):
         assert _json_indent2(value) == json.dumps(value, indent=2, allow_nan=True)
 
