@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 
 from .core import FrequencyGrid, Record, _frozen, locked_array
-from .errors import BandMismatchError, NegativeInsertionLossWarning
+from .errors import NegativeInsertionLossWarning
 
 __all__ = [
     "ThirdOctaveBand",
@@ -295,7 +295,7 @@ def insertion_loss(l_r0: BandTable, l_rs: BandTable) -> BandTable:
         b = {b.nominal for b in l_rs.bands}
         only_first = sorted(a - b)
         only_second = sorted(b - a)
-        raise BandMismatchError(
+        raise ValueError(
             "band sets differ: "
             f"only in first table {only_first}, only in second table {only_second}"
         )

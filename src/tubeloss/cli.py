@@ -18,7 +18,7 @@ builds only that command's parser from the table; any other (``--help``,
 the full parser, whose subparsers come from the same table, so both word every
 help, usage and error line alike but for ``--=`` (:func:`_parse_args`). A
 command line the parser rejects is a usage error: :class:`_Parser` raises it as
-a :class:`~tubeloss.errors.TubelossError`, so it exits 2 with one ``error:``
+an :class:`~tubeloss.errors.InputFormatError`, so it exits 2 with one ``error:``
 line like any other input error. ``--help`` and ``--version`` print and exit 0.
 """
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .bands import (
     third_octave_bands,
 )
 from .core import DEFAULT_AIR, FrequencyGrid, MicSpectra, _frozen, plane_wave_cutoff
+from .decompose import decompose_four_mic
 from .errors import (
-    AllBinsInvalidError,
     AnechoicQualityWarning,
     InputFormatError,
     MassLawValidityWarning,
@@ -166,10 +166,20 @@ def _analyze_group(group: list, grid, geometry, air) -> tuple[np.ndarray, ...]:
     :func:`analyze_four_mic` call analyses their ``(4, R, n)`` stack. Each
     file's warnings are then built from the analysis, in file order: an
     :class:`AnechoicQualityWarning` when its ``worst_quality`` exceeds
-    :data:`QUALITY_THRESHOLD`, then its singular pairs.
+    :data:`QUALITY_THRESHOLD`, then its singular pairs. Pressures whose
+    decomposition overflows raise :class:`InputFormatError` naming the first
+    such file.
     """
     pressures = np.stack([spectra.pressures for _, spectra in group], axis=1)
-    analysis = analyze_four_mic(MicSpectra(grid, *_frozen(pressures)), geometry=geometry, air=air)
+    try:
+        analysis = analyze_four_mic(MicSpectra(grid, *_frozen(pressures)), geometry=geometry, air=air)
+    except ValueError:  # the decomposition overflowed: a row's bits are its own, so one file fails alone too
+        for path, spectra in group:
+            try:
+                decompose_four_mic(spectra, geometry, air)
+            except ValueError as exc:
+                raise InputFormatError(str(exc), path=path) from None
+        raise
     upstream, downstream = analysis.amplitudes.upstream_singular, analysis.amplitudes.downstream_singular
     for row, (path, _) in enumerate(group):
         worst = float(analysis.worst_quality[row])
@@ -215,7 +225,7 @@ def _cmd_stl(args) -> tuple:
             "all bins singular" if n_singular == len(grid)
             else f"{n_singular} of {len(grid)} bins singular, the rest numerically invalid"
         )
-        raise AllBinsInvalidError(f"no valid frequency bin in any input ({why})")
+        raise NumericalValidityError(f"no valid frequency bin in any input ({why})")
 
     cutoff = plane_wave_cutoff(geometry, air)
     above = grid.frequencies > cutoff
@@ -343,15 +353,11 @@ def _cmd_stack(args) -> tuple:
     return air, None, body, {"stack_stl_db": stack_table}
 
 
-class _UsageError(TubelossError):
-    """A command line the parser rejects: a missing, unknown or malformed argument."""
-
-
 class _Parser(argparse.ArgumentParser):
-    """Raises :class:`_UsageError` where argparse would print usage and exit 2."""
+    """Raises :class:`~tubeloss.errors.InputFormatError` where argparse would print usage and exit 2."""
 
     def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}")
+        raise InputFormatError(f"{self.prog}: {message}")
 
 
 def _opt(*flags, **keywords) -> tuple:
@@ -453,7 +459,7 @@ def _parse_args(argv: list) -> argparse.Namespace:
         return _build_parser().parse_args(argv)
     args, extra = _fill(_Parser(prog=f"tubeloss {argv[0]}"), argv[0]).parse_known_args(argv[1:])
     if extra:
-        raise _UsageError(f"tubeloss: unrecognized arguments: {' '.join(extra)}")
+        raise InputFormatError(f"tubeloss: unrecognized arguments: {' '.join(extra)}")
     return args
 
 

@@ -6,8 +6,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import GridMismatchError
-
 __all__ = [
     "AirProperties",
     "DEFAULT_AIR",
@@ -190,7 +188,7 @@ class FrequencyGrid(Record):
 
     def require_matches(self, other: "FrequencyGrid", context: str = "operation") -> None:
         if self is not other and self != other:
-            raise GridMismatchError(f"{context}: operands use different frequency grids")
+            raise ValueError(f"{context}: operands use different frequency grids")
 
     def wavenumbers(self, air: AirProperties) -> np.ndarray:
         """Lossless real wavenumber k = 2 pi f / c in rad/m of every bin."""
@@ -245,6 +243,15 @@ def _per_bin_shape(values, n: int, what: str) -> tuple:
     if len(shape) in (1, 2) and shape[-1] == n and shape[0] > 0:
         return shape
     raise ValueError(f"{what} must have shape ({n},) or (R, {n}), got {shape}")
+
+
+_NAN = complex(np.nan, np.nan)
+
+
+def _drop(dropped: np.ndarray, *arrays: np.ndarray) -> None:
+    """Write complex NaN, in place, at the ``dropped`` bins of each array: one ``(n,)`` mask serves every row."""
+    for arr in arrays:
+        arr[..., dropped] = _NAN
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

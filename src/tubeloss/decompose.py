@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AirProperties, MicSpectra, PerBinArrays, TubeGeometry, _frozen
+from .core import AirProperties, MicSpectra, PerBinArrays, TubeGeometry, _drop, _frozen
 
 __all__ = [
     "SINGULARITY_TOLERANCE",
@@ -20,8 +20,6 @@ __all__ = [
 
 #: |sin(k dx)| below this marks a bin as singular (half-wavelength spacing).
 SINGULARITY_TOLERANCE = 1e-6
-
-_NAN = complex(np.nan, np.nan)
 
 
 def decompose_pair(
@@ -48,14 +46,16 @@ def decompose_pair(
     forward, backward : ndarray
         Complex amplitudes per frequency, the pressures' broadcast shape,
         NaN exactly at the singular bins, where
-        ``|sin k (x_a - x_b)| < SINGULARITY_TOLERANCE``: that NaN is the one
-        record of a dropped bin. A bin's bits depend on its own inputs only,
-        not on the grid's length or on the other rows.
+        ``|sin k (x_a - x_b)| < SINGULARITY_TOLERANCE``: written once from
+        that one ``(n,)`` mask, the NaN is the one record of a dropped bin. A
+        bin's bits depend on its own inputs only, not on the grid's length
+        or on the other rows.
 
     Raises
     ------
     ValueError
-        If an amplitude is not finite at a retained bin.
+        If an amplitude is not finite at a retained bin (the decomposition
+        overflowed): such input is refused, not dropped bin by bin.
     """
     if x_a == x_b:
         raise ValueError("microphone positions must differ")
@@ -76,8 +76,7 @@ def decompose_pair(
         forward = np.multiply(p_a, phase_b) - np.multiply(p_b, phase_a)
         backward = np.multiply(p_b, back_a) - np.multiply(p_a, back_b)
         forward, backward = (np.divide(np.multiply(1j, diff), den) for diff in (forward, backward))
-    forward[..., singular] = _NAN
-    backward[..., singular] = _NAN
+    _drop(singular, forward, backward)
     if not ((np.isfinite(forward) & np.isfinite(backward)) | singular).all():
         raise ValueError("amplitudes must be finite at every retained frequency")
     return forward, backward

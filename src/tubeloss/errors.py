@@ -2,12 +2,8 @@
 
 __all__ = [
     "TubelossError",
-    "GridMismatchError",
-    "BandMismatchError",
     "InputFormatError",
-    "ConfigMismatchError",
     "NumericalValidityError",
-    "AllBinsInvalidError",
     "PlaneWaveCutoffWarning",
     "SingularBinWarning",
     "AnechoicQualityWarning",
@@ -18,14 +14,6 @@ __all__ = [
 
 class TubelossError(Exception):
     """Base class for toolkit-specific errors."""
-
-
-class GridMismatchError(TubelossError, ValueError):
-    """Operands live on different frequency grids."""
-
-
-class BandMismatchError(TubelossError, ValueError):
-    """Band tables do not share the same band set."""
 
 
 class InputFormatError(TubelossError, ValueError):
@@ -40,16 +28,8 @@ class InputFormatError(TubelossError, ValueError):
         super().__init__(prefix + message)
 
 
-class ConfigMismatchError(InputFormatError):
-    """A file header disagrees with the active configuration."""
-
-
 class NumericalValidityError(TubelossError, ArithmeticError):
     """A computation has no numerically valid result for its inputs."""
-
-
-class AllBinsInvalidError(NumericalValidityError):
-    """No frequency bin survived validity screening."""
 
 
 class PlaneWaveCutoffWarning(UserWarning):

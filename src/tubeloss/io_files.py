@@ -33,7 +33,7 @@ from .bands import BandTable, band_from_nominal
 from .core import (
     AirProperties, DEFAULT_AIR, FrequencyGrid, MaterialSpec, MicSpectra, TubeGeometry, _frequency_fault, _frozen,
 )
-from .errors import ConfigMismatchError, InputFormatError
+from .errors import InputFormatError
 from .models import LayerModel
 from .synth import SynthScenario
 
@@ -435,7 +435,7 @@ def require_header_matches(
                 if not abs(a - b) <= _HEADER_RTOL * max(abs(a), abs(b), 1e-300):
                     problems.append(f"{label.format(i)}: file {a} vs config {b}")
     if problems:
-        raise ConfigMismatchError("header disagrees with active config: " + "; ".join(problems), path=path)
+        raise InputFormatError("header disagrees with active config: " + "; ".join(problems), path=path)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,18 @@ The sample is modeled as a 2x2 complex matrix linking (pressure, velocity) at
 its two faces. A single measurement with one termination determines the matrix
 once the passive-sample closure (equal diagonal, unit determinant) is imposed;
 transmission, reflection, impedance, and transmission loss follow from it.
+
+The reconstruction and the indicators compute each complex quotient as an
+explicit ``np.divide`` call: an operator would compute in place into a
+temporary numerator of 256 KiB or more, which can round differently, so a
+bin's bits depend on its own inputs only. Each then forms one kept mask and
+writes complex NaN once, in place, at every bin it drops.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .core import AirProperties, FrequencyGrid, PerBinArrays, _frozen, _per_bin_shape
+from .core import AirProperties, FrequencyGrid, PerBinArrays, _drop, _frozen, _per_bin_shape
 from .decompose import PlaneWaveAmplitudes
 
 __all__ = [
@@ -25,25 +31,6 @@ __all__ = [
 
 #: Relative floor below which a shared denominator counts as vanishing.
 _DENOMINATOR_RTOL = 1e-12
-
-_NAN = complex(np.nan, np.nan)
-
-
-def _nonvanishing(den: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Bins where ``den`` is finite and above ``_DENOMINATOR_RTOL`` times its ``scale``."""
-    with np.errstate(invalid="ignore"):
-        return np.isfinite(den) & (scale > 0.0) & (np.abs(den) > _DENOMINATOR_RTOL * scale)
-
-
-def _quotient(num, den: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """``num / den`` at the ``ok`` bins, complex NaN elsewhere; an overflow stays non-finite.
-
-    The quotient is an explicit ufunc call, so it never computes in place into
-    a temporary ``num`` (which numpy does from 256 KiB, and which can round
-    differently): a bin's bits depend on its own inputs only.
-    """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.where(ok, np.divide(num, den), _NAN)
 
 
 class TransferMatrix(PerBinArrays):
@@ -127,7 +114,7 @@ def boundary_states(
         raise ValueError("thickness must be non-negative")
     z = air.impedance
     k = amplitudes.grid.wavenumbers(air)
-    # (n,) phases, shared by every row; each quotient an explicit call (see _quotient)
+    # (n,) phases, shared by every row; each quotient an explicit call (see the module docstring)
     phase_out = np.exp(-1j * k * thickness)
     phase_back = np.exp(1j * k * thickness)
     # an overflow leaves a non-finite face value, whose bin the reconstruction drops
@@ -153,7 +140,9 @@ def reconstruct_one_load(grid: FrequencyGrid, p0, v0, pd, vd) -> TransferMatrix:
     The symmetric quotient forms stay well defined when Pd or Vd alone
     vanishes; only the shared denominator matters. det T = 1 holds exactly
     by construction. Bins where ``P0 Vd + Pd V0`` is not finite or below
-    ``_DENOMINATOR_RTOL`` times its magnitude scale are NaN in all entries.
+    ``_DENOMINATOR_RTOL`` times its magnitude scale are dropped: one kept
+    mask marks them, and all entries are NaN there, written once. An
+    overflowing numerator at a kept bin stays non-finite.
 
     Parameters
     ----------
@@ -173,14 +162,14 @@ def reconstruct_one_load(grid: FrequencyGrid, p0, v0, pd, vd) -> TransferMatrix:
     for a in faces:
         if a.shape != shape:
             raise ValueError(f"face array must have shape {shape}, got {a.shape}")
-    # an overflowing denominator drops its bin; an overflowing numerator stays non-finite
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         den = p0 * vd + pd * v0
         scale = np.abs(p0) * np.abs(vd) + np.abs(pd) * np.abs(v0)
-        ok = _nonvanishing(den, scale)
-        t11 = _quotient(p0 * v0 + pd * vd, den, ok)
-        t12 = _quotient(p0 * p0 - pd * pd, den, ok)
-        t21 = _quotient(v0 * v0 - vd * vd, den, ok)
+        kept = np.isfinite(den) & (scale > 0.0) & (np.abs(den) > _DENOMINATOR_RTOL * scale)
+        t11 = np.divide(p0 * v0 + pd * vd, den)
+        t12 = np.divide(p0 * p0 - pd * pd, den)
+        t21 = np.divide(v0 * v0 - vd * vd, den)
+    _drop(~kept, t11, t12, t21)
     return TransferMatrix(grid, *_frozen(t11, t12, t21, t11))
 
 
@@ -212,10 +201,12 @@ def stl_direct_anechoic(amplitudes: PlaneWaveAmplitudes) -> np.ndarray:
     Valid only while the backward wave behind the sample is negligible, which
     :func:`anechoic_quality` measures; this function only computes the curve.
     """
-    # a dropped bin is NaN in a or c, so it is NaN here too
+    # a dropped bin is NaN in a or c, so it is NaN here too; no incident wave is NaN as well
+    magnitude = np.abs(amplitudes.a)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = 20.0 * np.log10(np.abs(amplitudes.a) / np.abs(amplitudes.c))
-    return np.where(np.abs(amplitudes.a) == 0.0, np.nan, out)
+        out = 20.0 * np.log10(magnitude / np.abs(amplitudes.c))
+    out[magnitude == 0.0] = np.nan
+    return out
 
 
 def acoustic_indicators(
@@ -246,25 +237,26 @@ def acoustic_indicators(
     -------
     AcousticIndicators
         Indicators that are NaN in ``transmission``, ``reflection`` and
-        ``stl_db`` at every bin where T or R is not finite: a non-finite
-        entry, a vanishing denominator or an overflowing quotient.
+        ``stl_db`` at every dropped bin: where the denominator is not finite
+        or vanishes as in :func:`reconstruct_one_load`, or where T or R is
+        not finite (a non-finite entry or an overflowing quotient). One kept
+        mask holds all of these, and NaN is written into T and R once.
     """
     z = air.impedance
     t11, t12, t21, t22 = matrix.t11, matrix.t12, matrix.t21, matrix.t22
     # an overflow here fails the denominator check or leaves T or R non-finite; both drop the bin
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         front = t11 + t12 / z
         back = z * t21
         den = front + back + t22
-        ok = _nonvanishing(den, np.abs(t11) + np.abs(t12) / z + z * np.abs(t21) + np.abs(t22))
-        # the (n,) phase serves every row, and adds nothing to the call's peak memory once the
-        # denominator's temporaries are freed; its product with 2 is an explicit call (see _quotient)
+        scale = np.abs(t11) + np.abs(t12) / z + z * np.abs(t21) + np.abs(t22)
+        kept = np.isfinite(den) & (scale > 0.0) & (np.abs(den) > _DENOMINATOR_RTOL * scale)
+        # the (n,) phase serves every row; its product with 2 is an explicit call (see the module docstring)
         numerator = np.multiply(2.0, _transmission_phase(matrix.grid, thickness, air))
-        transmission = _quotient(numerator, den, ok)
-        reflection = _quotient(front - back - t22, den, ok)
-    dropped = ~(np.isfinite(transmission) & np.isfinite(reflection))
-    transmission[dropped] = _NAN
-    reflection[dropped] = _NAN
+        transmission = np.divide(numerator, den)
+        reflection = np.divide(front - back - t22, den)
+    kept &= np.isfinite(transmission) & np.isfinite(reflection)
+    _drop(~kept, transmission, reflection)
     return AcousticIndicators(matrix.grid, *_frozen(transmission, reflection, stl(transmission)))
 
 

@@ -12,7 +12,6 @@ import numpy as np
 
 from tubeloss import (
     AirProperties,
-    BandMismatchError,
     BandTable,
     FrequencyGrid,
     LayerModel,
@@ -20,6 +19,7 @@ from tubeloss import (
     SynthScenario,
     TransferMatrix,
     TubeGeometry,
+    stl,
     synth_mic_pressures,
 )
 
@@ -127,6 +127,60 @@ def one_load_closed_form(amplitudes, thickness: float, air: AirProperties = AIR)
         return (ac - bde) / den, (a * b - c * d) / den, condition
 
 
+# A reference drop path for the one-load route: each quotient goes through np.where, and T and R
+# get a second NaN write. The route, which forms one kept mask per stage, must match it bit for bit.
+_NAN = complex(np.nan, np.nan)
+
+
+def _nonvanishing(den: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Bins where ``den`` is finite and above 1e-12 times its ``scale``."""
+    with np.errstate(invalid="ignore"):
+        return np.isfinite(den) & (scale > 0.0) & (np.abs(den) > 1e-12 * scale)
+
+
+def _quotient(num, den: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """``num / den`` at the ``ok`` bins, complex NaN elsewhere, by ``np.where``."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(ok, np.divide(num, den), _NAN)
+
+
+def drop_route_reconstruct(p0, v0, pd, vd) -> tuple:
+    """``reconstruct_one_load``'s four entries by the ``np.where`` route: one quotient, then one where, per entry."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = p0 * vd + pd * v0
+        scale = np.abs(p0) * np.abs(vd) + np.abs(pd) * np.abs(v0)
+        ok = _nonvanishing(den, scale)
+        t11 = _quotient(p0 * v0 + pd * vd, den, ok)
+        t12 = _quotient(p0 * p0 - pd * pd, den, ok)
+        t21 = _quotient(v0 * v0 - vd * vd, den, ok)
+    return t11, t12, t21, t11
+
+
+def drop_route_indicators(matrix: TransferMatrix, thickness: float, air: AirProperties = AIR) -> tuple:
+    """``acoustic_indicators``' T, R and loss by the ``np.where`` route, with a second NaN write for T and R."""
+    z = air.impedance
+    t11, t12, t21, t22 = matrix.t11, matrix.t12, matrix.t21, matrix.t22
+    with np.errstate(over="ignore", invalid="ignore"):
+        front = t11 + t12 / z
+        back = z * t21
+        den = front + back + t22
+        ok = _nonvanishing(den, np.abs(t11) + np.abs(t12) / z + z * np.abs(t21) + np.abs(t22))
+        phase = 1.0 if thickness == 0.0 else np.exp(1j * matrix.grid.wavenumbers(air) * thickness)
+        transmission = _quotient(np.multiply(2.0, phase), den, ok)
+        reflection = _quotient(front - back - t22, den, ok)
+    dropped = ~(np.isfinite(transmission) & np.isfinite(reflection))
+    transmission[dropped] = _NAN
+    reflection[dropped] = _NAN
+    return transmission, reflection, stl(transmission)
+
+
+def drop_route_stl_direct(amplitudes) -> np.ndarray:
+    """``stl_direct_anechoic`` by the ``np.where`` route, taking |A| twice."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = 20.0 * np.log10(np.abs(amplitudes.a) / np.abs(amplitudes.c))
+    return np.where(np.abs(amplitudes.a) == 0.0, np.nan, out)
+
+
 def _series_impedance(grid, resistance, mass):
     """Passive series element: a limp mass with viscous damping, [[1, r + jwm], [0, 1]]."""
     omega = 2.0 * np.pi * grid.frequencies
@@ -185,7 +239,7 @@ def synth_room_levels(source_spectrum: BandTable, transmission: BandTable) -> tu
     tables must give back the transmission table.
     """
     if source_spectrum.bands != transmission.bands:
-        raise BandMismatchError("source spectrum and transmission use different band sets")
+        raise ValueError("source spectrum and transmission use different band sets")
     l_r0 = source_spectrum
     l_rs = BandTable(
         l_r0.bands,

@@ -21,6 +21,7 @@ from tubeloss import (
     AnechoicQualityWarning,
     BandTable,
     FrequencyGrid,
+    InputFormatError,
     LayerModel,
     MassLawValidityWarning,
     PlaneWaveAmplitudes,
@@ -362,7 +363,7 @@ class TestSynthAndStl:
         spectra_path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert run_cli("stl", str(spectra_path), "--config", config) == 2
-        assert capsys.readouterr().err == "error: amplitudes must be finite at every retained frequency\n"
+        assert capsys.readouterr().err == f"error: {spectra_path}: amplitudes must be finite at every retained frequency\n"
 
     def test_all_singular_exits_3(self, tmp_path):
         config = tmp_path / "tube.ini"
@@ -551,7 +552,21 @@ class TestRepetitionsOnOneAxis:
             f"error: {malformed}:2: unexpected column header 'not,really'\n"
         )
         assert run_cli("stl", str(overflowing), "--config", config) == 2
-        assert capsys.readouterr().err == "error: amplitudes must be finite at every retained frequency\n"
+        assert capsys.readouterr().err == f"error: {overflowing}: amplitudes must be finite at every retained frequency\n"
+
+    def test_a_decomposition_overflow_names_the_first_file_it_fails_on(self, tmp_path, config, capsys):
+        grid = FrequencyGrid.from_range(100.0, 2000.0, 10.0)
+        files = [tmp_path / f"rep{i}.csv" for i in range(4)]
+        for seed, path in enumerate(files, start=1):
+            _write_spectra(path, grid, seed)
+        for path in files[2:]:
+            lines = path.read_text().splitlines()
+            lines[20] = lines[20].split(",")[0] + ",1.7e308,0,-1.7e308,0,1,0,1,0"
+            path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        # all four files fit one group; the first two decompose, the last two overflow
+        assert run_cli("stl", *map(str, files), "--config", config) == 2
+        assert capsys.readouterr() == ("", f"error: {files[2]}: amplitudes must be finite at every retained frequency\n")
 
 
 class TestMasslaw:
@@ -1201,7 +1216,7 @@ def _parse_outcome(parse, argv) -> tuple:
             namespace = parse(argv)
         # repr compares NaN with NaN and tells -0.0 from 0.0; a function's repr is its identity
         return "namespace", sorted((key, repr(value)) for key, value in vars(namespace).items())
-    except cli._UsageError as exc:
+    except InputFormatError as exc:
         return "usage", str(exc)
     except SystemExit as exc:
         return "exit", exc.code, stdout.getvalue()

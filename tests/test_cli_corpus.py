@@ -276,7 +276,7 @@ def test_a_huge_finite_pressure_drops_its_bin_without_warnings(runs, corpus_dir)
 
 def test_every_file_of_a_group_is_read_before_any_is_analysed(runs):
     stderr = {run.argv[1:-2]: run.stderr for run in runs if run.argv[:2] == ("stl", "overflowing.csv")}
-    assert stderr["overflowing.csv",] == "error: amplitudes must be finite at every retained frequency\n"
+    assert stderr["overflowing.csv",] == "error: overflowing.csv: amplitudes must be finite at every retained frequency\n"
     assert stderr["overflowing.csv", "bad-rows.csv"].startswith("error: bad-rows.csv:9: bad number: ")
 
 

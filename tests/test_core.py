@@ -333,7 +333,7 @@ class TestSurfaceDensity:
 
 class TestPublicApi:
     def test_all_names_resolve_and_star_import_binds_exactly_them(self):
-        assert len(tubeloss.__all__) == len(set(tubeloss.__all__)) == 50
+        assert len(tubeloss.__all__) == len(set(tubeloss.__all__)) == 46
         for name in tubeloss.__all__:
             assert hasattr(tubeloss, name), name
         namespace: dict = {}

@@ -16,7 +16,6 @@ from hypothesis import event, example, given, settings, strategies as st
 from tubeloss import (
     AirProperties,
     BandTable,
-    ConfigMismatchError,
     DEFAULT_AIR,
     FrequencyGrid,
     InputFormatError,
@@ -247,9 +246,12 @@ class TestMicSpectraCsv:
         write_mic_spectra(path, spectra, GEOMETRY, AIR)
         _, file_geometry, file_air = read_mic_spectra(path)
         other = TubeGeometry((-0.35, -0.25, 0.25, 0.35), 0.00089, 0.0998)
-        with pytest.raises(ConfigMismatchError) as err:
+        with pytest.raises(InputFormatError) as err:
             require_header_matches(path, file_geometry, file_air, other, AIR)
-        assert "mic x1" in str(err.value)
+        assert str(err.value) == (
+            f"{path}: header disagrees with active config: "
+            "mic x1: file -0.33 vs config -0.35; mic x4: file 0.33 vs config 0.35"
+        )
         # matching config passes silently
         require_header_matches(path, file_geometry, file_air, GEOMETRY, AIR)
 
@@ -272,7 +274,7 @@ class TestMicSpectraCsv:
         values[index] = (-0.35, -0.26, 0.26, 0.35, 0.001, 0.1, 1.2, 340.0)[index]
         file_geometry = TubeGeometry(tuple(values[:4]), values[4], values[5])
         file_air = AirProperties(density=values[6], sound_speed=values[7])
-        with pytest.raises(ConfigMismatchError) as err:
+        with pytest.raises(InputFormatError) as err:
             require_header_matches("x.csv", file_geometry, file_air, GEOMETRY, AIR)
         assert str(err.value) == f"x.csv: header disagrees with active config: {message}"
 

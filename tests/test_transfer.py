@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tubeloss import (
     QUALITY_THRESHOLD,
@@ -34,6 +34,9 @@ from helpers import (
     WIDE_GRID,
     air_layer_matrix_oracle,
     determinant,
+    drop_route_indicators,
+    drop_route_reconstruct,
+    drop_route_stl_direct,
     four_mic_spectra,
     limp_mass_stl_oracle,
     noisy_spectra,
@@ -621,3 +624,76 @@ class TestClosedForm:
         r_error = abs(route.reflection - r)[kept]
         assert (t_error <= self.TOLERANCE * cond[kept] * abs(t[kept])).all(), (t_error, cond[kept], t[kept])
         assert (r_error <= self.TOLERANCE * cond[kept] * (1.0 + abs(r[kept]))).all(), (r_error, cond[kept], r[kept])
+
+
+# real and imaginary parts: signed zeros, infinities, NaN, the smallest subnormal, magnitudes whose
+# squares and products underflow or overflow, and ordinary values
+EDGE_PARTS = (
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+    *(sign * size for sign in (1.0, -1.0) for size in (1e160, 1e-160, 1e300, 1e-300)),
+)
+PART = st.one_of(st.sampled_from(EDGE_PARTS), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def per_bin_arrays(draw, count: int) -> tuple:
+    """A grid of n bins and ``count`` complex arrays of one drawn shape, ``(n,)`` or ``(R, n)``.
+
+    Every part comes from a drawn alphabet of one to four values, so that all
+    the entries of a bin often share one regime (all subnormal, say). Each
+    array is built from its real and imaginary parts, so no arithmetic (and
+    no numpy warning) touches a drawn value before the route does.
+    """
+    n = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from([(n,), (draw(st.integers(1, 3)), n)]))
+    size = math.prod(shape)
+    alphabet = st.sampled_from(draw(st.lists(PART, min_size=1, max_size=4)))
+    arrays = []
+    for _ in range(count):
+        parts = draw(st.lists(alphabet, min_size=2 * size, max_size=2 * size))
+        values = np.empty(shape, dtype=complex)
+        values.real = np.reshape(parts[:size], shape)
+        values.imag = np.reshape(parts[size:], shape)
+        arrays.append(values)
+    return FrequencyGrid(100.0 * np.arange(1.0, n + 1.0)), arrays
+
+
+def _bits(values: np.ndarray) -> list:
+    return np.ascontiguousarray(values).view(np.int64).tolist()
+
+
+def _one_bin(*entries) -> tuple:
+    return FrequencyGrid([100.0]), [np.array([value], dtype=complex) for value in entries]
+
+
+class TestDropPathBits:
+    """Each stage's outputs equal, bit for bit, those of the ``np.where`` drop path in ``helpers``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(drawn=per_bin_arrays(4))
+    def test_reconstruct_one_load(self, drawn):
+        grid, faces = drawn
+        matrix = reconstruct_one_load(grid, *faces)
+        for name, want in zip(("t11", "t12", "t21", "t22"), drop_route_reconstruct(*faces)):
+            assert _bits(getattr(matrix, name)) == _bits(want), name
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(drawn=per_bin_arrays(4))
+    # a subnormal denominator passes its check, but T = 2 / den overflows while R = 1 stays finite
+    @example(drawn=_one_bin(5e-324, 0.0, 0.0, 0.0))
+    # a vanishing denominator, where R's quotient is not NaN itself
+    @example(drawn=_one_bin(1.0, 0.0, 0.0, -1.0))
+    def test_acoustic_indicators(self, drawn):
+        grid, entries = drawn
+        matrix = TransferMatrix(grid, *entries)
+        for thickness in (0.0, 0.01, 1e300):
+            got = acoustic_indicators(matrix, thickness, AIR)
+            for name, want in zip(("transmission", "reflection", "stl_db"), drop_route_indicators(matrix, thickness)):
+                assert _bits(getattr(got, name)) == _bits(want), (name, thickness)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(drawn=per_bin_arrays(4))
+    def test_stl_direct_anechoic(self, drawn):
+        grid, waves = drawn
+        amplitudes = PlaneWaveAmplitudes(grid, *waves)
+        assert _bits(stl_direct_anechoic(amplitudes)) == _bits(drop_route_stl_direct(amplitudes))
