@@ -70,9 +70,11 @@ def decompose_pair(
     # Every complex product and quotient is an explicit ufunc call: an operator on a
     # temporary of 256 KiB or more computes in place, which can round differently.
     # An overflow leaves a retained amplitude non-finite, which the check below rejects.
+    # e^{-jkx} is the conjugate of e^{jkx} bit for bit, except where k x is zero (x = 0, or an
+    # underflow): there both are 1 + 0j, and adding 0.0 turns the conjugate's -0j back into +0j.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         phase_a, phase_b = np.exp(1j * k * x_a), np.exp(1j * k * x_b)
-        back_a, back_b = np.exp(-1j * k * x_a), np.exp(-1j * k * x_b)
+        back_a, back_b = np.conj(phase_a) + 0.0, np.conj(phase_b) + 0.0
         forward = np.multiply(p_a, phase_b) - np.multiply(p_b, phase_a)
         backward = np.multiply(p_b, back_a) - np.multiply(p_a, back_b)
         forward, backward = (np.divide(np.multiply(1j, diff), den) for diff in (forward, backward))

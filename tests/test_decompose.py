@@ -213,3 +213,14 @@ def test_one_spectrum_of_rows_among_single_ones_is_rejected():
     p1, p2, p3, p4 = four_mic_spectra(grid, GEOMETRY, 1.0, 0.3j, 0.5, 0.0).pressures
     with pytest.raises(ValueError, match="shape"):
         MicSpectra(grid, [np.stack([p1, p1]), p2, p3, p4])
+
+
+# the corpus and benchmark tube (GEOMETRY's positions), the other layout the tests use, a microphone
+# at the sample face, and positions so small that k x underflows to zero at the low bins
+@pytest.mark.parametrize("x", [-0.35, -0.33, -0.25, 0.25, 0.33, 0.35, 0.0, -0.0, 5e-324, -1e-310])
+def test_the_back_phase_is_the_conjugate_of_the_forward_phase_bit_for_bit(x):
+    # decompose_pair takes e^{-jkx} as conj(e^{jkx}) + 0.0; every grid of the corpus and the
+    # benchmark lies on WIDE_GRID's 1 Hz bins, and a 7 Hz sweep runs on to 1 MHz
+    f = np.concatenate([WIDE_GRID.frequencies, np.arange(19107.0, 1e6, 7.0)])
+    k = FrequencyGrid(f).wavenumbers(AIR)
+    assert (np.conj(np.exp(1j * k * x)) + 0.0).tobytes() == np.exp(-1j * k * x).tobytes()
