@@ -70,8 +70,7 @@ def decompose_pair(
     # Every complex product and quotient is an explicit ufunc call: an operator on a
     # temporary of 256 KiB or more computes in place, which can round differently.
     # An overflow leaves a retained amplitude non-finite, which the check below rejects.
-    # e^{-jkx} is the conjugate of e^{jkx} bit for bit, except where k x is zero (x = 0, or an
-    # underflow): there both are 1 + 0j, and adding 0.0 turns the conjugate's -0j back into +0j.
+    # e^{-jkx} is conj(e^{jkx}) bit for bit, but 1 + 0j where k x is 0: adding 0.0 turns conj's -0j into +0j
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         phase_a, phase_b = np.exp(1j * k * x_a), np.exp(1j * k * x_b)
         back_a, back_b = np.conj(phase_a) + 0.0, np.conj(phase_b) + 0.0

@@ -1,19 +1,11 @@
-"""Four-microphone spectra to acoustic indicators in one call."""
+"""Four-microphone spectra to acoustic indicators in one call: the decomposition, then T and R in closed form."""
 from __future__ import annotations
 
 import numpy as np
 
 from .core import AirProperties, DEFAULT_AIR, MicSpectra, Record, TubeGeometry, _frozen
 from .decompose import PlaneWaveAmplitudes, decompose_four_mic
-from .transfer import (
-    AcousticIndicators,
-    TransferMatrix,
-    acoustic_indicators,
-    anechoic_quality,
-    boundary_states,
-    reconstruct_one_load,
-    stl_direct_anechoic,
-)
+from .transfer import AcousticIndicators, _closed_form_indicators, anechoic_quality, stl_direct_anechoic
 
 __all__ = ["QUALITY_THRESHOLD", "TubeAnalysis", "analyze_four_mic"]
 
@@ -31,17 +23,16 @@ class TubeAnalysis(Record):
     Every array reachable from an analysis is read-only.
     """
 
-    __slots__ = ("amplitudes", "matrix", "indicators", "stl_direct_db", "worst_quality")
+    __slots__ = ("amplitudes", "indicators", "stl_direct_db", "worst_quality")
 
     def __init__(
         self,
         amplitudes: PlaneWaveAmplitudes,
-        matrix: TransferMatrix,
         indicators: AcousticIndicators,
         stl_direct_db: np.ndarray,
         worst_quality: np.ndarray,
     ) -> None:
-        self._set(amplitudes, matrix, indicators, stl_direct_db, worst_quality)
+        self._set(amplitudes, indicators, stl_direct_db, worst_quality)
 
 
 def analyze_four_mic(
@@ -49,11 +40,12 @@ def analyze_four_mic(
     geometry: TubeGeometry,
     air: AirProperties = DEFAULT_AIR,
 ) -> TubeAnalysis:
-    """Run decomposition, matrix reconstruction, and indicator extraction.
+    """Decompose the spectra, then take the one-load route's T, R and loss in closed form.
 
-    The matrix route is the primary result; the direct anechoic route
-    20 log10 |A/C| is carried along as a cross-check, valid only while the
-    termination is close to anechoic.
+    No transfer matrix is built, and the indicators do not depend on the
+    pressures' scale. The direct anechoic route 20 log10 |A/C| is carried
+    along as a cross-check, valid only while the termination is close to
+    anechoic.
 
     ``spectra`` holds ``(4, n)`` pressures for one measurement, or
     ``(4, R, n)`` for R repetitions, one per row. Repetitions are analysed
@@ -62,9 +54,7 @@ def analyze_four_mic(
     |D/C| for the caller to compare with :data:`QUALITY_THRESHOLD`.
     """
     amplitudes = decompose_four_mic(spectra, geometry, air)
-    faces = boundary_states(amplitudes, geometry.sample_thickness, air)
-    matrix = reconstruct_one_load(amplitudes.grid, *faces)
-    indicators = acoustic_indicators(matrix, geometry.sample_thickness, air)
+    indicators = _closed_form_indicators(amplitudes, geometry.sample_thickness, air)
     ratio = anechoic_quality(amplitudes)
     direct, worst = _frozen(
         stl_direct_anechoic(amplitudes),
@@ -72,7 +62,6 @@ def analyze_four_mic(
     )
     return TubeAnalysis(
         amplitudes=amplitudes,
-        matrix=matrix,
         indicators=indicators,
         stl_direct_db=direct,
         worst_quality=worst,

@@ -5,11 +5,12 @@ its two faces. A single measurement with one termination determines the matrix
 once the passive-sample closure (equal diagonal, unit determinant) is imposed;
 transmission, reflection, impedance, and transmission loss follow from it.
 
-The reconstruction and the indicators compute each complex quotient as an
-explicit ``np.divide`` call: an operator would compute in place into a
-temporary numerator of 256 KiB or more, which can round differently, so a
-bin's bits depend on its own inputs only. Each then forms one kept mask and
-writes complex NaN once, in place, at every bin it drops.
+:func:`analyze_four_mic <tubeloss.pipeline.analyze_four_mic>` takes this
+route's T and R in closed form from the wave amplitudes; the tests keep the
+route as its reference. A complex product or quotient of a temporary is an
+explicit ufunc call: an operator would compute in place into a temporary of
+256 KiB or more, which can round differently, so a bin's bits depend on its
+own inputs only. Each stage forms one kept mask and writes NaN once.
 """
 from __future__ import annotations
 
@@ -270,3 +271,32 @@ def _transmission_phase(grid: FrequencyGrid, thickness: float, air: AirPropertie
         return 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         return np.exp(1j * grid.wavenumbers(air) * thickness)
+
+
+def _closed_form_indicators(amplitudes: PlaneWaveAmplitudes, thickness: float, air: AirProperties):
+    """T, R and the loss of the one-load route, in closed form from the amplitudes.
+
+    With E = e^{2jkd}, the route gives T = (AC - BDE) / (A^2 - D^2 E), R = (AB - CD) / (A^2 - D^2 E).
+    Each bin's amplitudes are first scaled by the power of two that brings their largest part into
+    [0.5, 1): an exact step, so T and R do not depend on the amplitudes' scale and no product overflows.
+    A bin is kept where the denominator is finite and above ``_DENOMINATOR_RTOL`` (|A^2| + |D^2 E|)
+    and T and R are finite (E is NaN where k d overflows); T and R are NaN elsewhere, written once.
+    """
+    # a complex array's float view holds each value's two parts side by side: one shift serves both
+    views = [wave.view(float) for wave in (amplitudes.a, amplitudes.b, amplitudes.c, amplitudes.d)]
+    largest = np.abs(views[0])
+    for view in views[1:]:
+        np.maximum(largest, np.abs(view), out=largest)
+    _, exponent = np.frexp(np.maximum(largest[..., ::2], largest[..., 1::2]))
+    shift = np.repeat(np.negative(exponent), 2, axis=-1)
+    a, b, c, d = (np.ldexp(view, shift).view(complex) for view in views)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        e = np.exp(2j * amplitudes.grid.wavenumbers(air) * thickness)
+        a_squared, d_squared_e = np.multiply(a, a), np.multiply(np.multiply(d, d), e)
+        den = a_squared - d_squared_e
+        transmission = np.divide(np.multiply(a, c) - np.multiply(np.multiply(b, d), e), den)
+        reflection = np.divide(np.multiply(a, b) - np.multiply(c, d), den)
+        kept = np.abs(den) > _DENOMINATOR_RTOL * (np.abs(a_squared) + np.abs(d_squared_e))
+    kept &= np.isfinite(den) & np.isfinite(transmission) & np.isfinite(reflection)
+    _drop(~kept, transmission, reflection)
+    return AcousticIndicators(amplitudes.grid, *_frozen(transmission, reflection, stl(transmission)))

@@ -98,11 +98,20 @@ _WHITESPACE_ROW = _ZERO_DOWNSTREAM.replace("\n1000,", "\n \t\n1000,")
 _NON_FINITE = _ZERO_DOWNSTREAM.replace("# n_frequencies = 3", "# n_frequencies = 5") + (
     "1200,1.8,0.1,0.5,0.02,0.1,-0.02,-0.02,nan\n1300,inf,0.1,0.5,0.02,0.1,-0.02,-0.02,-0.1\n"
 )
+
+
+def _every_row(pressures: str) -> str:
+    """``_ZERO_DOWNSTREAM`` with the eight pressure fields of each row replaced by ``pressures``."""
+    return "".join(
+        line + "\n" if line.startswith(("#", "frequency")) else f"{line.split(',')[0]},{pressures}\n"
+        for line in _ZERO_DOWNSTREAM.splitlines()
+    )
+
+
 # pressures of +-1.7e308 Pa: a file that reads, but whose amplitudes overflow
-_OVERFLOWING = "".join(
-    line + "\n" if line.startswith(("#", "frequency")) else line.split(",")[0] + ",1.7e308,0,-1.7e308,0,1.7e308,0,-1.7e308,0\n"
-    for line in _ZERO_DOWNSTREAM.splitlines()
-)
+_OVERFLOWING = _every_row("1.7e308,0,-1.7e308,0,1.7e308,0,-1.7e308,0")
+# every pressure 0 Pa, at bins off the blind spots: A = D = 0, so every denominator vanishes
+_SILENT = _every_row("0,0,0,0,0,0,0,0")
 # a finite p1 of 1e200 Pa at 900 Hz: the reconstruction overflows there and drops the bin
 _HUGE_PRESSURE = _ZERO_DOWNSTREAM.replace("900,1.22062,", "900,1e200,")
 # a nan frequency on line 10; a frequency of 950 after 1000 on line 11
@@ -187,6 +196,7 @@ INPUTS = {
     "bad-rows.csv": _BAD_ROWS,
     "nan.csv": _NON_FINITE,
     "overflowing.csv": _OVERFLOWING,
+    "silent.csv": _SILENT,
     "huge-pressure.csv": _HUGE_PRESSURE,
     "latin1.csv": _NOT_UTF8,
     "badf.csv": _NAN_FREQUENCY,
@@ -388,8 +398,10 @@ RUNS: tuple[tuple[str, ...], ...] = (
     ("stl", "dec.csv", "--config", "tube.ini"),
     ("stl", "gapped-nan.csv", "--config", "tube.ini"),
     ("stl", "whitespace-row.csv", "--config", "tube.ini"),
-    # no bin survives: every bin is a blind spot, or none is and the analysis overflows
+    # no bin survives: every bin is a blind spot, or none is and every denominator vanishes
     ("stl", "blind.csv", "--config", "blind-tube.ini", "--f-min", "1600", "--f-max", "1600"),
+    ("stl", "silent.csv", "--config", "tube.ini"),
+    # pressures of 1e300 Pa: T and R do not depend on the pressures' scale, so every bin survives
     ("stl", "huge-incident.csv", "--config", "tube.ini"),
     ("stl", "missing.csv", "--config", "tube.ini"),
     # an empty input path is an input error, as an empty output path is

@@ -106,25 +106,20 @@ def air_layer_matrix_oracle(f: float, thickness: float, air: AirProperties = AIR
     ]
 
 
-def one_load_closed_form(amplitudes, thickness: float, air: AirProperties = AIR):
-    """The anechoic T and R of the one-load route in closed form, and its condition factor.
+def closed_form_condition(amplitudes, thickness: float, air: AirProperties = AIR) -> np.ndarray:
+    """The condition factor of the one-load route's closed form, per bin.
 
-    With E = e^{2jkd}, the identities P0 + z V0 = 2A, Pd - z Vd = 2D e^{jkd}
-    and P0 Vd + Pd V0 = 2 e^{-jkd} (AC - BDE) / z, put into
-    ``reconstruct_one_load`` and ``acoustic_indicators``, give
-    T = (AC - BDE) / (A^2 - D^2 E) and R = (AB - CD) / (A^2 - D^2 E). The
-    condition factor is (|AC| + |BDE|) / |AC - BDE| + (|A^2| + |D^2 E|) / |A^2 - D^2 E|:
-    the rounding of T's numerator and of the shared denominator, relative to
-    their values. Returns ``(T, R, condition)`` per bin; a bin where a
-    difference vanishes has an infinite or NaN condition.
+    With E = e^{2jkd}, the route gives T = (AC - BDE) / (A^2 - D^2 E) and
+    R = (AB - CD) / (A^2 - D^2 E). The condition factor is
+    (|AC| + |BDE|) / |AC - BDE| + (|A^2| + |D^2 E|) / |A^2 - D^2 E|: the
+    rounding of T's numerator and of the shared denominator, relative to their
+    values. A bin where a difference vanishes has an infinite or NaN condition.
     """
     a, b, c, d = amplitudes.a, amplitudes.b, amplitudes.c, amplitudes.d
     e = np.exp(2j * amplitudes.grid.wavenumbers(air) * thickness)
     ac, bde, aa, dde = a * c, b * d * e, a * a, d * d * e
     with np.errstate(divide="ignore", invalid="ignore"):
-        den = aa - dde
-        condition = (abs(ac) + abs(bde)) / abs(ac - bde) + (abs(aa) + abs(dde)) / abs(den)
-        return (ac - bde) / den, (a * b - c * d) / den, condition
+        return (abs(ac) + abs(bde)) / abs(ac - bde) + (abs(aa) + abs(dde)) / abs(aa - dde)
 
 
 # A reference drop path for the one-load route: each quotient goes through np.where, and T and R

@@ -351,7 +351,7 @@ def _records() -> dict:
     records = [
         AIR, GEOMETRY, grid, spectra, MaterialSpec("sheet", 0.89, 1.135), ThirdOctaveBand(0),
         BandTable.from_values([ThirdOctaveBand(0)], [1.0]), scenario.sample[0], scenario,
-        analysis, analysis.amplitudes, analysis.matrix, analysis.indicators,
+        analysis, analysis.amplitudes, scenario.sample[0].matrix_on(grid, AIR), analysis.indicators,
     ]
     return {type(record).__name__: record for record in records}
 

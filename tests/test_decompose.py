@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tubeloss import (
+    SINGULARITY_TOLERANCE,
     FrequencyGrid,
     MicSpectra,
     PlaneWaveAmplitudes,
@@ -215,12 +217,31 @@ def test_one_spectrum_of_rows_among_single_ones_is_rejected():
         MicSpectra(grid, [np.stack([p1, p1]), p2, p3, p4])
 
 
-# the corpus and benchmark tube (GEOMETRY's positions), the other layout the tests use, a microphone
-# at the sample face, and positions so small that k x underflows to zero at the low bins
-@pytest.mark.parametrize("x", [-0.35, -0.33, -0.25, 0.25, 0.33, 0.35, 0.0, -0.0, 5e-324, -1e-310])
-def test_the_back_phase_is_the_conjugate_of_the_forward_phase_bit_for_bit(x):
-    # decompose_pair takes e^{-jkx} as conj(e^{jkx}) + 0.0; every grid of the corpus and the
-    # benchmark lies on WIDE_GRID's 1 Hz bins, and a 7 Hz sweep runs on to 1 MHz
+
+def _pair_with_own_back_phases(p_a, p_b, x_a, x_b, k):
+    """``decompose_pair``'s arithmetic at the retained bins, each e^{-jkx} taken from an exponential of its own."""
+    forward = np.multiply(p_a, np.exp(1j * k * x_b)) - np.multiply(p_b, np.exp(1j * k * x_a))
+    backward = np.multiply(p_b, np.exp(-1j * k * x_a)) - np.multiply(p_a, np.exp(-1j * k * x_b))
+    den = 2.0 * np.sin(k * (x_a - x_b))
+    return [np.divide(np.multiply(1j, diff), den) for diff in (forward, backward)]
+
+
+# the corpus and benchmark tube (GEOMETRY's pairs), the other layout the tests use, a microphone at the
+# sample face, and positions so small that k x underflows to zero at the low bins
+@pytest.mark.parametrize(
+    "x_a, x_b",
+    [(-0.33, -0.25), (0.25, 0.33), (-0.35, -0.25), (0.25, 0.35), (-0.08, 0.0), (0.0, 0.08), (-0.0, 0.08),
+     (5e-324, 0.08), (-0.08, -1e-310)],
+)
+def test_each_back_phase_is_the_conjugate_of_its_forward_phase_bit_for_bit(x_a, x_b):
+    # decompose_pair takes e^{-jkx} as conj(e^{jkx}) + 0.0, whose -0j would otherwise show where k x is
+    # zero and a pressure part is a signed zero. Every grid of the corpus and the benchmark lies on
+    # WIDE_GRID's 1 Hz bins, and a 7 Hz sweep runs on to 1 MHz; the parts cycle through +-0, +-0.3 and +-1.
     f = np.concatenate([WIDE_GRID.frequencies, np.arange(19107.0, 1e6, 7.0)])
     k = FrequencyGrid(f).wavenumbers(AIR)
-    assert (np.conj(np.exp(1j * k * x)) + 0.0).tobytes() == np.exp(-1j * k * x).tobytes()
+    combos = np.array(list(itertools.product([0.0, -0.0, 0.3, -0.3, 1.0, -1.0], repeat=4)))
+    p_a, p_b = np.empty((2, f.size), dtype=complex)
+    p_a.real, p_a.imag, p_b.real, p_b.imag = np.resize(combos, (f.size, 4)).T
+    retained = np.abs(np.sin(k * (x_a - x_b))) >= SINGULARITY_TOLERANCE
+    for got, want in zip(decompose_pair(p_a, p_b, x_a, x_b, k), _pair_with_own_back_phases(p_a, p_b, x_a, x_b, k)):
+        assert got[retained].tobytes() == want[retained].tobytes()

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import math
 import warnings
@@ -27,12 +28,14 @@ from tubeloss import (
     stl_direct_anechoic,
     synth_mic_pressures,
 )
+from tubeloss.transfer import _closed_form_indicators
 
 from helpers import (
     AIR,
     GEOMETRY,
     WIDE_GRID,
     air_layer_matrix_oracle,
+    closed_form_condition,
     determinant,
     drop_route_indicators,
     drop_route_reconstruct,
@@ -40,7 +43,6 @@ from helpers import (
     four_mic_spectra,
     limp_mass_stl_oracle,
     noisy_spectra,
-    one_load_closed_form,
     row_slices,
     stacked,
 )
@@ -537,17 +539,26 @@ class TestZeroThicknessShortcut:
 
 
 def _stages(spectra, thickness=GEOMETRY.sample_thickness):
-    """Every stage's arrays for one set of spectra: amplitudes, faces, matrix, indicators."""
+    """Every stage's arrays for one set of spectra: amplitudes, the closed form, faces, matrix, indicators."""
     amplitudes = decompose_four_mic(spectra, GEOMETRY, AIR)
+    closed = _closed_form_indicators(amplitudes, thickness, AIR)
     faces = boundary_states(amplitudes, thickness, AIR)
     matrix = reconstruct_one_load(amplitudes.grid, *faces)
     indicators = acoustic_indicators(matrix, thickness, AIR)
     out = {name: getattr(amplitudes, name) for name in "abcd"}
+    out.update((f"closed {name}", getattr(closed, name)) for name in ("transmission", "reflection", "stl_db"))
     out.update(zip(("p0", "v0", "pd", "vd"), faces))
     out.update((name, getattr(matrix, name)) for name in ("t11", "t12", "t21", "t22"))
     out.update((name, getattr(indicators, name)) for name in ("transmission", "reflection", "stl_db"))
     out["stl_direct_db"] = stl_direct_anechoic(amplitudes)
     return out
+
+
+@functools.cache
+def _scaled_file():
+    """The 40 dB-SNR limp-mass file of 19 001 bins, 8 of them blind spots, and its analysis."""
+    spectra = noisy_spectra(WIDE_GRID, 1)
+    return spectra, analyze_four_mic(spectra, GEOMETRY, AIR)
 
 
 class TestBitsOfABin:
@@ -569,6 +580,34 @@ class TestBitsOfABin:
             for name, values in _stages(spectra, thickness).items():
                 assert batch[name].shape == (3, len(grid)), name
                 assert batch[name][row].tobytes() == values.tobytes(), (name, row)
+
+    # Stated before the first run: pressures times 2^k, exact on both parts, give the loss of k = 0 bit
+    # for bit at every k from -997 to 1020 on this file. The range ends where that scaling is no longer
+    # exact: below -997 the file's smallest pressure part (4.7e-8 Pa, above 2^-25) turns subnormal and
+    # loses bits, and above 1020 its largest amplitude part (9.3 Pa, below 2^4) overflows, so the
+    # decomposition refuses the file. The matrix route dropped every bin at k = +-520.
+    SCALES = (-997, 1020)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(k=st.integers(*SCALES))
+    @example(k=SCALES[0])
+    @example(k=SCALES[1])
+    @example(k=-520)
+    @example(k=520)
+    def test_the_loss_does_not_depend_on_the_pressures_scale(self, k):
+        spectra, analysis = _scaled_file()
+        scaled = np.empty_like(spectra.pressures)
+        scaled.real, scaled.imag = np.ldexp(spectra.pressures.real, k), np.ldexp(spectra.pressures.imag, k)
+        got = analyze_four_mic(MicSpectra(spectra.grid, scaled), GEOMETRY, AIR).indicators.stl_db
+        assert np.isfinite(got).sum() == 18993
+        assert _bits(got) == _bits(analysis.indicators.stl_db)
+
+    def test_the_scale_range_ends_where_the_scaling_stops_being_exact(self):
+        spectra, analysis = _scaled_file()
+        parts = np.abs(spectra.pressures.view(float))
+        assert np.frexp(parts[parts > 0.0].min())[1] == -1021 - self.SCALES[0]  # 2^(-25 - 997) = 2^-1022
+        amplitudes = np.stack([getattr(analysis.amplitudes, name) for name in "abcd"])
+        assert np.frexp(np.nanmax(np.abs(amplitudes.view(float))))[1] == 1024 - self.SCALES[1]
 
     def test_synth_of_a_whole_grid_and_its_slices_agree(self):
         scenario = SynthScenario(LayerModel.limp_mass(1.135), GEOMETRY, AIR, termination_ratio=0.2 + 0.1j)
@@ -597,13 +636,15 @@ def _passive_amplitudes(bins) -> PlaneWaveAmplitudes:
 
 
 class TestClosedForm:
-    """``boundary_states``, ``reconstruct_one_load`` and ``acoustic_indicators`` against ``one_load_closed_form``."""
+    """The closed form ``analyze_four_mic`` runs, against the matrix route as the reference:
+    ``boundary_states`` -> ``reconstruct_one_load`` -> ``acoustic_indicators``."""
 
     # The tolerance, stated before the test first ran: with cond the closed form's condition factor,
-    # |T_route - T| <= 32 eps cond |T| and |R_route - R| <= 32 eps cond (1 + |R|). R's error is bounded
-    # absolutely as well, as the route takes R's numerator from matrix entries of the size of T's
-    # denominator terms. The route keeps every bin where cond < 1e9 (its own rule drops a bin at a
-    # relative 1e-12); where cond is larger either side may drop it.
+    # |T - T_route| <= 32 eps cond |T_route| and |R - R_route| <= 32 eps cond (1 + |R_route|). R's error is
+    # bounded absolutely as well, as the route takes R's numerator from matrix entries of the size of T's
+    # denominator terms. Both keep every bin where cond < 1e9 (the route's own rule drops a bin at a
+    # relative 1e-12); where cond is larger either side may drop it. Where T's numerator AC - BDE vanishes
+    # (no downstream wave) cond is NaN: the route drops the bin, and the closed form keeps it with T = 0.
     TOLERANCE = 32 * np.finfo(float).eps
     WELL_DEFINED = 1e9
 
@@ -613,17 +654,40 @@ class TestClosedForm:
         amplitudes = _passive_amplitudes(bins)
         faces = boundary_states(amplitudes, thickness, AIR)
         route = acoustic_indicators(reconstruct_one_load(amplitudes.grid, *faces), thickness, AIR)
-        t, r, cond = one_load_closed_form(amplitudes, thickness, AIR)
-        kept = route.valid
-        for i in np.flatnonzero((kept & ~np.isfinite(cond)) | (~kept & (cond < self.WELL_DEFINED))):
+        got = _closed_form_indicators(amplitudes, thickness, AIR)
+        cond = closed_form_condition(amplitudes, thickness, AIR)
+        one_side = (route.valid & ~np.isfinite(cond)) | ((route.valid != got.valid) & (cond < self.WELL_DEFINED))
+        for i in np.flatnonzero(one_side):
             raise AssertionError(
                 f"bin {i} ({amplitudes.grid.frequencies[i]} Hz) kept by one side only: route T "
-                f"{route.transmission[i]}, R {route.reflection[i]}; closed form T {t[i]}, R {r[i]}, cond {cond[i]}"
+                f"{route.transmission[i]}, R {route.reflection[i]}; closed form T {got.transmission[i]}, "
+                f"R {got.reflection[i]}, cond {cond[i]}"
             )
-        t_error = abs(route.transmission - t)[kept]
-        r_error = abs(route.reflection - r)[kept]
-        assert (t_error <= self.TOLERANCE * cond[kept] * abs(t[kept])).all(), (t_error, cond[kept], t[kept])
-        assert (r_error <= self.TOLERANCE * cond[kept] * (1.0 + abs(r[kept]))).all(), (r_error, cond[kept], r[kept])
+        assert (got.transmission[got.valid & ~np.isfinite(cond)] == 0.0).all()
+        kept = route.valid & got.valid
+        t, r, c = route.transmission[kept], route.reflection[kept], cond[kept]
+        t_error = abs(got.transmission[kept] - t)
+        r_error = abs(got.reflection[kept] - r)
+        assert (t_error <= self.TOLERANCE * c * abs(t)).all(), (t_error, c, t)
+        assert (r_error <= self.TOLERANCE * c * (1.0 + abs(r))).all(), (r_error, c, r)
+
+    def test_a_transmission_below_1e_306_keeps_its_bin(self):
+        # the matrix route's entries grow as 1 / |T| and overflow here, so it drops this bin
+        amplitudes = make_amplitudes(FrequencyGrid([500.0]), 1.0, 0.5, 1e-306, 0.3e-306)
+        got = _closed_form_indicators(amplitudes, 0.01, AIR)
+        e = cmath.exp(2j * amplitudes.grid.wavenumbers(AIR)[0] * 0.01)
+        assert got.valid.tolist() == [True]
+        assert got.transmission[0] == pytest.approx(1e-306 * (1.0 - 0.15 * e), rel=4 * np.finfo(float).eps)
+        assert abs(got.transmission[0]) == pytest.approx(8.5e-307, rel=0.01)
+        assert got.reflection[0] == 0.5
+
+    @pytest.mark.parametrize("thickness", [0.0, 0.01])
+    def test_no_downstream_wave_transmits_nothing_and_reflects_b_over_a(self, thickness):
+        a, b = 0.8 - 0.6j, -0.3 + 0.55j
+        got = _closed_form_indicators(make_amplitudes(FrequencyGrid([1000.0]), a, b, 0.0, 0.0), thickness, AIR)
+        assert got.valid.tolist() == [True]
+        assert got.transmission[0] == 0.0 and got.stl_db[0] == np.inf
+        assert got.reflection[0] == pytest.approx(b / a, rel=4 * np.finfo(float).eps)
 
 
 # real and imaginary parts: signed zeros, infinities, NaN, the smallest subnormal, magnitudes whose
