@@ -279,8 +279,8 @@ def _closed_form_indicators(amplitudes: PlaneWaveAmplitudes, thickness: float, a
     With E = e^{2jkd}, the route gives T = (AC - BDE) / (A^2 - D^2 E), R = (AB - CD) / (A^2 - D^2 E).
     Each bin's amplitudes are first scaled by the power of two that brings their largest part into
     [0.5, 1): an exact step, so T and R do not depend on the amplitudes' scale and no product overflows.
-    A bin is kept where the denominator is finite and above ``_DENOMINATOR_RTOL`` (|A^2| + |D^2 E|)
-    and T and R are finite (E is NaN where k d overflows); T and R are NaN elsewhere, written once.
+    A bin is kept where the denominator is above ``_DENOMINATOR_RTOL`` (|A^2| + |D^2 E|) (it is NaN,
+    and fails, where k d overflows) and T and R are finite; T and R are NaN elsewhere, written once.
     """
     # a complex array's float view holds each value's two parts side by side: one shift serves both
     views = [wave.view(float) for wave in (amplitudes.a, amplitudes.b, amplitudes.c, amplitudes.d)]
@@ -291,12 +291,12 @@ def _closed_form_indicators(amplitudes: PlaneWaveAmplitudes, thickness: float, a
     shift = np.repeat(np.negative(exponent), 2, axis=-1)
     a, b, c, d = (np.ldexp(view, shift).view(complex) for view in views)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        e = np.exp(2j * amplitudes.grid.wavenumbers(air) * thickness)
+        e = _transmission_phase(amplitudes.grid, 2.0 * thickness, air)
         a_squared, d_squared_e = np.multiply(a, a), np.multiply(np.multiply(d, d), e)
         den = a_squared - d_squared_e
         transmission = np.divide(np.multiply(a, c) - np.multiply(np.multiply(b, d), e), den)
         reflection = np.divide(np.multiply(a, b) - np.multiply(c, d), den)
         kept = np.abs(den) > _DENOMINATOR_RTOL * (np.abs(a_squared) + np.abs(d_squared_e))
-    kept &= np.isfinite(den) & np.isfinite(transmission) & np.isfinite(reflection)
+    kept &= np.isfinite(transmission) & np.isfinite(reflection)
     _drop(~kept, transmission, reflection)
     return AcousticIndicators(amplitudes.grid, *_frozen(transmission, reflection, stl(transmission)))

@@ -112,7 +112,8 @@ def _every_row(pressures: str) -> str:
 _OVERFLOWING = _every_row("1.7e308,0,-1.7e308,0,1.7e308,0,-1.7e308,0")
 # every pressure 0 Pa, at bins off the blind spots: A = D = 0, so every denominator vanishes
 _SILENT = _every_row("0,0,0,0,0,0,0,0")
-# a finite p1 of 1e200 Pa at 900 Hz: the reconstruction overflows there and drops the bin
+# a finite p1 of 1e200 Pa at 900 Hz: T of about 1e-200 is kept, but |T|^2 underflows, so the loss is +inf
+# and the bin is reported invalid
 _HUGE_PRESSURE = _ZERO_DOWNSTREAM.replace("900,1.22062,", "900,1e200,")
 # a nan frequency on line 10; a frequency of 950 after 1000 on line 11
 _NAN_FREQUENCY = _ZERO_DOWNSTREAM.replace("\n1000,", "\nnan,")

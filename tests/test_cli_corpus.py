@@ -267,13 +267,15 @@ def test_no_surviving_bin_says_how_many_were_singular(runs):
     assert outcome["huge-incident.csv"] == (0, "")
 
 
-def test_a_huge_finite_pressure_drops_its_bin_without_warnings(runs, corpus_dir):
+def test_a_huge_finite_pressure_reads_an_infinite_loss_as_invalid_without_warnings(runs, corpus_dir):
     (run,) = [run for run in runs if run.argv[1:2] == ("huge-pressure.csv",)]
     assert (run.code, run.stderr) == (0, "")
     report = json.loads((corpus_dir / "stl-huge-pressure.json").read_text())
     assert report["warnings"] == []
     # 900 Hz holds the 1e200 Pa pressure; 1000 Hz is the sheet's own silent downstream pair
     assert report["narrowband"]["valid"] == [False, False, True]
+    # the 900 Hz bin is kept: p1 alone sets both upstream waves, of one size, so |R|^2 = |B/A|^2 reads 1.0
+    assert report["narrowband"]["reflectance"][0] == 1.0
 
 
 def test_every_file_of_a_group_is_read_before_any_is_analysed(runs):
