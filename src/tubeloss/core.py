@@ -191,8 +191,26 @@ class FrequencyGrid(Record):
             raise ValueError(f"{context}: operands use different frequency grids")
 
     def wavenumbers(self, air: AirProperties) -> np.ndarray:
-        """Lossless real wavenumber k = 2 pi f / c in rad/m of every bin."""
-        return 2.0 * math.pi * self.frequencies / air.sound_speed
+        """Lossless real wavenumber k = 2 pi f / c in rad/m of every bin; inf, without a warning, where it overflows."""
+        with np.errstate(over="ignore"):
+            return 2.0 * math.pi * self.frequencies / air.sound_speed
+
+
+def _phase(k: np.ndarray, x: float):
+    """e^{jkx} on every bin of ``k``: the exact scalar 1.0 at x = 0, NaN without a warning where k x overflows.
+
+    Every phase of the program is computed here; :func:`_phases` adds its conjugate.
+    """
+    if x == 0.0:
+        return 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(1j * (k * x))
+
+
+def _phases(k: np.ndarray, x: float) -> tuple:
+    """(e^{jkx}, e^{-jkx}), the second conj(e^{jkx}) bit for bit: + 0.0 turns conj's -0j at k x = 0 into +0j."""
+    phase = _phase(k, x)
+    return phase, np.conj(phase) + 0.0
 
 
 def _frequency_fault(f: np.ndarray) -> tuple[str, int] | None:

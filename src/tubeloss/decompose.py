@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AirProperties, MicSpectra, PerBinArrays, TubeGeometry, _drop, _frozen
+from .core import AirProperties, MicSpectra, PerBinArrays, TubeGeometry, _drop, _frozen, _phases
 
 __all__ = [
     "SINGULARITY_TOLERANCE",
@@ -63,17 +63,16 @@ def decompose_pair(
     if k.shape != np.shape(p_a)[-1:]:
         raise ValueError("wavenumber array must match the pressures' last axis")
 
-    # the mask and the exponentials depend on the grid alone: one (n,) array each for all rows
-    s = np.sin(k * (x_a - x_b))
-    singular = np.abs(s) < SINGULARITY_TOLERANCE
-    den = 2.0 * s
     # Every complex product and quotient is an explicit ufunc call: an operator on a
     # temporary of 256 KiB or more computes in place, which can round differently.
     # An overflow leaves a retained amplitude non-finite, which the check below rejects.
-    # e^{-jkx} is conj(e^{jkx}) bit for bit, but 1 + 0j where k x is 0: adding 0.0 turns conj's -0j into +0j
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        phase_a, phase_b = np.exp(1j * k * x_a), np.exp(1j * k * x_b)
-        back_a, back_b = np.conj(phase_a) + 0.0, np.conj(phase_b) + 0.0
+        # the mask and the phases depend on the grid alone: one (n,) array each for all rows;
+        # each back phase is the conjugate of its forward phase, bit for bit (core._phases)
+        s = np.sin(k * (x_a - x_b))
+        singular = np.abs(s) < SINGULARITY_TOLERANCE
+        den = 2.0 * s
+        (phase_a, back_a), (phase_b, back_b) = _phases(k, x_a), _phases(k, x_b)
         forward = np.multiply(p_a, phase_b) - np.multiply(p_b, phase_a)
         backward = np.multiply(p_b, back_a) - np.multiply(p_a, back_b)
         forward, backward = (np.divide(np.multiply(1j, diff), den) for diff in (forward, backward))

@@ -11,14 +11,8 @@ import math
 import numpy as np
 
 from .bands import BandTable, _band_averager
-from .core import AirProperties, DEFAULT_AIR, FrequencyGrid, Record, _frozen
-from .transfer import (
-    AcousticIndicators,
-    TransferMatrix,
-    _transmission_phase,
-    acoustic_indicators,
-    stl,
-)
+from .core import AirProperties, DEFAULT_AIR, FrequencyGrid, Record, _frozen, _phase
+from .transfer import AcousticIndicators, TransferMatrix, acoustic_indicators, stl
 
 __all__ = [
     "LayerModel",
@@ -186,7 +180,7 @@ class LayerModel(Record):
         """
         if self.kind == "air-gap":
             # a thickness so large that k L overflows leaves NaN entries; the indicators drop those bins
-            return _gap_matrix(grid, _transmission_phase(grid, self.thickness, air), air.impedance)
+            return _gap_matrix(grid, _phase(grid.wavenumbers(air), self.thickness), air.impedance)
         if self.kind == "limp-mass":
             omega = 2.0 * math.pi * grid.frequencies
             with np.errstate(over="ignore", invalid="ignore"):  # an overflowing m_s leaves a non-finite t12
@@ -195,9 +189,9 @@ class LayerModel(Record):
         return TransferMatrix(grid, *_frozen(t11, t12, t21, t22))
 
     def _loss_and_factor(
-        self, grid: FrequencyGrid, air: AirProperties, omega: np.ndarray, jk: np.ndarray,
+        self, grid: FrequencyGrid, air: AirProperties, omega: np.ndarray, k: np.ndarray,
     ) -> tuple[np.ndarray, TransferMatrix | np.ndarray]:
-        """This layer's own ``stl_db`` and its factor in a stack's product, given the grid's 2 pi f and j k.
+        """This layer's own ``stl_db`` and its factor in a stack's product, given the grid's 2 pi f and k.
 
         A limp mass whose w = omega m_s gives a finite w / z and w (1 / z) at
         every bin, with z = rho0 c, and an air gap of positive thickness whose
@@ -224,7 +218,7 @@ class LayerModel(Record):
                     # den = (1 + t12 / z) + z 0 + 1 with t12 = j w; the numerator 2 e^{j k 0} is 2
                     return stl(np.divide(2.0, _complex(2.0, w_z))), 1j * w
             elif self.kind == "air-gap" and self.thickness > 0.0:
-                phase = np.exp(jk * self.thickness)
+                phase = _phase(k, self.thickness)
                 if np.isfinite(phase).all():
                     # t11 = t22 = c, t12 = j z s and t21 = j s / z, without the matrix's zero parts
                     c, s = phase.real, phase.imag
@@ -369,14 +363,13 @@ def stack_indicators(
 
 def _layer_pass(layers, grid: FrequencyGrid, air: AirProperties, average) -> tuple[TransferMatrix, tuple]:
     """The running product of ``layers`` and the ``average`` of each one's own loss."""
-    omega = 2.0 * math.pi * grid.frequencies  # the bits of the limp mass's and of grid.wavenumbers' 2 pi f
+    omega = 2.0 * math.pi * grid.frequencies  # the bits of the limp mass's 2 pi f
     # k overflows under the least sound speeds; those gaps get a NaN phase and take the general path
-    with np.errstate(over="ignore", invalid="ignore"):
-        jk = 1j * (omega / air.sound_speed)
+    k = grid.wavenumbers(air)
     tables = []
     product = None
     for layer in layers:
-        loss, factor = layer._loss_and_factor(grid, air, omega, jk)
+        loss, factor = layer._loss_and_factor(grid, air, omega, k)
         tables.append(average(loss))
         if isinstance(factor, TransferMatrix):
             product = factor if product is None else product @ factor

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AirProperties, FrequencyGrid, MicSpectra, Record, TubeGeometry, _frozen
+from .core import AirProperties, FrequencyGrid, MicSpectra, Record, TubeGeometry, _frozen, _phases
 from .errors import NumericalValidityError
 from .models import LayerModel, cascade
 
@@ -105,27 +105,27 @@ def synth_mic_pressures(
     # with a temporary operand is an explicit ufunc call, so numpy never
     # computes it in place into the temporary (which it does from 256 KiB, and
     # which can round differently): a bin's bits depend on its own inputs only.
-    phase_out = np.exp(-1j * k * d)
-    phase_back = np.exp(1j * k * d)
-    pd_unit = phase_out + ratio * phase_back
-    vd_unit = np.divide(phase_out - ratio * phase_back, z)
-    p0_unit = matrix.t11 * pd_unit + matrix.t12 * vd_unit
-    v0_unit = matrix.t21 * pd_unit + matrix.t22 * vd_unit
+    # Each e^{-jkx} is the conjugate of its e^{jkx} (core._phases): 5 exponentials in all.
+    phase_back, phase_out = _phases(k, d)
+    # an overflow leaves forward_unit or a pressure non-finite, refused below without a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        pd_unit = phase_out + ratio * phase_back
+        vd_unit = np.divide(phase_out - ratio * phase_back, z)
+        p0_unit = matrix.t11 * pd_unit + matrix.t12 * vd_unit
+        v0_unit = matrix.t21 * pd_unit + matrix.t22 * vd_unit
 
-    forward_unit = 0.5 * (p0_unit + z * v0_unit)  # incident amplitude per unit C
-    if np.any(~np.isfinite(forward_unit)) or np.any(forward_unit == 0.0):
-        raise NumericalValidityError("sample/termination combination is singular on this grid")
-    c = a_inc / forward_unit
-    b = np.multiply(0.5 * (p0_unit - z * v0_unit), c)
-    d_amp = ratio * c
+        forward_unit = 0.5 * (p0_unit + z * v0_unit)  # incident amplitude per unit C
+        if np.any(~np.isfinite(forward_unit)) or np.any(forward_unit == 0.0):
+            raise NumericalValidityError("sample/termination combination is singular on this grid")
+        c = a_inc / forward_unit
+        b = np.multiply(0.5 * (p0_unit - z * v0_unit), c)
+        d_amp = ratio * c
 
-    # the upstream mics see the waves A and B, the downstream mics C and D
-    waves = ((a_inc, b), (a_inc, b), (c, d_amp), (c, d_amp))
-    # an overflowed pressure is refused below, without a numpy warning
-    with np.errstate(over="ignore"):
+        # the upstream mics see the waves A and B, the downstream mics C and D
+        waves = ((a_inc, b), (a_inc, b), (c, d_amp), (c, d_amp))
         pressures = np.stack([
-            np.multiply(forward, np.exp(-1j * k * x)) + np.multiply(backward, np.exp(1j * k * x))
-            for (forward, backward), x in zip(waves, geometry.mic_positions)
+            np.multiply(forward, out) + np.multiply(backward, back)
+            for (forward, backward), (back, out) in zip(waves, (_phases(k, x) for x in geometry.mic_positions))
         ])
         if scenario.snr_db is not None:
             sigma = abs(a_inc) * 10.0 ** (-scenario.snr_db / 20.0)

@@ -10,13 +10,15 @@ route's T and R in closed form from the wave amplitudes; the tests keep the
 route as its reference. A complex product or quotient of a temporary is an
 explicit ufunc call: an operator would compute in place into a temporary of
 256 KiB or more, which can round differently, so a bin's bits depend on its
-own inputs only. Each stage forms one kept mask and writes NaN once.
+own inputs only. Each stage forms one kept mask and writes NaN once. Every
+phase e^{jkd}, and each e^{-jkd} as its conjugate, comes from ``core._phase``:
+1.0 at d = 0, and NaN without a warning where k d overflows, which drops the bin.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .core import AirProperties, FrequencyGrid, PerBinArrays, _drop, _frozen, _per_bin_shape
+from .core import AirProperties, FrequencyGrid, PerBinArrays, _drop, _frozen, _per_bin_shape, _phase, _phases
 from .decompose import PlaneWaveAmplitudes
 
 __all__ = [
@@ -109,15 +111,14 @@ def boundary_states(
     -------
     (p0, v0, pd, vd) : tuple of ndarray
         Entry-face, then exit-face pressure and velocity per bin, of the
-        amplitudes' shape; NaN at the bins the decomposition dropped.
+        amplitudes' shape; NaN at the bins the decomposition dropped, and,
+        without a warning, where k d overflows (e^{-jkd} is conj(e^{jkd})).
     """
     if thickness < 0.0:
         raise ValueError("thickness must be non-negative")
     z = air.impedance
-    k = amplitudes.grid.wavenumbers(air)
     # (n,) phases, shared by every row; each quotient an explicit call (see the module docstring)
-    phase_out = np.exp(-1j * k * thickness)
-    phase_back = np.exp(1j * k * thickness)
+    phase_back, phase_out = _phases(amplitudes.grid.wavenumbers(air), thickness)
     # an overflow leaves a non-finite face value, whose bin the reconstruction drops
     with np.errstate(over="ignore", invalid="ignore"):
         p0 = amplitudes.a + amplitudes.b
@@ -253,24 +254,12 @@ def acoustic_indicators(
         scale = np.abs(t11) + np.abs(t12) / z + z * np.abs(t21) + np.abs(t22)
         kept = np.isfinite(den) & (scale > 0.0) & (np.abs(den) > _DENOMINATOR_RTOL * scale)
         # the (n,) phase serves every row; its product with 2 is an explicit call (see the module docstring)
-        numerator = np.multiply(2.0, _transmission_phase(matrix.grid, thickness, air))
+        numerator = np.multiply(2.0, _phase(matrix.grid.wavenumbers(air), thickness))
         transmission = np.divide(numerator, den)
         reflection = np.divide(front - back - t22, den)
     kept &= np.isfinite(transmission) & np.isfinite(reflection)
     _drop(~kept, transmission, reflection)
     return AcousticIndicators(matrix.grid, *_frozen(transmission, reflection, stl(transmission)))
-
-
-def _transmission_phase(grid: FrequencyGrid, thickness: float, air: AirProperties):
-    """e^{jkd} on every bin of ``grid``: the phase reference of a sample of thickness d.
-
-    A zero thickness gives the exact scalar 1.0, with no exponential. Where
-    k d overflows the phase is NaN.
-    """
-    if thickness == 0.0:
-        return 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.exp(1j * grid.wavenumbers(air) * thickness)
 
 
 def _closed_form_indicators(amplitudes: PlaneWaveAmplitudes, thickness: float, air: AirProperties):
@@ -291,7 +280,7 @@ def _closed_form_indicators(amplitudes: PlaneWaveAmplitudes, thickness: float, a
     shift = np.repeat(np.negative(exponent), 2, axis=-1)
     a, b, c, d = (np.ldexp(view, shift).view(complex) for view in views)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        e = _transmission_phase(amplitudes.grid, 2.0 * thickness, air)
+        e = _phase(amplitudes.grid.wavenumbers(air), 2.0 * thickness)
         a_squared, d_squared_e = np.multiply(a, a), np.multiply(np.multiply(d, d), e)
         den = a_squared - d_squared_e
         transmission = np.divide(np.multiply(a, c) - np.multiply(np.multiply(b, d), e), den)

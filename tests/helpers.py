@@ -9,6 +9,7 @@ import cmath
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from tubeloss import (
     AirProperties,
@@ -24,6 +25,26 @@ from tubeloss import (
 )
 
 AIR = AirProperties()
+
+POSITIVE_FLOATS = st.floats(5e-324, 1.7976931348623157e308)
+
+
+def _accepted_air(density: float, sound_speed: float) -> AirProperties:
+    """The air of ``density`` and of ``sound_speed`` halved or doubled until AirProperties accepts it.
+
+    A draw far out of range lands at an edge: rho0 c just under 1.8e308, or just
+    above 5.6e-309, below which 1 / (rho0 c) overflows.
+    """
+    while True:
+        try:
+            return AirProperties(density, sound_speed)
+        except ValueError:
+            sound_speed = sound_speed / 2.0 if density * sound_speed >= 1.0 else sound_speed * 2.0
+
+
+#: the default air, and airs whose rho0 c spans what AirProperties accepts
+AIRS = st.one_of(st.just(AIR), st.builds(_accepted_air, POSITIVE_FLOATS, POSITIVE_FLOATS))
+
 
 # Example geometry used throughout the tests. Spacing 0.08 m keeps the first
 # half-wavelength singularity (c / 0.16 = 2145 Hz) above a 100..2000 Hz grid.

@@ -1,3 +1,4 @@
+import ast
 import copy
 import importlib
 import math
@@ -6,11 +7,12 @@ import pkgutil
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import tubeloss
 from tubeloss import (
@@ -20,18 +22,21 @@ from tubeloss import (
     LayerModel,
     MaterialSpec,
     MicSpectra,
+    NumericalValidityError,
     SynthScenario,
     ThirdOctaveBand,
     TransferMatrix,
     TubeGeometry,
     analyze_four_mic,
+    boundary_states,
     decompose_four_mic,
     plane_wave_cutoff,
+    synth_mic_pressures,
     third_octave_bands,
 )
-from tubeloss.core import Record
+from tubeloss.core import Record, _phase, _phases
 
-from helpers import AIR, GEOMETRY, four_mic_spectra
+from helpers import AIR, AIRS, GEOMETRY, WIDE_GRID, four_mic_spectra
 
 
 class TestWavenumber:
@@ -67,6 +72,133 @@ class TestWavenumber:
         k = FrequencyGrid([100.0, 200.0]).wavenumbers(AIR)
         assert k.shape == (2,)
         assert k[1] == pytest.approx(2 * k[0], rel=1e-14)
+
+
+#: the sample thickness, and air gaps: the corpus's, and a seeded draw of the benchmark's 2-20 mm stack
+_D = GEOMETRY.sample_thickness
+_GAPS = (0.01, 0.02, 0.05, *np.random.default_rng(0).uniform(0.002, 0.02, 25))
+#: an air so thin that 2 pi f / c overflows at every bin
+_THIN_AIR = AirProperties(1e20, 1e-320)
+
+
+class TestPhaseOwner:
+    """``core._phase`` and ``core._phases``: every e^{jkx}, and every e^{-jkx} as its conjugate."""
+
+    # WIDE_GRID's 1 Hz bins hold every grid of the corpus and the benchmark; a 7 Hz sweep runs on to
+    # 1 MHz, and bins of 1-99 Hz have a k below 0.5, where k x underflows to +-0 at x = +-5e-324
+    FREQUENCIES = np.concatenate([np.arange(1.0, 100.0), WIDE_GRID.frequencies, np.arange(19107.0, 1e6, 7.0)])
+    K = FrequencyGrid(FREQUENCIES).wavenumbers(AIR)
+
+    # every position a phase is taken at: both tubes' microphones, the sample thickness d and 2 d
+    # (the closed form's E), the gaps, and a stack's total thickness; then the least positions
+    @pytest.mark.parametrize(
+        "x",
+        [-0.33, -0.25, 0.25, 0.33, -0.35, 0.35, _D, 2.0 * _D, *_GAPS, 0.01 + 0.05 + 0.02, 5e-324, -5e-324, -1e-310],
+    )
+    def test_each_back_phase_is_the_conjugate_of_its_own_exponential_bit_for_bit(self, x):
+        forward, back = _phases(self.K, x)
+        assert forward.tobytes() == _phase(self.K, x).tobytes() == np.exp(1j * self.K * x).tobytes()
+        assert back.tobytes() == np.exp(-1j * self.K * x).tobytes()
+
+    @pytest.mark.parametrize("x", [0.0, -0.0])
+    def test_a_zero_position_gives_the_exact_scalar_for_both_phases(self, x):
+        for phase in (_phase(self.K, x), *_phases(self.K, x)):
+            assert isinstance(phase, float) and np.ndim(phase) == 0 and phase == 1.0
+
+    @pytest.mark.parametrize("x", [1e306, -1e306, 1e308, -1e308])
+    def test_an_overflowing_k_x_gives_nan_without_a_warning(self, x):
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            overflows = ~np.isfinite(self.K * x)
+            phases = _phases(self.K, x)
+        assert overflows.any()
+        for phase in phases:
+            assert np.array_equal(np.isnan(phase), overflows) and np.isfinite(phase[~overflows]).all()
+
+    def test_an_overflowing_k_is_inf_and_its_phases_nan_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = WIDE_GRID.wavenumbers(_THIN_AIR)
+            phases = _phases(k, 0.25)
+        assert np.isposinf(k).all()
+        assert all(np.isnan(phase).all() for phase in phases)
+
+    def test_every_exponential_and_conjugate_is_taken_in_the_owner(self):
+        # a kernel that joins the owner joins _OWNED, so that no other function calls it
+        owned, owner = {"exp", "conj", "conjugate"}, {"_phase", "_phases"}
+
+        def calls(tree):
+            return {
+                node for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in owned
+            }
+
+        stray, in_owner = [], set()
+        for path in sorted(Path(tubeloss.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            mine = set()
+            if path.name == "core.py":
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.FunctionDef) and node.name in owner:
+                        mine |= calls(node)
+                in_owner = {node.func.attr for node in mine}
+            stray += [f"{path.name}:{node.lineno} {ast.unparse(node.func)}" for node in calls(tree) - mine]
+        assert in_owner == {"exp", "conj"}
+        assert stray == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOverflowingPhasesWarnNothing:
+    """k, k x or k d past the float range drops bins or refuses the input, and numpy warns about none of it."""
+
+    GRID = FrequencyGrid.from_range(100.0, 2000.0, 100.0)
+    SPECTRA = four_mic_spectra(GRID, GEOMETRY, 1.0, 0.3j, 0.5, 0.1)
+    AMPLITUDES = decompose_four_mic(SPECTRA, GEOMETRY, AIR)
+
+    def scenario(self, air: AirProperties) -> SynthScenario:
+        return SynthScenario(LayerModel.limp_mass(0.5), GEOMETRY, air)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(air=AIRS)
+    def test_drawn_airs(self, air):
+        k = self.GRID.wavenumbers(air)
+        with np.errstate(over="ignore"):
+            k_d = k * _D
+        p0, v0, pd, vd = boundary_states(self.AMPLITUDES, _D, air)
+        assert np.isfinite(p0).all() and np.isfinite(v0).all()
+        assert np.array_equal(np.isnan(pd), ~np.isfinite(k_d)) and np.array_equal(np.isnan(vd), ~np.isfinite(k_d))
+        if np.isfinite(k).all():
+            analyze_four_mic(self.SPECTRA, GEOMETRY, air)
+            try:
+                synth_mic_pressures(self.scenario(air), self.GRID)
+            except NumericalValidityError:  # a rho0 c far out of range can leave the field unsolvable
+                pass
+        else:
+            with pytest.raises(ValueError, match="amplitudes must be finite at every retained frequency"):
+                analyze_four_mic(self.SPECTRA, GEOMETRY, air)
+            with pytest.raises(NumericalValidityError):
+                synth_mic_pressures(self.scenario(air), self.GRID)
+
+    def test_a_thickness_whose_k_d_overflows_drops_every_bin(self):
+        p0, v0, pd, vd = boundary_states(self.AMPLITUDES, 1e308, AirProperties())
+        assert np.isfinite(p0).all() and np.isfinite(v0).all()
+        assert np.isnan(pd).all() and np.isnan(vd).all()
+
+    @pytest.mark.parametrize(
+        "geometry, air",
+        [
+            (GEOMETRY, _THIN_AIR),
+            (TubeGeometry((-1e308, -0.25, 0.25, 1e308), _D, GEOMETRY.tube_diameter), AIR),
+        ],
+        ids=["overflowing k", "microphones at 1e308 m"],
+    )
+    def test_an_overflowing_decomposition_is_refused(self, geometry, air):
+        with pytest.raises(ValueError, match="amplitudes must be finite at every retained frequency"):
+            analyze_four_mic(self.SPECTRA, geometry, air)
+
+    def test_synth_under_an_overflowing_k_is_singular(self):
+        with pytest.raises(NumericalValidityError, match="singular"):
+            synth_mic_pressures(self.scenario(_THIN_AIR), self.GRID)
 
 
 class TestPlaneWaveCutoff:

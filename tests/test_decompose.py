@@ -234,7 +234,7 @@ def _pair_with_own_back_phases(p_a, p_b, x_a, x_b, k):
      (5e-324, 0.08), (-0.08, -1e-310)],
 )
 def test_each_back_phase_is_the_conjugate_of_its_forward_phase_bit_for_bit(x_a, x_b):
-    # decompose_pair takes e^{-jkx} as conj(e^{jkx}) + 0.0, whose -0j would otherwise show where k x is
+    # decompose_pair takes e^{-jkx} from core._phases, conj(e^{jkx}) + 0.0, whose -0j would show where k x is
     # zero and a pressure part is a signed zero. Every grid of the corpus and the benchmark lies on
     # WIDE_GRID's 1 Hz bins, and a 7 Hz sweep runs on to 1 MHz; the parts cycle through +-0, +-0.3 and +-1.
     f = np.concatenate([WIDE_GRID.frequencies, np.arange(19107.0, 1e6, 7.0)])

@@ -23,28 +23,9 @@ from tubeloss import (
 from tubeloss.bands import _band_averager
 from tubeloss.models import _layer_pass
 
-from helpers import AIR, MATERIALS, WIDE_GRID, determinant, limp_mass_stl_oracle
+from helpers import AIR, AIRS, MATERIALS, POSITIVE_FLOATS, WIDE_GRID, determinant, limp_mass_stl_oracle
 
 DOUBLING_DB = 20.0 * math.log10(2.0)  # 6.0206
-
-POSITIVE_FLOATS = st.floats(5e-324, 1.7976931348623157e308)
-
-
-def _accepted_air(density: float, sound_speed: float) -> AirProperties:
-    """The air of ``density`` and of ``sound_speed`` halved or doubled until AirProperties accepts it.
-
-    A draw far out of range lands at an edge: rho0 c just under 1.8e308, or just
-    above 5.6e-309, below which 1 / (rho0 c) overflows.
-    """
-    while True:
-        try:
-            return AirProperties(density, sound_speed)
-        except ValueError:
-            sound_speed = sound_speed / 2.0 if density * sound_speed >= 1.0 else sound_speed * 2.0
-
-
-#: the default air, and airs whose rho0 c spans what AirProperties accepts
-AIRS = st.one_of(st.just(AIR), st.builds(_accepted_air, POSITIVE_FLOATS, POSITIVE_FLOATS))
 
 
 def _edge(layer: LayerModel, air: AirProperties = AIR):
