@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .bands import BandTable, _band_averager
-from .core import AirProperties, DEFAULT_AIR, FrequencyGrid, Record, _frozen, _phase
+from .core import AirProperties, DEFAULT_AIR, FrequencyGrid, Record, _drop, _frozen, _phase
 from .transfer import AcousticIndicators, TransferMatrix, acoustic_indicators, stl
 
 __all__ = [
@@ -193,37 +193,41 @@ class LayerModel(Record):
     ) -> tuple[np.ndarray, TransferMatrix | np.ndarray]:
         """This layer's own ``stl_db`` and its factor in a stack's product, given the grid's 2 pi f and k.
 
-        A limp mass whose w = omega m_s gives a finite w / z and w (1 / z) at
-        every bin, with z = rho0 c, and an air gap of positive thickness whose
-        e^{jkL} is finite at every bin, take the parameter path: the anechoic
-        denominator comes from those real arrays and z with the IEEE operations
-        that :func:`acoustic_indicators` performs on the nonzero parts of the
+        The kind alone picks the route. A limp mass and an air gap take the
+        parameter path: the anechoic denominator comes from w = omega m_s or
+        e^{jkL} and z = rho0 c with the IEEE operations that
+        :func:`acoustic_indicators` performs on the nonzero parts of the
         layer's matrix, and the loss is one quotient, ``stl(2 e^{jkL} / den)``.
-        No vanishing-denominator guard is evaluated, as it cannot fire there:
-        a limp mass has |den| >= 2 against a scale 2 + |w| / z <= 2 |den|, and
-        a gap's den = (2 cos kL, 2 sin kL) up to rounding has a modulus of
-        about 2 against a scale of at most about 2 (|cos kL| + |sin kL|).
-        Every other layer takes the general path, ``acoustic_indicators(
-        self.matrix_on(grid, air), self.thickness, air)``. Both give the same bits.
+        A limp mass drops the bins where w / z or w (1 / z) is not finite, as
+        there the general path's denominator or its scale is not finite; a
+        gap's NaN phase, where k L overflows, gives a NaN loss. No other
+        vanishing-denominator guard can fire: a limp mass has |den| >= 2 against
+        a scale 2 + |w| / z <= 2 |den|, and a gap's den = (2 cos kL, 2 sin kL) up
+        to rounding has a modulus of about 2 against a scale of at most about 2
+        (|cos kL| + |sin kL|). ``matrix`` and ``identity`` layers take the general
+        path, ``acoustic_indicators(self.matrix_on(grid, air), self.thickness, air)``.
+        Both give the same bits, each bin from that bin alone.
 
-        The factor of a limp mass on the parameter path is the t12 = j omega m_s
-        of its [[1, t12], [0, 1]]; any other layer's is its matrix.
+        The factor of a limp mass is the t12 = j omega m_s of its [[1, t12], [0, 1]];
+        any other layer's is its matrix.
         """
         z = air.impedance
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.kind == "limp-mass":
+        if self.kind == "limp-mass":
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflowing w drops its bin below
                 w = omega * float(self.surface_density)
                 w_z = w * (1.0 / z)
-                if np.isfinite(w_z).all() and np.isfinite(w / z).all():
-                    # den = (1 + t12 / z) + z 0 + 1 with t12 = j w; the numerator 2 e^{j k 0} is 2
-                    return stl(np.divide(2.0, _complex(2.0, w_z))), 1j * w
-            elif self.kind == "air-gap" and self.thickness > 0.0:
-                phase = _phase(k, self.thickness)
-                if np.isfinite(phase).all():
-                    # t11 = t22 = c, t12 = j z s and t21 = j s / z, without the matrix's zero parts
-                    c, s = phase.real, phase.imag
-                    den = _complex(c + c, (z * s) * (1.0 / z) + z * (s * (1.0 / z)))
-                    return stl(np.divide(np.multiply(2.0, phase), den)), _gap_matrix(grid, phase, z)
+                # den = (1 + t12 / z) + z 0 + 1 with t12 = j w; the numerator 2 e^{j k 0} is 2
+                transmission = np.divide(2.0, _complex(2.0, w_z))
+                _drop(~(np.isfinite(w_z) & np.isfinite(w / z)), transmission)
+                return stl(transmission), 1j * w
+        if self.kind == "air-gap":
+            phase = np.broadcast_to(_phase(k, self.thickness), k.shape)  # the phase of L = 0 is the scalar 1.0
+            # t11 = t22 = c, t12 = j z s and t21 = j s / z, without the matrix's zero parts
+            c, s = phase.real, phase.imag
+            den = _complex(c + c, (z * s) * (1.0 / z) + z * (s * (1.0 / z)))
+            with np.errstate(invalid="ignore"):  # a NaN phase, where k L overflows, gives a NaN loss
+                transmission = np.divide(np.multiply(2.0, phase), den)
+            return stl(transmission), _gap_matrix(grid, phase, z)
         matrix = self.matrix_on(grid, air)
         return acoustic_indicators(matrix, self.thickness, air).stl_db, matrix
 
@@ -316,22 +320,16 @@ def stack_indicators(
     per-bin curve outlives its layer, so memory grows with the grid plus
     layers times bands, not layers times bins.
 
-    A limp mass and an air gap of positive thickness take a parameter path:
-    their own loss is one quotient, 2 e^{jkL} over an anechoic denominator
-    built from omega m_s or e^{jkL} alone, skipping the matrix entries that
-    are known zeros and the reflection quotient, and a limp mass enters the
-    product in 2 complex products instead of 8. The path evaluates no
-    vanishing-denominator guard: the denominator's modulus is at least 2 for
-    a mass and about 2 for a gap, against a scale of at most twice that, so
-    the guard of :func:`acoustic_indicators` could not drop a bin there. The
-    general path, :func:`acoustic_indicators` of :meth:`LayerModel.matrix_on`,
-    runs for ``matrix`` and ``identity`` layers, for a zero-thickness gap, for
-    a gap whose e^{jkL} is not finite at every bin, and for a limp mass whose
-    omega m_s / rho0 c or omega m_s (1 / rho0 c) is not finite at every bin.
-    Both paths give the same bits: the tables and the stack's indicators
-    equal those of the general path; the running product equals
-    :func:`cascade`'s in value at the bins where that is finite, though a
-    zero may take the other sign.
+    A limp mass and an air gap take a parameter path: their own loss is one
+    quotient, 2 e^{jkL} over an anechoic denominator built from omega m_s or
+    e^{jkL} alone, skipping the matrix entries that are known zeros and the
+    reflection quotient, and a limp mass enters the product in 2 complex
+    products instead of 8. ``matrix`` and ``identity`` layers take the general
+    path, :func:`acoustic_indicators` of :meth:`LayerModel.matrix_on`. Each
+    bin is kept or dropped from its own values alone, and both paths give the
+    same bits: the tables and the stack's indicators equal those of the
+    general path; the running product equals :func:`cascade`'s in value at
+    the bins where that is finite, though a zero may take the other sign.
 
     Parameters
     ----------
@@ -364,7 +362,7 @@ def stack_indicators(
 def _layer_pass(layers, grid: FrequencyGrid, air: AirProperties, average) -> tuple[TransferMatrix, tuple]:
     """The running product of ``layers`` and the ``average`` of each one's own loss."""
     omega = 2.0 * math.pi * grid.frequencies  # the bits of the limp mass's 2 pi f
-    # k overflows under the least sound speeds; those gaps get a NaN phase and take the general path
+    # k overflows under the least sound speeds; a gap's phase and loss are NaN there
     k = grid.wavenumbers(air)
     tables = []
     product = None

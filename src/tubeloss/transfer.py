@@ -167,7 +167,7 @@ def reconstruct_one_load(grid: FrequencyGrid, p0, v0, pd, vd) -> TransferMatrix:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         den = p0 * vd + pd * v0
         scale = np.abs(p0) * np.abs(vd) + np.abs(pd) * np.abs(v0)
-        kept = np.isfinite(den) & (scale > 0.0) & (np.abs(den) > _DENOMINATOR_RTOL * scale)
+        kept = np.abs(den) > _DENOMINATOR_RTOL * scale  # a non-finite den fails; a zero scale forces den = 0
         t11 = np.divide(p0 * v0 + pd * vd, den)
         t12 = np.divide(p0 * p0 - pd * pd, den)
         t21 = np.divide(v0 * v0 - vd * vd, den)
@@ -252,7 +252,7 @@ def acoustic_indicators(
         back = z * t21
         den = front + back + t22
         scale = np.abs(t11) + np.abs(t12) / z + z * np.abs(t21) + np.abs(t22)
-        kept = np.isfinite(den) & (scale > 0.0) & (np.abs(den) > _DENOMINATOR_RTOL * scale)
+        kept = np.abs(den) > _DENOMINATOR_RTOL * scale  # a non-finite den fails; a zero scale forces den = 0
         # the (n,) phase serves every row; its product with 2 is an explicit call (see the module docstring)
         numerator = np.multiply(2.0, _phase(matrix.grid.wavenumbers(air), thickness))
         transmission = np.divide(numerator, den)

@@ -912,7 +912,8 @@ class TestStack:
 
     @pytest.mark.parametrize("band_mode", ["power", "db"])
     def test_each_layer_is_evaluated_once(self, tmp_path, monkeypatch, band_mode):
-        # the matrix and the 1e305 mass (whose omega m_s overflows) take the general path, the gap its parameters
+        # the matrix and the identity take the general path; the 1e305 mass (whose omega m_s overflows,
+        # dropping those bins) and the gap take their parameters
         records = [
             {
                 "kind": "matrix", "t11": [0.9, 0.1], "t12": [200.0, 30.0], "t21": [0.0005, 0.0001],

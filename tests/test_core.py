@@ -147,6 +147,20 @@ class TestPhaseOwner:
         assert stray == []
 
 
+def test_the_layer_pass_has_no_all_bins_switch():
+    # an .all() or .any() there would send every bin of a layer down the route one bin picks
+    tree = ast.parse(Path(tubeloss.models.__file__).read_text())
+    passes = [node for node in ast.walk(tree) if getattr(node, "name", None) in {"_loss_and_factor", "_layer_pass"}]
+    switches = [
+        f"{function.name}:{node.lineno} {ast.unparse(node)}"
+        for function in passes
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in {"all", "any"}
+    ]
+    assert len(passes) == 2
+    assert switches == []
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestOverflowingPhasesWarnNothing:
     """k, k x or k d past the float range drops bins or refuses the input, and numpy warns about none of it."""
