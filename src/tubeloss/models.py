@@ -12,7 +12,7 @@ import numpy as np
 
 from .bands import BandTable, _band_averager
 from .core import AirProperties, DEFAULT_AIR, FrequencyGrid, Record, _drop, _frozen, _phase
-from .transfer import AcousticIndicators, TransferMatrix, acoustic_indicators, stl
+from .transfer import AcousticIndicators, TransferMatrix, _product, acoustic_indicators, stl
 
 __all__ = [
     "LayerModel",
@@ -180,17 +180,18 @@ class LayerModel(Record):
         """
         if self.kind == "air-gap":
             # a thickness so large that k L overflows leaves NaN entries; the indicators drop those bins
-            return _gap_matrix(grid, _phase(grid.wavenumbers(air), self.thickness), air.impedance)
+            phase = np.broadcast_to(_phase(grid.wavenumbers(air), self.thickness), (len(grid),))  # 1.0 at L = 0
+            return TransferMatrix(grid, *_frozen(*_gap_entries(phase, air.impedance)))
         if self.kind == "limp-mass":
             omega = 2.0 * math.pi * grid.frequencies
             with np.errstate(over="ignore", invalid="ignore"):  # an overflowing m_s leaves a non-finite t12
-                return _limp_mass_matrix(grid, 1j * omega * float(self.surface_density))
+                return TransferMatrix(grid, *_frozen(*_limp_mass_entries(1j * omega * float(self.surface_density))))
         t11, t12, t21, t22 = (np.full(len(grid), t, dtype=complex) for t in self.matrix or (1, 0, 0, 1))
         return TransferMatrix(grid, *_frozen(t11, t12, t21, t22))
 
     def _loss_and_factor(
         self, grid: FrequencyGrid, air: AirProperties, omega: np.ndarray, k: np.ndarray,
-    ) -> tuple[np.ndarray, TransferMatrix | np.ndarray]:
+    ) -> tuple[np.ndarray, tuple | np.ndarray]:
         """This layer's own ``stl_db`` and its factor in a stack's product, given the grid's 2 pi f and k.
 
         The kind alone picks the route. A limp mass and an air gap take the
@@ -209,7 +210,7 @@ class LayerModel(Record):
         Both give the same bits, each bin from that bin alone.
 
         The factor of a limp mass is the t12 = j omega m_s of its [[1, t12], [0, 1]];
-        any other layer's is its matrix.
+        any other layer's is its matrix's four entries (t11, t12, t21, t22), a gap's with no record built.
         """
         z = air.impedance
         if self.kind == "limp-mass":
@@ -227,9 +228,9 @@ class LayerModel(Record):
             den = _complex(c + c, (z * s) * (1.0 / z) + z * (s * (1.0 / z)))
             with np.errstate(invalid="ignore"):  # a NaN phase, where k L overflows, gives a NaN loss
                 transmission = np.divide(np.multiply(2.0, phase), den)
-            return stl(transmission), _gap_matrix(grid, phase, z)
+            return stl(transmission), _gap_entries(phase, z)
         matrix = self.matrix_on(grid, air)
-        return acoustic_indicators(matrix, self.thickness, air).stl_db, matrix
+        return acoustic_indicators(matrix, self.thickness, air).stl_db, (matrix.t11, matrix.t12, matrix.t21, matrix.t22)
 
     def describe(self) -> dict:
         """Loggable parameter summary."""
@@ -246,17 +247,15 @@ class LayerModel(Record):
         return out
 
 
-def _limp_mass_matrix(grid: FrequencyGrid, t12: np.ndarray) -> TransferMatrix:
-    """The limp mass [[1, t12], [0, 1]]."""
-    n = len(grid)
-    return TransferMatrix(grid, *_frozen(np.full(n, 1 + 0j), t12, np.full(n, 0j), np.full(n, 1 + 0j)))
+def _limp_mass_entries(t12: np.ndarray) -> tuple:
+    """The entries of the limp mass [[1, t12], [0, 1]]."""
+    return np.full(t12.shape, 1 + 0j), t12, np.full(t12.shape, 0j), np.full(t12.shape, 1 + 0j)
 
 
-def _gap_matrix(grid: FrequencyGrid, phase, z: float) -> TransferMatrix:
-    """An air gap's [[cos kL, j z sin kL], [(j / z) sin kL, cos kL]] from its phase e^{jkL}."""
-    gap = np.broadcast_to(phase, (len(grid),))  # the phase of a zero thickness is the scalar 1.0
-    cos, sin = gap.real.astype(complex), gap.imag
-    return TransferMatrix(grid, *_frozen(cos, 1j * z * sin, 1j * sin / z, cos))
+def _gap_entries(phase: np.ndarray, z: float) -> tuple:
+    """An air gap's entries [[cos kL, j z sin kL], [(j / z) sin kL, cos kL]] from its ``(n,)`` phase e^{jkL}."""
+    cos, sin = phase.real.astype(complex), phase.imag
+    return cos, 1j * z * sin, 1j * sin / z, cos
 
 
 def _complex(real, imag: np.ndarray) -> np.ndarray:
@@ -323,13 +322,15 @@ def stack_indicators(
     A limp mass and an air gap take a parameter path: their own loss is one
     quotient, 2 e^{jkL} over an anechoic denominator built from omega m_s or
     e^{jkL} alone, skipping the matrix entries that are known zeros and the
-    reflection quotient, and a limp mass enters the product in 2 complex
-    products instead of 8. ``matrix`` and ``identity`` layers take the general
-    path, :func:`acoustic_indicators` of :meth:`LayerModel.matrix_on`. Each
-    bin is kept or dropped from its own values alone, and both paths give the
-    same bits: the tables and the stack's indicators equal those of the
-    general path; the running product equals :func:`cascade`'s in value at
-    the bins where that is finite, though a zero may take the other sign.
+    reflection quotient. The running product is four bare ``(n,)`` arrays, one
+    :class:`TransferMatrix` at the end: a gap's entries enter with ``@``'s
+    expressions and no record of their own, a limp mass in 2 complex products
+    instead of 8. ``matrix`` and ``identity`` layers take the general path,
+    :func:`acoustic_indicators` of :meth:`LayerModel.matrix_on`. Each bin is
+    kept or dropped from its own values alone, and both paths give the same
+    bits: the tables and the stack's indicators equal those of the general
+    path; the running product equals :func:`cascade`'s in value at the bins
+    where that is finite, though a zero may take the other sign.
 
     Parameters
     ----------
@@ -360,7 +361,12 @@ def stack_indicators(
 
 
 def _layer_pass(layers, grid: FrequencyGrid, air: AirProperties, average) -> tuple[TransferMatrix, tuple]:
-    """The running product of ``layers`` and the ``average`` of each one's own loss."""
+    """The running product of ``layers``, held as four ``(n,)`` entries, and the ``average`` of each one's own loss.
+
+    A limp mass enters as ``product @ [[1, t12], [0, 1]]`` in 2 complex products, t11 and t21 carrying over:
+    where the product is finite this equals ``@`` in value, though a zero may take the other sign and an
+    infinite entry is not turned into NaN by a product with 0; the stack's indicators keep their bits either way.
+    """
     omega = 2.0 * math.pi * grid.frequencies  # the bits of the limp mass's 2 pi f
     # k overflows under the least sound speeds; a gap's phase and loss are NaN there
     k = grid.wavenumbers(air)
@@ -369,22 +375,12 @@ def _layer_pass(layers, grid: FrequencyGrid, air: AirProperties, average) -> tup
     for layer in layers:
         loss, factor = layer._loss_and_factor(grid, air, omega, k)
         tables.append(average(loss))
-        if isinstance(factor, TransferMatrix):
-            product = factor if product is None else product @ factor
-        elif product is None:
-            product = _limp_mass_matrix(grid, factor)
-        else:
-            product = _times_limp_mass(product, factor)
-    return product, tuple(tables)
-
-
-def _times_limp_mass(product: TransferMatrix, t12: np.ndarray) -> TransferMatrix:
-    """``product @ [[1, t12], [0, 1]]`` in 2 complex products: t11 and t21 carry over.
-
-    Where ``product`` is finite this equals the 8-product ``@`` in value; a
-    zero may take the other sign, and an infinite entry is not turned into
-    NaN by a product with 0. Either way the stack's indicators keep their bits.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        t12, t22 = product.t11 * t12 + product.t12, product.t21 * t12 + product.t22
-    return TransferMatrix(product.grid, product.t11, *_frozen(t12), product.t21, *_frozen(t22))
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry drops its bin in the indicators
+            if isinstance(factor, tuple):
+                product = factor if product is None else _product(product, factor)
+            elif product is None:
+                product = _limp_mass_entries(factor)
+            else:
+                t11, t12, t21, t22 = product
+                product = t11, t11 * factor + t12, t21, t21 * factor + t22
+    return TransferMatrix(grid, *_frozen(*product)), tuple(tables)

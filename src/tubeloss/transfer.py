@@ -58,13 +58,20 @@ class TransferMatrix(PerBinArrays):
         self.grid.require_matches(other.grid, "transfer-matrix product")
         # overflowing entries stay non-finite; the coefficient guards drop those bins
         with np.errstate(over="ignore", invalid="ignore"):
-            entries = (
-                self.t11 * other.t11 + self.t12 * other.t21,
-                self.t11 * other.t12 + self.t12 * other.t22,
-                self.t21 * other.t11 + self.t22 * other.t21,
-                self.t21 * other.t12 + self.t22 * other.t22,
-            )
+            entries = _product((self.t11, self.t12, self.t21, self.t22), (other.t11, other.t12, other.t21, other.t22))
         return TransferMatrix(self.grid, *_frozen(*entries))
+
+
+def _product(left: tuple, right: tuple) -> tuple:
+    """The entries (t11, t12, t21, t22) of ``left @ right`` from each operand's four; each sum is taken in place."""
+    l11, l12, l21, l22 = left
+    r11, r12, r21, r22 = right
+    t11, t12, t21, t22 = l11 * r11, l11 * r12, l21 * r11, l21 * r12
+    t11 += l12 * r21
+    t12 += l12 * r22
+    t21 += l22 * r21
+    t22 += l22 * r22
+    return t11, t12, t21, t22
 
 
 class AcousticIndicators(PerBinArrays):
@@ -253,8 +260,8 @@ def acoustic_indicators(
         den = front + back + t22
         scale = np.abs(t11) + np.abs(t12) / z + z * np.abs(t21) + np.abs(t22)
         kept = np.abs(den) > _DENOMINATOR_RTOL * scale  # a non-finite den fails; a zero scale forces den = 0
-        # the (n,) phase serves every row; its product with 2 is an explicit call (see the module docstring)
-        numerator = np.multiply(2.0, _phase(matrix.grid.wavenumbers(air), thickness))
+        # the (n,) phase serves every row, and needs no k at d = 0; its product with 2 is an explicit call
+        numerator = np.multiply(2.0, _phase(matrix.grid.wavenumbers(air), thickness) if thickness else 1.0)
         transmission = np.divide(numerator, den)
         reflection = np.divide(front - back - t22, den)
     kept &= np.isfinite(transmission) & np.isfinite(reflection)

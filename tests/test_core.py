@@ -2,6 +2,7 @@ import ast
 import copy
 import importlib
 import math
+import os
 import pickle
 import pkgutil
 import re
@@ -36,7 +37,7 @@ from tubeloss import (
 )
 from tubeloss.core import Record, _phase, _phases
 
-from helpers import AIR, AIRS, GEOMETRY, WIDE_GRID, four_mic_spectra
+from helpers import AIR, AIRS, GEOMETRY, POSITIVE_FLOATS, WIDE_GRID, four_mic_spectra
 
 
 class TestWavenumber:
@@ -123,9 +124,31 @@ class TestPhaseOwner:
         assert np.isposinf(k).all()
         assert all(np.isnan(phase).all() for phase in phases)
 
+    # the gaps of a stack, as TestStackIndicators draws them, and its edge thicknesses, on its two grids:
+    # _phase's cos and sin give the bits of the complex exponential it replaced where k L is finite
+    STACK_K = np.concatenate([FrequencyGrid.from_range(100.0, 5000.0, step).wavenumbers(AIR) for step in (1.0, 0.37)])
+
+    def assert_the_bits_of_the_exponential(self, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            k_x = self.STACK_K * x
+            want = np.exp(1j * k_x)
+        phase, finite = _phase(self.STACK_K, x), np.isfinite(k_x)
+        assert phase[finite].tobytes() == want[finite].tobytes()
+        assert np.isnan(phase[~finite]).all() and np.isnan(want[~finite]).all()
+
+    @pytest.mark.parametrize("x", [5e-324, 1e300, 1e308])
+    def test_edge_gaps_take_the_bits_of_the_exponential(self, x):
+        self.assert_the_bits_of_the_exponential(x)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(x=st.one_of(st.floats(0.0, 10.0), POSITIVE_FLOATS).filter(bool))
+    def test_drawn_gaps_take_the_bits_of_the_exponential(self, x):
+        self.assert_the_bits_of_the_exponential(x)
+
     def test_every_exponential_and_conjugate_is_taken_in_the_owner(self):
-        # a kernel that joins the owner joins _OWNED, so that no other function calls it
-        owned, owner = {"exp", "conj", "conjugate"}, {"_phase", "_phases"}
+        # a kernel that joins the owner joins owned, so that no other function calls it; the one other
+        # sine is decompose_pair's blind-spot test sin(k s), which is no phase
+        owned, owner = {"exp", "cos", "sin", "conj", "conjugate"}, {"_phase", "_phases"}
 
         def calls(tree):
             return {
@@ -142,9 +165,32 @@ class TestPhaseOwner:
                     if isinstance(node, ast.FunctionDef) and node.name in owner:
                         mine |= calls(node)
                 in_owner = {node.func.attr for node in mine}
-            stray += [f"{path.name}:{node.lineno} {ast.unparse(node.func)}" for node in calls(tree) - mine]
-        assert in_owner == {"exp", "conj"}
-        assert stray == []
+            stray += [f"{path.name} {ast.unparse(node)}" for node in calls(tree) - mine]
+        assert in_owner == {"cos", "sin", "conj"}
+        assert stray == ["decompose.py np.sin(k * (x_a - x_b))"]
+
+
+# glibc's other CPU variant of its sin, cos and complex exp (no AVX2, no FMA), and numpy's AVX-512
+# kernels off: each set in one child process only, as both change some float64 kernels' last bits
+CPU_VARIANTS = {
+    "GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2_Usable,-FMA_Usable,-AVX2,-FMA",
+    "NPY_DISABLE_CPU_FEATURES": "AVX512_ICL AVX512_SPR X86_V4",
+}
+
+
+def test_the_phase_owner_keeps_the_bits_of_the_exponential_under_other_cpu_variants():
+    # _phase rests on numpy's float cos and sin giving the bits of its complex exp; both children run at once
+    root = Path(__file__).parents[1]
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"{__file__}::TestPhaseOwner"],
+            cwd=root, env={**os.environ, variable: value}, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        for variable, value in CPU_VARIANTS.items()
+    ]
+    for variable, child in zip(CPU_VARIANTS, children):
+        output = child.communicate()[0]
+        assert child.returncode == 0, f"under {variable}:\n{output}"
 
 
 def test_the_layer_pass_has_no_all_bins_switch():

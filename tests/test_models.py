@@ -249,6 +249,21 @@ class TestStackIndicators:
         with pytest.raises(ValueError):
             stack_indicators([], FrequencyGrid([100.0]), AIR, bands=third_octave_bands(100.0, 100.0))
 
+    def test_a_layer_of_zero_thickness_takes_no_wavenumbers(self, monkeypatch):
+        # the pass takes k once, for its gaps; at d = 0 acoustic_indicators' phase is 1.0, which needs no k
+        calls = []
+        wavenumbers = FrequencyGrid.wavenumbers
+
+        def counted(grid, air):
+            calls.append(grid)
+            return wavenumbers(grid, air)
+
+        monkeypatch.setattr(FrequencyGrid, "wavenumbers", counted)
+        layers = [LayerModel.identity(), LayerModel.explicit(0.9, 200.0, 0.0005, 0.9)] * 5
+        grid = FrequencyGrid.from_range(100.0, 5000.0, 1.0)
+        stack_indicators(layers, grid, AIR, bands=third_octave_bands(100.0, 5000.0))
+        assert len(calls) == 1
+
     # The parameter path of limp masses and air gaps against the general one. The stack's
     # curves and every table are compared bit for bit (as int64 views, so a NaN or a zero of the
     # other sign counts). The running product is compared by value where the general one is
