@@ -2,12 +2,10 @@
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
 from .core import FrequencyGrid, Record, _frozen, locked_array
-from .errors import NegativeInsertionLossWarning
 
 __all__ = [
     "ThirdOctaveBand",
@@ -102,8 +100,10 @@ class BandTable(Record):
     """Per-band dB values with a coverage fraction for each band.
 
     NaN values mark absent bands (no valid narrowband bin landed there);
-    coverage is the share of in-band narrowband bins that were valid, or 0
-    for tables that never saw narrowband data problems.
+    coverage is the share of in-band narrowband bins that were valid.
+    :meth:`from_values` gives every band coverage 1;
+    :func:`~tubeloss.io_files.read_band_csv` without a coverage row gives 1
+    for a value and 0 for an empty field.
     """
 
     __slots__ = ("bands", "values", "coverage")
@@ -286,9 +286,9 @@ def average_repetitions(runs, mode: str = "db") -> tuple[np.ndarray, np.ndarray]
 def insertion_loss(l_r0: BandTable, l_rs: BandTable) -> BandTable:
     """Per-band insertion loss: receiver level before minus after installation.
 
-    Negative values are physically suspicious but not invalid; they are kept
-    and flagged with a :class:`NegativeInsertionLossWarning`. Two finite levels
-    whose difference overflows raise ``ValueError`` naming their bands.
+    A negative value is physically suspicious but not invalid: it is kept, and
+    the ``il`` command warns about it. Band sets that differ, and two finite
+    levels whose difference overflows, raise ``ValueError`` naming the bands.
     """
     if l_r0.bands != l_rs.bands:
         a = {b.nominal for b in l_r0.bands}
@@ -306,13 +306,4 @@ def insertion_loss(l_r0: BandTable, l_rs: BandTable) -> BandTable:
         where = [b.nominal for b, over in zip(l_r0.bands, overflowed) if over]
         raise ValueError(f"level difference overflows in bands {where} Hz")
     coverage = np.minimum(l_r0.coverage, l_rs.coverage)
-    with np.errstate(invalid="ignore"):
-        negative = values < 0.0
-    if np.any(negative):
-        where = [b.nominal for b, neg in zip(l_r0.bands, negative) if neg]
-        warnings.warn(
-            f"insertion loss negative in bands {where} Hz",
-            NegativeInsertionLossWarning,
-            stacklevel=2,
-        )
     return BandTable(l_r0.bands, values, coverage)

@@ -45,6 +45,7 @@ from .errors import (
     AnechoicQualityWarning,
     InputFormatError,
     MassLawValidityWarning,
+    NegativeInsertionLossWarning,
     NumericalValidityError,
     PlaneWaveCutoffWarning,
     SingularBinWarning,
@@ -66,10 +67,13 @@ from .io_files import (
     write_text_atomic,
 )
 from .models import MASS_LAW_CONSTANTS, mass_law_constant_db, mass_law_stl, stack_indicators
-from .pipeline import QUALITY_THRESHOLD, analyze_four_mic
+from .pipeline import analyze_four_mic
 from .synth import synth_mic_pressures
 
 _DB_DECIMALS = 2  # reports quote dB to 0.01; CSV files keep full precision
+
+#: |D/C| above which the ``stl`` command warns that the termination is not anechoic.
+QUALITY_THRESHOLD = 0.01
 
 
 def _round_db(values, decimals: int = _DB_DECIMALS) -> list:
@@ -326,6 +330,10 @@ def _cmd_il(args) -> tuple:
         table = insertion_loss(before, after)
     except ValueError as exc:  # band sets that differ, or two levels whose difference overflows
         raise InputFormatError(f"{args.before} minus {args.after}: {exc}") from None
+    # Python floats, so that a NaN (absent) band compares False without a numpy warning
+    negative = [b.nominal for b, value in zip(table.bands, table.values.tolist()) if value < 0.0]
+    if negative:
+        warnings.warn(f"insertion loss negative in bands {negative} Hz", NegativeInsertionLossWarning, stacklevel=1)
     body = {"before": args.before, "after": args.after, "bands": _band_block(table, "il_db")}
     return DEFAULT_AIR, None, body, {"il_db": table}
 

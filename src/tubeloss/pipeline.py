@@ -7,10 +7,7 @@ from .core import AirProperties, DEFAULT_AIR, MicSpectra, Record, TubeGeometry, 
 from .decompose import PlaneWaveAmplitudes, decompose_four_mic
 from .transfer import AcousticIndicators, _closed_form_indicators, anechoic_quality, stl_direct_anechoic
 
-__all__ = ["QUALITY_THRESHOLD", "TubeAnalysis", "analyze_four_mic"]
-
-#: |D/C| above which the ``stl`` command warns that the termination is not anechoic.
-QUALITY_THRESHOLD = 0.01
+__all__ = ["TubeAnalysis", "analyze_four_mic"]
 
 
 class TubeAnalysis(Record):
@@ -51,7 +48,7 @@ def analyze_four_mic(
     ``(4, R, n)`` for R repetitions, one per row. Repetitions are analysed
     on that axis in one pass, and each row gets the bits it would get alone.
     Nothing is judged here: ``worst_quality`` carries each row's largest
-    |D/C| for the caller to compare with :data:`QUALITY_THRESHOLD`.
+    |D/C| for the caller to judge against :data:`tubeloss.cli.QUALITY_THRESHOLD`.
     """
     amplitudes = decompose_four_mic(spectra, geometry, air)
     indicators = _closed_form_indicators(amplitudes, geometry.sample_thickness, air)

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from tubeloss import (
     BandTable,
     FrequencyGrid,
-    NegativeInsertionLossWarning,
     average_repetitions,
     band_average,
     band_from_nominal,
@@ -304,13 +303,8 @@ class TestInsertionLoss:
         rng = np.random.default_rng(5)
         a = self.make_table(rng.uniform(40, 80, 3))
         b = self.make_table(rng.uniform(40, 80, 3))
-        with np.errstate(all="ignore"):
-            import warnings as _w
-
-            with _w.catch_warnings():
-                _w.simplefilter("ignore", NegativeInsertionLossWarning)
-                forward = insertion_loss(a, b)
-                backward = insertion_loss(b, a)
+        forward = insertion_loss(a, b)
+        backward = insertion_loss(b, a)
         assert np.array_equal(forward.values, -backward.values)
 
     def test_band_mismatch_lists_difference(self):
@@ -321,11 +315,14 @@ class TestInsertionLoss:
         assert str(err.value) == "band sets differ: only in first table [500.0], only in second table [1000.0]"
 
     def test_negative_flagged_not_rejected(self):
-        a = self.make_table([60.0, 60.0, 60.0])
+        # the value is kept, and the library judges nothing: the il command flags it
+        a = self.make_table([60.0, 60.0, np.nan])
         b = self.make_table([59.0, 61.0, 58.0])
-        with pytest.warns(NegativeInsertionLossWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             il = insertion_loss(a, b)
-        assert il.values[1] == pytest.approx(-1.0)
+        assert il.values[:2].tolist() == [1.0, -1.0]
+        assert np.isnan(il.values[2])
 
     def test_two_finite_levels_whose_difference_overflows_raise_naming_the_band(self):
         before = self.make_table([70.0, 1e308, 70.0])

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -17,7 +18,6 @@ from hypothesis import event, given, settings, strategies as st
 
 from tubeloss import (
     DEFAULT_AIR,
-    QUALITY_THRESHOLD,
     AnechoicQualityWarning,
     BandTable,
     FrequencyGrid,
@@ -32,7 +32,7 @@ from tubeloss import (
     third_octave_bands,
 )
 from tubeloss import cli, pipeline
-from tubeloss.cli import _band_block, _round_db, main
+from tubeloss.cli import QUALITY_THRESHOLD, _band_block, _round_db, main
 from tubeloss.io_files import load_stack, read_band_csv, read_mic_spectra, write_band_csv, write_mic_spectra
 from tubeloss.pipeline import analyze_four_mic
 
@@ -741,10 +741,10 @@ class TestInsertionLoss:
         err = capsys.readouterr().err
         assert err == f"error: {tmp_path / 'b.csv'}: table 'L_r0': coverage must lie in [0, 1]\n"
 
-    def test_negative_il_warns_but_succeeds(self, tmp_path):
-        bands = (band_from_nominal(500.0),)
-        write_band_csv(tmp_path / "b.csv", {"L_r0": BandTable.from_values(bands, [60.0])})
-        write_band_csv(tmp_path / "a.csv", {"L_rs": BandTable.from_values(bands, [61.0])})
+    def test_negative_il_warns_but_succeeds(self, tmp_path, capsys):
+        bands = tuple(band_from_nominal(n) for n in (500.0, 630.0, 800.0))
+        write_band_csv(tmp_path / "b.csv", {"L_r0": BandTable.from_values(bands, [60.0, 60.0, np.nan])})
+        write_band_csv(tmp_path / "a.csv", {"L_rs": BandTable.from_values(bands, [61.0, 59.0, 58.0])})
         report_path = tmp_path / "il.json"
         code = run_cli(
             "il", "--before", str(tmp_path / "b.csv"), "--after", str(tmp_path / "a.csv"),
@@ -752,8 +752,28 @@ class TestInsertionLoss:
         )
         assert code == 0
         report = json.loads(report_path.read_text())
-        assert report["bands"]["il_db"] == [-1.0]
-        assert any("negative" in w for w in report["warnings"])
+        assert report["bands"]["il_db"] == [-1.0, 1.0, None]
+        # main records every warning, so an absent (NaN) band's numpy warning would show here too
+        assert report["warnings"] == ["insertion loss negative in bands [500.0] Hz"]
+        assert capsys.readouterr().err == "warning: insertion loss negative in bands [500.0] Hz\n"
+
+
+def test_only_the_cli_uses_warnings():
+    # diagnostic policy lives in cli alone: the library returns data, and cli judges and words it
+    uses = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module, *(alias.name for alias in node.names)]
+            else:
+                names = [getattr(node, "id", None)]
+            if "warnings" in names:
+                uses.append((path.name, node.lineno))
+    assert [f"{name}:{line}" for name, line in sorted(uses)] == []
 
 
 class TestStack:

@@ -525,7 +525,7 @@ class TestSurfaceDensity:
 
 class TestPublicApi:
     def test_all_names_resolve_and_star_import_binds_exactly_them(self):
-        assert len(tubeloss.__all__) == len(set(tubeloss.__all__)) == 46
+        assert len(tubeloss.__all__) == len(set(tubeloss.__all__)) == 45
         for name in tubeloss.__all__:
             assert hasattr(tubeloss, name), name
         namespace: dict = {}

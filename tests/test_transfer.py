@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tubeloss import (
-    QUALITY_THRESHOLD,
     AcousticIndicators,
     AnechoicQualityWarning,
     FrequencyGrid,
@@ -28,6 +27,7 @@ from tubeloss import (
     stl_direct_anechoic,
     synth_mic_pressures,
 )
+from tubeloss.cli import QUALITY_THRESHOLD
 from tubeloss.transfer import _closed_form_indicators
 
 from helpers import (
